@@ -239,7 +239,10 @@ let start ~k ~meter ~seed ~names ~instr =
                | None -> ()
                | Some tk ->
                  let r = request cl meter host.Aster.Kernel.htcp files.(plan.(tk.Meter.idx)) in
+                 (* The meter's speed probes are not load-generator code. *)
+                 Meter.pause cl.lap;
                  Meter.complete meter tk r;
+                 Meter.resume cl.lap;
                  loop ()
              in
              loop ();

@@ -193,7 +193,10 @@ let start ~k ~meter ~seed ~instr =
                  | None -> ()
                  | Some tk ->
                    let r = match conn with None -> Error Meter.Refused | Some conn -> run_op cl conn op in
-                   Meter.complete meter tk r)
+                   (* The meter's speed probes are not load-generator code. *)
+                   Meter.pause cl.lap;
+                   Meter.complete meter tk r;
+                   Meter.resume cl.lap)
                plan;
              Meter.pause cl.lap;
              Option.iter Aster.Tcp.close conn));
