@@ -19,7 +19,7 @@ let workloads =
   [ ("http_static", Http_static); ("kv_mixed", Kv_mixed); ("fs_journal", Fs_journal); ("kv_observed", Kv_observed) ]
 
 (* Ops per round and how many of them are warm-up. *)
-let default_ops = function
+let ops = function
   | Http_static -> 12000
   | Kv_mixed | Kv_observed -> 16 * 1000
   | Fs_journal -> 3000
@@ -52,6 +52,7 @@ let set_planes p =
 
 type round = {
   calib : float; (* mean in-window probe time, CPU s *)
+  setup_calib : float; (* mean set-up probe time, CPU s *)
   virt : Meter.virt;
   ns_per_op : float;
   words_per_op : float;
@@ -69,16 +70,18 @@ type round = {
 let ns_since t0 = Int64.to_float (Int64.sub (Meter.wall_ns ()) t0)
 
 (* Host times are reported at a reference host speed: rescaled by
-   [calib_ref_s] over the round's mean in-window probe time (see
-   [Meter.probe]). Raw times are printed beside them. *)
-let calib_ref_s = 0.006
+   [calib_ref_s] over the mean time of the probes taken while they were
+   measured (see [Meter.probe]). Raw times are printed beside them. *)
+let calib_ref_s = 0.003
 
-let run_round wl ~seed ~ops ~names ~planes ~instr =
+let run_round wl ~seed ~planes ~instr =
   set_planes planes;
-  let t_round = Meter.wall_ns () in
-  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
-  let boot_ms = ns_since t_round /. 1e6 in
+  let ops = ops wl in
   let meter = Meter.create ~warmup:(warmup wl) ~total:ops in
+  Meter.start_setup meter;
+  let cpu_boot = Sys.time () in
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let boot_ms = (Sys.time () -. cpu_boot) *. 1e3 in
   let snaps = ref [] in
   let traced = planes <> Off && instr in
   if traced then begin
@@ -90,7 +93,7 @@ let run_round wl ~seed ~ops ~names ~planes ~instr =
   end;
   let laps, sys =
     match wl with
-    | Http_static -> (Http.start ~k ~meter ~seed ~names ~instr, [])
+    | Http_static -> (Http.start ~k ~meter ~seed ~instr, [])
     | Kv_mixed | Kv_observed -> (Kv.start ~k ~meter ~seed ~instr, [])
     | Fs_journal -> ([], Fsj.start ~meter ~seed ~instr)
   in
@@ -132,10 +135,11 @@ let run_round wl ~seed ~ops ~names ~planes ~instr =
   let lap_ns = List.fold_left (fun acc l -> Int64.add acc l.Meter.acc) 0L laps in
   {
     calib = Meter.probe_s meter;
+    setup_calib = Meter.setup_probe_s meter;
     virt;
     ns_per_op = Meter.host_ns_per_op meter;
     words_per_op = Meter.host_words_per_op meter;
-    setup_s = Int64.to_float (Int64.sub meter.Meter.wall0 t_round) /. 1e9;
+    setup_s = meter.Meter.setup_cpu;
     boot_ms;
     kinds = Meter.kinds meter;
     retries = meter.Meter.retries;
@@ -162,8 +166,11 @@ let print_json ~correct ~attempted ~failed metrics =
 
 let median_of f rounds = Pstats.median (List.map f rounds)
 
-(* A host time of round [r] at the reference speed. *)
+(* A host time of round [r] at the reference speed: [scaled] for times
+   inside the measured window, [scaled_setup] for set-up and boot. *)
 let scaled r x = x *. calib_ref_s /. r.calib
+
+let scaled_setup r x = x *. calib_ref_s /. r.setup_calib
 
 let virt_equal (a : Meter.virt) (b : Meter.virt) =
   a.ops = b.ops && a.tput = b.tput && a.goodput = b.goodput && a.p50 = b.p50 && a.p99 = b.p99
@@ -186,25 +193,16 @@ let print_virt (v : Meter.virt) =
 
 (* --- Runs --- *)
 
-type args = {
-  wl : workload;
-  wl_name : string;
-  seed : int;
-  seconds : float;
-  trace : bool;
-  ops : int;
-  names : [ `Padded | `Short ];
-}
+type args = { wl : workload; wl_name : string; seed : int; seconds : float; trace : bool }
 
 let usage () =
   prerr_endline
     "usage: bench.exe --workload {http_static|kv_mixed|fs_journal|kv_observed} --seed N \
-     --seconds S --trace {0|1} [--ops N] [--names padded|short]";
+     --seconds S --trace {0|1}";
   exit 2
 
 let parse argv =
   let wl = ref None and seed = ref None and seconds = ref 10. and trace = ref false in
-  let ops = ref None and names = ref `Padded in
   let rec go = function
     | [] -> ()
     | "--workload" :: w :: rest ->
@@ -220,20 +218,11 @@ let parse argv =
     | "--trace" :: t :: rest ->
       (match t with "0" -> trace := false | "1" -> trace := true | _ -> usage ());
       go rest
-    | "--ops" :: n :: rest ->
-      (match int_of_string_opt n with Some n when n > 0 -> ops := Some n | _ -> usage ());
-      go rest
-    | "--names" :: n :: rest ->
-      (match n with "padded" -> names := `Padded | "short" -> names := `Short | _ -> usage ());
-      go rest
     | _ -> usage ()
   in
   go (List.tl (Array.to_list argv));
   match (!wl, !seed) with
-  | Some (wl_name, wl), Some seed ->
-    let ops = Option.value ~default:(default_ops wl) !ops in
-    if ops <= warmup wl then usage ();
-    { wl; wl_name; seed; seconds = !seconds; trace = !trace; ops; names = !names }
+  | Some (wl_name, wl), Some seed -> { wl; wl_name; seed; seconds = !seconds; trace = !trace }
   | _ -> usage ()
 
 (* Repeat [f] until the host deadline, at least [min] times. *)
@@ -247,14 +236,12 @@ let repeat ~seconds ~min f =
 let main () =
   let a = parse Sys.argv in
   Apps.Libc.install_child_resolver ();
-  let round ?(wl = a.wl) ~planes ~instr () =
-    run_round wl ~seed:a.seed ~ops:a.ops ~names:a.names ~planes ~instr
-  in
+  let round ?(wl = a.wl) ~planes ~instr () = run_round wl ~seed:a.seed ~planes ~instr in
   let plain_planes = if a.wl = Kv_observed then Observed else Off in
   let broken = ref [] in
   let fail msg = broken := msg :: !broken in
   Printf.printf "perfbench %s  seed=%d  ops/round=%d (warm-up %d)  trace=%d\n%!" a.wl_name a.seed
-    a.ops (warmup a.wl) (if a.trace then 1 else 0);
+    (ops a.wl) (warmup a.wl) (if a.trace then 1 else 0);
   (* The rounds whose virtual metrics must all agree, and the
      untraced ones whose host metrics are reported. *)
   let measured, traced, reference =
@@ -282,8 +269,10 @@ let main () =
   let first = List.hd measured in
   List.iteri
     (fun i r ->
-      Printf.printf "  round %-2d probe %.4f s  setup %.4f s  host %.1f ns/op (raw %.1f)  %.3f words/op\n"
-        i r.calib (scaled r r.setup_s) (scaled r r.ns_per_op) r.ns_per_op r.words_per_op)
+      Printf.printf
+        "  round %-2d probe %.4f s  setup %.4f s (raw %.4f, probe %.4f)  host %.1f ns/op (raw %.1f)  %.3f words/op\n"
+        i r.calib (scaled_setup r r.setup_s) r.setup_s r.setup_calib (scaled r r.ns_per_op) r.ns_per_op
+        r.words_per_op)
     measured;
   List.iteri
     (fun i r ->
@@ -293,9 +282,8 @@ let main () =
     all;
   (* Allocation repeats from the second round of a kind on; the first
      round of a process also pays one-time lazy set-up. Rounds of one
-     seed were measured to agree within 0.2% before the speed probes
-     (the source of that residue is not identified) and within 1% with
-     the probes' words taken out, so "the same" means within 2%. *)
+     seed were measured to agree within 1% (the source of that residue
+     is not identified), so "the same" means within 2%. *)
   let same_words rs =
     match rs with
     | _ :: r1 :: rest ->
@@ -319,7 +307,7 @@ let main () =
   if v.p50 = None || v.p99 = None then fail "a latency percentile has too few samples or lands on a failed op";
   let host_ns = median_of (fun r -> scaled r r.ns_per_op) measured in
   let host_words = median_of (fun r -> r.words_per_op) measured in
-  let setup = median_of (fun r -> scaled r r.setup_s) measured in
+  let setup = median_of (fun r -> scaled_setup r r.setup_s) measured in
   let heap_mb =
     float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
   in
@@ -378,7 +366,8 @@ let main () =
       in
       let host_layer =
         [
-          ("host.boot_ms", median_of (fun r -> scaled r r.boot_ms) (measured @ traced), "ms", "per boot");
+          ("host.boot_ms", median_of (fun r -> scaled_setup r r.boot_ms) (measured @ traced), "ms", "per boot");
+          ("host.raw_ns_per_op", median_of (fun r -> r.ns_per_op) measured, "ns", "per op, untraced, not rescaled");
           ("host.client_ns_per_op", median_of (fun r -> scaled r r.client_ns_per_op) traced, "ns", "per op");
           ("host.probe_ms", median_of (fun r -> r.calib *. 1e3) (measured @ traced), "ms", "raw probe time per round");
         ]

@@ -10,20 +10,16 @@ let small_files = 48
 let large_files = 12
 
 (* Docroot file names are padded so that the path the server stages for
-   open(2), "/tmp/www/<name>" plus its NUL, is exactly 64 bytes.
-   [`Short] names instead leave the path length to the name itself;
-   see README.md for why the default pads. *)
-let file_name ~names ~cls i =
+   open(2), "/tmp/www/<name>" plus its NUL, is exactly 64 bytes; see
+   README.md for why. *)
+let file_name ~cls i =
   let base = Printf.sprintf "%s-%02d" cls i in
-  match names with
-  | `Short -> base ^ ".html"
-  | `Padded ->
-    let stem = 64 - 1 - String.length "/tmp/www/" - String.length ".html" in
-    base ^ String.make (stem - String.length base) '_' ^ ".html"
+  let stem = 64 - 1 - String.length "/tmp/www/" - String.length ".html" in
+  base ^ String.make (stem - String.length base) '_' ^ ".html"
 
-let make_files ~names rng =
+let make_files rng =
   let file cls size i =
-    let name = file_name ~names ~cls i in
+    let name = file_name ~cls i in
     (* Seeded content, so serving the wrong file or the wrong offset
        fails verification. *)
     let content = Bytes.init size (fun _ -> Char.chr (33 + Random.State.int rng 94)) in
@@ -219,10 +215,10 @@ let clients = 32
 
 (* Spawn the server and the client tasks for one round; the caller runs
    the kernel. Returns the per-client laps for host attribution. *)
-let start ~k ~meter ~seed ~names ~instr =
+let start ~k ~meter ~seed ~instr =
   let host = Aster.Kernel.attach_host k in
   let rng = Random.State.make [| seed; 0x477 |] in
-  let files = make_files ~names rng in
+  let files = make_files rng in
   let plan = make_plan rng ~requests:meter.Meter.total in
   Apps.Runner.spawn ~name:"mini-nginx" (fun c ->
       write_docroot c files;

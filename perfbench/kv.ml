@@ -10,14 +10,17 @@ let keys_per_client = 32
    so every later GET has an acknowledged value to check against. *)
 let preload_ops = clients * keys_per_client
 
-(* Value sizes: 70% in 16..128 B, 25% in 128..512 B, 5% in 512..1024 B.
-   A client's sizes are this distribution's evenly spaced quantiles in
+(* Value sizes follow the ETC pool of Facebook's memcached fleet: a
+   generalized Pareto distribution with location 0, scale 214.476 and
+   shape 0.348238 (Atikoglu et al., "Workload Analysis of a Large-Scale
+   Key-Value Store", SIGMETRICS 2012), clamped to 8..1024 B so that a
+   value holds its version and a reply fits the client's buffer. A
+   client's sizes are this distribution's evenly spaced quantiles in
    seeded order, so seeds differ in order, not in bytes moved. *)
 let value_size q =
-  let lerp lo hi f = lo + int_of_float (f *. float_of_int (hi - lo)) in
-  if q < 0.7 then lerp 16 128 (q /. 0.7)
-  else if q < 0.95 then lerp 128 512 ((q -. 0.7) /. 0.25)
-  else lerp 512 1024 ((q -. 0.95) /. 0.05)
+  let scale = 214.476 and shape = 0.348238 in
+  let x = scale /. shape *. (((1. -. q) ** -.shape) -. 1.) in
+  max 8 (min 1024 (int_of_float x))
 
 (* Value bytes are a function of (client, key, version, size): the
    version is spelled out first, so a stale or foreign value never

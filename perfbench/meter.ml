@@ -4,9 +4,9 @@
    completion. The first [warmup] issued ops are excluded from latency,
    throughput and goodput; the measured window runs from the issue of
    the first measured op to the completion of the last op of the round,
-   and the host-side meters (process CPU time, allocated words, wall
-   clock) are read at exactly those two points. Failures are counted
-   for every op, warm-up included, so nothing is masked. *)
+   and the host-side meters (process CPU time, allocated words) are read
+   at exactly those two points. Failures are counted for every op,
+   warm-up included, so nothing is masked. *)
 
 type failure =
   | Refused  (** connect refused past the retry budget *)
@@ -34,19 +34,43 @@ let host_words () =
 
 (* Host speed probe. On a shared host the same work takes up to 1.6x
    more CPU time from one second to the next, whatever this process
-   does. A fixed unit of allocation-, hashing- and copy-heavy work is
-   timed at evenly spaced points inside the measured window; its mean
-   time gives the host's speed over the window. The probes' own CPU
-   time and words are taken out of the window's totals. *)
+   does. A fixed unit of work is timed at evenly spaced points inside
+   the measured window; its mean time gives the host's speed over the
+   window. The work has the memory shape of the simulator's own: stores
+   streaming through a 2 MiB buffer, as allocation into the minor heap
+   does, and scattered reads over 16 MiB, as the major GC's marking
+   does. Of the allocation-free probes tried, this one kept the ratio
+   of the program's CPU time to its own steadiest from round to round.
+   The probe allocates nothing: its buffers are made once, here, and
+   live outside the OCaml heap, so it neither triggers nor pays for the
+   collections that the program's allocation owes, and a change in the
+   program's GC load does not move it. Its CPU time is taken out of the
+   window's total. *)
+module Probe_buf = Bigarray.Array1
+
+let probe_stream = Probe_buf.create Bigarray.int Bigarray.c_layout (1 lsl 18)
+let probe_wide = Probe_buf.create Bigarray.int Bigarray.c_layout (1 lsl 21)
+
+let () =
+  Probe_buf.fill probe_stream 0;
+  Probe_buf.fill probe_wide 1
+
+let probe_sink = ref 0
+
 let probe () =
   let t0 = Sys.time () in
-  let h = Hashtbl.create 1024 in
-  let src = Bytes.make 65536 'p' and dst = Bytes.create 65536 in
-  for i = 0 to 14_999 do
-    Hashtbl.replace h (string_of_int (i land 4095)) (Bytes.make 64 'x');
-    ignore (Hashtbl.find_opt h (string_of_int ((i * 7) land 4095)));
-    if i land 63 = 0 then Bytes.blit src 0 dst 0 65536
+  let n = Probe_buf.dim probe_stream and wide_mask = Probe_buf.dim probe_wide - 1 in
+  let acc = ref 0 and x = ref 7 in
+  for pass = 0 to 1 do
+    for i = 0 to n - 1 do
+      Probe_buf.unsafe_set probe_stream i (i + pass + !acc);
+      if i land 7 = 0 then begin
+        x := ((!x * 0x5bd1e995) + i) land max_int;
+        acc := !acc + Probe_buf.unsafe_get probe_wide ((!x lxor (!x lsr 29)) land wide_mask)
+      end
+    done
   done;
+  probe_sink := !acc;
   Sys.time () -. t0
 
 let probes_per_window = 24
@@ -70,10 +94,14 @@ type t = {
   mutable cpu1 : float;
   mutable words0 : float;
   mutable words1 : float;
-  mutable wall0 : int64;
+  mutable setup0 : float; (* CPU time as set-up starts *)
+  mutable setup_cpu : float; (* set-up CPU time, its probes taken out *)
+  mutable setup_probe_cpu : float; (* every set-up probe *)
+  mutable setup_probe_n : int;
+  mutable warm_probe_cpu : float; (* the set-up probes inside set-up *)
+  warm_probe_every : int; (* warm-up completions between probes *)
   probe_every : int; (* completions between in-window probes *)
   mutable probe_cpu : float;
-  mutable probe_words : float;
   mutable probe_n : int;
   mutable on_open : unit -> unit; (* run as the measured window opens *)
   mutable on_close : unit -> unit; (* run as the last op completes *)
@@ -98,16 +126,34 @@ let create ~warmup ~total =
     cpu1 = 0.;
     words0 = 0.;
     words1 = 0.;
-    wall0 = 0L;
+    setup0 = 0.;
+    setup_cpu = 0.;
+    setup_probe_cpu = 0.;
+    setup_probe_n = 0;
+    warm_probe_cpu = 0.;
+    warm_probe_every = max 1 (warmup / 4);
     probe_every = max 1 ((total - warmup) / probes_per_window);
     probe_cpu = 0.;
-    probe_words = 0.;
     probe_n = 0;
     on_open = ignore;
     on_close = ignore;
   }
 
 let exhausted m = m.issued >= m.total
+
+(* Set-up (boot, server start, docroot or preload, warm-up ops) is
+   timed in process CPU time, from [start_setup] to the window's
+   opening. Its host speed comes from probes taken before it starts,
+   during the warm-up ops and as it ends. *)
+let setup_probe m =
+  let t = probe () in
+  m.setup_probe_cpu <- m.setup_probe_cpu +. t;
+  m.setup_probe_n <- m.setup_probe_n + 1;
+  t
+
+let start_setup m =
+  ignore (setup_probe m);
+  m.setup0 <- Sys.time ()
 
 (* Issue the next op; [None] once the round's quota is spent. *)
 let issue m =
@@ -117,8 +163,9 @@ let issue m =
     m.issued <- idx + 1;
     let t0 = Sim.Clock.now () in
     if idx = m.warmup then begin
+      m.setup_cpu <- Sys.time () -. m.setup0 -. m.warm_probe_cpu;
+      ignore (setup_probe m);
       m.on_open ();
-      m.wall0 <- wall_ns ();
       m.cpu0 <- Sys.time ();
       m.words0 <- host_words ();
       m.v0 <- t0
@@ -140,12 +187,14 @@ let complete m tk result =
       | Ok _ -> Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) tk.t0)
       | Error _ -> infinity);
   m.completed <- m.completed + 1;
-  if m.issued > m.warmup && m.completed < m.total && m.completed mod m.probe_every = 0 then begin
-    let w0 = host_words () in
-    m.probe_cpu <- m.probe_cpu +. probe ();
-    m.probe_words <- m.probe_words +. (host_words () -. w0);
-    m.probe_n <- m.probe_n + 1
-  end;
+  if m.issued > m.warmup then begin
+    if m.completed < m.total && m.completed mod m.probe_every = 0 then begin
+      m.probe_cpu <- m.probe_cpu +. probe ();
+      m.probe_n <- m.probe_n + 1
+    end
+  end
+  else if m.completed mod m.warm_probe_every = 0 then
+    m.warm_probe_cpu <- m.warm_probe_cpu +. setup_probe m;
   if m.completed = m.total then begin
     m.v1 <- Sim.Clock.now ();
     m.cpu1 <- Sys.time ();
@@ -196,11 +245,12 @@ let virt m =
 let host_ns_per_op m =
   Pstats.per_op ~ops:(m.total - m.warmup) ((m.cpu1 -. m.cpu0 -. m.probe_cpu) *. 1e9)
 
-let host_words_per_op m =
-  Pstats.per_op ~ops:(m.total - m.warmup) (m.words1 -. m.words0 -. m.probe_words)
+let host_words_per_op m = Pstats.per_op ~ops:(m.total - m.warmup) (m.words1 -. m.words0)
 
-(* Mean probe CPU seconds over the window. *)
+(* Mean probe CPU seconds over the window, and over set-up. *)
 let probe_s m = Pstats.per ~base:(float_of_int m.probe_n) m.probe_cpu
+
+let setup_probe_s m = Pstats.per ~base:(float_of_int m.setup_probe_n) m.setup_probe_cpu
 
 let kinds m = List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) m.kinds [])
 

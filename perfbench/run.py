@@ -6,8 +6,7 @@
 Builds perfbench/bench.exe with dune from the sources of the checkout
 this file sits in, then runs it with the same arguments. The last line
 of standard output is the JSON result; the exit code is non-zero when
-the build fails or any check of the run fails. `--workload all` runs
-every workload in turn, for reading rather than for parsing.
+the build fails or any check of the run fails.
 """
 
 import os
@@ -16,7 +15,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ["http_static", "kv_mixed", "fs_journal", "kv_observed"]
 # A run measures for --seconds and then finishes its last round; this
 # caps a stuck one.
 RUN_TIMEOUT_S = 170
@@ -66,10 +64,6 @@ def main(argv):
     exe = build()
     if exe is None:
         return 2
-    if "--workload" in argv[:-1] and argv[argv.index("--workload") + 1] == "all":
-        i = argv.index("--workload")
-        rcs = [run(exe, argv[:i + 1] + [w] + argv[i + 2:]) for w in WORKLOADS]
-        return max(rcs)
     return run(exe, argv)
 
 

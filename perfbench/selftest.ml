@@ -1,4 +1,5 @@
-(* Self-tests of the benchmark's statistics rules: dune build @perfbench/runtest *)
+(* Self-tests of the benchmark's statistics rules and client-side
+   accounting: dune build @perfbench/runtest *)
 
 let failures = ref 0
 
@@ -44,5 +45,32 @@ let () =
   (* Median as Python's statistics.median. *)
   check "median odd" (Pstats.median [ 3.; 1.; 2. ] = 2.);
   check "median even" (Pstats.median [ 4.; 1.; 3.; 2. ] = 2.5);
+  (* The meter: a 404 (as the known open(2) EFAULT gives) is a failed op
+     of its own kind. It is counted among the attempted ops, warm-up
+     included, carries no payload and has an infinite latency. It is
+     not a wrong answer, so it does not make the run incorrect. *)
+  let m = Meter.create ~warmup:1 ~total:4 in
+  let op r = Meter.complete m (Option.get (Meter.issue m)) r in
+  op (Ok 7);
+  op (Error (Meter.Status 404));
+  op (Ok 100);
+  op (Ok 100);
+  check "no op beyond the quota" (Meter.issue m = None);
+  check "meter finished" (Meter.finished m);
+  check "404 counted by kind" (Meter.kinds m = [ ("http_404", 1) ]);
+  check "404 is not a wrong answer" (m.Meter.wrong = 0);
+  check "404 latency is infinite" (m.Meter.lat.(0) = infinity);
+  check "payload of timed successes only" (m.Meter.bytes = 200);
+  let v = Meter.virt m in
+  check "attempted counts every op" (v.Meter.attempted = 4 && v.Meter.ops = 3);
+  check "failed op frac" (close (Pstats.failure_frac ~failed:v.Meter.failed ~attempted:v.Meter.attempted) 0.25);
+  let w = Meter.create ~warmup:0 ~total:2 in
+  Meter.complete w (Option.get (Meter.issue w)) (Error Meter.Mismatch);
+  check "mismatch is a wrong answer" (w.Meter.wrong = 1 && Meter.kinds w = [ ("mismatch", 1) ]);
+  (* The speed probe allocates nothing on the OCaml heap, beyond the
+     boxed floats of its own timing, so it never runs the GC. *)
+  let w0 = Gc.minor_words () in
+  ignore (Meter.probe ());
+  check "the probe does not allocate" (Gc.minor_words () -. w0 < 64.);
   if !failures > 0 then exit 1;
   print_endline "perfbench selftest: all passed"
