@@ -83,11 +83,13 @@ let attach_host t =
   let ep = t.devices.Machine.Board.host_endpoint in
   (* The host's Linux stack runs TSO like the guest: its TCP hands
      super-segments of up to [Packet.gso_max_size] down and its NIC splits
-     them into MSS wire frames here; sub-MSS traffic passes through
-     [tso_split] unchanged. Host-side work is uncharged. *)
+     them into MSS wire frames here, sealing each with its checksum;
+     sub-MSS traffic leaves as one sealed frame. Host-side work is
+     uncharged. *)
   Netstack.set_ext_tx hstack (fun pkt ->
+      let raw = Packet.encode pkt in
       List.iter (Machine.Wire.send ep)
-        (Machine.Pktfmt.tso_split ~gso_size:Packet.mss (Packet.encode pkt)));
+        (Machine.Pktfmt.tso_split ~gso_size:Packet.mss ~len:(Bytes.length raw) (Bytes.blit raw)));
   Machine.Wire.on_receive ep (fun raw ->
       match Packet.decode raw with
       | Some pkt -> Netstack.rx hstack pkt

@@ -31,8 +31,8 @@ let rst = 8
 let psh = 16
 
 (* The byte layout lives in {!Machine.Pktfmt}: the device model needs it
-   for TSO splitting and checksum-offload verdicts, and keeping one
-   definition is what guarantees the device and the stack agree. *)
+   for TSO splitting and checksum offload, and keeping one definition is
+   what guarantees the device and the stack agree. *)
 let header_size = Machine.Pktfmt.header_size
 
 let cksum_off = Machine.Pktfmt.cksum_off
@@ -40,8 +40,6 @@ let cksum_off = Machine.Pktfmt.cksum_off
 let mss = Machine.Pktfmt.mss
 
 let gso_max_size = 64 * 1024
-
-let cksum = Machine.Pktfmt.cksum
 
 let release_pins p =
   match p.pins with
@@ -54,21 +52,27 @@ let release_pins p =
         Ostd.Frame.drop f)
       pins
 
-let encode p =
-  let len = Bytes.length p.payload in
-  let b = Bytes.create (header_size + len) in
+(* Bytes 14-15 are padding. The checksum word stays zero: the NIC seals
+   each wire frame once, as it leaves (see {!Machine.Pktfmt.seal}). *)
+let encode_header p b =
   Bytes.set_int32_le b 0 (Int32.of_int p.src_ip);
   Bytes.set_int32_le b 4 (Int32.of_int p.dst_ip);
   Bytes.set b 8 (match p.proto with Tcp -> '\006' | Udp -> '\017');
   Bytes.set b 9 (Char.chr (p.flags land 0xff));
   Bytes.set_uint16_le b 10 p.src_port;
   Bytes.set_uint16_le b 12 p.dst_port;
+  Bytes.set_uint16_le b 14 0;
   Bytes.set_int32_le b 16 (Int32.of_int p.seq);
   Bytes.set_int32_le b 20 (Int32.of_int p.ack);
   Bytes.set_int32_le b 24 (Int32.of_int p.win);
-  Bytes.set_int32_le b 28 (Int32.of_int len);
+  Bytes.set_int32_le b 28 (Int32.of_int (Bytes.length p.payload));
+  Bytes.set_int32_le b cksum_off 0l
+
+let encode p =
+  let len = Bytes.length p.payload in
+  let b = Bytes.create (header_size + len) in
+  encode_header p b;
   Bytes.blit p.payload 0 b header_size len;
-  Bytes.set_int32_le b cksum_off (Int32.of_int (cksum b));
   b
 
 (* [verify:false] is the guest driver's path: the NIC already verified
@@ -79,7 +83,7 @@ let decode ?(verify = true) b =
     let u32 off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff in
     let len = u32 28 in
     if Bytes.length b < header_size + len then None
-    else if verify && u32 cksum_off <> cksum (Bytes.sub b 0 (header_size + len)) then begin
+    else if verify && not (Machine.Pktfmt.cksum_ok b) then begin
       (* Damaged in flight. Dropping it is the graceful path: TCP's
          retransmit timer resends the segment, UDP callers accepted
          lossy delivery when they picked UDP. *)

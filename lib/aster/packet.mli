@@ -38,16 +38,22 @@ val gso_max_size : int
     hands the NIC for TSO, the largest merge GRO builds from wire
     frames, and the loopback segment size. *)
 
+val encode_header : t -> bytes -> unit
+(** Write the [header_size]-byte header into the front of a buffer,
+    checksum word zero. *)
+
 val encode : t -> bytes
-(** Serialize, stamping a 32-bit checksum over header and payload. *)
+(** Serialize header and payload. The checksum word is left zero: the
+    NIC seals each wire frame as it leaves ({!Machine.Pktfmt.seal}). *)
 
 val decode : ?verify:bool -> bytes -> t option
 (** [None] for truncated datagrams, unknown protocols, or a checksum
     mismatch (counted as [net.checksum_drop]) — corrupted frames are
     dropped so retransmission, not garbled data, is what the caller
-    sees. [~verify:false] skips the software checksum pass: the guest
-    driver's path, where the NIC already verified the frame and the
-    driver checked its verdict. *)
+    sees. The checksum is verified in place over the frame
+    ({!Machine.Pktfmt.cksum_ok}). [~verify:false] skips that software
+    pass: the guest driver's path, where the NIC already verified the
+    frame and the driver checked its verdict. *)
 
 val release_pins : t -> unit
 (** Drop every pinned frame exactly once (idempotent: the list empties

@@ -29,18 +29,26 @@ let rec user_write proc ~vaddr buf =
     else Error Errno.efault
 
 let read_str proc vaddr =
-  (* NUL-terminated, capped at a page. *)
-  let rec scan acc off =
+  (* NUL-terminated, capped at a page, copied in 64-byte chunks. A chunk
+     that faults across a page boundary is re-read only up to the
+     boundary: a string whose NUL lies just before an unmapped page is
+     still valid. *)
+  let rec scan acc off len =
     if off >= 4096 then Error Errno.einval
     else
-      match user_read proc ~vaddr:(vaddr + off) ~len:(min 64 (4096 - off)) with
-      | Error e -> Error e
+      let va = vaddr + off in
+      match user_read proc ~vaddr:va ~len with
+      | Error e ->
+        let to_boundary = 4096 - (va land 4095) in
+        if to_boundary < len then scan acc off to_boundary else Error e
       | Ok chunk -> (
         match Bytes.index_opt chunk '\000' with
         | Some i -> Ok (acc ^ Bytes.sub_string chunk 0 i)
-        | None -> scan (acc ^ Bytes.to_string chunk) (off + Bytes.length chunk))
+        | None ->
+          let off = off + Bytes.length chunk in
+          scan (acc ^ Bytes.to_string chunk) off (min 64 (4096 - off)))
   in
-  scan "" 0
+  scan "" 0 64
 
 let read_str_array proc vaddr =
   (* NULL-terminated array of string pointers. *)
@@ -642,7 +650,7 @@ let sys_sendfile proc args =
             let conn =
               match File.tcp_conn_of out_f with Some c -> c | None -> assert false
             in
-            match Tcp.send ~pins conn ~buf:data ~pos:0 ~len:n with
+            match Tcp.send ~pins ~owned:true conn ~buf:data ~pos:0 ~len:n with
             | Ok w ->
               in_f.File.pos <- in_f.File.pos + w;
               sent := !sent + w

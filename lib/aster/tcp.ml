@@ -13,9 +13,16 @@ let drop_pins pins =
    may carry pinned page-cache frames (zero-copy sendfile); the pins
    travel with the chunk's final byte, so the packet that consumes a
    chunk inherits them and they stay live until that packet's TX
-   completes. *)
+   completes.
+
+   Ownership: a buffer handed over outright ([~owned:true]: a decoded
+   RX payload, a sendfile view) is queued by reference, and a segment
+   that is exactly one whole chunk buffer leaves by reference too. Any
+   other buffer is copied on push, since its caller may reuse it the
+   moment the call returns. Queued bytes are never written. *)
 module Fifo = struct
-  type chunk = { data : Bytes.t; off : int ref; mutable pins : Ostd.Frame.t list }
+  (* The unread bytes are [data.[off, stop)]. *)
+  type chunk = { data : Bytes.t; mutable off : int; stop : int; mutable pins : Ostd.Frame.t list }
 
   type t = { q : chunk Queue.t; mutable len : int }
 
@@ -23,54 +30,59 @@ module Fifo = struct
 
   let length t = t.len
 
-  let push ?(pins = []) t b pos n =
+  let push ?(pins = []) ?(owned = false) t b pos n =
     if n > 0 then begin
-      Queue.push { data = Bytes.sub b pos n; off = ref 0; pins } t.q;
+      let data, off = if owned then (b, pos) else (Bytes.sub b pos n, 0) in
+      Queue.push { data; off; stop = off + n; pins } t.q;
       t.len <- t.len + n
     end
     else drop_pins pins
 
-  (* Receive-side drain into a caller buffer. Receive buffers never hold
-     pins; if one ever did, release the frames rather than leak them. *)
-  let pop_into t buf pos n =
-    let moved = ref 0 in
-    while !moved < n && not (Queue.is_empty t.q) do
-      let c = Queue.peek t.q in
-      let avail = Bytes.length c.data - !(c.off) in
-      let take = min avail (n - !moved) in
-      Bytes.blit c.data !(c.off) buf (pos + !moved) take;
-      c.off := !(c.off) + take;
-      moved := !moved + take;
-      if !(c.off) = Bytes.length c.data then begin
-        drop_pins c.pins;
-        ignore (Queue.pop t.q)
-      end
-    done;
-    t.len <- t.len - !moved;
-    !moved
-
-  (* Transmit-side pop: returns the bytes plus the pins of every chunk
-     fully consumed by this segment (ownership transfers to the caller's
-     packet). *)
-  let pop t n =
-    let out = Bytes.create (min n t.len) in
-    let want = Bytes.length out in
+  (* Move up to [n] bytes from the head chunks to [f src src_off dst_off
+     take]; returns the count and the pins of every chunk fully
+     consumed. *)
+  let consume t n f =
     let moved = ref 0 in
     let pins = ref [] in
-    while !moved < want && not (Queue.is_empty t.q) do
+    while !moved < n && not (Queue.is_empty t.q) do
       let c = Queue.peek t.q in
-      let avail = Bytes.length c.data - !(c.off) in
-      let take = min avail (want - !moved) in
-      Bytes.blit c.data !(c.off) out !moved take;
-      c.off := !(c.off) + take;
+      let take = min (c.stop - c.off) (n - !moved) in
+      f c.data c.off !moved take;
+      c.off <- c.off + take;
       moved := !moved + take;
-      if !(c.off) = Bytes.length c.data then begin
+      if c.off = c.stop then begin
         pins := !pins @ c.pins;
         ignore (Queue.pop t.q)
       end
     done;
     t.len <- t.len - !moved;
-    ((if !moved = want then out else Bytes.sub out 0 !moved), !pins)
+    (!moved, !pins)
+
+  (* Receive-side drain into a caller buffer. Receive buffers never hold
+     pins; if one ever did, release the frames rather than leak them. *)
+  let pop_into t buf pos n =
+    let moved, pins =
+      consume t n (fun src src_off dst_off take -> Bytes.blit src src_off buf (pos + dst_off) take)
+    in
+    drop_pins pins;
+    moved
+
+  (* Transmit-side pop: returns the bytes plus the pins of every chunk
+     fully consumed by this segment (ownership transfers to the caller's
+     packet). *)
+  let pop t n =
+    let want = min n t.len in
+    match Queue.peek_opt t.q with
+    | Some c when c.off = 0 && c.stop = want && Bytes.length c.data = want ->
+      ignore (Queue.pop t.q);
+      t.len <- t.len - want;
+      (c.data, c.pins)
+    | _ ->
+      let out = Bytes.create want in
+      let _, pins =
+        consume t want (fun src src_off dst_off take -> Bytes.blit src src_off out dst_off take)
+      in
+      (out, pins)
 
   (* Abandon queued data (connection reset): drop any pinned frames so
      zero-copy conservation holds even on error paths. *)
@@ -385,7 +397,7 @@ let on_data conn (p : Packet.t) =
   if len > 0 then begin
     if p.Packet.seq = conn.rcv_nxt && free_window conn >= len then begin
       charge_rx conn.eng len;
-      Fifo.push conn.rcvbuf p.Packet.payload 0 len;
+      Fifo.push ~owned:true conn.rcvbuf p.Packet.payload 0 len;
       conn.rcv_nxt <- conn.rcv_nxt + len;
       ack_after_data conn len;
       ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
@@ -573,7 +585,7 @@ let connect eng ~dst_ip ~dst_port =
   end
   else Ok conn
 
-let send ?(pins = []) ?(nonblock = false) conn ~buf ~pos ~len =
+let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
   if conn.reset || conn.local_closed then begin
     drop_pins pins;
     Error Errno.epipe
@@ -608,7 +620,7 @@ let send ?(pins = []) ?(nonblock = false) conn ~buf ~pos ~len =
         let space = conn.sndbuf_cap - Fifo.length conn.txq in
         let n = min space (len - !written) in
         let last = !written + n = len in
-        Fifo.push ?pins:(if last then Some pins else None) conn.txq buf (pos + !written) n;
+        Fifo.push ?pins:(if last then Some pins else None) ?owned conn.txq buf (pos + !written) n;
         if last then attached := true;
         written := !written + n;
         try_transmit conn

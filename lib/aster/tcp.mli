@@ -37,10 +37,16 @@ val connect : engine -> dst_ip:int -> dst_port:int -> (conn, int) result
 
 val send :
   ?pins:Ostd.Frame.t list ->
+  ?owned:bool ->
   ?nonblock:bool ->
   conn -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Queue bytes; blocks while the send buffer is full. EPIPE after the
     peer reset or local close.
+
+    The bytes are copied, so the caller may reuse [buf] as soon as the
+    call returns. [~owned:true] hands [buf] over outright instead: the
+    stack queues it by reference, and the caller must never write it
+    again (zero-copy sendfile's page-cache views).
 
     [?pins] (zero-copy sendfile): page-cache frame handles the caller
     cloned for this write. Ownership transfers to the stack

@@ -127,12 +127,16 @@ let post_rx s =
       (Int64.of_int (Ostd.Dma.Stream.paddr b.stream))
   end
 
+(* Zero-copy frames stage their header here on the way into the DMA
+   buffer. *)
+let zc_header = Bytes.create Packet.header_size
+
 (* Build the DMA descriptor for one outgoing frame, data copied in,
    chain link zeroed; [link] stitches chains afterwards. Does not ring
    the doorbell. *)
 let prepare_tx s pkt =
-  let encoded = Packet.encode pkt in
-  let len = Bytes.length encoded in
+  let plen = Bytes.length pkt.Packet.payload in
+  let len = Packet.header_size + plen in
   if len > tso_cap then Ostd.Panic.panic "virtio-net: packet exceeds buffer";
   Netstack.charge s.stack 500;
   let b = take_buf s ~pkt:(Some pkt) ~len in
@@ -141,14 +145,18 @@ let prepare_tx s pkt =
   (if pkt.Packet.pins <> [] then begin
      (* Zero-copy sendfile: the payload already lives in pinned
         page-cache frames, so the CPU materialises only the 36-byte
-        header — [Dma.Stream.fill] places the frame device-side without
-        a copy charge, and the mapping cost is the per-packet zc map. *)
+        header. [Dma.Stream.fill] places header and payload straight in
+        the DMA buffer without a copy charge, and the mapping cost is
+        the per-packet zc map. *)
      if guest then begin
        Sim.Cost.charge_memcpy Packet.header_size;
        Ostd.Dma.charge_zc_map ();
        Sim.Stats.add "net.bytes_copied" Packet.header_size
      end;
-     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:encoded ~pos:0 ~len
+     Packet.encode_header pkt zc_header;
+     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:zc_header ~pos:0 ~len:Packet.header_size;
+     Ostd.Dma.Stream.fill b.stream ~off:(data_off + Packet.header_size) ~buf:pkt.Packet.payload
+       ~pos:0 ~len:plen
    end
    else begin
      (* Copy into the DMA buffer: a real data movement. *)
@@ -156,7 +164,7 @@ let prepare_tx s pkt =
        Sim.Cost.charge_memcpy len;
        Sim.Stats.add "net.bytes_copied" len
      end;
-     Ostd.Untyped.write_bytes f ~off:data_off ~buf:encoded ~pos:0 ~len
+     Ostd.Untyped.write_bytes f ~off:data_off ~buf:(Packet.encode pkt) ~pos:0 ~len
    end);
   Ostd.Untyped.write_u32 f ~off:desc_len len;
   Ostd.Untyped.write_u32 f ~off:desc_status unused_marker;

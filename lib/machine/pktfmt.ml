@@ -1,10 +1,10 @@
 (* On-wire packet format shared by the guest stack and the device
-   model. The device needs it for the two offloads it implements in
+   model. The device needs it for the offloads it implements in
    "hardware": TSO (splitting a super-segment descriptor into MSS-sized
-   wire frames at ring time) and RX checksum verification (computing the
-   verdict the driver trusts instead of paying a software pass). Keeping
-   the byte layout here — below the kernel — is what makes those honest:
-   the device manipulates raw frames, never kernel objects. *)
+   wire frames at ring time) and checksum offload (sealing each frame it
+   sends, verifying each it delivers). Keeping the byte layout here —
+   below the kernel — is what makes those honest: the device manipulates
+   raw frames, never kernel objects. *)
 
 let header_size = 36
 
@@ -18,55 +18,61 @@ let fin = 4
 
 let psh = 16
 
-(* FNV-1a over the whole datagram with the checksum field skipped.
-   Catches any single flipped byte — which is exactly what a noisy link
-   (or the fault plane's [net.corrupt]) produces. *)
+let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
+
+(* FNV-1a over the frame's little-endian 32-bit words (a partial last
+   word byte by byte), the checksum word skipped. Each step is a
+   bijection of the running hash and of its input, so frames of equal
+   length that differ in one word always hash apart: a single flipped
+   byte — what a noisy link, or the fault plane's [net.corrupt],
+   produces — is always caught. *)
 let cksum b =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Bytes.length b - 1 do
-    if i < cksum_off || i >= cksum_off + 4 then begin
-      h := !h lxor Char.code (Bytes.unsafe_get b i);
-      h := !h * 0x01000193 land 0xffffffff
-    end
+  let len = Bytes.length b and h = ref 0x811c9dc5 and i = ref 0 in
+  while !i + 4 <= len do
+    if !i <> cksum_off then h := (!h lxor u32 b !i) * 0x01000193 land 0xffffffff;
+    i := !i + 4
+  done;
+  for j = !i to len - 1 do
+    h := (!h lxor Char.code (Bytes.get b j)) * 0x01000193 land 0xffffffff
   done;
   !h
 
-let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
+(* The NIC's TX checksum, stamped once per wire frame. A frame too short
+   for a header has no checksum word. *)
+let seal b =
+  if Bytes.length b >= header_size then Bytes.set_int32_le b cksum_off (Int32.of_int (cksum b))
 
-(* Device-side checksum verification over a raw frame, mirroring what
-   the receiving stack's decode would conclude. *)
+(* Verification in place, mirroring what the receiving stack's decode
+   concludes. The length word must match the frame exactly, so a flipped
+   length byte is caught too. *)
 let cksum_ok raw =
   Bytes.length raw >= header_size
-  &&
-  let len = u32 raw 28 in
-  Bytes.length raw >= header_size + len
-  && u32 raw cksum_off = cksum (Bytes.sub raw 0 (header_size + len))
+  && u32 raw 28 = Bytes.length raw - header_size
+  && u32 raw cksum_off = cksum raw
 
-(* TSO: split one encoded super-segment into wire frames of at most
-   [gso_size] payload bytes. Each sub-frame gets the advanced sequence
-   number, its own length and a recomputed checksum; FIN and PSH travel
-   only on the final sub-frame, the way a real NIC segments. *)
-let tso_split ~gso_size raw =
-  let plen = Bytes.length raw - header_size in
-  if gso_size <= 0 || plen <= gso_size then [ raw ]
-  else begin
-    let seq0 = u32 raw 16 in
-    let flags0 = Char.code (Bytes.get raw 9) in
-    let rec go off acc =
-      if off >= plen then List.rev acc
-      else begin
+(* TSO: cut one encoded super-segment of [len] bytes into sealed wire
+   frames of at most [gso_size] payload bytes, each read straight from
+   wherever the super-segment lives through [read src dst dst_off n].
+   Each sub-frame gets the advanced sequence number and its own length;
+   FIN and PSH travel only on the final sub-frame, the way a real NIC
+   segments. *)
+let tso_split ~gso_size ~len read =
+  let plen = len - header_size in
+  if gso_size <= 0 || plen <= gso_size then begin
+    let b = Bytes.create len in
+    read 0 b 0 len;
+    seal b;
+    [ b ]
+  end
+  else
+    List.init ((plen + gso_size - 1) / gso_size) (fun k ->
+        let off = k * gso_size in
         let c = min gso_size (plen - off) in
         let b = Bytes.create (header_size + c) in
-        Bytes.blit raw 0 b 0 header_size;
-        Bytes.blit raw (header_size + off) b header_size c;
-        Bytes.set_int32_le b 16 (Int32.of_int (seq0 + off));
+        read 0 b 0 header_size;
+        read (header_size + off) b header_size c;
+        Bytes.set_int32_le b 16 (Int32.of_int (u32 b 16 + off));
         Bytes.set_int32_le b 28 (Int32.of_int c);
-        let last = off + c >= plen in
-        let flags = if last then flags0 else flags0 land lnot (fin lor psh) in
-        Bytes.set b 9 (Char.chr flags);
-        Bytes.set_int32_le b cksum_off (Int32.of_int (cksum b));
-        go (off + c) (b :: acc)
-      end
-    in
-    go 0 []
-  end
+        if off + c < plen then Bytes.set_uint8 b 9 (Bytes.get_uint8 b 9 land lnot (fin lor psh));
+        seal b;
+        b)

@@ -1,7 +1,7 @@
 (** On-wire packet byte layout, shared by {!Aster.Packet} (the kernel's
     view) and {!Virtio_net} (the device model's view). The device model
-    needs it to implement TSO splitting and RX checksum verification on
-    raw frames without reaching into kernel objects. *)
+    needs it to implement TSO splitting and checksum offload on raw
+    frames without reaching into kernel objects. *)
 
 val header_size : int
 
@@ -15,17 +15,20 @@ val psh : int
 (** The flag bits (offset 9) a TSO splitter strips from non-final
     sub-frames. *)
 
-val cksum : bytes -> int
-(** FNV-1a over the datagram with the checksum field skipped. *)
+val seal : bytes -> unit
+(** Store the frame's checksum — FNV-1a over its little-endian 32-bit
+    words, checksum word skipped — in the checksum word (frames of at
+    least [header_size] bytes): the NIC's TX checksum. *)
 
 val cksum_ok : bytes -> bool
-(** Device-side verification: [true] iff the frame is well-formed and
-    its stored checksum matches — the verdict a checksum-offloading NIC
-    hands the driver. *)
+(** Verification in place: [true] iff the frame is well-formed, its
+    length word matches its size and its stored checksum matches — the
+    verdict a checksum-offloading NIC hands the driver. *)
 
-val tso_split : gso_size:int -> bytes -> bytes list
-(** Split one encoded super-segment into wire frames of at most
-    [gso_size] payload bytes each: sequence numbers advance per chunk,
-    lengths and checksums are rewritten, FIN/PSH ride only on the final
-    sub-frame. A frame already within [gso_size], or any frame when
-    [gso_size] is 0, passes through unchanged (single-element list). *)
+val tso_split : gso_size:int -> len:int -> (int -> bytes -> int -> int -> unit) -> bytes list
+(** [tso_split ~gso_size ~len read] splits an encoded super-segment of
+    [len] bytes, read through [read src dst dst_off n] (e.g.
+    [Bytes.blit raw]), into sealed wire frames of at most [gso_size]
+    payload bytes each: sequence numbers advance per chunk, lengths are
+    rewritten, FIN/PSH ride only on the final sub-frame. A frame within
+    [gso_size], or any frame when [gso_size] is 0, goes out whole. *)

@@ -57,16 +57,12 @@ let mangle pkt =
     []
   end
   else begin
-    let pkt =
-      if Bytes.length pkt > 0 && Sim.Fault.roll "net.corrupt" then begin
-        Sim.Stats.incr "virtio_net.injected_corrupt";
-        let p = Bytes.copy pkt in
-        let i = Bytes.length p / 2 in
-        Bytes.set p i (Char.chr (Char.code (Bytes.get p i) lxor 0x55));
-        p
-      end
-      else pkt
-    in
+    (* The frame is ours (see {!Wire.send}): corrupt it in place. *)
+    if Bytes.length pkt > 0 && Sim.Fault.roll "net.corrupt" then begin
+      Sim.Stats.incr "virtio_net.injected_corrupt";
+      let i = Bytes.length pkt / 2 in
+      Bytes.set pkt i (Char.chr (Char.code (Bytes.get pkt i) lxor 0x55))
+    end;
     if Sim.Fault.roll "net.dup" then begin
       Sim.Stats.incr "virtio_net.injected_dup";
       [ pkt; Bytes.copy pkt ]
@@ -112,9 +108,10 @@ let irq_ack t =
     end
   end
 
-(* Service one TX descriptor: DMA the descriptor, read the frame, split
-   it into wire frames if the GSO record asks for segmentation, put them
-   on the wire, write status. Runs as a device event, not kernel code.
+(* Service one TX descriptor: DMA the descriptor, cut the frame into
+   sealed wire frames read straight out of DMA memory (split only if
+   the GSO record asks for segmentation), put them on the wire, write
+   status. Runs as a device event, not kernel code.
    Returns [(completed, wire_frames)]: [completed] when the status word
    was written (the completion deserves an interrupt) — the caller
    raises one interrupt per chain, not per descriptor — and
@@ -159,9 +156,10 @@ let execute_tx_one t desc_paddr =
           Phys.write_u32 (desc_paddr + 4) 1;
           (true, 1)
         | Ok () ->
-          let pkt = Bytes.create len in
-          Phys.read ~paddr:data_paddr pkt ~off:0 ~len;
-          let frames = Pktfmt.tso_split ~gso_size:gso pkt in
+          let frames =
+            Pktfmt.tso_split ~gso_size:gso ~len (fun src dst off n ->
+                Phys.read ~paddr:(data_paddr + src) dst ~off ~len:n)
+          in
           let nframes = List.length frames in
           if nframes > 1 then Sim.Stats.add "virtio_net.tso_frames" (nframes - 1);
           (* Each wire frame is mangled independently: a noisy link
@@ -247,9 +245,9 @@ let deliver_into t desc_paddr pkt =
       Phys.write_u32 (desc_paddr + 4) 0
     | Ok () ->
       Phys.write ~paddr:data_paddr pkt ~off:0 ~len;
-      (* Checksum offload: the device verifies every delivered frame and
-         writes its verdict before the status word, so the driver trusts
-         the mark and never pays the software pass. *)
+      (* Checksum offload: the device verifies every delivered frame in
+         place and writes its verdict before the status word, so the
+         driver trusts the mark and never pays the software pass. *)
       Phys.write_u32 (desc_paddr + rx_desc_csum)
         (if Pktfmt.cksum_ok pkt then csum_verdict_ok else csum_verdict_bad);
       Phys.write_u32 (desc_paddr + 4) len);

@@ -24,8 +24,10 @@
     completion interrupt for the whole chain. A descriptor whose GSO
     record is non-zero is split into MSS-sized wire frames at ring time —
     the device, not the kernel, pays the per-frame work, which is the
-    entire point of TSO. Every delivered frame's checksum is verified and
-    the verdict written into its RX descriptor. The driver posts receive
+    entire point of TSO. The device seals every frame it puts on the
+    wire with its checksum, once, reading the frame straight out of DMA
+    memory. Every delivered frame's checksum is verified and the verdict
+    written into its RX descriptor. The driver posts receive
     buffers ahead of time; inbound packets that find no posted buffer
     are dropped and counted, like a NIC with an empty RX ring. All data
     movement goes through the {!Iommu}. One interrupt vector signals

@@ -41,7 +41,6 @@ let send ep packet =
     let done_at = Int64.add start (Int64.of_int serialize) in
     ep.link_free_at <- done_at;
     let deliver_at = Int64.add done_at (Int64.of_int (Sim.Clock.us ep.latency_us)) in
-    let copy = Bytes.copy packet in
-    ignore (Sim.Events.schedule_at deliver_at (fun () -> peer.rx copy))
+    ignore (Sim.Events.schedule_at deliver_at (fun () -> peer.rx packet))
 
 let packets_sent ep = ep.sent

@@ -12,5 +12,7 @@ val create_pair : latency_us:float -> bytes_per_cycle:float -> endpoint * endpoi
 val on_receive : endpoint -> (bytes -> unit) -> unit
 
 val send : endpoint -> bytes -> unit
+(** Takes ownership of the frame: the peer receives this very buffer,
+    not a copy, so the sender must not touch it afterwards. *)
 
 val packets_sent : endpoint -> int

@@ -1,13 +1,16 @@
-type event = { time : int64; seq : int; mutable cancelled : bool; run : unit -> unit }
+(* [pos] is the event's slot in the heap, -1 once it has fired or been
+   cancelled: [cancel] takes the event out rather than leave it behind. *)
+type event = { time : int64; seq : int; mutable pos : int; run : unit -> unit }
 
 type handle = event
 
 module Heap = struct
-  (* Binary min-heap ordered by (time, seq): seq breaks ties so that
-     events scheduled earlier fire earlier, keeping runs deterministic. *)
+  (* Indexed binary min-heap ordered by (time, seq): seq breaks ties so
+     that events scheduled earlier fire earlier, keeping runs
+     deterministic. *)
   type t = { mutable arr : event array; mutable len : int }
 
-  let dummy = { time = 0L; seq = 0; cancelled = true; run = ignore }
+  let dummy = { time = 0L; seq = 0; pos = -1; run = ignore }
 
   let create () = { arr = Array.make 64 dummy; len = 0 }
 
@@ -15,10 +18,29 @@ module Heap = struct
     let c = Int64.compare a.time b.time in
     if c <> 0 then c < 0 else a.seq < b.seq
 
+  let set h i e =
+    h.arr.(i) <- e;
+    e.pos <- i
+
   let swap h i j =
     let t = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- t
+    set h i h.arr.(j);
+    set h j t
+
+  let rec sift_up h i =
+    let p = (i - 1) / 2 in
+    if i > 0 && less h.arr.(i) h.arr.(p) then begin
+      swap h i p;
+      sift_up h p
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < h.len && less h.arr.(l + 1) h.arr.(l) then l + 1 else l in
+    if c < h.len && less h.arr.(c) h.arr.(i) then begin
+      swap h i c;
+      sift_down h c
+    end
 
   let push h e =
     if h.len = Array.length h.arr then begin
@@ -26,98 +48,66 @@ module Heap = struct
       Array.blit h.arr 0 bigger 0 h.len;
       h.arr <- bigger
     end;
-    h.arr.(h.len) <- e;
+    set h h.len e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && less h.arr.(!i) h.arr.((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    sift_up h (h.len - 1)
 
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done;
-      Some top
-    end
-
-  let peek h = if h.len = 0 then None else Some h.arr.(0)
+  (* The last entry fills the hole and moves whichever way restores
+     the order. *)
+  let remove h i =
+    h.arr.(i).pos <- -1;
+    h.len <- h.len - 1;
+    if i < h.len then begin
+      set h i h.arr.(h.len);
+      sift_up h i;
+      sift_down h i
+    end;
+    h.arr.(h.len) <- dummy
 end
 
 let heap = Heap.create ()
 
 let seq = ref 0
 
-let live = ref 0
-
 let clear () =
-  heap.Heap.len <- 0;
-  live := 0
+  while heap.Heap.len > 0 do
+    Heap.remove heap (heap.Heap.len - 1)
+  done
 
 let schedule_at time run =
   incr seq;
-  let e = { time; seq = !seq; cancelled = false; run } in
+  let e = { time; seq = !seq; pos = -1; run } in
   Heap.push heap e;
-  incr live;
   e
 
 let schedule_after n run =
   if n < 0 then invalid_arg "Events.schedule_after: negative delay";
   schedule_at (Int64.add (Clock.now ()) (Int64.of_int n)) run
 
-let cancel e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
-    decr live
-  end
+let cancel e = if e.pos >= 0 then Heap.remove heap e.pos
 
-let pending () = !live
+let pending () = heap.Heap.len
 
-let pop_due () =
-  match Heap.peek heap with
-  | Some e when Int64.compare e.time (Clock.now ()) <= 0 -> Heap.pop heap
-  | Some _ | None -> None
+(* [run_due] fires only events already due: for those the clock, which
+   never moves back, stays where it is. *)
+let fire_first () =
+  let e = heap.Heap.arr.(0) in
+  Heap.remove heap 0;
+  Clock.advance_to e.time;
+  e.run ()
 
 let run_due () =
   let ran = ref false in
-  let continue = ref true in
-  while !continue do
-    match pop_due () with
-    | None -> continue := false
-    | Some e ->
-      if not e.cancelled then begin
-        decr live;
-        ran := true;
-        e.run ()
-      end
+  while heap.Heap.len > 0 && Int64.compare heap.Heap.arr.(0).time (Clock.now ()) <= 0 do
+    ran := true;
+    fire_first ()
   done;
   !ran
 
-let rec run_next () =
-  match Heap.pop heap with
-  | None -> false
-  | Some e ->
-    if e.cancelled then run_next ()
-    else begin
-      decr live;
-      Clock.advance_to e.time;
-      e.run ();
-      ignore (run_due ());
-      true
-    end
+let run_next () =
+  heap.Heap.len > 0
+  && begin
+       fire_first ();
+       ignore (run_due ());
+       true
+     end

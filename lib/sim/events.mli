@@ -17,10 +17,13 @@ val schedule_after : int -> (unit -> unit) -> handle
 (** [schedule_after n f] runs [f] [n] cycles from now. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-fired event is a no-op. *)
+(** Remove the event from the queue at once, in O(log n): the queue
+    only ever holds live events. Cancelling an event that already fired
+    or was already cancelled is a no-op. *)
 
 val pending : unit -> int
-(** Number of events still scheduled (cancelled ones excluded). *)
+(** Number of events still scheduled: exact, since fired and cancelled
+    events have left the queue. *)
 
 val run_due : unit -> bool
 (** Run every event whose time is [<= Clock.now ()]. Returns [true] if at

@@ -24,6 +24,13 @@ let run_user ?profile body =
 
 (* --- Packet codec --- *)
 
+(* What a receiver gets: the stack encodes, the NIC seals the frame
+   with its checksum on the way out. *)
+let wire_frame p =
+  let b = Aster.Packet.encode p in
+  Machine.Pktfmt.seal b;
+  b
+
 let test_packet_roundtrip () =
   let p =
     Aster.Packet.make
@@ -32,7 +39,7 @@ let test_packet_roundtrip () =
       ~proto:Aster.Packet.Tcp ~src_port:33000 ~dst_port:80 ~flags:Aster.Packet.syn ~seq:7
       ~ack:9 ~win:65535 (Bytes.of_string "payload!")
   in
-  match Aster.Packet.decode (Aster.Packet.encode p) with
+  match Aster.Packet.decode (wire_frame p) with
   | None -> Alcotest.fail "decode failed"
   | Some q ->
     check "fields survive" true
@@ -51,9 +58,56 @@ let prop_packet_roundtrip =
         Aster.Packet.make ~src_ip:1 ~dst_ip:2 ~proto:Aster.Packet.Udp ~src_port:5 ~dst_port:6
           (Bytes.of_string s)
       in
-      match Aster.Packet.decode (Aster.Packet.encode p) with
+      match Aster.Packet.decode (wire_frame p) with
       | Some q -> Bytes.to_string q.Aster.Packet.payload = s
       | None -> false)
+
+(* A payload of [n] bytes that differ from their neighbours, so a
+   misplaced or dropped chunk cannot go unnoticed. *)
+let seeded_payload n seed = Bytes.init n (fun i -> Char.chr (((i * 131) + seed) land 0xff))
+
+let prop_segmentation =
+  QCheck.Test.make ~name:"tso_frames_verify_and_reassemble" ~count:100
+    QCheck.(triple (int_range 0 (64 * 1024)) (int_range 1 9000) (int_range 0 0xffffffff))
+    (fun (n, gso_size, seq) ->
+      let payload = seeded_payload n seq in
+      let flags = Aster.Packet.ack_flag lor Aster.Packet.psh lor Aster.Packet.fin in
+      let inner_flags = flags land lnot (Aster.Packet.fin lor Aster.Packet.psh) in
+      let p =
+        Aster.Packet.make ~src_ip:1 ~dst_ip:2 ~proto:Aster.Packet.Tcp ~src_port:5 ~dst_port:6
+          ~flags ~seq payload
+      in
+      let raw = Aster.Packet.encode p in
+      let frames = Machine.Pktfmt.tso_split ~gso_size ~len:(Bytes.length raw) (Bytes.blit raw) in
+      let last = List.length frames - 1 in
+      let consumed = Buffer.create n in
+      let frame_ok i f =
+        Machine.Pktfmt.cksum_ok f
+        &&
+        match Aster.Packet.decode f with
+        | None -> false
+        | Some q ->
+          let seq_ok = q.Aster.Packet.seq = (seq + Buffer.length consumed) land 0xffffffff in
+          Buffer.add_bytes consumed q.Aster.Packet.payload;
+          seq_ok
+          && Bytes.length q.Aster.Packet.payload <= gso_size
+          && q.Aster.Packet.flags = if i = last then flags else inner_flags
+      in
+      List.for_all Fun.id (List.mapi frame_ok frames)
+      && Buffer.contents consumed = Bytes.to_string payload)
+
+let prop_single_byte_flip_rejected =
+  QCheck.Test.make ~name:"sealed_frame_single_byte_flip_rejected" ~count:500
+    QCheck.(triple (int_range 0 2000) (int_range 0 max_int) (int_range 1 255))
+    (fun (n, at, mask) ->
+      let frame =
+        wire_frame
+          (Aster.Packet.make ~src_ip:1 ~dst_ip:2 ~proto:Aster.Packet.Tcp ~src_port:5 ~dst_port:6
+             ~seq:at (seeded_payload n at))
+      in
+      let i = at mod Bytes.length frame in
+      Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor mask));
+      (not (Machine.Pktfmt.cksum_ok frame)) && Aster.Packet.decode frame = None)
 
 let test_ip_strings () =
   check_str "roundtrip" "192.168.1.42"
@@ -128,6 +182,30 @@ let test_libc_readv_writev () =
           let fd = Apps.Libc.openf c "/tmp/v" ~flags:0 ~mode:0 in
           let s = Apps.Libc.read_str c ~fd ~len:16 in
           if s = "abcdefg" then 0 else 2
+        end)
+  in
+  check_int "exit" 0 code
+
+(* open(2) copies the path in 64-byte chunks. A path whose NUL is the
+   last byte of a mapping, with an unmapped page behind it, must still
+   open; one that runs off the end of the mapping must still fault. *)
+let test_open_path_at_mapping_end () =
+  let code =
+    run_user (fun c ->
+        let fd = Apps.Libc.openf c "/tmp/near_end" ~flags:0o101 ~mode:0o644 in
+        ignore (Apps.Libc.close c fd);
+        let page = Apps.Libc.mmap c ~len:4096 in
+        let put_at_end s =
+          let at = page + 4096 - String.length s in
+          (Apps.Libc.raw c).Ostd.User.mem_write at (Bytes.of_string s);
+          at
+        in
+        let open_at at = Apps.Libc.syscall c Aster.Syscall_nr.open_ [| Int64.of_int at; 0L; 0L |] in
+        let fd = open_at (put_at_end "/tmp/near_end\000") in
+        if fd < 0 then 1
+        else begin
+          ignore (Apps.Libc.close c fd);
+          if open_at (put_at_end "/tmp/near_end") <> -Aster.Errno.efault then 2 else 0
         end)
   in
   check_int "exit" 0 code
@@ -509,6 +587,7 @@ let () =
           Alcotest.test_case "file_calls" `Quick test_libc_file_calls;
           Alcotest.test_case "dup_cwd" `Quick test_libc_dup_umask_cwd;
           Alcotest.test_case "readv_writev" `Quick test_libc_readv_writev;
+          Alcotest.test_case "open_path_at_mapping_end" `Quick test_open_path_at_mapping_end;
           Alcotest.test_case "poll_pipe" `Quick test_poll_on_pipe;
           Alcotest.test_case "clock" `Quick test_clock_monotonic;
           Alcotest.test_case "getrandom" `Quick test_getrandom;
@@ -530,5 +609,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_packet_roundtrip; prop_sqlite_random_inserts; prop_tcp_stream_integrity ] );
+          [
+            prop_packet_roundtrip;
+            prop_segmentation;
+            prop_single_byte_flip_rejected;
+            prop_sqlite_random_inserts;
+            prop_tcp_stream_integrity;
+          ] );
     ]

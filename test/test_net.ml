@@ -434,6 +434,65 @@ let test_sendfile_zero_copy_survives_tx_faults () =
   check "frames were pinned" true (pinned > 0);
   check_int "pins balance through retries, give-ups and quarantines" pinned unpinned
 
+(* --- Buffer ownership: only buffers handed over outright are adopted ---
+
+   A sender that overwrites its buffer the moment [Tcp.send] returns,
+   as load generators and sendfile's bounce-buffer path do, must still
+   deliver the bytes it sent: the stack copies what it is lent. The
+   stream mixes sub-MSS and multi-MSS writes, so bytes wait in the send
+   queue, the plug queue and the retransmit queue while the buffer is
+   scribbled over. *)
+
+let reused_buffer_stream ~guest_to_host =
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  let src, dst, dst_ip =
+    if guest_to_host then (k.Aster.Kernel.tcp, host.Aster.Kernel.htcp, Aster.Kernel.host_ip)
+    else (host.Aster.Kernel.htcp, k.Aster.Kernel.tcp, Aster.Kernel.guest_ip)
+  in
+  let port = 9040 in
+  let sizes = List.init 48 (fun i -> 1 + (i * 2711 mod 6000)) in
+  let sink = Buffer.create 4096 in
+  (match Aster.Tcp.listen dst ~port with
+  | Error _ -> Alcotest.fail "listen"
+  | Ok l ->
+    ignore
+      (Ostd.Task.spawn ~name:"sink" (fun () ->
+           let conn = Aster.Tcp.accept l in
+           let buf = Bytes.create 16384 in
+           let rec drain () =
+             match Aster.Tcp.recv conn ~buf ~pos:0 ~len:16384 with
+             | Ok 0 | Error _ -> ()
+             | Ok n ->
+               Buffer.add_subbytes sink buf 0 n;
+               drain ()
+           in
+           drain ();
+           Aster.Tcp.close conn)));
+  ignore
+    (Ostd.Task.spawn ~name:"reusing-src" (fun () ->
+         match Aster.Tcp.connect src ~dst_ip ~dst_port:port with
+         | Error _ -> ()
+         | Ok conn ->
+           let buf = Bytes.create 6000 in
+           List.iteri
+             (fun i n ->
+               Bytes.fill buf 0 n (Char.chr (65 + (i mod 26)));
+               ignore (Aster.Tcp.send conn ~buf ~pos:0 ~len:n);
+               Bytes.fill buf 0 (Bytes.length buf) '!')
+             sizes;
+           Aster.Tcp.close conn));
+  Apps.Runner.run ();
+  let expect =
+    String.concat "" (List.mapi (fun i n -> String.make n (Char.chr (65 + (i mod 26)))) sizes)
+  in
+  check "the receiver got the bytes as sent, not the scribbles" true
+    (String.equal (Buffer.contents sink) expect)
+
+let test_reused_buffer_guest_to_host () = reused_buffer_stream ~guest_to_host:true
+
+let test_reused_buffer_host_to_guest () = reused_buffer_stream ~guest_to_host:false
+
 let test_span_tx_conservation () =
   let size = 192 * 1024 in
   let rc, bytes, eof, created, resolved = span_transfer ~size () in
@@ -490,6 +549,13 @@ let () =
           Alcotest.test_case "copy_baseline" `Quick test_sendfile_copy_baseline;
           Alcotest.test_case "pins_balance_under_faults" `Quick
             test_sendfile_zero_copy_survives_tx_faults;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "reused_send_buffer_guest_to_host" `Quick
+            test_reused_buffer_guest_to_host;
+          Alcotest.test_case "reused_send_buffer_host_to_guest" `Quick
+            test_reused_buffer_host_to_guest;
         ] );
       ( "span-conservation",
         [

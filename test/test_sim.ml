@@ -57,6 +57,17 @@ let test_events_cancel () =
   done;
   check "not fired" false !fired
 
+(* Regression: cancelling an event that already fired used to count it
+   out of [pending] a second time. *)
+let test_events_cancel_after_fire () =
+  Sim.Clock.reset ();
+  Sim.Events.clear ();
+  let h = Sim.Events.schedule_at 10L ignore in
+  ignore (Sim.Events.schedule_at 20L ignore);
+  ignore (Sim.Events.run_next ());
+  Sim.Events.cancel h;
+  check_int "pending" 1 (Sim.Events.pending ())
+
 let test_events_run_due () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
@@ -131,22 +142,71 @@ let prop_rng_deterministic =
         (fun _ -> Sim.Rng.next a = Sim.Rng.next b)
         [ 1; 2; 3; 4; 5 ])
 
+(* Random schedules, cancels (of live, fired or cancelled events alike)
+   and steps, against a sorted-list oracle: uncancelled events fire
+   exactly once, in (time, seq) order, and [pending] is exact after
+   every operation. An op is (kind, arg): kinds 0-2 schedule at time
+   [arg], 3 cancels the [arg mod n]-th event scheduled so far, 4 steps
+   with [run_next]. *)
 let prop_events_fire_in_order =
-  QCheck.Test.make ~name:"events_fire_in_time_order" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 50) (int_range 0 10000))
-    (fun times ->
+  QCheck.Test.make ~name:"events_fire_in_time_order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 80) (pair (int_range 0 4) (int_range 0 10000)))
+    (fun ops ->
       Sim.Clock.reset ();
       Sim.Events.clear ();
-      let fired = ref [] in
+      let handles = Hashtbl.create 64 in
+      let fired = ref [] and expected = ref [] in
+      (* Oracle: live (time, id) pairs, sorted; ids count up with
+         scheduling order, so they break ties as seq does. *)
+      let live = ref [] and now = ref 0 in
+      let oracle_fire () =
+        match !live with
+        | (t, id) :: rest ->
+          live := rest;
+          now := max !now t;
+          expected := id :: !expected
+        | [] -> ()
+      in
+      let rec oracle_run_due () =
+        match !live with
+        | (t, _) :: _ when t <= !now ->
+          oracle_fire ();
+          oracle_run_due ()
+        | _ -> ()
+      in
+      let oracle_run_next () =
+        oracle_fire ();
+        oracle_run_due ()
+      in
+      let exact = ref true in
       List.iter
-        (fun t ->
-          ignore (Sim.Events.schedule_at (Int64.of_int t) (fun () -> fired := t :: !fired)))
-        times;
+        (fun (kind, arg) ->
+          let n = Hashtbl.length handles in
+          (if kind <= 2 then begin
+             Hashtbl.replace handles n
+               (Sim.Events.schedule_at (Int64.of_int arg) (fun () -> fired := n :: !fired));
+             live := List.merge compare [ (arg, n) ] !live
+           end
+           else if kind = 3 then begin
+             if n > 0 then begin
+               let id = arg mod n in
+               Sim.Events.cancel (Hashtbl.find handles id);
+               live := List.filter (fun (_, i) -> i <> id) !live
+             end
+           end
+           else begin
+             ignore (Sim.Events.run_next ());
+             oracle_run_next ()
+           end);
+          if Sim.Events.pending () <> List.length !live then exact := false)
+        ops;
       while Sim.Events.run_next () do
         ()
       done;
-      let order = List.rev !fired in
-      order = List.sort compare order && List.length order = List.length times)
+      while !live <> [] do
+        oracle_run_next ()
+      done;
+      !exact && Sim.Events.pending () = 0 && !fired = !expected)
 
 let prop_shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle_preserves_elements" ~count:200
@@ -170,6 +230,7 @@ let () =
           Alcotest.test_case "order" `Quick test_events_order;
           Alcotest.test_case "fifo_ties" `Quick test_events_same_time_fifo;
           Alcotest.test_case "cancel" `Quick test_events_cancel;
+          Alcotest.test_case "cancel_after_fire" `Quick test_events_cancel_after_fire;
           Alcotest.test_case "run_due" `Quick test_events_run_due;
           Alcotest.test_case "cascade" `Quick test_events_cascade;
         ] );
