@@ -79,19 +79,6 @@ let syscall_pctls () =
       }
   | Some _ | None -> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_nan f || f = infinity || f = neg_infinity then "null"
   else Printf.sprintf "%.6g" f
@@ -115,7 +102,7 @@ let json_of_result r =
           (List.map
              (fun (s : Sim.Prof.frame_stat) ->
                Printf.sprintf {|{"scope": "%s", "self": %Ld, "total": %Ld}|}
-                 (json_escape s.Sim.Prof.frame) s.Sim.Prof.self s.Sim.Prof.total)
+                 (Sim.Span.json_escape s.Sim.Prof.frame) s.Sim.Prof.self s.Sim.Prof.total)
              fs)
       ^ "]"
   in
@@ -123,16 +110,16 @@ let json_of_result r =
     match r.spans with
     | None -> "null"
     | Some (cls, top) ->
-      Printf.sprintf {|{"class": "%s", "top": [%s]}|} (json_escape cls)
+      Printf.sprintf {|{"class": "%s", "top": [%s]}|} (Sim.Span.json_escape cls)
         (String.concat ", "
            (List.map
               (fun (seg, cyc) ->
-                Printf.sprintf {|{"segment": "%s", "cycles": %Ld}|} (json_escape seg) cyc)
+                Printf.sprintf {|{"segment": "%s", "cycles": %Ld}|} (Sim.Span.json_escape seg) cyc)
               top))
   in
   Printf.sprintf
     {|    {"benchmark": "%s", "unit": "%s", "linux": %s, "aster": %s, "norm": %s, "percentiles": %s, "cpu": %s, "p99_path": %s}|}
-    (json_escape r.benchmark) (json_escape r.unit_) (json_opt_float r.linux)
+    (Sim.Span.json_escape r.benchmark) (Sim.Span.json_escape r.unit_) (json_opt_float r.linux)
     (json_opt_float r.aster) (json_opt_float r.norm) pj cj sj
 
 let write_json ~path ~targets =
@@ -140,7 +127,7 @@ let write_json ~path ~targets =
   Printf.fprintf oc
     "{\n  \"schema\": \"asterinas-sim-bench/3\",\n  \"quick\": %b,\n  \"targets\": [%s],\n  \"results\": [\n%s\n  ]\n}\n"
     !quick
-    (String.concat ", " (List.map (fun t -> "\"" ^ json_escape t ^ "\"") targets))
+    (String.concat ", " (List.map (fun t -> "\"" ^ Sim.Span.json_escape t ^ "\"") targets))
     (String.concat ",\n" (List.rev_map json_of_result !results));
   close_out oc;
   Printf.printf "\nwrote %d benchmark results to %s\n" (List.length !results) path

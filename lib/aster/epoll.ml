@@ -177,8 +177,9 @@ let collect t ~maxevents =
 
 (* timeout_cycles < 0: block until ready; 0: non-blocking probe;
    > 0: block, returning [] at exactly now+timeout_cycles (virtual)
-   if nothing became ready — the bound is a timer-wheel entry, so 10k
-   waiters armed and cancelled per churn round stay O(1) each. *)
+   if nothing became ready — each sleep toward the deadline is a
+   [Wait_queue.sleep_timeout], whose heap entry a readiness wakeup
+   takes out at once. *)
 let wait t ~maxevents ~timeout_cycles =
   Sim.Stats.incr "epoll.wait_calls";
   if maxevents <= 0 then []
@@ -200,13 +201,10 @@ let wait t ~maxevents ~timeout_cycles =
           Ostd.Wait_queue.sleep t.wq;
           go ()
         | Some dl ->
-          if Int64.compare (Sim.Clock.now ()) dl >= 0 then []
+          let left = Int64.sub dl (Sim.Clock.now ()) in
+          if Int64.compare left 0L <= 0 then []
           else begin
-            let me = Ostd.Task.current () in
-            let wheel = Timer_wheel.the () in
-            let tm = Timer_wheel.arm wheel ~deadline:dl (fun () -> Ostd.Task.wake me) in
-            Ostd.Wait_queue.sleep t.wq;
-            Timer_wheel.cancel wheel tm;
+            ignore (Ostd.Wait_queue.sleep_timeout t.wq ~cycles:(Int64.to_int left) : bool);
             go ()
           end
     in

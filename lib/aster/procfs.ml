@@ -11,6 +11,12 @@ let register_writer name fn = Hashtbl.replace writers name fn
 
 type Vfs.priv += Proc_file of string | Proc_root
 
+(* Linux single_open semantics: a read from offset 0 runs the
+   generator and keeps its output, and reads at later offsets are
+   served from that snapshot. A chunked reader thus sees one untorn
+   file and pays for one generation, not one per read(2). *)
+let snapshots : (string, string) Hashtbl.t = Hashtbl.create 16
+
 let file_ops =
   {
     Vfs.default_ops with
@@ -21,7 +27,14 @@ let file_ops =
           match Hashtbl.find_opt generators name with
           | None -> Error Errno.enoent
           | Some gen ->
-            let content = gen () in
+            let content =
+              match Hashtbl.find_opt snapshots name with
+              | Some c when pos > 0 -> c
+              | Some _ | None ->
+                let c = gen () in
+                Hashtbl.replace snapshots name c;
+                c
+            in
             let clen = String.length content in
             if pos >= clen then Ok 0
             else begin
@@ -477,6 +490,7 @@ let standard_entries () =
       String.concat "" (quartet @ sites))
 
 let create_root () =
+  Hashtbl.reset snapshots;
   Hashtbl.reset file_cache;
   Hashtbl.reset pid_dir_cache;
   Hashtbl.reset kprobe_prog_cache;

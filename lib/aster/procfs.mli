@@ -1,5 +1,7 @@
 (** ProcFS: kernel-generated files (/proc). Content is produced by
-    registered generators at read time; a few control files (e.g.
+    registered generators when a file is read from offset 0, and reads
+    at later offsets are served from that snapshot (Linux
+    [single_open] semantics); a few control files (e.g.
     /proc/ktrace) also accept writes that reconfigure the kernel. The
     /proc/kprobe directory exposes loaded probe programs
     ([programs], [<name>/maps], [<name>/insns]). *)

@@ -11,15 +11,14 @@ let drain_softirqs () =
   while not (Queue.is_empty softirqs) do
     let f = Queue.pop softirqs in
     (* Implicit kprof scope: bottom-half cycles attribute to "softirq"
-       in whichever context drains them (irq exit or idle). *)
+       in whichever context drains them (irq exit or idle), and a task
+       woken from here gets the softirq leg on its span. *)
     Sim.Prof.scope "softirq" (fun () ->
-        Sim.Span.enter_wake_ctx "softirq";
-        Fun.protect ~finally:Sim.Span.exit_wake_ctx (fun () ->
-            Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.softirq;
-            Sim.Trace.emit Sim.Trace.Softirq "entry" (fun () ->
-                Printf.sprintf "pending=%d" (Queue.length softirqs + 1));
-            f ();
-            Sim.Trace.emit Sim.Trace.Softirq "exit" (fun () -> "")))
+        Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.softirq;
+        Sim.Trace.emit Sim.Trace.Softirq "entry" (fun () ->
+            Printf.sprintf "pending=%d" (Queue.length softirqs + 1));
+        f ();
+        Sim.Trace.emit Sim.Trace.Softirq "exit" (fun () -> ""))
   done
 
 let raise_softirq f = Queue.push f softirqs

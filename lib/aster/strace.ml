@@ -25,7 +25,7 @@ let enter ~nr =
 let exit_ ~nr ~ret ~cycles =
   let us = Sim.Clock.to_us cycles in
   Sim.Hist.observe "syscall" us;
-  Sim.Hist.observe ("syscall." ^ Syscall_nr.name nr) us;
+  Sim.Hist.observe (Syscall_nr.scope_name nr) us;
   Sim.Trace.emit Sim.Trace.Syscall "exit" (fun () ->
       let result =
         if Int64.compare ret 0L < 0 then

@@ -143,32 +143,28 @@ let named =
     (span_begin, "span_begin"); (span_end, "span_end");
   ]
 
-(* The rest of the advertised ABI surface: numbers Asterinas registers
-   but this reproduction serves with an explicit ENOSYS handler. The
+(* The advertised ABI surface is every number below [abi_size]: the
+   calls named above, and the rest — numbers Asterinas registers but
+   this reproduction serves with an explicit ENOSYS handler. The
    ranges cover scheduling, signals, timers, xattrs, epoll, inotify,
    namespaces — the long tail of a 210+-call ABI. *)
-let stub_range =
-  List.filter
-    (fun n -> not (List.mem_assoc n named))
-    (List.init 335 (fun i -> i))
+let abi_size = 335
 
-let stubbed = List.filteri (fun i _ -> i < 335 - List.length named) stub_range
+let registered = List.init abi_size Fun.id
 
-let registered = List.sort compare (List.map fst named @ stubbed)
+let registered_count = abi_size
 
-let registered_count = List.length registered
+(* Names and kprof scope labels, built once: syscall dispatch looks
+   both up on every call. *)
+let names =
+  let t = Array.init abi_size (Printf.sprintf "sys_%d") in
+  List.iter (fun (n, s) -> t.(n) <- s) named;
+  t
 
-let name n =
-  match List.assoc_opt n named with Some s -> s | None -> Printf.sprintf "sys_%d" n
+let scope_names = Array.map (fun s -> "syscall." ^ s) names
 
-(* kprof scope label per syscall nr, memoized so the dispatch hot path
-   never allocates. *)
-let scope_names : (int, string) Hashtbl.t = Hashtbl.create 128
+let in_table n = n >= 0 && n < abi_size
 
-let scope_name n =
-  match Hashtbl.find_opt scope_names n with
-  | Some s -> s
-  | None ->
-    let s = "syscall." ^ name n in
-    Hashtbl.add scope_names n s;
-    s
+let name n = if in_table n then names.(n) else Printf.sprintf "sys_%d" n
+
+let scope_name n = if in_table n then scope_names.(n) else "syscall." ^ name n

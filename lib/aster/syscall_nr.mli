@@ -120,11 +120,13 @@ val probe_read : int
 (** bpf(2)-lite: read a loaded program's rendered map contents. *)
 
 val name : int -> string
-(** Symbolic name for a registered number; "sys_<n>" otherwise. *)
+(** Symbolic name for a registered number; "sys_<n>" otherwise. Built
+    once for every number in the ABI surface, so dispatch never
+    allocates. *)
 
 val scope_name : int -> string
-(** Memoized kprof scope label, ["syscall.<name>"]; the dispatch hot
-    path never allocates. *)
+(** kprof scope label and syscall latency histogram key,
+    ["syscall.<name>"]; built once like {!name}. *)
 
 val registered : int list
 (** Every syscall number in the advertised ABI surface. *)

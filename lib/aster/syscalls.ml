@@ -1205,7 +1205,8 @@ let sys_getrandom proc args =
 
    Both sit on the Pollable seam. poll is the O(nfds) shape: every
    call resolves and levels every fd; blocking parks on the pollables'
-   edge publications plus a timer-wheel deadline — no busy loop.
+   edge publications with a [Wait_queue.sleep_timeout] toward the
+   deadline — no busy loop.
    epoll is the O(ready) shape: the interest list lives in the kernel
    and a wait touches only edge-queued entries. *)
 
@@ -1306,14 +1307,13 @@ let sys_poll proc args =
       if count revs > 0 || timeout_ms = 0 then finish revs
       else
         match deadline with
-        | Some dl when Int64.compare (Sim.Clock.now ()) dl >= 0 -> finish revs
         | Some dl ->
-          let me = Ostd.Task.current () in
-          let wheel = Timer_wheel.the () in
-          let tm = Timer_wheel.arm wheel ~deadline:dl (fun () -> Ostd.Task.wake me) in
-          Ostd.Wait_queue.sleep wq;
-          Timer_wheel.cancel wheel tm;
-          loop ()
+          let left = Int64.sub dl (Sim.Clock.now ()) in
+          if Int64.compare left 0L <= 0 then finish revs
+          else begin
+            ignore (Ostd.Wait_queue.sleep_timeout wq ~cycles:(Int64.to_int left) : bool);
+            loop ()
+          end
         | None ->
           Ostd.Wait_queue.sleep wq;
           loop ()

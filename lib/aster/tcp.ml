@@ -122,7 +122,6 @@ and conn = {
   mutable state : conn_state;
   (* send side *)
   txq : Fifo.t;
-  sndbuf_cap : int;
   inflight : (int * Bytes.t) Queue.t; (* (seq, payload) *)
   mutable snd_una : int;
   mutable snd_nxt : int;
@@ -157,6 +156,9 @@ let rto_cycles = Sim.Clock.us 40_000. (* 40 ms *)
 let handshake_max_tries = 8
 
 let initial_cwnd = 10 * mss
+
+(* Send buffer capacity in bytes, the same on every profile. *)
+let sndbuf_cap = 256 * 1024
 
 let key c = (c.lport, c.rip, c.rport)
 
@@ -194,7 +196,6 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
     rport;
     state;
     txq = Fifo.create ();
-    sndbuf_cap = (Sim.Profile.get ()).Sim.Profile.tcp_sndbuf;
     inflight = Queue.create ();
     snd_una = 0;
     snd_nxt = 0;
@@ -230,7 +231,7 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
       lor
       if
         conn.state = Established && (not conn.local_closed) && (not conn.reset)
-        && Fifo.length conn.txq < conn.sndbuf_cap
+        && Fifo.length conn.txq < sndbuf_cap
       then Pollable.pollout
       else 0);
   conn
@@ -299,7 +300,7 @@ and on_rto conn =
 
 let try_transmit conn =
   if conn.state = Established || conn.state = Syn_rcvd then begin
-    let was_full = Fifo.length conn.txq >= conn.sndbuf_cap in
+    let was_full = Fifo.length conn.txq >= sndbuf_cap in
     let continue = ref true in
     while !continue do
       let w = effective_window conn in
@@ -338,7 +339,7 @@ let try_transmit conn =
     done;
     arm_rto conn;
     (* Space may have opened up for blocked senders. *)
-    if Fifo.length conn.txq < conn.sndbuf_cap then begin
+    if Fifo.length conn.txq < sndbuf_cap then begin
       ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
       (* A full→space transition is the only genuine POLLOUT edge —
          publishing on every ACK would hand ET consumers events with
@@ -590,7 +591,7 @@ let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
     drop_pins pins;
     Error Errno.epipe
   end
-  else if nonblock && Fifo.length conn.txq >= conn.sndbuf_cap then begin
+  else if nonblock && Fifo.length conn.txq >= sndbuf_cap then begin
     (* O_NONBLOCK with a full send buffer: EAGAIN before charging the
        small-write cost — the caller parks on POLLOUT instead. *)
     drop_pins pins;
@@ -611,13 +612,13 @@ let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
     let attached = ref false in
     while
       !written < len && !err = None
-      && not (nonblock && Fifo.length conn.txq >= conn.sndbuf_cap)
+      && not (nonblock && Fifo.length conn.txq >= sndbuf_cap)
     do
       Ostd.Wait_queue.sleep_until conn.snd_wq (fun () ->
-          Fifo.length conn.txq < conn.sndbuf_cap || conn.reset);
+          Fifo.length conn.txq < sndbuf_cap || conn.reset);
       if conn.reset then err := Some Errno.epipe
       else begin
-        let space = conn.sndbuf_cap - Fifo.length conn.txq in
+        let space = sndbuf_cap - Fifo.length conn.txq in
         let n = min space (len - !written) in
         let last = !written + n = len in
         Fifo.push ?pins:(if last then Some pins else None) ?owned conn.txq buf (pos + !written) n;

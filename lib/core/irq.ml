@@ -80,9 +80,8 @@ let polled_service vector =
      counts toward the recovered leg of the chaos quartet. *)
   Sim.Stats.incr "degrade.recovered.irq_poll";
   Sim.Trace.emit Sim.Trace.Irq "poll" (fun () -> Printf.sprintf "vector=%d" vector);
-  Sim.Span.enter_wake_ctx (irq_scope vector);
-  Fun.protect ~finally:Sim.Span.exit_wake_ctx (fun () ->
-      Sim.Prof.scope (irq_scope vector) (fun () -> run_handler vector);
+  Sim.Prof.scope (irq_scope vector) (fun () ->
+      run_handler vector;
       vs.masked <- false;
       decr masked_vectors;
       vs.wstart <- Sim.Clock.now ();
@@ -98,12 +97,9 @@ let dispatch vector =
     Sim.Stats.incr "irq.masked_dropped"
   else begin
     (* Implicit kprof scope: everything spent servicing the delivery —
-       entry cost included — attributes to irq<vector>. The span
-       wake-context covers the same region (handler and the post-hook
-       softirq drain), so any task woken from here gets the
-       IRQ-delivery leg recorded on its span. *)
-    Sim.Span.enter_wake_ctx (irq_scope vector);
-    Fun.protect ~finally:Sim.Span.exit_wake_ctx @@ fun () ->
+       entry cost, handler and the post-hook softirq drain — attributes
+       to irq<vector>, and any task woken from inside it gets the
+       IRQ-delivery leg, from the scope's entry cycle, on its span. *)
     Sim.Prof.scope (irq_scope vector) (fun () ->
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.irq_entry;
         Sim.Trace.emit Sim.Trace.Irq "entry" (fun () -> Printf.sprintf "vector=%d" vector);

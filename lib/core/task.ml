@@ -57,12 +57,6 @@ let sched : (module SCHEDULER) option ref = ref None
 
 let cur : t option ref = ref None
 
-(* ktrace names the task that emitted each record; outside task context
-   records attribute to the idle loop. *)
-let () =
-  Sim.Trace.set_task_provider (fun () ->
-      match !cur with Some t -> Printf.sprintf "%s/%d" t.tname t.tid | None -> "idle/0")
-
 let last_ran : int ref = ref (-1)
 
 let next_tid = ref 0
@@ -240,7 +234,7 @@ let wake t =
         Printf.sprintf "task=%s/%d" t.tname t.tid);
     enqueue_ready t;
     (* The wakeup edge hands a completion's span back to the sleeping
-       task: if this wake happens under an IRQ/softirq wake context,
+       task: if this wake happens inside an IRQ/softirq kprof scope,
        the delivery leg is recorded on the woken task's span. *)
     Sim.Span.on_wake ~tid:t.tid;
     Sim.Trace.fire Sim.Trace.P_sched_wakeup (fun () ->
@@ -310,10 +304,10 @@ let dispatch t =
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.running_flag);
   if t.running_flag then Panic.panic "Inv. 8 violated: task is already running on another CPU";
   if t.st <> Dead then begin
-    (* Profile attribution follows the incoming task from here on: the
+    (* kprof's context follows the incoming task from here on: the
        switch cost below is charged to the task being switched in, as
-       is its accounting mark. *)
-    Sim.Prof.switch_to (Printf.sprintf "%s/%d" t.tname t.tid);
+       is its accounting mark, and ktrace names it. *)
+    Sim.Prof.switch_to ~tid:t.tid ~comm:t.tname;
     t.acct_mark <- Sim.Clock.now ();
     (* Runqueue wait: from the enqueue that made the task runnable to
        this dispatch. Fed to the sched.delay histogram (microseconds)

@@ -15,16 +15,26 @@ let sleep_until wq cond =
     sleep wq
   done
 
+(* One event-heap entry per timeout, fixed before the programming
+   charge so it fires on its exact cycle; a wake through the queue
+   takes it out of the heap. *)
 let sleep_timeout wq ~cycles =
   let t = Task.current () in
+  let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
+  Sim.Stats.incr "timer.armed";
+  Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.timer_program;
   let fired = ref false in
   let ev =
-    Sim.Events.schedule_after cycles (fun () ->
+    Sim.Events.schedule_at (max deadline (Sim.Clock.now ())) (fun () ->
         fired := true;
+        Sim.Stats.incr "timer.fired";
         Task.wake t)
   in
   sleep wq;
-  Sim.Events.cancel ev;
+  if not !fired then begin
+    Sim.Events.cancel ev;
+    Sim.Stats.incr "timer.cancelled"
+  end;
   not !fired
 
 let rec wake_one wq =

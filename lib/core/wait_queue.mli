@@ -15,7 +15,10 @@ val sleep_until : t -> (unit -> bool) -> unit
     re-checked after every wake-up, so spurious wake-ups are harmless. *)
 
 val sleep_timeout : t -> cycles:int -> bool
-(** [true] if woken through the queue, [false] on timeout. *)
+(** [true] if woken through the queue, [false] on timeout, which fires
+    at exactly [now + cycles] and never inside the call; equal
+    deadlines fire in arm order. Arming charges [timer_program] and
+    counts [timer.armed], then [timer.fired] or [timer.cancelled]. *)
 
 val wake_one : t -> bool
 (** Wake the longest-waiting task; [false] if the queue was empty. *)

@@ -6,39 +6,28 @@ let reset () = current := 0L
 
 let now () = !current
 
-(* kprof taps the clock here: every way virtual time can move forward —
-   an explicit charge or an event-driven jump — reports its delta to the
+(* The observability tap: every way virtual time can move forward — an
+   explicit charge or an event-driven jump — reports its delta to the
    observer, so an attribution profiler sees exactly the cycles that
    elapse and nothing else (the conservation invariant). The default
-   observer is a no-op; profiling never charges cycles itself. *)
+   observer is a no-op; observing never charges cycles itself. *)
 let on_advance : (int64 -> unit) ref = ref (fun _ -> ())
 
 let set_on_advance f = on_advance := f
-
-let clear_on_advance () = on_advance := (fun _ -> ())
-
-(* A second, independent observer slot so kspan can watch the clock
-   without stealing kprof's tap (and vice versa). Registered once at
-   module init by Span; the span plane gates itself internally. *)
-let on_advance2 : (int64 -> unit) ref = ref (fun _ -> ())
-
-let set_on_advance2 f = on_advance2 := f
 
 let charge n =
   if n < 0 then invalid_arg "Clock.charge: negative cost";
   if n > 0 then begin
     let d = Int64.of_int n in
     current := Int64.add !current d;
-    !on_advance d;
-    !on_advance2 d
+    !on_advance d
   end
 
 let advance_to t =
   if Int64.compare t !current > 0 then begin
     let d = Int64.sub t !current in
     current := t;
-    !on_advance d;
-    !on_advance2 d
+    !on_advance d
   end
 
 let to_us t = Int64.to_float t /. float_of_int cycles_per_us

@@ -25,15 +25,8 @@ val advance_to : int64 -> unit
 val set_on_advance : (int64 -> unit) -> unit
 (** Install the clock observer: called with the delta on every forward
     movement of virtual time ([charge] or [advance_to]). There is one
-    slot — kprof owns it. The observer must not charge cycles. *)
-
-val clear_on_advance : unit -> unit
-(** Restore the no-op observer. *)
-
-val set_on_advance2 : (int64 -> unit) -> unit
-(** A second, independent observer slot (kspan owns it), called after
-    the first on every forward movement. The observer must not charge
-    cycles. *)
+    slot, and kspan owns it: its observer feeds kprof attribution and
+    kspan's on-CPU segments. The observer must not charge cycles. *)
 
 val to_us : int64 -> float
 (** Convert a cycle count to microseconds. *)

@@ -21,22 +21,45 @@
      are deterministic, and rendering sorts keys, so the same seed
      yields byte-identical folded output. *)
 
+(* One scope frame: its name and the cycle it was entered. kspan takes
+   the IRQ/softirq legs of a wakeup from these entry cycles. *)
+type frame = { label : string; entered : int64 }
+
+(* The one record of who is on the CPU: kspan reads its tid, ktrace
+   its name. *)
 type ctx = {
-  cname : string;
-  mutable stack : string list; (* innermost scope first *)
-  mutable key : string; (* cached folded key: cname;outer;...;inner *)
-  mutable cell : int64 ref; (* cached totals slot for [key] *)
+  tid : int; (* 0 for the idle/event loop *)
+  cname : string; (* comm/tid, formatted once *)
+  mutable stack : frame list; (* innermost scope first *)
+  mutable cell : int64 ref; (* totals slot of the folded key, or [stale] *)
 }
 
 let totals : (string, int64 ref) Hashtbl.t = Hashtbl.create 256
 
-let ctxs : (string, ctx) Hashtbl.t = Hashtbl.create 64
-
-let idle_name = "idle/0"
+(* Contexts by tid. Tids are unique within a boot, and [clear] drops
+   every context at boot. *)
+let ctxs : (int, ctx) Hashtbl.t = Hashtbl.create 64
 
 let enabled_flag = ref false
 
 let anchor = ref 0L
+
+(* The folded key is resolved lazily, on the first attributed cycle
+   after the stack changes, so scopes cost no string work while
+   attribution is off. *)
+let stale = ref 0L
+
+let ctx_of ~tid ~comm =
+  match Hashtbl.find_opt ctxs tid with
+  | Some c -> c
+  | None ->
+    let c = { tid; cname = comm ^ "/" ^ string_of_int tid; stack = []; cell = stale } in
+    Hashtbl.add ctxs tid c;
+    c
+
+let idle () = ctx_of ~tid:0 ~comm:"idle"
+
+let current = ref (idle ())
 
 let cell_of key =
   match Hashtbl.find_opt totals key with
@@ -46,29 +69,19 @@ let cell_of key =
     Hashtbl.add totals key r;
     r
 
-let make_ctx name =
-  { cname = name; stack = []; key = name; cell = cell_of name }
+let folded_key c =
+  match c.stack with
+  | [] -> c.cname
+  | st -> c.cname ^ ";" ^ String.concat ";" (List.rev_map (fun f -> f.label) st)
 
-let ctx_of name =
-  match Hashtbl.find_opt ctxs name with
-  | Some c -> c
-  | None ->
-    let c = make_ctx name in
-    Hashtbl.add ctxs name c;
-    c
-
-let current = ref (make_ctx idle_name)
-
-let rekey c =
-  (match c.stack with
-  | [] -> c.key <- c.cname
-  | st -> c.key <- c.cname ^ ";" ^ String.concat ";" (List.rev st));
-  c.cell <- cell_of c.key
-
-(* The Clock observer: one add per clock advancement. *)
+(* kprof's half of the clock observer (kspan installs it): one add per
+   clock advancement while attribution is on. *)
 let attribute d =
-  let cell = !current.cell in
-  cell := Int64.add !cell d
+  if !enabled_flag then begin
+    let c = !current in
+    if c.cell == stale then c.cell <- cell_of (folded_key c);
+    c.cell := Int64.add !(c.cell) d
+  end
 
 (* Drop all accumulated attribution and re-anchor conservation at the
    current virtual time. Called at boot (the clock rewinds to zero) so
@@ -76,7 +89,7 @@ let attribute d =
 let clear () =
   Hashtbl.reset totals;
   Hashtbl.reset ctxs;
-  current := ctx_of idle_name;
+  current := idle ();
   anchor := Clock.now ()
 
 let enabled () = !enabled_flag
@@ -84,15 +97,10 @@ let enabled () = !enabled_flag
 let enable () =
   if not !enabled_flag then begin
     enabled_flag := true;
-    clear ();
-    Clock.set_on_advance attribute
+    clear ()
   end
 
-let disable () =
-  if !enabled_flag then begin
-    enabled_flag := false;
-    Clock.clear_on_advance ()
-  end
+let disable () = enabled_flag := false
 
 let reset () =
   disable ();
@@ -101,14 +109,17 @@ let reset () =
 (* --- Context switching, driven by the task layer ---
 
    Context and scope-stack bookkeeping is unconditional: it costs no
-   virtual cycles either way, and kspan labels on-CPU segments with the
-   innermost scope ([current_label]) whether or not kprof attribution
-   is enabled. Only attribution itself — the clock observer — stays
-   gated behind [enable]. *)
+   virtual cycles either way, and kspan and ktrace read the context
+   whether or not kprof attribution is enabled. Only attribution
+   itself stays gated behind [enable]. *)
 
-let switch_to name = current := ctx_of name
+let switch_to ~tid ~comm = current := ctx_of ~tid ~comm
 
-let switch_idle () = current := ctx_of idle_name
+let switch_idle () = current := idle ()
+
+let current_tid () = !current.tid
+
+let current_name () = !current.cname
 
 (* --- Scopes ---
 
@@ -118,17 +129,19 @@ let switch_idle () = current := ctx_of idle_name
    task resumes keep attributing to the right frame, and completion
    work running in another context is unaffected. *)
 
-let scope name f =
+let scope label f =
   let c = !current in
-  c.stack <- name :: c.stack;
-  rekey c;
+  c.stack <- { label; entered = Clock.now () } :: c.stack;
+  c.cell <- stale;
   Fun.protect
     ~finally:(fun () ->
       (match c.stack with _ :: rest -> c.stack <- rest | [] -> ());
-      rekey c)
+      c.cell <- stale)
     f
 
-let current_label () = match !current.stack with s :: _ -> s | [] -> "user"
+let current_label () = match !current.stack with f :: _ -> f.label | [] -> "user"
+
+let iter_frames f = List.iter (fun fr -> f fr.label fr.entered) !current.stack
 
 (* --- Reporting --- *)
 

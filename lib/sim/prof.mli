@@ -32,13 +32,26 @@ val clear : unit -> unit
     enabled flag survives (configuration, not run state). Called by
     the board at boot, after the clock rewinds. *)
 
-(** {2 Context switching} (driven by the task layer) *)
+(** {2 Contexts} (driven by the task layer)
 
-val switch_to : string -> unit
-(** Subsequent cycles attribute to this context (e.g. ["nginx/3"]). *)
+    The current context is the one record of who is on the CPU: kspan
+    reads its tid and ktrace its name. *)
+
+val switch_to : tid:int -> comm:string -> unit
+(** Subsequent cycles attribute to task [tid], named ["comm/tid"]
+    (e.g. ["nginx/3"]); the name is formatted once per context. *)
 
 val switch_idle : unit -> unit
-(** Subsequent cycles attribute to the idle/event-loop context. *)
+(** Subsequent cycles attribute to the idle/event loop, ["idle/0"]. *)
+
+val current_tid : unit -> int
+(** The current task's tid, or [0] in the idle/event loop. *)
+
+val current_name : unit -> string
+
+val attribute : int64 -> unit
+(** kprof's half of the {!Clock} observer, which kspan installs:
+    attribute [d] cycles to the current context and scope stack. *)
 
 (** {2 Scopes} *)
 
@@ -47,12 +60,15 @@ val scope : string -> (unit -> 'a) -> 'a
     scope stack. The stack lives on the context, not the host call
     stack, so it survives task suspension; the pop targets the context
     that was pushed to. Stack bookkeeping runs even when attribution is
-    disabled (kspan reads it via [current_label]); only attribution is
-    gated. *)
+    disabled (kspan reads it); only attribution is gated. *)
 
 val current_label : unit -> string
 (** The innermost scope of the current context, or ["user"] when the
     stack is empty — the label kspan gives on-CPU segments. *)
+
+val iter_frames : (string -> int64 -> unit) -> unit
+(** [iter_frames f] calls [f label entered] for each scope of the
+    current context, innermost first, with the cycle it was entered. *)
 
 (** {2 Reporting} *)
 

@@ -81,7 +81,6 @@ type t = {
   unix_double_copy : bool;
   pipe_buffer : int;
   unix_buffer : int;
-  tcp_sndbuf : int;
   costs : costs;
 }
 
@@ -221,7 +220,6 @@ let linux =
     unix_double_copy = true;
     pipe_buffer = 64 * 1024;
     unix_buffer = 64 * 1024;
-    tcp_sndbuf = 256 * 1024;
     costs = linux_costs;
   }
 
@@ -243,7 +241,6 @@ let asterinas =
     unix_double_copy = false;
     pipe_buffer = 256 * 1024;
     unix_buffer = 256 * 1024;
-    tcp_sndbuf = 256 * 1024;
     costs = asterinas_costs;
   }
 

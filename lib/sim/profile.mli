@@ -102,7 +102,6 @@ type t = {
   unix_double_copy : bool;       (** skb-based unix sockets copy twice *)
   pipe_buffer : int;             (** pipe ring capacity, bytes *)
   unix_buffer : int;             (** unix stream socket buffer, bytes *)
-  tcp_sndbuf : int;
   costs : costs;
 }
 

@@ -18,7 +18,7 @@
                      attribution is off);
    - [blocked]       descheduled -> woken, the low-priority catch-all;
    - [sched.delay]   woken/runnable -> dispatched;
-   - [irq<v>]/[softirq]  wake-context entry -> wakeup, recorded on the
+   - [irq<v>]/[softirq]  kprof scope entry -> wakeup, recorded on the
                      woken span (the delivery leg of a completion);
    - [blk.queue/service/irq], [net.plug/service/irq]  carrier
                      timestamps stamped by the block layer, netstack
@@ -79,10 +79,6 @@ let active : (int, t) Hashtbl.t = Hashtbl.create 16 (* tid -> live span *)
 
 let class_tbl : (string, agg) Hashtbl.t = Hashtbl.create 16
 
-let current_tid = ref 0
-
-let wake_ctx : (string * int64) list ref = ref []
-
 let enabled () = !enabled_flag
 
 let enable () = enabled_flag := true
@@ -98,9 +94,7 @@ let clear () =
   finished := 0;
   Hashtbl.reset live;
   Hashtbl.reset active;
-  Hashtbl.reset class_tbl;
-  current_tid := 0;
-  wake_ctx := []
+  Hashtbl.reset class_tbl
 
 let live_count () = Hashtbl.length live
 
@@ -153,8 +147,9 @@ let add_to id label t0 t1 =
     | Some sp -> add_seg sp label t0 t1
     | None -> ()
 
+(* The task on the CPU is kprof's current context. *)
 let active_span () =
-  if !current_tid = 0 then None else Hashtbl.find_opt active !current_tid
+  match Prof.current_tid () with 0 -> None | tid -> Hashtbl.find_opt active tid
 
 let mark label t0 =
   if !enabled_flag then
@@ -162,10 +157,10 @@ let mark label t0 =
     | Some sp -> add_seg sp label t0 (Clock.now ())
     | None -> ()
 
-(* CPU attribution: the second clock observer. Every advance while a
-   task with an active span is on CPU becomes a [cpu.<scope>] segment
-   labelled with the innermost kprof scope (memoized: no allocation on
-   the steady-state path). *)
+(* The clock observer. It feeds kprof attribution first; then every
+   advance while a task with an active span is on CPU becomes a
+   [cpu.<scope>] segment labelled with the innermost kprof scope
+   (memoized: no allocation on the steady-state path). *)
 
 let cpu_labels : (string, string) Hashtbl.t = Hashtbl.create 64
 
@@ -178,19 +173,20 @@ let cpu_label scope =
     l
 
 let on_advance d =
-  if !enabled_flag && !current_tid <> 0 then
-    match Hashtbl.find_opt active !current_tid with
+  Prof.attribute d;
+  if !enabled_flag then
+    match active_span () with
     | Some sp ->
       let now = Clock.now () in
       add_seg sp (cpu_label (Prof.current_label ())) (Int64.sub now d) now
     | None -> ()
 
-let () = Clock.set_on_advance2 on_advance
+let () = Clock.set_on_advance on_advance
 
 (* --- Critical path ---
 
    Overlapping segments are the normal case (a [blk.irq] completion
-   leg overlaps the [softirq] wake context, which overlaps the span's
+   leg overlaps the [softirq] leg, which overlaps the span's
    [blocked] catch-all). The decomposition resolves each instant to
    the most specific explanation by priority, so the parts sum to the
    wall time exactly and nothing is double-counted. *)
@@ -327,7 +323,8 @@ let current () =
   else match active_span () with Some sp -> sp.id | None -> 0
 
 let begin_ ~cls ~name =
-  if (not !enabled_flag) || !current_tid = 0 || Hashtbl.mem active !current_tid then 0
+  let tid = Prof.current_tid () in
+  if (not !enabled_flag) || tid = 0 || Hashtbl.mem active tid then 0
   else begin
     incr next_id;
     let sp =
@@ -335,7 +332,7 @@ let begin_ ~cls ~name =
         id = !next_id;
         cls;
         name;
-        tid = !current_tid;
+        tid;
         t_begin = Clock.now ();
         t_end = 0L;
         segs = [];
@@ -377,14 +374,12 @@ let syscall_end id = end_ id
 (* --- Scheduler and interrupt edges --- *)
 
 let on_deschedule () =
-  (if !enabled_flag then
-     match active_span () with
-     | Some sp -> sp.last_off <- Clock.now ()
-     | None -> ());
-  current_tid := 0
+  if !enabled_flag then
+    match active_span () with
+    | Some sp -> sp.last_off <- Clock.now ()
+    | None -> ()
 
 let on_dispatch ~tid ~waited =
-  current_tid := tid;
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
@@ -397,24 +392,22 @@ let on_dispatch ~tid ~waited =
       add_seg sp "sched.delay" runnable now
     | None -> ()
 
+(* The IRQ and softirq scopes the waker is inside are the delivery
+   legs of the completion it signals: each is recorded on the woken
+   task's span from the cycle its kprof frame was entered. *)
+let is_wake_leg label = label = "softirq" || String.starts_with ~prefix:"irq" label
+
 let on_wake ~tid =
-  if !enabled_flag && !wake_ctx <> [] then
+  if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
       let now = Clock.now () in
-      List.iter (fun (label, entered) -> add_seg sp label entered now) !wake_ctx
+      Prof.iter_frames (fun label entered ->
+          if is_wake_leg label then add_seg sp label entered now)
     | None -> ()
 
 let on_task_exit tid =
-  (match Hashtbl.find_opt active tid with
-  | Some sp -> finish sp
-  | None -> ());
-  if !current_tid = tid then current_tid := 0
-
-let enter_wake_ctx label = wake_ctx := (label, Clock.now ()) :: !wake_ctx
-
-let exit_wake_ctx () =
-  match !wake_ctx with [] -> () | _ :: rest -> wake_ctx := rest
+  match Hashtbl.find_opt active tid with Some sp -> finish sp | None -> ()
 
 (* --- Conservation counters --- *)
 
@@ -447,10 +440,8 @@ let info_of sp =
     i_segs = List.rev_map (fun s -> (s.slabel, s.s_t0, s.s_t1)) sp.segs;
   }
 
-let class_names () =
+let classes () =
   Hashtbl.fold (fun c _ acc -> c :: acc) class_tbl [] |> List.sort String.compare
-
-let classes () = class_names ()
 
 let class_count cls =
   match Hashtbl.find_opt class_tbl cls with Some a -> a.a_count | None -> 0
@@ -546,7 +537,7 @@ let render_proc () =
           (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" "unattributed"
              (Clock.to_us a.a_residual)
              (pct a.a_residual a.a_total)))
-    (class_names ());
+    (classes ());
   Buffer.contents b
 
 let waterfall b inf =
@@ -619,7 +610,7 @@ let render_top ~k =
             (Printf.sprintf "  %-28s %6.2f%% |%s%s|\n" l p (String.make w '#')
                (String.make (40 - w) ' ')))
         segs)
-    (class_names ());
+    (classes ());
   Buffer.contents b
 
 (* --- Chrome trace-event JSON (Perfetto) --- *)
@@ -683,13 +674,7 @@ let chrome_events () =
                  else None)
                inf.i_segs)
         (tail cls))
-    (class_names ())
+    (classes ())
 
 let chrome_wrap events =
   "{\"traceEvents\":[\n" ^ String.concat ",\n" events ^ "\n]}\n"
-
-(* Tag ktrace records with the active span id: ktrace cannot depend on
-   this module (we depend on it for nothing, but keeping the provider
-   injection mirrors the task-name idiom and avoids a cycle if spans
-   ever emit records). *)
-let () = Trace.set_span_provider current

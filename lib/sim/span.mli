@@ -102,22 +102,17 @@ val on_dispatch : tid:int -> waited:int64 -> unit
     (runnable → dispatched) on the task's active span. *)
 
 val on_deschedule : unit -> unit
-(** The current task left the CPU (suspension or death). *)
+(** The current task is leaving the CPU on suspension; call it before
+    kprof switches to idle. *)
 
 val on_wake : tid:int -> unit
-(** A blocked task was woken. If the wakeup happens under a wake
-    context (IRQ or softirq), the time since that context was entered
+(** A blocked task was woken. For each [irq<v>] or [softirq] kprof
+    scope the waker is inside, the time since that scope was entered
     is recorded on the woken task's span — the IRQ-delivery /
     bottom-half leg of the request's critical path. *)
 
 val on_task_exit : int -> unit
 (** Force-end any span the dying task leaked. *)
-
-val enter_wake_ctx : string -> unit
-(** Push a wake context (e.g. ["irq40"], ["softirq"]); must be paired
-    with [exit_wake_ctx] (use [Fun.protect]). *)
-
-val exit_wake_ctx : unit -> unit
 
 (** {2 Conservation counters} *)
 
@@ -186,3 +181,6 @@ val chrome_instant :
 
 val chrome_wrap : string list -> string
 (** Wrap event objects into a complete trace-event JSON document. *)
+
+val json_escape : string -> string
+(** Escape a string for a JSON string literal. *)

@@ -1,9 +1,9 @@
 (* ktrace: a deterministic, bounded ring buffer of structured trace
    records, in the spirit of ftrace's per-category tracepoints.
 
-   Every record carries the virtual clock, the current task's name, a
-   category, an event name, and a rendered argument string. Emission
-   charges no virtual cycles, so enabling tracing never perturbs a
+   Every record carries the virtual clock, the name of kprof's current
+   context, a category, an event name, and a rendered argument string.
+   Emission charges no virtual cycles, so enabling tracing never perturbs a
    benchmark number, and all inputs (clock, task names, event order)
    are deterministic, so the same seed yields a byte-identical trace.
 
@@ -98,20 +98,6 @@ let disable_all () = mask := 0
 
 let enabled_categories () = List.filter enabled all_categories
 
-(* --- Task-name provider, injected by the task layer (ostd) so sim
-   stays dependency-free. --- *)
-
-let task_provider : (unit -> string) ref = ref (fun () -> "-")
-
-let set_task_provider f = task_provider := f
-
-(* Active-span provider, injected by kspan the same way: when a span is
-   live on the emitting task, its id is appended to the record's args
-   so [trace run] output can be grepped by request. *)
-let span_provider : (unit -> int) ref = ref (fun () -> 0)
-
-let set_span_provider f = span_provider := f
-
 (* --- The ring --- *)
 
 let default_capacity = 8192
@@ -157,16 +143,19 @@ let push r =
   else ring.dropped <- ring.dropped + 1 (* overwrote the oldest record *);
   ring.total <- ring.total + 1
 
+(* A record names kprof's current context (comm/tid, or idle/0), and
+   when a span is live on the emitting task its id is appended to the
+   args so [trace run] output can be grepped by request. *)
 let emit cat name args =
   if enabled cat then begin
     let rendered = args () in
     let rendered =
-      match !span_provider () with
+      match Span.current () with
       | 0 -> rendered
       | sp when rendered = "" -> "span=" ^ string_of_int sp
       | sp -> rendered ^ " span=" ^ string_of_int sp
     in
-    push { cycles = Clock.now (); task = !task_provider (); cat; name; args = rendered }
+    push { cycles = Clock.now (); task = Prof.current_name (); cat; name; args = rendered }
   end
 
 let dropped () = ring.dropped

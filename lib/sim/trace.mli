@@ -54,15 +54,10 @@ val set_mask : int -> unit
 
 val emit : category -> string -> (unit -> string) -> unit
 (** [emit cat name args] appends a record if [cat] is enabled; [args]
-    is only evaluated (and the record only built) in that case. *)
-
-val set_task_provider : (unit -> string) -> unit
-(** Injected by the task layer; defaults to ["-"]. *)
-
-val set_span_provider : (unit -> int) -> unit
-(** Injected by kspan; defaults to [fun () -> 0]. When it returns a
-    nonzero id at emission time, [" span=<id>"] is appended to the
-    record's args. *)
+    is only evaluated (and the record only built) in that case. The
+    record's task is kprof's current context ({!Prof.current_name}),
+    and while a span is active on it ({!Span.current}) its args end
+    with [" span=<id>"]. *)
 
 (** {2 The ring} *)
 

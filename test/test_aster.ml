@@ -517,6 +517,49 @@ let test_proc_read () =
   in
   check_int "exit code" 0 code
 
+let test_proc_chunked_read_one_snapshot () =
+  (* A generator that changes on every call: a reader taking the file
+     in 7-byte chunks through one fd must still get one generation,
+     not a file torn between many. *)
+  let calls = ref 0 in
+  let gen () =
+    incr calls;
+    String.concat "" (List.init 40 (fun _ -> Printf.sprintf "generation %04d\n" !calls))
+  in
+  let reads = ref [] in
+  let code =
+    run_user (fun c ->
+        Aster.Procfs.register "chunked" gen;
+        let read_chunked () =
+          let fd = Apps.Libc.openf c "/proc/chunked" ~flags:0 ~mode:0 in
+          let b = Buffer.create 1024 in
+          let rec go () =
+            let s = Apps.Libc.read_str c ~fd ~len:7 in
+            if s <> "" then begin
+              Buffer.add_string b s;
+              go ()
+            end
+          in
+          go ();
+          ignore (Apps.Libc.close c fd);
+          Buffer.contents b
+        in
+        let first = read_chunked () in
+        let second = read_chunked () in
+        reads := [ first; second ];
+        0)
+  in
+  check_int "exit code" 0 code;
+  match !reads with
+  | [ first; second ] ->
+    let one = String.concat "" (List.init 40 (fun _ -> "generation 0001\n")) in
+    check_str "the chunked read is the first generation, whole" one first;
+    check_str "a new read from offset 0 regenerates"
+      (String.concat "" (List.init 40 (fun _ -> "generation 0002\n")))
+      second;
+    check_int "one generation per read from offset 0" 2 !calls
+  | _ -> Alcotest.fail "reads did not finish"
+
 let test_proc_observability_entries () =
   (* The ktrace surface: /proc/ktrace (ring state), /proc/kstat
      (counters + histograms), /proc/faults (chaos quartet). Each must
@@ -1041,6 +1084,7 @@ let () =
           Alcotest.test_case "ext2_bigfile" `Quick test_ext2_bigfile_indirect;
           Alcotest.test_case "proc_read" `Quick test_proc_read;
           Alcotest.test_case "proc_observability" `Quick test_proc_observability_entries;
+          Alcotest.test_case "proc_chunked_snapshot" `Quick test_proc_chunked_read_one_snapshot;
         ] );
       ( "process",
         [

@@ -11,8 +11,8 @@
    The suites here pin both halves: a randomized differential driver
    compares the two interfaces step by step over pipes and unix
    socketpairs; an ET/ONESHOT matrix checks transition semantics
-   including peer close (FIN) and abortive reset (RST); the timer wheel
-   is checked against a naive sorted-list oracle; the epoll/poll
+   including peer close (FIN) and abortive reset (RST); timed sleeps
+   are checked against a naive sorted-list oracle; the epoll/poll
    timeout paths must return at the exact virtual deadline without
    busy-looping; and an "epoll-churn" chaos group runs the c10k
    edge-triggered server under injected TX faults with connection
@@ -25,107 +25,185 @@ module L = Apps.Libc
 
 let boot () = Apps.Runner.boot ~profile:Sim.Profile.asterinas
 
-(* --- Timer wheel vs naive sorted-list oracle --- *)
+(* --- Timed sleeps: Wait_queue.sleep_timeout vs a sorted-list oracle ---
 
-let wheel_oracle seed () =
+   Every epoll/poll deadline is a [Wait_queue.sleep_timeout]: one
+   event-heap entry per armed timeout, taken out when the queue wakes
+   the sleeper first. The oracle arms many of them from separate
+   tasks against one far base instant, so deadlines collide on
+   purpose, and wakes a seeded third through their queues halfway to
+   the deadline. Wakeups are observed on the sched_wakeup probe point,
+   so the check sees firing order, not scheduler order. *)
+
+let timer_counts () =
+  (Sim.Stats.get "timer.armed", Sim.Stats.get "timer.fired", Sim.Stats.get "timer.cancelled")
+
+type sleeper = {
+  s_deadline : int64;
+  s_early : bool; (* woken through the queue halfway to the deadline *)
+  mutable s_tid : int;
+  mutable s_seq : int; (* arm order *)
+  mutable s_armed_at : int64;
+  mutable s_result : bool option;
+  mutable s_resumed : int64;
+}
+
+let timeout_oracle seed () =
   ignore (boot ());
-  let w = Aster.Timer_wheel.the () in
   let rng = Sim.Rng.create seed in
   let n = 200 in
-  let fired = ref [] in
-  let deadlines = Array.make n 0L in
-  let handles = Array.make n None in
-  let cancelled = Array.make n false in
-  let expected = ref n in
-  let t_armed = ref 0L in
+  let wakes = ref [] in
+  Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:"test.timer_order" (fun ctx ->
+      wakes := (Int64.to_int ctx.(0), Sim.Clock.now ()) :: !wakes);
+  let arm_seq = ref 0 in
+  let finished = ref 0 in
   let done_wq = Ostd.Wait_queue.create () in
-  (* Arm from a settled task and block until the last callback: firing
-     exactness is a property of an idle CPU, and the arming loop itself
-     charges timer_program cycles per arm, pushing the clock past the
-     shortest deadlines before anything can fire. *)
+  let sleepers = ref [||] in
   Apps.Runner.spawn ~name:"oracle" (fun _c ->
       Ostd.Task.sleep_us 1000.;
-      for i = 0 to n - 1 do
-        (* Mixed magnitudes so every wheel level and the cascade path
-           are exercised: sub-tick, level-0, mid-level, and ~200 ms
-           out. *)
-        let delta =
-          match Sim.Rng.int rng 4 with
-          | 0 -> 1 + Sim.Rng.int rng 2048
-          | 1 -> 1 + Sim.Rng.int rng 65536
-          | 2 -> 1 + Sim.Rng.int rng 2_000_000
-          | _ -> 1 + Sim.Rng.int rng 600_000_000
-        in
-        let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int delta) in
-        deadlines.(i) <- deadline;
-        handles.(i) <-
-          Some
-            (Aster.Timer_wheel.arm w ~deadline (fun () ->
-                 fired := (i, Sim.Clock.now ()) :: !fired;
-                 if List.length !fired >= !expected then
-                   ignore (Ostd.Wait_queue.wake_all done_wq : int)))
-      done;
-      for i = 0 to n - 1 do
-        if Sim.Rng.int rng 3 = 0 then begin
-          (match handles.(i) with Some tm -> Aster.Timer_wheel.cancel w tm | None -> ());
-          cancelled.(i) <- true
-        end
-      done;
-      expected := Array.to_list cancelled |> List.filter not |> List.length;
-      t_armed := Sim.Clock.now ();
-      Ostd.Wait_queue.sleep_until done_wq (fun () -> List.length !fired >= !expected);
+      (* Far enough out that every sleeper has armed before the first
+         deadline, so no deadline is overrun while arming. *)
+      let base = Int64.add (Sim.Clock.now ()) 20_000_000L in
+      sleepers :=
+        Array.init n (fun _ ->
+            let early = Sim.Rng.int rng 3 = 0 in
+            (* Mixed magnitudes (up to 2, 20 or 200 ms past the base),
+               plus a small shared set so that equal deadlines are common;
+               early-woken sleepers sit at least 100k cycles further
+               out so their waker always comes first. *)
+            let offset =
+              match Sim.Rng.int rng 4 with
+              | 0 -> [| 0; 30_000_000; 300_000_000 |].(Sim.Rng.int rng 3)
+              | 1 -> Sim.Rng.int rng 6_000_000
+              | 2 -> Sim.Rng.int rng 60_000_000
+              | _ -> Sim.Rng.int rng 600_000_000
+            in
+            let offset = if early then offset + 100_000 else offset in
+            {
+              s_deadline = Int64.add base (Int64.of_int offset);
+              s_early = early;
+              s_tid = 0;
+              s_seq = -1;
+              s_armed_at = 0L;
+              s_result = None;
+              s_resumed = 0L;
+            });
+      Array.iter
+        (fun s ->
+          ignore
+            (Ostd.Task.spawn ~name:"sleeper" (fun () ->
+                 let wq = Ostd.Wait_queue.create () in
+                 let now = Sim.Clock.now () in
+                 let left = Int64.sub s.s_deadline now in
+                 if s.s_early then
+                   ignore
+                     (Ostd.Task.spawn ~name:"waker" (fun () ->
+                          Ostd.Task.sleep_cycles (Int64.to_int left / 2);
+                          ignore (Ostd.Wait_queue.wake_one wq : bool)));
+                 s.s_tid <- Ostd.Task.tid (Ostd.Task.current ());
+                 s.s_seq <- !arm_seq;
+                 incr arm_seq;
+                 s.s_armed_at <- now;
+                 s.s_result <- Some (Ostd.Wait_queue.sleep_timeout wq ~cycles:(Int64.to_int left));
+                 s.s_resumed <- Sim.Clock.now ();
+                 incr finished;
+                 if !finished = n then ignore (Ostd.Wait_queue.wake_all done_wq : int))))
+        !sleepers;
+      Ostd.Wait_queue.sleep_until done_wq (fun () -> !finished = n);
       0);
   Apps.Runner.run ();
-  let got = List.rev !fired in
-  (* Oracle: a naive sorted list fires live timers in (deadline, arm
-     order); cancelled ones never fire. Deadlines the arming loop
-     already overran clamp to its end (nothing fires in the past). *)
-  let expect =
-    List.init n (fun i -> i)
-    |> List.filter (fun i -> not cancelled.(i))
-    |> List.map (fun i -> (deadlines.(i), i))
-    |> List.sort compare
+  Sim.Trace.detach_name "test.timer_order";
+  let sleepers = Array.to_list !sleepers in
+  check_int "every sleeper returned" n !finished;
+  check "every sleeper armed before the base instant" true
+    (List.for_all (fun s -> Int64.compare s.s_armed_at s.s_deadline < 0) sleepers);
+  List.iter
+    (fun s ->
+      check "woken early exactly when the queue woke it" true (s.s_result = Some s.s_early))
+    sleepers;
+  let timed_out = List.filter (fun s -> not s.s_early) sleepers in
+  List.iter
+    (fun s ->
+      check "no timed-out task resumes before its deadline" true
+        (Int64.compare s.s_resumed s.s_deadline >= 0))
+    timed_out;
+  (* Firing order: each timed-out sleeper's wakeup, in the order the
+     probe point saw them, against a naive sorted list keyed by
+     (deadline, arm order). *)
+  let by_tid = Hashtbl.create n in
+  List.iter (fun s -> Hashtbl.replace by_tid s.s_tid s) timed_out;
+  let fired =
+    List.rev !wakes |> List.filter_map (fun (tid, at) ->
+        Option.map (fun s -> (s, at)) (Hashtbl.find_opt by_tid tid))
   in
-  check_int "every live timer fired exactly once" (List.length expect) (List.length got);
-  let exact = ref 0 and unclamped = ref 0 in
+  let expect =
+    List.sort (fun a b -> compare (a.s_deadline, a.s_seq) (b.s_deadline, b.s_seq)) timed_out
+  in
+  check_int "every timed-out sleeper fired once" (List.length expect) (List.length fired);
+  check "equal deadlines share a cycle" true
+    (List.exists
+       (fun a -> List.exists (fun b -> a != b && a.s_deadline = b.s_deadline) timed_out)
+       timed_out);
   List.iter2
-    (fun (d, i) (gi, at) ->
-      check_int "fired in (deadline, arm-order)" i gi;
-      if Int64.compare d !t_armed >= 0 then begin
-        incr unclamped;
-        if Int64.equal at d then incr exact
-      end;
-      let eff = if Int64.compare d !t_armed < 0 then !t_armed else d in
-      let lag = Int64.sub at eff in
-      (* Never early; never anywhere near a tick (2048 cycles) late.
-         The residual lag is event-collision overhead — a sched_pick
-         charge or a lazily-cancelled timer's spurious wakeup landing
-         within ~100 cycles before the deadline — not tick rounding. *)
-      check "never early, lag well under a tick" true
-        (Int64.compare lag 0L >= 0 && Int64.compare lag 512L < 0))
-    expect got;
-  (* The strong exactness claim: away from collisions, callbacks run on
-     the precise deadline cycle (timers remember exact deadlines; slots
-     only place). *)
-  check "dominant majority fire on the exact cycle" true (!exact * 4 >= !unclamped * 3)
+    (fun e (s, at) ->
+      check_int "fired in (deadline, arm order)" e.s_seq s.s_seq;
+      let lag = Int64.sub at s.s_deadline in
+      check "never early, never far late" true
+        (Int64.compare lag 0L >= 0 && Int64.compare lag 50_000L < 0))
+    expect fired;
+  (* A timeout is late only when the CPU is busy at its deadline,
+     running a task some earlier wakeup made runnable. With no wakeup
+     of any task in the 100k cycles before it, it fires on its exact
+     deadline cycle. *)
+  let quiet = ref 0 in
+  let rec scan prev = function
+    | [] -> ()
+    | (tid, at) :: rest ->
+      (match Hashtbl.find_opt by_tid tid with
+      | Some s when Int64.compare (Int64.sub s.s_deadline prev) 100_000L >= 0 ->
+        incr quiet;
+        check "an uncontended timeout fires on its exact cycle" true (Int64.equal at s.s_deadline)
+      | Some _ | None -> ());
+      scan at rest
+  in
+  scan 0L (List.rev !wakes);
+  check "a third of the timeouts are uncontended" true (!quiet * 3 >= List.length timed_out);
+  let armed, fired_n, cancelled = timer_counts () in
+  check_int "one timer per sleeper" n armed;
+  check_int "cancelled = woken early" (n - List.length timed_out) cancelled;
+  check_int "armed = fired + cancelled" armed (fired_n + cancelled)
 
-let wheel_edge_cases () =
+let timeout_edge_cases () =
   ignore (boot ());
-  let w = Aster.Timer_wheel.the () in
-  let t0 = Sim.Clock.now () in
-  let fired_zero = ref (-1L) and fired_past = ref (-1L) in
-  ignore (Aster.Timer_wheel.arm_after w ~cycles:0 (fun () -> fired_zero := Sim.Clock.now ()));
-  check "zero-delay timer never fires inside arm()" true (Int64.equal !fired_zero (-1L));
-  ignore
-    (Aster.Timer_wheel.arm w ~deadline:(Int64.sub t0 5000L) (fun () ->
-         fired_past := Sim.Clock.now ()));
-  check "already-expired timer never fires inside arm()" true (Int64.equal !fired_past (-1L));
-  Aster.Kernel.run ();
-  check "zero-delay timer fired" true (Int64.compare !fired_zero 0L > 0);
-  check "already-expired timer fired" true (Int64.compare !fired_past 0L > 0);
-  check "both fired promptly, clamped to now" true
-    (Sim.Clock.to_us (Int64.sub !fired_zero t0) < 1.0
-    && Sim.Clock.to_us (Int64.sub !fired_past t0) < 1.0)
+  let results = ref [] in
+  Apps.Runner.spawn ~name:"edge" (fun _c ->
+      let me = Ostd.Task.current () in
+      List.iter
+        (fun cycles ->
+          let wq = Ostd.Wait_queue.create () in
+          let vol0, _ = Ostd.Task.ctx_switches me in
+          let t0 = Sim.Clock.now () in
+          let woken = Ostd.Wait_queue.sleep_timeout wq ~cycles in
+          let vol1, _ = Ostd.Task.ctx_switches me in
+          results := (cycles, woken, vol1 - vol0, Int64.sub (Sim.Clock.now ()) t0) :: !results)
+        [ 0; -5000 ];
+      0);
+  Apps.Runner.run ();
+  check_int "both timeouts returned" 2 (List.length !results);
+  List.iter
+    (fun (cycles, woken, blocked, dt) ->
+      let what = if cycles = 0 then "zero-cycle timeout" else "already-expired timeout" in
+      check (what ^ " times out") false woken;
+      (* Had the timer fired inside the call, before the task blocked,
+         its wake would have been lost and the sleep would never
+         return. *)
+      check_int (what ^ " blocks once before it fires") 1 blocked;
+      check (what ^ " fires promptly, clamped to now") true (Sim.Clock.to_us dt < 1.0))
+    !results;
+  let armed, fired, cancelled = timer_counts () in
+  check_int "two armed" 2 armed;
+  check_int "both fired" 2 fired;
+  check_int "none cancelled" 0 cancelled
 
 (* --- Timeout paths: exact virtual deadline, no busy loop --- *)
 
@@ -144,7 +222,7 @@ let epoll_timeout_exact () =
       0);
   Apps.Runner.run ();
   check_int "timed-out epoll_wait reports 0 fds" 0 !ret;
-  (* The wheel fires at the exact deadline; only the sub-µs wake +
+  (* The timeout fires at the exact deadline; only the sub-µs wake +
      syscall-exit overhead sits between it and the caller's clock. *)
   check "returns at the virtual deadline" true (!dt >= 3000.0 && !dt < 3001.0)
 
@@ -567,12 +645,14 @@ let churn_determinism () =
 let () =
   Alcotest.run "epoll"
     [
+      (* The timed-sleep suite keeps the name of the hashed timer wheel
+         that sleep_timeout replaced. *)
       ( "wheel",
         [
-          Alcotest.test_case "oracle_seed42" `Quick (wheel_oracle 42L);
-          Alcotest.test_case "oracle_seed7" `Quick (wheel_oracle 7L);
-          Alcotest.test_case "oracle_seed1234" `Quick (wheel_oracle 1234L);
-          Alcotest.test_case "edge_cases" `Quick wheel_edge_cases;
+          Alcotest.test_case "oracle_seed42" `Quick (timeout_oracle 42L);
+          Alcotest.test_case "oracle_seed7" `Quick (timeout_oracle 7L);
+          Alcotest.test_case "oracle_seed1234" `Quick (timeout_oracle 1234L);
+          Alcotest.test_case "edge_cases" `Quick timeout_edge_cases;
         ] );
       ( "timeout",
         [

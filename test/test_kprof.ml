@@ -15,7 +15,7 @@ let test_scope_attribution () =
   Sim.Prof.reset ();
   Sim.Clock.reset ();
   Sim.Prof.enable ();
-  Sim.Prof.switch_to "t/1";
+  Sim.Prof.switch_to ~tid:1 ~comm:"t";
   Sim.Clock.charge 100;
   Sim.Prof.scope "a" (fun () ->
       Sim.Clock.charge 50;
@@ -33,7 +33,7 @@ let test_scope_pops_on_exception () =
   Sim.Prof.reset ();
   Sim.Clock.reset ();
   Sim.Prof.enable ();
-  Sim.Prof.switch_to "t/1";
+  Sim.Prof.switch_to ~tid:1 ~comm:"t";
   (try
      Sim.Prof.scope "boom" (fun () ->
          Sim.Clock.charge 5;

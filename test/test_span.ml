@@ -259,6 +259,50 @@ let test_ktrace_records_tagged_with_span () =
       Sim.Trace.reset ();
       check "syscall records carry span ids" true (tagged > 0))
 
+(* --- Wake legs come from kprof frames --- *)
+
+let test_wake_legs_from_prof_frames () =
+  (* A task woken inside an irq40 scope with a nested softirq scope
+     gets both delivery legs, each from its scope's entry cycle to
+     the wakeup. *)
+  with_span (fun () ->
+      ignore (boot ());
+      let wq = Ostd.Wait_queue.create () in
+      let irq_at = ref 0L and softirq_at = ref 0L and woken_at = ref 0L in
+      ignore
+        (Ostd.Task.spawn ~name:"sleeper" (fun () ->
+             Sim.Span.annotate_begin ~cls:"wake" ~name:"legs";
+             Ostd.Wait_queue.sleep wq;
+             Sim.Span.annotate_end ()));
+      ignore
+        (Ostd.Task.spawn ~name:"waker" (fun () ->
+             while Ostd.Wait_queue.waiters wq = 0 do
+               Ostd.Task.yield_now ()
+             done;
+             Sim.Prof.scope "irq40" (fun () ->
+                 irq_at := Sim.Clock.now ();
+                 Sim.Clock.charge 300;
+                 Sim.Prof.scope "softirq" (fun () ->
+                     softirq_at := Sim.Clock.now ();
+                     Sim.Clock.charge 200;
+                     ignore (Ostd.Wait_queue.wake_one wq : bool);
+                     woken_at := Sim.Clock.now ();
+                     Sim.Clock.charge 100))));
+      Aster.Kernel.run ();
+      match Sim.Span.tail "wake" with
+      | [ info ] -> (
+        let legs label = List.filter (fun (l, _, _) -> l = label) info.Sim.Span.i_segs in
+        match (legs "irq40", legs "softirq") with
+        | [ (_, i0, i1) ], [ (_, s0, s1) ] ->
+          check "the irq40 leg starts at its scope's entry" true (Int64.equal i0 !irq_at);
+          check "the softirq leg starts at its scope's entry" true (Int64.equal s0 !softirq_at);
+          check "both legs end at the wakeup" true
+            (Int64.equal i1 !woken_at && Int64.equal s1 !woken_at)
+        | irq, soft ->
+          Alcotest.failf "expected one irq40 and one softirq leg, got %d and %d"
+            (List.length irq) (List.length soft))
+      | other -> Alcotest.failf "expected 1 reservoir span, got %d" (List.length other))
+
 (* --- Zero cost and determinism --- *)
 
 let bw_tcp_row () = Apps.Lmbench.find "bw_tcp 64k (virtio)"
@@ -344,6 +388,7 @@ let () =
           Alcotest.test_case "disabled_is_inert" `Quick test_span_disabled_is_inert;
           Alcotest.test_case "proc_kstat_reset" `Quick test_proc_kstat_reset;
           Alcotest.test_case "ktrace_span_tags" `Quick test_ktrace_records_tagged_with_span;
+          Alcotest.test_case "wake_legs_from_prof_frames" `Quick test_wake_legs_from_prof_frames;
         ] );
       ( "invariants",
         [

@@ -66,6 +66,62 @@ let test_clear_keeps_mask_reset_clears_it () =
   Sim.Trace.reset ();
   check "reset disables everything" false (Sim.Trace.enabled Sim.Trace.Irq)
 
+(* --- Task column and span tag: kprof's context and kspan's span ---
+
+   ktrace has no providers of its own: a record names kprof's current
+   context and carries the span live on it. *)
+
+let test_records_name_prof_context () =
+  fresh ();
+  Sim.Prof.reset ();
+  Sim.Trace.enable Sim.Trace.Sched;
+  let emit () = Sim.Trace.emit Sim.Trace.Sched "ev" (fun () -> "x") in
+  emit ();
+  Sim.Prof.switch_to ~tid:7 ~comm:"worker";
+  emit ();
+  Sim.Span.enable ();
+  let id = Sim.Span.begin_ ~cls:"unit" ~name:"req" in
+  emit ();
+  Sim.Span.end_ id;
+  emit ();
+  Sim.Prof.switch_idle ();
+  emit ();
+  Sim.Span.disable ();
+  Sim.Span.clear ();
+  Sim.Prof.reset ();
+  let got = List.map (fun r -> (r.Sim.Trace.task, r.Sim.Trace.args)) (Sim.Trace.records ()) in
+  Sim.Trace.reset ();
+  check "a span was opened" true (id > 0);
+  Alcotest.(check (list (pair string string)))
+    "task column and span tag"
+    [
+      ("idle/0", "x");
+      ("worker/7", "x");
+      ("worker/7", Printf.sprintf "x span=%d" id);
+      ("worker/7", "x");
+      ("idle/0", "x");
+    ]
+    got
+
+let test_switch_names_incoming_task () =
+  (* kprof switches to the incoming task before the switch is charged,
+     so the sched:switch record already names it. *)
+  fresh ();
+  Sim.Trace.enable Sim.Trace.Sched;
+  ignore (Aster.Kernel.boot ~profile:Sim.Profile.asterinas ());
+  let t = Ostd.Task.spawn ~name:"incoming" (fun () -> Sim.Clock.charge 10) in
+  Aster.Kernel.run ();
+  let me = Printf.sprintf "incoming/%d" (Ostd.Task.tid t) in
+  let switches =
+    List.filter
+      (fun r ->
+        r.Sim.Trace.name = "switch" && String.ends_with ~suffix:("next=" ^ me) r.Sim.Trace.args)
+      (Sim.Trace.records ())
+  in
+  Sim.Trace.reset ();
+  check_int "one switch into the task" 1 (List.length switches);
+  List.iter (fun r -> Alcotest.(check string) "task column" me r.Sim.Trace.task) switches
+
 (* --- Histograms --- *)
 
 let test_hist_constant_exact () =
@@ -214,6 +270,11 @@ let () =
           Alcotest.test_case "default_off_zero_entries" `Quick test_default_off_zero_entries;
           Alcotest.test_case "mask_per_category" `Quick test_mask_is_per_category;
           Alcotest.test_case "clear_vs_reset" `Quick test_clear_keeps_mask_reset_clears_it;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "records_name_prof_context" `Quick test_records_name_prof_context;
+          Alcotest.test_case "switch_names_incoming_task" `Quick test_switch_names_incoming_task;
         ] );
       ( "hist",
         [
