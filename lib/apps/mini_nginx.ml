@@ -59,10 +59,10 @@ let handle_conn c conn =
   ignore (Libc.close c conn)
 
 (* Worker-pool size: like nginx's pre-forked workers, a fixed set of
-   threads all blocked in accept(2) on the shared listening socket. A
-   serial accept-then-serve loop head-of-line blocks every queued
-   connection behind one read(2) round trip; a thread per connection
-   pays a clone per request. The pool does neither. *)
+   threads each running its own event loop over the shared listening
+   socket. A serial accept-then-serve loop head-of-line blocks every
+   queued connection behind one read(2) round trip; a thread per
+   connection pays a clone per request. The pool does neither. *)
 let workers = 8
 
 (* Event-driven worker: each worker runs its own epoll instance over
@@ -134,47 +134,25 @@ let serve_epoll ~remaining ~stop_r ~stop_w sfd w =
   done;
   ignore (Libc.close w ep)
 
-let server ?(mode = `Epoll) ~requests c =
+let server ~requests c =
   let sfd = Libc.socket c ~domain:2 ~typ:1 in
   ignore (Libc.bind_inet c ~fd:sfd ~port);
   ignore (Libc.listen c ~fd:sfd ~backlog:128);
-  let stop_r, stop_w =
-    match mode with
-    | `Threads -> (-1, -1)
-    | `Epoll ->
-      ignore (Libc.set_nonblock c ~fd:sfd);
-      let r, w = Result.get_ok (Libc.pipe c) in
-      (* Degenerate quota: raise the stop flag before anyone waits. *)
-      if requests <= 0 then ignore (Libc.write_str c ~fd:w "q");
-      (r, w)
-  in
+  ignore (Libc.set_nonblock c ~fd:sfd);
+  let stop_r, stop_w = Result.get_ok (Libc.pipe c) in
+  (* Degenerate quota: raise the stop flag before anyone waits. *)
+  if requests <= 0 then ignore (Libc.write_str c ~fd:stop_w "q");
   let remaining = ref requests in
   let live = ref (workers - 1) in
-  let serve_threads w =
-    let continue = ref true in
-    while !continue do
-      if !remaining <= 0 then continue := false
-      else begin
-        decr remaining;
-        let conn = Libc.accept w ~fd:sfd in
-        if conn >= 0 then handle_conn w conn else continue := false
-      end
-    done
-  in
-  let serve w =
-    match mode with
-    | `Epoll -> serve_epoll ~remaining ~stop_r ~stop_w sfd w
-    | `Threads -> serve_threads w
-  in
   for _ = 2 to workers do
     ignore
       (Libc.clone_thread c (fun uapi ->
            let w = Libc.make uapi in
-           serve w;
+           serve_epoll ~remaining ~stop_r ~stop_w sfd w;
            decr live;
            0))
   done;
-  serve c;
+  serve_epoll ~remaining ~stop_r ~stop_w sfd c;
   (* The process exits only after every worker has drained: exiting
      while siblings still stream responses would tear the sockets down
      under them. *)
@@ -183,7 +161,7 @@ let server ?(mode = `Epoll) ~requests c =
   done;
   0
 
-let spawn ?(mode = `Epoll) ~requests ~sizes () =
+let spawn ~requests ~sizes () =
   Runner.spawn ~name:"mini-nginx" (fun c ->
       setup_docroot c ~sizes;
-      server ~mode ~requests c)
+      server ~requests c)

@@ -188,49 +188,6 @@ let exec store cmd args =
     "+OK\n"
   | _ -> "-ERR unknown command\n"
 
-let handle_connection store c conn =
-  let pending = Buffer.create 256 in
-  let continue = ref true in
-  while !continue do
-    (* Pull complete lines out of the stream. *)
-    (match String.index_opt (Buffer.contents pending) '\n' with
-    | None ->
-      let chunk = Libc.read_str c ~fd:conn ~len:4096 in
-      if chunk = "" then continue := false else Buffer.add_string pending chunk
-    | Some _ -> ());
-    (* Drain every complete line already buffered and answer the batch
-       with one write: a coalesced burst of pipelined commands (GRO
-       hands them to the socket in one chunk) costs one reply segment
-       instead of one write syscall per command. Ping-pong clients see
-       exactly the old one-line/one-write behaviour. *)
-    let replies = Buffer.create 64 in
-    let rec drain () =
-      match String.index_opt (Buffer.contents pending) '\n' with
-      | None -> ()
-      | Some i ->
-        let all = Buffer.contents pending in
-        let line = String.sub all 0 i in
-        Buffer.clear pending;
-        Buffer.add_string pending (String.sub all (i + 1) (String.length all - i - 1));
-        (match String.split_on_char ' ' (String.trim line) with
-        | [] | [ "" ] -> ()
-        | cmd :: args ->
-          let cmd = String.uppercase_ascii cmd in
-          (* kspan request boundary: one span per client command, parse
-             to serialized reply. Host-level annotation — no syscall,
-             no virtual cycles. *)
-          Sim.Span.annotate_begin ~cls:"redis" ~name:cmd;
-          Buffer.add_string replies (exec store cmd args);
-          Sim.Span.annotate_end ());
-        drain ()
-    in
-    drain ();
-    if Buffer.length replies > 0 then
-      if Libc.write_str c ~fd:conn (Buffer.contents replies) < 0 then continue := false
-  done;
-  ignore (Libc.close c conn);
-  0
-
 (* Event-driven server: one task, one epoll instance, level-triggered
    conn fds. The listener is non-blocking and drained to EAGAIN per
    readiness event (accept4); conn fds stay blocking — LT guarantees
@@ -277,6 +234,8 @@ let serve_epoll store c =
         end
         else events land (Libc.epollhup lor Libc.epollerr) <> 0
       in
+      (* Answer every complete line buffered with one write: a GRO-
+         coalesced burst of pipelined commands costs one reply segment. *)
       let replies = Buffer.create 64 in
       let rec drain () =
         match String.index_opt (Buffer.contents buf) '\n' with
@@ -290,6 +249,7 @@ let serve_epoll store c =
           | [] | [ "" ] -> ()
           | cmd :: args ->
             let cmd = String.uppercase_ascii cmd in
+            (* One kspan per command; the annotation charges nothing. *)
             Sim.Span.annotate_begin ~cls:"redis" ~name:cmd;
             Buffer.add_string replies (exec store cmd args);
             Sim.Span.annotate_end ());
@@ -314,24 +274,7 @@ let serve_epoll store c =
   done;
   0
 
-let spawn ?(mode = `Epoll) () =
+let spawn () =
   Runner.spawn ~name:"mini-redis" (fun c ->
       let store : (string, value) Hashtbl.t = Hashtbl.create 4096 in
-      match mode with
-      | `Epoll -> serve_epoll store c
-      | `Threads ->
-        let sfd = Libc.socket c ~domain:2 ~typ:1 in
-        ignore (Libc.bind_inet c ~fd:sfd ~port);
-        ignore (Libc.listen c ~fd:sfd ~backlog:64);
-        let continue = ref true in
-        while !continue do
-          let conn = Libc.accept c ~fd:sfd in
-          if conn < 0 then continue := false
-          else begin
-            ignore (Libc.set_nodelay c ~fd:conn);
-            ignore
-              (Libc.clone_thread c (fun uapi ->
-                   handle_connection store (Libc.make uapi) conn))
-          end
-        done;
-        0)
+      serve_epoll store c)

@@ -24,8 +24,7 @@ let reset_services () =
   Strace.reset ();
   Process.reset ();
   Kprobe.Registry.reset ();
-  Epoll.reset_ids ();
-  Ktime.stop_ticker ()
+  Epoll.reset_ids ()
 
 let mount_filesystems ~format_disk =
   let root = Ramfs.create_root () in

@@ -8,19 +8,3 @@ let realtime_ns () =
   Int64.add (Int64.of_float (boot_epoch_seconds *. 1e9)) (monotonic_ns ())
 
 let seconds () = Sim.Clock.to_seconds (Sim.Clock.now ())
-
-let ticking = ref false
-
-let rec tick interval_us () =
-  if !ticking then begin
-    Sched_policy.update_curr ();
-    ignore (Sim.Events.schedule_after (Sim.Clock.us interval_us) (tick interval_us))
-  end
-
-let start_ticker ?(interval_us = 1000.) () =
-  if not !ticking then begin
-    ticking := true;
-    ignore (Sim.Events.schedule_after (Sim.Clock.us interval_us) (tick interval_us))
-  end
-
-let stop_ticker () = ticking := false

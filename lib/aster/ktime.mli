@@ -1,5 +1,5 @@
 (** Timekeeping: Asterinas (not OSTD) maintains wall and monotonic clocks
-    by reading the TSC through OSTD and registering timer interrupts. *)
+    by reading the TSC through OSTD. *)
 
 val boot_epoch_seconds : float
 (** Wall-clock time at boot (fixed, deterministic). *)
@@ -7,10 +7,3 @@ val boot_epoch_seconds : float
 val monotonic_ns : unit -> int64
 val realtime_ns : unit -> int64
 val seconds : unit -> float
-
-val start_ticker : ?interval_us:float -> unit -> unit
-(** Periodic timer "interrupt": notifies the scheduler (update_curr) each
-    tick, like the paper's timer registration. The ticker stops when the
-    simulation goes fully idle only via [stop_ticker]. *)
-
-val stop_ticker : unit -> unit

@@ -16,9 +16,6 @@ val class_of : Ostd.Task.t -> class_
 val vruntime : Ostd.Task.t -> int64
 (** Current CFS virtual runtime (0 for RT tasks). *)
 
-val update_curr : unit -> unit
-(** Scheduling-event notification; the timer tick calls this directly. *)
-
 val install : unit -> unit
 (** Inject into OSTD. Call once per boot, before spawning tasks. *)
 

@@ -82,6 +82,12 @@ let file_of proc fd =
 
 let int_arg (args : int64 array) i = Int64.to_int args.(i)
 
+(* Linux rejects a negative count, offset or length with EINVAL before
+   it touches the file (rw_verify_area, ksys_pread64, do_sys_ftruncate,
+   import_iovec); here one would reach [Bytes.create] or OSTD's range
+   checks. [pos] is 0 for calls without an offset. Charges nothing. *)
+let invalid_range len pos = len < 0 || pos < 0
+
 (* --- FIFO plumbing: named pipes get their ring on first open --- *)
 
 let fifo_pipes : (int, Pipe.t) Hashtbl.t = Hashtbl.create 8
@@ -157,6 +163,7 @@ let do_write_desc ?len proc (f : File.t) data =
 let sys_read proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     let len = int_arg args 2 in
     match do_read_desc f ~len with
@@ -169,6 +176,7 @@ let sys_read proc args =
 let sys_write proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     let len = int_arg args 2 in
     Strace.record_size ~nr:N.write ~size:len;
@@ -179,6 +187,7 @@ let sys_write proc args =
 let sys_pread proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode -> (
@@ -195,6 +204,7 @@ let sys_pread proc args =
 let sys_pwrite proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode -> (
@@ -215,7 +225,8 @@ let iovec_list proc vaddr count =
         go (i + 1)
           ((Int64.to_int (Bytes.get_int64_le b 0), Int64.to_int (Bytes.get_int64_le b 8)) :: acc)
   in
-  go 0 []
+  (* UIO_MAXIOV *)
+  if invalid_range count 0 || count > 1024 then Error Errno.einval else go 0 []
 
 let sys_readv proc args =
   match iovec_list proc (int_arg args 1) (int_arg args 2) with
@@ -561,6 +572,7 @@ let sys_readlink proc args =
 let sys_truncate proc args =
   match read_str proc (int_arg args 0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 1) 0 -> err Errno.einval
   | Ok path -> (
     match Vfs.resolve ~cwd:(Process.cwd proc) path with
     | Error e -> err e
@@ -572,6 +584,7 @@ let sys_truncate proc args =
 let sys_ftruncate proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 1) 0 -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode -> (
@@ -622,6 +635,7 @@ type sendfile_stop = Sf_eof | Sf_err of int
 let sys_sendfile proc args =
   match (file_of proc args.(0), file_of proc args.(1)) with
   | Error e, _ | _, Error e -> err e
+  | Ok _, Ok _ when invalid_range (int_arg args 3) 0 -> err Errno.einval
   | Ok out_f, Ok in_f -> (
     match in_f.File.desc with
     | File.Inode_file inode ->
@@ -854,6 +868,7 @@ let sys_connect proc args =
 let sys_sendto proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     match sock_of f with
     | Error e -> err e
@@ -882,6 +897,7 @@ let sys_sendto proc args =
 let sys_recvfrom proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     match sock_of f with
     | Error e -> err e

@@ -15,8 +15,6 @@ let charge_page_drop n = Clock.charge (n * (c ()).Profile.page_drop)
 let charge_safety select =
   if Profile.checks_on () then Clock.charge (select (c ()).Profile.safety)
 
-let charge_us x = Clock.charge (Clock.us x)
-
 (* Adding a descriptor to a virtqueue a busy device is already pulling
    from: a ring update plus a suppressed notify, no VM exit. Shared by
    the blk and net drivers so the suppression economy is charged

@@ -22,8 +22,5 @@ val charge_safety : (Profile.safety_costs -> int) -> unit
 (** Charge one safety check, but only when the installed profile runs
     OSTD safety checks; selects the per-check cost from the table. *)
 
-val charge_us : float -> unit
-(** Charge a duration given in microseconds. *)
-
 val charge_ring_update : unit -> unit
 (** Charge a suppressed-notify virtqueue ring update (no VM exit). *)

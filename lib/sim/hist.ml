@@ -20,7 +20,6 @@ type t = {
   mutable count : int;
   mutable sum : float;
   mutable max_v : float;
-  mutable min_v : float;
   counts : int array;
   sums : float array;
 }
@@ -30,7 +29,6 @@ let create () =
     count = 0;
     sum = 0.;
     max_v = neg_infinity;
-    min_v = infinity;
     counts = Array.make nbuckets 0;
     sums = Array.make nbuckets 0.;
   }
@@ -52,7 +50,6 @@ let record t v =
   t.count <- t.count + 1;
   t.sum <- t.sum +. v;
   if v > t.max_v then t.max_v <- v;
-  if v < t.min_v then t.min_v <- v;
   let i = bucket_of v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.sums.(i) <- t.sums.(i) +. v
@@ -62,8 +59,6 @@ let count t = t.count
 let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
 
 let max_value t = if t.count = 0 then 0. else t.max_v
-
-let min_value t = if t.count = 0 then 0. else t.min_v
 
 (* An empty histogram has no percentiles: return [None] rather than a
    made-up 0.0 so table renderers must decide how to show the absence

@@ -1,11 +1,10 @@
 (** Log-bucketed (HDR-style) latency histograms.
 
-    Replaces unbounded [Stats.sample] lists on hot paths: constant
-    memory, O(1) record, and percentile estimates whose relative error
-    is bounded by the sub-bucket width (1/16 of an octave). Buckets
-    track count and sum, so a percentile that lands in a bucket reports
-    that bucket's mean — exact for constant and two-point
-    distributions. Recording charges no virtual cycles. *)
+    Constant memory, O(1) record, and percentile estimates whose
+    relative error is bounded by the sub-bucket width (1/16 of an
+    octave). Buckets track count and sum, so a percentile that lands in
+    a bucket reports that bucket's mean — exact for constant and
+    two-point distributions. Recording charges no virtual cycles. *)
 
 type t
 
@@ -15,7 +14,6 @@ val record : t -> float -> unit
 val count : t -> int
 val mean : t -> float
 val max_value : t -> float
-val min_value : t -> float
 
 val percentile : t -> float -> float option
 (** [percentile t 99.] is the p99 estimate; [None] on an empty

@@ -282,10 +282,6 @@ let detach ap ~name =
 
 let detach_name name = List.iter (fun ap -> detach ap ~name) all_attach_points
 
-let detach_all () =
-  Array.fill hooks 0 n_attach_points [];
-  live := 0
-
 let attached ap = hooks.(attach_index ap) <> []
 
 let any_attached () = !live <> 0

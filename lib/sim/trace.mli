@@ -126,7 +126,6 @@ val detach : attach_point -> name:string -> unit
 val detach_name : string -> unit
 (** Detach [name] from every attach point. *)
 
-val detach_all : unit -> unit
 val attached : attach_point -> bool
 val any_attached : unit -> bool
 

@@ -770,6 +770,55 @@ let test_page_cache_metadata () =
   check "frame metadata tracks page state" true !ok
 
 
+(* Negative counts, offsets and lengths from user space: every call
+   returns -EINVAL as on Linux, none escapes the syscall boundary or
+   trips an OSTD range check, and the files stay usable afterwards. *)
+let test_negative_lengths_einval () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let code =
+    run_user (fun c ->
+        let buf = L.ualloc c 64 in
+        let expect name r =
+          if r <> -Aster.Errno.einval then wrong := Printf.sprintf "%s = %d" name r :: !wrong
+        in
+        let null = L.openf c "/dev/null" ~flags:1 ~mode:0 in
+        let udp = L.socket c ~domain:2 ~typ:2 in
+        ignore (L.bind_inet c ~fd:udp ~port:5353);
+        let lo = Aster.Packet.ip_of_string "127.0.0.1" in
+        expect "sendto len -1" (L.sendto_inet c ~fd:udp ~ip:lo ~port:5353 ~vaddr:buf ~len:(-1));
+        expect "recvfrom len -1" (L.recvfrom c ~fd:udp ~vaddr:buf ~len:(-1));
+        let ok = ref true in
+        List.iter
+          (fun path ->
+            let fd = L.openf c path ~flags:0o102 ~mode:0o644 in
+            ignore (L.write_str c ~fd "seed");
+            let call name r = expect (path ^ " " ^ name) r in
+            let vec nr cnt = L.syscall c nr [| Int64.of_int fd; Int64.of_int buf; cnt |] in
+            call "read count -1" (L.read c ~fd ~vaddr:buf ~len:(-1));
+            call "write count -1" (L.write c ~fd ~vaddr:buf ~len:(-1));
+            call "pread64 count -1" (L.pread c ~fd ~vaddr:buf ~len:(-1) ~off:0);
+            call "pwrite64 count -1" (L.pwrite c ~fd ~vaddr:buf ~len:(-1) ~off:0);
+            call "pread64 offset -1" (L.pread c ~fd ~vaddr:buf ~len:4 ~off:(-1));
+            call "pwrite64 offset -5" (L.pwrite c ~fd ~vaddr:buf ~len:4 ~off:(-5));
+            call "ftruncate -1" (L.ftruncate c ~fd ~len:(-1));
+            call "readv iovcnt -1" (vec Aster.Syscall_nr.readv (-1L));
+            call "writev iovcnt 1025" (vec Aster.Syscall_nr.writev 1025L);
+            call "sendfile count -1" (L.sendfile c ~out_fd:null ~in_fd:fd ~count:(-1));
+            ignore (L.lseek c ~fd ~off:0 ~whence:0);
+            let wrote = L.write_str c ~fd "payload" in
+            ignore (L.lseek c ~fd ~off:0 ~whence:0);
+            let size = match L.fstat c fd with Ok st -> st.Aster.Abi.size | Error e -> e in
+            ok := !ok && wrote = 7 && size = 7 && L.read_str c ~fd ~len:16 = "payload";
+            ignore (L.close c fd))
+          [ "/tmp/neg"; "/ext2/neg" ];
+        if !ok then 0 else 1)
+  in
+  Alcotest.(check (list string)) "every hostile call returns -EINVAL" [] (List.rev !wrong);
+  check_int "valid data written and read back" 0 code;
+  check_int "no kernel panic" 0 (Sim.Stats.get "kernel.panic");
+  Alcotest.(check (list string)) "fsck clean" [] (Aster.Fsck.check ())
+
 let test_proc_pid_status () =
   let code =
     run_user (fun c ->
@@ -1098,6 +1147,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "proc_pid_status" `Quick test_proc_pid_status;
+          Alcotest.test_case "negative_lengths_einval" `Quick test_negative_lengths_einval;
           Alcotest.test_case "cfs_nice_weights" `Quick test_cfs_nice_weights;
           Alcotest.test_case "writeback_throttle" `Quick test_block_writeback_throttling;
           Alcotest.test_case "fsync_scope" `Quick test_fsync_only_flushes_that_file;
