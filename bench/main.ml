@@ -976,6 +976,21 @@ let smoke () =
   expect "readahead window produces demand hits" (hit > 0);
   expect "batching cuts doorbells per MB" (fdb < ndb);
   expect "batching cuts completion IRQs per MB" (firq < nirq);
+  (* Host words allocated per MiB by a repeated fio run, boot included.
+     The count is deterministic once the first run above has warmed the
+     process up. This code measures 2,386,584; one staging copy per
+     block I/O adds 9.8% (2,620,184), so the bound sits 5% above the
+     measurement, where such a copy fails it. *)
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  ignore (fio_stats_run ~mbytes base);
+  let per_mib = (allocated () -. w0) /. float_of_int mbytes in
+  let bound = 2_506_000. in
+  Printf.printf "block-path host allocation: %.0f words/MiB (bound %.0f)\n" per_mib bound;
+  expect "block-path host allocation stays within its bound" (per_mib <= bound);
   print_endline "bench smoke: batched network pipeline sanity";
   (* The offloads stay on in both variants (they are the only path), so
      a 64 KiB write is one TSO super-segment either way. *)

@@ -355,9 +355,52 @@ let submit_batch bios =
 
 (* --- Buffer cache --- *)
 
-type centry = { cframe : Ostd.Frame.t; mutable dirty : bool; mutable prefetched : bool }
+(* Keyed by block number. The hash is the polymorphic table's, so the
+   buckets — and [drop_clean]'s walk over them, which orders the frames
+   it frees — are exactly what they would be in a generic table. *)
+module Btbl = Hashtbl.Make (struct
+  type t = int
 
-let cache : (int, centry) Hashtbl.t = Hashtbl.create 1024
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type centry = {
+  cblock : int;
+  cframe : Ostd.Frame.t;
+  mutable dslot : int; (* index in [dirty_set] while dirty, else -1 *)
+  mutable prefetched : bool;
+}
+
+let cache : centry Btbl.t = Btbl.create 1024
+
+let is_dirty e = e.dslot >= 0
+
+(* Every dirty entry, packed into [dirty_set.(0 .. dirty_len - 1)], so
+   [sync] visits the dirty blocks and not the whole cache. *)
+let dirty_set : centry array ref = ref [||]
+
+let dirty_len = ref 0
+
+let dirty_add e =
+  if !dirty_len = Array.length !dirty_set then begin
+    let grown = Array.make (Int.max 64 (2 * !dirty_len)) e in
+    Array.blit !dirty_set 0 grown 0 !dirty_len;
+    dirty_set := grown
+  end;
+  !dirty_set.(!dirty_len) <- e;
+  e.dslot <- !dirty_len;
+  incr dirty_len
+
+(* Swap the last dirty entry into [e]'s slot. *)
+let dirty_remove e =
+  if e.dslot >= 0 then begin
+    decr dirty_len;
+    let last = !dirty_set.(!dirty_len) in
+    !dirty_set.(e.dslot) <- last;
+    last.dslot <- e.dslot;
+    e.dslot <- -1
+  end
 
 (* Background-writeback bookkeeping (dirty_ratio-style throttling). *)
 let dirty_fifo : int Queue.t = Queue.create ()
@@ -402,25 +445,27 @@ let wb_check ~since =
    checkpointed them, so their home location on disk must not be
    overwritten — writeback (background or sync) skips them until the
    journal unpins. *)
-let pinned : (int, unit) Hashtbl.t = Hashtbl.create 64
+let pinned : unit Btbl.t = Btbl.create 64
 
-let is_pinned blockno = Hashtbl.mem pinned blockno
+let is_pinned blockno = Btbl.mem pinned blockno
 
 let reset () =
   throttle_wq := Ostd.Wait_queue.create ();
   driver := None;
   (* Frames belong to the old boot's metadata; just forget them. *)
-  Hashtbl.reset cache;
+  Btbl.reset cache;
+  dirty_set := [||];
+  dirty_len := 0;
   Queue.clear dirty_fifo;
   ndirty := 0;
   flusher_running := false;
-  Hashtbl.reset pinned;
+  Btbl.reset pinned;
   wb_err_seq := 0;
   wb_err_code := 0;
   sync_sample := 0
 
 let entry_of blockno ~fill =
-  match Hashtbl.find_opt cache blockno with
+  match Btbl.find_opt cache blockno with
   | Some e ->
     (* A demand hit on a block readahead brought in: the window paid off. *)
     if e.prefetched then begin
@@ -445,8 +490,8 @@ let entry_of blockno ~fill =
         Ostd.Panic.failf ~errno:e "buffer cache: read of block %d failed" blockno
     end
     else Ostd.Untyped.fill cframe ~off:0 ~len:block_size '\000';
-    let e = { cframe; dirty = false; prefetched = false } in
-    Hashtbl.add cache blockno e;
+    let e = { cblock = blockno; cframe; dslot = -1; prefetched = false } in
+    Btbl.add cache blockno e;
     e
 
 let read_block blockno = (entry_of blockno ~fill:true).cframe
@@ -465,7 +510,7 @@ let read_from_block blockno ~off ~buf ~pos ~len =
    batching the demand range itself, which is not speculation. *)
 let prefetch_blocks ?(mark = true) blocknos =
   let blocknos =
-    List.filter (fun b -> not (Hashtbl.mem cache b)) (List.sort_uniq compare blocknos)
+    List.filter (fun b -> not (Btbl.mem cache b)) (List.sort_uniq Int.compare blocknos)
   in
   if blocknos <> [] then begin
     if mark then Sim.Stats.add "blk.readahead.issued" (List.length blocknos)
@@ -480,8 +525,8 @@ let prefetch_blocks ?(mark = true) blocknos =
     submit_batch (List.map (fun (_, _, bio) -> bio) reqs);
     List.iter
       (fun (b, f, bio) ->
-        if bio_status bio = Some 0 && not (Hashtbl.mem cache b) then
-          Hashtbl.add cache b { cframe = f; dirty = false; prefetched = mark }
+        if bio_status bio = Some 0 && not (Btbl.mem cache b) then
+          Btbl.add cache b { cblock = b; cframe = f; dslot = -1; prefetched = mark }
         else Ostd.Frame.drop f)
       reqs
   end
@@ -492,13 +537,13 @@ let prefetch_blocks ?(mark = true) blocknos =
    re-read would resurrect pre-transaction bytes. Returns the count. *)
 let drop_clean () =
   let victims =
-    Hashtbl.fold
-      (fun b e acc -> if (not e.dirty) && not (is_pinned b) then (b, e) :: acc else acc)
+    Btbl.fold
+      (fun b e acc -> if (not (is_dirty e)) && not (is_pinned b) then (b, e) :: acc else acc)
       cache []
   in
   List.iter
     (fun (b, e) ->
-      Hashtbl.remove cache b;
+      Btbl.remove cache b;
       Ostd.Frame.drop e.cframe)
     victims;
   List.length victims
@@ -513,8 +558,8 @@ let writeback_many pairs =
      a block twice, and writing it twice would corrupt [ndirty].
      Journal-pinned blocks are skipped: their home location must stay
      untouched until the journal checkpoints them. *)
-  let pairs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pairs in
-  match List.filter (fun (b, e) -> e.dirty && not (is_pinned b)) pairs with
+  let pairs = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pairs in
+  match List.filter (fun (b, e) -> is_dirty e && not (is_pinned b)) pairs with
   | [] -> ()
   | dirty ->
     let reqs =
@@ -532,7 +577,7 @@ let writeback_many pairs =
           Sim.Stats.incr "degrade.gave_up.writeback";
           record_wb_err err
         | None -> assert false);
-        e.dirty <- false;
+        dirty_remove e;
         decr ndirty)
       reqs
 
@@ -549,11 +594,11 @@ let rec flush_batch () =
     match Queue.take_opt dirty_fifo with
     | None -> continue := false
     | Some blockno -> (
-      match Hashtbl.find_opt cache blockno with
+      match Btbl.find_opt cache blockno with
       (* A journal-pinned victim is parked: it leaves the FIFO (so the
          flusher cannot spin on it) and is re-queued when the journal
          unpins it at checkpoint. *)
-      | Some e when e.dirty && not (is_pinned blockno) ->
+      | Some e when is_dirty e && not (is_pinned blockno) ->
         victims := (blockno, e) :: !victims;
         decr budget
       | Some _ | None -> ())
@@ -578,8 +623,8 @@ let maybe_start_writeback () =
 
 (* Every path that turns a clean block dirty goes through here. *)
 let set_dirty blockno e =
-  if not e.dirty then begin
-    e.dirty <- true;
+  if not (is_dirty e) then begin
+    dirty_add e;
     incr ndirty;
     Queue.push blockno dirty_fifo;
     maybe_start_writeback ()
@@ -598,24 +643,24 @@ let zero_block blockno =
   set_dirty blockno e
 
 let mark_dirty blockno =
-  match Hashtbl.find_opt cache blockno with
+  match Btbl.find_opt cache blockno with
   | Some e -> set_dirty blockno e
   | None -> ()
 
 let dirty_blocks () = !ndirty
 
-let cached_blocks () = Hashtbl.length cache
+let cached_blocks () = Btbl.length cache
 
 (* Journal pinning. [unpin] re-queues a still-dirty block for
    writeback: the flusher may have parked it (dropped it from the FIFO
    without writing) while it was pinned. *)
-let pin blockno = Hashtbl.replace pinned blockno ()
+let pin blockno = Btbl.replace pinned blockno ()
 
 let unpin blockno =
-  if Hashtbl.mem pinned blockno then begin
-    Hashtbl.remove pinned blockno;
-    match Hashtbl.find_opt cache blockno with
-    | Some e when e.dirty -> Queue.push blockno dirty_fifo
+  if Btbl.mem pinned blockno then begin
+    Btbl.remove pinned blockno;
+    match Btbl.find_opt cache blockno with
+    | Some e when is_dirty e -> Queue.push blockno dirty_fifo
     | Some _ | None -> ()
   end
 
@@ -644,7 +689,7 @@ let write_through blockno buf =
    linger in the device's volatile cache behind the transaction it
    seals. *)
 let write_block_fua blockno =
-  match Hashtbl.find_opt cache blockno with
+  match Btbl.find_opt cache blockno with
   | None -> Ok ()
   | Some e ->
     Sim.Stats.incr "blk.fua";
@@ -655,8 +700,8 @@ let write_block_fua blockno =
     let r = submit_and_wait bio in
     (match r with
     | Ok () ->
-      if e.dirty then begin
-        e.dirty <- false;
+      if is_dirty e then begin
+        dirty_remove e;
         decr ndirty
       end
     | Error _ -> ());
@@ -675,8 +720,12 @@ let consume_wb_err () =
    background writeback may have parked data in the device's volatile
    cache, and pushing pages to the driver is not durability. *)
 let sync () =
-  let dirty = Hashtbl.fold (fun b e acc -> if e.dirty then (b, e) :: acc else acc) cache [] in
-  writeback_many dirty;
+  let dirty = ref [] in
+  for i = 0 to !dirty_len - 1 do
+    let e = !dirty_set.(i) in
+    dirty := (e.cblock, e) :: !dirty
+  done;
+  writeback_many !dirty;
   let flushed = flush_device () in
   match consume_wb_err () with Error _ as e -> e | Ok () -> flushed
 
@@ -684,10 +733,10 @@ let sync_blocks blocks =
   let dirty =
     List.filter_map
       (fun b ->
-        match Hashtbl.find_opt cache b with
-        | Some e when e.dirty -> Some (b, e)
+        match Btbl.find_opt cache b with
+        | Some e when is_dirty e -> Some (b, e)
         | Some _ | None -> None)
-      (List.sort_uniq compare blocks)
+      (List.sort_uniq Int.compare blocks)
   in
   writeback_many dirty;
   let flushed = flush_device () in
@@ -700,8 +749,8 @@ let sync_blocks blocks =
    stable storage. Runs in polling mode too (after [Kernel.run]
    returns). Returns [(blocks_checked, mismatches)]. *)
 let verify_cache_against_device () =
-  let entries = Hashtbl.fold (fun b e acc -> (b, e) :: acc) cache [] in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+  let entries = Btbl.fold (fun b e acc -> (b, e) :: acc) cache [] in
+  let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
   let scratch = Ostd.Frame.alloc ~untyped:true () in
   let want = Bytes.create block_size in
   let got = Bytes.create block_size in
@@ -709,7 +758,7 @@ let verify_cache_against_device () =
   let mismatches = ref 0 in
   List.iter
     (fun (blockno, e) ->
-      if not e.dirty then begin
+      if not (is_dirty e) then begin
         let bio =
           make_bio Read ~sector:(blockno * sectors_per_block) ~frame:scratch ~len:block_size ()
         in

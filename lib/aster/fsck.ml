@@ -38,15 +38,21 @@ let ndirect = 12
 
 let ptrs_per_block = block_size / 4
 
-let u32_at block off =
-  let b = Bytes.create 4 in
-  Block.read_from_block block ~off ~buf:b ~pos:0 ~len:4;
-  Int32.to_int (Bytes.get_int32_le b 0) land 0xffffffff
+(* The word [u32_at] reads through: a check runs to completion before
+   the next one starts. *)
+let word = Bytes.create 4
 
-let bit_get bitmap_block i =
-  let byte = Bytes.create 1 in
-  Block.read_from_block bitmap_block ~off:(i / 8) ~buf:byte ~pos:0 ~len:1;
-  Char.code (Bytes.get byte 0) land (1 lsl (i mod 8)) <> 0
+let u32_at block off =
+  Block.read_from_block block ~off ~buf:word ~pos:0 ~len:4;
+  Int32.to_int (Bytes.get_int32_le word 0) land 0xffffffff
+
+(* Bitmaps are read once per check, and tested in memory. *)
+let read_bitmap block =
+  let b = Bytes.create block_size in
+  Block.read_from_block block ~off:0 ~buf:b ~pos:0 ~len:block_size;
+  b
+
+let bit_get bitmap i = Char.code (Bytes.get bitmap (i / 8)) land (1 lsl (i mod 8)) <> 0
 
 let di ino field =
   let blk = Ext2.inode_table_start + (ino / inodes_per_block) in
@@ -65,13 +71,15 @@ let check () =
   end
   else begin
     let total = min (device_blocks ()) (block_size * 8) in
+    let block_bitmap = read_bitmap Ext2.block_bitmap in
+    let inode_bitmap = read_bitmap Ext2.inode_bitmap in
     (* Reserved area marked used. *)
     for b = 0 to Ext2.first_data_block - 1 do
-      if not (bit_get Ext2.block_bitmap b) then
+      if not (bit_get block_bitmap b) then
         violation "reserved block %d is marked free" b
     done;
     for i = 0 to Ext2.root_ino do
-      if not (bit_get Ext2.inode_bitmap i) then
+      if not (bit_get inode_bitmap i) then
         violation "reserved inode %d is marked free" i
     done;
     (* Block claims: each data-area block used by at most one owner. *)
@@ -79,7 +87,7 @@ let check () =
     let claim_block ~owner b =
       if b < Ext2.first_data_block || b >= total then
         violation "inode %d claims out-of-range block %d" owner b
-      else if not (bit_get Ext2.block_bitmap b) then
+      else if not (bit_get block_bitmap b) then
         violation "inode %d claims free block %d" owner b
       else
         match Hashtbl.find_opt claim b with
@@ -121,7 +129,7 @@ let check () =
     in
     let allocated = ref [] in
     for ino = Ext2.root_ino to Ext2.ninodes - 1 do
-      if bit_get Ext2.inode_bitmap ino then begin
+      if bit_get inode_bitmap ino then begin
         allocated := ino :: !allocated;
         if di ino di_mode = 0 then violation "allocated inode %d has no mode" ino;
         if di ino di_nlink = 0 then violation "allocated inode %d has zero links" ino;
@@ -130,20 +138,20 @@ let check () =
     done;
     (* Leaks: used blocks nobody claims. *)
     for b = Ext2.first_data_block to total - 1 do
-      if bit_get Ext2.block_bitmap b && not (Hashtbl.mem claim b) then
+      if bit_get block_bitmap b && not (Hashtbl.mem claim b) then
         violation "block %d is marked used but unclaimed" b
     done;
     (* Free counts. *)
     let free_blocks = ref 0 in
     for b = 0 to total - 1 do
-      if not (bit_get Ext2.block_bitmap b) then incr free_blocks
+      if not (bit_get block_bitmap b) then incr free_blocks
     done;
     let sb_free = u32_at Ext2.sb_block 12 in
     if sb_free <> !free_blocks then
       violation "superblock says %d free blocks, bitmap says %d" sb_free !free_blocks;
     let free_inodes = ref 0 in
     for i = 0 to Ext2.ninodes - 1 do
-      if not (bit_get Ext2.inode_bitmap i) then incr free_inodes
+      if not (bit_get inode_bitmap i) then incr free_inodes
     done;
     let sb_ifree = u32_at Ext2.sb_block 16 in
     if sb_ifree <> !free_inodes then
@@ -201,7 +209,7 @@ let check () =
               pos := !pos + 6 + nlen
             end
             else begin
-              if not (bit_get Ext2.inode_bitmap e_ino) then
+              if not (bit_get inode_bitmap e_ino) then
                 violation "inode %d: dirent points at free inode %d" ino e_ino
               else begin
                 count_name e_ino;

@@ -137,9 +137,11 @@ let log_line fmt =
 
 let slot_block s = !jstart + s
 
+let read_into b blockno = Block.read_from_block blockno ~off:0 ~buf:b ~pos:0 ~len:block_size
+
 let read_whole blockno =
   let b = Bytes.create block_size in
-  Block.read_from_block blockno ~off:0 ~buf:b ~pos:0 ~len:block_size;
+  read_into b blockno;
   b
 
 let write_whole blockno b =
@@ -149,13 +151,23 @@ let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-(* FNV-1a, folded to 32 bits, seeded with the transaction seq so a
-   stale commit record can never vouch for fresh content. *)
-let checksum ~txn_seq contents =
-  let h = ref 0x811c9dc5 in
-  let fold c = h := (!h lxor c) * 0x01000193 land 0xffffffff in
-  fold (txn_seq land 0xff);
-  List.iter (fun b -> Bytes.iter (fun c -> fold (Char.code c)) b) contents;
+(* Staging for one transaction's journal blocks: slot 0 holds the
+   descriptor and then the commit record, slots 1..n the content copies.
+   Commit and replay run one at a time (the committing gate, or mount),
+   so the buffers are reused rather than allocated per block. *)
+let staging = Array.init (max_txn + 1) (fun _ -> Bytes.create block_size)
+
+(* FNV-1a over the n content copies in [staging], folded to 32 bits and
+   seeded with the transaction seq so a stale commit record can never
+   vouch for fresh content. *)
+let checksum ~txn_seq n =
+  let h = ref ((0x811c9dc5 lxor (txn_seq land 0xff)) * 0x01000193 land 0xffffffff) in
+  for i = 1 to n do
+    let b = staging.(i) in
+    for j = 0 to block_size - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get b j)) * 0x01000193 land 0xffffffff
+    done
+  done;
   !h
 
 (* --- Journal superblock --- *)
@@ -253,14 +265,17 @@ let commit_chunk chunk =
   if !next_slot + n + 2 > !jblocks then
     Ostd.Panic.panicf "jbd: transaction of %d blocks cannot fit the journal" n;
   let desc_slot = !next_slot in
-  let desc = Bytes.make block_size '\000' in
+  let desc = staging.(0) in
+  Bytes.fill desc 0 block_size '\000';
   put_u32 desc 0 desc_magic;
   put_u32 desc 4 !seq;
   put_u32 desc 8 n;
   List.iteri (fun i b -> put_u32 desc (12 + (4 * i)) b) chunk;
   write_whole (slot_block desc_slot) desc;
-  let contents = List.map read_whole chunk in
-  List.iteri (fun i c -> write_whole (slot_block (desc_slot + 1 + i)) c) contents;
+  List.iteri (fun i b -> read_into staging.(i + 1) b) chunk;
+  for i = 1 to n do
+    write_whole (slot_block (desc_slot + i)) staging.(i)
+  done;
   (* Barrier 1: descriptor and content copies durable before the commit
      record can exist. *)
   let journal_slots = List.init (n + 1) (fun i -> slot_block (desc_slot + i)) in
@@ -268,10 +283,11 @@ let commit_chunk chunk =
   | Ok () -> ()
   | Error e -> Ostd.Panic.failf ~errno:e "jbd: journal write failed");
   let commit_slot = desc_slot + n + 1 in
-  let cb = Bytes.make block_size '\000' in
+  let cb = staging.(0) in
+  Bytes.fill cb 0 block_size '\000';
   put_u32 cb 0 commit_magic;
   put_u32 cb 4 !seq;
-  put_u32 cb 8 (checksum ~txn_seq:!seq contents);
+  put_u32 cb 8 (checksum ~txn_seq:!seq n);
   write_whole (slot_block commit_slot) cb;
   (* Barrier 2: the commit record goes down FUA — it seals the
      transaction and must not linger in the device's volatile cache. *)
@@ -417,7 +433,8 @@ let replay () =
         let live = ref true in
         let replayed = ref 0 in
         while !live && !slot + 2 < !jblocks do
-          let desc = read_whole (slot_block !slot) in
+          let desc = staging.(0) in
+          read_into desc (slot_block !slot);
           if u32 desc 0 <> desc_magic || u32 desc 4 <> !expected then
             (* End of the live region: stale or never-written slots. *)
             live := false
@@ -433,19 +450,22 @@ let replay () =
               live := false
             end
             else begin
-              let contents = List.init n (fun i -> read_whole (slot_block (!slot + 1 + i))) in
-              let cb = read_whole (slot_block (!slot + n + 1)) in
+              for i = 1 to n do
+                read_into staging.(i) (slot_block (!slot + i))
+              done;
+              let cb = staging.(0) in
+              read_into cb (slot_block (!slot + n + 1));
               if
                 u32 cb 0 <> commit_magic
                 || u32 cb 4 <> !expected
-                || u32 cb 8 <> checksum ~txn_seq:!expected contents
+                || u32 cb 8 <> checksum ~txn_seq:!expected n
               then begin
                 Sim.Stats.incr "jbd.torn_discarded";
                 log_line "jbd: seq=%d torn at slot %d; discarded" !expected !slot;
                 live := false
               end
               else begin
-                List.iter2 (fun home c -> write_whole home c) homes contents;
+                List.iteri (fun i home -> write_whole home staging.(i + 1)) homes;
                 replayed := !replayed + n;
                 Sim.Stats.add "jbd.replayed" n;
                 log_line "jbd: seq=%d replayed %d blocks from slot %d" !expected n !slot;

@@ -21,12 +21,15 @@ let rec user_read proc ~vaddr ~len =
     if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read proc ~vaddr ~len
     else Error Errno.efault
 
-let rec user_write proc ~vaddr buf =
-  match Ostd.Vmspace.copy_in (vm proc) ~vaddr ~buf ~pos:0 ~len:(Bytes.length buf) with
+(* Copy the first [len] bytes of [buf] out to user memory. *)
+let rec user_write_sub proc ~vaddr buf ~len =
+  match Ostd.Vmspace.copy_in (vm proc) ~vaddr ~buf ~pos:0 ~len with
   | Ok () -> Ok ()
   | Error { Ostd.Vmspace.vaddr = fa; write } ->
-    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_write proc ~vaddr buf
+    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_write_sub proc ~vaddr buf ~len
     else Error Errno.efault
+
+let user_write proc ~vaddr buf = user_write_sub proc ~vaddr buf ~len:(Bytes.length buf)
 
 let read_str proc vaddr =
   (* NUL-terminated, capped at a page, copied in 64-byte chunks. A chunk
@@ -88,6 +91,22 @@ let int_arg (args : int64 array) i = Int64.to_int args.(i)
    checks. [pos] is 0 for calls without an offset. Charges nothing. *)
 let invalid_range len pos = len < 0 || pos < 0
 
+(* Reads size their kernel buffer by what the object can return, never
+   by the caller's count alone, so a 2^40-byte read costs the host what
+   the file or channel holds. A regular file holds [size - pos]; procfs
+   files report size 0 and make their text on read, so they keep the
+   count. Pipes and sockets hold at most their buffer capacity, and one
+   UDP read returns one datagram, at most an IPv4 datagram's 65,535
+   bytes. *)
+let file_cap (inode : Vfs.inode) ~pos =
+  if inode.Vfs.kind = Vfs.Reg && inode.Vfs.fsname <> "procfs" then
+    Int.max 0 (inode.Vfs.size - pos)
+  else max_int
+
+let udp_cap = 65_535
+
+let read_buf ~len cap = Bytes.create (Int.min len cap)
+
 (* --- FIFO plumbing: named pipes get their ring on first open --- *)
 
 let fifo_pipes : (int, Pipe.t) Hashtbl.t = Hashtbl.create 8
@@ -102,36 +121,36 @@ let fifo_pipe (inode : Vfs.inode) =
 
 (* --- read/write on each file flavour --- *)
 
+(* Read into a fresh kernel buffer; returns it with the count read. *)
 let do_read_desc (f : File.t) ~len =
-  let buf = Bytes.create len in
   let nonblock = f.File.flags land File.o_nonblock <> 0 in
+  let got buf = function Ok n -> Ok (buf, n) | Error e -> Error e in
   match f.File.desc with
   | File.Inode_file inode -> (
+    let buf = read_buf ~len (file_cap inode ~pos:f.File.pos) in
     Vfs.touch_atime inode;
-    match inode.Vfs.ops.Vfs.read inode ~pos:f.File.pos ~buf ~boff:0 ~len with
+    match inode.Vfs.ops.Vfs.read inode ~pos:f.File.pos ~buf ~boff:0 ~len:(Bytes.length buf) with
     | Ok n ->
       f.File.pos <- f.File.pos + n;
-      Ok (Bytes.sub buf 0 n)
+      Ok (buf, n)
     | Error e -> Error e)
-  | File.Pipe_read p -> (
-    match Pipe.read ~nonblock p ~buf ~pos:0 ~len with
-    | Ok n -> Ok (Bytes.sub buf 0 n)
-    | Error e -> Error e)
+  | File.Pipe_read p ->
+    let buf = read_buf ~len (Pipe.capacity p) in
+    got buf (Pipe.read ~nonblock p ~buf ~pos:0 ~len:(Bytes.length buf))
   | File.Pipe_write _ -> Error Errno.ebadf
   | File.Epoll _ -> Error Errno.einval
   | File.Socket s -> (
     match s.File.st with
-    | File.S_tcp_conn c -> (
-      match Tcp.recv ~nonblock c ~buf ~pos:0 ~len with
-      | Ok n -> Ok (Bytes.sub buf 0 n)
-      | Error e -> Error e)
-    | File.S_unix_conn ep -> (
-      match Unix_sock.recv ~nonblock ep ~buf ~pos:0 ~len with
-      | Ok n -> Ok (Bytes.sub buf 0 n)
-      | Error e -> Error e)
+    | File.S_tcp_conn c ->
+      let buf = read_buf ~len (Tcp.rcvbuf_capacity c) in
+      got buf (Tcp.recv ~nonblock c ~buf ~pos:0 ~len:(Bytes.length buf))
+    | File.S_unix_conn ep ->
+      let buf = read_buf ~len (Unix_sock.capacity ep) in
+      got buf (Unix_sock.recv ~nonblock ep ~buf ~pos:0 ~len:(Bytes.length buf))
     | File.S_udp u -> (
-      match Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len with
-      | Ok (n, _, _) -> Ok (Bytes.sub buf 0 n)
+      let buf = read_buf ~len udp_cap in
+      match Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len:(Bytes.length buf) with
+      | Ok (n, _, _) -> Ok (buf, n)
       | Error e -> Error e)
     | _ -> Error Errno.enotconn)
 
@@ -168,9 +187,9 @@ let sys_read proc args =
     let len = int_arg args 2 in
     match do_read_desc f ~len with
     | Error e -> err e
-    | Ok data -> (
-      match user_write proc ~vaddr:(int_arg args 1) data with
-      | Ok () -> ok (Bytes.length data)
+    | Ok (buf, n) -> (
+      match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
+      | Ok () -> ok n
       | Error e -> err e))
 
 let sys_write proc args =
@@ -191,12 +210,12 @@ let sys_pread proc args =
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode -> (
-      let len = int_arg args 2 and off = int_arg args 3 in
-      let buf = Bytes.create len in
-      match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len with
+      let off = int_arg args 3 in
+      let buf = read_buf ~len:(int_arg args 2) (file_cap inode ~pos:off) in
+      match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len:(Bytes.length buf) with
       | Error e -> err e
       | Ok n -> (
-        match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
+        match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
         | Ok () -> ok n
         | Error e -> err e))
     | _ -> err Errno.espipe)
@@ -458,6 +477,7 @@ let sys_nanosleep proc args =
 let sys_getdents proc args =
   match file_of proc args.(0) with
   | Error e -> err e
+  | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode when inode.Vfs.kind = Vfs.Dir ->
@@ -556,18 +576,20 @@ let sys_symlink proc args =
           | Error e -> err e))
 
 let sys_readlink proc args =
-  (* resolve() follows links, so inspect the parent and leaf directly. *)
-  with_parent proc (int_arg args 0) (fun parent leaf ->
-      match parent.Vfs.inode.Vfs.ops.Vfs.lookup parent.Vfs.inode leaf with
-      | None -> err Errno.enoent
-      | Some inode -> (
-        match inode.Vfs.ops.Vfs.symlink_target inode with
-        | None -> err Errno.einval
-        | Some target ->
-          let n = min (String.length target) (int_arg args 2) in
-          (match user_write proc ~vaddr:(int_arg args 1) (Bytes.of_string (String.sub target 0 n)) with
-          | Ok () -> ok n
-          | Error e -> err e)))
+  if invalid_range (int_arg args 2) 0 then err Errno.einval
+  else
+    (* resolve() follows links, so inspect the parent and leaf directly. *)
+    with_parent proc (int_arg args 0) (fun parent leaf ->
+        match parent.Vfs.inode.Vfs.ops.Vfs.lookup parent.Vfs.inode leaf with
+        | None -> err Errno.enoent
+        | Some inode -> (
+          match inode.Vfs.ops.Vfs.symlink_target inode with
+          | None -> err Errno.einval
+          | Some target ->
+            let n = min (String.length target) (int_arg args 2) in
+            (match user_write proc ~vaddr:(int_arg args 1) (Bytes.of_string (String.sub target 0 n)) with
+            | Ok () -> ok n
+            | Error e -> err e)))
 
 let sys_truncate proc args =
   match read_str proc (int_arg args 0) with
@@ -904,9 +926,8 @@ let sys_recvfrom proc args =
     | Ok s -> (
       match s.File.st with
       | File.S_udp u -> (
-        let len = int_arg args 2 in
-        let buf = Bytes.create len in
-        match Udp.recvfrom u ~buf ~pos:0 ~len with
+        let buf = read_buf ~len:(int_arg args 2) udp_cap in
+        match Udp.recvfrom u ~buf ~pos:0 ~len:(Bytes.length buf) with
         | Error e -> err e
         | Ok (n, src_ip, src_port) -> (
           let addr_ptr = int_arg args 4 in
@@ -914,7 +935,7 @@ let sys_recvfrom proc args =
             ignore
               (user_write proc ~vaddr:addr_ptr
                  (Abi.encode_sockaddr_in ~port:src_port ~ip:src_ip));
-          match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub buf 0 n) with
+          match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
           | Ok () -> ok n
           | Error e -> err e))
       | _ -> sys_read proc [| args.(0); args.(1); args.(2) |]))
@@ -1211,11 +1232,14 @@ let sys_time proc args =
 
 let sys_getrandom proc args =
   let len = int_arg args 1 in
-  let rng = Sim.Rng.create (Sim.Clock.now ()) in
-  let b = Bytes.init len (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
-  match user_write proc ~vaddr:(int_arg args 0) b with
-  | Ok () -> ok len
-  | Error e -> err e
+  if invalid_range len 0 then err Errno.einval
+  else begin
+    let rng = Sim.Rng.create (Sim.Clock.now ()) in
+    let b = Bytes.init len (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
+    match user_write proc ~vaddr:(int_arg args 0) b with
+    | Ok () -> ok len
+    | Error e -> err e
+  end
 
 (* --- Readiness syscalls: poll(2) + the epoll family ---
 

@@ -72,6 +72,4 @@ let copy ~src ~src_off ~dst ~dst_off ~len =
   guard dst ~off:dst_off ~len "copy";
   Probe.hit "untyped.raw_read";
   Probe.hit "untyped.raw_write";
-  let buf = Bytes.create len in
-  Machine.Phys.read ~paddr:(Frame.paddr src + src_off) buf ~off:0 ~len;
-  Machine.Phys.write ~paddr:(Frame.paddr dst + dst_off) buf ~off:0 ~len
+  Machine.Phys.copy ~src:(Frame.paddr src + src_off) ~dst:(Frame.paddr dst + dst_off) ~len

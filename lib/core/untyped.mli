@@ -24,4 +24,8 @@ val read_u64 : Frame.t -> off:int -> int64
 val write_u64 : Frame.t -> off:int -> int64 -> unit
 
 val copy : src:Frame.t -> src_off:int -> dst:Frame.t -> dst_off:int -> len:int -> unit
-(** Untyped-to-untyped copy (page-cache moves, bounce buffers). *)
+(** Untyped-to-untyped copy (page-cache moves, bounce buffers), frame to
+    frame with no staging buffer. Both handles are guarded and charged
+    as by {!read_bytes} and {!write_bytes}. Overlapping ranges (the same
+    frame, or adjacent frames of one allocation) copy as [memmove]
+    does. *)

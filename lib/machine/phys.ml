@@ -24,32 +24,79 @@ let check ~paddr ~len =
   if not (valid ~paddr ~len) then
     invalid_arg (Printf.sprintf "Phys: access [%#x, %#x) outside memory" paddr (paddr + len))
 
-(* Split a byte range into per-frame chunks and apply [f frame off_in_frame
-   off_in_buffer len] to each. *)
-let iter_chunks ~paddr ~len f =
-  let pos = ref paddr and done_ = ref 0 in
-  while !done_ < len do
-    let frame = !pos / page_size in
-    let off = !pos mod page_size in
-    let chunk = min (len - !done_) (page_size - off) in
-    f frame off !done_ chunk;
-    pos := !pos + chunk;
-    done_ := !done_ + chunk
-  done
+(* Each walk below moves one frame-bounded chunk per iteration, with no
+   closure and no staging buffer: [Bytes.blit] between the caller's
+   buffer and the frame's backing bytes is the only copy. *)
 
 let read ~paddr buf ~off ~len =
   check ~paddr ~len;
-  iter_chunks ~paddr ~len (fun frame foff boff chunk ->
-      Bytes.blit (frame_bytes frame) foff buf (off + boff) chunk)
+  let p = ref paddr and o = ref off and rem = ref len in
+  while !rem > 0 do
+    let foff = !p mod page_size in
+    let chunk = Int.min !rem (page_size - foff) in
+    Bytes.blit (frame_bytes (!p / page_size)) foff buf !o chunk;
+    p := !p + chunk;
+    o := !o + chunk;
+    rem := !rem - chunk
+  done
 
 let write ~paddr buf ~off ~len =
   check ~paddr ~len;
-  iter_chunks ~paddr ~len (fun frame foff boff chunk ->
-      Bytes.blit buf (off + boff) (frame_bytes frame) foff chunk)
+  let p = ref paddr and o = ref off and rem = ref len in
+  while !rem > 0 do
+    let foff = !p mod page_size in
+    let chunk = Int.min !rem (page_size - foff) in
+    Bytes.blit buf !o (frame_bytes (!p / page_size)) foff chunk;
+    p := !p + chunk;
+    o := !o + chunk;
+    rem := !rem - chunk
+  done
 
 let fill ~paddr ~len c =
   check ~paddr ~len;
-  iter_chunks ~paddr ~len (fun frame foff _ chunk -> Bytes.fill (frame_bytes frame) foff chunk c)
+  let p = ref paddr and rem = ref len in
+  while !rem > 0 do
+    let foff = !p mod page_size in
+    let chunk = Int.min !rem (page_size - foff) in
+    Bytes.fill (frame_bytes (!p / page_size)) foff chunk c;
+    p := !p + chunk;
+    rem := !rem - chunk
+  done
+
+(* Frame to frame, memmove semantics. Each chunk stays inside one source
+   and one destination frame, and [Bytes.blit] is itself overlap-safe,
+   so only the chunk order matters: ascending when the destination lies
+   below the source (a chunk's writes land behind every byte still to
+   be read), descending otherwise. *)
+let copy ~src ~dst ~len =
+  check ~paddr:src ~len;
+  check ~paddr:dst ~len;
+  if dst <= src then begin
+    let done_ = ref 0 in
+    while !done_ < len do
+      let s = src + !done_ and d = dst + !done_ in
+      let soff = s mod page_size and doff = d mod page_size in
+      let chunk = Int.min (len - !done_) (page_size - Int.max soff doff) in
+      Bytes.blit (frame_bytes (s / page_size)) soff (frame_bytes (d / page_size)) doff chunk;
+      done_ := !done_ + chunk
+    done
+  end
+  else begin
+    let left = ref len in
+    while !left > 0 do
+      (* The chunk ends at [left]; it starts no earlier than the frame
+         boundary below the last byte of either range. *)
+      let s_end = src + !left and d_end = dst + !left in
+      let chunk =
+        Int.min !left
+          (Int.min (((s_end - 1) mod page_size) + 1) (((d_end - 1) mod page_size) + 1))
+      in
+      let s = s_end - chunk and d = d_end - chunk in
+      Bytes.blit (frame_bytes (s / page_size)) (s mod page_size) (frame_bytes (d / page_size))
+        (d mod page_size) chunk;
+      left := !left - chunk
+    done
+  end
 
 let read_u8 paddr =
   check ~paddr ~len:1;

@@ -28,6 +28,13 @@ val write : paddr:int -> bytes -> off:int -> len:int -> unit
 
 val fill : paddr:int -> len:int -> char -> unit
 
+val copy : src:int -> dst:int -> len:int -> unit
+(** Copy [len] bytes of simulated memory from physical address [src] to
+    [dst], frame to frame with no intermediate buffer. Overlapping
+    ranges copy as [memmove] does: the destination ends up holding the
+    source's bytes as they were before the call. Raises
+    [Invalid_argument] when either range leaves physical memory. *)
+
 val read_u8 : int -> int
 val write_u8 : int -> int -> unit
 val read_u32 : int -> int

@@ -15,6 +15,19 @@ let desc_size = 48
 
 let max_chain = 128
 
+(* Both the image and the write cache are kept in 4 KiB pages of eight
+   sectors, so a block-sized request moves its data with one copy. *)
+let page_size = 4096
+
+let sectors_per_page = page_size / sector_size
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
 (* The persistent disk image, distinct from everything volatile on the
    device (write cache, ring state). It is the only thing that survives
    a power cut, and can be carried across [Board.reset] into a fresh
@@ -22,24 +35,30 @@ let max_chain = 128
    durable — every increment is an enumerable crash boundary. *)
 type disk = {
   dcap : int;
-  sectors : (int, Bytes.t) Hashtbl.t; (* sector -> 512 bytes, sparse *)
+  pages : Bytes.t array; (* page -> 4 KiB; [Bytes.empty] until first written: zeroes *)
   mutable persists : int;
 }
 
 let create_disk ~capacity_sectors =
-  { dcap = capacity_sectors; sectors = Hashtbl.create 4096; persists = 0 }
+  let npages = (capacity_sectors + sectors_per_page - 1) / sectors_per_page in
+  { dcap = capacity_sectors; pages = Array.make npages Bytes.empty; persists = 0 }
 
 let clone_disk d =
-  let sectors = Hashtbl.create (Hashtbl.length d.sectors) in
-  Hashtbl.iter (fun s b -> Hashtbl.add sectors s (Bytes.copy b)) d.sectors;
-  { dcap = d.dcap; sectors; persists = d.persists }
+  { d with pages = Array.map (fun b -> if Bytes.length b = 0 then b else Bytes.copy b) d.pages }
+
+(* One page of the volatile write cache: bit k of [mask] is set while
+   sector k of the page holds data the image does not have yet. *)
+type cpage = { data : Bytes.t; mutable mask : int }
+
+(* Stands in for a page with nothing cached; never written to. *)
+let no_page = { data = Bytes.empty; mask = 0 }
 
 type t = {
   dev_id : int;
   vector : int;
   capacity : int;
   disk : disk;
-  cache : (int, Bytes.t) Hashtbl.t; (* volatile write cache: sector -> bytes *)
+  cache : cpage Itbl.t; (* volatile write cache, keyed by page *)
   queue : int Queue.t; (* pending descriptor (chain head) paddrs *)
   mutable busy : bool;
   mutable dead : bool; (* power has been cut; device is gone *)
@@ -65,18 +84,51 @@ let flushes t = t.flushes
 
 let fua_writes t = t.fua_writes
 
-let disk_sector d s =
-  match Hashtbl.find_opt d.sectors s with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make sector_size '\000' in
-    Hashtbl.add d.sectors s b;
+let disk_page d p =
+  let b = d.pages.(p) in
+  if Bytes.length b > 0 then b
+  else begin
+    let b = Bytes.make page_size '\000' in
+    d.pages.(p) <- b;
     b
+  end
 
-(* What a read observes: the write cache shadows the disk image —
-   the device's RAM is coherent even before a flush makes it durable. *)
-let sector_bytes t s =
-  match Hashtbl.find_opt t.cache s with Some b -> b | None -> disk_sector t.disk s
+let cached_page t p = match Itbl.find_opt t.cache p with Some cp -> cp | None -> no_page
+
+let cache_page t p =
+  match Itbl.find_opt t.cache p with
+  | Some cp -> cp
+  | None ->
+    let cp = { data = Bytes.create page_size; mask = 0 } in
+    Itbl.add t.cache p cp;
+    cp
+
+(* Forget a cached copy of sector [s]: the image now holds newer bytes. *)
+let uncache_sector t s =
+  match Itbl.find_opt t.cache (s / sectors_per_page) with
+  | Some cp -> cp.mask <- cp.mask land lnot (1 lsl (s mod sectors_per_page))
+  | None -> ()
+
+(* DMA what a read observes of sectors [k, k + n) of page [p] to
+   [paddr]: the write cache shadows the image — the device's RAM is
+   coherent even before a flush makes it durable. One copy per run of
+   sectors that share a source; an unwritten image page reads as
+   zeroes. *)
+let page_out t p ~k ~n ~paddr =
+  let cp = cached_page t p in
+  let j = ref k in
+  while !j < k + n do
+    let cached = cp.mask land (1 lsl !j) <> 0 in
+    let e = ref (!j + 1) in
+    while !e < k + n && cp.mask land (1 lsl !e) <> 0 = cached do
+      incr e
+    done;
+    let src = if cached then cp.data else t.disk.pages.(p) in
+    let paddr = paddr + ((!j - k) * sector_size) and len = (!e - !j) * sector_size in
+    if Bytes.length src = 0 then Phys.fill ~paddr ~len '\000'
+    else Phys.write ~paddr src ~off:(!j * sector_size) ~len;
+    j := !e
+  done
 
 (* Power cut: everything volatile is gone. The in-flight ring is
    dropped (no status writes, no interrupts — outstanding bios hit the
@@ -85,41 +137,52 @@ let sector_bytes t s =
    around the same disk image. *)
 let power_cut t =
   t.dead <- true;
-  Hashtbl.reset t.cache;
+  Itbl.reset t.cache;
   Queue.clear t.queue;
   Sim.Stats.incr "virtio_blk.power_cut";
   Logs.debug (fun m ->
       m "virtio-blk: power cut after %d persisted sectors" t.disk.persists)
 
-(* Persist one cached sector to the disk image. Each call is a crash
-   boundary: the [blk.power_cut] trigger fires *before* the copy, so
-   crash point k means exactly k sectors hit stable storage. Returns
-   [false] when the power cut fired. *)
-let persist_sector t s =
+(* The crash boundary in front of every sector made durable: the
+   [blk.power_cut] trigger fires *before* the copy, so crash point k
+   means exactly k sectors hit stable storage. Returns [false] when the
+   power cut fired. *)
+let may_persist t =
   if Sim.Fault.countdown "blk.power_cut" then begin
     power_cut t;
     false
   end
   else begin
-    (match Hashtbl.find_opt t.cache s with
-    | Some b ->
-      Bytes.blit b 0 (disk_sector t.disk s) 0 sector_size;
-      Hashtbl.remove t.cache s
-    | None -> ());
     t.disk.persists <- t.disk.persists + 1;
     true
   end
+
+(* Persist the cached sectors of page [p], lowest first. *)
+let persist_page t p cp =
+  let alive = ref true and k = ref 0 in
+  while !alive && !k < sectors_per_page do
+    if cp.mask land (1 lsl !k) <> 0 then
+      if may_persist t then
+        Bytes.blit cp.data (!k * sector_size) (disk_page t.disk p) (!k * sector_size) sector_size
+      else alive := false;
+    incr k
+  done;
+  !alive
 
 (* Drain the write cache to the disk image, lowest sector first. The
    deterministic order is deliberate: it enumerates crash points
    stably for a given workload, and sorting (rather than insertion
    order) models the reordering freedom a real drive has between
-   barriers. *)
+   barriers. Emptying the cache with [reset] also shrinks its table, so
+   the next flush costs what that flush has to write. *)
 let flush_cache t =
-  let dirty = Hashtbl.fold (fun s _ acc -> s :: acc) t.cache [] in
-  let dirty = List.sort compare dirty in
+  let dirty = List.sort Int.compare (Itbl.fold (fun p _ acc -> p :: acc) t.cache []) in
   t.flushes <- t.flushes + 1;
-  List.for_all (fun s -> persist_sector t s) dirty
+  List.for_all (fun p -> persist_page t p (Itbl.find t.cache p)) dirty
+  && begin
+    Itbl.reset t.cache;
+    true
+  end
 
 (* Out-of-band host access used by tests and mkfs-style tooling:
    writes go straight to the disk image (no crash boundaries counted),
@@ -128,15 +191,22 @@ let write_backing t ~sector data =
   let len = Bytes.length data in
   assert (len mod sector_size = 0);
   for i = 0 to (len / sector_size) - 1 do
-    Hashtbl.remove t.cache (sector + i);
-    Bytes.blit data (i * sector_size) (disk_sector t.disk (sector + i)) 0 sector_size
+    let s = sector + i in
+    uncache_sector t s;
+    Bytes.blit data (i * sector_size)
+      (disk_page t.disk (s / sectors_per_page))
+      (s mod sectors_per_page * sector_size)
+      sector_size
   done
 
 let read_backing t ~sector ~len =
   assert (len mod sector_size = 0);
-  let out = Bytes.create len in
+  let out = Bytes.make len '\000' in
   for i = 0 to (len / sector_size) - 1 do
-    Bytes.blit (sector_bytes t (sector + i)) 0 out (i * sector_size) sector_size
+    let p = (sector + i) / sectors_per_page and k = (sector + i) mod sectors_per_page in
+    let cp = cached_page t p in
+    let src = if cp.mask land (1 lsl k) <> 0 then cp.data else t.disk.pages.(p) in
+    if Bytes.length src > 0 then Bytes.blit src (k * sector_size) out (i * sector_size) sector_size
   done;
   out
 
@@ -229,36 +299,53 @@ let execute_one t desc_paddr =
             dma_fault t "data (read)" e;
             finish 1
           | Ok () ->
-            for i = 0 to nsect - 1 do
-              Phys.write
-                ~paddr:(data_paddr + (i * sector_size))
-                (sector_bytes t (sector + i))
-                ~off:0 ~len:sector_size
+            let i = ref 0 in
+            while !i < nsect do
+              let s = sector + !i in
+              let k = s mod sectors_per_page in
+              let n = Int.min (nsect - !i) (sectors_per_page - k) in
+              page_out t (s / sectors_per_page) ~k ~n ~paddr:(data_paddr + (!i * sector_size));
+              i := !i + n
             done;
             finish 0)
-        | 1 | 3 (* write: device reads from memory; 3 = FUA *) -> (
+        | 1 (* write: device reads from memory into its cache *) -> (
           match Iommu.access ~dev:t.dev_id ~paddr:data_paddr ~len with
           | Error e ->
             dma_fault t "data (write)" e;
             finish 1
           | Ok () ->
-            let ok = ref true in
-            for i = 0 to nsect - 1 do
-              if !ok then begin
-                let s = sector + i in
-                let buf =
-                  match Hashtbl.find_opt t.cache s with
-                  | Some b -> b
-                  | None ->
-                    let b = Bytes.create sector_size in
-                    Hashtbl.add t.cache s b;
-                    b
-                in
-                Phys.read ~paddr:(data_paddr + (i * sector_size)) buf ~off:0 ~len:sector_size;
-                if typ = 3 then ok := persist_sector t s
-              end
+            let i = ref 0 in
+            while !i < nsect do
+              let s = sector + !i in
+              let k = s mod sectors_per_page in
+              let n = Int.min (nsect - !i) (sectors_per_page - k) in
+              let cp = cache_page t (s / sectors_per_page) in
+              Phys.read ~paddr:(data_paddr + (!i * sector_size)) cp.data ~off:(k * sector_size)
+                ~len:(n * sector_size);
+              cp.mask <- cp.mask lor (((1 lsl n) - 1) lsl k);
+              i := !i + n
             done;
-            if typ = 3 then t.fua_writes <- t.fua_writes + 1;
+            finish 0)
+        | 3 (* FUA write: each sector goes straight to the image *) -> (
+          match Iommu.access ~dev:t.dev_id ~paddr:data_paddr ~len with
+          | Error e ->
+            dma_fault t "data (write)" e;
+            finish 1
+          | Ok () ->
+            let ok = ref true and i = ref 0 in
+            while !ok && !i < nsect do
+              let s = sector + !i in
+              if may_persist t then begin
+                uncache_sector t s;
+                Phys.read ~paddr:(data_paddr + (!i * sector_size))
+                  (disk_page t.disk (s / sectors_per_page))
+                  ~off:(s mod sectors_per_page * sector_size)
+                  ~len:sector_size
+              end
+              else ok := false;
+              incr i
+            done;
+            t.fua_writes <- t.fua_writes + 1;
             if !ok then finish 0 else false)
         | _ -> finish 1
       end
@@ -348,7 +435,7 @@ let create ?disk ~capacity_sectors ~mmio_base ~dev_id ~vector () =
       vector;
       capacity = capacity_sectors;
       disk;
-      cache = Hashtbl.create 256;
+      cache = Itbl.create 256;
       queue = Queue.create ();
       busy = false;
       dead = false;

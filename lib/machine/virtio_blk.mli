@@ -30,7 +30,10 @@ type disk
     power cut. Distinct from the volatile write cache and ring state —
     ordinary writes land in the cache and become durable only via a
     flush (type 2) or FUA write (type 3). Carry a [disk] across a board
-    reset into a fresh {!create} to model remount-after-crash. *)
+    reset into a fresh {!create} to model remount-after-crash. Both the
+    image and the cache are kept in 4 KiB pages; a flush persists the
+    cached sectors in ascending order, one crash boundary per sector,
+    and costs the host only what is cached. *)
 
 val create_disk : capacity_sectors:int -> disk
 

@@ -41,6 +41,48 @@ let test_phys_scalars () =
   Machine.Phys.write_u64 200 0x1122334455667788L;
   Alcotest.(check int64) "u64" 0x1122334455667788L (Machine.Phys.read_u64 200)
 
+(* Copies with overlapping source and destination, in both directions,
+   inside one frame and across a frame boundary, against [Bytes.blit]
+   (memmove) on a snapshot of the same bytes. *)
+let overlap_cases =
+  [ (100, 164, 1000); (164, 100, 1000); (4000, 4090, 3000); (4090, 4000, 3000); (10, 10, 64) ]
+
+let test_phys_copy_overlap () =
+  List.iter
+    (fun (src, dst, len) ->
+      setup ();
+      let span = 3 * 4096 in
+      let init = Bytes.init span (fun i -> Char.chr ((i * 7) land 0xff)) in
+      Machine.Phys.write ~paddr:0 init ~off:0 ~len:span;
+      let want = Bytes.copy init in
+      Bytes.blit want src want dst len;
+      Machine.Phys.copy ~src ~dst ~len;
+      let got = Bytes.create span in
+      Machine.Phys.read ~paddr:0 got ~off:0 ~len:span;
+      check (Printf.sprintf "memmove %d -> %d (%d bytes)" src dst len) true (Bytes.equal want got))
+    overlap_cases
+
+let test_untyped_copy_overlap () =
+  List.iter
+    (fun (src_off, dst_off, len) ->
+      Sim.Profile.set Sim.Profile.asterinas;
+      Ostd.Selftest.fresh_boot ();
+      let f = Ostd.Frame.alloc ~pages:2 ~untyped:true () in
+      let span = 2 * 4096 in
+      let init = Bytes.init span (fun i -> Char.chr ((i * 13) land 0xff)) in
+      Ostd.Untyped.write_bytes f ~off:0 ~buf:init ~pos:0 ~len:span;
+      let want = Bytes.copy init in
+      Bytes.blit want src_off want dst_off len;
+      let before = Sim.Clock.now () in
+      Ostd.Untyped.copy ~src:f ~src_off ~dst:f ~dst_off ~len;
+      check "the copy is charged" true (Sim.Clock.now () > before);
+      let got = Bytes.create span in
+      Ostd.Untyped.read_bytes f ~off:0 ~buf:got ~pos:0 ~len:span;
+      check
+        (Printf.sprintf "memmove %d -> %d (%d bytes)" src_off dst_off len)
+        true (Bytes.equal want got))
+    overlap_cases
+
 let test_mmio_dispatch () =
   setup ();
   let written = ref 0L in
@@ -204,6 +246,164 @@ let test_virtio_blk_iommu_blocks_dma () =
   run_all_events ();
   check_int "request dropped" 0 (Machine.Virtio_blk.requests_completed blk);
   check "fault recorded" true (Sim.Stats.get "iommu.fault" > 0)
+
+(* A per-sector reference for the virtio-blk persistence model: a sparse
+   image and a volatile cache of 512-byte sectors. A flush persists the
+   cache lowest sector first, a FUA write persists each of its sectors,
+   and in front of every sector made durable sits a crash boundary; the
+   power fails at boundary [cut]. *)
+module Ref_blk = struct
+  type t = {
+    image : (int, Bytes.t) Hashtbl.t;
+    cache : (int, Bytes.t) Hashtbl.t;
+    mutable persists : int;
+    mutable dead : bool;
+    cut : int;
+  }
+
+  let create ~cut =
+    { image = Hashtbl.create 64; cache = Hashtbl.create 64; persists = 0; dead = false; cut }
+
+  let zero = Bytes.make 512 '\000'
+
+  let observe t s =
+    match Hashtbl.find_opt t.cache s with
+    | Some b -> b
+    | None -> ( match Hashtbl.find_opt t.image s with Some b -> b | None -> zero)
+
+  let boundary t =
+    if t.persists = t.cut then begin
+      t.dead <- true;
+      Hashtbl.reset t.cache;
+      false
+    end
+    else begin
+      t.persists <- t.persists + 1;
+      true
+    end
+
+  let write t s data = if not t.dead then Hashtbl.replace t.cache s data
+
+  let fua t s data =
+    if (not t.dead) && boundary t then begin
+      Hashtbl.remove t.cache s;
+      Hashtbl.replace t.image s data
+    end
+
+  let flush t =
+    if not t.dead then begin
+      let dirty = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.cache []) in
+      let persist s =
+        boundary t
+        && begin
+          Hashtbl.replace t.image s (Hashtbl.find t.cache s);
+          true
+        end
+      in
+      if List.for_all persist dirty then Hashtbl.reset t.cache
+    end
+end
+
+type blk_op = W of int * Bytes.t | Fua of int * Bytes.t | Flush | R of int * int
+
+let blk_ops rng ~capacity ~count =
+  List.init count (fun _ ->
+      let sector = Random.State.int rng capacity in
+      let nsect = 1 + Random.State.int rng (min 16 (capacity - sector)) in
+      let data () = Bytes.init (nsect * 512) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      match Random.State.int rng 20 with
+      | n when n < 9 -> W (sector, data ())
+      | n when n < 12 -> Fua (sector, data ())
+      | n when n < 15 -> Flush
+      | _ -> R (sector, nsect))
+
+let ref_apply r ops =
+  List.iter
+    (fun op ->
+      match op with
+      | W (s, d) ->
+        for i = 0 to (Bytes.length d / 512) - 1 do
+          Ref_blk.write r (s + i) (Bytes.sub d (i * 512) 512)
+        done
+      | Fua (s, d) ->
+        for i = 0 to (Bytes.length d / 512) - 1 do
+          Ref_blk.fua r (s + i) (Bytes.sub d (i * 512) 512)
+        done
+      | Flush -> Ref_blk.flush r
+      | R _ -> ())
+    ops
+
+let test_virtio_blk_differential () =
+  let capacity = 64 and desc = 0x40000 and data = 0x41000 and rdata = 0x44000 in
+  let blk_create ?disk () =
+    Machine.Virtio_blk.create ?disk ~capacity_sectors:capacity
+      ~mmio_base:Machine.Board.pci_hole_base ~dev_id:1 ~vector:40 ()
+  in
+  let submit ~typ ~sector ~len ~paddr =
+    Machine.Phys.write_u32 desc typ;
+    Machine.Phys.write_u32 (desc + 4) len;
+    Machine.Phys.write_u64 (desc + 8) (Int64.of_int sector);
+    Machine.Phys.write_u64 (desc + 16) (Int64.of_int paddr);
+    Machine.Phys.write_u64 (desc + 32) 0L;
+    Machine.Phys.write_u32 (desc + 24) 0xff;
+    Machine.Mmio.write
+      ~addr:(Machine.Board.pci_hole_base + Machine.Virtio_blk.reg_queue_notify)
+      ~len:8 (Int64.of_int desc);
+    run_all_events ()
+  in
+  for seed = 1 to 40 do
+    let ops = blk_ops (Random.State.make [| seed |]) ~capacity ~count:60 in
+    let uncut = Ref_blk.create ~cut:(-1) in
+    ref_apply uncut ops;
+    (* Every eighth run arms the trigger one past the last boundary: no
+       power cut, so the full flush path is compared too. *)
+    let cut =
+      if seed mod 8 = 0 then uncut.Ref_blk.persists
+      else Random.State.int (Random.State.make [| seed; 1 |]) uncut.Ref_blk.persists
+    in
+    let r = Ref_blk.create ~cut in
+    setup ();
+    let dev = blk_create () in
+    Sim.Fault.set_trigger "blk.power_cut" ~after:cut;
+    let name what = Printf.sprintf "seed %d, cut at %d: %s" seed cut what in
+    List.iter
+      (fun op ->
+        match op with
+        | W (s, d) | Fua (s, d) ->
+          Machine.Phys.write ~paddr:data d ~off:0 ~len:(Bytes.length d);
+          submit ~typ:(match op with W _ -> 1 | _ -> 3) ~sector:s ~len:(Bytes.length d) ~paddr:data;
+          ref_apply r [ op ]
+        | Flush ->
+          submit ~typ:2 ~sector:0 ~len:0 ~paddr:0;
+          ref_apply r [ op ]
+        | R (s, n) ->
+          submit ~typ:0 ~sector:s ~len:(n * 512) ~paddr:rdata;
+          if not r.Ref_blk.dead then begin
+            let got = Bytes.create (n * 512) in
+            Machine.Phys.read ~paddr:rdata got ~off:0 ~len:(n * 512);
+            let want = Bytes.concat Bytes.empty (List.init n (fun i -> Ref_blk.observe r (s + i))) in
+            check (name (Printf.sprintf "read of %d sectors at %d" n s)) true (Bytes.equal want got)
+          end)
+      ops;
+    let observed t = Bytes.concat Bytes.empty (List.init capacity (Ref_blk.observe t)) in
+    check_int (name "persist_count") r.Ref_blk.persists (Machine.Virtio_blk.persist_count dev);
+    check (name "dead") r.Ref_blk.dead (Machine.Virtio_blk.is_dead dev);
+    check (name "read_backing")
+      true
+      (Bytes.equal (observed r) (Machine.Virtio_blk.read_backing dev ~sector:0 ~len:(capacity * 512)));
+    (* Only the image survives: boot a fresh device around a clone. *)
+    let disk = Machine.Virtio_blk.clone_disk (Machine.Virtio_blk.disk_image dev) in
+    setup ();
+    let survivor = blk_create ~disk () in
+    let image = Ref_blk.create ~cut:(-1) in
+    Hashtbl.iter (Hashtbl.replace image.Ref_blk.image) r.Ref_blk.image;
+    check (name "surviving image")
+      true
+      (Bytes.equal (observed image)
+         (Machine.Virtio_blk.read_backing survivor ~sector:0 ~len:(capacity * 512)));
+    check_int (name "survivor persist_count") r.Ref_blk.persists
+      (Machine.Virtio_blk.persist_count survivor)
+  done
 
 let test_virtio_net_tx_rx () =
   setup ();
@@ -387,6 +587,8 @@ let () =
           Alcotest.test_case "zero_fill" `Quick test_phys_zero_fill;
           Alcotest.test_case "out_of_range" `Quick test_phys_out_of_range;
           Alcotest.test_case "scalars" `Quick test_phys_scalars;
+          Alcotest.test_case "copy_overlap" `Quick test_phys_copy_overlap;
+          Alcotest.test_case "untyped_copy_overlap" `Quick test_untyped_copy_overlap;
         ] );
       ( "mmio",
         [
@@ -405,6 +607,7 @@ let () =
           Alcotest.test_case "wire" `Quick test_wire_delivery;
           Alcotest.test_case "virtio_blk_rw" `Quick test_virtio_blk_write_read;
           Alcotest.test_case "virtio_blk_iommu" `Quick test_virtio_blk_iommu_blocks_dma;
+          Alcotest.test_case "virtio_blk_differential" `Quick test_virtio_blk_differential;
           Alcotest.test_case "virtio_net_tx_rx" `Quick test_virtio_net_tx_rx;
           Alcotest.test_case "virtio_net_backlog" `Quick test_virtio_net_backlog;
         ] );
