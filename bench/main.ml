@@ -978,9 +978,9 @@ let smoke () =
   expect "batching cuts completion IRQs per MB" (firq < nirq);
   (* Host words allocated per MiB by a repeated fio run, boot included.
      The count is deterministic once the first run above has warmed the
-     process up. This code measures 2,386,584; one staging copy per
-     block I/O adds 9.8% (2,620,184), so the bound sits 5% above the
-     measurement, where such a copy fails it. *)
+     process up. This code measures 1,711,867; with one staging copy
+     per block I/O it measures 2,045,654 (+19.5%), so the bound sits 5%
+     above the measurement, where such a copy fails it. *)
   let allocated () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
@@ -988,9 +988,50 @@ let smoke () =
   let w0 = allocated () in
   ignore (fio_stats_run ~mbytes base);
   let per_mib = (allocated () -. w0) /. float_of_int mbytes in
-  let bound = 2_506_000. in
+  let bound = 1_798_000. in
   Printf.printf "block-path host allocation: %.0f words/MiB (bound %.0f)\n" per_mib bound;
   expect "block-path host allocation stays within its bound" (per_mib <= bound);
+  print_endline "bench smoke: observability planes' host allocation";
+  (* Host words per request that ktrace (every category), kprof and
+     kspan (auto) add to a mini_redis GET run: the run with the planes
+     on minus the same run with them off. Each variant runs once
+     unmeasured first, so the count is deterministic. It counts the
+     minor heap only: once warm the planes allocate only small blocks,
+     and the minor count is exact, while the major count moves with GC
+     timing, so the kernel's large buffers would not cancel out
+     between the two runs. This code measures 2,286; formatting each
+     ktrace record when it is emitted, with kprof and kspan boxing
+     their cycle counts, measured 12,023. The bound sits 5% above the
+     measurement. *)
+  let set_planes on =
+    if on then begin
+      Sim.Trace.enable_all ();
+      Sim.Prof.enable ();
+      Sim.Span.enable ()
+    end
+    else begin
+      Sim.Trace.disable_all ();
+      Sim.Prof.disable ();
+      Sim.Span.disable ()
+    end;
+    Sim.Span.set_auto on
+  in
+  let obs_requests = 400 in
+  let redis_words on =
+    set_planes on;
+    ignore (redis_rps base "GET" obs_requests);
+    let w0 = Gc.minor_words () in
+    ignore (redis_rps base "GET" obs_requests);
+    Gc.minor_words () -. w0
+  in
+  let words_off = redis_words false in
+  let per_req = (redis_words true -. words_off) /. float_of_int obs_requests in
+  (* Back to the harness's planes: kprof and kspan on, ktrace off. *)
+  set_planes true;
+  Sim.Trace.reset ();
+  let bound = 2_401. in
+  Printf.printf "observability host allocation: %.0f words/request (bound %.0f)\n" per_req bound;
+  expect "observability host allocation stays within its bound" (per_req <= bound);
   print_endline "bench smoke: batched network pipeline sanity";
   (* The offloads stay on in both variants (they are the only path), so
      a 64 KiB write is one TSO super-segment either way. *)

@@ -162,8 +162,29 @@ let op_name = function
   | Write_fua -> "write_fua"
   | Flush -> "flush"
 
-let bio_args bio =
-  Printf.sprintf "op=%s sector=%d len=%d" (op_name bio.op) bio.sector bio.len
+(* Bio tracepoints carry the op's name as their string field and the
+   sector and length as their first two int fields. *)
+let bio_point name extra =
+  Sim.Trace.point Sim.Trace.Blk name (fun f ->
+      Printf.sprintf "op=%s sector=%d len=%d %s" f.s f.a f.b (extra f))
+
+let tp_issue = bio_point "issue" (fun f -> Printf.sprintf "attempt=%d" f.c)
+
+let tp_complete = bio_point "complete" (fun f -> Printf.sprintf "attempts=%d" f.c)
+
+let tp_give_up = bio_point "give_up" (fun f -> Printf.sprintf "errno=%d" f.c)
+
+let tp_retry = bio_point "retry" (fun f -> Printf.sprintf "attempt=%d errno=%d" f.c f.d)
+
+let batch_point name =
+  Sim.Trace.point Sim.Trace.Blk name (fun f ->
+      Printf.sprintf "op=%s sector=%d nreq=%d" f.s f.a f.b)
+
+let tp_batch_issue = batch_point "batch_issue"
+
+let tp_batch_complete = batch_point "batch_complete"
+
+let tp_batch_split = batch_point "batch_split"
 
 (* Probe ctx encoding: write = 0 read / 1 write / 2 flush. *)
 let op_code = function Read -> 0L | Write | Write_fua -> 1L | Flush -> 2L
@@ -191,8 +212,7 @@ let submit_and_wait bio =
   let rec attempt n =
     let b = clone_bio bio in
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
-    Sim.Trace.emit Sim.Trace.Blk "issue" (fun () ->
-        Printf.sprintf "%s attempt=%d" (bio_args bio) n);
+    Sim.Trace.emit_s tp_issue (op_name bio.op) bio.sector bio.len n 0;
     fire_issue bio;
     D.submit b;
     match wait_with_deadline b ~cycles:(bio_deadline_cycles n) with
@@ -200,8 +220,7 @@ let submit_and_wait bio =
       match b.status with
       | Some 0 ->
         if n > 0 then Sim.Stats.incr "degrade.recovered.blk_bio";
-        Sim.Trace.emit Sim.Trace.Blk "complete" (fun () ->
-            Printf.sprintf "%s attempts=%d" (bio_args bio) (n + 1));
+        Sim.Trace.emit_s tp_complete (op_name bio.op) bio.sector bio.len (n + 1) 0;
         observe_latency ();
         (* The winning attempt's device timestamps become the primary
            bio's, so its span segments reflect the service that
@@ -223,8 +242,7 @@ let submit_and_wait bio =
   and retry_or_fail n e =
     if n + 1 >= bio_max_attempts then begin
       Sim.Stats.incr "degrade.gave_up.blk_bio";
-      Sim.Trace.emit Sim.Trace.Blk "give_up" (fun () ->
-          Printf.sprintf "%s errno=%d" (bio_args bio) e);
+      Sim.Trace.emit_s tp_give_up (op_name bio.op) bio.sector bio.len e 0;
       observe_latency ();
       fire_complete bio ~t0 ~status:e;
       complete_bio bio ~status:e;
@@ -232,8 +250,7 @@ let submit_and_wait bio =
     end
     else begin
       Sim.Stats.incr "degrade.retried.blk_bio";
-      Sim.Trace.emit Sim.Trace.Blk "retry" (fun () ->
-          Printf.sprintf "%s attempt=%d errno=%d" (bio_args bio) n e);
+      Sim.Trace.emit_s tp_retry (op_name bio.op) bio.sector bio.len n e;
       (match Ostd.Task.current_opt () with
       | Some _ -> Ostd.Task.sleep_cycles (backoff_cycles n)
       | None -> ());
@@ -308,8 +325,7 @@ let issue_run run =
     Sim.Stats.incr "blk.batch";
     Sim.Prof.scope "blk" (fun () ->
         let t0 = Sim.Clock.now () in
-        Sim.Trace.emit Sim.Trace.Blk "batch_issue" (fun () ->
-            Printf.sprintf "op=%s sector=%d nreq=%d" (op_name first.op) first.sector n);
+        Sim.Trace.emit_s tp_batch_issue (op_name first.op) first.sector n 0 0;
         let clones = List.map clone_bio run in
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
         List.iter fire_issue run;
@@ -317,8 +333,7 @@ let issue_run run =
         wait_batch clones ~cycles:(batch_deadline_cycles n);
         if List.for_all (fun c -> c.status = Some 0) clones then begin
           let lat = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
-          Sim.Trace.emit Sim.Trace.Blk "batch_complete" (fun () ->
-              Printf.sprintf "op=%s sector=%d nreq=%d" (op_name first.op) first.sector n);
+          Sim.Trace.emit_s tp_batch_complete (op_name first.op) first.sector n 0 0;
           List.iter2
             (fun bio c ->
               bio.issued <- c.issued;
@@ -333,8 +348,7 @@ let issue_run run =
              and fall back to per-bio submission, whose retry ladder and
              EIO propagation the callers already rely on. *)
           Sim.Stats.incr "blk.batch_split";
-          Sim.Trace.emit Sim.Trace.Blk "batch_split" (fun () ->
-              Printf.sprintf "op=%s sector=%d nreq=%d" (op_name first.op) first.sector n);
+          Sim.Trace.emit_s tp_batch_split (op_name first.op) first.sector n 0 0;
           List.iter (fun c -> if c.status = None then D.cancel c) clones;
           List.iter2
             (fun bio c ->

@@ -189,6 +189,18 @@ let format () =
   | Ok () -> ()
   | Error e -> Ostd.Panic.failf ~errno:e "jbd: cannot format journal"
 
+let tp_checkpoint =
+  Sim.Trace.point Sim.Trace.Blk "jbd_checkpoint" (fun f ->
+      Printf.sprintf "homes=%d seq=%d" f.a f.b)
+
+let tp_commit =
+  Sim.Trace.point Sim.Trace.Blk "jbd_commit" (fun f ->
+      Printf.sprintf "seq=%d n=%d slot=%d" f.a f.b f.c)
+
+let tp_replay =
+  Sim.Trace.point Sim.Trace.Blk "jbd_replay" (fun f ->
+      Printf.sprintf "restored=%d seq=%d" f.a f.b)
+
 (* --- Checkpoint ---
 
    Write every committed block to its home location, make that durable,
@@ -231,8 +243,7 @@ let do_checkpoint () =
           | Ok () -> ()
           | Error e -> Ostd.Panic.failf ~errno:e "jbd: checkpoint tail update failed");
           Sim.Stats.incr "jbd.checkpoint";
-          Sim.Trace.emit Sim.Trace.Blk "jbd_checkpoint" (fun () ->
-              Printf.sprintf "homes=%d seq=%d" (List.length homes) !seq))
+          Sim.Trace.emit2 tp_checkpoint (List.length homes) !seq)
 
 (* --- Transactions --- *)
 
@@ -307,8 +318,7 @@ let commit_chunk chunk =
      layered over the raw blk.* legs. *)
   Sim.Span.mark "jbd.commit" span_t0;
   incr commit_seq;
-  Sim.Trace.emit Sim.Trace.Blk "jbd_commit" (fun () ->
-      Printf.sprintf "seq=%d n=%d slot=%d" !seq n desc_slot);
+  Sim.Trace.emit3 tp_commit !seq n desc_slot;
   Sim.Trace.fire Sim.Trace.P_jbd_commit (fun () -> [| Int64.of_int !seq; Int64.of_int n |]);
   seq := !seq + 1;
   next_slot := commit_slot + 1
@@ -487,5 +497,4 @@ let replay () =
         | Ok () -> ()
         | Error e -> Ostd.Panic.failf ~errno:e "jbd: replay tail update failed");
         log_line "jbd: replay done, %d blocks restored, next seq=%d" !replayed !seq;
-        Sim.Trace.emit Sim.Trace.Blk "jbd_replay" (fun () ->
-            Printf.sprintf "restored=%d seq=%d" !replayed !seq))
+        Sim.Trace.emit2 tp_replay !replayed !seq)

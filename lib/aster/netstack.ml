@@ -66,21 +66,35 @@ let charge t n = if not t.host then Sim.Cost.charge n
 
 let proto_name = function Packet.Tcp -> "tcp" | Packet.Udp -> "udp"
 
-let packet_args (p : Packet.t) =
-  Printf.sprintf "proto=%s sport=%d dport=%d len=%d" (proto_name p.Packet.proto)
-    p.Packet.src_port p.Packet.dst_port
-    (Bytes.length p.Packet.payload)
+(* One packet: the protocol's name and the ports and payload length. *)
+let packet_point name =
+  Sim.Trace.point Sim.Trace.Net name (fun f ->
+      Printf.sprintf "proto=%s sport=%d dport=%d len=%d" f.s f.a f.b f.c)
 
-let burst_args ps =
-  let bytes = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.Packet.payload) 0 ps in
-  Printf.sprintf "nseg=%d bytes=%d" (List.length ps) bytes
+let burst_point name =
+  Sim.Trace.point Sim.Trace.Net name (fun f -> Printf.sprintf "nseg=%d bytes=%d" f.a f.b)
+
+let tp_rx = packet_point "rx"
+
+let tp_tx = packet_point "tx"
+
+let tp_rx_burst = burst_point "rx"
+
+let tp_tx_burst = burst_point "tx"
+
+let emit_packet tp (p : Packet.t) =
+  Sim.Trace.emit_s tp (proto_name p.Packet.proto) p.Packet.src_port p.Packet.dst_port
+    (Bytes.length p.Packet.payload) 0
+
+let burst_bytes ps = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.Packet.payload) 0 ps
+
+let emit_burst tp ps =
+  if Sim.Trace.on tp then Sim.Trace.emit2 tp (List.length ps) (burst_bytes ps)
 
 (* Probe ctx thunks: [| bytes; nseg |] for one packet or a burst. *)
 let packet_ctx (p : Packet.t) () = [| Int64.of_int (Bytes.length p.Packet.payload); 1L |]
 
-let burst_ctx ps () =
-  let bytes = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.Packet.payload) 0 ps in
-  [| Int64.of_int bytes; Int64.of_int (List.length ps) |]
+let burst_ctx ps () = [| Int64.of_int (burst_bytes ps); Int64.of_int (List.length ps) |]
 
 let dispatch_proto t (p : Packet.t) =
   t.nrx <- t.nrx + 1;
@@ -91,7 +105,7 @@ let dispatch_proto t (p : Packet.t) =
 (* kprof: protocol processing on both paths folds under "net". *)
 let dispatch t (p : Packet.t) =
   Sim.Prof.scope "net" (fun () ->
-      Sim.Trace.emit Sim.Trace.Net "rx" (fun () -> packet_args p);
+      emit_packet tp_rx p;
       Sim.Trace.fire Sim.Trace.P_net_rx (packet_ctx p);
       dispatch_proto t p)
 
@@ -102,7 +116,7 @@ let rx t p = dispatch t p
 let rx_many t ps =
   if ps <> [] then
     Sim.Prof.scope "net" (fun () ->
-        Sim.Trace.emit Sim.Trace.Net "rx" (fun () -> burst_args ps);
+        emit_burst tp_rx_burst ps;
         Sim.Trace.fire Sim.Trace.P_net_rx (burst_ctx ps);
         List.iter (dispatch_proto t) ps)
 
@@ -130,7 +144,7 @@ let flush t =
       ps;
     Sim.Prof.scope "net" (fun () ->
         Sim.Stats.incr "net.burst";
-        Sim.Trace.emit Sim.Trace.Net "tx" (fun () -> burst_args ps);
+        emit_burst tp_tx_burst ps;
         Sim.Trace.fire Sim.Trace.P_net_tx (burst_ctx ps);
         match t.ext_tx_many with
         | Some f -> f ps
@@ -149,7 +163,7 @@ let send t p =
       p.Packet.span_t0 <- Sim.Clock.now ();
       let dst = p.Packet.dst_ip in
       if dst = loopback_ip || dst = t.addr then begin
-        Sim.Trace.emit Sim.Trace.Net "tx" (fun () -> packet_args p);
+        emit_packet tp_tx p;
         Sim.Trace.fire Sim.Trace.P_net_tx (packet_ctx p);
         (* Loopback: softirq-style asynchronous hand-off. Delivery is the
            end of the packet's life, so zero-copy pins release here — the
@@ -177,7 +191,7 @@ let send t p =
         end
       end
       else begin
-        Sim.Trace.emit Sim.Trace.Net "tx" (fun () -> packet_args p);
+        emit_packet tp_tx p;
         Sim.Trace.fire Sim.Trace.P_net_tx (packet_ctx p);
         t.ext_tx p
       end)

@@ -75,6 +75,9 @@ let encode p =
   Bytes.blit p.payload 0 b header_size len;
   b
 
+let tp_drop =
+  Sim.Trace.point Sim.Trace.Net "drop" (fun f -> Printf.sprintf "reason=checksum len=%d" f.a)
+
 (* [verify:false] is the guest driver's path: the NIC already verified
    the frame and wrote its verdict, so the software pass is skipped. *)
 let decode ?(verify = true) b =
@@ -88,8 +91,7 @@ let decode ?(verify = true) b =
          retransmit timer resends the segment, UDP callers accepted
          lossy delivery when they picked UDP. *)
       Sim.Stats.incr "net.checksum_drop";
-      Sim.Trace.emit Sim.Trace.Net "drop" (fun () ->
-          Printf.sprintf "reason=checksum len=%d" (Bytes.length b));
+      Sim.Trace.emit1 tp_drop (Bytes.length b);
       None
     end
     else

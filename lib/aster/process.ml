@@ -114,6 +114,12 @@ let terminate_other proc signal =
 
 (* --- The user-mode loop: the kernel side of Figure 3 in the paper. --- *)
 
+let fault_args (f : Sim.Trace.fields) = Printf.sprintf "vaddr=%#x write=%b" f.a (f.b <> 0)
+
+let tp_fault = Sim.Trace.point Sim.Trace.Pgfault "fault" fault_args
+
+let tp_segv = Sim.Trace.point Sim.Trace.Pgfault "segv" fault_args
+
 let rec run_user proc resume =
   match proc.ut with
   | None -> ()
@@ -175,13 +181,11 @@ let rec run_user proc resume =
         run_user proc Ostd.User.Start
       | Terminated -> Sim.Span.syscall_end auto_span)
     | Ostd.User.Page_fault { vaddr; write } ->
-      Sim.Trace.emit Sim.Trace.Pgfault "fault" (fun () ->
-          Printf.sprintf "vaddr=%#x write=%b" vaddr write);
+      Sim.Trace.emit2 tp_fault vaddr (Bool.to_int write);
       if Sim.Prof.scope "pgfault" (fun () -> Mm.handle_fault proc.mm_v ~vaddr ~write) then
         run_user proc Ostd.User.Fault_resolved
       else begin
-        Sim.Trace.emit Sim.Trace.Pgfault "segv" (fun () ->
-            Printf.sprintf "vaddr=%#x write=%b" vaddr write);
+        Sim.Trace.emit2 tp_segv vaddr (Bool.to_int write);
         Logs.debug (fun m ->
             m "pid %d (%s): segfault at %#x" proc.pid_v proc.comm_v vaddr);
         do_exit proc 139

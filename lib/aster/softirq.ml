@@ -7,6 +7,11 @@ let work : (unit -> unit) Queue.t = Queue.create ()
    the new scheduler). *)
 let kworker_wq = ref (Ostd.Wait_queue.create ())
 
+let tp_entry =
+  Sim.Trace.point Sim.Trace.Softirq "entry" (fun f -> Printf.sprintf "pending=%d" f.a)
+
+let tp_exit = Sim.Trace.point Sim.Trace.Softirq "exit" (fun _ -> "")
+
 let drain_softirqs () =
   while not (Queue.is_empty softirqs) do
     let f = Queue.pop softirqs in
@@ -15,10 +20,9 @@ let drain_softirqs () =
        woken from here gets the softirq leg on its span. *)
     Sim.Prof.scope "softirq" (fun () ->
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.softirq;
-        Sim.Trace.emit Sim.Trace.Softirq "entry" (fun () ->
-            Printf.sprintf "pending=%d" (Queue.length softirqs + 1));
+        Sim.Trace.emit1 tp_entry (Queue.length softirqs + 1);
         f ();
-        Sim.Trace.emit Sim.Trace.Softirq "exit" (fun () -> ""))
+        Sim.Trace.emit0 tp_exit)
   done
 
 let raise_softirq f = Queue.push f softirqs

@@ -17,22 +17,31 @@ let record ~nr = bump counts nr
    trace ring and the latency histograms. Neither charges virtual
    cycles, so instrumented runs time identically. *)
 
-let enter ~nr =
-  record ~nr;
-  Sim.Trace.emit Sim.Trace.Syscall "enter" (fun () ->
-      Printf.sprintf "nr=%d name=%s" nr (Syscall_nr.name nr))
+let tp_enter =
+  Sim.Trace.point Sim.Trace.Syscall "enter" (fun f ->
+      Printf.sprintf "nr=%d name=%s" f.a (Syscall_nr.name f.a))
 
-let exit_ ~nr ~ret ~cycles =
-  let us = Sim.Clock.to_us cycles in
-  Sim.Hist.observe "syscall" us;
-  Sim.Hist.observe (Syscall_nr.scope_name nr) us;
-  Sim.Trace.emit Sim.Trace.Syscall "exit" (fun () ->
+(* Fields: nr, the 64-bit return value as two halves, latency cycles. *)
+let tp_exit =
+  Sim.Trace.point Sim.Trace.Syscall "exit" (fun f ->
+      let ret = Sim.Trace.join64 f.b f.c in
       let result =
         if Int64.compare ret 0L < 0 then
           Printf.sprintf "err=%s" (Errno.name (Int64.to_int (Int64.neg ret)))
         else Printf.sprintf "ret=%Ld" ret
       in
-      Printf.sprintf "nr=%d name=%s %s lat_us=%.3f" nr (Syscall_nr.name nr) result us)
+      Printf.sprintf "nr=%d name=%s %s lat_us=%.3f" f.a (Syscall_nr.name f.a) result
+        (Sim.Clock.to_us (Int64.of_int f.d)))
+
+let enter ~nr =
+  record ~nr;
+  Sim.Trace.emit1 tp_enter nr
+
+let exit_ ~nr ~ret ~cycles =
+  let us = Sim.Clock.to_us cycles in
+  Sim.Hist.observe "syscall" us;
+  Sim.Hist.observe (Syscall_nr.scope_name nr) us;
+  Sim.Trace.emit4 tp_exit nr (Sim.Trace.hi32 ret) (Sim.Trace.lo32 ret) (Int64.to_int cycles)
 
 let record_size ~nr ~size = if size <= 8 then bump small nr
 

@@ -396,6 +396,9 @@ let gro_rx s (p : Packet.t) =
       end
   end
 
+let tp_drop_hw =
+  Sim.Trace.point Sim.Trace.Net "drop" (fun f -> Printf.sprintf "reason=checksum-hw len=%d" f.a)
+
 (* One bottom-half pass: reap TX completions, deliver RX arrivals.
    Returns how many descriptors it serviced so the NAPI loop can decide
    whether to keep polling. *)
@@ -460,8 +463,7 @@ let reap_once s =
           (* Same drop-and-retransmit semantics as the software checksum
              pass: the verification just happened in the NIC. *)
           Sim.Stats.incr "net.checksum_drop";
-          Sim.Trace.emit Sim.Trace.Net "drop" (fun () ->
-              Printf.sprintf "reason=checksum-hw len=%d" used);
+          Sim.Trace.emit1 tp_drop_hw used;
           None
         end
         else

@@ -8,6 +8,12 @@ let () =
       (false, "dma.pool_recycle");
     ]
 
+let stream_args (f : Sim.Trace.fields) = Printf.sprintf "dev=%d paddr=0x%x len=%d" f.a f.b f.c
+
+let tp_map = Sim.Trace.point Sim.Trace.Dma "map" stream_args
+
+let tp_unmap = Sim.Trace.point Sim.Trace.Dma "unmap" stream_args
+
 module Stream = struct
   type t = { fr : Frame.t; dev : int; mutable live : bool }
 
@@ -23,8 +29,7 @@ module Stream = struct
       Machine.Iommu.map ~dev ~paddr:(Frame.paddr frame) ~len:(Frame.size frame)
     end
     else Sim.Cost.charge 120;
-    Sim.Trace.emit Sim.Trace.Dma "map" (fun () ->
-        Printf.sprintf "dev=%d paddr=0x%x len=%d" dev (Frame.paddr frame) (Frame.size frame));
+    Sim.Trace.emit3 tp_map dev (Frame.paddr frame) (Frame.size frame);
     { fr = frame; dev; live = true }
 
   let alive t op = if not t.live then Panic.panicf "Dma.Stream.%s: unmapped stream" op
@@ -68,8 +73,7 @@ module Stream = struct
       Machine.Iommu.unmap ~dev:t.dev ~paddr:(Frame.paddr t.fr) ~len:(Frame.size t.fr)
     end
     else Sim.Cost.charge 100;
-    Sim.Trace.emit Sim.Trace.Dma "unmap" (fun () ->
-        Printf.sprintf "dev=%d paddr=0x%x len=%d" t.dev (Frame.paddr t.fr) (Frame.size t.fr));
+    Sim.Trace.emit3 tp_unmap t.dev (Frame.paddr t.fr) (Frame.size t.fr);
     t.live <- false;
     Frame.drop t.fr
 end

@@ -74,12 +74,20 @@ let run_handler vector =
     | Error _ -> Sim.Stats.incr "irq.handler_contained")
   | None -> Sim.Stats.incr "irq.unhandled"
 
+let vector_args (f : Sim.Trace.fields) = Printf.sprintf "vector=%d" f.a
+
+let tp_poll = Sim.Trace.point Sim.Trace.Irq "poll" vector_args
+
+let tp_entry = Sim.Trace.point Sim.Trace.Irq "entry" vector_args
+
+let tp_exit = Sim.Trace.point Sim.Trace.Irq "exit" vector_args
+
 let polled_service vector =
   let vs = vstat_of vector in
   (* Degradation path: the storm was survived by polling, so this
      counts toward the recovered leg of the chaos quartet. *)
   Sim.Stats.incr "degrade.recovered.irq_poll";
-  Sim.Trace.emit Sim.Trace.Irq "poll" (fun () -> Printf.sprintf "vector=%d" vector);
+  Sim.Trace.emit1 tp_poll vector;
   Sim.Prof.scope (irq_scope vector) (fun () ->
       run_handler vector;
       vs.masked <- false;
@@ -102,7 +110,7 @@ let dispatch vector =
        IRQ-delivery leg, from the scope's entry cycle, on its span. *)
     Sim.Prof.scope (irq_scope vector) (fun () ->
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.irq_entry;
-        Sim.Trace.emit Sim.Trace.Irq "entry" (fun () -> Printf.sprintf "vector=%d" vector);
+        Sim.Trace.emit1 tp_entry vector;
         Sim.Trace.fire Sim.Trace.P_irq_entry (fun () ->
             [|
               Int64.of_int vector;
@@ -125,7 +133,7 @@ let dispatch vector =
                  polled_service vector))
         end
         else run_handler vector;
-        Sim.Trace.emit Sim.Trace.Irq "exit" (fun () -> Printf.sprintf "vector=%d" vector);
+        Sim.Trace.emit1 tp_exit vector;
         !post_hook ())
   end
 

@@ -46,13 +46,16 @@ module Lock_stat = struct
       Sim.Hist.observe s.wait_key (Sim.Clock.to_us wait_cycles)
     end
 
+  let tp_long_hold =
+    Sim.Trace.point Sim.Trace.Lock "long_hold" (fun f ->
+        Printf.sprintf "lock=%s hold_us=%.3f" f.s (Sim.Clock.to_us (Int64.of_int f.a)))
+
   let released s ~hold_cycles =
     let us = Sim.Clock.to_us hold_cycles in
     Sim.Hist.observe s.hold_key us;
     if us > !hold_watchdog_us then begin
       Sim.Stats.incr "lock.watchdog.long_hold";
-      Sim.Trace.emit Sim.Trace.Lock "long_hold" (fun () ->
-          Printf.sprintf "lock=%s hold_us=%.3f" s.lname us)
+      Sim.Trace.emit_s tp_long_hold s.lname (Int64.to_int hold_cycles) 0 0 0
     end
 end
 

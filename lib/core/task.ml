@@ -227,11 +227,13 @@ let spawn ?(name = "task") body =
   enqueue_ready t;
   t
 
+let tp_wakeup =
+  Sim.Trace.point Sim.Trace.Sched "wakeup" (fun f -> Printf.sprintf "task=%s/%d" f.s f.a)
+
 let wake t =
   match t.st with
   | Blocked ->
-    Sim.Trace.emit Sim.Trace.Sched "wakeup" (fun () ->
-        Printf.sprintf "task=%s/%d" t.tname t.tid);
+    Sim.Trace.emit_s tp_wakeup t.tname t.tid 0 0 0;
     enqueue_ready t;
     (* The wakeup edge hands a completion's span back to the sleeping
        task: if this wake happens inside an IRQ/softirq kprof scope,
@@ -300,6 +302,9 @@ let handler (t : t) : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
+let tp_switch =
+  Sim.Trace.point Sim.Trace.Sched "switch" (fun f -> Printf.sprintf "prev=%d next=%s/%d" f.a f.s f.b)
+
 let dispatch t =
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.running_flag);
   if t.running_flag then Panic.panic "Inv. 8 violated: task is already running on another CPU";
@@ -334,8 +339,7 @@ let dispatch t =
        register save/restore and cache refill of a real switch. *)
     if !last_ran = t.tid then Sim.Cost.charge 40
     else Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.context_switch;
-    Sim.Trace.emit Sim.Trace.Sched "switch" (fun () ->
-        Printf.sprintf "prev=%d next=%s/%d" !last_ran t.tname t.tid);
+    Sim.Trace.emit_s tp_switch t.tname !last_ran t.tid 0 0;
     (* max_wait_ns covers the task being switched in (it just finished
        waiting) as well as everything still on the runqueue, so a
        starved task is visible at the very switch that rescues it. *)

@@ -55,8 +55,8 @@ let load_text text : (string, string) result =
       order := !order @ [ prog.pname ];
       List.iter
         (fun ap ->
-          let code = Vm.resolve_ctx prog ap in
-          Sim.Trace.attach ap ~name:prog.pname (fun ctx -> Vm.exec ~prog ~store ~code ~ctx))
+          let code = Vm.resolve prog ap in
+          Sim.Trace.attach ap ~name:prog.pname (fun ctx -> Vm.exec ~store ~code ~ctx))
         prog.attach;
       last_error := "";
       Ok prog.pname)

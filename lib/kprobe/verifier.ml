@@ -117,7 +117,8 @@ let check_insn prog len pc insn =
     let* () = check_map pc prog m Ring in
     let* () = check_reg pc k in
     check_reg pc r
-  | Emit (l, o) ->
+  | Emit (Epoint (l, _), _) -> err "emit '%s' at pc %d is already resolved" l pc
+  | Emit (Elabel l, o) ->
     if not (valid_ident l) then err "emit label '%s' at pc %d is not a valid identifier" l pc
     else check_operand pc o
   | Ret -> Ok ()

@@ -9,8 +9,9 @@ open Insn
 
 (* Ldctx slots are pre-resolved per attach point at load time (the
    verifier proved every name/index legal at every hooked point), so
-   execution never sees a name. *)
-let resolve_ctx (prog : prog) ap =
+   execution never sees a name. Emit labels resolve to their stat key
+   and ktrace point once per load, too. *)
+let resolve (prog : prog) ap =
   let fields = Sim.Trace.attach_fields ap in
   let slot = function
     | Cidx i -> i
@@ -18,7 +19,21 @@ let resolve_ctx (prog : prog) ap =
       let rec find i = if fields.(i) = n then i else find (i + 1) in
       find 0
   in
-  Array.map (function Ldctx (r, c) -> Ldctx (r, Cidx (slot c)) | insn -> insn) prog.code
+  let emit_point = function
+    | Elabel l ->
+      let key = prog.pname ^ "." ^ l in
+      Epoint
+        ( key,
+          Sim.Trace.point Sim.Trace.Probe key (fun f ->
+              Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b)) )
+    | Epoint _ as e -> e
+  in
+  Array.map
+    (function
+      | Ldctx (r, c) -> Ldctx (r, Cidx (slot c))
+      | Emit (e, o) -> Emit (emit_point e, o)
+      | insn -> insn)
+    prog.code
 
 let alu_eval op a b =
   match op with
@@ -39,7 +54,7 @@ let cmp_eval c a b =
   let r = Int64.compare a b in
   match c with Eq -> r = 0 | Ne -> r <> 0 | Lt -> r < 0 | Le -> r <= 0 | Gt -> r > 0 | Ge -> r >= 0
 
-let exec ~(prog : prog) ~(store : Maps.store) ~(code : insn array) ~(ctx : int64 array) =
+let exec ~(store : Maps.store) ~(code : insn array) ~(ctx : int64 array) =
   let regs = Array.make nregs 0L in
   let len = Array.length code in
   let operand = function Reg r -> regs.(r) | Imm v -> v in
@@ -82,11 +97,11 @@ let exec ~(prog : prog) ~(store : Maps.store) ~(code : insn array) ~(ctx : int64
     | Ringp (m, k, r) ->
       Maps.ring_push store m regs.(k) regs.(r);
       pc := next
-    | Emit (label, o) ->
+    | Emit (Epoint (key, point), o) ->
       let v = operand o in
-      let key = prog.pname ^ "." ^ label in
       Sim.Stats.incr key;
-      Sim.Trace.emit Sim.Trace.Probe key (fun () -> Printf.sprintf "v=%Ld" v);
+      Sim.Trace.emit2 point (Sim.Trace.hi32 v) (Sim.Trace.lo32 v);
       pc := next
+    | Emit (Elabel _, _) -> assert false (* resolved at load time *)
     | Ret -> pc := len)
   done

@@ -72,20 +72,27 @@ let iotlb_insert key =
     Queue.push key iotlb_queue
   end
 
+let page_args (f : Sim.Trace.fields) = Printf.sprintf "dev=%d page=%#x" f.a f.b
+
+let tp_hit = Sim.Trace.point Sim.Trace.Dma "iotlb_hit" page_args
+
+let tp_miss = Sim.Trace.point Sim.Trace.Dma "iotlb_miss" page_args
+
+let tp_fault =
+  Sim.Trace.point Sim.Trace.Dma "fault" (fun f -> Printf.sprintf "dev=%d paddr=%#x injected" f.a f.b)
+
 let translate_page dev page =
   let key = (dev, page) in
   if Hashtbl.mem iotlb key then begin
     incr hit_count;
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.iotlb_hit;
-    Sim.Trace.emit Sim.Trace.Dma "iotlb_hit" (fun () ->
-        Printf.sprintf "dev=%d page=%#x" dev page);
+    Sim.Trace.emit2 tp_hit dev page;
     Ok ()
   end
   else begin
     incr miss_count;
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.iotlb_miss;
-    Sim.Trace.emit Sim.Trace.Dma "iotlb_miss" (fun () ->
-        Printf.sprintf "dev=%d page=%#x" dev page);
+    Sim.Trace.emit2 tp_miss dev page;
     if Hashtbl.mem (domain dev) page then begin
       iotlb_insert key;
       Ok ()
@@ -101,8 +108,7 @@ let access ~dev ~paddr ~len =
        The device sees the same dropped-DMA behaviour as a real fault. *)
     Sim.Stats.incr "iommu.fault";
     Sim.Stats.incr "iommu.injected_fault";
-    Sim.Trace.emit Sim.Trace.Dma "fault" (fun () ->
-        Printf.sprintf "dev=%d paddr=%#x injected" dev paddr);
+    Sim.Trace.emit2 tp_fault dev paddr;
     Error (Printf.sprintf "iommu: injected fault for dev %d at %#x" dev paddr)
   end
   else begin

@@ -11,21 +11,20 @@ let now () = !current
    observer, so an attribution profiler sees exactly the cycles that
    elapse and nothing else (the conservation invariant). The default
    observer is a no-op; observing never charges cycles itself. *)
-let on_advance : (int64 -> unit) ref = ref (fun _ -> ())
+let on_advance : (int -> unit) ref = ref (fun _ -> ())
 
 let set_on_advance f = on_advance := f
 
 let charge n =
   if n < 0 then invalid_arg "Clock.charge: negative cost";
   if n > 0 then begin
-    let d = Int64.of_int n in
-    current := Int64.add !current d;
-    !on_advance d
+    current := Int64.add !current (Int64.of_int n);
+    !on_advance n
   end
 
 let advance_to t =
   if Int64.compare t !current > 0 then begin
-    let d = Int64.sub t !current in
+    let d = Int64.to_int (Int64.sub t !current) in
     current := t;
     !on_advance d
   end

@@ -22,7 +22,7 @@ val advance_to : int64 -> unit
 (** Jump forward to an absolute cycle count (used by the event queue when
     the machine is idle). Moving backwards is ignored. *)
 
-val set_on_advance : (int64 -> unit) -> unit
+val set_on_advance : (int -> unit) -> unit
 (** Install the clock observer: called with the delta on every forward
     movement of virtual time ([charge] or [advance_to]). There is one
     slot, and kspan owns it: its observer feeds kprof attribution and

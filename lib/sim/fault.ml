@@ -31,6 +31,11 @@ let site_id site =
     site;
   Int64.shift_right_logical !h 1 (* keep it non-negative for map keys *)
 
+let tp_trigger = Trace.point Trace.Chaos "trigger" (fun f -> "site=" ^ f.Trace.s)
+
+let tp_inject =
+  Trace.point Trace.Chaos "inject" (fun f -> Printf.sprintf "site=%s n=%d" f.Trace.s f.Trace.a)
+
 let countdown site =
   match Hashtbl.find_opt triggers site with
   | None -> false
@@ -39,7 +44,7 @@ let countdown site =
     else if !r = 0 then begin
       r := -1;
       Stats.incr ("fault.injected." ^ site);
-      Trace.emit Trace.Chaos "trigger" (fun () -> Printf.sprintf "site=%s" site);
+      Trace.emit_s tp_trigger site 0 0 0 0;
       Trace.fire Trace.P_chaos_inject (fun () -> [| site_id site; 1L |]);
       true
     end
@@ -78,7 +83,7 @@ let record t site =
   t.nlog <- t.nlog + 1;
   t.log_rev <- Printf.sprintf "%Ld %s #%d" (Clock.now ()) site t.nlog :: t.log_rev;
   Stats.incr ("fault.injected." ^ site);
-  Trace.emit Trace.Chaos "inject" (fun () -> Printf.sprintf "site=%s n=%d" site t.nlog);
+  Trace.emit_s tp_inject site t.nlog 0 0 0;
   Trace.fire Trace.P_chaos_inject (fun () -> [| site_id site; Int64.of_int t.nlog |])
 
 let roll site =

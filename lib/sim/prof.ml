@@ -7,8 +7,9 @@
    carries a stack of named scopes ([scope "ext2" f], plus implicit
    scopes per syscall, IRQ vector and softirq pushed by the kernel
    layers). Every cycle the clock moves is attributed to the current
-   (context × scope-stack), accumulated under a folded-stack key
-   ["ctx;a;b"] — the same format flamegraph.pl consumes.
+   (context × scope-stack), a node of the context's scope trie, and
+   reported under a folded-stack key ["ctx;a;b"] — the same format
+   flamegraph.pl consumes.
 
    Invariants:
    - Conservation: between [clear]/[enable] and now, the folded totals
@@ -21,20 +22,30 @@
      are deterministic, and rendering sorts keys, so the same seed
      yields byte-identical folded output. *)
 
-(* One scope frame: its name and the cycle it was entered. kspan takes
-   the IRQ/softirq legs of a wakeup from these entry cycles. *)
-type frame = { label : string; entered : int64 }
+(* A node of a context's scope trie: one per distinct scope stack the
+   context has pushed. A push moves to a child, a pop to the parent, so
+   attribution adds to the current node's native-int total and never
+   builds or hashes a key. The folded key is built on first read. *)
+type node = {
+  label : string; (* innermost scope; "user" at the root *)
+  parent : node; (* the root is its own parent *)
+  mutable kids : node list;
+  mutable total : int; (* cycles attributed with exactly this stack *)
+  mutable key : string; (* folded key once built; "" before *)
+  mutable cpu : string; (* kspan's "cpu.<label>" once built; "" before *)
+}
 
 (* The one record of who is on the CPU: kspan reads its tid, ktrace
-   its name. *)
+   its name. [entered.(i)] is the cycle the scope at depth [i] was
+   entered; kspan takes the IRQ/softirq legs of a wakeup from it. *)
 type ctx = {
   tid : int; (* 0 for the idle/event loop *)
   cname : string; (* comm/tid, formatted once *)
-  mutable stack : frame list; (* innermost scope first *)
-  mutable cell : int64 ref; (* totals slot of the folded key, or [stale] *)
+  root : node;
+  mutable node : node; (* the current stack *)
+  mutable depth : int;
+  mutable entered : int array;
 }
-
-let totals : (string, int64 ref) Hashtbl.t = Hashtbl.create 256
 
 (* Contexts by tid. Tids are unique within a boot, and [clear] drops
    every context at boot. *)
@@ -44,16 +55,13 @@ let enabled_flag = ref false
 
 let anchor = ref 0L
 
-(* The folded key is resolved lazily, on the first attributed cycle
-   after the stack changes, so scopes cost no string work while
-   attribution is off. *)
-let stale = ref 0L
-
 let ctx_of ~tid ~comm =
   match Hashtbl.find_opt ctxs tid with
   | Some c -> c
   | None ->
-    let c = { tid; cname = comm ^ "/" ^ string_of_int tid; stack = []; cell = stale } in
+    let cname = comm ^ "/" ^ string_of_int tid in
+    let rec root = { label = "user"; parent = root; kids = []; total = 0; key = cname; cpu = "" } in
+    let c = { tid; cname; root; node = root; depth = 0; entered = Array.make 8 0 } in
     Hashtbl.add ctxs tid c;
     c
 
@@ -61,33 +69,18 @@ let idle () = ctx_of ~tid:0 ~comm:"idle"
 
 let current = ref (idle ())
 
-let cell_of key =
-  match Hashtbl.find_opt totals key with
-  | Some r -> r
-  | None ->
-    let r = ref 0L in
-    Hashtbl.add totals key r;
-    r
-
-let folded_key c =
-  match c.stack with
-  | [] -> c.cname
-  | st -> c.cname ^ ";" ^ String.concat ";" (List.rev_map (fun f -> f.label) st)
-
 (* kprof's half of the clock observer (kspan installs it): one add per
    clock advancement while attribution is on. *)
 let attribute d =
   if !enabled_flag then begin
-    let c = !current in
-    if c.cell == stale then c.cell <- cell_of (folded_key c);
-    c.cell := Int64.add !(c.cell) d
+    let n = !current.node in
+    n.total <- n.total + d
   end
 
 (* Drop all accumulated attribution and re-anchor conservation at the
    current virtual time. Called at boot (the clock rewinds to zero) so
    a profile covers exactly the run since the last boot. *)
 let clear () =
-  Hashtbl.reset totals;
   Hashtbl.reset ctxs;
   current := idle ();
   anchor := Clock.now ()
@@ -129,32 +122,89 @@ let current_name () = !current.cname
    task resumes keep attributing to the right frame, and completion
    work running in another context is unaffected. *)
 
+(* Scope labels are nearly always shared strings (literals, memoized
+   syscall and IRQ names), so a push first looks for its child by
+   pointer, which is twice as fast as comparing contents. *)
+let rec same_kid n label = function
+  | [] -> n
+  | k :: tl -> if k.label == label then k else same_kid n label tl
+
+let rec equal_kid n label = function
+  | [] -> n
+  | k :: tl -> if String.equal k.label label then k else equal_kid n label tl
+
+let child n label =
+  let k = same_kid n label n.kids in
+  let k = if k != n then k else equal_kid n label n.kids in
+  if k != n then k
+  else begin
+    let k = { label; parent = n; kids = []; total = 0; key = ""; cpu = "" } in
+    n.kids <- k :: n.kids;
+    k
+  end
+
+let push c label =
+  let d = c.depth in
+  if d = Array.length c.entered then begin
+    let a = Array.make (2 * d) 0 in
+    Array.blit c.entered 0 a 0 d;
+    c.entered <- a
+  end;
+  c.entered.(d) <- Int64.to_int (Clock.now ());
+  c.depth <- d + 1;
+  c.node <- child c.node label
+
+let pop c =
+  if c.depth > 0 then begin
+    c.depth <- c.depth - 1;
+    c.node <- c.node.parent
+  end
+
 let scope label f =
   let c = !current in
-  c.stack <- { label; entered = Clock.now () } :: c.stack;
-  c.cell <- stale;
-  Fun.protect
-    ~finally:(fun () ->
-      (match c.stack with _ :: rest -> c.stack <- rest | [] -> ());
-      c.cell <- stale)
-    f
+  push c label;
+  match f () with
+  | v ->
+    pop c;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    pop c;
+    Printexc.raise_with_backtrace e bt
 
-let current_label () = match !current.stack with f :: _ -> f.label | [] -> "user"
+let cpu_label () =
+  let n = !current.node in
+  if n.cpu = "" then n.cpu <- "cpu." ^ n.label;
+  n.cpu
 
-let iter_frames f = List.iter (fun fr -> f fr.label fr.entered) !current.stack
+let iter_frames f =
+  let c = !current in
+  let n = ref c.node in
+  for i = c.depth - 1 downto 0 do
+    f !n.label c.entered.(i);
+    n := !n.parent
+  done
 
 (* --- Reporting --- *)
 
 let elapsed () = Int64.sub (Clock.now ()) !anchor
 
-let total_attributed () = Hashtbl.fold (fun _ r acc -> Int64.add acc !r) totals 0L
+let rec key n =
+  if n.key = "" then n.key <- key n.parent ^ ";" ^ n.label;
+  n.key
+
+let rec fold_node f n acc = List.fold_left (fun acc k -> fold_node f k acc) (f n acc) n.kids
+
+let fold_nodes f acc = Hashtbl.fold (fun _ c acc -> fold_node f c.root acc) ctxs acc
+
+let total_attributed () = Int64.of_int (fold_nodes (fun n acc -> acc + n.total) 0)
 
 let conserved () = Int64.equal (total_attributed ()) (elapsed ())
 
 (* Folded stacks, flamegraph.pl-compatible: "ctx;a;b CYCLES" per line,
    sorted by key so same-seed output is byte-identical. *)
 let folded () =
-  Hashtbl.fold (fun k r acc -> if Int64.equal !r 0L then acc else (k, !r) :: acc) totals []
+  fold_nodes (fun n acc -> if n.total = 0 then acc else (key n, Int64.of_int n.total) :: acc) []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let render_folded () =

@@ -3,8 +3,10 @@
     Turns the simulator's charge points into a profiler: every forward
     movement of the virtual clock is attributed to the current
     execution context (a task, or the idle/event loop) and its stack of
-    named scopes, accumulated under folded-stack keys ["ctx;a;b"] — the
-    format flamegraph.pl consumes.
+    named scopes. Each context keeps a trie with one node per distinct
+    stack, so attribution is one native-int add, and totals are read
+    back under folded-stack keys ["ctx;a;b"] — the format flamegraph.pl
+    consumes. A node builds its key once, on first read.
 
     Invariants:
     - {b Conservation}: folded totals sum to exactly the virtual cycles
@@ -49,7 +51,7 @@ val current_tid : unit -> int
 
 val current_name : unit -> string
 
-val attribute : int64 -> unit
+val attribute : int -> unit
 (** kprof's half of the {!Clock} observer, which kspan installs:
     attribute [d] cycles to the current context and scope stack. *)
 
@@ -62,11 +64,11 @@ val scope : string -> (unit -> 'a) -> 'a
     that was pushed to. Stack bookkeeping runs even when attribution is
     disabled (kspan reads it); only attribution is gated. *)
 
-val current_label : unit -> string
-(** The innermost scope of the current context, or ["user"] when the
-    stack is empty — the label kspan gives on-CPU segments. *)
+val cpu_label : unit -> string
+(** The label kspan gives on-CPU segments: ["cpu.<innermost scope>"],
+    or ["cpu.user"] when the stack is empty. Built once per trie node. *)
 
-val iter_frames : (string -> int64 -> unit) -> unit
+val iter_frames : (string -> int -> unit) -> unit
 (** [iter_frames f] calls [f label entered] for each scope of the
     current context, innermost first, with the cycle it was entered. *)
 

@@ -31,21 +31,23 @@
    never charges cycles and never consumes randomness, so a span-on
    same-seed run is byte-identical to a span-off one. *)
 
-type seg = { slabel : string; mutable s_t0 : int64; mutable s_t1 : int64 }
+(* A segment's times are native-int cycles, and its priority is
+   computed once, when the segment is recorded. *)
+type seg = { slabel : string; prio : int; mutable s_t0 : int; mutable s_t1 : int }
 
 type t = {
   id : int;
   cls : string;
   name : string;
   tid : int;
-  t_begin : int64;
-  mutable t_end : int64; (* 0 while live *)
+  t_begin : int;
+  mutable t_end : int; (* 0 while live *)
   mutable segs : seg list; (* newest first *)
   mutable nsegs : int;
   mutable truncated : int;
-  mutable last_off : int64; (* when the owning task last left the CPU *)
-  mutable path : (string * int64) list; (* filled at end: descending *)
-  mutable residual : int64;
+  mutable last_off : int; (* when the owning task last left the CPU *)
+  mutable path : (string * int) list; (* filled at end: descending *)
+  mutable residual : int;
 }
 
 (* Segment cap per span: beyond it, new segments are dropped and
@@ -58,10 +60,10 @@ let reservoir_cap = 64
 
 type agg = {
   mutable a_count : int;
-  mutable a_total : int64;
+  mutable a_total : int;
   a_hist : Hist.t; (* wall time, µs *)
-  a_segs : (string, int64 ref) Hashtbl.t; (* critical-path totals *)
-  mutable a_residual : int64;
+  a_segs : (string, int ref) Hashtbl.t; (* critical-path totals *)
+  mutable a_residual : int;
   mutable a_res : t list; (* slowest-N reservoir, ascending duration *)
 }
 
@@ -79,6 +81,22 @@ let active : (int, t) Hashtbl.t = Hashtbl.create 16 (* tid -> live span *)
 
 let class_tbl : (string, agg) Hashtbl.t = Hashtbl.create 16
 
+(* The span active on kprof's current context, memoized: the clock
+   observer asks on every advance. Any change to [active] forgets it. *)
+let cached_tid = ref (-1)
+
+let cached : t option ref = ref None
+
+let forget_active () = cached_tid := -1
+
+let active_span () =
+  let tid = Prof.current_tid () in
+  if tid <> !cached_tid then begin
+    cached_tid := tid;
+    cached := if tid = 0 then None else Hashtbl.find_opt active tid
+  end;
+  !cached
+
 let enabled () = !enabled_flag
 
 let enable () = enabled_flag := true
@@ -94,6 +112,7 @@ let clear () =
   finished := 0;
   Hashtbl.reset live;
   Hashtbl.reset active;
+  forget_active ();
   Hashtbl.reset class_tbl
 
 let live_count () = Hashtbl.length live
@@ -102,95 +121,8 @@ let finished_count () = !finished
 
 (* --- Segments --- *)
 
-(* How many of the newest segments to scan for a same-label merge.
-   Batch completions record one near-identical leg per bio or frame of
-   the batch (32x blk.queue sharing a q_end, 32x blk.service, ...), in
-   one consecutive run; without merging a single large fsync exhausts
-   [max_segs] and its tail — the part that explains the latency — is
-   lost to truncation. A small window keeps insertion O(1). *)
-let merge_window = 8
-
-let add_seg sp label t0 t1 =
-  if Int64.compare t1 t0 > 0 && Int64.equal sp.t_end 0L then begin
-    (* Coalesce into a recent same-label segment when the intervals
-       touch or overlap: the union is a single interval, so the
-       critical-path sweep sees exactly the same coverage. *)
-    let rec coalesce k segs =
-      k < merge_window
-      &&
-      match segs with
-      | [] -> false
-      | s :: tl ->
-        if
-          String.equal s.slabel label
-          && Int64.compare s.s_t0 t1 <= 0
-          && Int64.compare t0 s.s_t1 <= 0
-        then begin
-          if Int64.compare t0 s.s_t0 < 0 then s.s_t0 <- t0;
-          if Int64.compare t1 s.s_t1 > 0 then s.s_t1 <- t1;
-          true
-        end
-        else coalesce (k + 1) tl
-    in
-    if not (coalesce 0 sp.segs) then begin
-      if sp.nsegs >= max_segs then sp.truncated <- sp.truncated + 1
-      else begin
-        sp.segs <- { slabel = label; s_t0 = t0; s_t1 = t1 } :: sp.segs;
-        sp.nsegs <- sp.nsegs + 1
-      end
-    end
-  end
-
-let add_to id label t0 t1 =
-  if id <> 0 && !enabled_flag then
-    match Hashtbl.find_opt live id with
-    | Some sp -> add_seg sp label t0 t1
-    | None -> ()
-
-(* The task on the CPU is kprof's current context. *)
-let active_span () =
-  match Prof.current_tid () with 0 -> None | tid -> Hashtbl.find_opt active tid
-
-let mark label t0 =
-  if !enabled_flag then
-    match active_span () with
-    | Some sp -> add_seg sp label t0 (Clock.now ())
-    | None -> ()
-
-(* The clock observer. It feeds kprof attribution first; then every
-   advance while a task with an active span is on CPU becomes a
-   [cpu.<scope>] segment labelled with the innermost kprof scope
-   (memoized: no allocation on the steady-state path). *)
-
-let cpu_labels : (string, string) Hashtbl.t = Hashtbl.create 64
-
-let cpu_label scope =
-  match Hashtbl.find_opt cpu_labels scope with
-  | Some l -> l
-  | None ->
-    let l = "cpu." ^ scope in
-    Hashtbl.add cpu_labels scope l;
-    l
-
-let on_advance d =
-  Prof.attribute d;
-  if !enabled_flag then
-    match active_span () with
-    | Some sp ->
-      let now = Clock.now () in
-      add_seg sp (cpu_label (Prof.current_label ())) (Int64.sub now d) now
-    | None -> ()
-
-let () = Clock.set_on_advance on_advance
-
-(* --- Critical path ---
-
-   Overlapping segments are the normal case (a [blk.irq] completion
-   leg overlaps the [softirq] leg, which overlaps the span's
-   [blocked] catch-all). The decomposition resolves each instant to
-   the most specific explanation by priority, so the parts sum to the
-   wall time exactly and nothing is double-counted. *)
-
+(* Critical-path priority: the most specific explanation of an instant
+   wins. *)
 let prio label =
   if label = "blocked" then 10
   else if String.starts_with ~prefix:"cpu." label then 100
@@ -203,64 +135,124 @@ let prio label =
   else if label = "blk.queue" || label = "net.plug" then 60
   else 50
 
+(* How many of the newest segments to scan for a same-label merge.
+   Batch completions record one near-identical leg per bio or frame of
+   the batch (32x blk.queue sharing a q_end, 32x blk.service, ...), in
+   one consecutive run; without merging a single large fsync exhausts
+   [max_segs] and its tail — the part that explains the latency — is
+   lost to truncation. A small window keeps insertion O(1). *)
+let merge_window = 8
+
+(* Coalesce into a recent same-label segment when the intervals touch
+   or overlap: the union is a single interval, so the critical-path
+   sweep sees exactly the same coverage. *)
+let rec coalesce label t0 t1 k = function
+  | [] -> false
+  | s :: tl ->
+    k < merge_window
+    &&
+    if String.equal s.slabel label && s.s_t0 <= t1 && t0 <= s.s_t1 then begin
+      if t0 < s.s_t0 then s.s_t0 <- t0;
+      if t1 > s.s_t1 then s.s_t1 <- t1;
+      true
+    end
+    else coalesce label t0 t1 (k + 1) tl
+
+let add_seg sp label t0 t1 =
+  if t1 > t0 && sp.t_end = 0 && not (coalesce label t0 t1 0 sp.segs) then begin
+    if sp.nsegs >= max_segs then sp.truncated <- sp.truncated + 1
+    else begin
+      sp.segs <- { slabel = label; prio = prio label; s_t0 = t0; s_t1 = t1 } :: sp.segs;
+      sp.nsegs <- sp.nsegs + 1
+    end
+  end
+
+let add_to id label t0 t1 =
+  if id <> 0 && !enabled_flag then
+    match Hashtbl.find_opt live id with
+    | Some sp -> add_seg sp label (Int64.to_int t0) (Int64.to_int t1)
+    | None -> ()
+
+let now () = Int64.to_int (Clock.now ())
+
+let mark label t0 =
+  if !enabled_flag then
+    match active_span () with
+    | Some sp -> add_seg sp label (Int64.to_int t0) (now ())
+    | None -> ()
+
+(* The clock observer. It feeds kprof attribution first; then every
+   advance while a task with an active span is on CPU becomes a
+   [cpu.<scope>] segment labelled with the innermost kprof scope (the
+   label is built once per scope stack: no allocation on the
+   steady-state path). *)
+let on_advance d =
+  Prof.attribute d;
+  if !enabled_flag then
+    match active_span () with
+    | Some sp ->
+      let t = now () in
+      add_seg sp (Prof.cpu_label ()) (t - d) t
+    | None -> ()
+
+let () = Clock.set_on_advance on_advance
+
+(* --- Critical path ---
+
+   Overlapping segments are the normal case (a [blk.irq] completion
+   leg overlaps the [softirq] leg, which overlaps the span's
+   [blocked] catch-all). The decomposition resolves each instant to
+   the most specific explanation by priority, so the parts sum to the
+   wall time exactly and nothing is double-counted. Among equal
+   priorities the oldest segment wins. *)
+
 let compute_path sp =
   let lo = sp.t_begin and hi = sp.t_end in
-  let clip t = if Int64.compare t lo < 0 then lo else if Int64.compare t hi > 0 then hi else t in
-  let segs =
-    List.rev_map (fun s -> (s.slabel, clip s.s_t0, clip s.s_t1)) sp.segs
-    |> List.filter (fun (_, a, b) -> Int64.compare b a > 0)
-  in
-  let total = Int64.sub hi lo in
-  if Int64.compare total 0L <= 0 then begin
+  if hi <= lo then begin
     sp.path <- [];
-    sp.residual <- 0L
-  end
-  else if segs = [] then begin
-    sp.path <- [];
-    sp.residual <- total
+    sp.residual <- 0
   end
   else begin
-    let bounds =
-      lo :: hi :: List.concat_map (fun (_, a, b) -> [ a; b ]) segs
-      |> List.sort_uniq Int64.compare
-    in
-    let tbl : (string, int64 ref) Hashtbl.t = Hashtbl.create 16 in
-    let residual = ref 0L in
-    let rec sweep = function
-      | a :: (b :: _ as tl) ->
-        let dur = Int64.sub b a in
-        if Int64.compare dur 0L > 0 then begin
-          let best =
-            List.fold_left
-              (fun acc (l, sa, sb) ->
-                if Int64.compare sa a <= 0 && Int64.compare sb b >= 0 then
-                  match acc with
-                  | Some (_, bp) when prio l <= bp -> acc
-                  | _ -> Some (l, prio l)
-                else acc)
-              None segs
-          in
-          match best with
-          | Some (l, _) ->
-            let r =
-              match Hashtbl.find_opt tbl l with
-              | Some r -> r
-              | None ->
-                let r = ref 0L in
-                Hashtbl.add tbl l r;
-                r
-            in
-            r := Int64.add !r dur
-          | None -> residual := Int64.add !residual dur
-        end;
-        sweep tl
-      | _ -> ()
-    in
-    sweep bounds;
+    (* Segments newest first, as recorded, clipped to the span. One
+       clipped to nothing adds no new bound and covers no interval. *)
+    let segs = Array.of_list sp.segs in
+    let n = Array.length segs in
+    let clip t = if t < lo then lo else if t > hi then hi else t in
+    let t0 = Array.map (fun s -> clip s.s_t0) segs and t1 = Array.map (fun s -> clip s.s_t1) segs in
+    let bounds = Array.make ((2 * n) + 2) lo in
+    bounds.(1) <- hi;
+    for i = 0 to n - 1 do
+      bounds.((2 * i) + 2) <- t0.(i);
+      bounds.((2 * i) + 3) <- t1.(i)
+    done;
+    Array.sort Int.compare bounds;
+    (* Cycles each segment wins, then summed per label. *)
+    let won = Array.make n 0 in
+    let residual = ref 0 in
+    for k = 0 to Array.length bounds - 2 do
+      let a = bounds.(k) and b = bounds.(k + 1) in
+      if b > a then begin
+        let best = ref (-1) in
+        for i = n - 1 downto 0 do
+          if t0.(i) <= a && t1.(i) >= b && (!best < 0 || segs.(i).prio > segs.(!best).prio) then
+            best := i
+        done;
+        if !best >= 0 then won.(!best) <- won.(!best) + (b - a)
+        else residual := !residual + (b - a)
+      end
+    done;
+    let path = ref [] in
+    Array.iteri
+      (fun i s ->
+        if won.(i) > 0 then
+          match List.find_opt (fun (l, _) -> String.equal l s.slabel) !path with
+          | Some (_, r) -> r := !r + won.(i)
+          | None -> path := (s.slabel, ref won.(i)) :: !path)
+      segs;
     sp.path <-
-      Hashtbl.fold (fun l r acc -> (l, !r) :: acc) tbl []
+      List.map (fun (l, r) -> (l, !r)) !path
       |> List.sort (fun (la, a) (lb, b) ->
-             let c = Int64.compare b a in
+             let c = Int.compare b a in
              if c <> 0 then c else String.compare la lb);
     sp.residual <- !residual
   end
@@ -274,46 +266,48 @@ let agg_of cls =
     let a =
       {
         a_count = 0;
-        a_total = 0L;
+        a_total = 0;
         a_hist = Hist.create ();
         a_segs = Hashtbl.create 16;
-        a_residual = 0L;
+        a_residual = 0;
         a_res = [];
       }
     in
     Hashtbl.add class_tbl cls a;
     a
 
-let span_dur sp = Int64.sub sp.t_end sp.t_begin
+let span_dur sp = sp.t_end - sp.t_begin
 
 let res_insert a sp =
-  let cmp x y = Int64.compare (span_dur x) (span_dur y) in
+  let cmp x y = Int.compare (span_dur x) (span_dur y) in
   if List.length a.a_res < reservoir_cap then a.a_res <- List.merge cmp a.a_res [ sp ]
   else
     match a.a_res with
-    | fastest :: rest when Int64.compare (span_dur sp) (span_dur fastest) > 0 ->
+    | fastest :: rest when span_dur sp > span_dur fastest ->
       a.a_res <- List.merge cmp rest [ sp ]
     | _ -> ()
 
 let finish sp =
-  sp.t_end <- Clock.now ();
+  sp.t_end <- now ();
   Hashtbl.remove live sp.id;
   (match Hashtbl.find_opt active sp.tid with
-  | Some cur when cur == sp -> Hashtbl.remove active sp.tid
+  | Some cur when cur == sp ->
+    Hashtbl.remove active sp.tid;
+    forget_active ()
   | _ -> ());
   compute_path sp;
   incr finished;
   let a = agg_of sp.cls in
   a.a_count <- a.a_count + 1;
-  a.a_total <- Int64.add a.a_total (span_dur sp);
-  Hist.record a.a_hist (Clock.to_us (span_dur sp));
+  a.a_total <- a.a_total + span_dur sp;
+  Hist.record a.a_hist (Clock.to_us (Int64.of_int (span_dur sp)));
   List.iter
     (fun (l, d) ->
       match Hashtbl.find_opt a.a_segs l with
-      | Some r -> r := Int64.add !r d
+      | Some r -> r := !r + d
       | None -> Hashtbl.add a.a_segs l (ref d))
     sp.path;
-  a.a_residual <- Int64.add a.a_residual sp.residual;
+  a.a_residual <- a.a_residual + sp.residual;
   res_insert a sp
 
 (* --- Boundaries --- *)
@@ -333,18 +327,19 @@ let begin_ ~cls ~name =
         cls;
         name;
         tid;
-        t_begin = Clock.now ();
-        t_end = 0L;
+        t_begin = now ();
+        t_end = 0;
         segs = [];
         nsegs = 0;
         truncated = 0;
-        last_off = 0L;
+        last_off = 0;
         path = [];
-        residual = 0L;
+        residual = 0;
       }
     in
     Hashtbl.replace live sp.id sp;
     Hashtbl.replace active sp.tid sp;
+    forget_active ();
     sp.id
   end
 
@@ -376,20 +371,20 @@ let syscall_end id = end_ id
 let on_deschedule () =
   if !enabled_flag then
     match active_span () with
-    | Some sp -> sp.last_off <- Clock.now ()
+    | Some sp -> sp.last_off <- now ()
     | None -> ()
 
 let on_dispatch ~tid ~waited =
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let now = Clock.now () in
-      let runnable = Int64.sub now waited in
-      if Int64.compare sp.last_off 0L > 0 then begin
+      let t = now () in
+      let runnable = t - Int64.to_int waited in
+      if sp.last_off > 0 then begin
         add_seg sp "blocked" sp.last_off runnable;
-        sp.last_off <- 0L
+        sp.last_off <- 0
       end;
-      add_seg sp "sched.delay" runnable now
+      add_seg sp "sched.delay" runnable t
     | None -> ()
 
 (* The IRQ and softirq scopes the waker is inside are the delivery
@@ -401,9 +396,9 @@ let on_wake ~tid =
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let now = Clock.now () in
+      let t = now () in
       Prof.iter_frames (fun label entered ->
-          if is_wake_leg label then add_seg sp label entered now)
+          if is_wake_leg label then add_seg sp label entered t)
     | None -> ()
 
 let on_task_exit tid =
@@ -433,11 +428,11 @@ let info_of sp =
     i_cls = sp.cls;
     i_name = sp.name;
     i_tid = sp.tid;
-    i_begin = sp.t_begin;
-    i_dur = span_dur sp;
-    i_residual = sp.residual;
-    i_path = sp.path;
-    i_segs = List.rev_map (fun s -> (s.slabel, s.s_t0, s.s_t1)) sp.segs;
+    i_begin = Int64.of_int sp.t_begin;
+    i_dur = Int64.of_int (span_dur sp);
+    i_residual = Int64.of_int sp.residual;
+    i_path = List.map (fun (l, d) -> (l, Int64.of_int d)) sp.path;
+    i_segs = List.rev_map (fun s -> (s.slabel, Int64.of_int s.s_t0, Int64.of_int s.s_t1)) sp.segs;
   }
 
 let classes () =
@@ -488,9 +483,7 @@ let max_residual_frac () =
       List.fold_left
         (fun acc sp ->
           let d = span_dur sp in
-          if Int64.compare d 0L > 0 then
-            max acc (Int64.to_float sp.residual /. Int64.to_float d)
-          else acc)
+          if d > 0 then max acc (float_of_int sp.residual /. float_of_int d) else acc)
         acc a.a_res)
     class_tbl 0.
 
@@ -499,6 +492,13 @@ let max_residual_frac () =
 let pct part total =
   if Int64.compare total 0L <= 0 then 0.
   else 100. *. Int64.to_float part /. Int64.to_float total
+
+(* A class's critical-path totals, descending, as int64 cycles. *)
+let class_segs a =
+  Hashtbl.fold (fun l r acc -> (l, Int64.of_int !r) :: acc) a.a_segs []
+  |> List.sort (fun (la, x) (lb, y) ->
+         let c = Int64.compare y x in
+         if c <> 0 then c else String.compare la lb)
 
 let render_proc () =
   let b = Buffer.create 1024 in
@@ -509,6 +509,7 @@ let render_proc () =
   List.iter
     (fun cls ->
       let a = Hashtbl.find class_tbl cls in
+      let total = Int64.of_int a.a_total and residual = Int64.of_int a.a_residual in
       let p q =
         match Hist.percentile a.a_hist q with
         | Some v -> Printf.sprintf "%.1f" v
@@ -517,26 +518,18 @@ let render_proc () =
       Buffer.add_string b
         (Printf.sprintf
            "class %-16s count=%-8d total_us=%-12.1f p50_us=%s p90_us=%s p99_us=%s max_us=%s reservoir=%d\n"
-           cls a.a_count (Clock.to_us a.a_total) (p 50.) (p 90.) (p 99.)
+           cls a.a_count (Clock.to_us total) (p 50.) (p 90.) (p 99.)
            (Printf.sprintf "%.1f" (Hist.max_value a.a_hist))
            (List.length a.a_res));
-      let segs =
-        Hashtbl.fold (fun l r acc -> (l, !r) :: acc) a.a_segs []
-        |> List.sort (fun (la, x) (lb, y) ->
-               let c = Int64.compare y x in
-               if c <> 0 then c else String.compare la lb)
-      in
       List.iter
         (fun (l, d) ->
           Buffer.add_string b
-            (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" l (Clock.to_us d)
-               (pct d a.a_total)))
-        segs;
-      if Int64.compare a.a_residual 0L > 0 then
+            (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" l (Clock.to_us d) (pct d total)))
+        (class_segs a);
+      if Int64.compare residual 0L > 0 then
         Buffer.add_string b
-          (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" "unattributed"
-             (Clock.to_us a.a_residual)
-             (pct a.a_residual a.a_total)))
+          (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" "unattributed" (Clock.to_us residual)
+             (pct residual total)))
     (classes ());
   Buffer.contents b
 
@@ -592,19 +585,14 @@ let render_top ~k =
     (fun cls ->
       let a = Hashtbl.find class_tbl cls in
       Buffer.add_string b (Printf.sprintf "critical-path histogram (%s):\n" cls);
+      let segs = class_segs a in
       let segs =
-        Hashtbl.fold (fun l r acc -> (l, !r) :: acc) a.a_segs []
-        |> List.sort (fun (la, x) (lb, y) ->
-               let c = Int64.compare y x in
-               if c <> 0 then c else String.compare la lb)
-      in
-      let segs =
-        if Int64.compare a.a_residual 0L > 0 then segs @ [ ("unattributed", a.a_residual) ]
+        if a.a_residual > 0 then segs @ [ ("unattributed", Int64.of_int a.a_residual) ]
         else segs
       in
       List.iter
         (fun (l, d) ->
-          let p = pct d a.a_total in
+          let p = pct d (Int64.of_int a.a_total) in
           let w = int_of_float (p /. 100. *. 40.) in
           Buffer.add_string b
             (Printf.sprintf "  %-28s %6.2f%% |%s%s|\n" l p (String.make w '#')

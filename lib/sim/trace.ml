@@ -1,16 +1,19 @@
-(* ktrace: a deterministic, bounded ring buffer of structured trace
-   records, in the spirit of ftrace's per-category tracepoints.
+(* ktrace: a deterministic, bounded ring buffer of trace records, in the
+   spirit of ftrace's per-category tracepoints.
 
    Every record carries the virtual clock, the name of kprof's current
-   context, a category, an event name, and a rendered argument string.
-   Emission charges no virtual cycles, so enabling tracing never perturbs a
-   benchmark number, and all inputs (clock, task names, event order)
-   are deterministic, so the same seed yields a byte-identical trace.
+   context, the span live on it, a tracepoint and that point's raw
+   fields. Emission charges no virtual cycles, so enabling tracing never
+   perturbs a benchmark number, and all inputs (clock, task names, event
+   order) are deterministic, so the same seed yields a byte-identical
+   trace.
 
-   Categories are default-off: a disabled category's [emit] returns
-   before building the record (the args closure is never called), so
-   the ring stays empty and the run is bit-for-bit what it would have
-   been without ktrace. *)
+   Record, don't render: like ftrace, a record stores raw values into
+   preallocated ring slots and allocates nothing. A point's renderer
+   builds the args string only when someone reads the ring, and most
+   records are overwritten before anyone does. Categories are
+   default-off, and the ring's storage is made on the first enable, so a
+   run that never traces carries none. *)
 
 type category =
   | Syscall
@@ -76,6 +79,68 @@ type record = {
   args : string;
 }
 
+(* --- Tracepoints --- *)
+
+type fields = { a : int; b : int; c : int; d : int; s : string }
+
+type point = { pcat : category; pbit : int; pname : string; fmt : fields -> string }
+
+let point cat name fmt = { pcat = cat; pbit = bit cat; pname = name; fmt }
+
+let hi32 v = Int64.to_int (Int64.shift_right v 32)
+
+let lo32 v = Int64.to_int (Int64.logand v 0xffffffffL)
+
+let join64 hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+
+(* --- The ring ---
+
+   Structure of arrays, one slot per record: [ints] holds [stride]
+   native ints per slot (cycles, span id, four fields), and the task
+   name, string field and point are shared pointers to values that
+   already exist. Empty until the first enable. *)
+
+let default_capacity = 8192
+
+let stride = 6
+
+let no_point = point Syscall "" (fun _ -> "")
+
+type ring = {
+  mutable cap : int;
+  mutable ints : int array;
+  mutable tasks : string array;
+  mutable strs : string array;
+  mutable pts : point array;
+  mutable head : int; (* next write slot *)
+  mutable len : int;
+  mutable dropped : int;
+  mutable total : int;
+}
+
+let ring =
+  {
+    cap = default_capacity;
+    ints = [||];
+    tasks = [||];
+    strs = [||];
+    pts = [||];
+    head = 0;
+    len = 0;
+    dropped = 0;
+    total = 0;
+  }
+
+let allocated () = Array.length ring.pts > 0
+
+let make_storage () =
+  ring.ints <- Array.make (ring.cap * stride) 0;
+  ring.tasks <- Array.make ring.cap "";
+  ring.strs <- Array.make ring.cap "";
+  ring.pts <- Array.make ring.cap no_point;
+  ring.head <- 0;
+  ring.len <- 0
+
 (* --- Enable mask: all categories off by default --- *)
 
 let mask = ref 0
@@ -84,11 +149,14 @@ let mask_value () = !mask
 
 let set_mask m =
   let valid = List.fold_left (fun a c -> a lor bit c) 0 all_categories in
-  mask := m land valid
+  mask := m land valid;
+  if !mask <> 0 && not (allocated ()) then make_storage ()
 
 let enabled cat = !mask land bit cat <> 0
 
-let enable cat = mask := !mask lor bit cat
+let on pt = !mask land pt.pbit <> 0
+
+let enable cat = set_mask (!mask lor bit cat)
 
 let disable cat = mask := !mask land lnot (bit cat)
 
@@ -98,33 +166,18 @@ let disable_all () = mask := 0
 
 let enabled_categories () = List.filter enabled all_categories
 
-(* --- The ring --- *)
-
-let default_capacity = 8192
-
-let dummy = { cycles = 0L; task = ""; cat = Syscall; name = ""; args = "" }
-
-type ring = {
-  mutable buf : record array;
-  mutable head : int; (* next write slot *)
-  mutable len : int;
-  mutable dropped : int;
-  mutable total : int;
-}
-
-let ring =
-  { buf = Array.make default_capacity dummy; head = 0; len = 0; dropped = 0; total = 0 }
-
-let capacity () = Array.length ring.buf
+let capacity () = ring.cap
 
 let set_capacity n =
   if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  ring.buf <- Array.make n dummy;
-  ring.head <- 0;
-  ring.len <- 0
+  ring.cap <- n;
+  if allocated () then make_storage ()
+  else begin
+    ring.head <- 0;
+    ring.len <- 0
+  end
 
 let clear () =
-  Array.fill ring.buf 0 (Array.length ring.buf) dummy;
   ring.head <- 0;
   ring.len <- 0;
   ring.dropped <- 0;
@@ -132,31 +185,45 @@ let clear () =
 
 let reset () =
   disable_all ();
-  if Array.length ring.buf <> default_capacity then ring.buf <- Array.make default_capacity dummy;
+  ring.cap <- default_capacity;
+  ring.ints <- [||];
+  ring.tasks <- [||];
+  ring.strs <- [||];
+  ring.pts <- [||];
   clear ()
 
-let push r =
-  let cap = Array.length ring.buf in
-  ring.buf.(ring.head) <- r;
-  ring.head <- (ring.head + 1) mod cap;
-  if ring.len < cap then ring.len <- ring.len + 1
+(* A record names kprof's current context (comm/tid, or idle/0) and the
+   span live on the emitting task, so [trace run] output can be grepped
+   by request. *)
+let store pt s a b c d =
+  let i = ring.head in
+  let o = i * stride in
+  let ints = ring.ints in
+  ints.(o) <- Int64.to_int (Clock.now ());
+  ints.(o + 1) <- Span.current ();
+  ints.(o + 2) <- a;
+  ints.(o + 3) <- b;
+  ints.(o + 4) <- c;
+  ints.(o + 5) <- d;
+  ring.tasks.(i) <- Prof.current_name ();
+  ring.strs.(i) <- s;
+  ring.pts.(i) <- pt;
+  ring.head <- (if i + 1 = ring.cap then 0 else i + 1);
+  if ring.len < ring.cap then ring.len <- ring.len + 1
   else ring.dropped <- ring.dropped + 1 (* overwrote the oldest record *);
   ring.total <- ring.total + 1
 
-(* A record names kprof's current context (comm/tid, or idle/0), and
-   when a span is live on the emitting task its id is appended to the
-   args so [trace run] output can be grepped by request. *)
-let emit cat name args =
-  if enabled cat then begin
-    let rendered = args () in
-    let rendered =
-      match Span.current () with
-      | 0 -> rendered
-      | sp when rendered = "" -> "span=" ^ string_of_int sp
-      | sp -> rendered ^ " span=" ^ string_of_int sp
-    in
-    push { cycles = Clock.now (); task = Prof.current_name (); cat; name; args = rendered }
-  end
+let emit_s pt s a b c d = if on pt then store pt s a b c d
+
+let emit0 pt = if on pt then store pt "" 0 0 0 0
+
+let emit1 pt a = if on pt then store pt "" a 0 0 0
+
+let emit2 pt a b = if on pt then store pt "" a b 0 0
+
+let emit3 pt a b c = if on pt then store pt "" a b c 0
+
+let emit4 pt a b c d = if on pt then store pt "" a b c d
 
 let dropped () = ring.dropped
 
@@ -164,10 +231,28 @@ let total () = ring.total
 
 let length () = ring.len
 
-let records () =
-  let cap = Array.length ring.buf in
-  let first = (ring.head - ring.len + cap) mod cap in
-  List.init ring.len (fun i -> ring.buf.((first + i) mod cap))
+(* --- Reading: records are formatted here, not when emitted --- *)
+
+(* The slot of the [k]-th oldest buffered record. *)
+let slot k = (ring.head - ring.len + k + ring.cap) mod ring.cap
+
+let record_at i =
+  let o = i * stride in
+  let ints = ring.ints in
+  let pt = ring.pts.(i) in
+  let args =
+    pt.fmt
+      { a = ints.(o + 2); b = ints.(o + 3); c = ints.(o + 4); d = ints.(o + 5); s = ring.strs.(i) }
+  in
+  let args =
+    match ints.(o + 1) with
+    | 0 -> args
+    | sp when args = "" -> "span=" ^ string_of_int sp
+    | sp -> args ^ " span=" ^ string_of_int sp
+  in
+  { cycles = Int64.of_int ints.(o); task = ring.tasks.(i); cat = pt.pcat; name = pt.pname; args }
+
+let records () = List.init ring.len (fun k -> record_at (slot k))
 
 (* --- ftrace-style text renderer --- *)
 
@@ -176,22 +261,22 @@ let render_record r =
     (if r.args = "" then "" else " " ^ r.args)
 
 let render ?limit () =
-  let rs = records () in
-  let rs =
-    match limit with
-    | Some n when n < List.length rs ->
-      List.filteri (fun i _ -> i >= List.length rs - n) rs
-    | Some _ | None -> rs
-  in
-  String.concat "\n" (List.map render_record rs)
+  let n = match limit with Some n when n < ring.len -> max n 0 | Some _ | None -> ring.len in
+  let b = Buffer.create (n * 96) in
+  for k = ring.len - n to ring.len - 1 do
+    if k > ring.len - n then Buffer.add_char b '\n';
+    Buffer.add_string b (render_record (record_at (slot k)))
+  done;
+  Buffer.contents b
 
 (* --- Probe attach plane ---------------------------------------------
 
    Structured tracepoints that verified probe programs (lib/kprobe) can
-   attach to. Unlike [emit], which renders a display string, [fire]
-   hands attached consumers a raw [int64 array] of context fields whose
-   layout is fixed per attach point (see [attach_fields]); the kprobe
-   verifier whitelists field accesses against exactly these layouts.
+   attach to. Unlike the ktrace points above, whose records the ring
+   renders for display, [fire] hands attached consumers a raw
+   [int64 array] of context fields whose layout is fixed per attach
+   point (see [attach_fields]); the kprobe verifier whitelists field
+   accesses against exactly these layouts.
 
    Like the ktrace ring, the plane is free in virtual time: consumers
    charge no cycles, and when nothing is attached [fire] is a single

@@ -1,13 +1,14 @@
 (** ktrace: deterministic kernel-wide tracing.
 
-    A bounded ring buffer of structured records
-    [{cycles; task; category; name; args}] with per-category enable
-    masks, an overflow counter, and an ftrace-style text renderer.
-    Emission charges no virtual cycles and every input is
-    deterministic, so the same seed yields a byte-identical trace.
-    All categories are off by default: with a category disabled,
-    [emit] returns before evaluating the args closure and the ring
-    stays empty. *)
+    A bounded ring buffer of records with per-category enable masks, an
+    overflow counter, and an ftrace-style text renderer. Each site
+    declares its tracepoint once ({!point}); emitting stores the
+    cycle count, kprof's context name, the live span id, the point and
+    its raw fields, and allocates nothing. The point's renderer runs
+    only when the ring is read. Emission charges no virtual cycles and
+    every input is deterministic, so the same seed yields a
+    byte-identical trace. All categories are off by default, and the
+    ring's storage is made on the first enable. *)
 
 type category =
   | Syscall
@@ -34,6 +35,8 @@ type record = {
   name : string;
   args : string;
 }
+(** A record as read back: [args] is the point's rendering of its
+    fields, followed by [" span=<id>"] when a span was live. *)
 
 (** {2 Enable mask} *)
 
@@ -50,14 +53,42 @@ val mask_value : unit -> int
 val set_mask : int -> unit
 (** Set the raw bitmask; bits that match no category are ignored. *)
 
-(** {2 Emission} *)
+(** {2 Tracepoints} *)
 
-val emit : category -> string -> (unit -> string) -> unit
-(** [emit cat name args] appends a record if [cat] is enabled; [args]
-    is only evaluated (and the record only built) in that case. The
-    record's task is kprof's current context ({!Prof.current_name}),
-    and while a span is active on it ({!Span.current}) its args end
-    with [" span=<id>"]. *)
+type fields = { a : int; b : int; c : int; d : int; s : string }
+(** A record's raw fields, as its renderer sees them; unused ones are
+    [0] or [""]. *)
+
+type point
+
+val point : category -> string -> (fields -> string) -> point
+(** [point cat name render] declares a tracepoint. [render] builds the
+    args string from a record's fields when the ring is read; it must
+    depend on nothing else. *)
+
+val on : point -> bool
+(** Whether the point's category is enabled: a site whose fields cost
+    work to compute tests it first. *)
+
+val emit0 : point -> unit
+val emit1 : point -> int -> unit
+val emit2 : point -> int -> int -> unit
+val emit3 : point -> int -> int -> int -> unit
+val emit4 : point -> int -> int -> int -> int -> unit
+(** [emitN pt a ...] records [pt] with [N] int fields if its category
+    is enabled. The record's task is kprof's current context
+    ({!Prof.current_name}) and its span the one active on it
+    ({!Span.current}). *)
+
+val emit_s : point -> string -> int -> int -> int -> int -> unit
+(** [emit_s pt s a b c d] also records one string that already exists
+    (a name, never one built for the record). *)
+
+val hi32 : int64 -> int
+val lo32 : int64 -> int
+
+val join64 : int -> int -> int64
+(** [join64 (hi32 v) (lo32 v) = v]: a 64-bit value as two int fields. *)
 
 (** {2 The ring} *)
 
@@ -69,7 +100,8 @@ val clear : unit -> unit
 (** Drop buffered records and zero the counters; keeps mask and size. *)
 
 val reset : unit -> unit
-(** [clear] + disable everything + restore the default capacity. *)
+(** [clear] + disable everything + restore the default capacity and
+    drop the ring's storage. *)
 
 val length : unit -> int
 val dropped : unit -> int
@@ -85,7 +117,8 @@ val records : unit -> record list
 
 val render_record : record -> string
 val render : ?limit:int -> unit -> string
-(** The buffered records, newest-[limit] (default all), one per line. *)
+(** The buffered records, newest-[limit] (default all), one per line.
+    Only those [limit] records are formatted. *)
 
 (** {2 Probe attach plane}
 

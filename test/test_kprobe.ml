@@ -216,7 +216,7 @@ let test_emit_is_namespaced () =
   fresh ();
   let text =
     "prog t.emit\nattach syscall_enter\nmap counter c\nldctx r0, nr\nemit saw_nr, r0\n\
-     count c, 1\nret\n"
+     emit lo, -9223372036854775808\nemit hi, 9223372036854775807\ncount c, 1\nret\n"
   in
   (match Kprobe.Registry.load_text text with
   | Error e -> Alcotest.failf "emit prog rejected: %s" e
@@ -228,6 +228,18 @@ let test_emit_is_namespaced () =
   check "trace record lands in the probe category" true
     (List.exists
        (fun r -> r.Sim.Trace.cat = Sim.Trace.Probe)
+       (Sim.Trace.records ()));
+  Alcotest.(check (list (pair string string)))
+    "each record renders its full 64-bit value"
+    [
+      ("t.emit.saw_nr", "v=42");
+      ("t.emit.lo", "v=-9223372036854775808");
+      ("t.emit.hi", "v=9223372036854775807");
+    ]
+    (List.filter_map
+       (fun r ->
+         if r.Sim.Trace.cat = Sim.Trace.Probe then Some (r.Sim.Trace.name, r.Sim.Trace.args)
+         else None)
        (Sim.Trace.records ()));
   Kprobe.Registry.reset ();
   Sim.Trace.reset ()

@@ -303,6 +303,50 @@ let test_wake_legs_from_prof_frames () =
             (List.length irq) (List.length soft))
       | other -> Alcotest.failf "expected 1 reservoir span, got %d" (List.length other))
 
+(* --- Critical path of a hand-built span ---
+
+   Segments are added with [add_to] while kprof is in the idle context,
+   so advancing the clock records no on-CPU segment of its own. The
+   span runs [1000, 2000): [blocked] covers [1000, 1600), a [cpu.user]
+   slice sits on top of it, equal-priority [blk.irq] and [net.irq]
+   overlap on [1400, 1500) where the older ([blk.irq]) must win,
+   nothing covers [1600, 1700), and [blk.service] runs past the end. *)
+
+let test_hand_built_critical_path () =
+  Sim.Clock.reset ();
+  Sim.Prof.reset ();
+  Sim.Span.clear ();
+  with_span (fun () ->
+      Sim.Clock.advance_to 1000L;
+      Sim.Prof.switch_to ~tid:1 ~comm:"hand";
+      let id = Sim.Span.begin_ ~cls:"hand" ~name:"built" in
+      Sim.Prof.switch_idle ();
+      Sim.Span.add_to id "blocked" 1000L 1600L;
+      Sim.Span.add_to id "cpu.user" 1100L 1200L;
+      Sim.Span.add_to id "blk.irq" 1300L 1500L;
+      Sim.Span.add_to id "net.irq" 1400L 1550L;
+      Sim.Span.add_to id "blk.service" 1700L 2500L;
+      Sim.Clock.advance_to 2000L;
+      Sim.Span.end_ id;
+      check "a span was opened" true (id > 0);
+      (match Sim.Span.tail "hand" with
+      | [ info ] ->
+        Alcotest.(check (list (pair string int64)))
+          "critical path"
+          [
+            ("blk.service", 300L);
+            ("blocked", 250L);
+            ("blk.irq", 200L);
+            ("cpu.user", 100L);
+            ("net.irq", 50L);
+          ]
+          info.Sim.Span.i_path;
+        Alcotest.(check int64) "the gap is residual" 100L info.Sim.Span.i_residual;
+        Alcotest.(check int64) "wall time" 1000L info.Sim.Span.i_dur
+      | other -> Alcotest.failf "expected 1 reservoir span, got %d" (List.length other));
+      Sim.Span.clear ());
+  Sim.Prof.reset ()
+
 (* --- Zero cost and determinism --- *)
 
 let bw_tcp_row () = Apps.Lmbench.find "bw_tcp 64k (virtio)"
@@ -389,6 +433,7 @@ let () =
           Alcotest.test_case "proc_kstat_reset" `Quick test_proc_kstat_reset;
           Alcotest.test_case "ktrace_span_tags" `Quick test_ktrace_records_tagged_with_span;
           Alcotest.test_case "wake_legs_from_prof_frames" `Quick test_wake_legs_from_prof_frames;
+          Alcotest.test_case "hand_built_critical_path" `Quick test_hand_built_critical_path;
         ] );
       ( "invariants",
         [

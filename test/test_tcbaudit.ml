@@ -107,6 +107,10 @@ let test_self_audit () =
     (List.exists
        (fun (e : Tcbaudit.Self_audit.entry) -> e.library = "aster" && not e.tcb)
        r.Tcbaudit.Self_audit.entries);
+  check "kprobe, which aster links, is counted outside the TCB" true
+    (List.exists
+       (fun (e : Tcbaudit.Self_audit.entry) -> e.library = "kprobe" && not e.tcb)
+       r.Tcbaudit.Self_audit.entries);
   check "relative sane" true
     (r.Tcbaudit.Self_audit.relative > 0. && r.Tcbaudit.Self_audit.relative < 1.)
 

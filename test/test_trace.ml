@@ -13,14 +13,18 @@ let fresh () =
   Sim.Trace.reset ();
   Sim.Hist.reset ()
 
+(* A tracepoint whose records render as [args]. *)
+let point cat name args = Sim.Trace.point cat name (fun _ -> args)
+
 (* --- Ring buffer --- *)
 
 let test_ring_overflow_keeps_newest () =
   fresh ();
   Sim.Trace.set_capacity 16;
   Sim.Trace.enable Sim.Trace.Syscall;
+  let ev = Sim.Trace.point Sim.Trace.Syscall "ev" (fun f -> string_of_int f.Sim.Trace.a) in
   for i = 1 to 100 do
-    Sim.Trace.emit Sim.Trace.Syscall "ev" (fun () -> string_of_int i)
+    Sim.Trace.emit1 ev i
   done;
   check_int "ring holds capacity" 16 (Sim.Trace.length ());
   check_int "drops counted" 84 (Sim.Trace.dropped ());
@@ -34,13 +38,14 @@ let test_ring_overflow_keeps_newest () =
 let test_default_off_zero_entries () =
   fresh ();
   let evaluated = ref false in
-  (* All categories default-off after reset: no record, and the args
-     closure must never run. *)
+  (* All categories default-off after reset: no record, and the
+     renderer must never run. *)
   List.iter
     (fun cat ->
-      Sim.Trace.emit cat "ev" (fun () ->
-          evaluated := true;
-          "boom"))
+      Sim.Trace.emit0
+        (Sim.Trace.point cat "ev" (fun _ ->
+             evaluated := true;
+             "boom")))
     Sim.Trace.all_categories;
   check_int "no entries with everything disabled" 0 (Sim.Trace.length ());
   check_int "nothing dropped either" 0 (Sim.Trace.dropped ());
@@ -49,17 +54,17 @@ let test_default_off_zero_entries () =
 let test_mask_is_per_category () =
   fresh ();
   Sim.Trace.enable Sim.Trace.Blk;
-  Sim.Trace.emit Sim.Trace.Blk "on" (fun () -> "");
-  Sim.Trace.emit Sim.Trace.Net "off" (fun () -> "");
+  Sim.Trace.emit0 (point Sim.Trace.Blk "on" "");
+  Sim.Trace.emit0 (point Sim.Trace.Net "off" "");
   check_int "only the enabled category records" 1 (Sim.Trace.length ());
   Sim.Trace.disable Sim.Trace.Blk;
-  Sim.Trace.emit Sim.Trace.Blk "now-off" (fun () -> "");
+  Sim.Trace.emit0 (point Sim.Trace.Blk "now-off" "");
   check_int "disable stops recording" 1 (Sim.Trace.length ())
 
 let test_clear_keeps_mask_reset_clears_it () =
   fresh ();
   Sim.Trace.enable Sim.Trace.Irq;
-  Sim.Trace.emit Sim.Trace.Irq "ev" (fun () -> "");
+  Sim.Trace.emit0 (point Sim.Trace.Irq "ev" "");
   Sim.Trace.clear ();
   check_int "clear empties the ring" 0 (Sim.Trace.length ());
   check "clear keeps the mask" true (Sim.Trace.enabled Sim.Trace.Irq);
@@ -75,7 +80,8 @@ let test_records_name_prof_context () =
   fresh ();
   Sim.Prof.reset ();
   Sim.Trace.enable Sim.Trace.Sched;
-  let emit () = Sim.Trace.emit Sim.Trace.Sched "ev" (fun () -> "x") in
+  let ev = point Sim.Trace.Sched "ev" "x" in
+  let emit () = Sim.Trace.emit0 ev in
   emit ();
   Sim.Prof.switch_to ~tid:7 ~comm:"worker";
   emit ();
@@ -121,6 +127,38 @@ let test_switch_names_incoming_task () =
   Sim.Trace.reset ();
   check_int "one switch into the task" 1 (List.length switches);
   List.iter (fun r -> Alcotest.(check string) "task column" me r.Sim.Trace.task) switches
+
+(* --- Format on read ---
+
+   Records are rendered when the ring is read, from the fields stored at
+   emission. Rendering the same ring twice, with the machine running in
+   between (clients and server workers exit, packet buffers are reused,
+   the clock moves on) but every category off, must give the same bytes:
+   nothing a record renders may depend on state that changes after it
+   was emitted. *)
+
+let test_render_depends_only_on_stored_fields () =
+  Sim.Trace.reset ();
+  List.iter Sim.Trace.enable Sim.Trace.all_categories;
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  let n = 100 in
+  Apps.Mini_nginx.spawn ~requests:(2 * n) ~sizes:[ ("f4k", 4096) ] ();
+  let first = ref "" and recorded = ref 0 and second_done = ref false in
+  Apps.Ab.run ~host ~path:"/f4k" ~concurrency:8 ~requests:n ~on_done:(fun _ ->
+      first := Sim.Trace.render ();
+      recorded := Sim.Trace.total ();
+      Sim.Trace.disable_all ();
+      Apps.Ab.run ~host ~path:"/f4k" ~concurrency:8 ~requests:n ~on_done:(fun _ ->
+          second_done := true));
+  Apps.Runner.run ();
+  let second = Sim.Trace.render () in
+  let recorded_after = Sim.Trace.total () in
+  Sim.Trace.reset ();
+  check "the traced stretch recorded" true (!recorded > 0);
+  check "the untraced stretch ran" true !second_done;
+  check_int "nothing recorded with every category off" !recorded recorded_after;
+  check "both renders are byte-equal" true (String.equal !first second)
 
 (* --- Histograms --- *)
 
@@ -275,6 +313,8 @@ let () =
         [
           Alcotest.test_case "records_name_prof_context" `Quick test_records_name_prof_context;
           Alcotest.test_case "switch_names_incoming_task" `Quick test_switch_names_incoming_task;
+          Alcotest.test_case "render_depends_only_on_stored_fields" `Quick
+            test_render_depends_only_on_stored_fields;
         ] );
       ( "hist",
         [
