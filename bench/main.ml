@@ -938,17 +938,18 @@ let line_field_number line key =
     done;
     if !j = start then None else float_of_string_opt (String.sub line start (!j - start))
 
+(* Each row's unit and its linux and aster values ([None] for null). *)
 let read_baseline path =
   let ic = open_in path in
   let rows = ref [] in
   (try
      while true do
        let line = input_line ic in
-       match (line_field_string line "benchmark", line_field_number line "aster") with
-       | Some b, Some v ->
+       match line_field_string line "benchmark" with
+       | Some b ->
          let u = Option.value ~default:"" (line_field_string line "unit") in
-         rows := (b, (u, v)) :: !rows
-       | _ -> ()
+         rows := (b, (u, line_field_number line "linux", line_field_number line "aster")) :: !rows
+       | None -> ()
      done
    with End_of_file -> ());
   close_in ic;
@@ -1217,7 +1218,10 @@ let smoke () =
      BENCH_results.json (a dependency of @bench-smoke, read from the
      repository root): a speedup passes, a >5% regression fails. *)
   let committed = read_baseline "BENCH_results.json" in
-  let row name = snd (List.assoc name committed) in
+  let row name =
+    let _, _, aster = List.assoc name committed in
+    Option.get aster
+  in
   let nginx = nginx_rps base "f4k" 400 and nginx_row = row "fig5a/nginx_f4k" in
   let redis = redis_rps base "GET" 800 and redis_row = row "redis/GET" in
   Printf.printf "nginx f4k: %.0f vs committed %.0f req/s | redis GET: %.0f vs committed %.0f req/s\n"
@@ -1238,20 +1242,39 @@ let compare_with_baseline path =
   let base = read_baseline path in
   let checked = ref 0 in
   let regressions = ref [] in
+  let moved = ref [] in
   List.iter
     (fun r ->
-      match r.aster with
-      | Some v -> (
-        match List.assoc_opt r.benchmark base with
-        | Some (u, bv) when Float.abs bv > 1e-9 ->
+      match List.assoc_opt r.benchmark base with
+      | None -> ()
+      | Some (u, base_linux, base_aster) -> (
+        (* A value moves when it would be written differently: the file
+           keeps six significant digits. *)
+        let note side now before =
+          let now = Option.bind now (fun v -> float_of_string_opt (json_float v)) in
+          if now <> before then moved := (r.benchmark, side, u, before, now) :: !moved
+        in
+        note "linux" r.linux base_linux;
+        note "aster" r.aster base_aster;
+        match (r.aster, base_aster) with
+        | Some v, Some bv when Float.abs bv > 1e-9 ->
           incr checked;
           let delta = if lower_is_better u then (v -. bv) /. bv else (bv -. v) /. bv in
           if delta > 0.10 then regressions := (r.benchmark, u, bv, v, delta) :: !regressions
-        | _ -> ())
-      | None -> ())
-    !results;
-  Printf.printf "\ncompare vs %s: %d metrics checked, %d regressed >10%%\n" path !checked
-    (List.length !regressions);
+        | _ -> ()))
+    (List.rev !results);
+  Printf.printf "\ncompare vs %s: %d metrics checked, %d regressed >10%%, %d values moved\n" path
+    !checked (List.length !regressions) (List.length !moved);
+  List.iter
+    (fun (b, side, u, before, now) ->
+      let rel =
+        match (before, now) with
+        | Some x, Some y when x <> 0. -> Printf.sprintf " (%+.3f%%)" (100. *. (y -. x) /. x)
+        | _ -> ""
+      in
+      Printf.printf "  moved %-40s %s %s: %s -> %s%s\n" b side u (json_opt_float before)
+        (json_opt_float now) rel)
+    (List.rev !moved);
   List.iter
     (fun (b, u, bv, v, d) ->
       Printf.printf "  REGRESSION %-40s %s: baseline %.4g -> %.4g (%.0f%% worse)\n" b u bv v

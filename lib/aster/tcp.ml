@@ -129,6 +129,7 @@ and conn = {
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable rto_event : Sim.Events.handle option;
+      (* the SYN or SYN-ACK retransmit until Established, the data RTO after *)
   snd_wq : Ostd.Wait_queue.t;
   (* receive side *)
   rcvbuf : Fifo.t;
@@ -245,12 +246,46 @@ let emit conn ?(flags = Packet.ack_flag) ?(seq = 0) ?(pins = []) payload =
   p.Packet.pins <- pins;
   Netstack.send conn.eng.stack p
 
-let send_pure_ack conn =
-  (match conn.delack_event with
+let stop_rto conn =
+  match conn.rto_event with
+  | Some ev ->
+    Sim.Events.cancel ev;
+    conn.rto_event <- None
+  | None -> ()
+
+let stop_delack conn =
+  match conn.delack_event with
   | Some ev ->
     Sim.Events.cancel ev;
     conn.delack_event <- None
-  | None -> ());
+  | None -> ()
+
+(* Forget the connection once the app has closed it and both
+   directions are done: ours by our FIN or a reset (either one leaves
+   [Closed]), the peer's by its FIN or a reset. A fuller implementation
+   would hold TIME_WAIT. *)
+let forget_if_done conn =
+  if conn.local_closed && conn.state = Closed && (conn.peer_fin || conn.reset) then
+    Hashtbl.remove conn.eng.conns (key conn)
+
+(* A reset, received or sent, ends all the connection still had going:
+   its timers, its unacked data, and the zero-copy pins of its send
+   queue (so pin/unpin conservation survives resets). *)
+let reset conn =
+  conn.reset <- true;
+  conn.state <- Closed;
+  stop_rto conn;
+  stop_delack conn;
+  Queue.clear conn.inflight;
+  Fifo.drain_pins conn.txq;
+  ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
+  ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
+  ignore (Ostd.Wait_queue.wake_all conn.conn_wq);
+  Pollable.publish conn.pollable (Pollable.pollin lor Pollable.pollerr lor Pollable.pollhup);
+  forget_if_done conn
+
+let send_pure_ack conn =
+  stop_delack conn;
   conn.unacked <- 0;
   emit conn Bytes.empty
 
@@ -297,6 +332,21 @@ and on_rto conn =
     emit conn ~seq payload;
     arm_rto conn
   end
+
+(* The SYN or SYN-ACK retransmit: resend every [rto_cycles], and give
+   up after [handshake_max_tries]. The chain keeps its handle in
+   [rto_event], where reaching Established or a reset cancels it. *)
+let arm_handshake conn ~flags ~stat ~give_up =
+  let rec rexmit n () =
+    conn.rto_event <- None;
+    if n >= handshake_max_tries then give_up ()
+    else begin
+      Sim.Stats.incr stat;
+      emit conn ~flags Bytes.empty;
+      conn.rto_event <- Some (Sim.Events.schedule_after rto_cycles (rexmit (n + 1)))
+    end
+  in
+  conn.rto_event <- Some (Sim.Events.schedule_after rto_cycles (rexmit 1))
 
 let try_transmit conn =
   if conn.state = Established || conn.state = Syn_rcvd then begin
@@ -356,7 +406,8 @@ let maybe_send_fin conn =
     && conn.state = Established
   then begin
     emit conn ~flags:(Packet.fin lor Packet.ack_flag) Bytes.empty;
-    conn.state <- Closed
+    conn.state <- Closed;
+    forget_if_done conn
   end
 
 (* --- Receive path --- *)
@@ -373,11 +424,7 @@ let on_ack conn (p : Packet.t) =
       else continue := false
     done;
     (* Restart the retransmission timer on forward progress. *)
-    (match conn.rto_event with
-    | Some ev ->
-      Sim.Events.cancel ev;
-      conn.rto_event <- None
-    | None -> ());
+    stop_rto conn;
     (* Byte-counting congestion control (RFC 3465): credit the bytes the
        ACK covers, not the ACK's arrival. A GRO receiver acknowledges
        once per coalesced super-segment — up to 45 MSS per ACK — and a
@@ -417,27 +464,18 @@ let engine_rx eng (p : Packet.t) =
   let k = (p.Packet.dst_port, p.Packet.src_ip, p.Packet.src_port) in
   match Hashtbl.find_opt eng.conns k with
   | Some conn ->
-    if p.Packet.flags land Packet.rst <> 0 then begin
-      conn.reset <- true;
-      conn.state <- Closed;
-      (* Abandoning the send queue: release any zero-copy pins so the
-         pin/unpin conservation invariant survives connection resets. *)
-      Fifo.drain_pins conn.txq;
-      ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
-      ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
-      ignore (Ostd.Wait_queue.wake_all conn.conn_wq);
-      Pollable.publish conn.pollable
-        (Pollable.pollin lor Pollable.pollerr lor Pollable.pollhup)
-    end
+    if p.Packet.flags land Packet.rst <> 0 then reset conn
     else begin
       (match conn.state with
       | Syn_sent when p.Packet.flags land Packet.syn <> 0 ->
         conn.state <- Established;
+        stop_rto conn;
         send_pure_ack conn;
         ignore (Ostd.Wait_queue.wake_all conn.conn_wq);
         Pollable.publish conn.pollable Pollable.pollout
       | Syn_rcvd when p.Packet.flags land Packet.ack_flag <> 0 -> (
         conn.state <- Established;
+        stop_rto conn;
         match Hashtbl.find_opt eng.listeners conn.lport with
         | Some l ->
           Queue.push conn l.backlog;
@@ -454,7 +492,8 @@ let engine_rx eng (p : Packet.t) =
           send_pure_ack conn;
           ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
           Pollable.publish conn.pollable
-            (Pollable.pollin lor Pollable.pollhup lor Pollable.pollrdhup)
+            (Pollable.pollin lor Pollable.pollhup lor Pollable.pollrdhup);
+          forget_if_done conn
         end
       end
     end
@@ -475,17 +514,9 @@ let engine_rx eng (p : Packet.t) =
         in
         Hashtbl.replace eng.conns (key conn) conn;
         emit conn ~flags:(Packet.syn lor Packet.ack_flag) Bytes.empty;
-        let rec rexmit n () =
-          if conn.state = Syn_rcvd then begin
-            if n >= handshake_max_tries then Hashtbl.remove eng.conns (key conn)
-            else begin
-              Sim.Stats.incr "degrade.retried.tcp_synack";
-              emit conn ~flags:(Packet.syn lor Packet.ack_flag) Bytes.empty;
-              ignore (Sim.Events.schedule_after rto_cycles (rexmit (n + 1)))
-            end
-          end
-        in
-        ignore (Sim.Events.schedule_after rto_cycles (rexmit 1))
+        arm_handshake conn ~flags:(Packet.syn lor Packet.ack_flag)
+          ~stat:"degrade.retried.tcp_synack" ~give_up:(fun () ->
+            Hashtbl.remove eng.conns (key conn))
       | None ->
         (* Connection refused. *)
         Netstack.send eng.stack
@@ -564,20 +595,9 @@ let connect eng ~dst_ip ~dst_port =
   let conn = make_conn eng ~lip ~lport ~rip:dst_ip ~rport:dst_port ~state:Syn_sent in
   Hashtbl.replace eng.conns (key conn) conn;
   emit conn ~flags:Packet.syn Bytes.empty;
-  let rec rexmit n () =
-    if conn.state = Syn_sent && not conn.reset then begin
-      if n >= handshake_max_tries then begin
-        conn.timed_out <- true;
-        ignore (Ostd.Wait_queue.wake_all conn.conn_wq)
-      end
-      else begin
-        Sim.Stats.incr "degrade.retried.tcp_syn";
-        emit conn ~flags:Packet.syn Bytes.empty;
-        ignore (Sim.Events.schedule_after rto_cycles (rexmit (n + 1)))
-      end
-    end
-  in
-  ignore (Sim.Events.schedule_after rto_cycles (rexmit 1));
+  arm_handshake conn ~flags:Packet.syn ~stat:"degrade.retried.tcp_syn" ~give_up:(fun () ->
+      conn.timed_out <- true;
+      ignore (Ostd.Wait_queue.wake_all conn.conn_wq));
   Ostd.Wait_queue.sleep_until conn.conn_wq (fun () ->
       conn.state <> Syn_sent || conn.reset || conn.timed_out);
   if conn.reset || conn.timed_out then begin
@@ -659,9 +679,7 @@ let close conn =
   if not conn.local_closed then begin
     conn.local_closed <- true;
     maybe_send_fin conn;
-    (* Forget the connection once both directions are done; a fuller
-       implementation would hold TIME_WAIT. *)
-    if conn.state = Closed && conn.peer_fin then Hashtbl.remove conn.eng.conns (key conn)
+    forget_if_done conn
   end
 
 (* SO_LINGER-0-style abortive close: fire an RST at the peer and tear
@@ -671,14 +689,8 @@ let close conn =
 let abort conn =
   if not conn.reset then begin
     emit conn ~flags:Packet.rst Bytes.empty;
-    conn.reset <- true;
-    conn.state <- Closed;
-    Fifo.drain_pins conn.txq;
-    Hashtbl.remove conn.eng.conns (key conn);
-    ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
-    ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
-    ignore (Ostd.Wait_queue.wake_all conn.conn_wq);
-    Pollable.publish conn.pollable (Pollable.pollin lor Pollable.pollerr lor Pollable.pollhup)
+    conn.local_closed <- true;
+    reset conn
   end
 
 let pollable conn = conn.pollable
@@ -694,3 +706,5 @@ let local_port conn = conn.lport
 let cwnd_bytes conn = if conn.eng.cc then conn.cwnd else max_int
 
 let tx_soft_errors conn = conn.tx_soft_errors
+
+let conn_count eng = Hashtbl.length eng.conns

@@ -96,3 +96,8 @@ val tx_soft_errors : conn -> int
     quarantines (all repaired by retransmission). A mid-burst fault must
     land here on the owning socket, never on a neighbour that shared the
     burst. *)
+
+val conn_count : engine -> int
+(** Connections the engine still tracks. One leaves once the app has
+    closed it and both directions are done (each by a FIN or a
+    reset). *)

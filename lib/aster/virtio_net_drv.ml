@@ -29,14 +29,20 @@ let desc_done_ts = 24 (* device-written completion timestamp (cycles) *)
    and report the frame to the stack (TCP repairs by retransmission). *)
 let tx_max_tries = 2
 
+(* One submission's completion deadline, shared by the buffers of its
+   chain: [left] of them are not yet reaped. *)
+type deadline = { mutable left : int; mutable ev : Sim.Events.handle option }
+
 type buf = {
   stream : Ostd.Dma.Stream.t;
   home : Ostd.Dma.Pool.t option; (* pool to return to; [None] = fresh map *)
   pkt : Packet.t option; (* TX only: for error reporting upstack *)
   mutable tries : int;
-  mutable epoch : int; (* bumped per (re)submission; stale deadlines skip *)
+  mutable deadline : deadline; (* the latest submission's; older ones skip *)
   mutable issued : int64; (* first doorbell for this frame; 0 = never *)
 }
+
+let unsubmitted = { left = 0; ev = None }
 
 (* GRO: an in-progress per-flow merge of in-order TCP data frames,
    held across NAPI polls and flushed as one super-segment. *)
@@ -84,11 +90,11 @@ let take_buf s ~pkt ~len =
   let pages = if big then tso_buf_pages else base_buf_pages in
   let fresh () =
     { stream = Ostd.Dma.Stream.map (Ostd.Frame.alloc ~pages ~untyped:true ()) ~dev:s.dev_id;
-      home = None; pkt; tries = 0; epoch = 0; issued = 0L }
+      home = None; pkt; tries = 0; deadline = unsubmitted; issued = 0L }
   in
   let from_pool p =
     match Ostd.Dma.Pool.alloc p with
-    | Some stream -> { stream; home = Some p; pkt; tries = 0; epoch = 0; issued = 0L }
+    | Some stream -> { stream; home = Some p; pkt; tries = 0; deadline = unsubmitted; issued = 0L }
     | None ->
       Sim.Stats.incr "virtio_net.pool_exhausted";
       fresh ()
@@ -215,40 +221,49 @@ let ring s ~device_idle head =
    instead of landing in reused memory. The leaked pool slots are the
    price of that safety, counted under [net.pool_leaked] so /proc/kstat
    makes the shrinkage observable. The frames themselves are reported
-   upstack and repaired by retransmission. *)
+   upstack and repaired by retransmission. The deadline lives only as
+   long as its chain: reaping the chain's last buffer cancels it. *)
 let tx_deadline_cycles n = Sim.Clock.us (500. +. (20. *. float_of_int n))
 
+let quarantine s b =
+  s.tx_pending <- List.filter (fun x -> not (x == b)) s.tx_pending;
+  Sim.Stats.incr "virtio_net.quarantined";
+  if b.home <> None then Sim.Stats.incr "net.pool_leaked";
+  Ostd.Dma.Stream.unmap b.stream;
+  match b.pkt with
+  | Some p ->
+    if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
+    if p.Packet.pins <> [] then begin
+      if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
+      Packet.release_pins p
+    end;
+    Netstack.tx_error s.stack p
+  | None -> ()
+
 let arm_tx_deadline s bufs =
-  let watched = List.map (fun b -> (b, b.epoch)) bufs in
-  ignore
-    (Sim.Events.schedule_after
-       (tx_deadline_cycles (List.length bufs))
-       (fun () ->
-         List.iter
-           (fun (b, epoch) ->
-             if
-               b.epoch = epoch
-               && List.memq b s.tx_pending
-               && Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = unused_marker
-             then begin
-               s.tx_pending <- List.filter (fun x -> not (x == b)) s.tx_pending;
-               Sim.Stats.incr "virtio_net.quarantined";
-               if b.home <> None then Sim.Stats.incr "net.pool_leaked";
-               Ostd.Dma.Stream.unmap b.stream;
-               match b.pkt with
-               | Some p ->
-                 if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
-                 if p.Packet.pins <> [] then begin
-                   if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
-                   Packet.release_pins p
-                 end;
-                 Netstack.tx_error s.stack p
-               | None -> ()
-             end)
-           watched))
+  let n = List.length bufs in
+  let d = { left = n; ev = None } in
+  List.iter (fun b -> b.deadline <- d) bufs;
+  d.ev <-
+    Some
+      (Sim.Events.schedule_after (tx_deadline_cycles n) (fun () ->
+           List.iter
+             (fun b ->
+               if
+                 b.deadline == d
+                 && List.memq b s.tx_pending
+                 && Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = unused_marker
+               then quarantine s b)
+             bufs))
+
+(* A reaped buffer, completed or failed, no longer needs its
+   submission's deadline; the chain's last one cancels it. *)
+let disarm b =
+  let d = b.deadline in
+  d.left <- d.left - 1;
+  if d.left = 0 then Option.iter Sim.Events.cancel d.ev
 
 let submit_one s b =
-  b.epoch <- b.epoch + 1;
   if Int64.equal b.issued 0L then b.issued <- Sim.Clock.now ();
   let device_idle = s.tx_pending = [] in
   s.tx_pending <- s.tx_pending @ [ b ];
@@ -270,11 +285,7 @@ let submit_many s pkts =
       | _ -> ()
     in
     link_all bufs;
-    List.iter
-      (fun b ->
-        b.epoch <- b.epoch + 1;
-        if Int64.equal b.issued 0L then b.issued <- Sim.Clock.now ())
-      bufs;
+    List.iter (fun b -> if Int64.equal b.issued 0L then b.issued <- Sim.Clock.now ()) bufs;
     let device_idle = s.tx_pending = [] in
     s.tx_pending <- s.tx_pending @ bufs;
     ring s ~device_idle head;
@@ -410,6 +421,7 @@ let reap_once s =
   s.tx_pending <- still_tx;
   List.iter
     (fun b ->
+      disarm b;
       if Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = 0 then begin
         (* The completion stamp is read unconditionally: the checked
            accessor charges its boundary check whether or not anyone is

@@ -140,13 +140,16 @@ let test_checksum_rejects_corrupt_mid_burst () =
    without returning it to the DMA pool (a late DMA must fault at the
    IOMMU, not land in reused memory), count the leak under
    net.pool_leaked, and report the frame upstack — where, with no
-   owning connection, it lands in net.tx_err_unclaimed. *)
+   owning connection, it lands in net.tx_err_unclaimed. One chain of
+   [nseg] descriptors goes out; [p] is the drop probability per
+   descriptor. Returns how many the device dropped. *)
 
-let test_tx_drop_quarantines_and_leaks_pool () =
+let nseg = 4
+
+let tx_drop_burst ~seed ~p =
   let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
   ignore (Aster.Kernel.attach_host k);
-  let nseg = 4 in
-  Sim.Fault.configure ~seed:5L [ ("net.tx_drop", 1.0) ];
+  Sim.Fault.configure ~seed [ ("net.tx_drop", p) ];
   Apps.Runner.spawn ~name:"raw-tx" (fun c ->
       for i = 0 to nseg - 1 do
         Aster.Netstack.send k.Aster.Kernel.stack
@@ -161,13 +164,112 @@ let test_tx_drop_quarantines_and_leaks_pool () =
       0);
   Apps.Runner.run ();
   Sim.Fault.disable ();
-  check_int "every frame of the burst was quarantined" nseg
-    (Sim.Stats.get "virtio_net.quarantined");
-  check_int "every quarantined pooled buffer is a leaked slot" nseg
+  let dropped = Sim.Stats.get "virtio_net.dropped_completion" in
+  check_int "every dropped frame was quarantined" dropped (Sim.Stats.get "virtio_net.quarantined");
+  check_int "every quarantined pooled buffer is a leaked slot" dropped
     (Sim.Stats.get "net.pool_leaked");
-  check_int "orphan frames reported but unclaimed by any socket" nseg
+  check_int "orphan frames reported but unclaimed by any socket" dropped
     (Sim.Stats.get "net.tx_err_unclaimed");
-  check_int "no frame reached the wire" 0 (Sim.Stats.get "virtio_net.dma_fault")
+  check_int "no frame reached the wire" 0 (Sim.Stats.get "virtio_net.dma_fault");
+  dropped
+
+let test_tx_drop_quarantines_and_leaks_pool () =
+  check_int "the device dropped the whole burst" nseg (tx_drop_burst ~seed:5L ~p:1.0)
+
+(* The chain completes in part: reaping its completed buffers must not
+   take the deadline that still watches the dropped ones. *)
+let test_tx_drop_partial_chain () =
+  let dropped = tx_drop_burst ~seed:1L ~p:0.5 in
+  check "the chain completed in part" true (dropped > 0 && dropped < nseg)
+
+(* --- Timers and connections live only as long as their work ---
+
+   A reset connection must stop retransmitting: nothing will ever ACK
+   its data. The guest writes 200 KB to a host listener that resets
+   the connection right after accept, before any of the data reaches
+   it. The run is capped at 2 virtual seconds, in which a surviving
+   40 ms RTO would fire about fifty times. *)
+
+let test_reset_with_unacked_data () =
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  let port = 9050 in
+  (match Aster.Tcp.listen host.Aster.Kernel.htcp ~port with
+  | Error _ -> Alcotest.fail "host listen"
+  | Ok l ->
+    ignore (Ostd.Task.spawn ~name:"host-abort" (fun () -> Aster.Tcp.abort (Aster.Tcp.accept l))));
+  let size = 200 * 1024 in
+  let wrote = ref 0 in
+  Apps.Runner.spawn ~name:"guest-src" (fun c ->
+      let vaddr = Apps.Libc.put_bytes c (pattern size) in
+      let fd = Apps.Libc.socket c ~domain:2 ~typ:1 in
+      if Apps.Libc.connect_inet c ~fd ~ip:Aster.Kernel.host_ip ~port < 0 then 1
+      else begin
+        wrote := Apps.Libc.write c ~fd ~vaddr ~len:size;
+        (* Block, so that the host runs its abort before the data
+           reaches it. *)
+        ignore (Apps.Libc.read_str c ~fd ~len:16);
+        ignore (Apps.Libc.close c fd);
+        0
+      end);
+  let cap = Int64.add (Sim.Clock.now ()) (Int64.of_int (Sim.Clock.us 2e6)) in
+  Ostd.Task.run_until (fun () -> Int64.compare (Sim.Clock.now ()) cap >= 0);
+  check_int "the whole write was queued before the reset" size !wrote;
+  check_int "no retransmission after the reset" 0 (Sim.Stats.get "degrade.retried.tcp_rto");
+  check_int "no timer outlives the connection" 0 (Sim.Events.pending ());
+  check_int "the guest forgot the connection" 0 (Aster.Tcp.conn_count k.Aster.Kernel.tcp);
+  check_int "the host forgot the connection" 0 (Aster.Tcp.conn_count host.Aster.Kernel.htcp)
+
+(* Connection churn: sequential HTTP/1.0 requests to mini_nginx, which
+   closes first. Each finished exchange must leave no timer behind (the
+   handshake retransmits and the TX deadlines end with their work) and
+   no entry in either TCP table. Between requests only a few events are
+   live (3 here); a handshake timer left armed would add two per
+   connection made in the last 40 virtual ms. *)
+
+let test_connection_churn () =
+  let requests = 600 in
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  Apps.Mini_nginx.spawn ~requests ~sizes:[ ("index.html", 4096) ] ();
+  let served = ref 0 in
+  let max_pending = ref 0 in
+  ignore
+    (Ostd.Task.spawn ~name:"http-client" (fun () ->
+         let req = Bytes.of_string "GET /index.html HTTP/1.0\r\n\r\n" in
+         let buf = Bytes.create 8192 in
+         let rec request () =
+           match
+             Aster.Tcp.connect host.Aster.Kernel.htcp ~dst_ip:Aster.Kernel.guest_ip
+               ~dst_port:Apps.Mini_nginx.port
+           with
+           | Error _ ->
+             (* The server is not listening yet. *)
+             Ostd.Task.sleep_us 200.;
+             request ()
+           | Ok conn ->
+             ignore (Aster.Tcp.send conn ~buf:req ~pos:0 ~len:(Bytes.length req));
+             let got = ref 0 in
+             let rec drain () =
+               match Aster.Tcp.recv conn ~buf ~pos:0 ~len:(Bytes.length buf) with
+               | Ok 0 | Error _ -> ()
+               | Ok n ->
+                 got := !got + n;
+                 drain ()
+             in
+             drain ();
+             Aster.Tcp.close conn;
+             if !got > 4096 then incr served;
+             max_pending := max !max_pending (Sim.Events.pending ())
+         in
+         for _ = 1 to requests do
+           request ()
+         done));
+  Apps.Runner.run ();
+  check_int "every request was served" requests !served;
+  check "pending events stay a small constant" true (!max_pending <= 8);
+  check_int "the guest table is empty" 0 (Aster.Tcp.conn_count k.Aster.Kernel.tcp);
+  check_int "the host table is empty" 0 (Aster.Tcp.conn_count host.Aster.Kernel.htcp)
 
 (* --- Span-ownership conservation across the TX pipeline ---
 
@@ -532,6 +634,12 @@ let () =
       ( "quarantine",
         [
           Alcotest.test_case "tx_drop_leaks_pool" `Quick test_tx_drop_quarantines_and_leaks_pool;
+          Alcotest.test_case "tx_drop_partial_chain" `Quick test_tx_drop_partial_chain;
+        ] );
+      ( "lifetimes",
+        [
+          Alcotest.test_case "reset_with_unacked_data" `Quick test_reset_with_unacked_data;
+          Alcotest.test_case "connection_churn" `Quick test_connection_churn;
         ] );
       ( "offload",
         [
