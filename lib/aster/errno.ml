@@ -23,6 +23,7 @@ let epipe = 32
 let enosys = 38
 let enotempty = 39
 let enotsock = 88
+let emsgsize = 90
 let eaddrinuse = 98
 let econnrefused = 111
 let enotconn = 107
@@ -57,6 +58,7 @@ let names =
     (enosys, "ENOSYS");
     (enotempty, "ENOTEMPTY");
     (enotsock, "ENOTSOCK");
+    (emsgsize, "EMSGSIZE");
     (eaddrinuse, "EADDRINUSE");
     (econnrefused, "ECONNREFUSED");
     (enotconn, "ENOTCONN");

@@ -25,6 +25,7 @@ val epipe : int
 val enosys : int
 val enotempty : int
 val enotsock : int
+val emsgsize : int
 val eaddrinuse : int
 val econnrefused : int
 val enotconn : int

@@ -13,13 +13,42 @@ let the_net () =
 
 let vm proc = Mm.vmspace (Process.mm proc)
 
-let rec user_read proc ~vaddr ~len =
+(* Copy [len] bytes in, retrying the whole copy after each fault that
+   demand paging resolves. At the first fault it cannot resolve, the
+   result is what was copied before it; EFAULT if that is nothing. *)
+let rec user_read_upto proc ~vaddr ~len =
   let buf = Bytes.create len in
   match Ostd.Vmspace.copy_out (vm proc) ~vaddr ~buf ~pos:0 ~len with
   | Ok () -> Ok buf
   | Error { Ostd.Vmspace.vaddr = fa; write } ->
-    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read proc ~vaddr ~len
+    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read_upto proc ~vaddr ~len
+    else if fa > vaddr then Ok (Bytes.sub buf 0 (fa - vaddr))
     else Error Errno.efault
+
+let user_read proc ~vaddr ~len =
+  match user_read_upto proc ~vaddr ~len with
+  | Ok b when Bytes.length b < len -> Error Errno.efault
+  | r -> r
+
+(* The source of a write, copied in chunks of at most [rw_chunk] bytes
+   so that no count sizes a host buffer before user memory backs it.
+   The first short chunk ends the copy, and the result is Linux's short
+   count. A count within one chunk is one copy, charged as before. *)
+let rw_chunk = 1 lsl 20
+
+let user_read_chunked proc ~vaddr ~len =
+  let rec go acc off =
+    let n = Int.min rw_chunk (len - off) in
+    match user_read_upto proc ~vaddr:(vaddr + off) ~len:n with
+    | Ok b when Bytes.length b = n && off + n < len -> go (b :: acc) (off + n)
+    | Ok b -> Ok (b :: acc)
+    | Error _ when acc <> [] -> Ok acc
+    | Error e -> Error e
+  in
+  match go [] 0 with
+  | Ok [ b ] -> Ok b
+  | Ok chunks -> Ok (Bytes.concat Bytes.empty (List.rev chunks))
+  | Error e -> Error e
 
 (* Copy the first [len] bytes of [buf] out to user memory. *)
 let rec user_write_sub proc ~vaddr buf ~len =
@@ -91,6 +120,12 @@ let int_arg (args : int64 array) i = Int64.to_int args.(i)
    checks. [pos] is 0 for calls without an offset. Charges nothing. *)
 let invalid_range len pos = len < 0 || pos < 0
 
+(* Linux's MAX_RW_COUNT: rw_verify_area clamps every read and write
+   count to this many bytes. *)
+let max_rw_count = 0x7ffff000
+
+let rw_count args = Int.min (int_arg args 2) max_rw_count
+
 (* Reads size their kernel buffer by what the object can return, never
    by the caller's count alone, so a 2^40-byte read costs the host what
    the file or channel holds. A regular file holds [size - pos]; procfs
@@ -104,6 +139,11 @@ let file_cap (inode : Vfs.inode) ~pos =
   else max_int
 
 let udp_cap = 65_535
+
+(* The largest UDP payload an IPv4 datagram carries: 65,535 less the
+   IP and UDP headers. A longer sendto fails with EMSGSIZE before any
+   copy. *)
+let udp_max_payload = 65_507
 
 let read_buf ~len cap = Bytes.create (Int.min len cap)
 
@@ -184,7 +224,7 @@ let sys_read proc args =
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
-    let len = int_arg args 2 in
+    let len = rw_count args in
     match do_read_desc f ~len with
     | Error e -> err e
     | Ok (buf, n) -> (
@@ -197,9 +237,9 @@ let sys_write proc args =
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
-    let len = int_arg args 2 in
+    let len = rw_count args in
     Strace.record_size ~nr:N.write ~size:len;
-    match user_read proc ~vaddr:(int_arg args 1) ~len with
+    match user_read_chunked proc ~vaddr:(int_arg args 1) ~len with
     | Error e -> err e
     | Ok data -> lift (do_write_desc proc f data))
 
@@ -211,7 +251,7 @@ let sys_pread proc args =
     match f.File.desc with
     | File.Inode_file inode -> (
       let off = int_arg args 3 in
-      let buf = read_buf ~len:(int_arg args 2) (file_cap inode ~pos:off) in
+      let buf = read_buf ~len:(rw_count args) (file_cap inode ~pos:off) in
       match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len:(Bytes.length buf) with
       | Error e -> err e
       | Ok n -> (
@@ -227,11 +267,12 @@ let sys_pwrite proc args =
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode -> (
-      let len = int_arg args 2 and off = int_arg args 3 in
+      let len = rw_count args and off = int_arg args 3 in
       Strace.record_size ~nr:N.pwrite64 ~size:len;
-      match user_read proc ~vaddr:(int_arg args 1) ~len with
+      match user_read_chunked proc ~vaddr:(int_arg args 1) ~len with
       | Error e -> err e
-      | Ok data -> lift (inode.Vfs.ops.Vfs.write inode ~pos:off ~buf:data ~boff:0 ~len))
+      | Ok data ->
+        lift (inode.Vfs.ops.Vfs.write inode ~pos:off ~buf:data ~boff:0 ~len:(Bytes.length data)))
     | _ -> err Errno.espipe)
 
 let iovec_list proc vaddr count =
@@ -896,7 +937,12 @@ let sys_sendto proc args =
     | Error e -> err e
     | Ok s -> (
       match s.File.st with
+      | (File.S_udp _ | File.S_unbound)
+        when s.File.kind = File.Inet_dgram && int_arg args 2 > udp_max_payload ->
+        err Errno.emsgsize
       | File.S_udp _ | File.S_unbound when s.File.kind = File.Inet_dgram -> (
+        (* A datagram goes out whole or not at all, so a fault anywhere
+           in it is EFAULT, as on Linux. *)
         match user_read proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) with
         | Error e -> err e
         | Ok data -> (

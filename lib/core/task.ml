@@ -22,6 +22,10 @@ type t = {
   mutable sdelay_sum : int64; (* total runqueue-wait cycles *)
   mutable sdelay_cnt : int; (* dispatches with a measured wait *)
   mutable sdelay_max : int64;
+  (* --- the Ready list (observability only: never consulted to pick) --- *)
+  mutable rq_prev : t option;
+  mutable rq_next : t option;
+  some : t option; (* [Some] of this task, built once, so list updates allocate nothing *)
 }
 
 and resume = Start of (unit -> unit) | Cont of (unit, unit) Effect.Deep.continuation
@@ -63,26 +67,36 @@ let next_tid = ref 0
 
 let live = ref 0
 
-(* All live tasks, for observability scans (never for scheduling). The
-   hung-task watchdog's ctx field is the longest time any Ready task
-   has been waiting on the runqueue, computed on demand at sched
-   tracepoints. *)
-let all_tasks : (int, t) Hashtbl.t = Hashtbl.create 64
+(* Ready tasks in the order they became Ready, whatever order the
+   injected policy picks them in: [enqueue_ready] appends, [dispatch]
+   and [kill] unlink. The clock never moves back, so this is also
+   [runnable_at] order, and the head has waited longest. The hung-task
+   watchdog's ctx field is that wait, read at sched tracepoints in O(1)
+   instead of a scan over every task. *)
+let ready_head : t option ref = ref None
+
+let ready_tail : t option ref = ref None
+
+let ready_append t =
+  t.rq_prev <- !ready_tail;
+  t.rq_next <- None;
+  (match !ready_tail with Some p -> p.rq_next <- t.some | None -> ready_head := t.some);
+  ready_tail := t.some
+
+let ready_unlink t =
+  (match t.rq_prev with Some p -> p.rq_next <- t.rq_next | None -> ready_head := t.rq_next);
+  (match t.rq_next with Some n -> n.rq_prev <- t.rq_prev | None -> ready_tail := t.rq_prev);
+  t.rq_prev <- None;
+  t.rq_next <- None
 
 let ns_of_cycles c = Int64.of_float (Sim.Clock.to_us c *. 1000.)
 
 let max_runnable_wait_ns () =
-  let now = Sim.Clock.now () in
-  Hashtbl.fold
-    (fun _ t acc ->
-      if t.st = Ready && Int64.compare t.runnable_at 0L >= 0 then begin
-        let d = Int64.sub now t.runnable_at in
-        let d = if Int64.compare d 0L > 0 then d else 0L in
-        let d = ns_of_cycles d in
-        if Int64.compare d acc > 0 then d else acc
-      end
-      else acc)
-    all_tasks 0L
+  match !ready_head with
+  | None -> 0L
+  | Some t ->
+    let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
+    if Int64.compare d 0L > 0 then ns_of_cycles d else 0L
 
 (* --- CPU accounting ---
 
@@ -177,7 +191,8 @@ let reset () =
   last_ran := -1;
   next_tid := 0;
   live := 0;
-  Hashtbl.reset all_tasks;
+  ready_head := None;
+  ready_tail := None;
   total_utime := 0L;
   total_stime := 0L;
   switch_count := 0;
@@ -196,12 +211,13 @@ let enqueue_ready t =
   t.st <- Ready;
   (* Runqueue-wait starts now; dispatch measures the delta. *)
   t.runnable_at <- Sim.Clock.now ();
+  ready_append t;
   S.enqueue t
 
 let spawn ?(name = "task") body =
   incr next_tid;
   incr live;
-  let t =
+  let rec t =
     {
       tid = !next_tid;
       tname = name;
@@ -221,9 +237,11 @@ let spawn ?(name = "task") body =
       sdelay_sum = 0L;
       sdelay_cnt = 0;
       sdelay_max = 0L;
+      rq_prev = None;
+      rq_next = None;
+      some = Some t;
     }
   in
-  Hashtbl.replace all_tasks t.tid t;
   enqueue_ready t;
   t
 
@@ -247,9 +265,9 @@ let exit () = raise Task_exit
 
 let kill t =
   if t.st <> Dead then begin
+    if t.st = Ready then ready_unlink t;
     t.st <- Dead;
     decr live;
-    Hashtbl.remove all_tasks t.tid;
     Kstack.destroy t.kstack
   end
 
@@ -260,7 +278,6 @@ let on_death t =
   if t.st <> Dead then begin
     t.st <- Dead;
     decr live;
-    Hashtbl.remove all_tasks t.tid;
     Kstack.destroy t.kstack
   end;
   t.running_flag <- false;
@@ -320,6 +337,7 @@ let dispatch t =
        time. *)
     let own_wait_ns = ref 0L in
     let span_waited = ref 0L in
+    if t.st = Ready then ready_unlink t;
     if Int64.compare t.runnable_at 0L >= 0 then begin
       let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
       let d = if Int64.compare d 0L > 0 then d else 0L in

@@ -21,19 +21,47 @@ let psh = 16
 let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
 (* FNV-1a over the frame's little-endian 32-bit words (a partial last
-   word byte by byte), the checksum word skipped. Each step is a
-   bijection of the running hash and of its input, so frames of equal
-   length that differ in one word always hash apart: a single flipped
-   byte — what a noisy link, or the fault plane's [net.corrupt],
-   produces — is always caught. *)
+   word byte by byte), the checksum word skipped, in four lanes so the
+   multiplies overlap instead of forming one serial chain. Each whole
+   16-byte block is two 64-bit loads whose four words feed lanes 0-3. A
+   lane is masked to 32 bits only at the end: the low 32 bits of an xor
+   or a product depend only on the low 32 bits of its inputs. The lane
+   values then feed one state in lane order, and the words and bytes
+   after the last whole block continue serially from it. [cksum_off] is
+   a multiple of 16: lane 0's word of its block, or a serial word.
+   Every step is a bijection of the running state and of its input
+   word, so frames of equal length that differ in one word always hash
+   apart: a single flipped byte — what a noisy link, or the fault
+   plane's [net.corrupt], produces — is always caught. *)
+let basis = 0x811c9dc5
+
+let prime = 0x01000193
+
+let lo32 = 0xffffffff
+
+let step h w = (h lxor w) * prime land lo32
+
 let cksum b =
-  let len = Bytes.length b and h = ref 0x811c9dc5 and i = ref 0 in
+  let len = Bytes.length b in
+  let blocks = len land lnot 15 in
+  let l0 = ref basis and l1 = ref basis and l2 = ref basis and l3 = ref basis in
+  let i = ref 0 in
+  while !i < blocks do
+    let x = Bytes.get_int64_le b !i and y = Bytes.get_int64_le b (!i + 8) in
+    if !i <> cksum_off then l0 := (!l0 lxor (Int64.to_int x land lo32)) * prime;
+    l1 := (!l1 lxor Int64.to_int (Int64.shift_right_logical x 32)) * prime;
+    l2 := (!l2 lxor (Int64.to_int y land lo32)) * prime;
+    l3 := (!l3 lxor Int64.to_int (Int64.shift_right_logical y 32)) * prime;
+    i := !i + 16
+  done;
+  let fold h lane = step h (lane land lo32) in
+  let h = ref (fold (fold (fold (fold basis !l0) !l1) !l2) !l3) in
   while !i + 4 <= len do
-    if !i <> cksum_off then h := (!h lxor u32 b !i) * 0x01000193 land 0xffffffff;
+    if !i <> cksum_off then h := step !h (u32 b !i);
     i := !i + 4
   done;
   for j = !i to len - 1 do
-    h := (!h lxor Char.code (Bytes.get b j)) * 0x01000193 land 0xffffffff
+    h := step !h (Char.code (Bytes.get b j))
   done;
   !h
 

@@ -16,9 +16,12 @@ val psh : int
     sub-frames. *)
 
 val seal : bytes -> unit
-(** Store the frame's checksum — FNV-1a over its little-endian 32-bit
-    words, checksum word skipped — in the checksum word (frames of at
-    least [header_size] bytes): the NIC's TX checksum. *)
+(** Store the frame's checksum in the checksum word (frames of at least
+    [header_size] bytes): the NIC's TX checksum. It is FNV-1a over the
+    frame's little-endian 32-bit words, checksum word skipped, in four
+    lanes (one per word of each 16-byte block) folded in order, with
+    the tail serial. Frames of equal length that differ in one word or
+    one byte never share a checksum. *)
 
 val cksum_ok : bytes -> bool
 (** Verification in place: [true] iff the frame is well-formed, its

@@ -109,6 +109,50 @@ let prop_single_byte_flip_rejected =
       Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor mask));
       (not (Machine.Pktfmt.cksum_ok frame)) && Aster.Packet.decode frame = None)
 
+(* A sealed frame of [len] bytes (at least a header) with a payload
+   whose bytes differ from their neighbours. *)
+let sealed_frame len =
+  wire_frame
+    (Aster.Packet.make ~src_ip:1 ~dst_ip:2 ~proto:Aster.Packet.Tcp ~src_port:5 ~dst_port:6
+       ~seq:len
+       (seeded_payload (len - Machine.Pktfmt.header_size) len))
+
+(* The checksum runs in four lanes over whole 16-byte blocks, then
+   serially over the last words and bytes. Frame lengths 36..100 put a
+   frame's end at every residue mod 16, so every lane position and
+   every tail shape occurs, and a flip of 0x01, 0x80 or 0xff at every
+   byte of every such frame must be rejected by the NIC's verdict and
+   by the stack's decode alike. *)
+let test_checksum_flip_sweep () =
+  let missed = ref [] in
+  for len = 36 to 100 do
+    let frame = sealed_frame len in
+    if not (Machine.Pktfmt.cksum_ok frame) then
+      missed := Printf.sprintf "len %d sealed" len :: !missed;
+    for i = 0 to len - 1 do
+      List.iter
+        (fun mask ->
+          let f = Bytes.copy frame in
+          Bytes.set f i (Char.chr (Char.code (Bytes.get f i) lxor mask));
+          if Machine.Pktfmt.cksum_ok f || Aster.Packet.decode f <> None then
+            missed := Printf.sprintf "len %d byte %d mask 0x%02x" len i mask :: !missed)
+        [ 0x01; 0x80; 0xff ]
+    done
+  done;
+  Alcotest.(check (list string)) "every sealed frame verifies, every flip is caught" []
+    (List.rev !missed)
+
+let prop_word_replacement_rejected =
+  QCheck.Test.make ~name:"sealed_frame_word_replacement_rejected" ~count:1000
+    QCheck.(triple (int_range 36 2000) (int_range 0 max_int) (int_range 0 0xffffffff))
+    (fun (len, at, v) ->
+      let frame = sealed_frame len in
+      let off = 4 * (at mod (len / 4)) in
+      let old = Int32.to_int (Bytes.get_int32_le frame off) land 0xffffffff in
+      QCheck.assume (v <> old);
+      Bytes.set_int32_le frame off (Int32.of_int v);
+      (not (Machine.Pktfmt.cksum_ok frame)) && Aster.Packet.decode frame = None)
+
 let test_ip_strings () =
   check_str "roundtrip" "192.168.1.42"
     (Aster.Packet.string_of_ip (Aster.Packet.ip_of_string "192.168.1.42"))
@@ -581,6 +625,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_packet_roundtrip;
           Alcotest.test_case "bad_input" `Quick test_packet_bad_input;
           Alcotest.test_case "ip_strings" `Quick test_ip_strings;
+          Alcotest.test_case "checksum_flip_sweep" `Quick test_checksum_flip_sweep;
         ] );
       ( "libc",
         [
@@ -613,6 +658,7 @@ let () =
             prop_packet_roundtrip;
             prop_segmentation;
             prop_single_byte_flip_rejected;
+            prop_word_replacement_rejected;
             prop_sqlite_random_inserts;
             prop_tcp_stream_integrity;
           ] );

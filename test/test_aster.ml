@@ -774,7 +774,10 @@ let test_page_cache_metadata () =
    returns -EINVAL as on Linux, none escapes the syscall boundary or
    trips an OSTD range check, and the files stay usable afterwards. A
    2^40-byte read returns the bytes there are, without sizing a host
-   buffer by the count. *)
+   buffer by the count. A write longer than its mapped source writes
+   up to the first unmapped byte, and a UDP payload longer than an IPv4
+   datagram holds is EMSGSIZE; neither sizes a host buffer by the
+   count. *)
 let test_negative_lengths_einval () =
   let module L = Apps.Libc in
   let wrong = ref [] in
@@ -803,8 +806,18 @@ let test_negative_lengths_einval () =
         ignore (L.bind_inet c ~fd:udp ~port:5353);
         let lo = Aster.Packet.ip_of_string "127.0.0.1" in
         expect "sendto len -1" (L.sendto_inet c ~fd:udp ~ip:lo ~port:5353 ~vaddr:buf ~len:(-1));
+        List.iter
+          (fun len ->
+            answer (-Aster.Errno.emsgsize) (Printf.sprintf "sendto len %d" len)
+              (L.sendto_inet c ~fd:udp ~ip:lo ~port:5353 ~vaddr:buf ~len))
+          [ 70_000; huge ];
         expect "recvfrom len -1" (L.recvfrom c ~fd:udp ~vaddr:buf ~len:(-1));
         let ok = ref true in
+        (* One mapped page, with the mapping's unmapped guard gap after it. *)
+        let page = L.mmap c ~len:4096 in
+        let pattern = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+        (L.raw c).Ostd.User.mem_write page pattern;
+        let back = L.ualloc c 4096 in
         List.iter
           (fun path ->
             let fd = L.openf c path ~flags:0o102 ~mode:0o644 in
@@ -841,6 +854,26 @@ let test_negative_lengths_einval () =
             answer 0 (path ^ " pread64 count 2^40 past EOF")
               (L.pread c ~fd ~vaddr:buf ~len:huge ~off:4096);
             ok := !ok && Bytes.to_string (L.get_bytes c buf 4) = "load";
+            (* Four writes from the one-page mapping, each past its end:
+               each copies and writes the mapped page, 4096 bytes. *)
+            ignore (L.ftruncate c ~fd ~len:0);
+            ignore (L.lseek c ~fd ~off:0 ~whence:0);
+            answer 4096 (path ^ " write count 2^40 from one page")
+              (L.write c ~fd ~vaddr:page ~len:huge);
+            answer 4096 (path ^ " write count 8192 from one page")
+              (L.write c ~fd ~vaddr:page ~len:8192);
+            answer 4096 (path ^ " pwrite64 count 2^40 from one page")
+              (L.pwrite c ~fd ~vaddr:page ~len:huge ~off:8192);
+            answer 4096 (path ^ " pwrite64 count 8192 from one page")
+              (L.pwrite c ~fd ~vaddr:page ~len:8192 ~off:12288);
+            (match L.fstat c fd with
+            | Ok st -> answer 16384 (path ^ " size after short writes") st.Aster.Abi.size
+            | Error e -> answer 16384 (path ^ " fstat after short writes") e);
+            for k = 0 to 3 do
+              let n = L.pread c ~fd ~vaddr:back ~len:4096 ~off:(k * 4096) in
+              if n <> 4096 || not (Bytes.equal (L.get_bytes c back 4096) pattern) then
+                wrong := Printf.sprintf "%s page %d after short writes (%d)" path k n :: !wrong
+            done;
             ignore (L.close c fd))
           [ "/tmp/neg"; "/ext2/neg" ];
         if !ok then 0 else 1)

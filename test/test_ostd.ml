@@ -109,6 +109,175 @@ let test_custom_data () =
   | _ -> Alcotest.fail "custom data lost");
   Ostd.Task.run ()
 
+(* --- The hung-task context against an oracle ---
+
+   The sched_switch and sched_wakeup attach points carry max_wait_ns,
+   the longest any Ready task has waited for the CPU (at a switch, the
+   incoming task's own wait counts too). An injected policy records
+   each task it is handed with the instant, so its queue is the
+   oracle's Ready set, and picks a seeded-random task, so tasks leave
+   the Ready set out of the order they entered it. A consumer checks
+   every event against the oracle. *)
+
+let ns_of_cycles c = Int64.of_float (Sim.Clock.to_us c *. 1000.)
+
+type oracle = {
+  mutable queued : (Ostd.Task.t * int64) list; (* enqueue order, with the instant *)
+  mutable incoming : (Ostd.Task.t * int64) option; (* last pick, its sched-delay total then *)
+  mutable events : int;
+  mutable reordered : int; (* picks that passed over an older queued task *)
+  mutable wrong : string list;
+}
+
+let oracle_name = "test.oldest_ready"
+
+(* Boot OSTD under the recording policy; [starved t] keeps [t] queued
+   while any other task is. *)
+let boot_oracle ~rng ~starved =
+  Sim.Profile.set Sim.Profile.asterinas;
+  Ostd.Boot.init ();
+  let o = { queued = []; incoming = None; events = 0; reordered = 0; wrong = [] } in
+  let module Recording = struct
+    let enqueue t = o.queued <- o.queued @ [ (t, Sim.Clock.now ()) ]
+
+    let pick_next () =
+      let pool =
+        match List.filter (fun (t, _) -> not (starved t)) o.queued with [] -> o.queued | l -> l
+      in
+      match pool with
+      | [] -> None
+      | _ ->
+        let t, _ = List.nth pool (Random.State.int rng (List.length pool)) in
+        if t != fst (List.hd o.queued) then o.reordered <- o.reordered + 1;
+        o.queued <- List.filter (fun (u, _) -> u != t) o.queued;
+        let _, waited, _ = Ostd.Task.sched_delay t in
+        o.incoming <- Some (t, waited);
+        Some t
+
+    let update_curr () = ()
+
+    let dequeue_curr () = ()
+  end in
+  Ostd.Task.inject_scheduler (module Recording);
+  Ostd.Falloc.inject (Ostd.Bootstrap_alloc.make ());
+  Ostd.Boot.feed_free_memory ();
+  o
+
+(* The oldest live entry's wait, in ns (0 if none is queued). *)
+let oracle_queued o =
+  let now = Sim.Clock.now () in
+  List.fold_left
+    (fun acc (t, at) ->
+      let d = Int64.sub now at in
+      if Ostd.Task.is_dead t || Int64.compare d 0L <= 0 then acc else max acc (ns_of_cycles d))
+    0L o.queued
+
+let with_oracle o f =
+  let note what got want =
+    o.events <- o.events + 1;
+    if got <> want && List.length o.wrong < 10 then
+      o.wrong <-
+        Printf.sprintf "%s #%d: max_wait_ns %Ld, oracle %Ld" what o.events got want :: o.wrong
+  in
+  Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:oracle_name (fun ctx ->
+      note "wakeup" ctx.(2) (oracle_queued o));
+  Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
+      match o.incoming with
+      | Some (t, before) when Ostd.Task.tid t = Int64.to_int ctx.(1) ->
+        (* The incoming task's own wait is what dispatch just added to
+           its sched-delay total. *)
+        let _, after, _ = Ostd.Task.sched_delay t in
+        note "switch" ctx.(3) (max (ns_of_cycles (Int64.sub after before)) (oracle_queued o))
+      | _ -> o.wrong <- "switch to a task the policy did not pick" :: o.wrong);
+  Fun.protect ~finally:(fun () -> Sim.Trace.detach_name oracle_name) f
+
+(* Up to 64 tasks each take 60 seeded-random steps: burn cycles, then
+   yield, block, wake a blocked task, sleep, kill another task or spawn
+   one more. *)
+let test_oldest_ready_random seed () =
+  let rng = Random.State.make [| seed |] in
+  let o = boot_oracle ~rng ~starved:(fun _ -> false) in
+  let tasks = ref [] and blocked = ref [] and killed_ready = ref 0 in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec body () =
+    for _ = 1 to 60 do
+      Sim.Clock.charge (Random.State.int rng 20_000);
+      match Random.State.int rng 12 with
+      | 0 | 1 | 2 -> Ostd.Task.yield_now ()
+      | 3 | 4 ->
+        (* Block only while another live task could wake this one. *)
+        let me = Ostd.Task.current () in
+        let waker t = t != me && (not (Ostd.Task.is_dead t)) && not (List.memq t !blocked) in
+        if List.exists waker !tasks then begin
+          blocked := me :: !blocked;
+          Ostd.Task.block ()
+        end
+        else Ostd.Task.yield_now ()
+      | 5 | 6 -> (
+        match !blocked with
+        | [] -> ()
+        | l ->
+          let t = pick l in
+          blocked := List.filter (( != ) t) l;
+          Ostd.Task.wake t)
+      | 7 | 8 -> Ostd.Task.sleep_us (float_of_int (Random.State.int rng 200))
+      | 9 -> (
+        let me = Ostd.Task.current () in
+        match List.filter (fun t -> t != me && not (Ostd.Task.is_dead t)) !tasks with
+        | [] -> ()
+        | l ->
+          let t = pick l in
+          if List.exists (fun (u, _) -> u == t) o.queued then incr killed_ready;
+          Ostd.Task.kill t)
+      | _ -> spawn ()
+    done;
+    List.iter Ostd.Task.wake !blocked;
+    blocked := []
+  and spawn () =
+    if List.length !tasks < 64 then tasks := Ostd.Task.spawn ~name:"r" body :: !tasks
+  in
+  with_oracle o (fun () ->
+      for _ = 1 to 8 do spawn () done;
+      Ostd.Task.run ());
+  Alcotest.(check (list string)) "max_wait_ns matches the oracle" [] (List.rev o.wrong);
+  check "events observed" true (o.events > 500);
+  check "dispatch order differed from entry order" true (o.reordered > 50);
+  check "Ready tasks were killed" true (!killed_ready > 0)
+
+(* One task stays Ready but is never picked while two others wake each
+   other 10,000 times: its wait is the context at every event. *)
+let test_oldest_ready_starved () =
+  let rng = Random.State.make [| 7 |] in
+  let victim = ref None in
+  let starved t = match !victim with Some v -> v == t | None -> false in
+  let o = boot_oracle ~rng ~starved in
+  let wakes = ref 0 and victim_wait = ref 0L in
+  let peer = Array.make 2 None in
+  let ping i () =
+    while !wakes < 10_000 do
+      Option.iter
+        (fun t ->
+          incr wakes;
+          Ostd.Task.wake t)
+        peer.(1 - i);
+      Sim.Clock.charge 1000;
+      Ostd.Task.block ()
+    done;
+    Option.iter Ostd.Task.wake peer.(1 - i)
+  in
+  with_oracle o (fun () ->
+      victim := Some (Ostd.Task.spawn ~name:"starved" (fun () -> ()));
+      peer.(0) <- Some (Ostd.Task.spawn ~name:"ping" (ping 0));
+      peer.(1) <- Some (Ostd.Task.spawn ~name:"pong" (ping 1));
+      (* Under the oracle's name, so it is detached with the oracle. *)
+      Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
+          if Int64.to_int ctx.(1) = Ostd.Task.tid (Option.get !victim) then victim_wait := ctx.(3));
+      Ostd.Task.run ());
+  Alcotest.(check (list string)) "max_wait_ns matches the oracle" [] (List.rev o.wrong);
+  check "others woke 10,000 times" true (!wakes >= 10_000 && o.events > 20_000);
+  check "the starved task's wait is reported when it finally runs" true
+    (Int64.compare !victim_wait (ns_of_cycles (Int64.of_int (10_000 * 1000))) >= 0)
+
 (* --- Sync primitives --- *)
 
 let test_spinlock_atomic_mode () =
@@ -448,6 +617,9 @@ let () =
           Alcotest.test_case "inv8_double_run" `Quick test_inv8_double_run_panics;
           Alcotest.test_case "kill" `Quick test_kill_prevents_running;
           Alcotest.test_case "custom_data" `Quick test_custom_data;
+          Alcotest.test_case "oldest_ready_seed11" `Quick (test_oldest_ready_random 11);
+          Alcotest.test_case "oldest_ready_seed23" `Quick (test_oldest_ready_random 23);
+          Alcotest.test_case "oldest_ready_starved" `Quick test_oldest_ready_starved;
         ] );
       ( "sync",
         [
