@@ -463,7 +463,17 @@ let pinned : unit Btbl.t = Btbl.create 64
 
 let is_pinned blockno = Btbl.mem pinned blockno
 
+(* Bumped whenever a block may have left the cache, or a block a caller
+   asked for may not have arrived: [reset], a [drop_clean] that dropped
+   anything, and a prefetch whose read failed. These are the only ways
+   a block leaves the cache, so while the epoch stands still every block
+   once found cached or prefetched is still cached. *)
+let epoch = ref 0
+
+let cache_epoch () = !epoch
+
 let reset () =
+  incr epoch;
   throttle_wq := Ostd.Wait_queue.create ();
   driver := None;
   (* Frames belong to the old boot's metadata; just forget them. *)
@@ -541,7 +551,10 @@ let prefetch_blocks ?(mark = true) blocknos =
       (fun (b, f, bio) ->
         if bio_status bio = Some 0 && not (Btbl.mem cache b) then
           Btbl.add cache b { cblock = b; cframe = f; dslot = -1; prefetched = mark }
-        else Ostd.Frame.drop f)
+        else begin
+          if bio_status bio <> Some 0 then incr epoch;
+          Ostd.Frame.drop f
+        end)
       reqs
   end
 
@@ -560,6 +573,7 @@ let drop_clean () =
       Btbl.remove cache b;
       Ostd.Frame.drop e.cframe)
     victims;
+  if victims <> [] then incr epoch;
   List.length victims
 
 (* Write back a sorted [(blockno, entry)] list as merged, batched

@@ -143,6 +143,12 @@ val drop_clean : unit -> int
 (** Evict every clean cache entry (cold-cache benchmark phases); dirty
     blocks stay. Returns the number of entries dropped. *)
 
+val cache_epoch : unit -> int
+(** A counter bumped by [reset], by a [drop_clean] that dropped
+    anything, and by a [prefetch_blocks] read that failed. While it
+    stands still, every block that was cached or successfully
+    prefetched is still cached. *)
+
 val sync : unit -> (unit, int) result
 (** Write back every dirty block (journal-pinned blocks excepted) and
     issue a device flush. [Error errno] reports a flush failure or a

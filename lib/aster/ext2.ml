@@ -235,11 +235,25 @@ let file_blocks ino =
    sequential — the window doubles (1 -> 32) and that many blocks past
    the demanded range are prefetched as one batch. Any other access
    pattern collapses the window back to 1 (random reads never pay for
-   speculation). The table is forgotten on mkfs/mount. *)
+   speculation). The table is forgotten on mkfs/mount.
+
+   [ra_end] is the first file block past everything this stream's
+   readahead has mapped and submitted, and [ra_epoch] the block cache's
+   epoch when it was set. While the epoch stands still, every block in
+   [next_fb, ra_end) is still cached, so [Block.prefetch_blocks] would
+   filter it out: a sequential step maps and submits only what lies past
+   [ra_end], and the prefetched set is the one a full re-map would give.
+   Linux's on-demand readahead likewise reads only the pages that are
+   not in the page cache. *)
 
 let ra_max_window = 32
 
-type ra_state = { mutable next_fb : int; mutable window : int }
+type ra_state = {
+  mutable next_fb : int;
+  mutable window : int;
+  mutable ra_end : int;
+  mutable ra_epoch : int;
+}
 
 let ra_table : (int, ra_state) Hashtbl.t = Hashtbl.create 64
 
@@ -261,20 +275,41 @@ let readahead ino ~first_fb ~nblocks =
       match Hashtbl.find_opt ra_table ino with
       | Some st -> st
       | None ->
-        let st = { next_fb = 0; window = 1 } in
+        let st = { next_fb = 0; window = 1; ra_end = 0; ra_epoch = 0 } in
         Hashtbl.add ra_table ino st;
         st
     in
     let sequential = first_fb = st.next_fb in
     if sequential then st.window <- min ra_max_window (max 2 (st.window * 2))
-    else st.window <- 1;
-    st.next_fb <- first_fb + nblocks;
+    else begin
+      st.window <- 1;
+      st.ra_end <- 0
+    end;
+    let start = first_fb + nblocks in
+    st.next_fb <- start;
     if sequential && st.window > 1 then begin
       let size = di_read ino di_size in
       let file_nb = (size + block_size - 1) / block_size in
-      let start = first_fb + nblocks in
       let stop = min file_nb (start + st.window) in
-      if stop > start then Block.prefetch_blocks (mapped_range ino ~first:start ~stop)
+      (* The first block of the window not known to be cached. Reading
+         an inode or an indirect block can sleep, and another reader of
+         the stream or a cache drop can run meanwhile, so this is asked
+         again after each piece is mapped. *)
+      let covered () =
+        if st.next_fb = start && st.ra_epoch = Block.cache_epoch () then max start st.ra_end
+        else start
+      in
+      let rec map_down lo blocks =
+        let from = covered () in
+        if from >= lo then blocks else map_down from (mapped_range ino ~first:from ~stop:lo @ blocks)
+      in
+      let blocks = map_down stop [] in
+      let epoch = Block.cache_epoch () in
+      Block.prefetch_blocks blocks;
+      if st.next_fb = start then begin
+        st.ra_end <- stop;
+        st.ra_epoch <- epoch
+      end
     end
   end
 

@@ -13,17 +13,25 @@ let the_net () =
 
 let vm proc = Mm.vmspace (Process.mm proc)
 
-(* Copy [len] bytes in, retrying the whole copy after each fault that
-   demand paging resolves. At the first fault it cannot resolve, the
-   result is what was copied before it; EFAULT if that is nothing. *)
-let rec user_read_upto proc ~vaddr ~len =
-  let buf = Bytes.create len in
+(* Copy [len] bytes in to the front of [buf], retrying the whole copy
+   after each fault that demand paging resolves. Returns the count
+   copied: [len], or the bytes before the first fault it cannot
+   resolve. *)
+let rec user_read_into proc ~vaddr ~buf ~len =
   match Ostd.Vmspace.copy_out (vm proc) ~vaddr ~buf ~pos:0 ~len with
-  | Ok () -> Ok buf
+  | Ok () -> len
   | Error { Ostd.Vmspace.vaddr = fa; write } ->
-    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read_upto proc ~vaddr ~len
-    else if fa > vaddr then Ok (Bytes.sub buf 0 (fa - vaddr))
-    else Error Errno.efault
+    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read_into proc ~vaddr ~buf ~len
+    else fa - vaddr
+
+(* The same copy into a fresh buffer: what was copied, EFAULT if that
+   is nothing. *)
+let user_read_upto proc ~vaddr ~len =
+  let buf = Bytes.create len in
+  match user_read_into proc ~vaddr ~buf ~len with
+  | n when n = len -> Ok buf
+  | 0 -> Error Errno.efault
+  | n -> Ok (Bytes.sub buf 0 n)
 
 let user_read proc ~vaddr ~len =
   match user_read_upto proc ~vaddr ~len with
@@ -50,15 +58,76 @@ let user_read_chunked proc ~vaddr ~len =
   | Ok chunks -> Ok (Bytes.concat Bytes.empty (List.rev chunks))
   | Error e -> Error e
 
-(* Copy the first [len] bytes of [buf] out to user memory. *)
-let rec user_write_sub proc ~vaddr buf ~len =
+(* Copy the first [len] bytes of [buf] out to user memory, retrying
+   after each fault that demand paging resolves. Returns the count
+   copied: [len], or the bytes before the first fault it cannot
+   resolve. *)
+let rec user_write_upto proc ~vaddr buf ~len =
   match Ostd.Vmspace.copy_in (vm proc) ~vaddr ~buf ~pos:0 ~len with
-  | Ok () -> Ok ()
+  | Ok () -> len
   | Error { Ostd.Vmspace.vaddr = fa; write } ->
-    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_write_sub proc ~vaddr buf ~len
-    else Error Errno.efault
+    if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_write_upto proc ~vaddr buf ~len
+    else fa - vaddr
+
+(* The same copy, all or EFAULT. *)
+let user_write_sub proc ~vaddr buf ~len =
+  if user_write_upto proc ~vaddr buf ~len = len then Ok () else Error Errno.efault
 
 let user_write proc ~vaddr buf = user_write_sub proc ~vaddr buf ~len:(Bytes.length buf)
+
+(* --- One reused kernel staging buffer ---
+
+   Regular-file reads and writes of at most [stage_size] bytes copy
+   through this one buffer instead of a fresh [Bytes] per call. A call
+   holds it until it returns, on every exit, a contained
+   [Service_failure] included. A call may sleep inside an fs op (at the
+   jbd commit gate, on a cold block read) while holding it; a call that
+   finds it taken allocates a buffer of its own, so two calls never
+   share it and memory stays at one buffer. 64 KiB is the largest chunk
+   any in-tree app issues (fio, lmbench and lmdd). *)
+let stage_size = 64 * 1024
+
+let stage = Bytes.create stage_size
+
+let stage_busy = ref false
+
+let staging_busy () = !stage_busy
+
+(* Run [f] on a buffer of at least [len <= stage_size] bytes. *)
+let with_stage len f =
+  if !stage_busy then f (Bytes.create len)
+  else begin
+    stage_busy := true;
+    match f stage with
+    | r ->
+      stage_busy := false;
+      r
+    | exception e ->
+      stage_busy := false;
+      raise e
+  end
+
+(* Produce and copy out up to [len] bytes in staging-buffer chunks:
+   [fill buf ~off ~len] puts the next at most [len] bytes, the ones at
+   offset [off] of the whole, at the front of [buf] and says how many.
+   The loop stops at a short chunk, at an error, or at the first fault
+   demand paging cannot resolve, and returns the count copied, or the
+   errno (EFAULT for a fault) when that is nothing. This is how Linux's
+   read_iter_zero, seq_read and getrandom answer a count that nothing
+   bounds. *)
+let chunked_copy_out proc ~vaddr ~len fill =
+  with_stage (Int.min len stage_size) (fun buf ->
+      let rec go copied =
+        let want = Int.min stage_size (len - copied) in
+        match fill buf ~off:copied ~len:want with
+        | Error e -> if copied > 0 then Ok copied else Error e
+        | Ok n ->
+          let c = user_write_upto proc ~vaddr:(vaddr + copied) buf ~len:n in
+          if c = want && copied + c < len then go (copied + c)
+          else if copied + c = 0 && n > 0 then Error Errno.efault
+          else Ok (copied + c)
+      in
+      go 0)
 
 let read_str proc vaddr =
   (* NUL-terminated, capped at a page, copied in 64-byte chunks. A chunk
@@ -161,41 +230,88 @@ let fifo_pipe (inode : Vfs.inode) =
 
 (* --- read/write on each file flavour --- *)
 
-(* Read into a fresh kernel buffer; returns it with the count read. *)
-let do_read_desc (f : File.t) ~len =
-  let nonblock = f.File.flags land File.o_nonblock <> 0 in
-  let got buf = function Ok n -> Ok (buf, n) | Error e -> Error e in
-  match f.File.desc with
-  | File.Inode_file inode -> (
-    let buf = read_buf ~len (file_cap inode ~pos:f.File.pos) in
-    Vfs.touch_atime inode;
-    match inode.Vfs.ops.Vfs.read inode ~pos:f.File.pos ~buf ~boff:0 ~len:(Bytes.length buf) with
+(* Read from [inode] at [pos] into user memory at [vaddr]; [advance]
+   learns how far the file position moves. A count the staging buffer
+   holds is one fs read and one copy. A larger count on a file whose
+   size bounds it is the same into a fresh buffer. A larger count on a
+   file nothing bounds (procfs, /dev/zero) reads in staging-buffer
+   chunks, the later ones at pos > 0, so procfs serves them from the
+   snapshot it took at offset 0. *)
+let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len ~advance =
+  let read buf ~pos ~len = inode.Vfs.ops.Vfs.read inode ~pos ~buf ~boff:0 ~len in
+  let cap = file_cap inode ~pos in
+  let len = Int.min len cap in
+  let whole buf =
+    match read buf ~pos ~len with
+    | Error e -> err e
+    | Ok n -> (
+      advance n;
+      match user_write_sub proc ~vaddr buf ~len:n with
+      | Ok () -> ok n
+      | Error e -> err e)
+  in
+  if len <= stage_size then with_stage len whole
+  else if cap < max_int then whole (Bytes.create len)
+  else
+    match chunked_copy_out proc ~vaddr ~len (fun buf ~off ~len -> read buf ~pos:(pos + off) ~len) with
     | Ok n ->
-      f.File.pos <- f.File.pos + n;
-      Ok (buf, n)
-    | Error e -> Error e)
+      advance n;
+      ok n
+    | Error e -> err e
+
+(* Copy the [n] bytes a read put in [buf] out to user memory. *)
+let copy_read_out proc ~vaddr buf = function
+  | Ok n -> (
+    match user_write_sub proc ~vaddr buf ~len:n with
+    | Ok () -> ok n
+    | Error e -> err e)
+  | Error e -> err e
+
+(* Read up to [len] bytes from [f] into user memory at [vaddr]. *)
+let do_read_desc proc (f : File.t) ~vaddr ~len =
+  let nonblock = f.File.flags land File.o_nonblock <> 0 in
+  match f.File.desc with
+  | File.Inode_file inode ->
+    Vfs.touch_atime inode;
+    read_inode proc inode ~pos:f.File.pos ~vaddr ~len ~advance:(fun n ->
+        f.File.pos <- f.File.pos + n)
   | File.Pipe_read p ->
     let buf = read_buf ~len (Pipe.capacity p) in
-    got buf (Pipe.read ~nonblock p ~buf ~pos:0 ~len:(Bytes.length buf))
-  | File.Pipe_write _ -> Error Errno.ebadf
-  | File.Epoll _ -> Error Errno.einval
+    copy_read_out proc ~vaddr buf (Pipe.read ~nonblock p ~buf ~pos:0 ~len:(Bytes.length buf))
+  | File.Pipe_write _ -> err Errno.ebadf
+  | File.Epoll _ -> err Errno.einval
   | File.Socket s -> (
     match s.File.st with
     | File.S_tcp_conn c ->
       let buf = read_buf ~len (Tcp.rcvbuf_capacity c) in
-      got buf (Tcp.recv ~nonblock c ~buf ~pos:0 ~len:(Bytes.length buf))
+      copy_read_out proc ~vaddr buf (Tcp.recv ~nonblock c ~buf ~pos:0 ~len:(Bytes.length buf))
     | File.S_unix_conn ep ->
       let buf = read_buf ~len (Unix_sock.capacity ep) in
-      got buf (Unix_sock.recv ~nonblock ep ~buf ~pos:0 ~len:(Bytes.length buf))
-    | File.S_udp u -> (
+      copy_read_out proc ~vaddr buf (Unix_sock.recv ~nonblock ep ~buf ~pos:0 ~len:(Bytes.length buf))
+    | File.S_udp u ->
       let buf = read_buf ~len udp_cap in
-      match Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len:(Bytes.length buf) with
-      | Ok (n, _, _) -> Ok (buf, n)
-      | Error e -> Error e)
-    | _ -> Error Errno.enotconn)
+      copy_read_out proc ~vaddr buf
+        (Result.map (fun (n, _, _) -> n) (Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len:(Bytes.length buf)))
+    | _ -> err Errno.enotconn)
+
+(* Copy the [len]-byte source of a regular-file write in and hand
+   [write buf n] the [n] bytes copied, short at the first fault demand
+   paging cannot resolve: through the staging buffer when it holds
+   [len], else through [user_read_chunked]. *)
+let with_user_data proc ~vaddr ~len write =
+  if len <= stage_size then
+    with_stage len (fun buf ->
+        match user_read_into proc ~vaddr ~buf ~len with
+        | 0 when len > 0 -> err Errno.efault
+        | n -> lift (write buf n))
+  else
+    match user_read_chunked proc ~vaddr ~len with
+    | Ok data -> lift (write data (Bytes.length data))
+    | Error e -> err e
 
 (* [?len] lets callers hand over a partially-filled buffer (sendfile's
-   reused bounce buffer) without a [Bytes.sub] copy per chunk. *)
+   reused bounce buffer, the staging buffer) without a [Bytes.sub] copy
+   per chunk. *)
 let do_write_desc ?len proc (f : File.t) data =
   ignore proc;
   let len = match len with Some n -> n | None -> Bytes.length data in
@@ -223,25 +339,22 @@ let sys_read proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
-  | Ok f -> (
-    let len = rw_count args in
-    match do_read_desc f ~len with
-    | Error e -> err e
-    | Ok (buf, n) -> (
-      match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
-      | Ok () -> ok n
-      | Error e -> err e))
+  | Ok f -> do_read_desc proc f ~vaddr:(int_arg args 1) ~len:(rw_count args)
 
 let sys_write proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
-    let len = rw_count args in
+    let len = rw_count args and vaddr = int_arg args 1 in
     Strace.record_size ~nr:N.write ~size:len;
-    match user_read_chunked proc ~vaddr:(int_arg args 1) ~len with
-    | Error e -> err e
-    | Ok data -> lift (do_write_desc proc f data))
+    match f.File.desc with
+    | File.Inode_file _ ->
+      with_user_data proc ~vaddr ~len (fun buf n -> do_write_desc ~len:n proc f buf)
+    | _ -> (
+      match user_read_chunked proc ~vaddr ~len with
+      | Error e -> err e
+      | Ok data -> lift (do_write_desc proc f data)))
 
 let sys_pread proc args =
   match file_of proc args.(0) with
@@ -249,15 +362,9 @@ let sys_pread proc args =
   | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
-    | File.Inode_file inode -> (
-      let off = int_arg args 3 in
-      let buf = read_buf ~len:(rw_count args) (file_cap inode ~pos:off) in
-      match inode.Vfs.ops.Vfs.read inode ~pos:off ~buf ~boff:0 ~len:(Bytes.length buf) with
-      | Error e -> err e
-      | Ok n -> (
-        match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
-        | Ok () -> ok n
-        | Error e -> err e))
+    | File.Inode_file inode ->
+      read_inode proc inode ~pos:(int_arg args 3) ~vaddr:(int_arg args 1) ~len:(rw_count args)
+        ~advance:ignore
     | _ -> err Errno.espipe)
 
 let sys_pwrite proc args =
@@ -266,13 +373,11 @@ let sys_pwrite proc args =
   | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
-    | File.Inode_file inode -> (
+    | File.Inode_file inode ->
       let len = rw_count args and off = int_arg args 3 in
       Strace.record_size ~nr:N.pwrite64 ~size:len;
-      match user_read_chunked proc ~vaddr:(int_arg args 1) ~len with
-      | Error e -> err e
-      | Ok data ->
-        lift (inode.Vfs.ops.Vfs.write inode ~pos:off ~buf:data ~boff:0 ~len:(Bytes.length data)))
+      with_user_data proc ~vaddr:(int_arg args 1) ~len (fun buf n ->
+          inode.Vfs.ops.Vfs.write inode ~pos:off ~buf ~boff:0 ~len:n)
     | _ -> err Errno.espipe)
 
 let iovec_list proc vaddr count =
@@ -1276,15 +1381,20 @@ let sys_time proc args =
     | Error e -> err e
   end
 
+(* One RNG per call fills the chunks in order, so a count the staging
+   buffer holds gets the bytes one fill of the whole count would. *)
 let sys_getrandom proc args =
   let len = int_arg args 1 in
   if invalid_range len 0 then err Errno.einval
   else begin
     let rng = Sim.Rng.create (Sim.Clock.now ()) in
-    let b = Bytes.init len (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
-    match user_write proc ~vaddr:(int_arg args 0) b with
-    | Ok () -> ok len
-    | Error e -> err e
+    let fill buf ~off:_ ~len =
+      for i = 0 to len - 1 do
+        Bytes.set buf i (Char.chr (Sim.Rng.int rng 256))
+      done;
+      Ok len
+    in
+    lift (chunked_copy_out proc ~vaddr:(int_arg args 0) ~len:(Int.min len max_rw_count) fill)
   end
 
 (* --- Readiness syscalls: poll(2) + the epoll family ---
@@ -1723,5 +1833,7 @@ let dispatch proc nr args =
 
 let install () =
   Hashtbl.reset fifo_pipes;
+  (* A task of the last boot may have died asleep holding the buffer. *)
+  stage_busy := false;
   if Hashtbl.length handlers = 0 then register_all ();
   Process.set_syscall_handler dispatch

@@ -10,6 +10,11 @@ val init_net : Netstack.t -> Tcp.engine -> Udp.engine -> unit
 
 val install : unit -> unit
 
+val staging_busy : unit -> bool
+(** Whether a call holds the one kernel staging buffer that regular-file
+    reads and writes of at most 64 KiB, and unbounded reads, copy
+    through. *)
+
 val implemented_count : unit -> int
 val implemented_numbers : unit -> int list
 val is_implemented : int -> bool

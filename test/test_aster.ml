@@ -883,6 +883,60 @@ let test_negative_lengths_einval () =
   check_int "no kernel panic" 0 (Sim.Stats.get "kernel.panic");
   Alcotest.(check (list string)) "fsck clean" [] (Aster.Fsck.check ())
 
+(* Reads whose count nothing about the object bounds: /dev/zero,
+   /dev/null, a procfs file and getrandom, each with a count far past
+   the one mapped page it lands in. Each copies what the page holds and
+   returns that, or the file's length, as Linux does (read_iter_zero,
+   seq_read, getrandom); none sizes a host buffer by the count, which
+   under a 1.5 GB address-space limit raised Out_of_memory out of
+   [Kernel.run]. *)
+let test_unbounded_read_counts () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let answer want name r =
+    if r <> want then wrong := Printf.sprintf "%s = %d, want %d" name r want :: !wrong
+  in
+  let code =
+    run_user (fun c ->
+        let count = 0x7ffff000 in
+        (* One mapped page, with the mapping's unmapped guard gap after it. *)
+        let page = L.mmap c ~len:4096 in
+        let small = L.ualloc c 4096 in
+        let scribble () = (L.raw c).Ostd.User.mem_write page (Bytes.make 4096 'x') in
+        let zeroed name =
+          if not (Bytes.equal (L.get_bytes c page 4096) (Bytes.make 4096 '\000')) then
+            wrong := (name ^ " left the page unzeroed") :: !wrong
+        in
+        let zero = L.openf c "/dev/zero" ~flags:0 ~mode:0 in
+        scribble ();
+        answer 4096 "/dev/zero read" (L.read c ~fd:zero ~vaddr:page ~len:count);
+        zeroed "/dev/zero read";
+        scribble ();
+        answer 4096 "/dev/zero pread64" (L.pread c ~fd:zero ~vaddr:page ~len:count ~off:0);
+        zeroed "/dev/zero pread64";
+        answer 4096 "/dev/zero read count 2^40" (L.read c ~fd:zero ~vaddr:page ~len:(1 lsl 40));
+        ignore (L.close c zero);
+        let null = L.openf c "/dev/null" ~flags:0 ~mode:0 in
+        answer 0 "/dev/null read" (L.read c ~fd:null ~vaddr:page ~len:count);
+        ignore (L.close c null);
+        let fd = L.openf c "/proc/meminfo" ~flags:0 ~mode:0 in
+        let len = L.read c ~fd ~vaddr:small ~len:4096 in
+        ignore (L.close c fd);
+        let fd = L.openf c "/proc/meminfo" ~flags:0 ~mode:0 in
+        answer len "/proc/meminfo read" (L.read c ~fd ~vaddr:page ~len:count);
+        if len <= 0 || not (Bytes.equal (L.get_bytes c page len) (L.get_bytes c small len)) then
+          wrong := "/proc/meminfo bytes differ from a 4 KiB read" :: !wrong;
+        answer 0 "/proc/meminfo read at EOF" (L.read c ~fd ~vaddr:page ~len:count);
+        answer len "/proc/meminfo pread64" (L.pread c ~fd ~vaddr:page ~len:count ~off:0);
+        ignore (L.close c fd);
+        answer 4096 "getrandom count 2^40"
+          (L.syscall c Aster.Syscall_nr.getrandom [| Int64.of_int page; Int64.shift_left 1L 40; 0L |]);
+        0)
+  in
+  Alcotest.(check (list string)) "every unbounded read gets Linux's answer" [] (List.rev !wrong);
+  check_int "exit" 0 code;
+  check_int "no kernel panic" 0 (Sim.Stats.get "kernel.panic")
+
 let test_proc_pid_status () =
   let code =
     run_user (fun c ->
@@ -1017,6 +1071,167 @@ let test_batched_seq_read () =
   (* The doorbell/IRQ economy: far fewer rings than 4 KiB blocks moved
      (128 cold read + 128 writeback). *)
   check "doorbells well under one per block" true (Sim.Stats.get "blk.doorbell" < 128)
+
+(* Readahead maps and submits only the part of its window no earlier
+   readahead of the stream covered, so what it prefetches must be
+   exactly what re-mapping the whole window on every step gives. A
+   256-block /ext2 file is read back by 4 KiB preads from a cold cache,
+   straight through and with the clean cache dropped at the midpoint,
+   and the readahead counters are pinned to the full re-map's. Without
+   the block cache's epoch, the window's blocks the drop evicted would
+   not be prefetched again, and each would be a demand miss. *)
+let scan_blocks = 256
+
+let scan_block b = Bytes.init 4096 (fun i -> Char.chr (((b * 31) + i) land 0xff))
+
+let readahead_counters () =
+  List.map Sim.Stats.get [ "blk.readahead.issued"; "blk.readahead.hit"; "blk.readahead.miss" ]
+
+(* Returns the blocks read back wrong and the counters' growth over the
+   scan. *)
+let cold_pread_scan ?drop_at () =
+  let out = ref (-1, []) in
+  let code =
+    run_user (fun c ->
+        let module L = Apps.Libc in
+        let bs = 4096 in
+        let buf = L.ualloc c bs in
+        let fd = L.openf c "/ext2/scan.dat" ~flags:0o102 ~mode:0o644 in
+        for b = 0 to scan_blocks - 1 do
+          (L.raw c).Ostd.User.mem_write buf (scan_block b);
+          if L.pwrite c ~fd ~vaddr:buf ~len:bs ~off:(b * bs) <> bs then L.exit c 2
+        done;
+        ignore (L.fsync c fd);
+        ignore (Aster.Block.drop_clean ());
+        let before = readahead_counters () in
+        let bad = ref 0 in
+        for b = 0 to scan_blocks - 1 do
+          if drop_at = Some b then ignore (Aster.Block.drop_clean ());
+          let n = L.pread c ~fd ~vaddr:buf ~len:bs ~off:(b * bs) in
+          if n <> bs || not (Bytes.equal (L.get_bytes c buf bs) (scan_block b)) then incr bad
+        done;
+        out := (!bad, List.map2 ( - ) (readahead_counters ()) before);
+        ignore (L.close c fd);
+        0)
+  in
+  check_int "exit code" 0 code;
+  !out
+
+let test_readahead_prefetch_set () =
+  let bad, counts = cold_pread_scan () in
+  check_int "every block read back" 0 bad;
+  Alcotest.(check (list int)) "issued, hit, miss: straight scan" [ 255; 255; 1 ] counts;
+  let bad, counts = cold_pread_scan ~drop_at:(scan_blocks / 2) () in
+  check_int "every block read back after the drop" 0 bad;
+  Alcotest.(check (list int)) "issued, hit, miss: drop at the midpoint" [ 286; 254; 2 ] counts
+
+(* The kernel staging buffer is never shared. Two writers each write,
+   then read back, their own patterned 4 KiB records in their own /ext2
+   files, while a third process commits the journal and drops the clean
+   cache in a loop: a writer sleeps at the commit gate, or on a cold
+   block read, holding the buffer, and the other writer's call must
+   then copy through a buffer of its own. *)
+let test_staging_buffer_exclusive () =
+  ignore (boot ());
+  let module L = Apps.Libc in
+  let bs = 4096 and records = 48 in
+  let record w r = Bytes.init bs (fun i -> Char.chr (((w * 97) + (r * 31) + i) land 0xff)) in
+  let bad = Array.make 2 (-1) in
+  let finished = ref 0 in
+  let held = ref false in
+  let writer w uapi =
+    let c = L.make uapi in
+    let buf = L.ualloc c bs in
+    let fd = L.openf c (Printf.sprintf "/ext2/stage%d.dat" w) ~flags:0o102 ~mode:0o644 in
+    let errs = ref 0 in
+    (* Cached file I/O never sleeps on its own, so each record yields
+       to let the committer in. *)
+    for r = 0 to records - 1 do
+      (L.raw c).Ostd.User.mem_write buf (record w r);
+      if L.pwrite c ~fd ~vaddr:buf ~len:bs ~off:(r * bs) <> bs then incr errs;
+      ignore (L.sched_yield c)
+    done;
+    for r = 0 to records - 1 do
+      let n = L.pread c ~fd ~vaddr:buf ~len:bs ~off:(r * bs) in
+      if n <> bs || not (Bytes.equal (L.get_bytes c buf bs) (record w r)) then incr errs;
+      ignore (L.sched_yield c)
+    done;
+    ignore (L.close c fd);
+    bad.(w) <- !errs;
+    incr finished;
+    0
+  in
+  let committer uapi =
+    let c = L.make uapi in
+    let fd = L.openf c "/ext2/stage-sync.dat" ~flags:0o102 ~mode:0o644 in
+    let rounds = ref 0 in
+    while !finished < 2 && !rounds < 10_000 do
+      ignore (L.fsync c fd);
+      (* Back from a commit: a writer that slept through it holds the
+         buffer now. *)
+      held := !held || Aster.Syscalls.staging_busy ();
+      ignore (Aster.Block.drop_clean ());
+      incr rounds
+    done;
+    ignore (L.close c fd);
+    0
+  in
+  List.iteri
+    (fun i body -> ignore (Aster.Process.spawn_kernel_style ~name:(Printf.sprintf "stage%d" i) body))
+    [ writer 0; writer 1; committer ];
+  Aster.Kernel.run ();
+  check "both writers finished" true (!finished = 2);
+  check "a writer slept holding the staging buffer" true !held;
+  check_int "writer 0: every record read back" 0 bad.(0);
+  check_int "writer 1: every record read back" 0 bad.(1);
+  check "nothing holds the staging buffer at the end" false (Aster.Syscalls.staging_busy ())
+
+(* A contained EIO inside the fs read releases the staging buffer: the
+   cold pread fails with -EIO, and once the fault clears, reads and
+   writes through the buffer return the right bytes. *)
+let test_staging_buffer_eio () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let code =
+    run_user (fun c ->
+        let bs = 4096 in
+        let buf = L.ualloc c bs in
+        let fd = L.openf c "/ext2/stage-eio.dat" ~flags:0o102 ~mode:0o644 in
+        let put r off =
+          (L.raw c).Ostd.User.mem_write buf (scan_block r);
+          if L.pwrite c ~fd ~vaddr:buf ~len:bs ~off <> bs then
+            wrong := Printf.sprintf "pwrite of record %d" r :: !wrong
+        in
+        let get name r off =
+          let n = L.pread c ~fd ~vaddr:buf ~len:bs ~off in
+          if n <> bs || not (Bytes.equal (L.get_bytes c buf bs) (scan_block r)) then
+            wrong := Printf.sprintf "%s: pread of record %d = %d" name r n :: !wrong
+        in
+        for r = 0 to 3 do
+          put r (r * bs)
+        done;
+        ignore (L.fsync c fd);
+        ignore (Aster.Block.drop_clean ());
+        Sim.Fault.configure ~seed:5L [ ("blk.io_error", 1.0) ];
+        let r = L.pread c ~fd ~vaddr:buf ~len:bs ~off:0 in
+        Sim.Fault.disable ();
+        if r <> -Aster.Errno.eio then wrong := Printf.sprintf "cold pread = %d" r :: !wrong;
+        if Aster.Syscalls.staging_busy () then wrong := "EIO left the buffer held" :: !wrong;
+        for r = 0 to 3 do
+          get "after the fault" r (r * bs)
+        done;
+        put 9 (4 * bs);
+        get "rewritten" 9 (4 * bs);
+        ignore (L.lseek c ~fd ~off:(4 * bs) ~whence:0);
+        let n = L.read c ~fd ~vaddr:buf ~len:bs in
+        if n <> bs || not (Bytes.equal (L.get_bytes c buf bs) (scan_block 9)) then
+          wrong := Printf.sprintf "read after the fault = %d" n :: !wrong;
+        ignore (L.close c fd);
+        0)
+  in
+  Alcotest.(check (list string)) "EIO contained, buffer released" [] (List.rev !wrong);
+  check_int "exit" 0 code;
+  check "the fault fired" true (Sim.Stats.get "fault.injected.blk.io_error" > 0)
 
 let test_unbatched_profile_parity () =
   (* Same workload with batching+readahead off: identical bytes, no
@@ -1212,10 +1427,14 @@ let () =
         [
           Alcotest.test_case "proc_pid_status" `Quick test_proc_pid_status;
           Alcotest.test_case "negative_lengths_einval" `Quick test_negative_lengths_einval;
+          Alcotest.test_case "unbounded_read_counts" `Quick test_unbounded_read_counts;
           Alcotest.test_case "cfs_nice_weights" `Quick test_cfs_nice_weights;
           Alcotest.test_case "writeback_throttle" `Quick test_block_writeback_throttling;
           Alcotest.test_case "fsync_scope" `Quick test_fsync_only_flushes_that_file;
           Alcotest.test_case "batched_seq_read" `Quick test_batched_seq_read;
+          Alcotest.test_case "readahead_prefetch_set" `Quick test_readahead_prefetch_set;
+          Alcotest.test_case "staging_buffer_exclusive" `Quick test_staging_buffer_exclusive;
+          Alcotest.test_case "staging_buffer_eio" `Quick test_staging_buffer_eio;
           Alcotest.test_case "unbatched_parity" `Quick test_unbatched_profile_parity;
           Alcotest.test_case "span_bio_conservation" `Quick test_span_bio_conservation;
           Alcotest.test_case "span_bio_conservation_eio" `Quick
