@@ -36,6 +36,13 @@ type result = {
 
 let results : result list ref = ref []
 
+(* The smoke's gates, newest first: each one's name, whether it passed
+   and, for a gate comparing a measured number against a threshold, the
+   number and the threshold. *)
+let gates : (string * bool * (float * float) option) list ref = ref []
+
+let smoke_failed = ref false
+
 let add_result ?linux ?aster ?norm ?percentiles ?cpu ?spans ~unit_ benchmark =
   results := { benchmark; unit_; linux; aster; norm; percentiles; cpu; spans } :: !results
 
@@ -79,9 +86,9 @@ let syscall_pctls () =
       }
   | Some _ | None -> None
 
-let json_float f =
+let json_float ?(digits = 6) f =
   if Float.is_nan f || f = infinity || f = neg_infinity then "null"
-  else Printf.sprintf "%.6g" f
+  else Printf.sprintf "%.*g" digits f
 
 let json_opt_float = function None -> "null" | Some f -> json_float f
 
@@ -122,15 +129,27 @@ let json_of_result r =
     (Sim.Span.json_escape r.benchmark) (Sim.Span.json_escape r.unit_) (json_opt_float r.linux)
     (json_opt_float r.aster) (json_opt_float r.norm) pj cj sj
 
+let json_of_gate (name, passed, measured) =
+  Printf.sprintf {|    {"name": "%s", "passed": %b%s}|} (Sim.Span.json_escape name) passed
+    (match measured with
+    | None -> ""
+    | Some (v, t) ->
+      Printf.sprintf {|, "value": %s, "threshold": %s|} (json_float ~digits:10 v)
+        (json_float ~digits:10 t))
+
 let write_json ~path ~targets =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n  \"schema\": \"asterinas-sim-bench/3\",\n  \"quick\": %b,\n  \"targets\": [%s],\n  \"results\": [\n%s\n  ]\n}\n"
+    "{\n  \"schema\": \"asterinas-sim-bench/3\",\n  \"quick\": %b,\n  \"targets\": [%s],\n  \"results\": [\n%s\n  ]%s\n}\n"
     !quick
     (String.concat ", " (List.map (fun t -> "\"" ^ Sim.Span.json_escape t ^ "\"") targets))
-    (String.concat ",\n" (List.rev_map json_of_result !results));
+    (String.concat ",\n" (List.rev_map json_of_result !results))
+    (if !gates = [] then ""
+     else ",\n  \"gates\": [\n" ^ String.concat ",\n" (List.rev_map json_of_gate !gates) ^ "\n  ]");
   close_out oc;
-  Printf.printf "\nwrote %d benchmark results to %s\n" (List.length !results) path
+  Printf.printf "\nwrote %d benchmark results%s to %s\n" (List.length !results)
+    (if !gates = [] then "" else Printf.sprintf " and %d gates" (List.length !gates))
+    path
 
 (* --- Paper reference values --- *)
 
@@ -971,39 +990,55 @@ let smoke () =
     "cold read %.0f -> %.0f MB/s (%.2fx); doorbells/MB %.0f -> %.0f; irqs/MB %.0f -> %.0f; merged %d; ra hits %d\n"
     none.Apps.Fio.read_cold_mb_s full.Apps.Fio.read_cold_mb_s speedup ndb fdb nirq firq merged
     hit;
-  let fail = ref false in
-  let expect name ok = if not ok then begin fail := true; Printf.printf "FAIL: %s\n" name end in
-  expect "batching+readahead speeds cold sequential read by >=1.2x" (speedup >= 1.2);
-  expect "batching merges bios" (merged > 0);
-  expect "readahead window produces demand hits" (hit > 0);
-  expect "batching cuts doorbells per MB" (fdb < ndb);
-  expect "batching cuts completion IRQs per MB" (firq < nirq);
+  let expect ?value ?threshold name ok =
+    let measured = match (value, threshold) with Some v, Some t -> Some (v, t) | _ -> None in
+    gates := (name, ok, measured) :: !gates;
+    if not ok then begin
+      smoke_failed := true;
+      Printf.printf "FAIL: %s\n" name
+    end
+  in
+  let count = float_of_int in
+  expect ~value:speedup ~threshold:1.2 "batching+readahead speeds cold sequential read by >=1.2x"
+    (speedup >= 1.2);
+  expect ~value:(count merged) ~threshold:0. "batching merges bios" (merged > 0);
+  expect ~value:(count hit) ~threshold:0. "readahead window produces demand hits" (hit > 0);
+  expect ~value:fdb ~threshold:ndb "batching cuts doorbells per MB" (fdb < ndb);
+  expect ~value:firq ~threshold:nirq "batching cuts completion IRQs per MB" (firq < nirq);
   (* Host words allocated per MiB by a repeated fio run, boot included.
      The count is deterministic once the first run above has warmed the
-     process up. This code measures 1,165,865: file reads and writes
-     copy through one reused kernel staging buffer, and readahead maps
-     each block once. A fresh kernel buffer per call and a full window
-     re-map per read measured 1,607,583. One staging copy per block I/O
-     measured 333,787 words/MiB more than the code it was added to, so
-     the bound sits 5% above the measurement, where such a copy fails
-     it. *)
+     process up. [Gc.counters] counts the minor heap only up to the last
+     minor collection, so each reading first empties it: unflushed, the
+     count moved by up to a minor heap's worth of words whenever a
+     change shifted when collections fell. This code measures
+     1,164,276: probe programs are compiled at load and tracepoint
+     sites fill a preallocated buffer. The parent measured 1,180,275.
+     A fresh kernel buffer per file read or write and a full readahead
+     window re-map per read measured 1,607,583 (unflushed). One staging
+     copy per block I/O measured 333,787 words/MiB more than the code
+     it was added to, so the bound sits 5% above the measurement, where
+     such a copy fails it. *)
   let allocated () =
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
   let w0 = allocated () in
   ignore (fio_stats_run ~mbytes base);
   let per_mib = (allocated () -. w0) /. float_of_int mbytes in
-  let bound = 1_224_200. in
+  let bound = 1_222_490. in
   Printf.printf "block-path host allocation: %.0f words/MiB (bound %.0f)\n" per_mib bound;
-  expect "block-path host allocation stays within its bound" (per_mib <= bound);
+  expect ~value:per_mib ~threshold:bound "block-path host allocation stays within its bound"
+    (per_mib <= bound);
   (* Minor-heap words per 4 KiB pread in a cold sequential scan of a
      256-block /ext2 file, counted around each call with the harness's
      kprof and kspan on, the scan run once unmeasured first so the count
      is exact. Readahead maps only the part of its window no earlier
-     step covered, and this code measures 1,847. Re-mapping the whole
-     32-block window on every pread measured 3,850. The bound sits 5%
-     above the measurement. *)
+     step covered, and this code measures 1,677; the parent, which
+     built a thunk per tracepoint site and closed every span through
+     the overlap sweep, measured 1,847. Re-mapping the whole 32-block
+     window on every pread measured 3,850. The bound sits 5% above the
+     measurement. *)
   let scan_blocks = 256 in
   let pread_scan_words () =
     ignore (Apps.Runner.boot ~profile:base);
@@ -1028,9 +1063,10 @@ let smoke () =
   in
   ignore (pread_scan_words ());
   let per_pread = pread_scan_words () in
-  let bound = 1_940. in
+  let bound = 1_761. in
   Printf.printf "pread-path host allocation: %.0f minor words/pread (bound %.0f)\n" per_pread bound;
-  expect "pread-path host allocation stays within its bound" (per_pread <= bound);
+  expect ~value:per_pread ~threshold:bound "pread-path host allocation stays within its bound"
+    (per_pread <= bound);
   print_endline "bench smoke: observability planes' host allocation";
   (* Host words per request that ktrace (every category), kprof and
      kspan (auto) add to a mini_redis GET run: the run with the planes
@@ -1039,7 +1075,10 @@ let smoke () =
      minor heap only: once warm the planes allocate only small blocks,
      and the minor count is exact, while the major count moves with GC
      timing, so the kernel's large buffers would not cancel out
-     between the two runs. This code measures 2,286; formatting each
+     between the two runs. This code measures 1,537: kspan closes a
+     span whose segments are back to back in one pass, and tracepoint
+     sites fill a preallocated buffer. The parent, which swept every
+     span and built a thunk per site, measured 2,286; formatting each
      ktrace record when it is emitted, with kprof and kspan boxing
      their cycle counts, measured 12,023. The bound sits 5% above the
      measurement. *)
@@ -1069,19 +1108,23 @@ let smoke () =
   (* Back to the harness's planes: kprof and kspan on, ktrace off. *)
   set_planes true;
   Sim.Trace.reset ();
-  let bound = 2_401. in
+  let bound = 1_614. in
   Printf.printf "observability host allocation: %.0f words/request (bound %.0f)\n" per_req bound;
-  expect "observability host allocation stays within its bound" (per_req <= bound);
+  expect ~value:per_req ~threshold:bound "observability host allocation stays within its bound"
+    (per_req <= bound);
   print_endline "bench smoke: watchdogs' host allocation";
   (* Host words per request that the three always-on boot watchdogs
      add to a mini_nginx f4k run with 32 ab clients, so 33 tasks: the
      run as booted minus the same run with every probe detached
      ([Kprobe.Registry.reset]), minor heap only, each variant run once
-     unmeasured first. The hung-task context is read off the head of
-     the Ready list, and this code measures 623 words/request. A fold
-     over every task at each sched_switch and sched_wakeup, boxing an
-     Int64 per task, measured 1,506. The bound sits 5% above the
-     measurement. *)
+     unmeasured first. Each program is compiled at load, its sites
+     fill a preallocated context buffer, and the hung-task context is
+     read off the head of the Ready list: this code measures 112
+     words/request. The parent, which interpreted every fire with a
+     fresh register array and built a field array per fire, measured
+     623. A fold over every task at each sched_switch and sched_wakeup,
+     boxing an Int64 per task, measured 1,506. The bound sits 5% above
+     the measurement. *)
   let wd_requests = 400 in
   let nginx_words watchdogs =
     ignore (nginx_rps ~watchdogs base "f4k" wd_requests);
@@ -1090,9 +1133,10 @@ let smoke () =
     Gc.minor_words () -. w0
   in
   let per_req = (nginx_words true -. nginx_words false) /. float_of_int wd_requests in
-  let bound = 654. in
+  let bound = 118. in
   Printf.printf "watchdog host allocation: %.0f words/request (bound %.0f)\n" per_req bound;
-  expect "watchdog host allocation stays within its bound" (per_req <= bound);
+  expect ~value:per_req ~threshold:bound "watchdog host allocation stays within its bound"
+    (per_req <= bound);
   print_endline "bench smoke: batched network pipeline sanity";
   (* The offloads stay on in both variants (they are the only path), so
      a 64 KiB write is one TSO super-segment either way. *)
@@ -1104,18 +1148,22 @@ let smoke () =
   Printf.printf
     "bw_tcp %.0f -> %.0f MB/s (%.2fx); doorbells/MB %.0f -> %.0f; irqs/MB %.0f -> %.0f; bursts %d\n"
     nnone nfull (nfull /. nnone) nndb nfdb nnirq nfirq bursts;
-  expect "TX batching speeds bw_tcp by >=1.2x" (nfull >= 1.2 *. nnone);
-  expect "TX bursts were submitted" (bursts > 0);
+  expect ~value:nfull ~threshold:(1.2 *. nnone) "TX batching speeds bw_tcp by >=1.2x"
+    (nfull >= 1.2 *. nnone);
+  expect ~value:(count bursts) ~threshold:0. "TX bursts were submitted" (bursts > 0);
   (* With TSO a 64 KiB write is already one descriptor, so the plug
      has little left to fold: the doorbell economy is a wash (ACK-paced
      refills go out as small bursts) and the win is coalesced IRQs. *)
-  expect "coalescing cuts net completion IRQs per MB >=5x" (5. *. nfirq <= nnirq);
-  expect "batching+coalescing cuts net doorbells+IRQs per MB" (nfdb +. nfirq < nndb +. nnirq);
+  expect ~value:nfirq ~threshold:(nnirq /. 5.) "coalescing cuts net completion IRQs per MB >=5x"
+    (5. *. nfirq <= nnirq);
+  expect ~value:(nfdb +. nfirq) ~threshold:(nndb +. nnirq)
+    "batching+coalescing cuts net doorbells+IRQs per MB" (nfdb +. nfirq < nndb +. nnirq);
   let lat = Apps.Lmbench.find "lat_tcp (virtio)" in
   let lat_on = lat.Apps.Lmbench.run base in
   let lat_off = lat.Apps.Lmbench.run { base with net_tx_batching = false } in
   Printf.printf "lat_tcp batching on %.2f us vs off %.2f us\n" lat_on lat_off;
-  expect "TX batching does not tax single-segment latency (>5%)" (lat_on <= lat_off *. 1.05);
+  expect ~value:lat_on ~threshold:(lat_off *. 1.05)
+    "TX batching does not tax single-segment latency (>5%)" (lat_on <= lat_off *. 1.05);
   print_endline "bench smoke: segmentation offload + zero-copy pipeline sanity";
   (* The offloads have no off switch, so each gate measures the
      mechanism against the wire it serves: MSS frames per MB is what a
@@ -1124,7 +1172,10 @@ let smoke () =
   Printf.printf "bw_tcp TSO: %d descriptors became %d wire frames\n" descs (descs + split_frames);
   (* Once the window fills, each ACK refills ~2 MSS, so the average
      descriptor is only a few frames (no TSO deferral is modelled). *)
-  expect "TSO: the device emits >=2x more wire frames than the guest queued descriptors"
+  expect
+    ~value:(count (descs + split_frames))
+    ~threshold:(count (2 * descs))
+    "TSO: the device emits >=2x more wire frames than the guest queued descriptors"
     (descs + split_frames >= 2 * descs);
   let rx_mb_s = Apps.Lmbench.bw_tcp_rx_virtio ~msg:65536 base in
   let rx_calls = float_of_int (Sim.Stats.get "tcp.rx_calls") /. 4.0 in
@@ -1132,8 +1183,9 @@ let smoke () =
   Printf.printf
     "bw_tcp_rx (host->guest): %.0f MB/s, charge_rx %.0f/MB vs %.0f wire frames/MB, gro_merged %d\n"
     rx_mb_s rx_calls wire_frames_per_mb merged;
-  expect "GRO merges RX segments" (merged > 0);
-  expect "GRO cuts stack charge_rx invocations per MB >=5x below wire frames"
+  expect ~value:(count merged) ~threshold:0. "GRO merges RX segments" (merged > 0);
+  expect ~value:rx_calls ~threshold:(wire_frames_per_mb /. 5.)
+    "GRO cuts stack charge_rx invocations per MB >=5x below wire frames"
     (5. *. rx_calls <= wire_frames_per_mb);
   let nginx_copied p n =
     let rps = nginx_rps p "f64k" n in
@@ -1147,8 +1199,10 @@ let smoke () =
   Printf.printf
     "nginx f64k: aster %.0f vs linux %.0f req/s (norm %.3f); sendfile copies %.0f -> %.0f bytes/MB\n"
     ast_rps lin_rps (ast_rps /. lin_rps) bounce_copied zc_copied;
-  expect "zero-copy+GSO lift nginx_f64k to parity (norm >= 1.0)" (ast_rps >= lin_rps);
-  expect "zero-copy sendfile cuts bytes-copied/MB >=2x" (2. *. zc_copied <= bounce_copied);
+  expect ~value:ast_rps ~threshold:lin_rps "zero-copy+GSO lift nginx_f64k to parity (norm >= 1.0)"
+    (ast_rps >= lin_rps);
+  expect ~value:zc_copied ~threshold:(bounce_copied /. 2.)
+    "zero-copy sendfile cuts bytes-copied/MB >=2x" (2. *. zc_copied <= bounce_copied);
   print_endline "bench smoke: crash-consistency plane cost";
   (* [full] above already runs with the journal on (the default
      profile); only the cold-read path is gated — journaling is a
@@ -1157,13 +1211,16 @@ let smoke () =
   Printf.printf "fio_seq cold read: journal on %.0f MB/s vs off %.0f MB/s (%.2fx)\n"
     full.Apps.Fio.read_cold_mb_s nojournal.Apps.Fio.read_cold_mb_s
     (full.Apps.Fio.read_cold_mb_s /. nojournal.Apps.Fio.read_cold_mb_s);
-  expect "journaling costs <=15% on the fio_seq cold-read path"
+  expect ~value:full.Apps.Fio.read_cold_mb_s
+    ~threshold:(0.85 *. nojournal.Apps.Fio.read_cold_mb_s)
+    "journaling costs <=15% on the fio_seq cold-read path"
     (full.Apps.Fio.read_cold_mb_s >= 0.85 *. nojournal.Apps.Fio.read_cold_mb_s);
   let fmb, ffs, fcommits, _, ffua = fio_fsync_run ~mbytes:1 base in
   Printf.printf "fio fsync-per-write: %.1f MB/s, %d fsyncs -> %d commits, %d FUA records\n"
     fmb ffs fcommits ffua;
-  expect "fsync-heavy run commits once per fsync" (ffs > 0 && fcommits >= ffs);
-  expect "commit records are written FUA" (ffua > 0);
+  expect ~value:(count fcommits) ~threshold:(count ffs) "fsync-heavy run commits once per fsync"
+    (ffs > 0 && fcommits >= ffs);
+  expect ~value:(count ffua) ~threshold:0. "commit records are written FUA" (ffua > 0);
   print_endline "bench smoke: probe plane cost (must be exactly zero)";
   (* The probe VM charges no virtual cycles, so a run with the always-on
      watchdogs (the default boot), a run with every probe detached, and
@@ -1215,7 +1272,8 @@ let smoke () =
   expect "attached probes cost zero on fio_seq (virtual end time)"
     (Int64.equal t_watchdogs t_attached);
   expect "attached probes cost zero on fio_seq (MB/s)" (fio_equal watchdogs attached);
-  expect "attached blk.lat probe observed the run" (blk_lat_count > 0);
+  expect ~value:(count blk_lat_count) ~threshold:0. "attached blk.lat probe observed the run"
+    (blk_lat_count > 0);
   let bw_default, _, _, _, _ = bw_tcp_stats_run base in
   Aster.Kernel.boot_probes := List.filter_map Kprobe.Templates.by_name [ "net.bytes" ];
   let bw_probed, _, _, _, _ = bw_tcp_stats_run base in
@@ -1255,8 +1313,9 @@ let smoke () =
   expect "span-off bw_tcp byte-identical to span-on baseline (MB/s)" (bw_off = bw_default);
   expect "span-on adds zero virtual cycles to bw_tcp (same end cycle)"
     (Int64.equal t_bw_off t_bw_on);
-  expect "span plane observed the fio run" (fio_spans > 0);
-  expect "span critical path attributes >=95% of tail wall time" (fio_residual < 0.05);
+  expect ~value:(count fio_spans) ~threshold:0. "span plane observed the fio run" (fio_spans > 0);
+  expect ~value:fio_residual ~threshold:0.05 "span critical path attributes >=95% of tail wall time"
+    (fio_residual < 0.05);
   print_endline "bench smoke: epoll readiness at connection scale";
   (* O(ready), not O(fds): quadrupling the idle pool must leave both
      the per-wait sweep and the echo tail flat. The 10k row is the
@@ -1267,11 +1326,15 @@ let smoke () =
     "c10k: 2500 conns p99 %.1f us scan/wait %.2f | 10000 conns p99 %.1f us scan/wait %.2f (%d pings, %d churned)\n"
     small.Apps.C10k.p99_us small.Apps.C10k.scan_per_wait big.Apps.C10k.p99_us
     big.Apps.C10k.scan_per_wait big.Apps.C10k.pings big.Apps.C10k.churned;
-  expect "c10k holds >=10k mostly-idle connections through churn"
+  expect ~value:(count big.Apps.C10k.conns) ~threshold:10000.
+    "c10k holds >=10k mostly-idle connections through churn"
     (big.Apps.C10k.conns >= 10000 && big.Apps.C10k.pings > 0 && big.Apps.C10k.churned > 0);
-  expect "epoll_wait sweep is O(ready): scan/wait flat as idle pool grows 4x"
+  expect ~value:big.Apps.C10k.scan_per_wait
+    ~threshold:(2. *. small.Apps.C10k.scan_per_wait)
+    "epoll_wait sweep is O(ready): scan/wait flat as idle pool grows 4x"
     (big.Apps.C10k.scan_per_wait <= 2. *. small.Apps.C10k.scan_per_wait);
-  expect "p99 wakeup latency independent of idle-connection count"
+  expect ~value:big.Apps.C10k.p99_us ~threshold:(1.5 *. small.Apps.C10k.p99_us)
+    "p99 wakeup latency independent of idle-connection count"
     (big.Apps.C10k.p99_us <= 1.5 *. small.Apps.C10k.p99_us);
   print_endline "bench smoke: event-loop servers vs the committed rows";
   (* The servers must hold the fig5a/redis rows of the committed
@@ -1286,10 +1349,12 @@ let smoke () =
   let redis = redis_rps base "GET" 800 and redis_row = row "redis/GET" in
   Printf.printf "nginx f4k: %.0f vs committed %.0f req/s | redis GET: %.0f vs committed %.0f req/s\n"
     nginx nginx_row redis redis_row;
-  expect "epoll nginx holds the committed fig5a/nginx_f4k row (>=0.95x)"
-    (nginx >= 0.95 *. nginx_row);
-  expect "epoll redis holds the committed redis/GET row (>=0.95x)" (redis >= 0.95 *. redis_row);
-  if !fail then exit 1 else print_endline "bench smoke: OK"
+  expect ~value:nginx ~threshold:(0.95 *. nginx_row)
+    "epoll nginx holds the committed fig5a/nginx_f4k row (>=0.95x)" (nginx >= 0.95 *. nginx_row);
+  expect ~value:redis ~threshold:(0.95 *. redis_row)
+    "epoll redis holds the committed redis/GET row (>=0.95x)" (redis >= 0.95 *. redis_row);
+  (* A failing gate exits 1 once the results file is written. *)
+  if not !smoke_failed then print_endline "bench smoke: OK"
 
 (* --- Regression gate: bench --compare BASELINE.json --- *)
 
@@ -1426,4 +1491,5 @@ let () =
   (* Regression gate last, after the JSON is safely on disk: exits
      non-zero when any row's aster value is >10% worse than the
      baseline's. *)
-  match !baseline with None -> () | Some path -> compare_with_baseline path
+  (match !baseline with None -> () | Some path -> compare_with_baseline path);
+  if !smoke_failed then exit 1

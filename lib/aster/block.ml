@@ -190,16 +190,24 @@ let tp_batch_split = batch_point "batch_split"
 let op_code = function Read -> 0L | Write | Write_fua -> 1L | Flush -> 2L
 
 let fire_issue bio =
-  Sim.Trace.fire Sim.Trace.P_blk_issue (fun () ->
-      [| Int64.of_int bio.sector; Int64.of_int bio.len; op_code bio.op |])
+  if Sim.Trace.armed Sim.Trace.P_blk_issue then begin
+    let c = Sim.Trace.ctx Sim.Trace.P_blk_issue in
+    c.{0} <- Int64.of_int bio.sector;
+    c.{1} <- Int64.of_int bio.len;
+    c.{2} <- op_code bio.op;
+    Sim.Trace.run Sim.Trace.P_blk_issue
+  end
 
 let fire_complete bio ~t0 ~status =
-  Sim.Trace.fire Sim.Trace.P_blk_complete (fun () ->
-      [|
-        Int64.of_int bio.sector; Int64.of_int bio.len; op_code bio.op;
-        Int64.of_float (Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) *. 1000.);
-        Int64.of_int status;
-      |])
+  if Sim.Trace.armed Sim.Trace.P_blk_complete then begin
+    let c = Sim.Trace.ctx Sim.Trace.P_blk_complete in
+    c.{0} <- Int64.of_int bio.sector;
+    c.{1} <- Int64.of_int bio.len;
+    c.{2} <- op_code bio.op;
+    c.{3} <- Sim.Clock.to_ns (Int64.sub (Sim.Clock.now ()) t0);
+    c.{4} <- Int64.of_int status;
+    Sim.Trace.run Sim.Trace.P_blk_complete
+  end
 
 let submit_and_wait bio =
   let (module D) = the_driver () in

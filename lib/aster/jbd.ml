@@ -319,7 +319,12 @@ let commit_chunk chunk =
   Sim.Span.mark "jbd.commit" span_t0;
   incr commit_seq;
   Sim.Trace.emit3 tp_commit !seq n desc_slot;
-  Sim.Trace.fire Sim.Trace.P_jbd_commit (fun () -> [| Int64.of_int !seq; Int64.of_int n |]);
+  if Sim.Trace.armed Sim.Trace.P_jbd_commit then begin
+    let c = Sim.Trace.ctx Sim.Trace.P_jbd_commit in
+    c.{0} <- Int64.of_int !seq;
+    c.{1} <- Int64.of_int n;
+    Sim.Trace.run Sim.Trace.P_jbd_commit
+  end;
   seq := !seq + 1;
   next_slot := commit_slot + 1
 

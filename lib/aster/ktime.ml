@@ -1,8 +1,6 @@
 let boot_epoch_seconds = 1_750_000_000.0
 
-let monotonic_ns () =
-  let cycles = Sim.Clock.now () in
-  Int64.of_float (Sim.Clock.to_us cycles *. 1000.)
+let monotonic_ns () = Sim.Clock.to_ns (Sim.Clock.now ())
 
 let realtime_ns () =
   Int64.add (Int64.of_float (boot_epoch_seconds *. 1e9)) (monotonic_ns ())

@@ -91,10 +91,17 @@ let burst_bytes ps = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.
 let emit_burst tp ps =
   if Sim.Trace.on tp then Sim.Trace.emit2 tp (List.length ps) (burst_bytes ps)
 
-(* Probe ctx thunks: [| bytes; nseg |] for one packet or a burst. *)
-let packet_ctx (p : Packet.t) () = [| Int64.of_int (Bytes.length p.Packet.payload); 1L |]
+(* Probe ctx (bytes, nseg) for one packet or a burst. *)
+let fire ap bytes nseg =
+  let c = Sim.Trace.ctx ap in
+  c.{0} <- Int64.of_int bytes;
+  c.{1} <- Int64.of_int nseg;
+  Sim.Trace.run ap
 
-let burst_ctx ps () = [| Int64.of_int (burst_bytes ps); Int64.of_int (List.length ps) |]
+let fire_packet ap (p : Packet.t) =
+  if Sim.Trace.armed ap then fire ap (Bytes.length p.Packet.payload) 1
+
+let fire_burst ap ps = if Sim.Trace.armed ap then fire ap (burst_bytes ps) (List.length ps)
 
 let dispatch_proto t (p : Packet.t) =
   t.nrx <- t.nrx + 1;
@@ -106,7 +113,7 @@ let dispatch_proto t (p : Packet.t) =
 let dispatch t (p : Packet.t) =
   Sim.Prof.scope "net" (fun () ->
       emit_packet tp_rx p;
-      Sim.Trace.fire Sim.Trace.P_net_rx (packet_ctx p);
+      fire_packet Sim.Trace.P_net_rx p;
       dispatch_proto t p)
 
 let rx t p = dispatch t p
@@ -117,7 +124,7 @@ let rx_many t ps =
   if ps <> [] then
     Sim.Prof.scope "net" (fun () ->
         emit_burst tp_rx_burst ps;
-        Sim.Trace.fire Sim.Trace.P_net_rx (burst_ctx ps);
+        fire_burst Sim.Trace.P_net_rx ps;
         List.iter (dispatch_proto t) ps)
 
 let batching_on t =
@@ -145,7 +152,7 @@ let flush t =
     Sim.Prof.scope "net" (fun () ->
         Sim.Stats.incr "net.burst";
         emit_burst tp_tx_burst ps;
-        Sim.Trace.fire Sim.Trace.P_net_tx (burst_ctx ps);
+        fire_burst Sim.Trace.P_net_tx ps;
         match t.ext_tx_many with
         | Some f -> f ps
         | None -> List.iter t.ext_tx ps)
@@ -164,7 +171,7 @@ let send t p =
       let dst = p.Packet.dst_ip in
       if dst = loopback_ip || dst = t.addr then begin
         emit_packet tp_tx p;
-        Sim.Trace.fire Sim.Trace.P_net_tx (packet_ctx p);
+        fire_packet Sim.Trace.P_net_tx p;
         (* Loopback: softirq-style asynchronous hand-off. Delivery is the
            end of the packet's life, so zero-copy pins release here — the
            receiver copied the payload into its own buffer. *)
@@ -192,7 +199,7 @@ let send t p =
       end
       else begin
         emit_packet tp_tx p;
-        Sim.Trace.fire Sim.Trace.P_net_tx (packet_ctx p);
+        fire_packet Sim.Trace.P_net_tx p;
         t.ext_tx p
       end)
 

@@ -141,8 +141,13 @@ let rec run_user proc resume =
       let auto_span = Sim.Span.syscall_begin (Syscall_nr.name nr) in
       Strace.enter ~nr;
       let arg0 = if Array.length args > 0 then args.(0) else 0L in
-      Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () ->
-          [| Int64.of_int nr; Int64.of_int proc.pid_v; arg0 |]);
+      if Sim.Trace.armed Sim.Trace.P_syscall_enter then begin
+        let c = Sim.Trace.ctx Sim.Trace.P_syscall_enter in
+        c.{0} <- Int64.of_int nr;
+        c.{1} <- Int64.of_int proc.pid_v;
+        c.{2} <- arg0;
+        Sim.Trace.run Sim.Trace.P_syscall_enter
+      end;
       (* Interrupt delivery point: a busy process cannot starve IRQs —
          hardware would have preempted it, so fire everything due. *)
       ignore (Sim.Events.run_due ());
@@ -166,14 +171,17 @@ let rec run_user proc resume =
            like strace. *)
         let cycles = Int64.sub (Sim.Clock.now ()) t0 in
         Strace.exit_ ~nr ~ret:v ~cycles;
-        Sim.Trace.fire Sim.Trace.P_syscall_exit (fun () ->
-            let jc = jbd0 || Jbd.is_committing () || Jbd.commits () > jseq0 in
-            [|
-              Int64.of_int nr; v;
-              Int64.of_float (Sim.Clock.to_us cycles *. 1000.);
-              Int64.of_int proc.pid_v; arg0;
-              (if jc then 1L else 0L);
-            |]);
+        if Sim.Trace.armed Sim.Trace.P_syscall_exit then begin
+          let c = Sim.Trace.ctx Sim.Trace.P_syscall_exit in
+          let jc = jbd0 || Jbd.is_committing () || Jbd.commits () > jseq0 in
+          c.{0} <- Int64.of_int nr;
+          c.{1} <- v;
+          c.{2} <- Sim.Clock.to_ns cycles;
+          c.{3} <- Int64.of_int proc.pid_v;
+          c.{4} <- arg0;
+          c.{5} <- (if jc then 1L else 0L);
+          Sim.Trace.run Sim.Trace.P_syscall_exit
+        end;
         Sim.Span.syscall_end auto_span;
         run_user proc (Ostd.User.Sysret v)
       | Exec_done ->

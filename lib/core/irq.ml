@@ -111,11 +111,12 @@ let dispatch vector =
     Sim.Prof.scope (irq_scope vector) (fun () ->
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.irq_entry;
         Sim.Trace.emit1 tp_entry vector;
-        Sim.Trace.fire Sim.Trace.P_irq_entry (fun () ->
-            [|
-              Int64.of_int vector;
-              Int64.of_float (Sim.Clock.to_us (Sim.Clock.now ()) *. 1000.);
-            |]);
+        if Sim.Trace.armed Sim.Trace.P_irq_entry then begin
+          let c = Sim.Trace.ctx Sim.Trace.P_irq_entry in
+          c.{0} <- Int64.of_int vector;
+          c.{1} <- Sim.Clock.to_ns (Sim.Clock.now ());
+          Sim.Trace.run Sim.Trace.P_irq_entry
+        end;
         let now = Sim.Clock.now () in
         let window = Int64.of_int (Sim.Clock.us storm_window_us) in
         if Int64.compare (Int64.sub now vs.wstart) window > 0 then begin

@@ -89,14 +89,12 @@ let ready_unlink t =
   t.rq_prev <- None;
   t.rq_next <- None
 
-let ns_of_cycles c = Int64.of_float (Sim.Clock.to_us c *. 1000.)
-
 let max_runnable_wait_ns () =
   match !ready_head with
   | None -> 0L
   | Some t ->
     let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
-    if Int64.compare d 0L > 0 then ns_of_cycles d else 0L
+    if Int64.compare d 0L > 0 then Sim.Clock.to_ns d else 0L
 
 (* --- CPU accounting ---
 
@@ -257,8 +255,13 @@ let wake t =
        task: if this wake happens inside an IRQ/softirq kprof scope,
        the delivery leg is recorded on the woken task's span. *)
     Sim.Span.on_wake ~tid:t.tid;
-    Sim.Trace.fire Sim.Trace.P_sched_wakeup (fun () ->
-        [| Int64.of_int t.tid; ns_of_cycles (Sim.Clock.now ()); max_runnable_wait_ns () |])
+    if Sim.Trace.armed Sim.Trace.P_sched_wakeup then begin
+      let c = Sim.Trace.ctx Sim.Trace.P_sched_wakeup in
+      c.{0} <- Int64.of_int t.tid;
+      c.{1} <- Sim.Clock.to_ns (Sim.Clock.now ());
+      c.{2} <- max_runnable_wait_ns ();
+      Sim.Trace.run Sim.Trace.P_sched_wakeup
+    end
   | Ready | Running | Dead -> ()
 
 let exit () = raise Task_exit
@@ -345,7 +348,7 @@ let dispatch t =
       t.sdelay_sum <- Int64.add t.sdelay_sum d;
       t.sdelay_cnt <- t.sdelay_cnt + 1;
       if Int64.compare d t.sdelay_max > 0 then t.sdelay_max <- d;
-      own_wait_ns := ns_of_cycles d;
+      own_wait_ns := Sim.Clock.to_ns d;
       span_waited := d;
       Sim.Hist.observe "sched.delay" (Sim.Clock.to_us d)
     end;
@@ -361,10 +364,14 @@ let dispatch t =
     (* max_wait_ns covers the task being switched in (it just finished
        waiting) as well as everything still on the runqueue, so a
        starved task is visible at the very switch that rescues it. *)
-    Sim.Trace.fire Sim.Trace.P_sched_switch (fun () ->
-        let queued = max_runnable_wait_ns () in
-        let w = if Int64.compare !own_wait_ns queued > 0 then !own_wait_ns else queued in
-        [| Int64.of_int !last_ran; Int64.of_int t.tid; ns_of_cycles (Sim.Clock.now ()); w |]);
+    if Sim.Trace.armed Sim.Trace.P_sched_switch then begin
+      let c = Sim.Trace.ctx Sim.Trace.P_sched_switch and queued = max_runnable_wait_ns () in
+      c.{0} <- Int64.of_int !last_ran;
+      c.{1} <- Int64.of_int t.tid;
+      c.{2} <- Sim.Clock.to_ns (Sim.Clock.now ());
+      c.{3} <- (if Int64.compare !own_wait_ns queued > 0 then !own_wait_ns else queued);
+      Sim.Trace.run Sim.Trace.P_sched_switch
+    end;
     last_ran := t.tid;
     t.st <- Running;
     t.running_flag <- true;

@@ -18,10 +18,6 @@ type operand = Reg of int | Imm of int64
    attach point's field table at load time) or by raw slot index. *)
 type ctxref = Cname of string | Cidx of int
 
-(* Emit target: the label as written, or, resolved at load time, the
-   program's namespaced stat key and its ktrace point. *)
-type emitref = Elabel of string | Epoint of string * Sim.Trace.point
-
 type insn =
   | Ld of int * operand (* rd <- src *)
   | Ldctx of int * ctxref (* rd <- ctx field *)
@@ -35,7 +31,7 @@ type insn =
   | Hist of string * int (* hist map <- float rv *)
   | Histk of string * int * int (* khist map[rkey] <- float rv *)
   | Ringp of string * int * int (* ring map push (rkey, rval), bounded *)
-  | Emit of emitref * operand (* stat <prog>.<label> += 1 + ktrace Probe record *)
+  | Emit of string * operand (* stat <prog>.<label> += 1 + ktrace Probe record *)
   | Ret
 
 type map_kind = Counter | Perkey | Histogram | Keyed_histogram | Ring
@@ -97,7 +93,7 @@ let insn_str = function
   | Hist (m, r) -> Printf.sprintf "hist %s, r%d" m r
   | Histk (m, k, r) -> Printf.sprintf "histk %s, r%d, r%d" m k r
   | Ringp (m, k, r) -> Printf.sprintf "ring %s, r%d, r%d" m k r
-  | Emit ((Elabel l | Epoint (l, _)), o) -> Printf.sprintf "emit %s, %s" l (operand_str o)
+  | Emit (l, o) -> Printf.sprintf "emit %s, %s" l (operand_str o)
   | Ret -> "ret"
 
 let render_prog p =

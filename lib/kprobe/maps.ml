@@ -1,8 +1,8 @@
 (* Per-program map state. Every map a program can touch is created here
-   at load time from its declarations, so the VM never allocates and
-   writes cannot escape the program's own store. Rendering is fully
-   deterministic: declaration order for maps, sorted keys within a map,
-   insertion order (oldest first) for rings. *)
+   at load time from its declarations, so compiled code only updates
+   cells of its own store and writes cannot escape it. Rendering is
+   fully deterministic: declaration order for maps, sorted keys within
+   a map, insertion order (oldest first) for rings. *)
 
 open Insn
 
@@ -48,13 +48,11 @@ let create decls =
     decls;
   s
 
-(* The verifier guarantees every (name, kind) the VM uses was declared,
-   so lookups cannot fail; [find] keeps that invariant loud. *)
+(* Rendering looks maps up by declared name, and [create] made every
+   declared map, so [find] cannot fail; it keeps that invariant loud.
+   The operations below act on one resolved map: the compiler (Vm)
+   resolves each map a program names once, at load. *)
 let find tbl name = Hashtbl.find tbl name
-
-let bump s name v =
-  let c = find s.counters name in
-  c := Int64.add !c v
 
 let cell tbl key =
   match Hashtbl.find_opt tbl key with
@@ -64,19 +62,17 @@ let cell tbl key =
     Hashtbl.replace tbl key c;
     c
 
-let upd s name key v =
-  let c = cell (find s.perkey name) key in
+let upd tbl key v =
+  let c = cell tbl key in
   c := Int64.add !c v
 
-let setk s name key v = cell (find s.perkey name) key := v
+let setk tbl key v = cell tbl key := v
 
-let get s name key =
-  match Hashtbl.find_opt (find s.perkey name) key with Some c -> !c | None -> 0L
+let get tbl key = match Hashtbl.find_opt tbl key with Some c -> !c | None -> 0L
 
-let hist_rec s name v = Sim.Hist.record (find s.hists name) (Int64.to_float v)
+let hist_rec h v = Sim.Hist.record h (Int64.to_float v)
 
-let khist_rec s name key v =
-  let tbl = find s.khists name in
+let khist_rec tbl key v =
   let h =
     match Hashtbl.find_opt tbl key with
     | Some h -> h
@@ -87,8 +83,7 @@ let khist_rec s name key v =
   in
   Sim.Hist.record h (Int64.to_float v)
 
-let ring_push s name key v =
-  let r = find s.rings name in
+let ring_push r key v =
   r.entries.(r.head) <- (key, v);
   r.head <- (r.head + 1) mod ring_capacity;
   if r.rlen < ring_capacity then r.rlen <- r.rlen + 1 else r.rdropped <- r.rdropped + 1

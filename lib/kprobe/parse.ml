@@ -83,7 +83,7 @@ let parse_insn ln mnem args =
   | "hist", [ m; v ] -> reg v (fun r -> Ok (Hist (m, r)))
   | "histk", [ m; k; v ] -> reg k (fun rk -> reg v (fun r -> Ok (Histk (m, rk, r))))
   | "ring", [ m; k; v ] -> reg k (fun rk -> reg v (fun r -> Ok (Ringp (m, rk, r))))
-  | "emit", [ l; v ] -> operand v (fun o -> Ok (Emit (Elabel l, o)))
+  | "emit", [ l; v ] -> operand v (fun o -> Ok (Emit (l, o)))
   | "ret", [] -> Ok Ret
   | _ -> err ln "cannot parse instruction '%s %s'" mnem (String.concat ", " args)
 

@@ -1,7 +1,8 @@
 (* Loaded-program registry: the kernel-side object store behind the
    probe_load/probe_read syscalls, /proc/kprobe, and the CLI. Loading
-   is atomic — parse, verify, resolve, then attach — so a rejected
-   program leaves no trace beyond [last_error]. *)
+   is atomic — parse, verify, compile for every attach point, then
+   attach — so a rejected program leaves no trace beyond
+   [last_error]. *)
 
 type loaded = {
   prog : Insn.prog;
@@ -47,19 +48,28 @@ let load_text text : (string, string) result =
     | Error e ->
       last_error := e;
       Error e
-    | Ok () ->
-      ignore (unload prog.pname);
+    | Ok () -> (
       let store = Maps.create prog.maps in
-      let l = { prog; store; loaded_at = Sim.Clock.now () } in
-      Hashtbl.replace table prog.pname l;
-      order := !order @ [ prog.pname ];
-      List.iter
-        (fun ap ->
-          let code = Vm.resolve prog ap in
-          Sim.Trace.attach ap ~name:prog.pname (fun ctx -> Vm.exec ~store ~code ~ctx))
-        prog.attach;
-      last_error := "";
-      Ok prog.pname)
+      let compiled =
+        List.fold_right
+          (fun ap acc ->
+            match (acc, Vm.compile store prog ap) with
+            | Ok l, Ok code -> Ok ((ap, code) :: l)
+            | (Error _ as e), _ | _, (Error _ as e) -> e)
+          prog.attach (Ok [])
+      in
+      match compiled with
+      | Error e ->
+        last_error := e;
+        Error e
+      | Ok compiled ->
+        ignore (unload prog.pname);
+        let l = { prog; store; loaded_at = Sim.Clock.now () } in
+        Hashtbl.replace table prog.pname l;
+        order := !order @ [ prog.pname ];
+        List.iter (fun (ap, code) -> Sim.Trace.attach ap ~name:prog.pname code) compiled;
+        last_error := "";
+        Ok prog.pname))
 
 let render_maps name =
   match find name with None -> None | Some l -> Some (Maps.render l.store)

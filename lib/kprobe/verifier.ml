@@ -9,7 +9,9 @@
    - side-effect confinement: map instructions name only maps the
      program declares, with matching kinds, so a program can write
      nothing but its own state (Emit bumps a stat namespaced under the
-     program's name).
+     program's name);
+   - one run per event: each attach point is named at most once, so a
+     program never runs twice for the same event.
 
    Rejections return a reason string; nothing is ever half-loaded. *)
 
@@ -117,8 +119,7 @@ let check_insn prog len pc insn =
     let* () = check_map pc prog m Ring in
     let* () = check_reg pc k in
     check_reg pc r
-  | Emit (Epoint (l, _), _) -> err "emit '%s' at pc %d is already resolved" l pc
-  | Emit (Elabel l, o) ->
+  | Emit (l, o) ->
     if not (valid_ident l) then err "emit label '%s' at pc %d is not a valid identifier" l pc
     else check_operand pc o
   | Ret -> Ok ()
@@ -184,7 +185,12 @@ let verify (prog : prog) : (unit, string) result =
   let len = Array.length prog.code in
   let* () = if valid_ident prog.pname then Ok () else err "invalid program name '%s'" prog.pname in
   let* () =
-    if prog.attach = [] then err "program '%s' has no attach point" prog.pname else Ok ()
+    let rec dup = function
+      | [] -> if prog.attach = [] then err "program '%s' has no attach point" prog.pname else Ok ()
+      | ap :: tl ->
+        if List.mem ap tl then err "duplicate attach point '%s'" (Sim.Trace.attach_name ap) else dup tl
+    in
+    dup prog.attach
   in
   let* () = if len = 0 then err "empty program" else Ok () in
   let* () =

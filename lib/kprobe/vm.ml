@@ -1,107 +1,154 @@
-(* The probe VM. Runs only verified code, so execution is a straight
-   loop with no runtime checks beyond the arithmetic total-functions
-   (div-by-zero and oversized shifts yield 0, like eBPF). The VM
-   charges no virtual cycles and consults no randomness, so an
-   attached program never perturbs the simulation and same-seed runs
-   produce byte-identical map contents. *)
+(* The probe compiler. A verified program is compiled once, at load, for
+   each attach point it hooks, into a chain of OCaml closures, one per
+   instruction; firing runs the chain on the point's context buffer.
+   Like Linux's BPF JIT, and like Rex running its safe-by-construction
+   extensions as native code, every check happens once, at load: the
+   verifier proves the program safe, and compilation resolves each
+   context field to its slot, each map to its table, and each emit label
+   to its stat key and ktrace point, so a fire looks nothing up by name
+   and dispatches on no opcode. What stays at run time is the arithmetic
+   made total: division by zero and shifts outside 0..63 yield 0, like
+   eBPF. Compiled code charges no virtual cycles and consults no
+   randomness, so an attached program never perturbs the simulation and
+   same-seed runs produce byte-identical map contents.
+
+   Registers live in one unboxed buffer per compiled program and attach
+   point, reused by every fire without zeroing. That is sound for two
+   reasons. The verifier proved that on every path each register is
+   written before it is read, so a value left by an earlier fire is
+   never seen. And a run cannot re-enter: a program's effects (its maps,
+   [Stats], ktrace stores) never fire an attach point, so no second run
+   of the same code starts while one is in flight. Immediates sit in the
+   same buffer, past the registers, so every operand is one slot read. *)
 
 open Insn
 
-(* Ldctx slots are pre-resolved per attach point at load time (the
-   verifier proved every name/index legal at every hooked point), so
-   execution never sees a name. Emit labels resolve to their stat key
-   and ktrace point once per load, too. *)
-let resolve (prog : prog) ap =
+exception Unresolved of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Unresolved s)) fmt
+
+type code = Sim.Trace.ctx -> unit
+
+(* [compile store prog ap] is [prog]'s code for attach point [ap],
+   updating the maps of [store]. Anything it cannot resolve is an error
+   here, at load, never an exception when the point fires. *)
+let compile (store : Maps.store) (prog : prog) ap : (code, string) result =
   let fields = Sim.Trace.attach_fields ap in
-  let slot = function
-    | Cidx i -> i
-    | Cname n ->
+  let len = Array.length prog.code in
+  (* Each instruction has at most one immediate. *)
+  let regs = Bigarray.(Array1.init int64 c_layout (nregs + len) (fun _ -> 0L)) in
+  let nslots = ref nregs in
+  let reg pc r = if r < 0 || r >= nregs then fail "invalid register r%d at pc %d" r pc else r in
+  let slot pc = function
+    | Reg r -> reg pc r
+    | Imm v ->
+      let s = !nslots in
+      incr nslots;
+      regs.{s} <- v;
+      s
+  in
+  let field pc = function
+    | Cidx i when i >= 0 && i < Array.length fields -> i
+    | Cname n when Array.mem n fields ->
       let rec find i = if fields.(i) = n then i else find (i + 1) in
       find 0
+    | c -> fail "ctx field %s at pc %d does not exist at %s" (ctxref_str c) pc (Sim.Trace.attach_name ap)
   in
-  let emit_point = function
-    | Elabel l ->
-      let key = prog.pname ^ "." ^ l in
-      Epoint
-        ( key,
-          Sim.Trace.point Sim.Trace.Probe key (fun f ->
-              Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b)) )
-    | Epoint _ as e -> e
+  let map pc tbl m =
+    match Hashtbl.find_opt tbl m with Some x -> x | None -> fail "map '%s' at pc %d is not in the store" m pc
   in
-  Array.map
-    (function
-      | Ldctx (r, c) -> Ldctx (r, Cidx (slot c))
-      | Emit (e, o) -> Emit (emit_point e, o)
-      | insn -> insn)
-    prog.code
-
-let alu_eval op a b =
-  match op with
-  | Add -> Int64.add a b
-  | Sub -> Int64.sub a b
-  | Mul -> Int64.mul a b
-  | Div -> if b = 0L then 0L else Int64.div a b
-  | And -> Int64.logand a b
-  | Or -> Int64.logor a b
-  | Lsl ->
-    let s = Int64.to_int b in
-    if s < 0 || s > 63 then 0L else Int64.shift_left a s
-  | Lsr ->
-    let s = Int64.to_int b in
-    if s < 0 || s > 63 then 0L else Int64.shift_right_logical a s
-
-let cmp_eval c a b =
-  let r = Int64.compare a b in
-  match c with Eq -> r = 0 | Ne -> r <> 0 | Lt -> r < 0 | Le -> r <= 0 | Gt -> r > 0 | Ge -> r >= 0
-
-let exec ~(store : Maps.store) ~(code : insn array) ~(ctx : int64 array) =
-  let regs = Array.make nregs 0L in
-  let len = Array.length code in
-  let operand = function Reg r -> regs.(r) | Imm v -> v in
-  let pc = ref 0 in
-  (* The verifier proved all jumps strictly forward, so [pc] strictly
-     increases and this loop executes at most [len] instructions. *)
-  while !pc < len do
-    let next = !pc + 1 in
-    (match code.(!pc) with
+  let alu op r s (k : code) : code =
+    match op with
+    | Add -> fun c -> regs.{r} <- Int64.add regs.{r} regs.{s}; k c
+    | Sub -> fun c -> regs.{r} <- Int64.sub regs.{r} regs.{s}; k c
+    | Mul -> fun c -> regs.{r} <- Int64.mul regs.{r} regs.{s}; k c
+    | Div ->
+      fun c ->
+        let b = regs.{s} in
+        regs.{r} <- (if b = 0L then 0L else Int64.div regs.{r} b);
+        k c
+    | And -> fun c -> regs.{r} <- Int64.logand regs.{r} regs.{s}; k c
+    | Or -> fun c -> regs.{r} <- Int64.logor regs.{r} regs.{s}; k c
+    | Lsl ->
+      fun c ->
+        let n = Int64.to_int regs.{s} in
+        regs.{r} <- (if n < 0 || n > 63 then 0L else Int64.shift_left regs.{r} n);
+        k c
+    | Lsr ->
+      fun c ->
+        let n = Int64.to_int regs.{s} in
+        regs.{r} <- (if n < 0 || n > 63 then 0L else Int64.shift_right_logical regs.{r} n);
+        k c
+  in
+  let jcond cmp r s (taken : code) (k : code) : code =
+    match cmp with
+    | Eq -> fun c -> if regs.{r} = regs.{s} then taken c else k c
+    | Ne -> fun c -> if regs.{r} <> regs.{s} then taken c else k c
+    | Lt -> fun c -> if regs.{r} < regs.{s} then taken c else k c
+    | Le -> fun c -> if regs.{r} <= regs.{s} then taken c else k c
+    | Gt -> fun c -> if regs.{r} > regs.{s} then taken c else k c
+    | Ge -> fun c -> if regs.{r} >= regs.{s} then taken c else k c
+  in
+  let done_ : code = fun _ -> () in
+  (* Built from the last instruction back to the first: jumps only go
+     forward, so every target exists before the jump that needs it. *)
+  let next = Array.make (len + 1) done_ in
+  let target pc n =
+    if n < 1 || pc + 1 + n > len then fail "jump at pc %d (offset %+d) leaves the program" pc n
+    else next.(pc + 1 + n)
+  in
+  let insn pc (k : code) : code =
+    match prog.code.(pc) with
     | Ld (r, o) ->
-      regs.(r) <- operand o;
-      pc := next
-    | Ldctx (r, Cidx i) ->
-      regs.(r) <- ctx.(i);
-      pc := next
-    | Ldctx (_, Cname _) -> assert false (* resolved at load time *)
-    | Alu (op, r, o) ->
-      regs.(r) <- alu_eval op regs.(r) (operand o);
-      pc := next
-    | Jmp n -> pc := next + n
-    | Jcond (c, r, o, n) -> if cmp_eval c regs.(r) (operand o) then pc := next + n else pc := next
+      let r = reg pc r and s = slot pc o in
+      fun c -> regs.{r} <- regs.{s}; k c
+    | Ldctx (r, f) ->
+      let r = reg pc r and i = field pc f in
+      fun (c : Sim.Trace.ctx) -> regs.{r} <- c.{i}; k c
+    | Alu (op, r, o) -> alu op (reg pc r) (slot pc o) k
+    | Jmp n -> target pc n
+    | Jcond (cmp, r, o, n) -> jcond cmp (reg pc r) (slot pc o) (target pc n) k
     | Count (m, o) ->
-      Maps.bump store m (operand o);
-      pc := next
-    | Upd (m, k, o) ->
-      Maps.upd store m regs.(k) (operand o);
-      pc := next
-    | Setk (m, k, o) ->
-      Maps.setk store m regs.(k) (operand o);
-      pc := next
-    | Get (r, m, k) ->
-      regs.(r) <- Maps.get store m regs.(k);
-      pc := next
+      let cell = map pc store.Maps.counters m and s = slot pc o in
+      fun c -> cell := Int64.add !cell regs.{s}; k c
+    | Upd (m, kr, o) ->
+      let tbl = map pc store.Maps.perkey m and kr = reg pc kr and s = slot pc o in
+      fun c -> Maps.upd tbl regs.{kr} regs.{s}; k c
+    | Setk (m, kr, o) ->
+      let tbl = map pc store.Maps.perkey m and kr = reg pc kr and s = slot pc o in
+      fun c -> Maps.setk tbl regs.{kr} regs.{s}; k c
+    | Get (r, m, kr) ->
+      let tbl = map pc store.Maps.perkey m and r = reg pc r and kr = reg pc kr in
+      fun c -> regs.{r} <- Maps.get tbl regs.{kr}; k c
     | Hist (m, r) ->
-      Maps.hist_rec store m regs.(r);
-      pc := next
-    | Histk (m, k, r) ->
-      Maps.khist_rec store m regs.(k) regs.(r);
-      pc := next
-    | Ringp (m, k, r) ->
-      Maps.ring_push store m regs.(k) regs.(r);
-      pc := next
-    | Emit (Epoint (key, point), o) ->
-      let v = operand o in
-      Sim.Stats.incr key;
-      Sim.Trace.emit2 point (Sim.Trace.hi32 v) (Sim.Trace.lo32 v);
-      pc := next
-    | Emit (Elabel _, _) -> assert false (* resolved at load time *)
-    | Ret -> pc := len)
-  done
+      let h = map pc store.Maps.hists m and r = reg pc r in
+      fun c -> Maps.hist_rec h regs.{r}; k c
+    | Histk (m, kr, r) ->
+      let tbl = map pc store.Maps.khists m and kr = reg pc kr and r = reg pc r in
+      fun c -> Maps.khist_rec tbl regs.{kr} regs.{r}; k c
+    | Ringp (m, kr, r) ->
+      let ring = map pc store.Maps.rings m and kr = reg pc kr and r = reg pc r in
+      fun c -> Maps.ring_push ring regs.{kr} regs.{r}; k c
+    | Emit (l, o) ->
+      (* The stat is bumped by name on every emit: a [Stats] cell
+         cached here would go stale after [Stats.reset]. *)
+      let key = prog.pname ^ "." ^ l and s = slot pc o in
+      let point =
+        Sim.Trace.point Sim.Trace.Probe key (fun f -> Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b))
+      in
+      fun c ->
+        let v = regs.{s} in
+        Sim.Stats.incr key;
+        Sim.Trace.emit2 point
+          (Int64.to_int (Int64.shift_right v 32))
+          (Int64.to_int (Int64.logand v 0xffffffffL));
+        k c
+    | Ret -> done_
+  in
+  match
+    for pc = len - 1 downto 0 do
+      next.(pc) <- insn pc next.(pc + 1)
+    done
+  with
+  | () -> Ok next.(0)
+  | exception Unresolved e -> Error e

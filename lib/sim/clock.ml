@@ -33,4 +33,6 @@ let to_us t = Int64.to_float t /. float_of_int cycles_per_us
 
 let to_seconds t = to_us t /. 1_000_000.
 
+let to_ns t = Int64.div (Int64.mul t 1000L) (Int64.of_int cycles_per_us)
+
 let us x = int_of_float (x *. float_of_int cycles_per_us)

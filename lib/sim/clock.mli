@@ -33,5 +33,8 @@ val to_us : int64 -> float
 
 val to_seconds : int64 -> float
 
+val to_ns : int64 -> int64
+(** Exact nanoseconds of a cycle count: [t * 1000 / cycles_per_us]. *)
+
 val us : float -> int
 (** [us x] is the number of cycles in [x] microseconds. *)

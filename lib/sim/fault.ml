@@ -31,6 +31,14 @@ let site_id site =
     site;
   Int64.shift_right_logical !h 1 (* keep it non-negative for map keys *)
 
+let fire_inject site n =
+  if Trace.armed Trace.P_chaos_inject then begin
+    let c = Trace.ctx Trace.P_chaos_inject in
+    c.{0} <- site_id site;
+    c.{1} <- Int64.of_int n;
+    Trace.run Trace.P_chaos_inject
+  end
+
 let tp_trigger = Trace.point Trace.Chaos "trigger" (fun f -> "site=" ^ f.Trace.s)
 
 let tp_inject =
@@ -45,7 +53,7 @@ let countdown site =
       r := -1;
       Stats.incr ("fault.injected." ^ site);
       Trace.emit_s tp_trigger site 0 0 0 0;
-      Trace.fire Trace.P_chaos_inject (fun () -> [| site_id site; 1L |]);
+      fire_inject site 1;
       true
     end
     else begin
@@ -84,7 +92,7 @@ let record t site =
   t.log_rev <- Printf.sprintf "%Ld %s #%d" (Clock.now ()) site t.nlog :: t.log_rev;
   Stats.incr ("fault.injected." ^ site);
   Trace.emit_s tp_inject site t.nlog 0 0 0;
-  Trace.fire Trace.P_chaos_inject (fun () -> [| site_id site; Int64.of_int t.nlog |])
+  fire_inject site t.nlog
 
 let roll site =
   match !plane with

@@ -65,6 +65,7 @@ type agg = {
   a_segs : (string, int ref) Hashtbl.t; (* critical-path totals *)
   mutable a_residual : int;
   mutable a_res : t list; (* slowest-N reservoir, ascending duration *)
+  mutable a_nres : int; (* its length *)
 }
 
 let enabled_flag = ref false
@@ -206,6 +207,66 @@ let () = Clock.set_on_advance on_advance
    wall time exactly and nothing is double-counted. Among equal
    priorities the oldest segment wins. *)
 
+(* Add [w] cycles to [label]'s entry in [path]; [false] if it has none. *)
+let rec add_won path label w =
+  match path with
+  | [] -> false
+  | (l, r) :: tl -> String.equal l label && (r := !r + w; true) || add_won tl label w
+
+(* Segments recorded back to back, each starting at or after the end of
+   the one recorded before it, are pairwise disjoint: each wins exactly
+   its interval clipped to the span, and priorities decide nothing. One
+   pass over the list then gives the sweep's path and residual; [None]
+   when some pair overlaps, ties included, and the sweep runs. *)
+let back_to_back sp lo hi =
+  let rec go path covered = function
+    | s :: p :: _ when s.s_t0 < p.s_t1 -> None
+    | [] -> Some (path, hi - lo - covered)
+    | s :: tl ->
+      let w = (if s.s_t1 < hi then s.s_t1 else hi) - if s.s_t0 > lo then s.s_t0 else lo in
+      if w <= 0 then go path covered tl
+      else if add_won path s.slabel w then go path (covered + w) tl
+      else go ((s.slabel, ref w) :: path) (covered + w) tl
+  in
+  go [] 0 sp.segs
+
+(* Segments newest first, as recorded, clipped to the span. One clipped
+   to nothing adds no new bound and covers no interval. *)
+let sweep sp lo hi =
+  let segs = Array.of_list sp.segs in
+  let n = Array.length segs in
+  let clip t = if t < lo then lo else if t > hi then hi else t in
+  let t0 = Array.map (fun s -> clip s.s_t0) segs and t1 = Array.map (fun s -> clip s.s_t1) segs in
+  let bounds = Array.make ((2 * n) + 2) lo in
+  bounds.(1) <- hi;
+  for i = 0 to n - 1 do
+    bounds.((2 * i) + 2) <- t0.(i);
+    bounds.((2 * i) + 3) <- t1.(i)
+  done;
+  Array.sort Int.compare bounds;
+  (* Cycles each segment wins, then summed per label. *)
+  let won = Array.make n 0 in
+  let residual = ref 0 in
+  for k = 0 to Array.length bounds - 2 do
+    let a = bounds.(k) and b = bounds.(k + 1) in
+    if b > a then begin
+      let best = ref (-1) in
+      for i = n - 1 downto 0 do
+        if t0.(i) <= a && t1.(i) >= b && (!best < 0 || segs.(i).prio > segs.(!best).prio) then
+          best := i
+      done;
+      if !best >= 0 then won.(!best) <- won.(!best) + (b - a)
+      else residual := !residual + (b - a)
+    end
+  done;
+  let path = ref [] in
+  Array.iteri
+    (fun i s ->
+      if won.(i) > 0 && not (add_won !path s.slabel won.(i)) then
+        path := (s.slabel, ref won.(i)) :: !path)
+    segs;
+  (!path, !residual)
+
 let compute_path sp =
   let lo = sp.t_begin and hi = sp.t_end in
   if hi <= lo then begin
@@ -213,48 +274,13 @@ let compute_path sp =
     sp.residual <- 0
   end
   else begin
-    (* Segments newest first, as recorded, clipped to the span. One
-       clipped to nothing adds no new bound and covers no interval. *)
-    let segs = Array.of_list sp.segs in
-    let n = Array.length segs in
-    let clip t = if t < lo then lo else if t > hi then hi else t in
-    let t0 = Array.map (fun s -> clip s.s_t0) segs and t1 = Array.map (fun s -> clip s.s_t1) segs in
-    let bounds = Array.make ((2 * n) + 2) lo in
-    bounds.(1) <- hi;
-    for i = 0 to n - 1 do
-      bounds.((2 * i) + 2) <- t0.(i);
-      bounds.((2 * i) + 3) <- t1.(i)
-    done;
-    Array.sort Int.compare bounds;
-    (* Cycles each segment wins, then summed per label. *)
-    let won = Array.make n 0 in
-    let residual = ref 0 in
-    for k = 0 to Array.length bounds - 2 do
-      let a = bounds.(k) and b = bounds.(k + 1) in
-      if b > a then begin
-        let best = ref (-1) in
-        for i = n - 1 downto 0 do
-          if t0.(i) <= a && t1.(i) >= b && (!best < 0 || segs.(i).prio > segs.(!best).prio) then
-            best := i
-        done;
-        if !best >= 0 then won.(!best) <- won.(!best) + (b - a)
-        else residual := !residual + (b - a)
-      end
-    done;
-    let path = ref [] in
-    Array.iteri
-      (fun i s ->
-        if won.(i) > 0 then
-          match List.find_opt (fun (l, _) -> String.equal l s.slabel) !path with
-          | Some (_, r) -> r := !r + won.(i)
-          | None -> path := (s.slabel, ref won.(i)) :: !path)
-      segs;
+    let path, residual = match back_to_back sp lo hi with Some r -> r | None -> sweep sp lo hi in
     sp.path <-
-      List.map (fun (l, r) -> (l, !r)) !path
+      List.map (fun (l, r) -> (l, !r)) path
       |> List.sort (fun (la, a) (lb, b) ->
              let c = Int.compare b a in
              if c <> 0 then c else String.compare la lb);
-    sp.residual <- !residual
+    sp.residual <- residual
   end
 
 (* --- Aggregation --- *)
@@ -271,6 +297,7 @@ let agg_of cls =
         a_segs = Hashtbl.create 16;
         a_residual = 0;
         a_res = [];
+        a_nres = 0;
       }
     in
     Hashtbl.add class_tbl cls a;
@@ -280,7 +307,7 @@ let span_dur sp = sp.t_end - sp.t_begin
 
 let res_insert a sp =
   let cmp x y = Int.compare (span_dur x) (span_dur y) in
-  if List.length a.a_res < reservoir_cap then a.a_res <- List.merge cmp a.a_res [ sp ]
+  if a.a_nres < reservoir_cap then (a.a_res <- List.merge cmp a.a_res [ sp ]; a.a_nres <- a.a_nres + 1)
   else
     match a.a_res with
     | fastest :: rest when span_dur sp > span_dur fastest ->
@@ -520,7 +547,7 @@ let render_proc () =
            "class %-16s count=%-8d total_us=%-12.1f p50_us=%s p90_us=%s p99_us=%s max_us=%s reservoir=%d\n"
            cls a.a_count (Clock.to_us total) (p 50.) (p 90.) (p 99.)
            (Printf.sprintf "%.1f" (Hist.max_value a.a_hist))
-           (List.length a.a_res));
+           a.a_nres);
       List.iter
         (fun (l, d) ->
           Buffer.add_string b

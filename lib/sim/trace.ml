@@ -273,15 +273,16 @@ let render ?limit () =
 
    Structured tracepoints that verified probe programs (lib/kprobe) can
    attach to. Unlike the ktrace points above, whose records the ring
-   renders for display, [fire] hands attached consumers a raw
-   [int64 array] of context fields whose layout is fixed per attach
+   renders for display, a site tests [armed], writes its fields into
+   the point's preallocated, unboxed context buffer and calls [run],
+   which allocates nothing. The buffer's layout is fixed per attach
    point (see [attach_fields]); the kprobe verifier whitelists field
    accesses against exactly these layouts.
 
    Like the ktrace ring, the plane is free in virtual time: consumers
-   charge no cycles, and when nothing is attached [fire] is a single
-   bitmask test — the fields thunk is never evaluated, so a detached
-   run is bit-for-bit identical to a build without the tracepoint. *)
+   charge no cycles, and when nothing is attached a site is a single
+   bitmask test that builds nothing, so a detached run is bit-for-bit
+   identical to a build without the tracepoint. *)
 
 type attach_point =
   | P_syscall_enter
@@ -346,12 +347,18 @@ let attach_fields = function
   | P_jbd_commit -> [| "seq"; "nblocks" |]
   | P_chaos_inject -> [| "site_id"; "count" |]
 
-let n_attach_points = List.length all_attach_points
+type ctx = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ctxs =
+  let make ap = Bigarray.(Array1.init int64 c_layout (Array.length (attach_fields ap)) (fun _ -> 0L)) in
+  Array.of_list (List.map make all_attach_points)
+
+let ctx ap = ctxs.(attach_index ap)
 
 (* Consumers, keyed by program name in attach order (deterministic
    execution order = load order). [live] mirrors the hook table as a
    bitmask so the detached fast path is one [land]. *)
-let hooks : (string * (int64 array -> unit)) list array = Array.make n_attach_points []
+let hooks : (string * (ctx -> unit)) list array = Array.make (Array.length ctxs) []
 
 let live = ref 0
 
@@ -367,12 +374,12 @@ let detach ap ~name =
 
 let detach_name name = List.iter (fun ap -> detach ap ~name) all_attach_points
 
-let attached ap = hooks.(attach_index ap) <> []
-
 let any_attached () = !live <> 0
 
-let fire ap fields =
-  if !live land (1 lsl attach_index ap) <> 0 then begin
-    let ctx = fields () in
-    List.iter (fun (_, f) -> f ctx) hooks.(attach_index ap)
-  end
+let armed ap = !live land (1 lsl attach_index ap) <> 0
+
+let rec run_hooks c = function [] -> () | (_, f) :: tl -> f c; run_hooks c tl
+
+let run ap =
+  let i = attach_index ap in
+  run_hooks ctxs.(i) hooks.(i)

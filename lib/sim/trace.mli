@@ -122,13 +122,14 @@ val render : ?limit:int -> unit -> string
 
 (** {2 Probe attach plane}
 
-    Structured tracepoints for verified probe programs (lib/kprobe).
-    [fire] hands attached consumers a raw [int64 array] whose per-point
-    layout is fixed by [attach_fields]; the kprobe verifier whitelists
-    field accesses against exactly these layouts. With nothing attached
-    [fire] is a single bitmask test and the fields thunk is never
-    evaluated, so a detached run is bit-identical to one without the
-    tracepoint. Consumers charge no virtual cycles. *)
+    Structured tracepoints for verified probe programs (lib/kprobe). A
+    site tests {!armed}, writes every field of the point's preallocated
+    buffer {!ctx} and calls {!run}, which allocates nothing. The layout
+    is fixed by [attach_fields]; the kprobe verifier whitelists field
+    accesses against exactly these layouts. With nothing attached a
+    site is a single bitmask test that builds nothing, so a detached run
+    is bit-identical to one without the tracepoint. Consumers charge no
+    virtual cycles. *)
 
 type attach_point =
   | P_syscall_enter
@@ -151,17 +152,23 @@ val attach_fields : attach_point -> string array
 (** Whitelisted context-field names; the array index is the slot the
     firing site writes. *)
 
-val attach : attach_point -> name:string -> (int64 array -> unit) -> unit
+type ctx = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A context buffer: one int64 per field of [attach_fields]. *)
+
+val attach : attach_point -> name:string -> (ctx -> unit) -> unit
 (** Register a consumer. Consumers run in attach order (load order), so
-    execution is deterministic. *)
+    execution is deterministic. A consumer must not keep the buffer
+    after it returns, and must not fire an attach point itself. *)
 
 val detach : attach_point -> name:string -> unit
 val detach_name : string -> unit
 (** Detach [name] from every attach point. *)
 
-val attached : attach_point -> bool
 val any_attached : unit -> bool
 
-val fire : attach_point -> (unit -> int64 array) -> unit
-(** [fire ap fields] runs every consumer attached to [ap] on
-    [fields ()]; when none is attached, [fields] is not evaluated. *)
+val armed : attach_point -> bool
+(** Whether anything is attached to the point: one bitmask test. *)
+
+val ctx : attach_point -> ctx
+val run : attach_point -> unit
+(** Run the point's consumers on its buffer. *)

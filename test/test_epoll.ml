@@ -54,7 +54,7 @@ let timeout_oracle seed () =
   let n = 200 in
   let wakes = ref [] in
   Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:"test.timer_order" (fun ctx ->
-      wakes := (Int64.to_int ctx.(0), Sim.Clock.now ()) :: !wakes);
+      wakes := (Int64.to_int ctx.{0}, Sim.Clock.now ()) :: !wakes);
   let arm_seq = ref 0 in
   let finished = ref 0 in
   let done_wq = Ostd.Wait_queue.create () in

@@ -143,6 +143,15 @@ let test_templates_all_verify () =
 
 (* --- VM execution over synthetic fires --- *)
 
+(* Fire [ap] as a kernel site does, building the fields only when
+   something is attached. *)
+let fire ap fields =
+  if Sim.Trace.armed ap then begin
+    let c = Sim.Trace.ctx ap in
+    Array.iteri (fun i v -> c.{i} <- v) (fields ());
+    Sim.Trace.run ap
+  end
+
 let vm_prog =
   {|prog t.vm
 attach syscall_enter
@@ -166,9 +175,9 @@ let test_vm_exec_and_maps () =
   (match Kprobe.Registry.load_text vm_prog with
   | Error e -> Alcotest.failf "vm prog rejected: %s" e
   | Ok _ -> ());
-  Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
-  Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
-  Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () -> [| 7L; 1L; 0L |]);
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 7L; 1L; 0L |]);
   let maps =
     match Kprobe.Registry.render_maps "t.vm" with
     | Some s -> s
@@ -193,7 +202,7 @@ let test_ring_bounded () =
   | Error e -> Alcotest.failf "ring prog rejected: %s" e
   | Ok _ -> ());
   for i = 1 to 70 do
-    Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () ->
+    fire Sim.Trace.P_syscall_enter (fun () ->
         [| Int64.of_int i; Int64.of_int (1000 + i); 0L |])
   done;
   let maps = Option.get (Kprobe.Registry.render_maps "t.ring") in
@@ -206,7 +215,7 @@ let test_ring_bounded () =
 let test_detached_fires_cost_nothing () =
   fresh ();
   let evaluated = ref false in
-  Sim.Trace.fire Sim.Trace.P_blk_issue (fun () ->
+  fire Sim.Trace.P_blk_issue (fun () ->
       evaluated := true;
       [| 0L; 0L; 0L |]);
   check "fields thunk never built with nothing attached" false !evaluated;
@@ -222,7 +231,7 @@ let test_emit_is_namespaced () =
   | Error e -> Alcotest.failf "emit prog rejected: %s" e
   | Ok _ -> ());
   Sim.Trace.enable Sim.Trace.Probe;
-  Sim.Trace.fire Sim.Trace.P_syscall_enter (fun () -> [| 42L; 1L; 0L |]);
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 42L; 1L; 0L |]);
   (* the stat is namespaced under the program's name: confinement *)
   check_int "emit bumps <pname>.<label>" 1 (Sim.Stats.get "t.emit.saw_nr");
   check "trace record lands in the probe category" true
@@ -244,6 +253,264 @@ let test_emit_is_namespaced () =
   Kprobe.Registry.reset ();
   Sim.Trace.reset ()
 
+(* --- Attach points are named once --- *)
+
+let test_reject_duplicate_attach () =
+  fresh ();
+  let prog attach =
+    Printf.sprintf "prog dup\n%smap counter c\ncount c, 1\nret\n"
+      (String.concat "" (List.map (fun a -> "attach " ^ a ^ "\n") attach))
+  in
+  expect_reject "repeated attach point" "duplicate attach point 'syscall_enter'"
+    (Kprobe.Registry.load_text (prog [ "syscall_enter"; "syscall_exit"; "syscall_enter" ]));
+  check "a rejected program is not loaded" true (Kprobe.Registry.find "dup" = None);
+  (match Kprobe.Registry.load_text (prog [ "syscall_enter" ]) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "single attach rejected: %s" e);
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 1L; 1L; 0L |]);
+  check "one fire counts once" true
+    (contains (Option.get (Kprobe.Registry.render_maps "dup")) "map c (counter): 1");
+  fire Sim.Trace.P_syscall_enter (fun () -> [| 1L; 1L; 0L |]);
+  check "two fires count twice" true
+    (contains (Option.get (Kprobe.Registry.render_maps "dup")) "map c (counter): 2");
+  Kprobe.Registry.reset ()
+
+(* --- Compiled code against the reference interpreter ---
+
+   [Reference.exec] is the interpreter that ran probe programs before
+   they were compiled at load: one loop over the instruction array,
+   looking each map up by name. It is the semantics the compiler must
+   keep. *)
+
+module Reference = struct
+  open Kprobe.Insn
+
+  let alu_eval op a b =
+    match op with
+    | Add -> Int64.add a b
+    | Sub -> Int64.sub a b
+    | Mul -> Int64.mul a b
+    | Div -> if b = 0L then 0L else Int64.div a b
+    | And -> Int64.logand a b
+    | Or -> Int64.logor a b
+    | Lsl ->
+      let s = Int64.to_int b in
+      if s < 0 || s > 63 then 0L else Int64.shift_left a s
+    | Lsr ->
+      let s = Int64.to_int b in
+      if s < 0 || s > 63 then 0L else Int64.shift_right_logical a s
+
+  let cmp_eval c a b =
+    let r = Int64.compare a b in
+    match c with Eq -> r = 0 | Ne -> r <> 0 | Lt -> r < 0 | Le -> r <= 0 | Gt -> r > 0 | Ge -> r >= 0
+
+  let exec ~(store : Kprobe.Maps.store) (prog : prog) ap (ctx : int64 array) =
+    let fields = Sim.Trace.attach_fields ap in
+    let code = prog.code in
+    let regs = Array.make nregs 0L in
+    let len = Array.length code in
+    let operand = function Reg r -> regs.(r) | Imm v -> v in
+    let slot = function
+      | Cidx i -> i
+      | Cname n ->
+        let rec find i = if fields.(i) = n then i else find (i + 1) in
+        find 0
+    in
+    let open Kprobe.Maps in
+    let pc = ref 0 in
+    (* The verifier proved all jumps strictly forward, so [pc] strictly
+       increases and this loop executes at most [len] instructions. *)
+    while !pc < len do
+      let next = !pc + 1 in
+      (match code.(!pc) with
+      | Ld (r, o) ->
+        regs.(r) <- operand o;
+        pc := next
+      | Ldctx (r, c) ->
+        regs.(r) <- ctx.(slot c);
+        pc := next
+      | Alu (op, r, o) ->
+        regs.(r) <- alu_eval op regs.(r) (operand o);
+        pc := next
+      | Jmp n -> pc := next + n
+      | Jcond (c, r, o, n) -> if cmp_eval c regs.(r) (operand o) then pc := next + n else pc := next
+      | Count (m, o) ->
+        let c = find store.counters m in
+        c := Int64.add !c (operand o);
+        pc := next
+      | Upd (m, k, o) ->
+        upd (find store.perkey m) regs.(k) (operand o);
+        pc := next
+      | Setk (m, k, o) ->
+        setk (find store.perkey m) regs.(k) (operand o);
+        pc := next
+      | Get (r, m, k) ->
+        regs.(r) <- get (find store.perkey m) regs.(k);
+        pc := next
+      | Hist (m, r) ->
+        hist_rec (find store.hists m) regs.(r);
+        pc := next
+      | Histk (m, k, r) ->
+        khist_rec (find store.khists m) regs.(k) regs.(r);
+        pc := next
+      | Ringp (m, k, r) ->
+        ring_push (find store.rings m) regs.(k) regs.(r);
+        pc := next
+      | Emit (l, o) ->
+        let v = operand o and key = prog.pname ^ "." ^ l in
+        Sim.Stats.incr key;
+        Sim.Trace.emit2
+          (Sim.Trace.point Sim.Trace.Probe key (fun f ->
+               Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b)))
+          (Sim.Trace.hi32 v) (Sim.Trace.lo32 v);
+        pc := next
+      | Ret -> pc := len)
+    done
+end
+
+let q_maps =
+  Kprobe.Insn.[ ("c", Counter); ("p", Perkey); ("h", Histogram); ("k", Keyed_histogram); ("g", Ring) ]
+
+let q_labels = [ "a"; "b" ]
+
+(* Values that hit the edges of the int64 semantics: zero divisors,
+   shifts of 63, 64 and beyond (also counts whose low 63 bits look
+   small), wraparound, and a few small keys so perkey maps collide. *)
+let q_edges =
+  [ 0L; 1L; -1L; 2L; 3L; 63L; 64L; 65L; -64L; 1000L; 1_000_000L; Int64.max_int; Int64.min_int;
+    Int64.add Int64.min_int 3L ]
+
+let gen_value = QCheck.Gen.(oneof [ oneofl q_edges; map Int64.of_int (int_range (-50) 50); ui64 ])
+
+(* A program over the whole instruction set for one attach point: a
+   few loads, then random instructions whose jumps land anywhere ahead.
+   Sources are mostly registers written earlier in the text; a jump
+   over such a write, or the odd unwritten source, makes a program the
+   verifier rejects. *)
+let gen_program =
+  let open QCheck.Gen in
+  let open Kprobe.Insn in
+  let* ap = oneofl Sim.Trace.all_attach_points in
+  let fields = Sim.Trace.attach_fields ap in
+  let nf = Array.length fields in
+  let reg = int_range 0 (nregs - 1) in
+  let ctxref =
+    oneof
+      [ map (fun i -> Cidx i) (int_range 0 (nf - 1)); map (fun n -> Cname n) (oneofl (Array.to_list fields)) ]
+  in
+  let* nload = int_range 1 6 in
+  let* len = map (fun n -> nload + n) (int_range 1 30) in
+  let insn pc written =
+    let src = if written = [] then reg else frequency [ (19, oneofl written); (1, reg) ] in
+    let operand = oneof [ map (fun r -> Reg r) src; map (fun v -> Imm v) gen_value ] in
+    let load =
+      oneof [ map2 (fun r o -> Ld (r, o)) reg operand; map2 (fun r c -> Ldctx (r, c)) reg ctxref ]
+    in
+    let room = len - pc - 1 in
+    if pc < nload then load
+    else
+      frequency
+        ((if room < 1 then []
+          else
+            [
+              (2, map (fun n -> Jmp n) (int_range 1 room));
+              ( 6,
+                map2
+                  (fun (c, r, o) n -> Jcond (c, r, o, n))
+                  (triple (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ]) src operand)
+                  (int_range 1 room) );
+            ])
+        @ [
+            (4, load);
+            ( 10,
+              map3
+                (fun op r o -> Alu (op, r, o))
+                (oneofl [ Add; Sub; Mul; Div; And; Or; Lsl; Lsr ])
+                src operand );
+            (1, map (fun o -> Count ("c", o)) operand);
+            (1, map2 (fun k o -> Upd ("p", k, o)) src operand);
+            (1, map2 (fun k o -> Setk ("p", k, o)) src operand);
+            (1, map2 (fun r k -> Get (r, "p", k)) reg src);
+            (1, map (fun r -> Hist ("h", r)) src);
+            (1, map2 (fun k r -> Histk ("k", k, r)) src src);
+            (1, map2 (fun k r -> Ringp ("g", k, r)) src src);
+            (1, map2 (fun l o -> Emit (l, o)) (oneofl q_labels) operand);
+            (1, return Ret);
+          ])
+  in
+  let rec body pc written acc =
+    if pc = len then return (Array.of_list (List.rev acc))
+    else
+      let* i = insn pc written in
+      body (pc + 1) (Kprobe.Verifier.writes i @ written) (i :: acc)
+  in
+  let* code = body 0 [] [] in
+  let+ seed = int in
+  ({ pname = "t.q"; attach = [ ap ]; maps = q_maps; code }, seed)
+
+(* What one version leaves behind after a run of context sequences:
+   rendered maps, emit stat counts and Probe ktrace records. *)
+let observe prog run contexts =
+  Sim.Stats.reset ();
+  Sim.Trace.reset ();
+  Sim.Trace.enable Sim.Trace.Probe;
+  let store = Kprobe.Maps.create prog.Kprobe.Insn.maps in
+  let run = run store in
+  List.iter run contexts;
+  let records =
+    List.filter_map
+      (fun r ->
+        if r.Sim.Trace.cat = Sim.Trace.Probe then Some (r.Sim.Trace.name ^ " " ^ r.Sim.Trace.args)
+        else None)
+      (Sim.Trace.records ())
+  in
+  let stats = List.map (fun l -> Sim.Stats.get ("t.q." ^ l)) q_labels in
+  Sim.Trace.reset ();
+  (Kprobe.Maps.render store, stats, records)
+
+let accepted = ref 0
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled_matches_reference" ~count:400 ~max_gen:4000
+    (QCheck.make
+       ~print:(fun (p, seed) -> Printf.sprintf "seed %d\n%s" seed (Kprobe.Insn.render_prog p))
+       gen_program)
+    (fun (prog, seed) ->
+      QCheck.assume (Kprobe.Verifier.verify prog = Ok ());
+      incr accepted;
+      let ap = List.hd prog.Kprobe.Insn.attach in
+      let nf = Array.length (Sim.Trace.attach_fields ap) in
+      let rng = Random.State.make [| seed |] in
+      let contexts =
+        List.init 12 (fun _ -> Array.init nf (fun _ -> QCheck.Gen.generate1 ~rand:rng gen_value))
+      in
+      let compiled store =
+        match Kprobe.Vm.compile store prog ap with
+        | Error e -> Alcotest.failf "a verified program failed to compile: %s" e
+        | Ok code ->
+          let buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout nf in
+          fun ctx ->
+            Array.iteri (fun i v -> buf.{i} <- v) ctx;
+            code buf
+      in
+      let reference store ctx = Reference.exec ~store prog ap ctx in
+      let m1, s1, r1 = observe prog compiled contexts in
+      let m2, s2, r2 = observe prog reference contexts in
+      Sim.Stats.reset ();
+      if m1 <> m2 then QCheck.Test.fail_reportf "maps differ:\ncompiled\n%s\nreference\n%s" m1 m2;
+      if s1 <> s2 then QCheck.Test.fail_report "emit stat counts differ";
+      if r1 <> r2 then QCheck.Test.fail_report "Probe ktrace records differ";
+      true)
+
+let test_compiled_matches_reference =
+  let _, _, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2021 |]) prop_compiled_matches_reference
+  in
+  fun () ->
+    accepted := 0;
+    run ();
+    if !accepted < 300 then Alcotest.failf "only %d generated programs passed the verifier" !accepted
+
 (* --- Watchdogs --- *)
 
 let test_hung_task_watchdog_catches_hang () =
@@ -263,7 +530,7 @@ let test_irq_storm_watchdog_synthetic () =
   (* 300 deliveries of vector 40 inside one 1ms window: over the
      200-per-window threshold, so the sentinel must fire (and re-arm). *)
   for i = 1 to 300 do
-    Sim.Trace.fire Sim.Trace.P_irq_entry (fun () -> [| 40L; Int64.of_int (1000 + i) |])
+    fire Sim.Trace.P_irq_entry (fun () -> [| 40L; Int64.of_int (1000 + i) |])
   done;
   check "storm sentinel fired" true (Sim.Stats.get "watchdog.irq_storm.fired" > 0);
   let maps = Option.get (Kprobe.Registry.render_maps "watchdog.irq_storm") in
@@ -683,6 +950,8 @@ let () =
           Alcotest.test_case "ring_bounded" `Quick test_ring_bounded;
           Alcotest.test_case "detached_zero_cost" `Quick test_detached_fires_cost_nothing;
           Alcotest.test_case "emit_namespaced" `Quick test_emit_is_namespaced;
+          Alcotest.test_case "duplicate_attach" `Quick test_reject_duplicate_attach;
+          Alcotest.test_case "compiled_matches_reference" `Quick test_compiled_matches_reference;
         ] );
       ( "watchdogs",
         [

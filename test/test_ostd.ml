@@ -119,7 +119,8 @@ let test_custom_data () =
    the Ready set out of the order they entered it. A consumer checks
    every event against the oracle. *)
 
-let ns_of_cycles c = Int64.of_float (Sim.Clock.to_us c *. 1000.)
+(* Exact nanoseconds of a cycle count: c * 1000 / 3000 cycles per µs. *)
+let ns_of_cycles c = Int64.div (Int64.mul c 1000L) 3000L
 
 type oracle = {
   mutable queued : (Ostd.Task.t * int64) list; (* enqueue order, with the instant *)
@@ -180,14 +181,14 @@ let with_oracle o f =
         Printf.sprintf "%s #%d: max_wait_ns %Ld, oracle %Ld" what o.events got want :: o.wrong
   in
   Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:oracle_name (fun ctx ->
-      note "wakeup" ctx.(2) (oracle_queued o));
+      note "wakeup" ctx.{2} (oracle_queued o));
   Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
       match o.incoming with
-      | Some (t, before) when Ostd.Task.tid t = Int64.to_int ctx.(1) ->
+      | Some (t, before) when Ostd.Task.tid t = Int64.to_int ctx.{1} ->
         (* The incoming task's own wait is what dispatch just added to
            its sched-delay total. *)
         let _, after, _ = Ostd.Task.sched_delay t in
-        note "switch" ctx.(3) (max (ns_of_cycles (Int64.sub after before)) (oracle_queued o))
+        note "switch" ctx.{3} (max (ns_of_cycles (Int64.sub after before)) (oracle_queued o))
       | _ -> o.wrong <- "switch to a task the policy did not pick" :: o.wrong);
   Fun.protect ~finally:(fun () -> Sim.Trace.detach_name oracle_name) f
 
@@ -271,7 +272,7 @@ let test_oldest_ready_starved () =
       peer.(1) <- Some (Ostd.Task.spawn ~name:"pong" (ping 1));
       (* Under the oracle's name, so it is detached with the oracle. *)
       Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
-          if Int64.to_int ctx.(1) = Ostd.Task.tid (Option.get !victim) then victim_wait := ctx.(3));
+          if Int64.to_int ctx.{1} = Ostd.Task.tid (Option.get !victim) then victim_wait := ctx.{3});
       Ostd.Task.run ());
   Alcotest.(check (list string)) "max_wait_ns matches the oracle" [] (List.rev o.wrong);
   check "others woke 10,000 times" true (!wakes >= 10_000 && o.events > 20_000);

@@ -20,6 +20,19 @@ let test_clock_negative_charge () =
   Alcotest.check_raises "negative" (Invalid_argument "Clock.charge: negative cost") (fun () ->
       Sim.Clock.charge (-1))
 
+(* Cycles to nanoseconds is exact integer arithmetic: 3,003 cycles are
+   1,001 ns, where a conversion through float microseconds gave 1,000. *)
+let test_clock_to_ns () =
+  Alcotest.(check int64) "3003 cycles" 1001L (Sim.Clock.to_ns 3003L);
+  let wrong = ref [] and prev = ref (-1L) in
+  for c = 0 to 300_000 do
+    let ns = Sim.Clock.to_ns (Int64.of_int c) in
+    if Int64.to_int ns <> c * 1000 / 3000 && List.length !wrong < 5 then wrong := c :: !wrong;
+    if Int64.compare ns !prev < 0 then wrong := c :: !wrong;
+    prev := ns
+  done;
+  Alcotest.(check (list int)) "floor(c * 1000 / 3000), monotone" [] (List.rev !wrong)
+
 let test_events_order () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
@@ -264,6 +277,7 @@ let () =
           Alcotest.test_case "charge" `Quick test_clock_charge;
           Alcotest.test_case "advance_monotone" `Quick test_clock_advance;
           Alcotest.test_case "negative_charge" `Quick test_clock_negative_charge;
+          Alcotest.test_case "to_ns_exact" `Quick test_clock_to_ns;
         ] );
       ( "events",
         [

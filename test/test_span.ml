@@ -347,6 +347,121 @@ let test_hand_built_critical_path () =
       Sim.Span.clear ());
   Sim.Prof.reset ()
 
+(* --- The critical path against a per-cycle oracle ---
+
+   Random segment sets on a span over [1000, 1200): chains recorded back
+   to back (with gaps, and running past either end), which close in one
+   pass, and arbitrary overlaps, which close through the sweep. Each
+   cycle of the span goes to the covering segment of highest priority,
+   the oldest among equals, or to the residual. *)
+
+let q_labels =
+  [ "blocked"; "cpu.user"; "cpu.net"; "sched.delay"; "softirq"; "irq40"; "blk.irq"; "net.irq";
+    "blk.service"; "jbd.commit"; "blk.queue"; "other" ]
+
+let q_prio label =
+  match label with
+  | "blocked" -> 10
+  | "sched.delay" -> 90
+  | "softirq" -> 85
+  | "irq40" -> 80
+  | "blk.irq" | "net.irq" -> 75
+  | "blk.service" -> 70
+  | "jbd.commit" -> 65
+  | "blk.queue" -> 60
+  | l when String.starts_with ~prefix:"cpu." l -> 100
+  | _ -> 50
+
+let oracle_path (i : Sim.Span.info) =
+  let segs = Array.of_list i.Sim.Span.i_segs (* oldest first *) in
+  let lo = Int64.to_int i.Sim.Span.i_begin in
+  let won = Hashtbl.create 8 and residual = ref 0 in
+  for t = lo to lo + Int64.to_int i.Sim.Span.i_dur - 1 do
+    let best = ref None in
+    Array.iter
+      (fun (l, t0, t1) ->
+        if Int64.to_int t0 <= t && t < Int64.to_int t1 then
+          match !best with
+          | Some b when q_prio b >= q_prio l -> ()
+          | _ -> best := Some l)
+      segs;
+    match !best with
+    | Some l -> Hashtbl.replace won l (1 + Option.value ~default:0 (Hashtbl.find_opt won l))
+    | None -> incr residual
+  done;
+  let path =
+    Hashtbl.fold (fun l n acc -> (l, Int64.of_int n) :: acc) won []
+    |> List.sort (fun (la, a) (lb, b) ->
+           let c = Int64.compare b a in
+           if c <> 0 then c else String.compare la lb)
+  in
+  (path, Int64.of_int !residual)
+
+let gen_segments =
+  let open QCheck.Gen in
+  let seg_len = int_range 1 60 in
+  let chain =
+    let* start = int_range 950 1100 in
+    let* n = int_range 1 8 in
+    let rec go t k acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* gap = frequency [ (3, return 0); (1, int_range 1 20) ] in
+        let* d = seg_len in
+        let* l = oneofl q_labels in
+        go (t + gap + d) (k - 1) ((l, t + gap, t + gap + d) :: acc)
+    in
+    go start n []
+  in
+  let scattered =
+    list_size (int_range 1 10)
+      (map3 (fun l t0 d -> (l, t0, t0 + d)) (oneofl q_labels) (int_range 950 1230) seg_len)
+  in
+  frequency [ (1, chain); (1, scattered) ]
+
+let back_to_back (i : Sim.Span.info) =
+  let rec go = function
+    | (_, _, t1) :: ((_, t0, _) :: _ as tl) -> Int64.compare t0 t1 >= 0 && go tl
+    | _ -> true
+  in
+  go i.Sim.Span.i_segs
+
+let chains = ref 0 and overlaps = ref 0
+
+let prop_critical_path_matches_oracle =
+  QCheck.Test.make ~name:"critical_path_matches_oracle" ~count:600
+    QCheck.(make ~print:Print.(list (triple string int int)) gen_segments)
+    (fun segs ->
+      Sim.Clock.reset ();
+      Sim.Prof.reset ();
+      Sim.Span.clear ();
+      with_span (fun () ->
+          Sim.Clock.advance_to 1000L;
+          Sim.Prof.switch_to ~tid:1 ~comm:"q";
+          let id = Sim.Span.begin_ ~cls:"q" ~name:"q" in
+          Sim.Prof.switch_idle ();
+          List.iter (fun (l, t0, t1) -> Sim.Span.add_to id l (Int64.of_int t0) (Int64.of_int t1)) segs;
+          Sim.Clock.advance_to 1200L;
+          Sim.Span.end_ id);
+      Sim.Prof.reset ();
+      match Sim.Span.tail "q" with
+      | [ i ] ->
+        if back_to_back i then incr chains else incr overlaps;
+        let path, residual = oracle_path i in
+        i.Sim.Span.i_path = path && Int64.equal i.Sim.Span.i_residual residual
+      | _ -> false)
+
+let test_critical_path_matches_oracle =
+  let _, _, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) prop_critical_path_matches_oracle
+  in
+  fun () ->
+    chains := 0;
+    overlaps := 0;
+    run ();
+    Sim.Span.clear ();
+    check "both closing paths were exercised" true (!chains >= 100 && !overlaps >= 100)
+
 (* --- Zero cost and determinism --- *)
 
 let bw_tcp_row () = Apps.Lmbench.find "bw_tcp 64k (virtio)"
@@ -434,6 +549,7 @@ let () =
           Alcotest.test_case "ktrace_span_tags" `Quick test_ktrace_records_tagged_with_span;
           Alcotest.test_case "wake_legs_from_prof_frames" `Quick test_wake_legs_from_prof_frames;
           Alcotest.test_case "hand_built_critical_path" `Quick test_hand_built_critical_path;
+          Alcotest.test_case "critical_path_oracle" `Quick test_critical_path_matches_oracle;
         ] );
       ( "invariants",
         [
