@@ -92,6 +92,12 @@ let encode_dirents entries =
     entries;
   Buffer.to_bytes buf
 
+let dirent_len b pos =
+  if pos < 0 || pos + 10 > Bytes.length b then 0
+  else
+    let n = 10 + Char.code (Bytes.get b (pos + 9)) in
+    if pos + n > Bytes.length b then 0 else n
+
 let decode_dirents b =
   let len = Bytes.length b in
   let rec go pos acc =

@@ -42,3 +42,7 @@ val decode_timespec : bytes -> int64 * int64
 val encode_dirents : (string * Vfs.inode) list -> bytes
 val decode_dirents : bytes -> (int * int * string) list
 (** (ino, kind code, name) triples. *)
+
+val dirent_len : bytes -> int -> int
+(** The length of the whole entry that starts at the given offset of an
+    encoded listing, or 0 when none does. *)

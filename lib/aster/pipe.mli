@@ -8,7 +8,6 @@ type t
 
 val create : unit -> t
 
-val capacity : t -> int
 val available : t -> int
 (** Bytes currently buffered. *)
 

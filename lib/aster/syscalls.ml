@@ -24,39 +24,10 @@ let rec user_read_into proc ~vaddr ~buf ~len =
     if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_read_into proc ~vaddr ~buf ~len
     else fa - vaddr
 
-(* The same copy into a fresh buffer: what was copied, EFAULT if that
-   is nothing. *)
-let user_read_upto proc ~vaddr ~len =
-  let buf = Bytes.create len in
-  match user_read_into proc ~vaddr ~buf ~len with
-  | n when n = len -> Ok buf
-  | 0 -> Error Errno.efault
-  | n -> Ok (Bytes.sub buf 0 n)
-
+(* A fixed-size struct in from user memory: all of it or EFAULT. *)
 let user_read proc ~vaddr ~len =
-  match user_read_upto proc ~vaddr ~len with
-  | Ok b when Bytes.length b < len -> Error Errno.efault
-  | r -> r
-
-(* The source of a write, copied in chunks of at most [rw_chunk] bytes
-   so that no count sizes a host buffer before user memory backs it.
-   The first short chunk ends the copy, and the result is Linux's short
-   count. A count within one chunk is one copy, charged as before. *)
-let rw_chunk = 1 lsl 20
-
-let user_read_chunked proc ~vaddr ~len =
-  let rec go acc off =
-    let n = Int.min rw_chunk (len - off) in
-    match user_read_upto proc ~vaddr:(vaddr + off) ~len:n with
-    | Ok b when Bytes.length b = n && off + n < len -> go (b :: acc) (off + n)
-    | Ok b -> Ok (b :: acc)
-    | Error _ when acc <> [] -> Ok acc
-    | Error e -> Error e
-  in
-  match go [] 0 with
-  | Ok [ b ] -> Ok b
-  | Ok chunks -> Ok (Bytes.concat Bytes.empty (List.rev chunks))
-  | Error e -> Error e
+  let buf = Bytes.create len in
+  if user_read_into proc ~vaddr ~buf ~len = len then Ok buf else Error Errno.efault
 
 (* Copy the first [len] bytes of [buf] out to user memory, retrying
    after each fault that demand paging resolves. Returns the count
@@ -69,65 +40,116 @@ let rec user_write_upto proc ~vaddr buf ~len =
     if Mm.handle_fault (Process.mm proc) ~vaddr:fa ~write then user_write_upto proc ~vaddr buf ~len
     else fa - vaddr
 
-(* The same copy, all or EFAULT. *)
-let user_write_sub proc ~vaddr buf ~len =
+(* A fixed-size struct out to user memory: all of it or EFAULT. *)
+let user_write proc ~vaddr buf =
+  let len = Bytes.length buf in
   if user_write_upto proc ~vaddr buf ~len = len then Ok () else Error Errno.efault
-
-let user_write proc ~vaddr buf = user_write_sub proc ~vaddr buf ~len:(Bytes.length buf)
 
 (* --- One reused kernel staging buffer ---
 
-   Regular-file reads and writes of at most [stage_size] bytes copy
-   through this one buffer instead of a fresh [Bytes] per call. A call
+   Every data syscall moves its bytes through this one buffer, at most
+   [stage_size] at a time, instead of a host buffer per call. A call
    holds it until it returns, on every exit, a contained
-   [Service_failure] included. A call may sleep inside an fs op (at the
-   jbd commit gate, on a cold block read) while holding it; a call that
-   finds it taken allocates a buffer of its own, so two calls never
-   share it and memory stays at one buffer. 64 KiB is the largest chunk
-   any in-tree app issues (fio, lmbench and lmdd). *)
+   [Service_failure] included, and may sleep holding it: inside an fs
+   op (at the jbd commit gate, on a cold block read) or on a pipe or
+   socket. A call that finds it held allocates a buffer of its own, so
+   two calls never share it and memory stays at one buffer. The holder
+   is the task, not a flag: a task killed asleep is never resumed, so
+   it never gives the buffer back, and a dead holder's buffer is free.
+   64 KiB is the largest count any in-tree app issues (fio, lmbench and
+   lmdd), so each of their calls is one chunk. *)
 let stage_size = 64 * 1024
 
 let stage = Bytes.create stage_size
 
-let stage_busy = ref false
+(* The task holding the buffer, [None] when free. A call outside any
+   task cannot sleep, so it holds the buffer as [None] and nothing else
+   runs before it returns. *)
+let stage_holder : Ostd.Task.t option ref = ref None
 
-let staging_busy () = !stage_busy
+let staging_busy () =
+  match !stage_holder with Some t -> not (Ostd.Task.is_dead t) | None -> false
 
-(* Run [f] on a buffer of at least [len <= stage_size] bytes. *)
-let with_stage len f =
-  if !stage_busy then f (Bytes.create len)
+(* The staging buffer, or a buffer of [len <= stage_size] bytes of
+   the call's own when a live task holds it. *)
+let stage_take len =
+  if staging_busy () then Bytes.create len
   else begin
-    stage_busy := true;
-    match f stage with
-    | r ->
-      stage_busy := false;
-      r
-    | exception e ->
-      stage_busy := false;
-      raise e
+    stage_holder := Ostd.Task.current_opt ();
+    stage
   end
 
-(* Produce and copy out up to [len] bytes in staging-buffer chunks:
-   [fill buf ~off ~len] puts the next at most [len] bytes, the ones at
-   offset [off] of the whole, at the front of [buf] and says how many.
-   The loop stops at a short chunk, at an error, or at the first fault
-   demand paging cannot resolve, and returns the count copied, or the
-   errno (EFAULT for a fault) when that is nothing. This is how Linux's
-   read_iter_zero, seq_read and getrandom answer a count that nothing
-   bounds. *)
-let chunked_copy_out proc ~vaddr ~len fill =
-  with_stage (Int.min len stage_size) (fun buf ->
-      let rec go copied =
-        let want = Int.min stage_size (len - copied) in
-        match fill buf ~off:copied ~len:want with
-        | Error e -> if copied > 0 then Ok copied else Error e
-        | Ok n ->
-          let c = user_write_upto proc ~vaddr:(vaddr + copied) buf ~len:n in
-          if c = want && copied + c < len then go (copied + c)
-          else if copied + c = 0 && n > 0 then Error Errno.efault
-          else Ok (copied + c)
-      in
-      go 0)
+let stage_release buf = if buf == stage then stage_holder := None
+
+(* Run [f] on [stage_take len], released on every exit. *)
+let with_stage len f =
+  let buf = stage_take len in
+  match f buf with
+  | r ->
+    stage_release buf;
+    r
+  | exception e ->
+    stage_release buf;
+    raise e
+
+(* --- The two copy loops across the user boundary ---
+
+   [copy_out] moves up to [len] bytes an object produces out to user
+   memory at [vaddr]: [fill buf ~off ~len] puts the object's next at
+   most [len] bytes, the call's bytes from offset [off], at the front
+   of [buf] and says how many. [copy_in] moves up to [len] bytes of
+   user memory at [vaddr] in: [drain buf ~off ~len] hands the object
+   the [len] bytes at the front of [buf], the call's bytes from offset
+   [off], and says how many it took. Both go one staging-buffer chunk
+   at a time and make at least one object call, a zero count included,
+   so a count of at most [stage_size] is one object call and one user
+   copy. Both stop at a short chunk, at an error, or at the first fault
+   demand paging cannot resolve, and return the count that reached its
+   destination, or the errno (EFAULT for a fault) when that is nothing,
+   as Linux's copy_to_iter, filemap_read and generic_perform_write do. *)
+
+let rec copy_out_chunks proc ~vaddr ~len fill buf copied =
+  let want = Int.min stage_size (len - copied) in
+  match fill buf ~off:copied ~len:want with
+  | Error e -> if copied > 0 then Ok copied else Error e
+  | Ok n ->
+    let c = user_write_upto proc ~vaddr:(vaddr + copied) buf ~len:n in
+    if c = want && copied + c < len then copy_out_chunks proc ~vaddr ~len fill buf (copied + c)
+    else if copied + c = 0 && n > 0 then Error Errno.efault
+    else Ok (copied + c)
+
+(* The loops take their state as arguments, not through a closure, so
+   a call allocates no closure beyond its fill or drain. *)
+let copy_out proc ~vaddr ~len fill =
+  let buf = stage_take (Int.min len stage_size) in
+  match copy_out_chunks proc ~vaddr ~len fill buf 0 with
+  | r ->
+    stage_release buf;
+    r
+  | exception e ->
+    stage_release buf;
+    raise e
+
+let rec copy_in_chunks proc ~vaddr ~len drain buf moved =
+  let want = Int.min stage_size (len - moved) in
+  let c = user_read_into proc ~vaddr:(vaddr + moved) ~buf ~len:want in
+  if c = 0 && want > 0 then if moved > 0 then Ok moved else Error Errno.efault
+  else
+    match drain buf ~off:moved ~len:c with
+    | Error e -> if moved > 0 then Ok moved else Error e
+    | Ok n ->
+      if n = want && moved + n < len then copy_in_chunks proc ~vaddr ~len drain buf (moved + n)
+      else Ok (moved + n)
+
+let copy_in proc ~vaddr ~len drain =
+  let buf = stage_take (Int.min len stage_size) in
+  match copy_in_chunks proc ~vaddr ~len drain buf 0 with
+  | r ->
+    stage_release buf;
+    r
+  | exception e ->
+    stage_release buf;
+    raise e
 
 let read_str proc vaddr =
   (* NUL-terminated, capped at a page, copied in 64-byte chunks. A chunk
@@ -195,26 +217,10 @@ let max_rw_count = 0x7ffff000
 
 let rw_count args = Int.min (int_arg args 2) max_rw_count
 
-(* Reads size their kernel buffer by what the object can return, never
-   by the caller's count alone, so a 2^40-byte read costs the host what
-   the file or channel holds. A regular file holds [size - pos]; procfs
-   files report size 0 and make their text on read, so they keep the
-   count. Pipes and sockets hold at most their buffer capacity, and one
-   UDP read returns one datagram, at most an IPv4 datagram's 65,535
-   bytes. *)
-let file_cap (inode : Vfs.inode) ~pos =
-  if inode.Vfs.kind = Vfs.Reg && inode.Vfs.fsname <> "procfs" then
-    Int.max 0 (inode.Vfs.size - pos)
-  else max_int
-
-let udp_cap = 65_535
-
 (* The largest UDP payload an IPv4 datagram carries: 65,535 less the
    IP and UDP headers. A longer sendto fails with EMSGSIZE before any
    copy. *)
 let udp_max_payload = 65_507
-
-let read_buf ~len cap = Bytes.create (Int.min len cap)
 
 (* --- FIFO plumbing: named pipes get their ring on first open --- *)
 
@@ -230,107 +236,70 @@ let fifo_pipe (inode : Vfs.inode) =
 
 (* --- read/write on each file flavour --- *)
 
-(* Read from [inode] at [pos] into user memory at [vaddr]; [advance]
-   learns how far the file position moves. A count the staging buffer
-   holds is one fs read and one copy. A larger count on a file whose
-   size bounds it is the same into a fresh buffer. A larger count on a
-   file nothing bounds (procfs, /dev/zero) reads in staging-buffer
-   chunks, the later ones at pos > 0, so procfs serves them from the
-   snapshot it took at offset 0. *)
-let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len ~advance =
-  let read buf ~pos ~len = inode.Vfs.ops.Vfs.read inode ~pos ~buf ~boff:0 ~len in
-  let cap = file_cap inode ~pos in
-  let len = Int.min len cap in
-  let whole buf =
-    match read buf ~pos ~len with
-    | Error e -> err e
-    | Ok n -> (
-      advance n;
-      match user_write_sub proc ~vaddr buf ~len:n with
-      | Ok () -> ok n
-      | Error e -> err e)
-  in
-  if len <= stage_size then with_stage len whole
-  else if cap < max_int then whole (Bytes.create len)
-  else
-    match chunked_copy_out proc ~vaddr ~len (fun buf ~off ~len -> read buf ~pos:(pos + off) ~len) with
-    | Ok n ->
-      advance n;
-      ok n
-    | Error e -> err e
+(* Read up to [len] bytes of [inode] at [pos] out to user memory. The
+   chunks after the first read at pos > 0, so procfs serves them from
+   the snapshot it took at offset 0. *)
+let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len =
+  copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+      inode.Vfs.ops.Vfs.read inode ~pos:(pos + off) ~buf ~boff:0 ~len)
 
-(* Copy the [n] bytes a read put in [buf] out to user memory. *)
-let copy_read_out proc ~vaddr buf = function
-  | Ok n -> (
-    match user_write_sub proc ~vaddr buf ~len:n with
-    | Ok () -> ok n
-    | Error e -> err e)
-  | Error e -> err e
-
-(* Read up to [len] bytes from [f] into user memory at [vaddr]. *)
+(* Read up to [len] bytes from [f] into user memory at [vaddr]. The
+   file position advances by the bytes that reached user memory. A
+   stream read waits, unless [f] is O_NONBLOCK, for its first chunk
+   only: a later chunk that finds nothing ends the call with the count
+   so far. A datagram is one chunk, since no UDP payload fills one. *)
 let do_read_desc proc (f : File.t) ~vaddr ~len =
   let nonblock = f.File.flags land File.o_nonblock <> 0 in
   match f.File.desc with
-  | File.Inode_file inode ->
+  | File.Inode_file inode -> (
     Vfs.touch_atime inode;
-    read_inode proc inode ~pos:f.File.pos ~vaddr ~len ~advance:(fun n ->
-        f.File.pos <- f.File.pos + n)
+    match read_inode proc inode ~pos:f.File.pos ~vaddr ~len with
+    | Ok n ->
+      f.File.pos <- f.File.pos + n;
+      ok n
+    | Error e -> err e)
   | File.Pipe_read p ->
-    let buf = read_buf ~len (Pipe.capacity p) in
-    copy_read_out proc ~vaddr buf (Pipe.read ~nonblock p ~buf ~pos:0 ~len:(Bytes.length buf))
+    lift
+      (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+           Pipe.read ~nonblock:(nonblock || off > 0) p ~buf ~pos:0 ~len))
   | File.Pipe_write _ -> err Errno.ebadf
   | File.Epoll _ -> err Errno.einval
   | File.Socket s -> (
     match s.File.st with
     | File.S_tcp_conn c ->
-      let buf = read_buf ~len (Tcp.rcvbuf_capacity c) in
-      copy_read_out proc ~vaddr buf (Tcp.recv ~nonblock c ~buf ~pos:0 ~len:(Bytes.length buf))
+      lift
+        (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+             Tcp.recv ~nonblock:(nonblock || off > 0) c ~buf ~pos:0 ~len))
     | File.S_unix_conn ep ->
-      let buf = read_buf ~len (Unix_sock.capacity ep) in
-      copy_read_out proc ~vaddr buf (Unix_sock.recv ~nonblock ep ~buf ~pos:0 ~len:(Bytes.length buf))
+      lift
+        (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+             Unix_sock.recv ~nonblock:(nonblock || off > 0) ep ~buf ~pos:0 ~len))
     | File.S_udp u ->
-      let buf = read_buf ~len udp_cap in
-      copy_read_out proc ~vaddr buf
-        (Result.map (fun (n, _, _) -> n) (Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len:(Bytes.length buf)))
+      lift
+        (copy_out proc ~vaddr ~len (fun buf ~off:_ ~len ->
+             Result.map (fun (n, _, _) -> n) (Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len)))
     | _ -> err Errno.enotconn)
 
-(* Copy the [len]-byte source of a regular-file write in and hand
-   [write buf n] the [n] bytes copied, short at the first fault demand
-   paging cannot resolve: through the staging buffer when it holds
-   [len], else through [user_read_chunked]. *)
-let with_user_data proc ~vaddr ~len write =
-  if len <= stage_size then
-    with_stage len (fun buf ->
-        match user_read_into proc ~vaddr ~buf ~len with
-        | 0 when len > 0 -> err Errno.efault
-        | n -> lift (write buf n))
-  else
-    match user_read_chunked proc ~vaddr ~len with
-    | Ok data -> lift (write data (Bytes.length data))
-    | Error e -> err e
-
-(* [?len] lets callers hand over a partially-filled buffer (sendfile's
-   reused bounce buffer, the staging buffer) without a [Bytes.sub] copy
-   per chunk. *)
-let do_write_desc ?len proc (f : File.t) data =
-  ignore proc;
-  let len = match len with Some n -> n | None -> Bytes.length data in
+(* Hand the write op of [f] the first [len] bytes of [buf]: each chunk
+   of a [copy_in], and each bounce chunk of sendfile. A regular file's
+   position advances by the bytes written. *)
+let do_write_desc (f : File.t) buf ~len =
+  let nonblock = f.File.flags land File.o_nonblock <> 0 in
   match f.File.desc with
   | File.Inode_file inode -> (
     let pos = if f.File.flags land File.o_append <> 0 then inode.Vfs.size else f.File.pos in
-    match inode.Vfs.ops.Vfs.write inode ~pos ~buf:data ~boff:0 ~len with
+    match inode.Vfs.ops.Vfs.write inode ~pos ~buf ~boff:0 ~len with
     | Ok n ->
       f.File.pos <- pos + n;
       Ok n
     | Error e -> Error e)
-  | File.Pipe_write p -> Pipe.write ~nonblock:(f.File.flags land File.o_nonblock <> 0) p ~buf:data ~pos:0 ~len
+  | File.Pipe_write p -> Pipe.write ~nonblock p ~buf ~pos:0 ~len
   | File.Pipe_read _ -> Error Errno.ebadf
   | File.Epoll _ -> Error Errno.einval
   | File.Socket s -> (
-    let nonblock = f.File.flags land File.o_nonblock <> 0 in
     match s.File.st with
-    | File.S_tcp_conn c -> Tcp.send ~nonblock c ~buf:data ~pos:0 ~len
-    | File.S_unix_conn ep -> Unix_sock.send ~nonblock ep ~buf:data ~pos:0 ~len
+    | File.S_tcp_conn c -> Tcp.send ~nonblock c ~buf ~pos:0 ~len
+    | File.S_unix_conn ep -> Unix_sock.send ~nonblock ep ~buf ~pos:0 ~len
     | _ -> Error Errno.enotconn)
 
 (* --- Individual syscalls --- *)
@@ -345,16 +314,11 @@ let sys_write proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
-  | Ok f -> (
-    let len = rw_count args and vaddr = int_arg args 1 in
+  | Ok f ->
+    let len = rw_count args in
     Strace.record_size ~nr:N.write ~size:len;
-    match f.File.desc with
-    | File.Inode_file _ ->
-      with_user_data proc ~vaddr ~len (fun buf n -> do_write_desc ~len:n proc f buf)
-    | _ -> (
-      match user_read_chunked proc ~vaddr ~len with
-      | Error e -> err e
-      | Ok data -> lift (do_write_desc proc f data)))
+    lift
+      (copy_in proc ~vaddr:(int_arg args 1) ~len (fun buf ~off:_ ~len -> do_write_desc f buf ~len))
 
 let sys_pread proc args =
   match file_of proc args.(0) with
@@ -363,8 +327,8 @@ let sys_pread proc args =
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode ->
-      read_inode proc inode ~pos:(int_arg args 3) ~vaddr:(int_arg args 1) ~len:(rw_count args)
-        ~advance:ignore
+      lift
+        (read_inode proc inode ~pos:(int_arg args 3) ~vaddr:(int_arg args 1) ~len:(rw_count args))
     | _ -> err Errno.espipe)
 
 let sys_pwrite proc args =
@@ -374,10 +338,11 @@ let sys_pwrite proc args =
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode ->
-      let len = rw_count args and off = int_arg args 3 in
+      let len = rw_count args and pos = int_arg args 3 in
       Strace.record_size ~nr:N.pwrite64 ~size:len;
-      with_user_data proc ~vaddr:(int_arg args 1) ~len (fun buf n ->
-          inode.Vfs.ops.Vfs.write inode ~pos:off ~buf ~boff:0 ~len:n)
+      lift
+        (copy_in proc ~vaddr:(int_arg args 1) ~len (fun buf ~off ~len ->
+             inode.Vfs.ops.Vfs.write inode ~pos:(pos + off) ~buf ~boff:0 ~len))
     | _ -> err Errno.espipe)
 
 let iovec_list proc vaddr count =
@@ -628,14 +593,20 @@ let sys_getdents proc args =
     match f.File.desc with
     | File.Inode_file inode when inode.Vfs.kind = Vfs.Dir ->
       let all = Abi.encode_dirents (inode.Vfs.ops.Vfs.readdir inode) in
-      let cap = int_arg args 2 in
-      let remaining = Bytes.length all - f.File.pos in
-      if remaining <= 0 then ok 0
+      let cap = int_arg args 2 and pos = f.File.pos in
+      (* Whole entries only, as Linux's filldir64: as many as fit in
+         [cap], and EINVAL when the next one alone does not. *)
+      let rec fit n =
+        match Abi.dirent_len all (pos + n) with
+        | 0 -> n
+        | r -> if n + r > cap then n else fit (n + r)
+      in
+      let n = fit 0 in
+      if n = 0 then if Abi.dirent_len all pos = 0 then ok 0 else err Errno.einval
       else begin
-        let n = min cap remaining in
-        match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub all f.File.pos n) with
+        match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub all pos n) with
         | Ok () ->
-          f.File.pos <- f.File.pos + n;
+          f.File.pos <- pos + n;
           ok n
         | Error e -> err e
       end
@@ -808,7 +779,6 @@ let sys_sendfile proc args =
     match in_f.File.desc with
     | File.Inode_file inode ->
       let count = int_arg args 3 in
-      let chunk_size = 64 * 1024 in
       (* Zero-copy sendfile-to-wire: when the source is page-cache
          backed and the sink is TCP, map the cache frames straight into
          the transmit path — the frames stay pinned until the NIC's
@@ -821,45 +791,47 @@ let sys_sendfile proc args =
       in
       let sent = ref 0 in
       let stop = ref None in
-      (* One bounce buffer reused across the whole transfer. *)
-      let buf = if zero_copy then Bytes.empty else Bytes.create (min chunk_size count) in
-      while !sent < count && !stop = None do
-        let want = min chunk_size (count - !sent) in
-        if zero_copy then begin
-          match Ramfs.file_view inode ~pos:in_f.File.pos ~len:want with
-          | None -> stop := Some Sf_eof
-          | Some (data, n, pins) -> (
-            let conn =
-              match File.tcp_conn_of out_f with Some c -> c | None -> assert false
-            in
-            match Tcp.send ~pins ~owned:true conn ~buf:data ~pos:0 ~len:n with
-            | Ok w ->
-              in_f.File.pos <- in_f.File.pos + w;
-              sent := !sent + w
-            | Error e -> stop := Some (Sf_err e))
-        end
-        else
-          match inode.Vfs.ops.Vfs.read inode ~pos:in_f.File.pos ~buf ~boff:0 ~len:want with
-          | Error e -> stop := Some (Sf_err e)
-          | Ok 0 -> stop := Some Sf_eof
-          | Ok n -> (
-            (* The file-system read above was the first copy. *)
-            Sim.Stats.add "net.bytes_copied" n;
-            (* The paper: Asterinas' sendfile is less optimised — it
-               takes an extra copy through an intermediate buffer, and
-               the smoltcp-style stack copies once more into its own
-               transmit buffer. Linux's zero-copy path hands page-cache
-               pages to the NIC directly. *)
-            if not (Sim.Profile.get ()).Sim.Profile.sendfile_zero_copy then begin
-              Sim.Cost.charge_memcpy n;
-              Sim.Stats.add "net.bytes_copied" n
-            end;
-            match do_write_desc ~len:n proc out_f buf with
-            | Ok w ->
-              in_f.File.pos <- in_f.File.pos + w;
-              sent := !sent + w
-            | Error e -> stop := Some (Sf_err e))
-      done;
+      let transfer buf =
+        while !sent < count && !stop = None do
+          let want = min stage_size (count - !sent) in
+          if zero_copy then begin
+            match Ramfs.file_view inode ~pos:in_f.File.pos ~len:want with
+            | None -> stop := Some Sf_eof
+            | Some (data, n, pins) -> (
+              let conn =
+                match File.tcp_conn_of out_f with Some c -> c | None -> assert false
+              in
+              match Tcp.send ~pins ~owned:true conn ~buf:data ~pos:0 ~len:n with
+              | Ok w ->
+                in_f.File.pos <- in_f.File.pos + w;
+                sent := !sent + w
+              | Error e -> stop := Some (Sf_err e))
+          end
+          else
+            match inode.Vfs.ops.Vfs.read inode ~pos:in_f.File.pos ~buf ~boff:0 ~len:want with
+            | Error e -> stop := Some (Sf_err e)
+            | Ok 0 -> stop := Some Sf_eof
+            | Ok n -> (
+              (* The file-system read above was the first copy. *)
+              Sim.Stats.add "net.bytes_copied" n;
+              (* The paper: Asterinas' sendfile is less optimised — it
+                 takes an extra copy through an intermediate buffer, and
+                 the smoltcp-style stack copies once more into its own
+                 transmit buffer. Linux's zero-copy path hands page-cache
+                 pages to the NIC directly. *)
+              if not (Sim.Profile.get ()).Sim.Profile.sendfile_zero_copy then begin
+                Sim.Cost.charge_memcpy n;
+                Sim.Stats.add "net.bytes_copied" n
+              end;
+              match do_write_desc out_f buf ~len:n with
+              | Ok w ->
+                in_f.File.pos <- in_f.File.pos + w;
+                sent := !sent + w
+              | Error e -> stop := Some (Sf_err e))
+        done
+      in
+      (* The bounce loop's one buffer is the staging buffer. *)
+      if zero_copy then transfer Bytes.empty else with_stage (min stage_size count) transfer;
       (match !stop with
       | None | Some Sf_eof -> ok !sent
       | Some (Sf_err e) -> if !sent > 0 then ok !sent else err e)
@@ -1045,26 +1017,27 @@ let sys_sendto proc args =
       | (File.S_udp _ | File.S_unbound)
         when s.File.kind = File.Inet_dgram && int_arg args 2 > udp_max_payload ->
         err Errno.emsgsize
-      | File.S_udp _ | File.S_unbound when s.File.kind = File.Inet_dgram -> (
+      | File.S_udp _ | File.S_unbound when s.File.kind = File.Inet_dgram ->
         (* A datagram goes out whole or not at all, so a fault anywhere
-           in it is EFAULT, as on Linux. *)
-        match user_read proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) with
-        | Error e -> err e
-        | Ok data -> (
-          let u =
-            match s.File.st with
-            | File.S_udp u -> u
-            | _ ->
-              let _, _, eng = the_net () in
-              let u = Udp.socket eng in
-              s.File.st <- File.S_udp u;
-              u
-          in
-          match read_sockaddr proc (int_arg args 4) (int_arg args 5) with
-          | Error e -> err e
-          | Ok (Some (Abi.Addr_in { port; ip })) ->
-            lift (Udp.sendto u ~dst_ip:ip ~dst_port:port ~buf:data ~pos:0 ~len:(Bytes.length data))
-          | Ok _ -> err Errno.einval))
+           in it is EFAULT, as on Linux. It fits the staging buffer. *)
+        let len = int_arg args 2 in
+        with_stage len (fun buf ->
+            if user_read_into proc ~vaddr:(int_arg args 1) ~buf ~len < len then err Errno.efault
+            else
+              let u =
+                match s.File.st with
+                | File.S_udp u -> u
+                | _ ->
+                  let _, _, eng = the_net () in
+                  let u = Udp.socket eng in
+                  s.File.st <- File.S_udp u;
+                  u
+              in
+              match read_sockaddr proc (int_arg args 4) (int_arg args 5) with
+              | Error e -> err e
+              | Ok (Some (Abi.Addr_in { port; ip })) ->
+                lift (Udp.sendto u ~dst_ip:ip ~dst_port:port ~buf ~pos:0 ~len)
+              | Ok _ -> err Errno.einval)
       | _ -> sys_write proc [| args.(0); args.(1); args.(2) |]))
 
 let sys_recvfrom proc args =
@@ -1076,19 +1049,20 @@ let sys_recvfrom proc args =
     | Error e -> err e
     | Ok s -> (
       match s.File.st with
-      | File.S_udp u -> (
-        let buf = read_buf ~len:(int_arg args 2) udp_cap in
-        match Udp.recvfrom u ~buf ~pos:0 ~len:(Bytes.length buf) with
-        | Error e -> err e
-        | Ok (n, src_ip, src_port) -> (
-          let addr_ptr = int_arg args 4 in
-          if addr_ptr <> 0 then
-            ignore
-              (user_write proc ~vaddr:addr_ptr
-                 (Abi.encode_sockaddr_in ~port:src_port ~ip:src_ip));
-          match user_write_sub proc ~vaddr:(int_arg args 1) buf ~len:n with
-          | Ok () -> ok n
-          | Error e -> err e))
+      | File.S_udp u ->
+        let nonblock = f.File.flags land File.o_nonblock <> 0 and addr_ptr = int_arg args 4 in
+        (* One datagram is one chunk; its source goes out before its
+           bytes. *)
+        lift
+          (copy_out proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) (fun buf ~off:_ ~len ->
+               match Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len with
+               | Error e -> Error e
+               | Ok (n, src_ip, src_port) ->
+                 if addr_ptr <> 0 then
+                   ignore
+                     (user_write proc ~vaddr:addr_ptr
+                        (Abi.encode_sockaddr_in ~port:src_port ~ip:src_ip));
+                 Ok n))
       | _ -> sys_read proc [| args.(0); args.(1); args.(2) |]))
 
 let sys_socketpair proc args =
@@ -1394,7 +1368,7 @@ let sys_getrandom proc args =
       done;
       Ok len
     in
-    lift (chunked_copy_out proc ~vaddr:(int_arg args 0) ~len:(Int.min len max_rw_count) fill)
+    lift (copy_out proc ~vaddr:(int_arg args 0) ~len:(Int.min len max_rw_count) fill)
   end
 
 (* --- Readiness syscalls: poll(2) + the epoll family ---
@@ -1833,7 +1807,7 @@ let dispatch proc nr args =
 
 let install () =
   Hashtbl.reset fifo_pipes;
-  (* A task of the last boot may have died asleep holding the buffer. *)
-  stage_busy := false;
+  (* A task of the last boot may have been asleep holding the buffer. *)
+  stage_holder := None;
   if Hashtbl.length handlers = 0 then register_all ();
   Process.set_syscall_handler dispatch

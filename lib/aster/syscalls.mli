@@ -11,9 +11,11 @@ val init_net : Netstack.t -> Tcp.engine -> Udp.engine -> unit
 val install : unit -> unit
 
 val staging_busy : unit -> bool
-(** Whether a call holds the one kernel staging buffer that regular-file
-    reads and writes of at most 64 KiB, and unbounded reads, copy
-    through. *)
+(** Whether a live task holds the one kernel staging buffer. Every data
+    syscall moves its bytes through it, 64 KiB at a time: [read],
+    [pread64], [readv], [recvfrom], [getrandom], [write], [pwrite64],
+    [writev], [sendto] and sendfile's bounce loop. A task killed while
+    holding it no longer does. *)
 
 val implemented_count : unit -> int
 val implemented_numbers : unit -> int list

@@ -673,8 +673,6 @@ let recv ?(nonblock = false) conn ~buf ~pos ~len =
 
 let recv_available conn = Fifo.length conn.rcvbuf
 
-let rcvbuf_capacity conn = conn.rcvbuf_cap
-
 let close conn =
   if not conn.local_closed then begin
     conn.local_closed <- true;

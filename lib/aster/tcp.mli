@@ -61,10 +61,6 @@ val recv : ?nonblock:bool -> conn -> buf:bytes -> pos:int -> len:int -> (int, in
 
 val recv_available : conn -> int
 
-val rcvbuf_capacity : conn -> int
-(** The most bytes the receive buffer holds, so the most one [recv]
-    can return. *)
-
 val set_nodelay : conn -> unit
 (** TCP_NODELAY: send sub-MSS segments immediately instead of holding
     them for in-flight data (what Redis and Nginx configure). *)

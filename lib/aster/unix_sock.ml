@@ -101,8 +101,6 @@ let send ?(nonblock = false) ep ~buf ~pos ~len =
     match !err with Some e when !written = 0 -> Error e | _ -> Ok !written
   end
 
-let capacity ep = Bytes.length ep.rx.buf
-
 let recv ?(nonblock = false) ep ~buf ~pos ~len =
   let r = ep.rx in
   if nonblock && r.count = 0 && not r.closed then Error Errno.eagain

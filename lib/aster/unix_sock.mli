@@ -20,10 +20,6 @@ val close_listener : listener -> unit
 val send : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
 val recv : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
 
-val capacity : endpoint -> int
-(** Size of the ring this endpoint reads: the most one [recv] can
-    return. *)
-
 val close : endpoint -> unit
 val readable : endpoint -> bool
 

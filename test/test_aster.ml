@@ -777,7 +777,10 @@ let test_page_cache_metadata () =
    buffer by the count. A write longer than its mapped source writes
    up to the first unmapped byte, and a UDP payload longer than an IPv4
    datagram holds is EMSGSIZE; neither sizes a host buffer by the
-   count. *)
+   count. A read longer than its mapped destination returns what
+   reached it and moves the position that far; one that reaches
+   nothing is EFAULT and leaves the position. A non-blocking UDP
+   recvfrom with nothing queued is EAGAIN. *)
 let test_negative_lengths_einval () =
   let module L = Apps.Libc in
   let wrong = ref [] in
@@ -812,6 +815,9 @@ let test_negative_lengths_einval () =
               (L.sendto_inet c ~fd:udp ~ip:lo ~port:5353 ~vaddr:buf ~len))
           [ 70_000; huge ];
         expect "recvfrom len -1" (L.recvfrom c ~fd:udp ~vaddr:buf ~len:(-1));
+        ignore (L.set_nonblock c ~fd:udp);
+        answer (-Aster.Errno.eagain) "O_NONBLOCK UDP recvfrom with nothing queued"
+          (L.recvfrom c ~fd:udp ~vaddr:buf ~len:64);
         let ok = ref true in
         (* One mapped page, with the mapping's unmapped guard gap after it. *)
         let page = L.mmap c ~len:4096 in
@@ -874,6 +880,21 @@ let test_negative_lengths_einval () =
               if n <> 4096 || not (Bytes.equal (L.get_bytes c back 4096) pattern) then
                 wrong := Printf.sprintf "%s page %d after short writes (%d)" path k n :: !wrong
             done;
+            (* Reads into the one-page mapping: what reached user memory
+               is the count, and the position moves by that much. *)
+            let here () = L.lseek c ~fd ~off:0 ~whence:1 in
+            ignore (L.lseek c ~fd ~off:0 ~whence:0);
+            answer 4096 (path ^ " read count 8192 into one page")
+              (L.read c ~fd ~vaddr:page ~len:8192);
+            answer 4096 (path ^ " position after it") (here ());
+            ignore (L.lseek c ~fd ~off:0 ~whence:0);
+            answer (-Aster.Errno.efault) (path ^ " read count 100 at an unmapped address")
+              (L.read c ~fd ~vaddr:(page + 4096) ~len:100);
+            answer 0 (path ^ " position after it") (here ());
+            answer 4096 (path ^ " pread64 count 8192 into one page")
+              (L.pread c ~fd ~vaddr:page ~len:8192 ~off:4096);
+            answer (-Aster.Errno.efault) (path ^ " pread64 count 100 at an unmapped address")
+              (L.pread c ~fd ~vaddr:(page + 4096) ~len:100 ~off:0);
             ignore (L.close c fd))
           [ "/tmp/neg"; "/ext2/neg" ];
         if !ok then 0 else 1)
@@ -1233,6 +1254,255 @@ let test_staging_buffer_eio () =
   check_int "exit" 0 code;
   check "the fault fired" true (Sim.Stats.get "fault.injected.blk.io_error" > 0)
 
+(* A task killed asleep while holding the staging buffer is never
+   resumed, so it never gives the buffer back; the buffer is free once
+   its holder is dead. A child blocks on its fifth 64 KiB write into a
+   full 256 KiB pipe, holding the buffer, and is killed; the pipe still
+   holds the four writes, and a later write and read through the
+   buffer are right. *)
+let test_staging_buffer_dead_holder () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let chunk = 65_536 in
+  let block k = Bytes.init chunk (fun i -> Char.chr (((k * 59) + (i * 3)) land 0xff)) in
+  let code =
+    run_user (fun c ->
+        match L.pipe c with
+        | Error e -> 10 + e
+        | Ok (rd, wr) ->
+          let child =
+            L.fork c (fun uapi ->
+                let cc = L.make uapi in
+                let buf = L.ualloc cc chunk in
+                for k = 0 to 4 do
+                  (L.raw cc).Ostd.User.mem_write buf (block k);
+                  ignore (L.write cc ~fd:wr ~vaddr:buf ~len:chunk)
+                done;
+                0)
+          in
+          ignore (L.nanosleep_us c 1000.);
+          if not (Aster.Syscalls.staging_busy ()) then
+            wrong := "the blocked writer does not hold the buffer" :: !wrong;
+          ignore (L.kill c ~pid:child ~signal:9);
+          (match L.waitpid c with
+          | Ok (pid, status) when pid = child && status = 128 + 9 -> ()
+          | Ok (_, s) -> wrong := Printf.sprintf "child exit status %d" s :: !wrong
+          | Error e -> wrong := Printf.sprintf "waitpid = %d" e :: !wrong);
+          if Aster.Syscalls.staging_busy () then
+            wrong := "the killed writer still holds the buffer" :: !wrong;
+          let buf = L.ualloc c chunk in
+          let read_block name k =
+            let n = L.read c ~fd:rd ~vaddr:buf ~len:chunk in
+            if n <> chunk || not (Bytes.equal (L.get_bytes c buf chunk) (block k)) then
+              wrong := Printf.sprintf "%s: read = %d or wrong bytes" name n :: !wrong
+          in
+          for k = 0 to 3 do
+            read_block (Printf.sprintf "write %d" k) k
+          done;
+          (L.raw c).Ostd.User.mem_write buf (block 9);
+          let n = L.write c ~fd:wr ~vaddr:buf ~len:chunk in
+          if n <> chunk then wrong := Printf.sprintf "later write = %d" n :: !wrong;
+          (L.raw c).Ostd.User.mem_write buf (Bytes.make chunk 'x');
+          read_block "later write" 9;
+          0)
+  in
+  Alcotest.(check (list string)) "the dead holder's buffer is free" [] (List.rev !wrong);
+  check_int "exit" 0 code;
+  check "nothing holds the staging buffer at the end" false (Aster.Syscalls.staging_busy ())
+
+(* getdents64 returns whole entries only, as Linux's filldir64 does: a
+   count smaller than the next entry is EINVAL, and a count that holds
+   one entry but not two returns one entry per call. *)
+let test_getdents_whole_entries () =
+  let module L = Apps.Libc in
+  let sizes = ref [] and listing = Buffer.create 64 in
+  let code =
+    run_user (fun c ->
+        ignore (L.mkdir c "/tmp/dents");
+        List.iter
+          (fun n -> ignore (L.close c (L.openf c ("/tmp/dents/" ^ n) ~flags:0o101 ~mode:0o644)))
+          [ "alpha"; "beta"; "gamma" ];
+        let dfd = L.openf c "/tmp/dents" ~flags:0 ~mode:0 in
+        let buf = L.ualloc c 4096 in
+        let getdents count =
+          L.syscall c Aster.Syscall_nr.getdents64
+            [| Int64.of_int dfd; Int64.of_int buf; Int64.of_int count |]
+        in
+        let small = getdents 5 in
+        let rec go k =
+          let n = getdents 16 in
+          sizes := n :: !sizes;
+          if n > 0 then begin
+            Buffer.add_bytes listing (L.get_bytes c buf n);
+            if k < 8 then go (k + 1)
+          end
+        in
+        go 0;
+        ignore (L.close c dfd);
+        small)
+  in
+  check_int "count 5 is EINVAL" (-Aster.Errno.einval) code;
+  let entries = Aster.Abi.decode_dirents (Buffer.to_bytes listing) in
+  Alcotest.(check (list string)) "count 16: every entry once" [ "alpha"; "beta"; "gamma" ]
+    (List.sort compare (List.map (fun (_, _, name) -> name) entries));
+  (* An entry is a 10-byte header and its name. *)
+  Alcotest.(check (list int)) "count 16: one whole entry per call, then 0"
+    (List.map (fun (_, _, name) -> 10 + String.length name) entries @ [ 0 ])
+    (List.rev !sizes)
+
+(* The two copy loops at the chunk boundary. Counts around the staging
+   buffer's 64 KiB and one of several chunks go through write, read,
+   pwrite64 and pread64 on /tmp and /ext2, checked byte for byte and
+   position by position against a model of the file. A stream read
+   waits for its first chunk only: a non-blocking read of a stream
+   holding 200,000 bytes returns all of them in one call, and a
+   blocking read returns what is there. A 1 MiB write to /dev/null and
+   a 1 MiB pread64 of a cached /tmp file each allocate less than two
+   chunks' worth of host words, where a buffer of the count would take
+   131,072. *)
+let test_copy_chunks () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let answer want name r =
+    if r <> want then wrong := Printf.sprintf "%s = %d, want %d" name r want :: !wrong
+  in
+  let words = ref [] in
+  let code =
+    run_user (fun c ->
+        let mib = 1 lsl 20 in
+        let src = L.ualloc c mib and dst = L.ualloc c mib in
+        let pattern seed n =
+          Bytes.init n (fun i -> Char.chr (((i * 7) + (i lsr 9) + seed) land 0xff))
+        in
+        let put b = (L.raw c).Ostd.User.mem_write src b in
+        let landed name want =
+          if not (Bytes.equal (L.get_bytes c dst (Bytes.length want)) want) then
+            wrong := (name ^ ": wrong bytes") :: !wrong
+        in
+        List.iter
+          (fun path ->
+            let fd = L.openf c path ~flags:0o102 ~mode:0o644 in
+            let model = ref Bytes.empty in
+            let store off b =
+              let size = Int.max (Bytes.length !model) (off + Bytes.length b) in
+              let m = Bytes.make size '\000' in
+              Bytes.blit !model 0 m 0 (Bytes.length !model);
+              Bytes.blit b 0 m off (Bytes.length b);
+              model := m
+            in
+            let expect_read name ~off n got =
+              let want = Bytes.sub !model off (Int.max 0 (Int.min n (Bytes.length !model - off))) in
+              answer (Bytes.length want) name got;
+              landed name want
+            in
+            let pos name want =
+              answer want (name ^ ": position") (L.lseek c ~fd ~off:0 ~whence:1)
+            in
+            List.iteri
+              (fun k n ->
+                let name op = Printf.sprintf "%s %s %d" path op n in
+                let b = pattern k n in
+                put b;
+                ignore (L.lseek c ~fd ~off:(3 * k) ~whence:0);
+                answer n (name "write") (L.write c ~fd ~vaddr:src ~len:n);
+                store (3 * k) b;
+                pos (name "write") ((3 * k) + n);
+                let b = pattern (k + 100) n in
+                put b;
+                answer n (name "pwrite64") (L.pwrite c ~fd ~vaddr:src ~len:n ~off:((5 * k) + 1));
+                store ((5 * k) + 1) b;
+                pos (name "pwrite64") ((3 * k) + n);
+                ignore (L.lseek c ~fd ~off:k ~whence:0);
+                expect_read (name "read") ~off:k n (L.read c ~fd ~vaddr:dst ~len:n);
+                pos (name "read") (k + n);
+                expect_read (name "pread64") ~off:(2 * k) n
+                  (L.pread c ~fd ~vaddr:dst ~len:n ~off:(2 * k));
+                pos (name "pread64") (k + n))
+              [ 0; 1; 65_535; 65_536; 65_537; 200_000 ];
+            (* Reads that end at end-of-file inside their second chunk. *)
+            let size = Bytes.length !model in
+            ignore (L.lseek c ~fd ~off:(size - 70_000) ~whence:0);
+            expect_read (path ^ " read to EOF") ~off:(size - 70_000) 200_000
+              (L.read c ~fd ~vaddr:dst ~len:200_000);
+            pos (path ^ " read to EOF") size;
+            expect_read (path ^ " pread64 to EOF") ~off:(size - 65_537) mib
+              (L.pread c ~fd ~vaddr:dst ~len:mib ~off:(size - 65_537));
+            ignore (L.close c fd))
+          [ "/tmp/chunks"; "/ext2/chunks" ];
+        (* Streams: a pipe, a unix socketpair and a loopback TCP pair. *)
+        let stream name rd wr =
+          let b = pattern 7 200_000 in
+          put b;
+          answer 200_000 (name ^ " write 200000") (L.write c ~fd:wr ~vaddr:src ~len:200_000);
+          ignore (L.nanosleep_us c 10_000.);
+          ignore (L.set_nonblock c ~fd:rd);
+          answer 200_000 (name ^ " non-blocking read") (L.read c ~fd:rd ~vaddr:dst ~len:mib);
+          landed (name ^ " non-blocking read") b;
+          answer (-Aster.Errno.eagain) (name ^ " non-blocking read of nothing")
+            (L.read c ~fd:rd ~vaddr:dst ~len:mib);
+          ignore (L.fcntl_setfl c ~fd:rd ~flags:0);
+          (* One whole chunk there: the second chunk finds nothing and
+             ends the call instead of waiting. *)
+          let b = pattern 8 65_536 in
+          put b;
+          answer 65_536 (name ^ " write 65536") (L.write c ~fd:wr ~vaddr:src ~len:65_536);
+          ignore (L.nanosleep_us c 10_000.);
+          answer 65_536 (name ^ " blocking read") (L.read c ~fd:rd ~vaddr:dst ~len:200_000);
+          landed (name ^ " blocking read") b;
+          put (pattern 9 10);
+          answer 10 (name ^ " write 10") (L.write c ~fd:wr ~vaddr:src ~len:10);
+          ignore (L.nanosleep_us c 10_000.);
+          answer 10 (name ^ " blocking read of 10") (L.read c ~fd:rd ~vaddr:dst ~len:mib);
+          landed (name ^ " blocking read of 10") (pattern 9 10)
+        in
+        (match L.pipe c with
+        | Ok (rd, wr) -> stream "pipe" rd wr
+        | Error e -> answer 0 "pipe" e);
+        let sv = L.ualloc c 8 in
+        answer 0 "socketpair"
+          (L.syscall c Aster.Syscall_nr.socketpair [| 1L; 1L; 0L; Int64.of_int sv |]);
+        let fds = L.get_bytes c sv 8 in
+        let fd_at i = Int32.to_int (Bytes.get_int32_le fds i) in
+        stream "socketpair" (fd_at 0) (fd_at 4);
+        let lfd = L.socket c ~domain:2 ~typ:1 in
+        ignore (L.bind_inet c ~fd:lfd ~port:7300);
+        ignore (L.listen c ~fd:lfd ~backlog:4);
+        let cfd = L.socket c ~domain:2 ~typ:1 in
+        answer 0 "tcp connect"
+          (L.connect_inet c ~fd:cfd ~ip:(Aster.Packet.ip_of_string "127.0.0.1") ~port:7300);
+        let sfd = L.accept c ~fd:lfd in
+        ignore (L.set_nodelay c ~fd:cfd);
+        stream "tcp" sfd cfd;
+        (* Host words of one 1 MiB call, each run once unmeasured first. *)
+        let allocated () =
+          Gc.minor ();
+          let minor, promoted, major = Gc.counters () in
+          minor +. major -. promoted
+        in
+        let measure name call =
+          ignore (call ());
+          let w0 = allocated () in
+          answer mib name (call ());
+          words := (name, allocated () -. w0) :: !words
+        in
+        put (pattern 3 mib);
+        let null = L.openf c "/dev/null" ~flags:1 ~mode:0 in
+        measure "1 MiB write to /dev/null" (fun () -> L.write c ~fd:null ~vaddr:src ~len:mib);
+        let fd = L.openf c "/tmp/cached" ~flags:0o102 ~mode:0o644 in
+        answer mib "1 MiB write to /tmp" (L.write c ~fd ~vaddr:src ~len:mib);
+        measure "1 MiB pread64 of a cached /tmp file" (fun () ->
+            L.pread c ~fd ~vaddr:dst ~len:mib ~off:0);
+        landed "1 MiB pread64 of a cached /tmp file" (pattern 3 mib);
+        0)
+  in
+  Alcotest.(check (list string)) "every count gets Linux's answer" [] (List.rev !wrong);
+  check_int "exit" 0 code;
+  check_int "both calls measured" 2 (List.length !words);
+  Alcotest.(check (list string)) "each 1 MiB call allocates under 16,384 host words" []
+    (List.filter_map
+       (fun (name, w) -> if w < 16_384. then None else Some (Printf.sprintf "%s: %.0f" name w))
+       (List.rev !words))
+
 let test_unbatched_profile_parity () =
   (* Same workload with batching+readahead off: identical bytes, no
      merge activity — the knobs really gate the mechanism. *)
@@ -1435,6 +1705,9 @@ let () =
           Alcotest.test_case "readahead_prefetch_set" `Quick test_readahead_prefetch_set;
           Alcotest.test_case "staging_buffer_exclusive" `Quick test_staging_buffer_exclusive;
           Alcotest.test_case "staging_buffer_eio" `Quick test_staging_buffer_eio;
+          Alcotest.test_case "staging_buffer_dead_holder" `Quick test_staging_buffer_dead_holder;
+          Alcotest.test_case "getdents_whole_entries" `Quick test_getdents_whole_entries;
+          Alcotest.test_case "copy_chunks" `Quick test_copy_chunks;
           Alcotest.test_case "unbatched_parity" `Quick test_unbatched_profile_parity;
           Alcotest.test_case "span_bio_conservation" `Quick test_span_bio_conservation;
           Alcotest.test_case "span_bio_conservation_eio" `Quick
