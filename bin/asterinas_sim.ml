@@ -241,7 +241,7 @@ let cmd_trace =
         List.map
           (fun (r : Sim.Trace.record) ->
             Sim.Span.chrome_instant
-              ~ts_us:(Sim.Clock.to_us r.Sim.Trace.cycles)
+              ~ts_us:(Sim.Time.to_us r.Sim.Trace.cycles)
               ~name:r.Sim.Trace.name
               ~cat:(Sim.Trace.category_name r.Sim.Trace.cat)
               ~args:[ ("task", r.Sim.Trace.task); ("args", r.Sim.Trace.args) ])
@@ -350,12 +350,12 @@ let cmd_prof =
     let elapsed = Sim.Prof.elapsed () in
     let attributed = Sim.Prof.total_attributed () in
     let conserved = Sim.Prof.conserved () in
-    let nonempty = Sim.Prof.folded () <> [] in
+    let nonempty = Sim.Prof.folded_cycles () <> [] in
     Printf.printf "\n--- kprof folded stacks (flamegraph.pl-compatible, cycles) ---\n";
     print_endline (Sim.Prof.render_folded ());
     Printf.printf "\n--- kprof top frames ---\n";
     print_endline (Sim.Prof.render_top ~limit:top ());
-    Printf.printf "\nconservation: elapsed=%Ld attributed=%Ld -> %s\n" elapsed attributed
+    Printf.printf "\nconservation: elapsed=%d attributed=%d -> %s\n" elapsed attributed
       (if conserved then "EXACT" else "VIOLATED");
     if check && not (conserved && nonempty) then begin
       prerr_endline

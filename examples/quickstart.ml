@@ -72,4 +72,4 @@ let () =
          loop Ostd.User.Start));
   Ostd.Task.run ();
   Ostd.Vmspace.destroy vm;
-  Printf.printf "virtual time elapsed: %.2f us\n" (Sim.Clock.to_us (Sim.Clock.now ()))
+  Printf.printf "virtual time elapsed: %.2f us\n" (Sim.Time.to_us (Sim.Time.now ()))

@@ -14,7 +14,7 @@ let run ~host ~path ~concurrency ~requests ~on_done =
          200 us refusal-retry loop — ab benchmarks serving, not server
          startup (which the 200 us quantisation would otherwise charge
          to whichever profile boots slower). *)
-      if !started = None then started := Some (Sim.Clock.now ());
+      if !started = None then started := Some (Sim.Time.now ());
       Aster.Tcp.set_nodelay conn;
       let req = Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path) in
       ignore (Aster.Tcp.send conn ~buf:req ~pos:0 ~len:(Bytes.length req));
@@ -31,8 +31,8 @@ let run ~host ~path ~concurrency ~requests ~on_done =
   let finish () =
     decr active;
     if !active = 0 then begin
-      let t0 = Option.value ~default:0L !started in
-      let elapsed_us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+      let t0 = Option.value ~default:0 !started in
+      let elapsed_us = Sim.Time.to_us (Sim.Time.now () - t0) in
       let done_reqs = requests - !remaining in
       on_done
         {

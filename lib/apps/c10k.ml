@@ -118,7 +118,7 @@ let run ~host ~conns ~rounds ~batch ~churn ~on_done =
            (* A burst of pings spread across the pool: several fds turn
               ready per epoll_wait, so the sweep is exercised with
               ready-set > 1 while the idle crowd stays registered. *)
-           let t0 = Sim.Clock.now () in
+           let t0 = Sim.Time.now () in
            let step = max 1 (conns / max 1 batch) in
            let sent = ref [] in
            for j = 0 to batch - 1 do
@@ -134,7 +134,7 @@ let run ~host ~conns ~rounds ~batch ~churn ~on_done =
                  | Ok 0 | Error _ -> got := 16
                  | Ok n -> got := !got + n
                done;
-               Sim.Hist.record h (Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0));
+               Sim.Hist.record_time h (Sim.Time.now () - t0);
                incr pings)
              (List.rev !sent)
          done;

@@ -281,7 +281,7 @@ let hang_run ?(profile = Sim.Profile.asterinas) ?(hog_ms = 100) () =
   ignore
     (Ostd.Task.spawn ~name:"chaos-hog" (fun () ->
          (* one long non-yielding stretch of virtual CPU *)
-         Sim.Clock.charge (hog_ms * 1000 * Sim.Clock.cycles_per_us)));
+         Sim.Clock.charge (hog_ms * 1000 * Sim.Time.cycles_per_us)));
   Runner.run ();
   {
     victim_rc = !victim_rc;

@@ -7,7 +7,7 @@ let run c ~file ~mbytes =
   let buf = Libc.ualloc c chunk in
   (* Sequential write + fsync per 1 MiB: every block reaches the device. *)
   let fd = Libc.openf c file ~flags:0o102 ~mode:0o644 in
-  let t0 = Sim.Clock.now () in
+  let t0 = Sim.Time.now () in
   let written = ref 0 in
   while !written < total do
     let n = Libc.write c ~fd ~vaddr:buf ~len:chunk in
@@ -18,18 +18,18 @@ let run c ~file ~mbytes =
     end
   done;
   ignore (Libc.fsync c fd);
-  let write_us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+  let write_us = Sim.Time.to_us (Sim.Time.now () - t0) in
   ignore (Libc.close c fd);
   let seq_read () =
     let fd = Libc.openf c file ~flags:0 ~mode:0 in
-    let t = Sim.Clock.now () in
+    let t = Sim.Time.now () in
     let got = ref 0 in
     let continue = ref true in
     while !continue do
       let n = Libc.read c ~fd ~vaddr:buf ~len:chunk in
       if n <= 0 then continue := false else got := !got + n
     done;
-    let us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t) in
+    let us = Sim.Time.to_us (Sim.Time.now () - t) in
     ignore (Libc.close c fd);
     Runner.mb_per_s ~bytes_moved:!got ~us
   in
@@ -54,7 +54,7 @@ let run_fsync c ~file ~mbytes =
   let total = mbytes * 1024 * 1024 in
   let buf = Libc.ualloc c fchunk in
   let fd = Libc.openf c file ~flags:0o102 ~mode:0o644 in
-  let t0 = Sim.Clock.now () in
+  let t0 = Sim.Time.now () in
   let written = ref 0 in
   let fsyncs = ref 0 in
   while !written < total do
@@ -65,6 +65,6 @@ let run_fsync c ~file ~mbytes =
       if Libc.fsync c fd = 0 then incr fsyncs
     end
   done;
-  let us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+  let us = Sim.Time.to_us (Sim.Time.now () - t0) in
   ignore (Libc.close c fd);
   (Runner.mb_per_s ~bytes_moved:total ~us, !fsyncs)

@@ -717,14 +717,14 @@ let bw_tcp_virtio ~msg profile =
                let conn = Aster.Tcp.accept l in
                let buf = Bytes.create 65536 in
                let got = ref 0 in
-               let t0 = Sim.Clock.now () in
+               let t0 = Sim.Time.now () in
                let continue = ref true in
                while !continue do
                  match Aster.Tcp.recv conn ~buf ~pos:0 ~len:65536 with
                  | Ok 0 | Error _ -> continue := false
                  | Ok n -> got := !got + n
                done;
-               let us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+               let us = Sim.Time.to_us (Sim.Time.now () - t0) in
                out := Runner.mb_per_s ~bytes_moved:!got ~us)));
       Runner.spawn ~name:"bw-cli" (fun c ->
           let fd = Libc.socket c ~domain:2 ~typ:1 in
@@ -756,13 +756,13 @@ let bw_tcp_rx_virtio ~msg profile =
           else begin
             let buf = Libc.ualloc c 65536 in
             let got = ref 0 in
-            let t0 = Sim.Clock.now () in
+            let t0 = Sim.Time.now () in
             let continue = ref true in
             while !continue do
               let n = Libc.read c ~fd:conn ~vaddr:buf ~len:65536 in
               if n <= 0 then continue := false else got := !got + n
             done;
-            let us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+            let us = Sim.Time.to_us (Sim.Time.now () - t0) in
             out := Runner.mb_per_s ~bytes_moved:!got ~us;
             ignore (Libc.close c conn);
             0

@@ -64,8 +64,8 @@ let run_op ~host ~op ~clients ~requests ~on_done =
   let finish () =
     decr active;
     if !active = 0 then begin
-      let t0 = Option.value ~default:0L !started in
-      let us = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+      let t0 = Option.value ~default:0 !started in
+      let us = Sim.Time.to_us (Sim.Time.now () - t0) in
       on_done { op; rps = (if us > 0. then float_of_int requests /. us *. 1e6 else 0.) }
     end
   in
@@ -88,7 +88,7 @@ let run_op ~host ~op ~clients ~requests ~on_done =
            | None -> finish ()
            | Some conn ->
              Aster.Tcp.set_nodelay conn;
-             if !started = None then started := Some (Sim.Clock.now ());
+             if !started = None then started := Some (Sim.Time.now ());
              let buf = Bytes.create 65536 in
              let i = ref 0 in
              let continue = ref true in

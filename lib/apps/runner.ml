@@ -11,9 +11,9 @@ let spawn ~name body =
 let run () = Aster.Kernel.run ()
 
 let time_us f =
-  let t0 = Sim.Clock.now () in
+  let t0 = Sim.Time.now () in
   f ();
-  Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0)
+  Sim.Time.to_us (Sim.Time.now () - t0)
 
 let mb_per_s ~bytes_moved ~us =
   if us <= 0. then 0. else float_of_int bytes_moved /. us (* B/us = MB/s *)

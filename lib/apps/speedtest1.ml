@@ -50,9 +50,9 @@ let run ?(size = 20) c =
   let results = ref [] in
   let timed num f =
     let name = List.assoc num test_names in
-    let t0 = Sim.Clock.now () in
+    let t0 = Sim.Time.now () in
     f ();
-    let seconds = Sim.Clock.to_seconds (Int64.sub (Sim.Clock.now ()) t0) in
+    let seconds = Sim.Time.to_seconds (Sim.Time.now () - t0) in
     results := { num; name; seconds } :: !results
   in
   let txn f =

@@ -18,9 +18,9 @@ type bio = {
      count — clones are implementation detail. *)
   span : int;
   primary : bool;
-  created : int64;
-  mutable issued : int64; (* driver pushed it to the device; 0 = never *)
-  mutable dev_done : int64; (* device-written completion stamp; 0 = unknown *)
+  created : Sim.Time.t;
+  mutable issued : Sim.Time.t; (* driver pushed it to the device; 0 = never *)
+  mutable dev_done : Sim.Time.t; (* device-written completion stamp; 0 = unknown *)
 }
 
 let make_bio op ~sector ?frame ~len () =
@@ -36,8 +36,8 @@ let make_bio op ~sector ?frame ~len () =
   if span > 0 then Sim.Stats.incr "span.bio_created";
   {
     op; sector; frame; len; status = None; wq = Ostd.Wait_queue.create ();
-    span; primary = true; created = Sim.Clock.now ();
-    issued = 0L; dev_done = 0L;
+    span; primary = true; created = Sim.Time.now ();
+    issued = 0; dev_done = 0;
   }
 
 let bio_status bio = bio.status
@@ -52,7 +52,7 @@ let bio_len bio = bio.len
 
 let bio_span bio = bio.span
 
-let note_issued bio = if Int64.equal bio.issued 0L then bio.issued <- Sim.Clock.now ()
+let note_issued bio = if bio.issued = 0 then bio.issued <- Sim.Time.now ()
 
 let note_dev_done bio ts = bio.dev_done <- ts
 
@@ -65,13 +65,13 @@ let complete_bio bio ~status =
      (stamp → this completion running). Missing stamps degrade
      gracefully — the whole interval collapses into the earlier leg. *)
   if first && bio.primary && bio.span > 0 then begin
-    let now = Sim.Clock.now () in
-    let q_end = if Int64.compare bio.issued 0L > 0 then bio.issued else now in
+    let now = Sim.Time.now () in
+    let q_end = if bio.issued > 0 then bio.issued else now in
     Sim.Span.add_to bio.span "blk.queue" bio.created q_end;
-    if Int64.compare bio.issued 0L > 0 then begin
-      let s_end = if Int64.compare bio.dev_done 0L > 0 then bio.dev_done else now in
+    if bio.issued > 0 then begin
+      let s_end = if bio.dev_done > 0 then bio.dev_done else now in
       Sim.Span.add_to bio.span "blk.service" bio.issued s_end;
-      if Int64.compare bio.dev_done 0L > 0 then
+      if bio.dev_done > 0 then
         Sim.Span.add_to bio.span "blk.irq" bio.dev_done now
     end;
     Sim.Span.count_bio_completed ()
@@ -113,9 +113,9 @@ let bio_max_attempts = 5
 
 let bio_deadline_cycles attempt =
   (* 8 ms virtual for the first try, doubling, capped at 64 ms. *)
-  Sim.Clock.us (8000. *. float_of_int (1 lsl min attempt 3))
+  Sim.Time.of_us (8000. *. float_of_int (1 lsl min attempt 3))
 
-let backoff_cycles attempt = Sim.Clock.us (100. *. float_of_int (1 lsl attempt))
+let backoff_cycles attempt = Sim.Time.of_us (100. *. float_of_int (1 lsl attempt))
 
 (* Clones keep the original's span and creation time (the request has
    been queueing since the primary was made, not since this attempt)
@@ -127,8 +127,8 @@ let clone_bio bio =
     status = None;
     wq = Ostd.Wait_queue.create ();
     primary = false;
-    issued = 0L;
-    dev_done = 0L;
+    issued = 0;
+    dev_done = 0;
   }
 
 (* Wait until the bio completes or the deadline passes. In task context
@@ -147,10 +147,10 @@ let wait_with_deadline bio ~cycles =
     Sim.Events.cancel ev;
     if bio.status <> None then `Done else `Timeout
   | None ->
-    let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
+    let deadline = Sim.Time.now () + cycles in
     let rec poll () =
       if bio.status <> None then `Done
-      else if Int64.compare (Sim.Clock.now ()) deadline > 0 then `Timeout
+      else if Sim.Time.now () > deadline then `Timeout
       else if Sim.Events.run_next () then poll ()
       else `Timeout (* the device went silent: no completion will ever come *)
     in
@@ -204,16 +204,16 @@ let fire_complete bio ~t0 ~status =
     c.{0} <- Int64.of_int bio.sector;
     c.{1} <- Int64.of_int bio.len;
     c.{2} <- op_code bio.op;
-    c.{3} <- Sim.Clock.to_ns (Int64.sub (Sim.Clock.now ()) t0);
+    c.{3} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now () - t0));
     c.{4} <- Int64.of_int status;
     Sim.Trace.run Sim.Trace.P_blk_complete
   end
 
 let submit_and_wait bio =
   let (module D) = the_driver () in
-  let t0 = Sim.Clock.now () in
+  let t0 = Sim.Time.now () in
   let observe_latency () =
-    Sim.Hist.observe "blk.bio" (Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0))
+    Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0)
   in
   (* Each attempt submits a fresh clone; the caller's bio is completed
      exactly once, with the final outcome, whatever the attempts did. *)
@@ -284,16 +284,16 @@ let op_rank = function Read -> 0 | Write -> 1 | Write_fua -> 2 | Flush -> 3
 (* One deadline for the whole chain: first-attempt bio deadline plus a
    per-request allowance comfortably above the device's per-descriptor
    service time. *)
-let batch_deadline_cycles n = Sim.Clock.us (8000. +. (250. *. float_of_int n))
+let batch_deadline_cycles n = Sim.Time.of_us (8000. +. (250. *. float_of_int n))
 
 (* Wait for every clone against one shared absolute deadline, reusing
    the per-bio wait (works in task context and boot-time polling). *)
 let wait_batch clones ~cycles =
-  let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
+  let deadline = Sim.Time.now () + cycles in
   List.iter
     (fun b ->
       if b.status = None then begin
-        let remaining = Int64.to_int (Int64.sub deadline (Sim.Clock.now ())) in
+        let remaining = deadline - Sim.Time.now () in
         if remaining > 0 then ignore (wait_with_deadline b ~cycles:remaining)
       end)
     clones
@@ -332,7 +332,7 @@ let issue_run run =
     Sim.Stats.add "blk.merge" (n - 1);
     Sim.Stats.incr "blk.batch";
     Sim.Prof.scope "blk" (fun () ->
-        let t0 = Sim.Clock.now () in
+        let t0 = Sim.Time.now () in
         Sim.Trace.emit_s tp_batch_issue (op_name first.op) first.sector n 0 0;
         let clones = List.map clone_bio run in
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
@@ -340,7 +340,7 @@ let issue_run run =
         D.submit_many clones;
         wait_batch clones ~cycles:(batch_deadline_cycles n);
         if List.for_all (fun c -> c.status = Some 0) clones then begin
-          let lat = Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0) in
+          let lat = Sim.Time.now () - t0 in
           Sim.Trace.emit_s tp_batch_complete (op_name first.op) first.sector n 0 0;
           List.iter2
             (fun bio c ->
@@ -364,7 +364,7 @@ let issue_run run =
               | Some 0 ->
                 bio.issued <- c.issued;
                 bio.dev_done <- c.dev_done;
-                Sim.Hist.observe "blk.bio" (Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0));
+                Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0);
                 fire_complete bio ~t0 ~status:0;
                 complete_bio bio ~status:0
               | _ -> ignore (submit_and_wait bio))

@@ -32,7 +32,7 @@ val bio_span : bio -> int
 val note_issued : bio -> unit
 (** Driver hook: the bio was pushed to the device (first push wins). *)
 
-val note_dev_done : bio -> int64 -> unit
+val note_dev_done : bio -> Sim.Time.t -> unit
 (** Driver hook: the device's completion timestamp, read back from the
     descriptor. Feeds the span's blk.service / blk.irq split. *)
 

@@ -185,7 +185,7 @@ let wait t ~maxevents ~timeout_cycles =
   if maxevents <= 0 then []
   else begin
     let deadline =
-      if timeout_cycles > 0 then Some (Int64.add (Sim.Clock.now ()) (Int64.of_int timeout_cycles))
+      if timeout_cycles > 0 then Some (Sim.Time.now () + timeout_cycles)
       else None
     in
     let rec go () =
@@ -201,10 +201,10 @@ let wait t ~maxevents ~timeout_cycles =
           Ostd.Wait_queue.sleep t.wq;
           go ()
         | Some dl ->
-          let left = Int64.sub dl (Sim.Clock.now ()) in
-          if Int64.compare left 0L <= 0 then []
+          let left = dl - Sim.Time.now () in
+          if left <= 0 then []
           else begin
-            ignore (Ostd.Wait_queue.sleep_timeout t.wq ~cycles:(Int64.to_int left) : bool);
+            ignore (Ostd.Wait_queue.sleep_timeout t.wq ~cycles:left : bool);
             go ()
           end
     in

@@ -269,7 +269,7 @@ let touch blockno =
   end
 
 let commit_chunk chunk =
-  let span_t0 = Sim.Clock.now () in
+  let span_t0 = Sim.Time.now () in
   let n = List.length chunk in
   (* Make room: descriptor + n contents + commit record. *)
   if !next_slot + n + 2 > !jblocks then do_checkpoint ();

@@ -1,8 +1,9 @@
 let boot_epoch_seconds = 1_750_000_000.0
 
-let monotonic_ns () = Sim.Clock.to_ns (Sim.Clock.now ())
+let boot_epoch_ns = int_of_float (boot_epoch_seconds *. 1e9)
 
-let realtime_ns () =
-  Int64.add (Int64.of_float (boot_epoch_seconds *. 1e9)) (monotonic_ns ())
+let monotonic_ns () = Sim.Time.to_ns (Sim.Time.now ())
 
-let seconds () = Sim.Clock.to_seconds (Sim.Clock.now ())
+let realtime_ns () = boot_epoch_ns + monotonic_ns ()
+
+let seconds () = Sim.Time.to_seconds (Sim.Time.now ())

@@ -141,10 +141,10 @@ let flush t =
     t.plug_n <- 0;
     (* kspan: time spent parked in the plug queue is its own leg; the
        driver's service/IRQ split picks up from here. *)
-    let now = Sim.Clock.now () in
+    let now = Sim.Time.now () in
     List.iter
       (fun (p : Packet.t) ->
-        if p.Packet.span > 0 && Int64.compare p.Packet.span_t0 0L > 0 then begin
+        if p.Packet.span > 0 && p.Packet.span_t0 > 0 then begin
           Sim.Span.add_to p.Packet.span "net.plug" p.Packet.span_t0 now;
           p.Packet.span_t0 <- now
         end)
@@ -167,7 +167,7 @@ let send t p =
          (pure ACKs from event handlers keep span 0); the TX-path entry
          stamp restarts per transmission attempt. *)
       if p.Packet.span = 0 then p.Packet.span <- Sim.Span.current ();
-      p.Packet.span_t0 <- Sim.Clock.now ();
+      p.Packet.span_t0 <- Sim.Time.now ();
       let dst = p.Packet.dst_ip in
       if dst = loopback_ip || dst = t.addr then begin
         emit_packet tp_tx p;

@@ -16,7 +16,7 @@ type t = {
      plug queue, burst splits and driver retries. [span_t0] marks entry
      into the TX path (stamped by the netstack). *)
   mutable span : int;
-  mutable span_t0 : int64;
+  mutable span_t0 : Sim.Time.t;
   (* Zero-copy TX: page-cache frames this packet's payload references,
      cloned when the view was built and dropped exactly once when the
      packet resolves (TX reap, driver give-up, quarantine, or loopback
@@ -112,7 +112,7 @@ let decode ?(verify = true) b =
             win = u32 24;
             payload = Bytes.sub b header_size len;
             span = 0;
-            span_t0 = 0L;
+            span_t0 = 0;
             pins = [];
           }
   end
@@ -121,7 +121,7 @@ let make ~src_ip ~dst_ip ~proto ~src_port ~dst_port ?(flags = 0) ?(seq = 0) ?(ac
     ?(win = 0) payload =
   {
     src_ip; dst_ip; proto; src_port; dst_port; flags; seq; ack; win; payload;
-    span = Sim.Span.current (); span_t0 = 0L; pins = [];
+    span = Sim.Span.current (); span_t0 = 0; pins = [];
   }
 
 let ip_of_string s =

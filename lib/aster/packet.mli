@@ -17,7 +17,7 @@ type t = {
   mutable span : int;
       (** kspan owner (0 = none): captured at [make], carried through
           the plug queue, burst splits and driver retries. *)
-  mutable span_t0 : int64;  (** entry into the TX path (netstack stamp) *)
+  mutable span_t0 : Sim.Time.t;  (** entry into the TX path (netstack stamp) *)
   mutable pins : Ostd.Frame.t list;
       (** Zero-copy TX: page-cache frames the payload references, dropped
           exactly once when the packet resolves (see {!release_pins}). *)

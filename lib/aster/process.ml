@@ -156,7 +156,7 @@ let rec run_user proc resume =
       (match Signal.take_deliverable proc.sigs with
       | Some signal -> do_exit proc (128 + signal)
       | None -> ());
-      let t0 = Sim.Clock.now () in
+      let t0 = Sim.Time.now () in
       (* Journal-commit overlap for the syscall_exit probe ctx: sampled
          here so a commit that starts and finishes inside this syscall
          still counts. One int read; no virtual cost. *)
@@ -169,14 +169,14 @@ let rec run_user proc resume =
         (* Latency covers kernel work only; a handler that never
            returns (exit, fatal signal) records no exit event, exactly
            like strace. *)
-        let cycles = Int64.sub (Sim.Clock.now ()) t0 in
+        let cycles = Sim.Time.now () - t0 in
         Strace.exit_ ~nr ~ret:v ~cycles;
         if Sim.Trace.armed Sim.Trace.P_syscall_exit then begin
           let c = Sim.Trace.ctx Sim.Trace.P_syscall_exit in
           let jc = jbd0 || Jbd.is_committing () || Jbd.commits () > jseq0 in
           c.{0} <- Int64.of_int nr;
           c.{1} <- v;
-          c.{2} <- Sim.Clock.to_ns cycles;
+          c.{2} <- Int64.of_int (Sim.Time.to_ns cycles);
           c.{3} <- Int64.of_int proc.pid_v;
           c.{4} <- arg0;
           c.{5} <- (if jc then 1L else 0L);

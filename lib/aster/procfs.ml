@@ -85,9 +85,9 @@ let pid_comm pid () =
   match Process.by_pid pid with None -> "" | Some p -> Process.comm p ^ "\n"
 
 (* CLK_TCK = 100: /proc times are reported in 10ms ticks. *)
-let cycles_per_tick = Int64.of_int (Sim.Clock.cycles_per_us * 10_000)
+let cycles_per_tick = Sim.Time.cycles_per_us * 10_000
 
-let ticks c = Int64.div c cycles_per_tick
+let ticks c = c / cycles_per_tick
 
 (* /proc/<pid>/stat, the first 17 of Linux's fields (through cstime):
    what matters here is utime (field 14) and stime (field 15). *)
@@ -96,9 +96,9 @@ let pid_stat pid () =
   | None -> ""
   | Some p ->
     let ut, st =
-      match Process.task p with Some t -> Ostd.Task.cpu_times t | None -> (0L, 0L)
+      match Process.task p with Some t -> Ostd.Task.cpu_times t | None -> (0, 0)
     in
-    Printf.sprintf "%d (%s) R %d 0 0 0 0 0 0 0 0 0 %Ld %Ld 0 0\n" pid (Process.comm p)
+    Printf.sprintf "%d (%s) R %d 0 0 0 0 0 0 0 0 0 %d %d 0 0\n" pid (Process.comm p)
       (Process.parent_pid p) (ticks ut) (ticks st)
 
 let pid_schedstat pid () =
@@ -111,8 +111,7 @@ let pid_schedstat pid () =
       let ut, st = Ostd.Task.cpu_times t in
       let cnt, sum, _ = Ostd.Task.sched_delay t in
       (* Linux schedstat: cputime_ns rundelay_ns timeslices. *)
-      let to_ns c = Int64.div (Int64.mul c 1000L) (Int64.of_int Sim.Clock.cycles_per_us) in
-      Printf.sprintf "%Ld %Ld %d\n" (to_ns (Int64.add ut st)) (to_ns sum) cnt)
+      Printf.sprintf "%d %d %d\n" (Sim.Time.to_ns (ut + st)) (Sim.Time.to_ns sum) cnt)
 
 (* /proc/<pid>/fdinfo: one line per open descriptor; epoll fds expand
    to their interest/ready state the way Linux's fdinfo prints
@@ -414,12 +413,11 @@ let standard_entries () =
   (* --- kprof observability surface --- *)
   register "stat" (fun () ->
       let ut, st = Ostd.Task.aggregate_cpu_times () in
-      let elapsed = Sim.Clock.now () in
-      let busy = Int64.add ut st in
-      let idle = if Int64.compare elapsed busy > 0 then Int64.sub elapsed busy else 0L in
+      let elapsed = Sim.Time.now () in
+      let idle = Int.max 0 (elapsed - (ut + st)) in
       String.concat ""
         [
-          Printf.sprintf "cpu  %Ld 0 %Ld %Ld 0 0 0 0 0 0\n" (ticks ut) (ticks st)
+          Printf.sprintf "cpu  %d 0 %d %d 0 0 0 0 0 0\n" (ticks ut) (ticks st)
             (ticks idle);
           Printf.sprintf "ctxt %d\n" (Ostd.Task.context_switches ());
           Printf.sprintf "btime %.0f\n" Ktime.boot_epoch_seconds;
@@ -437,8 +435,8 @@ let standard_entries () =
               let nv, niv = Ostd.Task.ctx_switches t in
               Some
                 (Printf.sprintf "pid %d comm %s dispatches %d delay_us %.1f max_us %.1f nvcsw %d nivcsw %d\n"
-                   (Process.pid p) (Process.comm p) cnt (Sim.Clock.to_us sum)
-                   (Sim.Clock.to_us mx) nv niv))
+                   (Process.pid p) (Process.comm p) cnt (Sim.Time.to_us sum)
+                   (Sim.Time.to_us mx) nv niv))
           (Process.all ())
       in
       String.concat ""
@@ -463,7 +461,7 @@ let standard_entries () =
                 :: List.map (fun (n, h) -> Sim.Hist.summary_line n h ^ "\n") hs)));
   register "kprof" (fun () ->
       let header =
-        Printf.sprintf "# kprof: enabled=%b elapsed=%Ld attributed=%Ld conserved=%b\n"
+        Printf.sprintf "# kprof: enabled=%b elapsed=%d attributed=%d conserved=%b\n"
           (Sim.Prof.enabled ()) (Sim.Prof.elapsed ()) (Sim.Prof.total_attributed ())
           (Sim.Prof.conserved ())
       in

@@ -1,6 +1,6 @@
 type class_ = Rt of int | Fair
 
-type attr = { mutable vrt : int64; mutable cls : class_; mutable ran_since : int64 }
+type attr = { mutable vrt : Sim.Time.t; mutable cls : class_; mutable ran_since : Sim.Time.t }
 
 type Ostd.Task.custom += Attr of attr
 
@@ -8,7 +8,7 @@ let attr_of t =
   match Ostd.Task.custom t with
   | Some (Attr a) -> a
   | _ ->
-    let a = { vrt = 0L; cls = Fair; ran_since = 0L } in
+    let a = { vrt = 0; cls = Fair; ran_since = 0 } in
     Ostd.Task.set_custom t (Attr a);
     a
 
@@ -25,11 +25,9 @@ let weight_of_nice n =
   max 16 (int_of_float w)
 
 module Ord = struct
-  type t = int64 * int
+  type t = Sim.Time.t * int
 
-  let compare (v1, t1) (v2, t2) =
-    let c = Int64.compare v1 v2 in
-    if c <> 0 then c else compare t1 t2
+  let compare (v1, t1) (v2, t2) = if v1 <> v2 then Int.compare v1 v2 else Int.compare t1 t2
 end
 
 module Rb = Map.Make (Ord)
@@ -38,16 +36,16 @@ module Rb = Map.Make (Ord)
 type state = {
   mutable fair : Ostd.Task.t Rb.t;
   mutable rt : (int * Ostd.Task.t Queue.t) list; (* priority -> fifo *)
-  mutable min_vruntime : int64;
+  mutable min_vruntime : Sim.Time.t;
   mutable nr_queued : int;
 }
 
-let st = { fair = Rb.empty; rt = []; min_vruntime = 0L; nr_queued = 0 }
+let st = { fair = Rb.empty; rt = []; min_vruntime = 0; nr_queued = 0 }
 
 let reset_state () =
   st.fair <- Rb.empty;
   st.rt <- [];
-  st.min_vruntime <- 0L;
+  st.min_vruntime <- 0;
   st.nr_queued <- 0
 
 let queued () = st.nr_queued
@@ -69,7 +67,7 @@ let enqueue t =
   | Fair ->
     (* A task that slept keeps no bonus beyond min_vruntime: place laggards
        at the current floor so they cannot starve the queue. *)
-    if Int64.compare a.vrt st.min_vruntime < 0 then a.vrt <- st.min_vruntime;
+    if a.vrt < st.min_vruntime then a.vrt <- st.min_vruntime;
     st.fair <- Rb.add (a.vrt, Ostd.Task.tid t) t st.fair
 
 let rec pick_rt = function
@@ -80,7 +78,7 @@ let pick_next () =
   match pick_rt st.rt with
   | Some t ->
     st.nr_queued <- st.nr_queued - 1;
-    (attr_of t).ran_since <- Sim.Clock.now ();
+    (attr_of t).ran_since <- Sim.Time.now ();
     Some t
   | None -> (
     match Rb.min_binding_opt st.fair with
@@ -89,7 +87,7 @@ let pick_next () =
       st.fair <- Rb.remove (vrt, Ostd.Task.tid t) st.fair;
       st.nr_queued <- st.nr_queued - 1;
       st.min_vruntime <- vrt;
-      (attr_of t).ran_since <- Sim.Clock.now ();
+      (attr_of t).ran_since <- Sim.Time.now ();
       Some t)
 
 let update_curr () =
@@ -100,14 +98,10 @@ let update_curr () =
     (match a.cls with
     | Rt _ -> ()
     | Fair ->
-      let delta = Int64.sub (Sim.Clock.now ()) a.ran_since in
-      let delta = if Int64.compare delta 0L < 0 then 0L else delta in
-      let weighted =
-        Int64.of_float
-          (Int64.to_float delta *. 1024. /. float_of_int (weight_of_nice (Ostd.Task.nice t)))
-      in
-      a.vrt <- Int64.add a.vrt weighted);
-    a.ran_since <- Sim.Clock.now ()
+      let delta = Int.max 0 (Sim.Time.now () - a.ran_since) in
+      let w = float_of_int (weight_of_nice (Ostd.Task.nice t)) in
+      a.vrt <- a.vrt + int_of_float (float_of_int delta *. 1024. /. w));
+    a.ran_since <- Sim.Time.now ()
 
 let dequeue_curr () = ()
 

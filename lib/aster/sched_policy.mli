@@ -13,7 +13,7 @@ val set_class : Ostd.Task.t -> class_ -> unit
 
 val class_of : Ostd.Task.t -> class_
 
-val vruntime : Ostd.Task.t -> int64
+val vruntime : Ostd.Task.t -> Sim.Time.t
 (** Current CFS virtual runtime (0 for RT tasks). *)
 
 val install : unit -> unit

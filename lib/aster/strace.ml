@@ -31,17 +31,16 @@ let tp_exit =
         else Printf.sprintf "ret=%Ld" ret
       in
       Printf.sprintf "nr=%d name=%s %s lat_us=%.3f" f.a (Syscall_nr.name f.a) result
-        (Sim.Clock.to_us (Int64.of_int f.d)))
+        (Sim.Time.to_us f.d))
 
 let enter ~nr =
   record ~nr;
   Sim.Trace.emit1 tp_enter nr
 
 let exit_ ~nr ~ret ~cycles =
-  let us = Sim.Clock.to_us cycles in
-  Sim.Hist.observe "syscall" us;
-  Sim.Hist.observe (Syscall_nr.scope_name nr) us;
-  Sim.Trace.emit4 tp_exit nr (Sim.Trace.hi32 ret) (Sim.Trace.lo32 ret) (Int64.to_int cycles)
+  Sim.Hist.observe "syscall" cycles;
+  Sim.Hist.observe (Syscall_nr.scope_name nr) cycles;
+  Sim.Trace.emit4 tp_exit nr (Sim.Trace.hi32 ret) (Sim.Trace.lo32 ret) cycles
 
 let record_size ~nr ~size = if size <= 8 then bump small nr
 

@@ -14,7 +14,7 @@ val record : nr:int -> unit
 val enter : nr:int -> unit
 (** Count the call and emit a [syscall:enter] tracepoint. *)
 
-val exit_ : nr:int -> ret:int64 -> cycles:int64 -> unit
+val exit_ : nr:int -> ret:int64 -> cycles:Sim.Time.t -> unit
 (** Emit a [syscall:exit] tracepoint (ret or errno, latency) and feed
     the ["syscall"] and ["syscall.<name>"] latency histograms with
     [cycles] converted to microseconds. Charges no virtual cycles. *)

@@ -245,11 +245,12 @@ let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len =
 
 (* Read up to [len] bytes from [f] into user memory at [vaddr]. The
    file position advances by the bytes that reached user memory. A
-   stream read waits, unless [f] is O_NONBLOCK, for its first chunk
-   only: a later chunk that finds nothing ends the call with the count
-   so far. A datagram is one chunk, since no UDP payload fills one. *)
-let do_read_desc proc (f : File.t) ~vaddr ~len =
-  let nonblock = f.File.flags land File.o_nonblock <> 0 in
+   stream read waits, unless [f] is O_NONBLOCK or [more] says the
+   calling syscall has already read bytes, for its first chunk only: a
+   later chunk that finds nothing ends the call with the count so far.
+   A datagram is one chunk, since no UDP payload fills one. *)
+let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
+  let nonblock = more || f.File.flags land File.o_nonblock <> 0 in
   match f.File.desc with
   | File.Inode_file inode -> (
     Vfs.touch_atime inode;
@@ -304,11 +305,13 @@ let do_write_desc (f : File.t) buf ~len =
 
 (* --- Individual syscalls --- *)
 
-let sys_read proc args =
+let read_fd ~more proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
-  | Ok f -> do_read_desc proc f ~vaddr:(int_arg args 1) ~len:(rw_count args)
+  | Ok f -> do_read_desc ~more proc f ~vaddr:(int_arg args 1) ~len:(rw_count args)
+
+let sys_read proc args = read_fd ~more:false proc args
 
 let sys_write proc args =
   match file_of proc args.(0) with
@@ -358,24 +361,23 @@ let iovec_list proc vaddr count =
   (* UIO_MAXIOV *)
   if invalid_range count 0 || count > 1024 then Error Errno.einval else go 0 []
 
+(* readv is one read, as on Linux: it may wait only while it has read
+   nothing, so an iovec after bytes have arrived takes what is queued,
+   and EAGAIN ends the call with the count so far. *)
 let sys_readv proc args =
   match iovec_list proc (int_arg args 1) (int_arg args 2) with
   | Error e -> err e
   | Ok iovs ->
-    let total = ref 0 in
-    let rec go = function
-      | [] -> ok !total
+    let rec go total = function
+      | [] -> ok total
       | (base, len) :: rest -> (
-        match sys_read proc [| args.(0); Int64.of_int base; Int64.of_int len |] with
-        | Ok n when Int64.to_int n = len ->
-          total := !total + Int64.to_int n;
-          go rest
-        | Ok n ->
-          total := !total + Int64.to_int n;
-          ok !total
-        | Error e -> if !total > 0 then ok !total else err e)
+        let regs = [| args.(0); Int64.of_int base; Int64.of_int len |] in
+        match read_fd ~more:(total > 0) proc regs with
+        | Ok n when Int64.to_int n = len -> go (total + len) rest
+        | Ok n -> ok (total + Int64.to_int n)
+        | Error e -> if total > 0 then ok total else err e)
     in
-    go iovs
+    go 0 iovs
 
 let sys_writev proc args =
   match iovec_list proc (int_arg args 1) (int_arg args 2) with
@@ -470,7 +472,7 @@ let stat_of_inode (inode : Vfs.inode) =
     mode = inode.Vfs.mode;
     nlink = inode.Vfs.nlink;
     kind = Abi.kind_code inode.Vfs.kind;
-    mtime_ns = inode.Vfs.mtime_ns;
+    mtime_ns = Int64.of_int inode.Vfs.mtime_ns;
   }
 
 let write_stat proc vaddr inode =
@@ -1261,17 +1263,15 @@ let sys_uname proc args =
 
 (* --- CPU-time exports from task accounting (kprof) --- *)
 
-let cycles_to_ns c = Int64.div (Int64.mul c 1000L) (Int64.of_int Sim.Clock.cycles_per_us)
-
-let cycles_to_usec c = Int64.div c (Int64.of_int Sim.Clock.cycles_per_us)
+let cycles_to_usec c = c / Sim.Time.cycles_per_us
 
 (* CLK_TCK = 100: one clock tick is 10ms of virtual time. *)
-let cycles_per_tick = Int64.of_int (Sim.Clock.cycles_per_us * 10_000)
+let cycles_per_tick = Sim.Time.cycles_per_us * 10_000
 
-let cycles_to_ticks c = Int64.div c cycles_per_tick
+let cycles_to_ticks c = Int64.of_int (c / cycles_per_tick)
 
 let proc_cpu_times proc =
-  match Process.task proc with Some t -> Ostd.Task.cpu_times t | None -> (0L, 0L)
+  match Process.task proc with Some t -> Ostd.Task.cpu_times t | None -> (0, 0)
 
 let sys_clock_gettime proc args =
   let clk = int_arg args 0 in
@@ -1281,11 +1281,11 @@ let sys_clock_gettime proc args =
       (* CLOCK_PROCESS_CPUTIME_ID / CLOCK_THREAD_CPUTIME_ID: one task
          per process here, so both read the task's utime + stime. *)
       let ut, st = proc_cpu_times proc in
-      cycles_to_ns (Int64.add ut st)
+      Sim.Time.to_ns (ut + st)
     end
     else Ktime.realtime_ns ()
   in
-  let sec = Int64.div ns 1_000_000_000L and nsec = Int64.rem ns 1_000_000_000L in
+  let sec = Int64.of_int (ns / 1_000_000_000) and nsec = Int64.of_int (ns mod 1_000_000_000) in
   match user_write proc ~vaddr:(int_arg args 1) (Abi.encode_timespec ~sec ~nsec) with
   | Ok () -> ok 0
   | Error e -> err e
@@ -1299,8 +1299,8 @@ let sys_getrusage proc args =
   let b = Bytes.make 144 '\000' in
   let put_timeval off cycles =
     let usec = cycles_to_usec cycles in
-    Bytes.set_int64_le b off (Int64.div usec 1_000_000L);
-    Bytes.set_int64_le b (off + 8) (Int64.rem usec 1_000_000L)
+    Bytes.set_int64_le b off (Int64.of_int (usec / 1_000_000));
+    Bytes.set_int64_le b (off + 8) (Int64.of_int (usec mod 1_000_000))
   in
   if who >= 0 then begin
     let ut, st = proc_cpu_times proc in
@@ -1320,7 +1320,7 @@ let sys_getrusage proc args =
 let sys_times proc args =
   (* struct tms: four clock_t at CLK_TCK = 100; the return value is
      ticks of uptime. A NULL buffer just returns the tick count. *)
-  let uptime_ticks = cycles_to_ticks (Sim.Clock.now ()) in
+  let uptime_ticks = cycles_to_ticks (Sim.Time.now ()) in
   let ptr = int_arg args 0 in
   if ptr = 0 then ok64 uptime_ticks
   else begin
@@ -1337,14 +1337,14 @@ let sys_times proc args =
 let sys_gettimeofday proc args =
   let ns = Ktime.realtime_ns () in
   let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 (Int64.div ns 1_000_000_000L);
-  Bytes.set_int64_le b 8 (Int64.div (Int64.rem ns 1_000_000_000L) 1000L);
+  Bytes.set_int64_le b 0 (Int64.of_int (ns / 1_000_000_000));
+  Bytes.set_int64_le b 8 (Int64.of_int (ns mod 1_000_000_000 / 1000));
   match user_write proc ~vaddr:(int_arg args 0) b with
   | Ok () -> ok 0
   | Error e -> err e
 
 let sys_time proc args =
-  let sec = Int64.div (Ktime.realtime_ns ()) 1_000_000_000L in
+  let sec = Int64.of_int (Ktime.realtime_ns () / 1_000_000_000) in
   let ptr = int_arg args 0 in
   if ptr = 0 then ok64 sec
   else begin
@@ -1361,7 +1361,7 @@ let sys_getrandom proc args =
   let len = int_arg args 1 in
   if invalid_range len 0 then err Errno.einval
   else begin
-    let rng = Sim.Rng.create (Sim.Clock.now ()) in
+    let rng = Sim.Rng.create (Int64.of_int (Sim.Time.now ())) in
     let fill buf ~off:_ ~len =
       for i = 0 to len - 1 do
         Bytes.set buf i (Char.chr (Sim.Rng.int rng 256))
@@ -1450,10 +1450,7 @@ let sys_poll proc args =
     let timeout_ms = int_arg args 2 in
     let deadline =
       if timeout_ms < 0 then None
-      else
-        Some
-          (Int64.add (Sim.Clock.now ())
-             (Int64.of_int (Sim.Clock.us (float_of_int timeout_ms *. 1000.))))
+      else Some (Sim.Time.now () + Sim.Time.of_us (float_of_int timeout_ms *. 1000.))
     in
     (* Subscribe before the first scan so no edge can slip between
        "level says not ready" and "blocked" (the sim never preempts
@@ -1478,10 +1475,10 @@ let sys_poll proc args =
       else
         match deadline with
         | Some dl ->
-          let left = Int64.sub dl (Sim.Clock.now ()) in
-          if Int64.compare left 0L <= 0 then finish revs
+          let left = dl - Sim.Time.now () in
+          if left <= 0 then finish revs
           else begin
-            ignore (Ostd.Wait_queue.sleep_timeout wq ~cycles:(Int64.to_int left) : bool);
+            ignore (Ostd.Wait_queue.sleep_timeout wq ~cycles:left : bool);
             loop ()
           end
         | None ->
@@ -1541,7 +1538,7 @@ let sys_epoll_wait proc args =
       else begin
         let timeout_ms = int_arg args 3 in
         let timeout_cycles =
-          if timeout_ms < 0 then -1 else Sim.Clock.us (float_of_int timeout_ms *. 1000.)
+          if timeout_ms < 0 then -1 else Sim.Time.of_us (float_of_int timeout_ms *. 1000.)
         in
         let evs = Epoll.wait ep ~maxevents ~timeout_cycles in
         let n = List.length evs in

@@ -149,7 +149,7 @@ and conn = {
   pollable : Pollable.t; (* readiness seam: edges published below *)
 }
 
-let rto_cycles = Sim.Clock.us 40_000. (* 40 ms *)
+let rto_cycles = Sim.Time.of_us 40_000. (* 40 ms *)
 
 (* A lossy or fault-injected link can eat SYN / SYN-ACK; data has the
    RTO to cover it, the handshake needs its own bounded retransmit or a
@@ -289,7 +289,7 @@ let send_pure_ack conn =
   conn.unacked <- 0;
   emit conn Bytes.empty
 
-let delack_cycles = Sim.Clock.us 500.
+let delack_cycles = Sim.Time.of_us 500.
 
 (* Delayed ACK: full segments in a stream are acknowledged every other
    segment (or after a short timer); sub-MSS arrivals ACK immediately so

@@ -15,9 +15,9 @@ type inode = {
   mutable mode : int;
   mutable nlink : int;
   mutable size : int;
-  mutable atime_ns : int64;
-  mutable mtime_ns : int64;
-  mutable ctime_ns : int64;
+  mutable atime_ns : int;
+  mutable mtime_ns : int;
+  mutable ctime_ns : int;
   ops : ops;
   mutable priv : priv;
 }

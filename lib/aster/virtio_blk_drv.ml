@@ -190,8 +190,8 @@ let reap () =
              ~len:(Block.bio_len p.bio)
          | _ -> ());
       release_data_buf s p.data;
-      let done_ts = Ostd.Untyped.read_u64 (stream_frame p.desc) ~off:desc_done_ts in
-      if Int64.compare done_ts 0L > 0 then Block.note_dev_done p.bio done_ts;
+      let done_ts = Int64.to_int (Ostd.Untyped.read_u64 (stream_frame p.desc) ~off:desc_done_ts) in
+      if done_ts > 0 then Block.note_dev_done p.bio done_ts;
       if p.desc_pooled then Ostd.Dma.Pool.release s.desc_pool p.desc
       else Ostd.Dma.Stream.unmap p.desc;
       Block.complete_bio p.bio ~status:(if status = 0 then 0 else Errno.eio))

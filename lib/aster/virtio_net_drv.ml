@@ -39,7 +39,7 @@ type buf = {
   pkt : Packet.t option; (* TX only: for error reporting upstack *)
   mutable tries : int;
   mutable deadline : deadline; (* the latest submission's; older ones skip *)
-  mutable issued : int64; (* first doorbell for this frame; 0 = never *)
+  mutable issued : Sim.Time.t; (* first doorbell for this frame; 0 = never *)
 }
 
 let unsubmitted = { left = 0; ev = None }
@@ -90,11 +90,11 @@ let take_buf s ~pkt ~len =
   let pages = if big then tso_buf_pages else base_buf_pages in
   let fresh () =
     { stream = Ostd.Dma.Stream.map (Ostd.Frame.alloc ~pages ~untyped:true ()) ~dev:s.dev_id;
-      home = None; pkt; tries = 0; deadline = unsubmitted; issued = 0L }
+      home = None; pkt; tries = 0; deadline = unsubmitted; issued = 0 }
   in
   let from_pool p =
     match Ostd.Dma.Pool.alloc p with
-    | Some stream -> { stream; home = Some p; pkt; tries = 0; deadline = unsubmitted; issued = 0L }
+    | Some stream -> { stream; home = Some p; pkt; tries = 0; deadline = unsubmitted; issued = 0 }
     | None ->
       Sim.Stats.incr "virtio_net.pool_exhausted";
       fresh ()
@@ -223,7 +223,7 @@ let ring s ~device_idle head =
    makes the shrinkage observable. The frames themselves are reported
    upstack and repaired by retransmission. The deadline lives only as
    long as its chain: reaping the chain's last buffer cancels it. *)
-let tx_deadline_cycles n = Sim.Clock.us (500. +. (20. *. float_of_int n))
+let tx_deadline_cycles n = Sim.Time.of_us (500. +. (20. *. float_of_int n))
 
 let quarantine s b =
   s.tx_pending <- List.filter (fun x -> not (x == b)) s.tx_pending;
@@ -264,7 +264,7 @@ let disarm b =
   if d.left = 0 then Option.iter Sim.Events.cancel d.ev
 
 let submit_one s b =
-  if Int64.equal b.issued 0L then b.issued <- Sim.Clock.now ();
+  if b.issued = 0 then b.issued <- Sim.Time.now ();
   let device_idle = s.tx_pending = [] in
   s.tx_pending <- s.tx_pending @ [ b ];
   ring s ~device_idle b;
@@ -285,7 +285,7 @@ let submit_many s pkts =
       | _ -> ()
     in
     link_all bufs;
-    List.iter (fun b -> if Int64.equal b.issued 0L then b.issued <- Sim.Clock.now ()) bufs;
+    List.iter (fun b -> if b.issued = 0 then b.issued <- Sim.Time.now ()) bufs;
     let device_idle = s.tx_pending = [] in
     s.tx_pending <- s.tx_pending @ bufs;
     ring s ~device_idle head;
@@ -426,19 +426,19 @@ let reap_once s =
         (* The completion stamp is read unconditionally: the checked
            accessor charges its boundary check whether or not anyone is
            tracing, so span-on and span-off runs stay byte-identical. *)
-        let ts = Ostd.Untyped.read_u64 (frame_of b) ~off:desc_done_ts in
+        let ts = Int64.to_int (Ostd.Untyped.read_u64 (frame_of b) ~off:desc_done_ts) in
         (* Span waterfall for the owning request: device service
            (doorbell → the device's completion stamp) and IRQ-delivery
            delay (stamp → this reap). One tx_done count per span-owned
            frame balances prepare_tx's tx_created. *)
         (match b.pkt with
         | Some p when p.Packet.span > 0 ->
-          let now = Sim.Clock.now () in
-          let t0 = if Int64.compare b.issued 0L > 0 then b.issued else p.Packet.span_t0 in
-          if Int64.compare t0 0L > 0 then begin
-            let s_end = if Int64.compare ts 0L > 0 then ts else now in
+          let now = Sim.Time.now () in
+          let t0 = if b.issued > 0 then b.issued else p.Packet.span_t0 in
+          if t0 > 0 then begin
+            let s_end = if ts > 0 then ts else now in
             Sim.Span.add_to p.Packet.span "net.service" t0 s_end;
-            if Int64.compare ts 0L > 0 then Sim.Span.add_to p.Packet.span "net.irq" ts now
+            if ts > 0 then Sim.Span.add_to p.Packet.span "net.irq" ts now
           end;
           Sim.Stats.incr "span.tx_done"
         | Some _ | None -> ());
@@ -503,7 +503,7 @@ let napi_poll_us = 3.0
 let rec napi_poll s =
   if reap_once s > 0 then begin
     Sim.Stats.incr "net.napi_poll";
-    ignore (Sim.Events.schedule_after (Sim.Clock.us napi_poll_us) (fun () -> napi_poll s))
+    ignore (Sim.Events.schedule_after (Sim.Time.of_us napi_poll_us) (fun () -> napi_poll s))
   end
   else begin
     (* Idle poll: the backstop GRO flush. Nothing more is arriving, so

@@ -27,7 +27,7 @@ let storm_window_us = 200.
 
 let poll_delay_us = 300.
 
-type vstat = { mutable wstart : int64; mutable n : int; mutable masked : bool }
+type vstat = { mutable wstart : Sim.Time.t; mutable n : int; mutable masked : bool }
 
 let vstats : (int, vstat) Hashtbl.t = Hashtbl.create 8
 
@@ -57,7 +57,7 @@ let vstat_of vector =
   match Hashtbl.find_opt vstats vector with
   | Some v -> v
   | None ->
-    let v = { wstart = Sim.Clock.now (); n = 0; masked = false } in
+    let v = { wstart = Sim.Time.now (); n = 0; masked = false } in
     Hashtbl.add vstats vector v;
     v
 
@@ -92,7 +92,7 @@ let polled_service vector =
       run_handler vector;
       vs.masked <- false;
       decr masked_vectors;
-      vs.wstart <- Sim.Clock.now ();
+      vs.wstart <- Sim.Time.now ();
       vs.n <- 0;
       !post_hook ())
 
@@ -114,12 +114,11 @@ let dispatch vector =
         if Sim.Trace.armed Sim.Trace.P_irq_entry then begin
           let c = Sim.Trace.ctx Sim.Trace.P_irq_entry in
           c.{0} <- Int64.of_int vector;
-          c.{1} <- Sim.Clock.to_ns (Sim.Clock.now ());
+          c.{1} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
           Sim.Trace.run Sim.Trace.P_irq_entry
         end;
-        let now = Sim.Clock.now () in
-        let window = Int64.of_int (Sim.Clock.us storm_window_us) in
-        if Int64.compare (Int64.sub now vs.wstart) window > 0 then begin
+        let now = Sim.Time.now () in
+        if now - vs.wstart > Sim.Time.of_us storm_window_us then begin
           vs.wstart <- now;
           vs.n <- 0
         end;
@@ -130,7 +129,7 @@ let dispatch vector =
           Sim.Stats.incr "irq.storm_masked";
           Logs.debug (fun m -> m "irq: vector %d storming, masked + polling" vector);
           ignore
-            (Sim.Events.schedule_after (Sim.Clock.us poll_delay_us) (fun () ->
+            (Sim.Events.schedule_after (Sim.Time.of_us poll_delay_us) (fun () ->
                  polled_service vector))
         end
         else run_handler vector;

@@ -32,30 +32,29 @@ module Lock_stat = struct
       wait_key = "lock." ^ lname ^ ".wait";
     }
 
-  (* Holds longer than this (virtual µs) trip the watchdog tracepoint.
-     Virtual time is deterministic, so the tracepoint fires identically
-     across same-seed runs. *)
-  let hold_watchdog_us = ref 1000.
+  (* Holds longer than this trip the watchdog tracepoint. Virtual time
+     is deterministic, so the tracepoint fires identically across
+     same-seed runs. *)
+  let hold_watchdog = ref (Sim.Time.of_us 1000.)
 
-  let set_hold_watchdog_us x = hold_watchdog_us := x
+  let set_hold_watchdog_us x = hold_watchdog := Sim.Time.of_us x
 
   let acquired s ~contended ~wait_cycles =
     Sim.Stats.incr s.acquire_key;
     if contended then begin
       Sim.Stats.incr s.contended_key;
-      Sim.Hist.observe s.wait_key (Sim.Clock.to_us wait_cycles)
+      Sim.Hist.observe s.wait_key wait_cycles
     end
 
   let tp_long_hold =
     Sim.Trace.point Sim.Trace.Lock "long_hold" (fun f ->
-        Printf.sprintf "lock=%s hold_us=%.3f" f.s (Sim.Clock.to_us (Int64.of_int f.a)))
+        Printf.sprintf "lock=%s hold_us=%.3f" f.s (Sim.Time.to_us f.a))
 
   let released s ~hold_cycles =
-    let us = Sim.Clock.to_us hold_cycles in
-    Sim.Hist.observe s.hold_key us;
-    if us > !hold_watchdog_us then begin
+    Sim.Hist.observe s.hold_key hold_cycles;
+    if hold_cycles > !hold_watchdog then begin
       Sim.Stats.incr "lock.watchdog.long_hold";
-      Sim.Trace.emit_s tp_long_hold s.lname (Int64.to_int hold_cycles) 0 0 0
+      Sim.Trace.emit_s tp_long_hold s.lname hold_cycles 0 0 0
     end
 end
 
@@ -73,13 +72,13 @@ module Spin_lock = struct
     t.holder <- Some (match Task.current_opt () with Some c -> Task.tid c | None -> -1);
     (* A single-CPU spin lock cannot wait (contention panics above), so
        only acquisitions and hold times report. *)
-    Lock_stat.acquired t.st ~contended:false ~wait_cycles:0L;
+    Lock_stat.acquired t.st ~contended:false ~wait_cycles:0;
     Atomic_mode.enter ();
     Sim.Cost.charge 20;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Time.now () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Sim.Time.now () - h0);
         t.holder <- None;
         Atomic_mode.exit ())
       f
@@ -102,15 +101,15 @@ module Mutex = struct
     let me = Task.tid (Task.current ()) in
     if t.holder = Some me then Panic.panicf "Mutex %s: re-entrant acquisition" t.name;
     let contended = t.holder <> None in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Time.now () in
     Wait_queue.sleep_until t.wq (fun () -> t.holder = None);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Sim.Time.now () - w0);
     t.holder <- Some me;
     Sim.Cost.charge 30;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Time.now () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Sim.Time.now () - h0);
         t.holder <- None;
         ignore (Wait_queue.wake_one t.wq))
       f
@@ -132,28 +131,28 @@ module Rw_lock = struct
 
   let with_read t f =
     let contended = t.writer in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Time.now () in
     Wait_queue.sleep_until t.wq (fun () -> not t.writer);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Sim.Time.now () - w0);
     t.readers <- t.readers + 1;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Time.now () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Sim.Time.now () - h0);
         t.readers <- t.readers - 1;
         if t.readers = 0 then ignore (Wait_queue.wake_all t.wq))
       f
 
   let with_write t f =
     let contended = t.writer || t.readers > 0 in
-    let w0 = Sim.Clock.now () in
+    let w0 = Sim.Time.now () in
     Wait_queue.sleep_until t.wq (fun () -> (not t.writer) && t.readers = 0);
-    Lock_stat.acquired t.st ~contended ~wait_cycles:(Int64.sub (Sim.Clock.now ()) w0);
+    Lock_stat.acquired t.st ~contended ~wait_cycles:(Sim.Time.now () - w0);
     t.writer <- true;
-    let h0 = Sim.Clock.now () in
+    let h0 = Sim.Time.now () in
     Fun.protect
       ~finally:(fun () ->
-        Lock_stat.released t.st ~hold_cycles:(Int64.sub (Sim.Clock.now ()) h0);
+        Lock_stat.released t.st ~hold_cycles:(Sim.Time.now () - h0);
         t.writer <- false;
         ignore (Wait_queue.wake_all t.wq))
       f

@@ -12,16 +12,16 @@ type t = {
   kstack : Kstack.t;
   mutable resume : resume option;
   (* --- kprof CPU accounting (observability only: never charges) --- *)
-  mutable utime : int64; (* cycles accounted to user mode *)
-  mutable stime : int64; (* cycles accounted to kernel mode *)
+  mutable utime : Sim.Time.t; (* cycles accounted to user mode *)
+  mutable stime : Sim.Time.t; (* cycles accounted to kernel mode *)
   mutable user_mode : bool; (* which bucket accrues right now *)
-  mutable acct_mark : int64; (* clock at last accounting flush *)
+  mutable acct_mark : Sim.Time.t; (* clock at last accounting flush *)
   mutable nvcsw : int; (* voluntary context switches (blocked) *)
   mutable nivcsw : int; (* involuntary context switches (yielded) *)
-  mutable runnable_at : int64; (* enqueue instant, -1 once dispatched *)
-  mutable sdelay_sum : int64; (* total runqueue-wait cycles *)
+  mutable runnable_at : Sim.Time.t; (* enqueue instant, -1 once dispatched *)
+  mutable sdelay_sum : Sim.Time.t; (* total runqueue-wait cycles *)
   mutable sdelay_cnt : int; (* dispatches with a measured wait *)
-  mutable sdelay_max : int64;
+  mutable sdelay_max : Sim.Time.t;
   (* --- the Ready list (observability only: never consulted to pick) --- *)
   mutable rq_prev : t option;
   mutable rq_next : t option;
@@ -91,10 +91,10 @@ let ready_unlink t =
 
 let max_runnable_wait_ns () =
   match !ready_head with
-  | None -> 0L
+  | None -> 0
   | Some t ->
-    let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
-    if Int64.compare d 0L > 0 then Sim.Clock.to_ns d else 0L
+    let d = Sim.Time.now () - t.runnable_at in
+    if d > 0 then Sim.Time.to_ns d else 0
 
 (* --- CPU accounting ---
 
@@ -105,32 +105,31 @@ let max_runnable_wait_ns () =
    flips. Whole-system totals accumulate alongside so /proc/stat can
    report user/system/idle without walking dead tasks. *)
 
-let total_utime = ref 0L
+let total_utime = ref 0
 
-let total_stime = ref 0L
+let total_stime = ref 0
 
 let switch_count = ref 0
 
 let acct_flush t =
-  let now = Sim.Clock.now () in
-  let d = Int64.sub now t.acct_mark in
-  if Int64.compare d 0L > 0 then
+  let now = Sim.Time.now () in
+  let d = now - t.acct_mark in
+  if d > 0 then
     if t.user_mode then begin
-      t.utime <- Int64.add t.utime d;
-      total_utime := Int64.add !total_utime d
+      t.utime <- t.utime + d;
+      total_utime := !total_utime + d
     end
     else begin
-      t.stime <- Int64.add t.stime d;
-      total_stime := Int64.add !total_stime d
+      t.stime <- t.stime + d;
+      total_stime := !total_stime + d
     end;
   t.acct_mark <- now
 
 (* utime/stime including the live span of a currently-running task. *)
 let cpu_times t =
   if t.running_flag then begin
-    let d = Int64.sub (Sim.Clock.now ()) t.acct_mark in
-    let d = if Int64.compare d 0L > 0 then d else 0L in
-    if t.user_mode then (Int64.add t.utime d, t.stime) else (t.utime, Int64.add t.stime d)
+    let d = Int.max 0 (Sim.Time.now () - t.acct_mark) in
+    if t.user_mode then (t.utime + d, t.stime) else (t.utime, t.stime + d)
   end
   else (t.utime, t.stime)
 
@@ -191,8 +190,8 @@ let reset () =
   live := 0;
   ready_head := None;
   ready_tail := None;
-  total_utime := 0L;
-  total_stime := 0L;
+  total_utime := 0;
+  total_stime := 0;
   switch_count := 0;
   idle_hook := (fun () -> ());
   Atomic_mode.reset ()
@@ -208,7 +207,7 @@ let enqueue_ready t =
   let (module S) = scheduler () in
   t.st <- Ready;
   (* Runqueue-wait starts now; dispatch measures the delta. *)
-  t.runnable_at <- Sim.Clock.now ();
+  t.runnable_at <- Sim.Time.now ();
   ready_append t;
   S.enqueue t
 
@@ -225,16 +224,16 @@ let spawn ?(name = "task") body =
       nice_val = 0;
       kstack = Kstack.create ();
       resume = Some (Start body);
-      utime = 0L;
-      stime = 0L;
+      utime = 0;
+      stime = 0;
       user_mode = false;
-      acct_mark = 0L;
+      acct_mark = 0;
       nvcsw = 0;
       nivcsw = 0;
-      runnable_at = -1L;
-      sdelay_sum = 0L;
+      runnable_at = -1;
+      sdelay_sum = 0;
       sdelay_cnt = 0;
-      sdelay_max = 0L;
+      sdelay_max = 0;
       rq_prev = None;
       rq_next = None;
       some = Some t;
@@ -258,8 +257,8 @@ let wake t =
     if Sim.Trace.armed Sim.Trace.P_sched_wakeup then begin
       let c = Sim.Trace.ctx Sim.Trace.P_sched_wakeup in
       c.{0} <- Int64.of_int t.tid;
-      c.{1} <- Sim.Clock.to_ns (Sim.Clock.now ());
-      c.{2} <- max_runnable_wait_ns ();
+      c.{1} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
+      c.{2} <- Int64.of_int (max_runnable_wait_ns ());
       Sim.Trace.run Sim.Trace.P_sched_wakeup
     end
   | Ready | Running | Dead -> ()
@@ -333,24 +332,23 @@ let dispatch t =
        switch cost below is charged to the task being switched in, as
        is its accounting mark, and ktrace names it. *)
     Sim.Prof.switch_to ~tid:t.tid ~comm:t.tname;
-    t.acct_mark <- Sim.Clock.now ();
+    t.acct_mark <- Sim.Time.now ();
     (* Runqueue wait: from the enqueue that made the task runnable to
        this dispatch. Fed to the sched.delay histogram (microseconds)
        and the per-task schedstat totals; costs nothing in virtual
        time. *)
-    let own_wait_ns = ref 0L in
-    let span_waited = ref 0L in
+    let own_wait_ns = ref 0 in
+    let span_waited = ref 0 in
     if t.st = Ready then ready_unlink t;
-    if Int64.compare t.runnable_at 0L >= 0 then begin
-      let d = Int64.sub (Sim.Clock.now ()) t.runnable_at in
-      let d = if Int64.compare d 0L > 0 then d else 0L in
-      t.runnable_at <- -1L;
-      t.sdelay_sum <- Int64.add t.sdelay_sum d;
+    if t.runnable_at >= 0 then begin
+      let d = Int.max 0 (Sim.Time.now () - t.runnable_at) in
+      t.runnable_at <- -1;
+      t.sdelay_sum <- t.sdelay_sum + d;
       t.sdelay_cnt <- t.sdelay_cnt + 1;
-      if Int64.compare d t.sdelay_max > 0 then t.sdelay_max <- d;
-      own_wait_ns := Sim.Clock.to_ns d;
+      if d > t.sdelay_max then t.sdelay_max <- d;
+      own_wait_ns := Sim.Time.to_ns d;
       span_waited := d;
-      Sim.Hist.observe "sched.delay" (Sim.Clock.to_us d)
+      Sim.Hist.observe "sched.delay" d
     end;
     (* Span bookkeeping before the switch cost below, so those cycles
        attribute on-CPU to the incoming task's span. *)
@@ -368,8 +366,8 @@ let dispatch t =
       let c = Sim.Trace.ctx Sim.Trace.P_sched_switch and queued = max_runnable_wait_ns () in
       c.{0} <- Int64.of_int !last_ran;
       c.{1} <- Int64.of_int t.tid;
-      c.{2} <- Sim.Clock.to_ns (Sim.Clock.now ());
-      c.{3} <- (if Int64.compare !own_wait_ns queued > 0 then !own_wait_ns else queued);
+      c.{2} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
+      c.{3} <- Int64.of_int (Int.max !own_wait_ns queued);
       Sim.Trace.run Sim.Trace.P_sched_switch
     end;
     last_ran := t.tid;
@@ -417,7 +415,7 @@ let sleep_cycles n =
   ignore (Sim.Events.schedule_after n (fun () -> wake t));
   block ()
 
-let sleep_us x = sleep_cycles (Sim.Clock.us x)
+let sleep_us x = sleep_cycles (Sim.Time.of_us x)
 
 let on_idle f = idle_hook := f
 

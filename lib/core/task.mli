@@ -93,18 +93,18 @@ val live_tasks : unit -> int
     user-return loop flips at the user/kernel boundary. All readings are
     virtual cycles. *)
 
-val cpu_times : t -> int64 * int64
+val cpu_times : t -> Sim.Time.t * Sim.Time.t
 (** [(utime, stime)], including the live span of a running task. *)
 
 val ctx_switches : t -> int * int
 (** [(nvcsw, nivcsw)]: voluntary (blocked) vs involuntary (yielded). *)
 
-val sched_delay : t -> int * int64 * int64
+val sched_delay : t -> int * Sim.Time.t * Sim.Time.t
 (** [(dispatches, total_wait_cycles, max_wait_cycles)] — runqueue wait
     from wake-up/enqueue to dispatch; also fed to the ["sched.delay"]
     histogram in microseconds. *)
 
-val aggregate_cpu_times : unit -> int64 * int64
+val aggregate_cpu_times : unit -> Sim.Time.t * Sim.Time.t
 (** Whole-system [(utime, stime)] including dead tasks. *)
 
 val context_switches : unit -> int

@@ -20,12 +20,12 @@ let sleep_until wq cond =
    takes it out of the heap. *)
 let sleep_timeout wq ~cycles =
   let t = Task.current () in
-  let deadline = Int64.add (Sim.Clock.now ()) (Int64.of_int cycles) in
+  let deadline = Sim.Time.now () + cycles in
   Sim.Stats.incr "timer.armed";
   Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.timer_program;
   let fired = ref false in
   let ev =
-    Sim.Events.schedule_at (max deadline (Sim.Clock.now ())) (fun () ->
+    Sim.Events.schedule_at (Int.max deadline (Sim.Time.now ())) (fun () ->
         fired := true;
         Sim.Stats.incr "timer.fired";
         Task.wake t)

@@ -15,11 +15,24 @@ type ring = {
   mutable rdropped : int;
 }
 
+(* Keyed maps hash and compare their int64 keys directly: the generic
+   [Hashtbl] would send every update through [caml_hash] and
+   [caml_compare]. *)
+module Keyed = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+
+  let hash k =
+    let x = Int64.to_int k * 0x2545F4914F6CDD1D in
+    (x lxor (x lsr 29)) land max_int
+end)
+
 type store = {
   counters : (string, int64 ref) Hashtbl.t;
-  perkey : (string, (int64, int64 ref) Hashtbl.t) Hashtbl.t;
+  perkey : (string, int64 ref Keyed.t) Hashtbl.t;
   hists : (string, Sim.Hist.t) Hashtbl.t;
-  khists : (string, (int64, Sim.Hist.t) Hashtbl.t) Hashtbl.t;
+  khists : (string, Sim.Hist.t Keyed.t) Hashtbl.t;
   rings : (string, ring) Hashtbl.t;
   decls : (string * map_kind) list;
 }
@@ -39,9 +52,9 @@ let create decls =
     (fun (n, k) ->
       match k with
       | Counter -> Hashtbl.replace s.counters n (ref 0L)
-      | Perkey -> Hashtbl.replace s.perkey n (Hashtbl.create 16)
+      | Perkey -> Hashtbl.replace s.perkey n (Keyed.create 16)
       | Histogram -> Hashtbl.replace s.hists n (Sim.Hist.create ())
-      | Keyed_histogram -> Hashtbl.replace s.khists n (Hashtbl.create 16)
+      | Keyed_histogram -> Hashtbl.replace s.khists n (Keyed.create 16)
       | Ring ->
         Hashtbl.replace s.rings n
           { entries = Array.make ring_capacity (0L, 0L); head = 0; rlen = 0; rdropped = 0 })
@@ -55,11 +68,11 @@ let create decls =
 let find tbl name = Hashtbl.find tbl name
 
 let cell tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
+  match Keyed.find tbl key with
+  | c -> c
+  | exception Not_found ->
     let c = ref 0L in
-    Hashtbl.replace tbl key c;
+    Keyed.replace tbl key c;
     c
 
 let upd tbl key v =
@@ -68,17 +81,17 @@ let upd tbl key v =
 
 let setk tbl key v = cell tbl key := v
 
-let get tbl key = match Hashtbl.find_opt tbl key with Some c -> !c | None -> 0L
+let get tbl key = match Keyed.find tbl key with c -> !c | exception Not_found -> 0L
 
 let hist_rec h v = Sim.Hist.record h (Int64.to_float v)
 
 let khist_rec tbl key v =
   let h =
-    match Hashtbl.find_opt tbl key with
-    | Some h -> h
-    | None ->
+    match Keyed.find tbl key with
+    | h -> h
+    | exception Not_found ->
       let h = Sim.Hist.create () in
-      Hashtbl.replace tbl key h;
+      Keyed.replace tbl key h;
       h
   in
   Sim.Hist.record h (Int64.to_float v)
@@ -92,8 +105,7 @@ let ring_entries r =
   let first = (r.head - r.rlen + ring_capacity) mod ring_capacity in
   List.init r.rlen (fun i -> r.entries.((first + i) mod ring_capacity))
 
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int64.compare
+let sorted_keys tbl = Keyed.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int64.compare
 
 let hist_line h =
   let cell p =
@@ -116,19 +128,19 @@ let render s =
         Buffer.add_string b (Printf.sprintf "map %s (counter): %Ld\n" n !(find s.counters n))
       | Perkey ->
         let tbl = find s.perkey n in
-        Buffer.add_string b (Printf.sprintf "map %s (perkey): %d keys\n" n (Hashtbl.length tbl));
+        Buffer.add_string b (Printf.sprintf "map %s (perkey): %d keys\n" n (Keyed.length tbl));
         List.iter
-          (fun key -> Buffer.add_string b (Printf.sprintf "  %Ld -> %Ld\n" key !(Hashtbl.find tbl key)))
+          (fun key -> Buffer.add_string b (Printf.sprintf "  %Ld -> %Ld\n" key !(Keyed.find tbl key)))
           (sorted_keys tbl)
       | Histogram ->
         Buffer.add_string b (Printf.sprintf "map %s (hist): %s\n" n (hist_line (find s.hists n)))
       | Keyed_histogram ->
         let tbl = find s.khists n in
-        Buffer.add_string b (Printf.sprintf "map %s (khist): %d keys\n" n (Hashtbl.length tbl));
+        Buffer.add_string b (Printf.sprintf "map %s (khist): %d keys\n" n (Keyed.length tbl));
         List.iter
           (fun key ->
             Buffer.add_string b
-              (Printf.sprintf "  %Ld: %s\n" key (hist_line (Hashtbl.find tbl key))))
+              (Printf.sprintf "  %Ld: %s\n" key (hist_line (Keyed.find tbl key))))
           (sorted_keys tbl)
       | Ring ->
         let r = find s.rings n in

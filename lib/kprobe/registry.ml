@@ -7,7 +7,7 @@
 type loaded = {
   prog : Insn.prog;
   store : Maps.store;
-  loaded_at : int64; (* virtual cycles *)
+  loaded_at : Sim.Time.t;
 }
 
 let table : (string, loaded) Hashtbl.t = Hashtbl.create 8
@@ -64,7 +64,7 @@ let load_text text : (string, string) result =
         Error e
       | Ok compiled ->
         ignore (unload prog.pname);
-        let l = { prog; store; loaded_at = Sim.Clock.now () } in
+        let l = { prog; store; loaded_at = Sim.Time.now () } in
         Hashtbl.replace table prog.pname l;
         order := !order @ [ prog.pname ];
         List.iter (fun (ap, code) -> Sim.Trace.attach ap ~name:prog.pname code) compiled;

@@ -280,7 +280,7 @@ let execute_one t desc_paddr =
              status word so enabling kspan changes nothing the device
              does: the driver splits service time from IRQ-delivery
              delay with it. *)
-          Phys.write_u64 (desc_paddr + 40) (Sim.Clock.now ());
+          Phys.write_u64 (desc_paddr + 40) (Int64.of_int (Sim.Time.now ()));
           Phys.write_u32 (desc_paddr + 24) status;
           if status = 0 then t.completed <- t.completed + 1 else t.failed <- t.failed + 1;
           true
@@ -380,8 +380,8 @@ let chain_latency descs =
     (fun (i, acc) paddr ->
       let len = try Phys.read_u32 (paddr + 4) with Invalid_argument _ -> 0 in
       let base =
-        if i = 0 then Sim.Clock.us c.Sim.Profile.blk_us_per_op
-        else Sim.Clock.us c.Sim.Profile.blk_us_per_desc
+        if i = 0 then Sim.Time.of_us c.Sim.Profile.blk_us_per_op
+        else Sim.Time.of_us c.Sim.Profile.blk_us_per_desc
       in
       (i + 1, acc + base + byte_cycles len))
     (0, 0) descs
@@ -403,7 +403,7 @@ let rec pump t =
          to trip a first-attempt bio deadline but not a retried one.
          Charged once per chain, like the real head-of-line blocking it
          models. *)
-      let jitter = Sim.Fault.delay_cycles "blk.delay" ~max_cycles:(Sim.Clock.us 2000.) in
+      let jitter = Sim.Fault.delay_cycles "blk.delay" ~max_cycles:(Sim.Time.of_us 2000.) in
       ignore
         (Sim.Events.schedule_after
            (chain_latency descs + jitter)

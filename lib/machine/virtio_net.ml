@@ -141,7 +141,7 @@ let execute_tx_one t desc_paddr =
          every status write so enabling kspan changes nothing the
          device does: the driver splits service time from IRQ-delivery
          delay with it. *)
-      let stamp () = Phys.write_u64 (desc_paddr + 24) (Sim.Clock.now ()) in
+      let stamp () = Phys.write_u64 (desc_paddr + 24) (Int64.of_int (Sim.Time.now ())) in
       if Sim.Fault.roll "net.tx_fail" then begin
         Sim.Stats.incr "virtio_net.injected_tx_fail";
         stamp ();
@@ -206,8 +206,8 @@ let chain_latency n =
   let c = Sim.Cost.c () in
   if n <= 0 then 0
   else
-    Sim.Clock.us c.Sim.Profile.net_us_per_kick
-    + ((n - 1) * Sim.Clock.us c.Sim.Profile.net_us_per_desc)
+    Sim.Time.of_us c.Sim.Profile.net_us_per_kick
+    + ((n - 1) * Sim.Time.of_us c.Sim.Profile.net_us_per_desc)
 
 (* A notify consumes the whole chain synchronously: frames enter the
    wire at ring-update time, so serialization (modelled by {!Wire})

@@ -6,7 +6,7 @@ type endpoint = {
   mutable sent : int;
   (* Earliest cycle at which the link is free again; models serialisation
      so that back-to-back sends queue behind each other. *)
-  mutable link_free_at : int64;
+  mutable link_free_at : Sim.Time.t;
 }
 
 let make ~latency_us ~bytes_per_cycle =
@@ -16,7 +16,7 @@ let make ~latency_us ~bytes_per_cycle =
     peer = None;
     rx = (fun _ -> ());
     sent = 0;
-    link_free_at = 0L;
+    link_free_at = 0;
   }
 
 let create_pair ~latency_us ~bytes_per_cycle =
@@ -33,14 +33,13 @@ let send ep packet =
   | None -> ()
   | Some peer ->
     ep.sent <- ep.sent + 1;
-    let now = Sim.Clock.now () in
+    let now = Sim.Time.now () in
     let serialize =
       int_of_float (float_of_int (Bytes.length packet) /. max 0.001 ep.bytes_per_cycle)
     in
-    let start = if Int64.compare ep.link_free_at now > 0 then ep.link_free_at else now in
-    let done_at = Int64.add start (Int64.of_int serialize) in
+    let done_at = Int.max ep.link_free_at now + serialize in
     ep.link_free_at <- done_at;
-    let deliver_at = Int64.add done_at (Int64.of_int (Sim.Clock.us ep.latency_us)) in
+    let deliver_at = done_at + Sim.Time.of_us ep.latency_us in
     ignore (Sim.Events.schedule_at deliver_at (fun () -> peer.rx packet))
 
 let packets_sent ep = ep.sent

@@ -1,10 +1,4 @@
-let cycles_per_us = 3000
-
-let current = ref 0L
-
-let reset () = current := 0L
-
-let now () = !current
+let reset () = Time.counter := 0
 
 (* The observability tap: every way virtual time can move forward — an
    explicit charge or an event-driven jump — reports its delta to the
@@ -18,21 +12,19 @@ let set_on_advance f = on_advance := f
 let charge n =
   if n < 0 then invalid_arg "Clock.charge: negative cost";
   if n > 0 then begin
-    current := Int64.add !current (Int64.of_int n);
+    Time.counter := !Time.counter + n;
     !on_advance n
   end
 
 let advance_to t =
-  if Int64.compare t !current > 0 then begin
-    let d = Int64.to_int (Int64.sub t !current) in
-    current := t;
+  let d = t - !Time.counter in
+  if d > 0 then begin
+    Time.counter := t;
     !on_advance d
   end
 
-let to_us t = Int64.to_float t /. float_of_int cycles_per_us
+let now () = Int64.of_int (Time.now ())
 
-let to_seconds t = to_us t /. 1_000_000.
+let to_us t = Time.to_us (Int64.to_int t)
 
-let to_ns t = Int64.div (Int64.mul t 1000L) (Int64.of_int cycles_per_us)
-
-let us x = int_of_float (x *. float_of_int cycles_per_us)
+let to_seconds t = Time.to_seconds (Int64.to_int t)

@@ -3,22 +3,17 @@
     The simulator is single-socket (SMP = 1, matching the paper's
     evaluation setup), so one global cycle counter suffices. Kernel and
     device code advance it by charging cycle costs; when every task is
-    blocked, {!Events} advances it to the next scheduled event. *)
-
-val cycles_per_us : int
-(** Nominal frequency: 3000 cycles per microsecond (3 GHz). *)
+    blocked, {!Events} advances it to the next scheduled event. The
+    counter is read with {!Time.now}. *)
 
 val reset : unit -> unit
 (** Reset the clock to cycle 0. Tests and benchmark runs call this. *)
-
-val now : unit -> int64
-(** Current virtual time in cycles. *)
 
 val charge : int -> unit
 (** [charge n] advances virtual time by [n] cycles. [n < 0] is a
     programming error and raises [Invalid_argument]. *)
 
-val advance_to : int64 -> unit
+val advance_to : Time.t -> unit
 (** Jump forward to an absolute cycle count (used by the event queue when
     the machine is idle). Moving backwards is ignored. *)
 
@@ -28,13 +23,17 @@ val set_on_advance : (int -> unit) -> unit
     slot, and kspan owns it: its observer feeds kprof attribution and
     kspan's on-CPU segments. The observer must not charge cycles. *)
 
+(** {2 The int64 view read by [perfbench/]}
+
+    The repository benchmark reads virtual time as [int64]. These are
+    views over {!Time} for it alone; the simulator itself uses {!Time}.
+    They can go once the benchmark moves to {!Time}. *)
+
+val now : unit -> int64
+(** [Int64.of_int (Time.now ())]. *)
+
 val to_us : int64 -> float
-(** Convert a cycle count to microseconds. *)
+(** [Time.to_us] of an [int64] cycle count. *)
 
 val to_seconds : int64 -> float
-
-val to_ns : int64 -> int64
-(** Exact nanoseconds of a cycle count: [t * 1000 / cycles_per_us]. *)
-
-val us : float -> int
-(** [us x] is the number of cycles in [x] microseconds. *)
+(** [Time.to_seconds] of an [int64] cycle count. *)

@@ -1,6 +1,6 @@
 (* [pos] is the event's slot in the heap, -1 once it has fired or been
    cancelled: [cancel] takes the event out rather than leave it behind. *)
-type event = { time : int64; seq : int; mutable pos : int; run : unit -> unit }
+type event = { time : Time.t; seq : int; mutable pos : int; run : unit -> unit }
 
 type handle = event
 
@@ -10,13 +10,11 @@ module Heap = struct
      deterministic. *)
   type t = { mutable arr : event array; mutable len : int }
 
-  let dummy = { time = 0L; seq = 0; pos = -1; run = ignore }
+  let dummy = { time = 0; seq = 0; pos = -1; run = ignore }
 
   let create () = { arr = Array.make 64 dummy; len = 0 }
 
-  let less a b =
-    let c = Int64.compare a.time b.time in
-    if c <> 0 then c < 0 else a.seq < b.seq
+  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
   let set h i e =
     h.arr.(i) <- e;
@@ -82,7 +80,7 @@ let schedule_at time run =
 
 let schedule_after n run =
   if n < 0 then invalid_arg "Events.schedule_after: negative delay";
-  schedule_at (Int64.add (Clock.now ()) (Int64.of_int n)) run
+  schedule_at (Time.now () + n) run
 
 let cancel e = if e.pos >= 0 then Heap.remove heap e.pos
 
@@ -98,7 +96,7 @@ let fire_first () =
 
 let run_due () =
   let ran = ref false in
-  while heap.Heap.len > 0 && Int64.compare heap.Heap.arr.(0).time (Clock.now ()) <= 0 do
+  while heap.Heap.len > 0 && heap.Heap.arr.(0).time <= Time.now () do
     ran := true;
     fire_first ()
   done;

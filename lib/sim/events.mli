@@ -10,7 +10,7 @@ type handle
 val clear : unit -> unit
 (** Drop all pending events (start of a fresh simulation). *)
 
-val schedule_at : int64 -> (unit -> unit) -> handle
+val schedule_at : Time.t -> (unit -> unit) -> handle
 (** Run a callback when virtual time reaches the given cycle count. *)
 
 val schedule_after : int -> (unit -> unit) -> handle
@@ -26,7 +26,7 @@ val pending : unit -> int
     events have left the queue. *)
 
 val run_due : unit -> bool
-(** Run every event whose time is [<= Clock.now ()]. Returns [true] if at
+(** Run every event whose time is [<= Time.now ()]. Returns [true] if at
     least one ran. *)
 
 val run_next : unit -> bool

@@ -89,7 +89,7 @@ let record t site =
   | Some r -> incr r
   | None -> Hashtbl.add t.counts site (ref 1));
   t.nlog <- t.nlog + 1;
-  t.log_rev <- Printf.sprintf "%Ld %s #%d" (Clock.now ()) site t.nlog :: t.log_rev;
+  t.log_rev <- Printf.sprintf "%d %s #%d" (Time.now ()) site t.nlog :: t.log_rev;
   Stats.incr ("fault.injected." ^ site);
   Trace.emit_s tp_inject site t.nlog 0 0 0;
   fire_inject site t.nlog

@@ -6,59 +6,69 @@
    distributions that never split a bucket (constant, two-point),
    within bucket width otherwise. *)
 
-let subdiv = 16
+let subdiv_bits = 4
 
-(* frexp exponents from e_min to e_max cover ~3e-5 .. ~3e14: sub-cycle
-   latencies up to ~27 hours of virtual time at 3 GHz. *)
+let subdiv = 1 lsl subdiv_bits
+
+(* frexp exponents from e_min up to (not including) e_max cover ~3e-5 ..
+   ~3e14 µs; larger values go to the overflow bucket. *)
 let e_min = -15
 
 let e_max = 49
 
 let nbuckets = 2 + ((e_max - e_min) * subdiv) (* + zero and overflow buckets *)
 
-type t = {
-  mutable count : int;
-  mutable sum : float;
-  mutable max_v : float;
-  counts : int array;
-  sums : float array;
-}
+(* The float totals live in a record of floats only, which OCaml stores
+   flat: updating them allocates nothing. *)
+type totals = { mutable sum : float; mutable max_v : float }
+
+type t = { mutable count : int; tot : totals; counts : int array; sums : float array }
 
 let create () =
   {
     count = 0;
-    sum = 0.;
-    max_v = neg_infinity;
+    tot = { sum = 0.; max_v = neg_infinity };
     counts = Array.make nbuckets 0;
     sums = Array.make nbuckets 0.;
   }
 
-let bucket_of v =
+(* [Float.frexp v] is [(m, e)] with [m] in [0.5, 1). For a positive
+   normal [v], [e] is the biased exponent less 1022, and spreading [m]
+   over [subdiv] sub-buckets takes the fraction's top [subdiv_bits]
+   bits; both are read off the bits, since frexp allocates its tuple.
+   Subnormals have [e <= -1022], below [e_min]. *)
+let[@inline] bucket_of v =
   if v <= 0. then 0
   else begin
-    let m, e = Float.frexp v in
+    let bits = Int64.bits_of_float v in
+    let e = Int64.to_int (Int64.shift_right_logical bits 52) - 1022 in
     if e < e_min then 0
-    else if e > e_max then nbuckets - 1
+    else if e >= e_max then nbuckets - 1
     else begin
-      (* m is in [0.5, 1): spread it over subdiv sub-buckets. *)
-      let sub = int_of_float ((m -. 0.5) *. 2. *. float_of_int subdiv) in
-      1 + (((e - e_min) * subdiv) + min sub (subdiv - 1))
+      let frac = Int64.to_int (Int64.shift_right_logical bits (52 - subdiv_bits)) in
+      1 + ((e - e_min) * subdiv) + (frac land (subdiv - 1))
     end
   end
 
-let record t v =
+let[@inline] add t v =
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v > t.max_v then t.max_v <- v;
+  t.tot.sum <- t.tot.sum +. v;
+  if v > t.tot.max_v then t.tot.max_v <- v;
   let i = bucket_of v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.sums.(i) <- t.sums.(i) +. v
 
+let record t v = add t v
+
+(* The microseconds are computed here, as [Time.to_us] does, so no
+   float crosses a call and none is boxed. *)
+let record_time t c = add t (float_of_int c /. float_of_int Time.cycles_per_us)
+
 let count t = t.count
 
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+let mean t = if t.count = 0 then 0. else t.tot.sum /. float_of_int t.count
 
-let max_value t = if t.count = 0 then 0. else t.max_v
+let max_value t = if t.count = 0 then 0. else t.tot.max_v
 
 (* An empty histogram has no percentiles: return [None] rather than a
    made-up 0.0 so table renderers must decide how to show the absence
@@ -70,7 +80,7 @@ let percentile t p =
     let p = Float.min 100. (Float.max 0. p) in
     let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int t.count))) in
     let rec walk i cum =
-      if i >= nbuckets then t.max_v
+      if i >= nbuckets then t.tot.max_v
       else begin
         let cum = cum + t.counts.(i) in
         if cum >= rank then t.sums.(i) /. float_of_int t.counts.(i) else walk (i + 1) cum
@@ -91,14 +101,14 @@ let table : (string, t) Hashtbl.t = Hashtbl.create 32
 let reset () = Hashtbl.reset table
 
 let named name =
-  match Hashtbl.find_opt table name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find table name with
+  | h -> h
+  | exception Not_found ->
     let h = create () in
     Hashtbl.add table name h;
     h
 
-let observe name v = record (named name) v
+let observe name c = record_time (named name) c
 
 let find name = Hashtbl.find_opt table name
 

@@ -4,12 +4,19 @@
     relative error is bounded by the sub-bucket width (1/16 of an
     octave). Buckets track count and sum, so a percentile that lands in
     a bucket reports that bucket's mean — exact for constant and
-    two-point distributions. Recording charges no virtual cycles. *)
+    two-point distributions. Recording charges no virtual cycles.
+    Latencies are given in cycles and kept as microseconds. *)
 
 type t
 
 val create : unit -> t
+
 val record : t -> float -> unit
+(** Record a value in whatever unit the histogram counts. *)
+
+val record_time : t -> Time.t -> unit
+(** Record a duration in microseconds, given in cycles. Allocates
+    nothing. *)
 
 val count : t -> int
 val mean : t -> float
@@ -27,7 +34,11 @@ val percentile_exn : t -> float -> float
 (** {2 Named registry (mirrors [Stats] counters)} *)
 
 val reset : unit -> unit
-val observe : string -> float -> unit
+
+val observe : string -> Time.t -> unit
+(** [observe name c] records [c] cycles, in microseconds, in the named
+    histogram ({!record_time}). *)
+
 val named : string -> t
 val find : string -> t option
 val all : unit -> (string * t) list

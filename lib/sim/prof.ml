@@ -53,7 +53,7 @@ let ctxs : (int, ctx) Hashtbl.t = Hashtbl.create 64
 
 let enabled_flag = ref false
 
-let anchor = ref 0L
+let anchor = ref 0
 
 let ctx_of ~tid ~comm =
   match Hashtbl.find_opt ctxs tid with
@@ -83,7 +83,7 @@ let attribute d =
 let clear () =
   Hashtbl.reset ctxs;
   current := idle ();
-  anchor := Clock.now ()
+  anchor := Time.now ()
 
 let enabled () = !enabled_flag
 
@@ -150,7 +150,7 @@ let push c label =
     Array.blit c.entered 0 a 0 d;
     c.entered <- a
   end;
-  c.entered.(d) <- Int64.to_int (Clock.now ());
+  c.entered.(d) <- Time.now ();
   c.depth <- d + 1;
   c.node <- child c.node label
 
@@ -187,7 +187,7 @@ let iter_frames f =
 
 (* --- Reporting --- *)
 
-let elapsed () = Int64.sub (Clock.now ()) !anchor
+let elapsed () = Time.now () - !anchor
 
 let rec key n =
   if n.key = "" then n.key <- key n.parent ^ ";" ^ n.label;
@@ -197,32 +197,34 @@ let rec fold_node f n acc = List.fold_left (fun acc k -> fold_node f k acc) (f n
 
 let fold_nodes f acc = Hashtbl.fold (fun _ c acc -> fold_node f c.root acc) ctxs acc
 
-let total_attributed () = Int64.of_int (fold_nodes (fun n acc -> acc + n.total) 0)
+let total_attributed () = fold_nodes (fun n acc -> acc + n.total) 0
 
-let conserved () = Int64.equal (total_attributed ()) (elapsed ())
+let conserved () = total_attributed () = elapsed ()
 
 (* Folded stacks, flamegraph.pl-compatible: "ctx;a;b CYCLES" per line,
    sorted by key so same-seed output is byte-identical. *)
-let folded () =
-  fold_nodes (fun n acc -> if n.total = 0 then acc else (key n, Int64.of_int n.total) :: acc) []
+let folded_cycles () =
+  fold_nodes (fun n acc -> if n.total = 0 then acc else (key n, n.total) :: acc) []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let render_folded () =
-  String.concat "\n" (List.map (fun (k, c) -> Printf.sprintf "%s %Ld" k c) (folded ()))
+let folded () = List.map (fun (k, c) -> (k, Int64.of_int c)) (folded_cycles ())
 
-type frame_stat = { frame : string; self : int64; total : int64; depth0 : bool }
+let render_folded () =
+  String.concat "\n" (List.map (fun (k, c) -> Printf.sprintf "%s %d" k c) (folded_cycles ()))
+
+type frame_stat = { frame : string; self : Time.t; total : Time.t; depth0 : bool }
 
 (* Per-frame self/total rollup: [self] is cycles attributed with the
    frame innermost; [total] counts each folded key's cycles once per
    distinct frame on it (recursion does not double-count). [depth0]
    marks context roots (task names), which the scope table filters. *)
 let frame_stats () =
-  let tbl : (string, int64 ref * int64 ref * bool ref) Hashtbl.t = Hashtbl.create 64 in
+  let tbl : (string, int ref * int ref * bool ref) Hashtbl.t = Hashtbl.create 64 in
   let slot f =
     match Hashtbl.find_opt tbl f with
     | Some s -> s
     | None ->
-      let s = (ref 0L, ref 0L, ref false) in
+      let s = (ref 0, ref 0, ref false) in
       Hashtbl.add tbl f s;
       s
   in
@@ -233,25 +235,25 @@ let frame_stats () =
       List.iter
         (fun f ->
           let _, tot, _ = slot f in
-          tot := Int64.add !tot cyc)
+          tot := !tot + cyc)
         distinct;
       (match List.rev frames with
       | leaf :: _ ->
         let self, _, _ = slot leaf in
-        self := Int64.add !self cyc
+        self := !self + cyc
       | [] -> ());
       match frames with
       | root :: _ ->
         let _, _, d0 = slot root in
         d0 := true
       | [] -> ())
-    (folded ());
+    (folded_cycles ());
   Hashtbl.fold
     (fun frame (self, total, d0) acc ->
       { frame; self = !self; total = !total; depth0 = !d0 } :: acc)
     tbl []
   |> List.sort (fun a b ->
-         let c = Int64.compare b.total a.total in
+         let c = Int.compare b.total a.total in
          if c <> 0 then c else String.compare a.frame b.frame)
 
 (* Named scopes only (contexts filtered out), by descending total. *)
@@ -261,12 +263,12 @@ let top_scopes ?(limit = 10) () =
   |> List.filteri (fun i _ -> i < limit)
 
 let render_top ?(limit = 20) () =
-  let el = Int64.to_float (elapsed ()) in
-  let pct c = if el <= 0. then 0. else 100. *. Int64.to_float c /. el in
+  let el = float_of_int (elapsed ()) in
+  let pct c = if el <= 0. then 0. else 100. *. float_of_int c /. el in
   let rows =
     frame_stats () |> List.filteri (fun i _ -> i < limit)
     |> List.map (fun s ->
-           Printf.sprintf "%-32s %14Ld %6.2f%% %14Ld %6.2f%%" s.frame s.self (pct s.self)
+           Printf.sprintf "%-32s %14d %6.2f%% %14d %6.2f%%" s.frame s.self (pct s.self)
              s.total (pct s.total))
   in
   String.concat "\n"

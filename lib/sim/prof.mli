@@ -74,21 +74,24 @@ val iter_frames : (string -> int -> unit) -> unit
 
 (** {2 Reporting} *)
 
-val elapsed : unit -> int64
+val elapsed : unit -> Time.t
 (** Cycles since the conservation anchor. *)
 
-val total_attributed : unit -> int64
+val total_attributed : unit -> Time.t
 
 val conserved : unit -> bool
 (** Whether [total_attributed () = elapsed ()] — exact, not approximate. *)
 
-val folded : unit -> (string * int64) list
+val folded_cycles : unit -> (string * Time.t) list
 (** Nonzero folded stacks, sorted by key. *)
+
+val folded : unit -> (string * int64) list
+(** {!folded_cycles} as [int64]: the view [perfbench/] reads. *)
 
 val render_folded : unit -> string
 (** One ["ctx;a;b CYCLES"] line per folded stack. *)
 
-type frame_stat = { frame : string; self : int64; total : int64; depth0 : bool }
+type frame_stat = { frame : string; self : Time.t; total : Time.t; depth0 : bool }
 
 val frame_stats : unit -> frame_stat list
 (** Per-frame rollup, descending by total: [self] is cycles with the

@@ -171,15 +171,13 @@ let add_seg sp label t0 t1 =
 let add_to id label t0 t1 =
   if id <> 0 && !enabled_flag then
     match Hashtbl.find_opt live id with
-    | Some sp -> add_seg sp label (Int64.to_int t0) (Int64.to_int t1)
+    | Some sp -> add_seg sp label t0 t1
     | None -> ()
-
-let now () = Int64.to_int (Clock.now ())
 
 let mark label t0 =
   if !enabled_flag then
     match active_span () with
-    | Some sp -> add_seg sp label (Int64.to_int t0) (now ())
+    | Some sp -> add_seg sp label t0 (Time.now ())
     | None -> ()
 
 (* The clock observer. It feeds kprof attribution first; then every
@@ -192,7 +190,7 @@ let on_advance d =
   if !enabled_flag then
     match active_span () with
     | Some sp ->
-      let t = now () in
+      let t = Time.now () in
       add_seg sp (Prof.cpu_label ()) (t - d) t
     | None -> ()
 
@@ -315,7 +313,7 @@ let res_insert a sp =
     | _ -> ()
 
 let finish sp =
-  sp.t_end <- now ();
+  sp.t_end <- Time.now ();
   Hashtbl.remove live sp.id;
   (match Hashtbl.find_opt active sp.tid with
   | Some cur when cur == sp ->
@@ -327,7 +325,7 @@ let finish sp =
   let a = agg_of sp.cls in
   a.a_count <- a.a_count + 1;
   a.a_total <- a.a_total + span_dur sp;
-  Hist.record a.a_hist (Clock.to_us (Int64.of_int (span_dur sp)));
+  Hist.record_time a.a_hist (span_dur sp);
   List.iter
     (fun (l, d) ->
       match Hashtbl.find_opt a.a_segs l with
@@ -354,7 +352,7 @@ let begin_ ~cls ~name =
         cls;
         name;
         tid;
-        t_begin = now ();
+        t_begin = Time.now ();
         t_end = 0;
         segs = [];
         nsegs = 0;
@@ -398,15 +396,15 @@ let syscall_end id = end_ id
 let on_deschedule () =
   if !enabled_flag then
     match active_span () with
-    | Some sp -> sp.last_off <- now ()
+    | Some sp -> sp.last_off <- Time.now ()
     | None -> ()
 
 let on_dispatch ~tid ~waited =
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let t = now () in
-      let runnable = t - Int64.to_int waited in
+      let t = Time.now () in
+      let runnable = t - waited in
       if sp.last_off > 0 then begin
         add_seg sp "blocked" sp.last_off runnable;
         sp.last_off <- 0
@@ -423,7 +421,7 @@ let on_wake ~tid =
   if !enabled_flag then
     match Hashtbl.find_opt active tid with
     | Some sp ->
-      let t = now () in
+      let t = Time.now () in
       Prof.iter_frames (fun label entered ->
           if is_wake_leg label then add_seg sp label entered t)
     | None -> ()
@@ -436,6 +434,12 @@ let on_task_exit tid =
 let count_bio_completed () = Stats.incr "span.bio_completed"
 
 (* --- Inspection --- *)
+
+(* A class's reservoir, slowest first, and a span's segments, oldest
+   first: the orders [tail] and [info.i_segs] give. *)
+let slowest a = List.rev a.a_res
+
+let oldest_segs sp = List.rev sp.segs
 
 type info = {
   i_id : int;
@@ -471,7 +475,7 @@ let class_count cls =
 let tail cls =
   match Hashtbl.find_opt class_tbl cls with
   | None -> []
-  | Some a -> List.rev_map info_of a.a_res (* slowest first *)
+  | Some a -> List.map info_of (slowest a)
 
 let class_p99 cls =
   match Hashtbl.find_opt class_tbl cls with
@@ -516,15 +520,13 @@ let max_residual_frac () =
 
 (* --- Rendering --- *)
 
-let pct part total =
-  if Int64.compare total 0L <= 0 then 0.
-  else 100. *. Int64.to_float part /. Int64.to_float total
+let pct part total = if total <= 0 then 0. else 100. *. float_of_int part /. float_of_int total
 
-(* A class's critical-path totals, descending, as int64 cycles. *)
+(* A class's critical-path totals, descending. *)
 let class_segs a =
-  Hashtbl.fold (fun l r acc -> (l, Int64.of_int !r) :: acc) a.a_segs []
+  Hashtbl.fold (fun l r acc -> (l, !r) :: acc) a.a_segs []
   |> List.sort (fun (la, x) (lb, y) ->
-         let c = Int64.compare y x in
+         let c = Int.compare y x in
          if c <> 0 then c else String.compare la lb)
 
 let render_proc () =
@@ -536,7 +538,7 @@ let render_proc () =
   List.iter
     (fun cls ->
       let a = Hashtbl.find class_tbl cls in
-      let total = Int64.of_int a.a_total and residual = Int64.of_int a.a_residual in
+      let total = a.a_total and residual = a.a_residual in
       let p q =
         match Hist.percentile a.a_hist q with
         | Some v -> Printf.sprintf "%.1f" v
@@ -545,57 +547,49 @@ let render_proc () =
       Buffer.add_string b
         (Printf.sprintf
            "class %-16s count=%-8d total_us=%-12.1f p50_us=%s p90_us=%s p99_us=%s max_us=%s reservoir=%d\n"
-           cls a.a_count (Clock.to_us total) (p 50.) (p 90.) (p 99.)
+           cls a.a_count (Time.to_us total) (p 50.) (p 90.) (p 99.)
            (Printf.sprintf "%.1f" (Hist.max_value a.a_hist))
            a.a_nres);
       List.iter
         (fun (l, d) ->
           Buffer.add_string b
-            (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" l (Clock.to_us d) (pct d total)))
+            (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" l (Time.to_us d) (pct d total)))
         (class_segs a);
-      if Int64.compare residual 0L > 0 then
+      if residual > 0 then
         Buffer.add_string b
-          (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" "unattributed" (Clock.to_us residual)
+          (Printf.sprintf "  %-28s %10.1fus %6.2f%%\n" "unattributed" (Time.to_us residual)
              (pct residual total)))
     (classes ());
   Buffer.contents b
 
-let waterfall b inf =
+let waterfall b sp =
+  let t_begin = sp.t_begin and dur = span_dur sp in
   Buffer.add_string b
     (Printf.sprintf "span %d %s:%s tid=%d start=%.1fus dur=%.1fus residual=%.2f%%\n"
-       inf.i_id inf.i_cls inf.i_name inf.i_tid (Clock.to_us inf.i_begin)
-       (Clock.to_us inf.i_dur)
-       (pct inf.i_residual inf.i_dur));
+       sp.id sp.cls sp.name sp.tid (Time.to_us t_begin) (Time.to_us dur)
+       (pct sp.residual dur));
   let bar_w = 32 in
-  let dur = max 1L inf.i_dur in
-  let segs =
-    List.sort
-      (fun (_, a, _) (_, b, _) -> Int64.compare a b)
-      inf.i_segs
-  in
+  let scale v = v * bar_w / max 1 dur in
+  let segs = List.stable_sort (fun a b -> Int.compare a.s_t0 b.s_t0) (oldest_segs sp) in
   List.iter
-    (fun (l, t0, t1) ->
-      let off = Int64.sub (max t0 inf.i_begin) inf.i_begin in
-      let len = Int64.sub (min t1 (Int64.add inf.i_begin inf.i_dur)) (max t0 inf.i_begin) in
-      if Int64.compare len 0L > 0 then begin
-        let scale v = Int64.to_int (Int64.div (Int64.mul v (Int64.of_int bar_w)) dur) in
+    (fun sg ->
+      let off = max sg.s_t0 t_begin - t_begin in
+      let len = min sg.s_t1 (t_begin + dur) - max sg.s_t0 t_begin in
+      if len > 0 then begin
         let s = min (scale off) (bar_w - 1) in
         let w = max 1 (min (scale len) (bar_w - s)) in
         Buffer.add_string b
-          (Printf.sprintf "  +%10.1fus %10.1fus %-28s |%s%s%s|\n" (Clock.to_us off)
-             (Clock.to_us len) l (String.make s ' ') (String.make w '#')
+          (Printf.sprintf "  +%10.1fus %10.1fus %-28s |%s%s%s|\n" (Time.to_us off)
+             (Time.to_us len) sg.slabel (String.make s ' ') (String.make w '#')
              (String.make (bar_w - s - w) ' '))
       end)
     segs;
   Buffer.add_string b "  critical path: ";
   Buffer.add_string b
     (String.concat ", "
-       (List.map
-          (fun (l, d) -> Printf.sprintf "%s %.1f%%" l (pct d inf.i_dur))
-          inf.i_path));
-  if Int64.compare inf.i_residual 0L > 0 then
-    Buffer.add_string b
-      (Printf.sprintf ", unattributed %.1f%%" (pct inf.i_residual inf.i_dur));
+       (List.map (fun (l, d) -> Printf.sprintf "%s %.1f%%" l (pct d dur)) sp.path));
+  if sp.residual > 0 then
+    Buffer.add_string b (Printf.sprintf ", unattributed %.1f%%" (pct sp.residual dur));
   Buffer.add_char b '\n'
 
 let render_top ~k =
@@ -603,23 +597,22 @@ let render_top ~k =
   (match dominant_class () with
   | None -> Buffer.add_string b "no finished spans\n"
   | Some cls ->
+    let a = Hashtbl.find class_tbl cls in
     Buffer.add_string b
-      (Printf.sprintf "slowest %d of class %s (%d finished)\n"
-         (min k (List.length (tail cls)))
-         cls (class_count cls));
-    List.iteri (fun i inf -> if i < k then waterfall b inf) (tail cls));
+      (Printf.sprintf "slowest %d of class %s (%d finished)\n" (min k a.a_nres) cls a.a_count);
+    List.iteri (fun i sp -> if i < k then waterfall b sp) (slowest a));
   List.iter
     (fun cls ->
       let a = Hashtbl.find class_tbl cls in
       Buffer.add_string b (Printf.sprintf "critical-path histogram (%s):\n" cls);
       let segs = class_segs a in
       let segs =
-        if a.a_residual > 0 then segs @ [ ("unattributed", Int64.of_int a.a_residual) ]
+        if a.a_residual > 0 then segs @ [ ("unattributed", a.a_residual) ]
         else segs
       in
       List.iter
         (fun (l, d) ->
-          let p = pct d (Int64.of_int a.a_total) in
+          let p = pct d a.a_total in
           let w = int_of_float (p /. 100. *. 40.) in
           Buffer.add_string b
             (Printf.sprintf "  %-28s %6.2f%% |%s%s|\n" l p (String.make w '#')
@@ -666,29 +659,29 @@ let chrome_events () =
   List.concat_map
     (fun cls ->
       List.concat_map
-        (fun inf ->
+        (fun sp ->
           chrome_complete
-            ~name:(inf.i_cls ^ ":" ^ inf.i_name)
+            ~name:(sp.cls ^ ":" ^ sp.name)
             ~cat:"span"
-            ~ts_us:(Clock.to_us inf.i_begin)
-            ~dur_us:(Clock.to_us inf.i_dur)
-            ~track:inf.i_id
+            ~ts_us:(Time.to_us sp.t_begin)
+            ~dur_us:(Time.to_us (span_dur sp))
+            ~track:sp.id
             ~args:
               [
-                ("class", inf.i_cls);
-                ("span", string_of_int inf.i_id);
-                ("residual_us", Printf.sprintf "%.3f" (Clock.to_us inf.i_residual));
+                ("class", sp.cls);
+                ("span", string_of_int sp.id);
+                ("residual_us", Printf.sprintf "%.3f" (Time.to_us sp.residual));
               ]
           :: List.filter_map
-               (fun (l, t0, t1) ->
-                 if Int64.compare t1 t0 > 0 then
+               (fun sg ->
+                 if sg.s_t1 > sg.s_t0 then
                    Some
-                     (chrome_complete ~name:l ~cat:"seg" ~ts_us:(Clock.to_us t0)
-                        ~dur_us:(Clock.to_us (Int64.sub t1 t0))
-                        ~track:inf.i_id ~args:[])
+                     (chrome_complete ~name:sg.slabel ~cat:"seg" ~ts_us:(Time.to_us sg.s_t0)
+                        ~dur_us:(Time.to_us (sg.s_t1 - sg.s_t0))
+                        ~track:sp.id ~args:[])
                  else None)
-               inf.i_segs)
-        (tail cls))
+               (oldest_segs sp))
+        (slowest (Hashtbl.find class_tbl cls)))
     (classes ())
 
 let chrome_wrap events =

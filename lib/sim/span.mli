@@ -84,19 +84,19 @@ val syscall_end : int -> unit
 
 (** {2 Segment recording} *)
 
-val add_to : int -> string -> int64 -> int64 -> unit
+val add_to : int -> string -> Time.t -> Time.t -> unit
 (** [add_to id label t0 t1] records segment [\[t0,t1)] on live span
     [id] — used by completion paths that run outside the owning task
     (block softirq, NIC reap). No-op for id 0, finished spans, or
     empty intervals. *)
 
-val mark : string -> int64 -> unit
+val mark : string -> Time.t -> unit
 (** [mark label t0] records [\[t0, now)] on the current task's active
     span (e.g. [jbd.commit] around a journal commit). *)
 
 (** {2 Scheduler and interrupt edges} (driven by the kernel layers) *)
 
-val on_dispatch : tid:int -> waited:int64 -> unit
+val on_dispatch : tid:int -> waited:Time.t -> unit
 (** A task was put on CPU; [waited] is its runqueue wait. Records
     [blocked] (descheduled → runnable) and [sched.delay]
     (runnable → dispatched) on the task's active span. *)
@@ -124,6 +124,9 @@ val count_bio_completed : unit -> unit
 
 (** {2 Inspection} *)
 
+(** A finished span as a report. Its times are [int64] cycles, the view
+    [perfbench/] reads ([i_path]); the renderers below work from the
+    native-int spans themselves. *)
 type info = {
   i_id : int;
   i_cls : string;

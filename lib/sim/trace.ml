@@ -72,7 +72,7 @@ let category_of_string = function
   | _ -> None
 
 type record = {
-  cycles : int64;
+  cycles : Time.t;
   task : string;
   cat : category;
   name : string;
@@ -199,7 +199,7 @@ let store pt s a b c d =
   let i = ring.head in
   let o = i * stride in
   let ints = ring.ints in
-  ints.(o) <- Int64.to_int (Clock.now ());
+  ints.(o) <- Time.now ();
   ints.(o + 1) <- Span.current ();
   ints.(o + 2) <- a;
   ints.(o + 3) <- b;
@@ -250,14 +250,14 @@ let record_at i =
     | sp when args = "" -> "span=" ^ string_of_int sp
     | sp -> args ^ " span=" ^ string_of_int sp
   in
-  { cycles = Int64.of_int ints.(o); task = ring.tasks.(i); cat = pt.pcat; name = pt.pname; args }
+  { cycles = ints.(o); task = ring.tasks.(i); cat = pt.pcat; name = pt.pname; args }
 
 let records () = List.init ring.len (fun k -> record_at (slot k))
 
 (* --- ftrace-style text renderer --- *)
 
 let render_record r =
-  Printf.sprintf "%-16s [%12Ld] %s:%s%s" r.task r.cycles (category_name r.cat) r.name
+  Printf.sprintf "%-16s [%12d] %s:%s%s" r.task r.cycles (category_name r.cat) r.name
     (if r.args = "" then "" else " " ^ r.args)
 
 let render ?limit () =

@@ -29,7 +29,7 @@ val category_of_string : string -> category option
 val bit : category -> int
 
 type record = {
-  cycles : int64;
+  cycles : Time.t;
   task : string;
   cat : category;
   name : string;
@@ -88,7 +88,9 @@ val hi32 : int64 -> int
 val lo32 : int64 -> int
 
 val join64 : int -> int -> int64
-(** [join64 (hi32 v) (lo32 v) = v]: a 64-bit value as two int fields. *)
+(** [join64 (hi32 v) (lo32 v) = v]: a 64-bit value as two int fields.
+    Only values that are not times need this (a syscall's return, a
+    probe's emitted value); a timestamp is a {!Time.t} and fits one. *)
 
 (** {2 The ring} *)
 

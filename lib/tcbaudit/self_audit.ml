@@ -18,15 +18,16 @@ let count_lines file =
   close_in ic;
   !n
 
-let lib_loc dir =
+(* The .ml and .mli files of one directory, sorted. *)
+let sources dir =
   if Sys.file_exists dir && Sys.is_directory dir then
-    Array.fold_left
-      (fun acc f ->
-        if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" then
-          acc + count_lines (Filename.concat dir f)
-        else acc)
-      0 (Sys.readdir dir)
-  else 0
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
+  else []
+
+let lib_loc dir = List.fold_left (fun acc f -> acc + count_lines f) 0 (sources dir)
 
 let find_root () =
   let rec up dir =
@@ -37,12 +38,17 @@ let find_root () =
   in
   up (Sys.getcwd ())
 
+let root_or_found = function
+  | Some r -> r
+  | None -> ( match find_root () with Some r -> r | None -> ".")
+
+let lib_sources () =
+  let lib = Filename.concat (root_or_found None) "lib" in
+  Sys.readdir lib |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun d -> sources (Filename.concat lib d))
+
 let run ?root () =
-  let root =
-    match root with
-    | Some r -> r
-    | None -> ( match find_root () with Some r -> r | None -> ".")
-  in
+  let root = root_or_found root in
   let entries =
     List.filter_map
       (fun lib ->

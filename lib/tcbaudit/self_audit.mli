@@ -11,3 +11,7 @@ type report = { entries : entry list; total_loc : int; tcb_loc : int; relative :
 val run : ?root:string -> unit -> report
 (** Scans lib/<dir>/*.ml[i] under [root] (default: walk up from cwd until
     a dune-project is found). *)
+
+val lib_sources : unit -> string list
+(** Every lib/<dir>/*.ml[i] file, sorted, under the root [run] finds by
+    default: what source scans read. *)

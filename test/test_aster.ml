@@ -1360,6 +1360,49 @@ let test_getdents_whole_entries () =
    a 1 MiB pread64 of a cached /tmp file each allocate less than two
    chunks' worth of host words, where a buffer of the count would take
    131,072. *)
+(* readv is one read, as on Linux: only its first iovec may wait. With
+   10 bytes queued on a pipe and on a unix socketpair, a blocking readv
+   of two 10-byte iovecs returns 10; the second iovec must not wait for
+   bytes no one will send. Each case runs in its own process, and the
+   run stops after a virtual second, so a readv that waits fails its
+   case instead of hanging the test. *)
+let test_readv_one_read () =
+  let module L = Apps.Libc in
+  ignore (boot ());
+  let got = ref [] and running = ref 0 in
+  let case name open_pair =
+    incr running;
+    ignore
+      (Aster.Process.spawn_kernel_style ~name (fun uapi ->
+           let c = L.make uapi in
+           let rd, wr = open_pair c in
+           let src = L.put_bytes c (Bytes.of_string "0123456789") in
+           let dst = L.ualloc c 20 in
+           let iov = Bytes.create 32 in
+           Bytes.set_int64_le iov 0 (Int64.of_int dst);
+           Bytes.set_int64_le iov 8 10L;
+           Bytes.set_int64_le iov 16 (Int64.of_int (dst + 10));
+           Bytes.set_int64_le iov 24 10L;
+           let iov_ptr = L.put_bytes c iov in
+           ignore (L.write c ~fd:wr ~vaddr:src ~len:10);
+           let n = L.syscall c Aster.Syscall_nr.readv [| Int64.of_int rd; Int64.of_int iov_ptr; 2L |] in
+           got := (name, n, Bytes.to_string (L.get_bytes c dst 10)) :: !got;
+           decr running;
+           0))
+  in
+  case "pipe" (fun c -> Result.get_ok (L.pipe c));
+  case "socketpair" (fun c ->
+      let sv = L.ualloc c 8 in
+      ignore (L.syscall c Aster.Syscall_nr.socketpair [| 1L; 1L; 0L; Int64.of_int sv |]);
+      let fds = L.get_bytes c sv 8 in
+      (Int32.to_int (Bytes.get_int32_le fds 0), Int32.to_int (Bytes.get_int32_le fds 4)));
+  let cap = Sim.Time.now () + Sim.Time.of_us 1e6 in
+  Aster.Kernel.run_until (fun () -> !running = 0 || Sim.Time.now () >= cap);
+  Alcotest.(check (list (triple string int string)))
+    "each readv returns the 10 queued bytes"
+    [ ("pipe", 10, "0123456789"); ("socketpair", 10, "0123456789") ]
+    (List.sort compare !got)
+
 let test_copy_chunks () =
   let module L = Apps.Libc in
   let wrong = ref [] in
@@ -1708,6 +1751,7 @@ let () =
           Alcotest.test_case "staging_buffer_dead_holder" `Quick test_staging_buffer_dead_holder;
           Alcotest.test_case "getdents_whole_entries" `Quick test_getdents_whole_entries;
           Alcotest.test_case "copy_chunks" `Quick test_copy_chunks;
+          Alcotest.test_case "readv_one_read" `Quick test_readv_one_read;
           Alcotest.test_case "unbatched_parity" `Quick test_unbatched_profile_parity;
           Alcotest.test_case "span_bio_conservation" `Quick test_span_bio_conservation;
           Alcotest.test_case "span_bio_conservation_eio" `Quick

@@ -39,13 +39,13 @@ let timer_counts () =
   (Sim.Stats.get "timer.armed", Sim.Stats.get "timer.fired", Sim.Stats.get "timer.cancelled")
 
 type sleeper = {
-  s_deadline : int64;
+  s_deadline : Sim.Time.t;
   s_early : bool; (* woken through the queue halfway to the deadline *)
   mutable s_tid : int;
   mutable s_seq : int; (* arm order *)
-  mutable s_armed_at : int64;
+  mutable s_armed_at : Sim.Time.t;
   mutable s_result : bool option;
-  mutable s_resumed : int64;
+  mutable s_resumed : Sim.Time.t;
 }
 
 let timeout_oracle seed () =
@@ -54,7 +54,7 @@ let timeout_oracle seed () =
   let n = 200 in
   let wakes = ref [] in
   Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:"test.timer_order" (fun ctx ->
-      wakes := (Int64.to_int ctx.{0}, Sim.Clock.now ()) :: !wakes);
+      wakes := (Int64.to_int ctx.{0}, Sim.Time.now ()) :: !wakes);
   let arm_seq = ref 0 in
   let finished = ref 0 in
   let done_wq = Ostd.Wait_queue.create () in
@@ -63,7 +63,7 @@ let timeout_oracle seed () =
       Ostd.Task.sleep_us 1000.;
       (* Far enough out that every sleeper has armed before the first
          deadline, so no deadline is overrun while arming. *)
-      let base = Int64.add (Sim.Clock.now ()) 20_000_000L in
+      let base = Sim.Time.now () + 20_000_000 in
       sleepers :=
         Array.init n (fun _ ->
             let early = Sim.Rng.int rng 3 = 0 in
@@ -80,32 +80,32 @@ let timeout_oracle seed () =
             in
             let offset = if early then offset + 100_000 else offset in
             {
-              s_deadline = Int64.add base (Int64.of_int offset);
+              s_deadline = base + offset;
               s_early = early;
               s_tid = 0;
               s_seq = -1;
-              s_armed_at = 0L;
+              s_armed_at = 0;
               s_result = None;
-              s_resumed = 0L;
+              s_resumed = 0;
             });
       Array.iter
         (fun s ->
           ignore
             (Ostd.Task.spawn ~name:"sleeper" (fun () ->
                  let wq = Ostd.Wait_queue.create () in
-                 let now = Sim.Clock.now () in
-                 let left = Int64.sub s.s_deadline now in
+                 let now = Sim.Time.now () in
+                 let left = s.s_deadline - now in
                  if s.s_early then
                    ignore
                      (Ostd.Task.spawn ~name:"waker" (fun () ->
-                          Ostd.Task.sleep_cycles (Int64.to_int left / 2);
+                          Ostd.Task.sleep_cycles (left / 2);
                           ignore (Ostd.Wait_queue.wake_one wq : bool)));
                  s.s_tid <- Ostd.Task.tid (Ostd.Task.current ());
                  s.s_seq <- !arm_seq;
                  incr arm_seq;
                  s.s_armed_at <- now;
-                 s.s_result <- Some (Ostd.Wait_queue.sleep_timeout wq ~cycles:(Int64.to_int left));
-                 s.s_resumed <- Sim.Clock.now ();
+                 s.s_result <- Some (Ostd.Wait_queue.sleep_timeout wq ~cycles:left);
+                 s.s_resumed <- Sim.Time.now ();
                  incr finished;
                  if !finished = n then ignore (Ostd.Wait_queue.wake_all done_wq : int))))
         !sleepers;
@@ -116,7 +116,7 @@ let timeout_oracle seed () =
   let sleepers = Array.to_list !sleepers in
   check_int "every sleeper returned" n !finished;
   check "every sleeper armed before the base instant" true
-    (List.for_all (fun s -> Int64.compare s.s_armed_at s.s_deadline < 0) sleepers);
+    (List.for_all (fun s -> s.s_armed_at < s.s_deadline) sleepers);
   List.iter
     (fun s ->
       check "woken early exactly when the queue woke it" true (s.s_result = Some s.s_early))
@@ -125,7 +125,7 @@ let timeout_oracle seed () =
   List.iter
     (fun s ->
       check "no timed-out task resumes before its deadline" true
-        (Int64.compare s.s_resumed s.s_deadline >= 0))
+        (s.s_resumed >= s.s_deadline))
     timed_out;
   (* Firing order: each timed-out sleeper's wakeup, in the order the
      probe point saw them, against a naive sorted list keyed by
@@ -147,9 +147,8 @@ let timeout_oracle seed () =
   List.iter2
     (fun e (s, at) ->
       check_int "fired in (deadline, arm order)" e.s_seq s.s_seq;
-      let lag = Int64.sub at s.s_deadline in
-      check "never early, never far late" true
-        (Int64.compare lag 0L >= 0 && Int64.compare lag 50_000L < 0))
+      let lag = at - s.s_deadline in
+      check "never early, never far late" true (lag >= 0 && lag < 50_000))
     expect fired;
   (* A timeout is late only when the CPU is busy at its deadline,
      running a task some earlier wakeup made runnable. With no wakeup
@@ -160,13 +159,13 @@ let timeout_oracle seed () =
     | [] -> ()
     | (tid, at) :: rest ->
       (match Hashtbl.find_opt by_tid tid with
-      | Some s when Int64.compare (Int64.sub s.s_deadline prev) 100_000L >= 0 ->
+      | Some s when s.s_deadline - prev >= 100_000 ->
         incr quiet;
-        check "an uncontended timeout fires on its exact cycle" true (Int64.equal at s.s_deadline)
+        check "an uncontended timeout fires on its exact cycle" true (at = s.s_deadline)
       | Some _ | None -> ());
       scan at rest
   in
-  scan 0L (List.rev !wakes);
+  scan 0 (List.rev !wakes);
   check "a third of the timeouts are uncontended" true (!quiet * 3 >= List.length timed_out);
   let armed, fired_n, cancelled = timer_counts () in
   check_int "one timer per sleeper" n armed;
@@ -182,10 +181,10 @@ let timeout_edge_cases () =
         (fun cycles ->
           let wq = Ostd.Wait_queue.create () in
           let vol0, _ = Ostd.Task.ctx_switches me in
-          let t0 = Sim.Clock.now () in
+          let t0 = Sim.Time.now () in
           let woken = Ostd.Wait_queue.sleep_timeout wq ~cycles in
           let vol1, _ = Ostd.Task.ctx_switches me in
-          results := (cycles, woken, vol1 - vol0, Int64.sub (Sim.Clock.now ()) t0) :: !results)
+          results := (cycles, woken, vol1 - vol0, Sim.Time.now () - t0) :: !results)
         [ 0; -5000 ];
       0);
   Apps.Runner.run ();
@@ -198,7 +197,7 @@ let timeout_edge_cases () =
          its wake would have been lost and the sleep would never
          return. *)
       check_int (what ^ " blocks once before it fires") 1 blocked;
-      check (what ^ " fires promptly, clamped to now") true (Sim.Clock.to_us dt < 1.0))
+      check (what ^ " fires promptly, clamped to now") true (Sim.Time.to_us dt < 1.0))
     !results;
   let armed, fired, cancelled = timer_counts () in
   check_int "two armed" 2 armed;
@@ -214,11 +213,11 @@ let epoll_timeout_exact () =
       let r, _w = Result.get_ok (L.pipe c) in
       let ep = L.epoll_create1 c in
       ignore (L.epoll_ctl c ~epfd:ep ~op:L.epoll_ctl_add ~fd:r ~events:L.epollin ~data:1L);
-      let t0 = Sim.Clock.now () in
+      let t0 = Sim.Time.now () in
       (match L.epoll_wait c ~epfd:ep ~maxevents:8 ~timeout_ms:3 with
       | Ok (n, _) -> ret := n
       | Error _ -> ret := -2);
-      dt := Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0);
+      dt := Sim.Time.to_us (Sim.Time.now () - t0);
       0);
   Apps.Runner.run ();
   check_int "timed-out epoll_wait reports 0 fds" 0 !ret;
@@ -232,11 +231,11 @@ let poll_timeout_exact_no_spin () =
   Apps.Runner.spawn ~name:"ptmo" (fun c ->
       let r, _w = Result.get_ok (L.pipe c) in
       let s0 = Ostd.Task.context_switches () in
-      let t0 = Sim.Clock.now () in
+      let t0 = Sim.Time.now () in
       (match L.poll c [ (r, L.pollin) ] ~timeout_ms:5 with
       | Ok (n, _) -> ret := n
       | Error _ -> ret := -2);
-      dt := Sim.Clock.to_us (Int64.sub (Sim.Clock.now ()) t0);
+      dt := Sim.Time.to_us (Sim.Time.now () - t0);
       switches := Ostd.Task.context_switches () - s0;
       0);
   Apps.Runner.run ();

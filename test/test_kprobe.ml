@@ -852,21 +852,20 @@ let probed_run ~detach ~extra () =
            | None -> "")
          (Kprobe.Registry.list ()))
   in
-  (maps, Sim.Clock.now ())
+  (maps, Sim.Time.now ())
 
 let test_attached_same_seed_byte_identical () =
   let m1, t1 = probed_run ~detach:false ~extra:[ "blk.lat"; "syscall.count" ] () in
   let m2, t2 = probed_run ~detach:false ~extra:[ "blk.lat"; "syscall.count" ] () in
   check_str "rendered maps byte-identical across same-seed runs" m1 m2;
-  check "virtual end times identical" true (Int64.equal t1 t2);
+  check_int "virtual end times identical" t1 t2;
   check "probes actually observed the run" true (contains m1 "map lat_us (hist): count")
 
 let test_detached_matches_baseline_virtual_time () =
   let _, t_watchdogs = probed_run ~detach:false ~extra:[] () in
   let detached_maps, t_detached = probed_run ~detach:true ~extra:[] () in
   check_str "detached run has no programs" "" detached_maps;
-  check "watchdogs attached vs fully detached: same virtual end time" true
-    (Int64.equal t_watchdogs t_detached)
+  check_int "watchdogs attached vs fully detached: same virtual end time" t_watchdogs t_detached
 
 (* Positive case for the EXPERIMENTS.md worked recipe: the canned
    single-threaded workloads never read while the journal commits, so

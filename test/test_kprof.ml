@@ -7,8 +7,6 @@ let check = Alcotest.(check bool)
 
 let check_int = Alcotest.(check int)
 
-let check_i64 = Alcotest.(check int64)
-
 (* --- Attribution unit tests (no kernel, just the clock) --- *)
 
 let test_scope_attribution () =
@@ -21,11 +19,13 @@ let test_scope_attribution () =
       Sim.Clock.charge 50;
       Sim.Prof.scope "b" (fun () -> Sim.Clock.charge 25));
   Sim.Clock.charge 10;
-  Alcotest.(check (list (pair string int64)))
+  Alcotest.(check (list (pair string int)))
     "folded keys carry exact cycle counts"
-    [ ("t/1", 110L); ("t/1;a", 50L); ("t/1;a;b", 25L) ]
-    (Sim.Prof.folded ());
-  check_i64 "elapsed" 185L (Sim.Prof.elapsed ());
+    [ ("t/1", 110); ("t/1;a", 50); ("t/1;a;b", 25) ]
+    (Sim.Prof.folded_cycles ());
+  Alcotest.(check (list (pair string int64)))
+    "the int64 view" [ ("t/1", 110L); ("t/1;a", 50L); ("t/1;a;b", 25L) ] (Sim.Prof.folded ());
+  check_int "elapsed" 185 (Sim.Prof.elapsed ());
   check "conserved" true (Sim.Prof.conserved ());
   Sim.Prof.reset ()
 
@@ -40,10 +40,10 @@ let test_scope_pops_on_exception () =
          failwith "x")
    with Failure _ -> ());
   Sim.Clock.charge 7;
-  Alcotest.(check (list (pair string int64)))
+  Alcotest.(check (list (pair string int)))
     "the raising scope was popped"
-    [ ("t/1", 7L); ("t/1;boom", 5L) ]
-    (Sim.Prof.folded ());
+    [ ("t/1", 7); ("t/1;boom", 5) ]
+    (Sim.Prof.folded_cycles ());
   Sim.Prof.reset ()
 
 let test_disabled_is_transparent () =
@@ -85,10 +85,10 @@ let test_scope_survives_suspension () =
           | Some i -> String.sub k (i + 1) (String.length k - i - 1) = "crit"
           | None -> false
         in
-        if is_holder_crit then Int64.add acc c else acc)
-      0L (Sim.Prof.folded ())
+        if is_holder_crit then acc + c else acc)
+      0 (Sim.Prof.folded_cycles ())
   in
-  check "post-resume cycles attributed to the surviving scope" true (crit_cycles >= 7000L);
+  check "post-resume cycles attributed to the surviving scope" true (crit_cycles >= 7000);
   check "conserved across suspension" true (Sim.Prof.conserved ());
   Sim.Prof.reset ()
 
@@ -100,21 +100,21 @@ let profiled_chaos seed =
   let out = Sim.Prof.render_folded () in
   let elapsed = Sim.Prof.elapsed () in
   let attributed = Sim.Prof.total_attributed () in
-  let end_time = Sim.Clock.now () in
+  let end_time = Sim.Time.now () in
   Sim.Prof.reset ();
   (o.Apps.Chaos.completed, out, elapsed, attributed, end_time)
 
 let test_workload_conservation () =
   let _, out, elapsed, attributed, _ = profiled_chaos 5L in
   check "folded output nonempty" true (String.length out > 0);
-  check "virtual time advanced" true (elapsed > 0L);
-  check_i64 "attributed cycles sum exactly to elapsed" elapsed attributed
+  check "virtual time advanced" true (elapsed > 0);
+  check_int "attributed cycles sum exactly to elapsed" elapsed attributed
 
 let test_same_seed_identical_profiles () =
   let c1, o1, _, _, e1 = profiled_chaos 7L in
   let c2, o2, _, _, e2 = profiled_chaos 7L in
   check_int "same workload outcome" c1 c2;
-  check "same end timestamp" true (Int64.equal e1 e2);
+  check_int "same end timestamp" e1 e2;
   check "byte-identical folded output" true (String.equal o1 o2)
 
 let test_profiled_run_same_virtual_time () =
@@ -122,10 +122,10 @@ let test_profiled_run_same_virtual_time () =
      finishes at the same virtual timestamp. *)
   Sim.Prof.reset ();
   ignore (Apps.Chaos.run ~seed:11L ());
-  let bare_end = Sim.Clock.now () in
+  let bare_end = Sim.Time.now () in
   let _, out, _, _, prof_end = profiled_chaos 11L in
   check "profile actually recorded" true (String.length out > 0);
-  check "profiling is free in virtual time" true (Int64.equal bare_end prof_end)
+  check_int "profiling is free in virtual time" bare_end prof_end
 
 (* --- Conservation under the batched net TX pipeline ---
 
@@ -150,7 +150,7 @@ let test_net_batch_conservation () =
   check "throughput was measured" true (mbs > 0.);
   check "bursts were submitted" true (Sim.Stats.get "net.burst" > 0);
   check "the net scope appears in the folded profile" true (contains ~needle:";net" out);
-  check_i64 "attributed cycles sum exactly to elapsed" elapsed attributed
+  check_int "attributed cycles sum exactly to elapsed" elapsed attributed
 
 (* --- Linux-ABI accounting surface --- *)
 

@@ -73,9 +73,9 @@ let test_untyped_copy_overlap () =
       Ostd.Untyped.write_bytes f ~off:0 ~buf:init ~pos:0 ~len:span;
       let want = Bytes.copy init in
       Bytes.blit want src_off want dst_off len;
-      let before = Sim.Clock.now () in
+      let before = Sim.Time.now () in
       Ostd.Untyped.copy ~src:f ~src_off ~dst:f ~dst_off ~len;
-      check "the copy is charged" true (Sim.Clock.now () > before);
+      check "the copy is charged" true (Sim.Time.now () > before);
       let got = Bytes.create span in
       Ostd.Untyped.read_bytes f ~off:0 ~buf:got ~pos:0 ~len:span;
       check
@@ -180,7 +180,7 @@ let test_wire_delivery () =
     ()
   done;
   Alcotest.(check (list string)) "in order" [ "one"; "two" ] (List.rev !got);
-  check "latency applied" true (Sim.Clock.now () >= Int64.of_int (Sim.Clock.us 5.0))
+  check "latency applied" true (Sim.Time.now () >= Sim.Time.of_us 5.0)
 
 let run_all_events () =
   while Sim.Events.run_next () do

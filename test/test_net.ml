@@ -212,8 +212,8 @@ let test_reset_with_unacked_data () =
         ignore (Apps.Libc.close c fd);
         0
       end);
-  let cap = Int64.add (Sim.Clock.now ()) (Int64.of_int (Sim.Clock.us 2e6)) in
-  Ostd.Task.run_until (fun () -> Int64.compare (Sim.Clock.now ()) cap >= 0);
+  let cap = Sim.Time.now () + Sim.Time.of_us 2e6 in
+  Ostd.Task.run_until (fun () -> Sim.Time.now () >= cap);
   check_int "the whole write was queued before the reset" size !wrote;
   check_int "no retransmission after the reset" 0 (Sim.Stats.get "degrade.retried.tcp_rto");
   check_int "no timer outlives the connection" 0 (Sim.Events.pending ());

@@ -55,13 +55,13 @@ let test_sleep_timeout () =
          woken := Some (Ostd.Wait_queue.sleep_timeout wq ~cycles:5000)));
   Ostd.Task.run ();
   check "timed out" true (!woken = Some false);
-  check "clock advanced past timeout" true (Sim.Clock.now () >= 5000L)
+  check "clock advanced past timeout" true (Sim.Time.now () >= 5000)
 
 let test_task_sleep_advances_clock () =
   fresh ();
   ignore (Ostd.Task.spawn (fun () -> Ostd.Task.sleep_us 100.0));
   Ostd.Task.run ();
-  check "virtual time" true (Sim.Clock.now () >= Int64.of_int (Sim.Clock.us 100.0))
+  check "virtual time" true (Sim.Time.now () >= Sim.Time.of_us 100.0)
 
 let test_inv8_double_run_panics () =
   Sim.Profile.set Sim.Profile.asterinas;
@@ -120,11 +120,11 @@ let test_custom_data () =
    every event against the oracle. *)
 
 (* Exact nanoseconds of a cycle count: c * 1000 / 3000 cycles per µs. *)
-let ns_of_cycles c = Int64.div (Int64.mul c 1000L) 3000L
+let ns_of_cycles c = c * 1000 / 3000
 
 type oracle = {
-  mutable queued : (Ostd.Task.t * int64) list; (* enqueue order, with the instant *)
-  mutable incoming : (Ostd.Task.t * int64) option; (* last pick, its sched-delay total then *)
+  mutable queued : (Ostd.Task.t * Sim.Time.t) list; (* enqueue order, with the instant *)
+  mutable incoming : (Ostd.Task.t * Sim.Time.t) option; (* last pick, its sched-delay total then *)
   mutable events : int;
   mutable reordered : int; (* picks that passed over an older queued task *)
   mutable wrong : string list;
@@ -139,7 +139,7 @@ let boot_oracle ~rng ~starved =
   Ostd.Boot.init ();
   let o = { queued = []; incoming = None; events = 0; reordered = 0; wrong = [] } in
   let module Recording = struct
-    let enqueue t = o.queued <- o.queued @ [ (t, Sim.Clock.now ()) ]
+    let enqueue t = o.queued <- o.queued @ [ (t, Sim.Time.now ()) ]
 
     let pick_next () =
       let pool =
@@ -166,29 +166,29 @@ let boot_oracle ~rng ~starved =
 
 (* The oldest live entry's wait, in ns (0 if none is queued). *)
 let oracle_queued o =
-  let now = Sim.Clock.now () in
+  let now = Sim.Time.now () in
   List.fold_left
     (fun acc (t, at) ->
-      let d = Int64.sub now at in
-      if Ostd.Task.is_dead t || Int64.compare d 0L <= 0 then acc else max acc (ns_of_cycles d))
-    0L o.queued
+      let d = now - at in
+      if Ostd.Task.is_dead t || d <= 0 then acc else max acc (ns_of_cycles d))
+    0 o.queued
 
 let with_oracle o f =
   let note what got want =
     o.events <- o.events + 1;
     if got <> want && List.length o.wrong < 10 then
       o.wrong <-
-        Printf.sprintf "%s #%d: max_wait_ns %Ld, oracle %Ld" what o.events got want :: o.wrong
+        Printf.sprintf "%s #%d: max_wait_ns %d, oracle %d" what o.events got want :: o.wrong
   in
   Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:oracle_name (fun ctx ->
-      note "wakeup" ctx.{2} (oracle_queued o));
+      note "wakeup" (Int64.to_int ctx.{2}) (oracle_queued o));
   Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
       match o.incoming with
       | Some (t, before) when Ostd.Task.tid t = Int64.to_int ctx.{1} ->
         (* The incoming task's own wait is what dispatch just added to
            its sched-delay total. *)
         let _, after, _ = Ostd.Task.sched_delay t in
-        note "switch" ctx.{3} (max (ns_of_cycles (Int64.sub after before)) (oracle_queued o))
+        note "switch" (Int64.to_int ctx.{3}) (max (ns_of_cycles (after - before)) (oracle_queued o))
       | _ -> o.wrong <- "switch to a task the policy did not pick" :: o.wrong);
   Fun.protect ~finally:(fun () -> Sim.Trace.detach_name oracle_name) f
 
@@ -277,7 +277,7 @@ let test_oldest_ready_starved () =
   Alcotest.(check (list string)) "max_wait_ns matches the oracle" [] (List.rev o.wrong);
   check "others woke 10,000 times" true (!wakes >= 10_000 && o.events > 20_000);
   check "the starved task's wait is reported when it finally runs" true
-    (Int64.compare !victim_wait (ns_of_cycles (Int64.of_int (10_000 * 1000))) >= 0)
+    (Int64.to_int !victim_wait >= ns_of_cycles (10_000 * 1000))
 
 (* --- Sync primitives --- *)
 

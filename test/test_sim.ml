@@ -6,15 +6,15 @@ let test_clock_charge () =
   Sim.Clock.reset ();
   Sim.Clock.charge 100;
   Sim.Clock.charge 50;
-  Alcotest.(check int64) "sum" 150L (Sim.Clock.now ());
-  check "to_us" true (abs_float (Sim.Clock.to_us 3000L -. 1.0) < 1e-9);
-  check_int "us" 3000 (Sim.Clock.us 1.0)
+  check_int "sum" 150 (Sim.Time.now ());
+  check "to_us" true (abs_float (Sim.Time.to_us 3000 -. 1.0) < 1e-9);
+  check_int "us" 3000 (Sim.Time.of_us 1.0)
 
 let test_clock_advance () =
   Sim.Clock.reset ();
-  Sim.Clock.advance_to 500L;
-  Sim.Clock.advance_to 200L;
-  Alcotest.(check int64) "monotone" 500L (Sim.Clock.now ())
+  Sim.Clock.advance_to 500;
+  Sim.Clock.advance_to 200;
+  check_int "monotone" 500 (Sim.Time.now ())
 
 let test_clock_negative_charge () =
   Alcotest.check_raises "negative" (Invalid_argument "Clock.charge: negative cost") (fun () ->
@@ -23,35 +23,82 @@ let test_clock_negative_charge () =
 (* Cycles to nanoseconds is exact integer arithmetic: 3,003 cycles are
    1,001 ns, where a conversion through float microseconds gave 1,000. *)
 let test_clock_to_ns () =
-  Alcotest.(check int64) "3003 cycles" 1001L (Sim.Clock.to_ns 3003L);
-  let wrong = ref [] and prev = ref (-1L) in
+  check_int "3003 cycles" 1001 (Sim.Time.to_ns 3003);
+  let wrong = ref [] and prev = ref (-1) in
   for c = 0 to 300_000 do
-    let ns = Sim.Clock.to_ns (Int64.of_int c) in
-    if Int64.to_int ns <> c * 1000 / 3000 && List.length !wrong < 5 then wrong := c :: !wrong;
-    if Int64.compare ns !prev < 0 then wrong := c :: !wrong;
+    let ns = Sim.Time.to_ns c in
+    if ns <> c * 1000 / 3000 && List.length !wrong < 5 then wrong := c :: !wrong;
+    if ns < !prev then wrong := c :: !wrong;
     prev := ns
   done;
   Alcotest.(check (list int)) "floor(c * 1000 / 3000), monotone" [] (List.rev !wrong)
+
+(* Virtual time is a native int, so with every observability plane off
+   running the clock allocates nothing: no box per charge, per read or
+   per conversion. An int64 clock boxes a value per charge and per
+   conversion, 60,000 words in this loop, and a float histogram record
+   14 words. The few words allowed cover [Gc.minor_words]'s own float
+   results. *)
+let test_time_allocates_nothing () =
+  Sim.Prof.reset ();
+  Sim.Span.disable ();
+  Sim.Trace.disable_all ();
+  Sim.Clock.reset ();
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Sim.Clock.charge 7;
+    acc := !acc + Sim.Time.to_ns (Sim.Time.now ()) + i
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "the loop ran" 70_000 (Sim.Time.now ());
+  check (Printf.sprintf "10,000 charges, reads and to_ns allocate %.0f words" words) true
+    (words < 16.);
+  (* A histogram takes cycles and converts them itself, so recording
+     boxes no float either (the first call makes the histogram). *)
+  Sim.Hist.reset ();
+  Sim.Hist.observe "clock.test" 3000;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Sim.Hist.observe "clock.test" (i * 97)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "10,000 Hist.observe allocate %.0f words" words) true (words < 16.);
+  check_int "all recorded" 10_001 (Sim.Hist.count (Sim.Hist.named "clock.test"));
+  ignore (Sys.opaque_identity !acc)
+
+(* [Clock.now] is the int64 view the repository benchmark reads: the
+   same count as [Time.now], across a charge and an event jump. *)
+let test_clock_int64_view () =
+  Sim.Clock.reset ();
+  let same () = Alcotest.(check int64) "view" (Int64.of_int (Sim.Time.now ())) (Sim.Clock.now ()) in
+  same ();
+  Sim.Clock.charge 1234;
+  same ();
+  Sim.Clock.advance_to 1_000_000;
+  same ();
+  check_int "advanced" 1_000_000 (Sim.Time.now ());
+  check "to_us view" true (Sim.Clock.to_us (Sim.Clock.now ()) = Sim.Time.to_us (Sim.Time.now ()))
 
 let test_events_order () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
   let log = ref [] in
-  ignore (Sim.Events.schedule_at 300L (fun () -> log := 3 :: !log));
-  ignore (Sim.Events.schedule_at 100L (fun () -> log := 1 :: !log));
-  ignore (Sim.Events.schedule_at 200L (fun () -> log := 2 :: !log));
+  ignore (Sim.Events.schedule_at 300 (fun () -> log := 3 :: !log));
+  ignore (Sim.Events.schedule_at 100 (fun () -> log := 1 :: !log));
+  ignore (Sim.Events.schedule_at 200 (fun () -> log := 2 :: !log));
   while Sim.Events.run_next () do
     ()
   done;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
-  Alcotest.(check int64) "clock at last event" 300L (Sim.Clock.now ())
+  check_int "clock at last event" 300 (Sim.Time.now ())
 
 let test_events_same_time_fifo () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.Events.schedule_at 50L (fun () -> log := i :: !log))
+    ignore (Sim.Events.schedule_at 50 (fun () -> log := i :: !log))
   done;
   while Sim.Events.run_next () do
     ()
@@ -62,7 +109,7 @@ let test_events_cancel () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
   let fired = ref false in
-  let h = Sim.Events.schedule_at 10L (fun () -> fired := true) in
+  let h = Sim.Events.schedule_at 10 (fun () -> fired := true) in
   Sim.Events.cancel h;
   check_int "pending" 0 (Sim.Events.pending ());
   while Sim.Events.run_next () do
@@ -75,8 +122,8 @@ let test_events_cancel () =
 let test_events_cancel_after_fire () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
-  let h = Sim.Events.schedule_at 10L ignore in
-  ignore (Sim.Events.schedule_at 20L ignore);
+  let h = Sim.Events.schedule_at 10 ignore in
+  ignore (Sim.Events.schedule_at 20 ignore);
   ignore (Sim.Events.run_next ());
   Sim.Events.cancel h;
   check_int "pending" 1 (Sim.Events.pending ())
@@ -85,9 +132,9 @@ let test_events_run_due () =
   Sim.Clock.reset ();
   Sim.Events.clear ();
   let fired = ref 0 in
-  ignore (Sim.Events.schedule_at 10L (fun () -> incr fired));
-  ignore (Sim.Events.schedule_at 99999L (fun () -> incr fired));
-  Sim.Clock.advance_to 10L;
+  ignore (Sim.Events.schedule_at 10 (fun () -> incr fired));
+  ignore (Sim.Events.schedule_at 99999 (fun () -> incr fired));
+  Sim.Clock.advance_to 10;
   check "ran due" true (Sim.Events.run_due ());
   check_int "only the due one" 1 !fired;
   check_int "pending keeps future" 1 (Sim.Events.pending ())
@@ -99,7 +146,7 @@ let test_events_cascade () =
   Sim.Events.clear ();
   let log = ref [] in
   ignore
-    (Sim.Events.schedule_at 5L (fun () ->
+    (Sim.Events.schedule_at 5 (fun () ->
          log := "a" :: !log;
          ignore (Sim.Events.schedule_after 0 (fun () -> log := "b" :: !log))));
   ignore (Sim.Events.run_next ());
@@ -121,11 +168,11 @@ let test_profile_switch () =
   check "no checks" false (Sim.Profile.checks_on ());
   Sim.Clock.reset ();
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.boundary_check);
-  Alcotest.(check int64) "no charge" 0L (Sim.Clock.now ());
+  check_int "no charge" 0 (Sim.Time.now ());
   Sim.Profile.set Sim.Profile.asterinas;
   check "checks" true (Sim.Profile.checks_on ());
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.boundary_check);
-  Alcotest.(check int64) "charged" 3L (Sim.Clock.now ())
+  check_int "charged" 3 (Sim.Time.now ())
 
 let test_profile_variants () =
   check "aster iommu" true Sim.Profile.asterinas.Sim.Profile.iommu;
@@ -237,7 +284,7 @@ let prop_events_fire_in_order =
           let n = Hashtbl.length handles in
           (if kind <= 2 then begin
              Hashtbl.replace handles n
-               (Sim.Events.schedule_at (Int64.of_int arg) (fun () -> fired := n :: !fired));
+               (Sim.Events.schedule_at arg (fun () -> fired := n :: !fired));
              live := List.merge compare [ (arg, n) ] !live
            end
            else if kind = 3 then begin
@@ -278,6 +325,8 @@ let () =
           Alcotest.test_case "advance_monotone" `Quick test_clock_advance;
           Alcotest.test_case "negative_charge" `Quick test_clock_negative_charge;
           Alcotest.test_case "to_ns_exact" `Quick test_clock_to_ns;
+          Alcotest.test_case "allocates_nothing" `Quick test_time_allocates_nothing;
+          Alcotest.test_case "int64_view" `Quick test_clock_int64_view;
         ] );
       ( "events",
         [

@@ -268,7 +268,7 @@ let test_wake_legs_from_prof_frames () =
   with_span (fun () ->
       ignore (boot ());
       let wq = Ostd.Wait_queue.create () in
-      let irq_at = ref 0L and softirq_at = ref 0L and woken_at = ref 0L in
+      let irq_at = ref 0 and softirq_at = ref 0 and woken_at = ref 0 in
       ignore
         (Ostd.Task.spawn ~name:"sleeper" (fun () ->
              Sim.Span.annotate_begin ~cls:"wake" ~name:"legs";
@@ -280,13 +280,13 @@ let test_wake_legs_from_prof_frames () =
                Ostd.Task.yield_now ()
              done;
              Sim.Prof.scope "irq40" (fun () ->
-                 irq_at := Sim.Clock.now ();
+                 irq_at := Sim.Time.now ();
                  Sim.Clock.charge 300;
                  Sim.Prof.scope "softirq" (fun () ->
-                     softirq_at := Sim.Clock.now ();
+                     softirq_at := Sim.Time.now ();
                      Sim.Clock.charge 200;
                      ignore (Ostd.Wait_queue.wake_one wq : bool);
-                     woken_at := Sim.Clock.now ();
+                     woken_at := Sim.Time.now ();
                      Sim.Clock.charge 100))));
       Aster.Kernel.run ();
       match Sim.Span.tail "wake" with
@@ -294,10 +294,11 @@ let test_wake_legs_from_prof_frames () =
         let legs label = List.filter (fun (l, _, _) -> l = label) info.Sim.Span.i_segs in
         match (legs "irq40", legs "softirq") with
         | [ (_, i0, i1) ], [ (_, s0, s1) ] ->
-          check "the irq40 leg starts at its scope's entry" true (Int64.equal i0 !irq_at);
-          check "the softirq leg starts at its scope's entry" true (Int64.equal s0 !softirq_at);
+          let at r = Int64.of_int !r in
+          check "the irq40 leg starts at its scope's entry" true (Int64.equal i0 (at irq_at));
+          check "the softirq leg starts at its scope's entry" true (Int64.equal s0 (at softirq_at));
           check "both legs end at the wakeup" true
-            (Int64.equal i1 !woken_at && Int64.equal s1 !woken_at)
+            (Int64.equal i1 (at woken_at) && Int64.equal s1 (at woken_at))
         | irq, soft ->
           Alcotest.failf "expected one irq40 and one softirq leg, got %d and %d"
             (List.length irq) (List.length soft))
@@ -317,16 +318,16 @@ let test_hand_built_critical_path () =
   Sim.Prof.reset ();
   Sim.Span.clear ();
   with_span (fun () ->
-      Sim.Clock.advance_to 1000L;
+      Sim.Clock.advance_to 1000;
       Sim.Prof.switch_to ~tid:1 ~comm:"hand";
       let id = Sim.Span.begin_ ~cls:"hand" ~name:"built" in
       Sim.Prof.switch_idle ();
-      Sim.Span.add_to id "blocked" 1000L 1600L;
-      Sim.Span.add_to id "cpu.user" 1100L 1200L;
-      Sim.Span.add_to id "blk.irq" 1300L 1500L;
-      Sim.Span.add_to id "net.irq" 1400L 1550L;
-      Sim.Span.add_to id "blk.service" 1700L 2500L;
-      Sim.Clock.advance_to 2000L;
+      Sim.Span.add_to id "blocked" 1000 1600;
+      Sim.Span.add_to id "cpu.user" 1100 1200;
+      Sim.Span.add_to id "blk.irq" 1300 1500;
+      Sim.Span.add_to id "net.irq" 1400 1550;
+      Sim.Span.add_to id "blk.service" 1700 2500;
+      Sim.Clock.advance_to 2000;
       Sim.Span.end_ id;
       check "a span was opened" true (id > 0);
       (match Sim.Span.tail "hand" with
@@ -436,12 +437,12 @@ let prop_critical_path_matches_oracle =
       Sim.Prof.reset ();
       Sim.Span.clear ();
       with_span (fun () ->
-          Sim.Clock.advance_to 1000L;
+          Sim.Clock.advance_to 1000;
           Sim.Prof.switch_to ~tid:1 ~comm:"q";
           let id = Sim.Span.begin_ ~cls:"q" ~name:"q" in
           Sim.Prof.switch_idle ();
-          List.iter (fun (l, t0, t1) -> Sim.Span.add_to id l (Int64.of_int t0) (Int64.of_int t1)) segs;
-          Sim.Clock.advance_to 1200L;
+          List.iter (fun (l, t0, t1) -> Sim.Span.add_to id l t0 t1) segs;
+          Sim.Clock.advance_to 1200;
           Sim.Span.end_ id);
       Sim.Prof.reset ();
       match Sim.Span.tail "q" with
@@ -472,14 +473,14 @@ let test_span_on_same_virtual_time () =
      same virtual timestamp. *)
   Sim.Span.disable ();
   ignore ((bw_tcp_row ()).Apps.Lmbench.run Sim.Profile.asterinas);
-  let off_end = Sim.Clock.now () in
+  let off_end = Sim.Time.now () in
   let nspans =
     with_span ~auto:true (fun () ->
         ignore ((bw_tcp_row ()).Apps.Lmbench.run Sim.Profile.asterinas);
         Sim.Span.finished_count ())
   in
-  let on_end = Sim.Clock.now () in
-  check "span tracking is free in virtual time" true (Int64.equal off_end on_end);
+  let on_end = Sim.Time.now () in
+  check_int "span tracking is free in virtual time" off_end on_end;
   check "and spans actually recorded" true (nspans > 0)
 
 let test_same_seed_identical_span_reports () =

@@ -114,6 +114,25 @@ let test_self_audit () =
   check "relative sane" true
     (r.Tcbaudit.Self_audit.relative > 0. && r.Tcbaudit.Self_audit.relative < 1.)
 
+(* Virtual time is a native int, read with [Sim.Time.now]. The boxed
+   int64 read, [Sim.Clock.now], is a view for the repository benchmark
+   alone: no file under lib/ but the clock's own may name it. *)
+let test_no_boxed_clock_reads () =
+  let needle = "Clock" ^ ".now" in
+  let names f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    let n = String.length needle in
+    let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+    at 0
+  in
+  let files = Tcbaudit.Self_audit.lib_sources () in
+  check "lib/ scanned" true (List.length files > 100);
+  Alcotest.(check (list string))
+    "lib/ files naming the int64 clock view" []
+    (List.filter
+       (fun f -> (not (String.ends_with ~suffix:"lib/sim/clock.ml" f)) && names f)
+       files)
+
 let prop_tcb_monotone =
   QCheck.Test.make ~name:"adding_unsafe_crate_never_shrinks_tcb" ~count:50
     QCheck.(int_range 1 20)
@@ -146,6 +165,10 @@ let () =
           Alcotest.test_case "shapes" `Quick test_growth_shapes;
           Alcotest.test_case "fit_quality" `Quick test_growth_fit_quality;
         ] );
-      ("self_audit", [ Alcotest.test_case "repo" `Quick test_self_audit ]);
+      ( "self_audit",
+        [
+          Alcotest.test_case "repo" `Quick test_self_audit;
+          Alcotest.test_case "no_boxed_clock_reads" `Quick test_no_boxed_clock_reads;
+        ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_tcb_monotone ]);
     ]

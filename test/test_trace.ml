@@ -207,12 +207,52 @@ let test_hist_uniform_bounded_error () =
     [ 10.; 25.; 50.; 75.; 90.; 99. ];
   check_float "count" (float_of_int n) (float_of_int (Sim.Hist.count h))
 
+(* [Hist] reads a value's bucket from its float bits instead of calling
+   [Float.frexp]. Two values share a bucket exactly when the p50 of the
+   pair is their mean, so pairs straddling every sub-bucket edge, and
+   neighbouring cycle counts as microseconds, must split where the
+   frexp reference splits them. Values of 2^48 µs and more go to the
+   overflow bucket (frexp exponent 49 once indexed past the array). *)
+let test_hist_buckets_match_frexp () =
+  let frexp_bucket v =
+    if v <= 0. then 0
+    else begin
+      let m, e = Float.frexp v in
+      if e < -15 then 0
+      else if e >= 49 then 1 + (64 * 16)
+      else 1 + ((e + 15) * 16) + min (int_of_float ((m -. 0.5) *. 2. *. 16.)) 15
+    end
+  in
+  let wrong = ref [] in
+  let pair a b =
+    let h = Sim.Hist.create () in
+    Sim.Hist.record h a;
+    Sim.Hist.record h b;
+    let want = if frexp_bucket a = frexp_bucket b then (a +. b) /. 2. else a in
+    if Sim.Hist.percentile_exn h 50. <> want && List.length !wrong < 5 then
+      wrong := Printf.sprintf "%h,%h" a b :: !wrong
+  in
+  for e = -17 to 51 do
+    for sub = 0 to 15 do
+      let edge = Float.ldexp (0.5 +. (float_of_int sub /. 32.)) e in
+      pair (Float.pred edge) edge;
+      pair edge (Float.succ edge)
+    done
+  done;
+  let h = Sim.Hist.create () in
+  Sim.Hist.record_time h 3000;
+  check_float "record_time keeps microseconds" 1.0 (Sim.Hist.percentile_exn h 50.);
+  for c = 1 to 4000 do
+    pair (Sim.Time.to_us (7 * c)) (Sim.Time.to_us ((7 * c) + 1))
+  done;
+  Alcotest.(check (list string)) "buckets split where frexp splits them" [] (List.rev !wrong)
+
 let test_hist_registry () =
   fresh ();
-  Sim.Hist.observe "syscall.read" 1.0;
-  Sim.Hist.observe "syscall.read" 2.0;
-  Sim.Hist.observe "syscall.write" 5.0;
-  Sim.Hist.observe "blk.bio" 7.0;
+  Sim.Hist.observe "syscall.read" 3000;
+  Sim.Hist.observe "syscall.read" 6000;
+  Sim.Hist.observe "syscall.write" 15000;
+  Sim.Hist.observe "blk.bio" 21000;
   check_int "find sees both observations" 2
     (match Sim.Hist.find "syscall.read" with Some h -> Sim.Hist.count h | None -> -1);
   check_int "by_prefix filters" 2 (List.length (Sim.Hist.by_prefix "syscall."));
@@ -245,13 +285,13 @@ let test_traced_run_same_virtual_time () =
      and untraced, finishes at the same virtual timestamp. *)
   Sim.Trace.reset ();
   ignore (Apps.Chaos.run ~seed:11L ());
-  let untraced_end = Sim.Clock.now () in
+  let untraced_end = Sim.Time.now () in
   List.iter Sim.Trace.enable Sim.Trace.all_categories;
   ignore (Apps.Chaos.run ~seed:11L ());
-  let traced_end = Sim.Clock.now () in
+  let traced_end = Sim.Time.now () in
   let traced_total = Sim.Trace.total () in
   Sim.Trace.reset ();
-  check "tracing is free in virtual time" true (Int64.equal untraced_end traced_end);
+  check_int "tracing is free in virtual time" untraced_end traced_end;
   check "and the trace actually recorded" true (traced_total > 0)
 
 (* --- Batched TX: one tracepoint per burst, and tracing stays free ---
@@ -288,15 +328,14 @@ let test_net_tx_trace_once_per_burst () =
 let test_net_traced_run_same_virtual_time () =
   Sim.Trace.reset ();
   ignore ((bw_tcp_row ()).Apps.Lmbench.run Sim.Profile.asterinas);
-  let untraced_end = Sim.Clock.now () in
+  let untraced_end = Sim.Time.now () in
   Sim.Trace.set_capacity 262144;
   List.iter Sim.Trace.enable Sim.Trace.all_categories;
   ignore ((bw_tcp_row ()).Apps.Lmbench.run Sim.Profile.asterinas);
-  let traced_end = Sim.Clock.now () in
+  let traced_end = Sim.Time.now () in
   let total = Sim.Trace.total () in
   Sim.Trace.reset ();
-  check "tracing the batched pipeline is free in virtual time" true
-    (Int64.equal untraced_end traced_end);
+  check_int "tracing the batched pipeline is free in virtual time" untraced_end traced_end;
   check "and the trace actually recorded" true (total > 0)
 
 let () =
@@ -322,6 +361,7 @@ let () =
           Alcotest.test_case "two_point_exact" `Quick test_hist_two_point_exact;
           Alcotest.test_case "uniform_bounded_error" `Quick test_hist_uniform_bounded_error;
           Alcotest.test_case "registry" `Quick test_hist_registry;
+          Alcotest.test_case "buckets_match_frexp" `Quick test_hist_buckets_match_frexp;
         ] );
       ( "determinism",
         [
