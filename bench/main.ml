@@ -284,12 +284,12 @@ let table8 () =
     [
       ( "Segment::read_bytes (4KB)",
         fun () ->
-          let s = Ostd.Frame.alloc ~pages:2 ~untyped:true () in
+          let s = Ostd.Frame.alloc ~pages:2 () in
           let buf = Bytes.create 4096 in
           fun () -> Ostd.Untyped.read_bytes s ~off:0 ~buf ~pos:0 ~len:4096 );
       ( "Segment::write_bytes (4KB)",
         fun () ->
-          let s = Ostd.Frame.alloc ~pages:2 ~untyped:true () in
+          let s = Ostd.Frame.alloc ~pages:2 () in
           let buf = Bytes.create 4096 in
           fun () -> Ostd.Untyped.write_bytes s ~off:0 ~buf ~pos:0 ~len:4096 );
       ( "IoMem::read_once (4 bytes)",
@@ -320,7 +320,7 @@ let table8 () =
                    done));
             Ostd.Task.run () );
       ( "FrameAlloc::alloc (1 frame)",
-        fun () -> fun () -> Ostd.Frame.drop (Ostd.Frame.alloc ~untyped:true ()) );
+        fun () -> fun () -> Ostd.Frame.drop (Ostd.Frame.alloc ()) );
       ( "Box::new (48 bytes)",
         fun () ->
           Aster.Slab_policy.install_global_heap ();
@@ -329,7 +329,7 @@ let table8 () =
   in
   let measure profile setup =
     Sim.Profile.set profile;
-    Ostd.Selftest.fresh_boot ();
+    Kernmiri.Corpus.fresh_boot ();
     let op = setup () in
     op ();
     let t0 = Sim.Time.now () in
@@ -608,11 +608,11 @@ let ablations () =
     Ostd.Falloc.inject (Aster.Buddy.as_frame_alloc b);
     Ostd.Boot.feed_free_memory ();
     (* Fragment the free lists so the slow path has work to do. *)
-    let hold = List.init 64 (fun _ -> Ostd.Frame.alloc ~untyped:true ()) in
+    let hold = List.init 64 (fun _ -> Ostd.Frame.alloc ()) in
     List.iteri (fun i f -> if i mod 2 = 0 then Ostd.Frame.drop f) hold;
     let t0 = Sim.Time.now () in
     for _ = 1 to 2000 do
-      Ostd.Frame.drop (Ostd.Frame.alloc ~untyped:true ())
+      Ostd.Frame.drop (Ostd.Frame.alloc ())
     done;
     List.iteri (fun i f -> if i mod 2 = 1 then Ostd.Frame.drop f) hold;
     (Sim.Time.now () - t0) / 2000
@@ -622,7 +622,7 @@ let ablations () =
   (* 2. Slab magazine: kmalloc-style alloc/free cycles. *)
   let slab_cycles ~magazine =
     Sim.Profile.set Sim.Profile.asterinas;
-    Ostd.Selftest.fresh_boot ();
+    Kernmiri.Corpus.fresh_boot ();
     let c = Aster.Slab_policy.cache_create ~magazine ~name:"ablate" ~slot_size:64 () in
     let t0 = Sim.Time.now () in
     for _ = 1 to 2000 do
@@ -667,8 +667,8 @@ let bechamel_table8 () =
   let open Bechamel in
   let open Bechamel.Toolkit in
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
-  let frame = Ostd.Frame.alloc ~pages:2 ~untyped:true () in
+  Kernmiri.Corpus.fresh_boot ();
+  let frame = Ostd.Frame.alloc ~pages:2 () in
   let buf = Bytes.create 4096 in
   let tests =
     Test.make_grouped ~name:"ostd" ~fmt:"%s %s"
@@ -677,7 +677,7 @@ let bechamel_table8 () =
           (Staged.stage (fun () ->
                Ostd.Untyped.read_bytes frame ~off:0 ~buf ~pos:0 ~len:4096));
         Test.make ~name:"frame_alloc_drop"
-          (Staged.stage (fun () -> Ostd.Frame.drop (Ostd.Frame.alloc ~untyped:true ())));
+          (Staged.stage (fun () -> Ostd.Frame.drop (Ostd.Frame.alloc ())));
       ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) () in
@@ -1024,9 +1024,10 @@ let smoke () =
      minor collection, so each reading first empties it: unflushed, the
      count moved by up to a minor heap's worth of words whenever a
      change shifted when collections fell. This code measures
-     1,050,794: virtual time is a native int, so charging the clock and
-     stamping events box nothing. The parent, whose int64 clock boxed
-     every charge, measured 1,163,818, and the one before it 1,164,276;
+     1,049,379: a frame handle is one field shorter, its typed/untyped
+     flag now a type. The parent measured 1,050,794 (virtual time a
+     native int, so charging the clock and stamping events box nothing);
+     the one before it, whose int64 clock boxed every charge, 1,163,818;
      one that built a thunk per tracepoint site measured 1,180,275. A fresh kernel buffer
      per file read or write and a full readahead window re-map per read
      measured 1,607,583 (unflushed). One staging copy per block I/O
@@ -1041,7 +1042,7 @@ let smoke () =
   let w0 = allocated () in
   ignore (fio_stats_run ~mbytes base);
   let per_mib = (allocated () -. w0) /. float_of_int mbytes in
-  let bound = 1_103_333. in
+  let bound = 1_101_848. in
   Printf.printf "block-path host allocation: %.0f words/MiB (bound %.0f)\n" per_mib bound;
   expect ~value:per_mib ~threshold:bound "block-path host allocation stays within its bound"
     (per_mib <= bound);
@@ -1050,11 +1051,12 @@ let smoke () =
      kprof and kspan on, the scan run once unmeasured first so the count
      is exact. Readahead maps only the part of its window no earlier
      step covered, the read loop takes the staging buffer without a
-     closure over its state, and clock reads and stamps box nothing:
-     this code measures 1,389. The parent, with an int64 clock, measured
-     1,671, and the one before it 1,677; one that built a thunk per
-     tracepoint site and closed every span through the overlap sweep
-     measured 1,847. Re-mapping the whole 32-block window on every pread
+     closure over its state, clock reads and stamps box nothing, and a
+     frame handle carries no typed/untyped flag: this code measures
+     1,387. The parent, whose handles carried the flag, measured 1,389;
+     one with an int64 clock 1,671, and the one before it 1,677; one
+     that built a thunk per tracepoint site and closed every span
+     through the overlap sweep measured 1,847. Re-mapping the whole 32-block window on every pread
      measured 3,850. The bound sits 5% above the measurement. *)
   let scan_blocks = 256 in
   let pread_scan_words () =
@@ -1080,7 +1082,7 @@ let smoke () =
   in
   ignore (pread_scan_words ());
   let per_pread = pread_scan_words () in
-  let bound = 1_458. in
+  let bound = 1_456. in
   Printf.printf "pread-path host allocation: %.0f minor words/pread (bound %.0f)\n" per_pread bound;
   expect ~value:per_pread ~threshold:bound "pread-path host allocation stays within its bound"
     (per_pread <= bound);

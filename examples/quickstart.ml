@@ -48,7 +48,7 @@ let () =
   (* A user address space with one untyped page mapped at 0x1000
      (Inv. 5 would reject typed memory here). *)
   let vm = Ostd.Vmspace.create () in
-  Ostd.Vmspace.map vm ~vaddr:0x1000 (Ostd.Frame.alloc ~untyped:true ()) Ostd.Vmspace.rw;
+  Ostd.Vmspace.map vm ~vaddr:0x1000 (Ostd.Frame.alloc ()) Ostd.Vmspace.rw;
 
   (* One kernel task running the user-mode loop of the paper's Fig. 3:
      return to user, wait for a trap, handle, repeat. *)
@@ -63,7 +63,7 @@ let () =
              (* Demand-page anonymous memory. *)
              Ostd.Vmspace.map vm
                ~vaddr:(vaddr / page * page)
-               (Ostd.Frame.alloc ~untyped:true ())
+               (Ostd.Frame.alloc ())
                Ostd.Vmspace.rw;
              loop Ostd.User.Fault_resolved
            | Ostd.User.Exit code ->

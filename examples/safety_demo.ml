@@ -5,7 +5,7 @@
 
 let scenario name f =
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   match f () with
   | () -> Printf.printf "  %-58s NOT CAUGHT (bug!)\n" name
   | exception Ostd.Panic.Kernel_panic msg ->
@@ -14,7 +14,7 @@ let scenario name f =
 let soft_scenario name f =
   (* For invariants enforced by refusal (Result) rather than panic. *)
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   match f () with
   | Error msg -> Printf.printf "  %-58s refused: %s\n" name msg
   | Ok () -> Printf.printf "  %-58s NOT CAUGHT (bug!)\n" name
@@ -24,21 +24,22 @@ let () =
   print_endline "--------------------------------------";
 
   scenario "Inv.1  buggy allocator hands out an in-use frame" (fun () ->
-      let f = Ostd.Frame.alloc ~untyped:true () in
-      match Ostd.Frame.from_unused ~paddr:(Ostd.Frame.paddr f) ~pages:1 ~untyped:true with
+      let f = Ostd.Frame.alloc () in
+      match Ostd.Frame.from_unused ~paddr:(Ostd.Frame.paddr f) ~pages:1 with
       | Ok _ -> ()
       | Error e -> Ostd.Panic.panic e);
 
-  scenario "Inv.4  untyped view onto kernel (typed) memory" (fun () ->
-      let f = Ostd.Frame.alloc ~untyped:false () in
-      ignore (Ostd.Untyped.read_u8 f ~off:0));
-
-  scenario "Inv.5  mapping kernel memory into a user address space" (fun () ->
-      let vm = Ostd.Vmspace.create () in
-      Ostd.Vmspace.map vm ~vaddr:0x1000 (Ostd.Frame.alloc ~untyped:false ()) Ostd.Vmspace.rw);
-
-  scenario "Inv.6  DMA mapping over kernel (typed) memory" (fun () ->
-      ignore (Ostd.Dma.Stream.map (Ostd.Frame.alloc ~untyped:false ()) ~dev:7));
+  (* Typed frames are their own type (Ostd.Frame.Typed.t), so these
+     three misuses are compile errors, not panics: the negative
+     compilation rule in test/typed_misuse/dune checks that each fails
+     to compile. *)
+  List.iter
+    (fun name -> Printf.printf "  %-58s rejected at compile time (test/typed_misuse)\n" name)
+    [
+      "typed  untyped read of kernel (typed) memory";
+      "Inv.5  mapping kernel memory into a user address space";
+      "Inv.6  DMA mapping over kernel (typed) memory";
+    ];
 
   soft_scenario "Inv.7  driver claims the local APIC's MMIO window" (fun () ->
       match Ostd.Io_mem.acquire ~base:Machine.Board.lapic_base ~size:16 with
@@ -47,7 +48,7 @@ let () =
 
   (* Inv.3: a device signalling a vector it was never granted. *)
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   let line = Ostd.Irq.alloc () in
   let fired = ref false in
   Ostd.Irq.set_handler line (fun () -> fired := true);

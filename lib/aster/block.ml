@@ -506,7 +506,7 @@ let entry_of blockno ~fill =
     end;
     e
   | None ->
-    let cframe = Ostd.Frame.alloc ~untyped:true () in
+    let cframe = Ostd.Frame.alloc () in
     if fill then begin
       Sim.Stats.incr "blk.readahead.miss";
       let bio =
@@ -550,7 +550,7 @@ let prefetch_blocks ?(mark = true) blocknos =
     let reqs =
       List.map
         (fun b ->
-          let f = Ostd.Frame.alloc ~untyped:true () in
+          let f = Ostd.Frame.alloc () in
           (b, f, make_bio Read ~sector:(b * sectors_per_block) ~frame:f ~len:block_size ()))
         blocknos
     in
@@ -711,7 +711,7 @@ let flush_device () =
    the volatile device cache only — follow with [flush_device] (or a
    [sync]) for durability. *)
 let write_through blockno buf =
-  let scratch = Ostd.Frame.alloc ~untyped:true () in
+  let scratch = Ostd.Frame.alloc () in
   Ostd.Untyped.write_bytes scratch ~off:0 ~buf ~pos:0 ~len:block_size;
   let bio =
     make_bio Write ~sector:(blockno * sectors_per_block) ~frame:scratch ~len:block_size ()
@@ -787,7 +787,7 @@ let sync_blocks blocks =
 let verify_cache_against_device () =
   let entries = Btbl.fold (fun b e acc -> (b, e) :: acc) cache [] in
   let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
-  let scratch = Ostd.Frame.alloc ~untyped:true () in
+  let scratch = Ostd.Frame.alloc () in
   let want = Bytes.create block_size in
   let got = Bytes.create block_size in
   let checked = ref 0 in

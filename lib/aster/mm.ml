@@ -105,10 +105,24 @@ let handle_fault t ~vaddr ~write =
   else if page_covered t vaddr then begin
     (* Demand zero-fill. *)
     let page_base = vaddr / page_size * page_size in
-    Ostd.Vmspace.map t.vm ~vaddr:page_base (Ostd.Frame.alloc ~untyped:true ()) Ostd.Vmspace.rw;
+    Ostd.Vmspace.map t.vm ~vaddr:page_base (Ostd.Frame.alloc ()) Ostd.Vmspace.rw;
     true
   end
   else false
+
+(* A page a user store reaches: mapped writable (copy-on-write
+   included), or unmapped inside a region that demand paging fills. *)
+let rec writable_from t ~vaddr ~len n =
+  if n >= len then len
+  else
+    let va = vaddr + n in
+    if
+      Ostd.Vmspace.is_writable t.vm ~vaddr:va
+      || ((not (Ostd.Vmspace.is_mapped t.vm ~vaddr:va)) && page_covered t va)
+    then writable_from t ~vaddr ~len (n + page_size - (va mod page_size))
+    else n
+
+let writable_prefix t ~vaddr ~len = if t.destroyed then 0 else writable_from t ~vaddr ~len 0
 
 let mapped_pages t = Ostd.Vmspace.mapped_pages t.vm
 

@@ -30,5 +30,12 @@ val handle_fault : t -> vaddr:int -> write:bool -> bool
 (** Resolve a page fault: COW split or demand zero-fill within a region.
     [false] means a genuine access violation (SIGSEGV). *)
 
+val writable_prefix : t -> vaddr:int -> len:int -> int
+(** How many of the [len] bytes at [vaddr] a kernel store reaches
+    before the first fault {!handle_fault} cannot resolve: whole pages
+    mapped writable (copy-on-write ones included) or unmapped inside a
+    region. Touches nothing, charges nothing, allocates nothing on
+    mapped pages. *)
+
 val mapped_pages : t -> int
 val region_count : t -> int

@@ -31,7 +31,7 @@ let frame_for t idx =
   match Hashtbl.find_opt t.frames idx with
   | Some f -> f
   | None ->
-    let f = Ostd.Frame.alloc ~untyped:true () in
+    let f = Ostd.Frame.alloc () in
     Ostd.Frame.set_meta f ~page:0 (Page_state { dirty = false; uptodate = true });
     Hashtbl.replace t.frames idx f;
     f

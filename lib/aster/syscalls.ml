@@ -106,23 +106,39 @@ let with_stage len f =
    copy. Both stop at a short chunk, at an error, or at the first fault
    demand paging cannot resolve, and return the count that reached its
    destination, or the errno (EFAULT for a fault) when that is nothing,
-   as Linux's copy_to_iter, filemap_read and generic_perform_write do. *)
+   as Linux's copy_to_iter, filemap_read and generic_perform_write do.
 
-let rec copy_out_chunks proc ~vaddr ~len fill buf copied =
+   A [stream] object (a pipe, a TCP or a unix stream socket) keeps
+   what its reader did not take, as Linux's pipe_read, tcp_recvmsg and
+   unix_stream_read_generic do. So [copy_out] asks it, chunk by chunk,
+   for no more than the destination can receive ([Mm.writable_prefix]),
+   and a chunk with no byte reachable ends the call without calling the
+   object. Files and datagrams keep the plain loop: a file position
+   moves only by the bytes that landed, and Linux drops a datagram
+   whose copy faults. *)
+
+let rec copy_out_chunks proc ~stream ~vaddr ~len fill buf copied =
   let want = Int.min stage_size (len - copied) in
-  match fill buf ~off:copied ~len:want with
-  | Error e -> if copied > 0 then Ok copied else Error e
-  | Ok n ->
-    let c = user_write_upto proc ~vaddr:(vaddr + copied) buf ~len:n in
-    if c = want && copied + c < len then copy_out_chunks proc ~vaddr ~len fill buf (copied + c)
-    else if copied + c = 0 && n > 0 then Error Errno.efault
-    else Ok (copied + c)
+  let room =
+    if stream then Mm.writable_prefix (Process.mm proc) ~vaddr:(vaddr + copied) ~len:want
+    else want
+  in
+  if room = 0 && want > 0 then if copied > 0 then Ok copied else Error Errno.efault
+  else
+    match fill buf ~off:copied ~len:room with
+    | Error e -> if copied > 0 then Ok copied else Error e
+    | Ok n ->
+      let c = user_write_upto proc ~vaddr:(vaddr + copied) buf ~len:n in
+      if c = want && copied + c < len then
+        copy_out_chunks proc ~stream ~vaddr ~len fill buf (copied + c)
+      else if copied + c = 0 && n > 0 then Error Errno.efault
+      else Ok (copied + c)
 
 (* The loops take their state as arguments, not through a closure, so
    a call allocates no closure beyond its fill or drain. *)
-let copy_out proc ~vaddr ~len fill =
+let copy_out proc ~stream ~vaddr ~len fill =
   let buf = stage_take (Int.min len stage_size) in
-  match copy_out_chunks proc ~vaddr ~len fill buf 0 with
+  match copy_out_chunks proc ~stream ~vaddr ~len fill buf 0 with
   | r ->
     stage_release buf;
     r
@@ -240,7 +256,7 @@ let fifo_pipe (inode : Vfs.inode) =
    chunks after the first read at pos > 0, so procfs serves them from
    the snapshot it took at offset 0. *)
 let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len =
-  copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+  copy_out proc ~stream:false ~vaddr ~len (fun buf ~off ~len ->
       inode.Vfs.ops.Vfs.read inode ~pos:(pos + off) ~buf ~boff:0 ~len)
 
 (* Read up to [len] bytes from [f] into user memory at [vaddr]. The
@@ -261,7 +277,7 @@ let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
     | Error e -> err e)
   | File.Pipe_read p ->
     lift
-      (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+      (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
            Pipe.read ~nonblock:(nonblock || off > 0) p ~buf ~pos:0 ~len))
   | File.Pipe_write _ -> err Errno.ebadf
   | File.Epoll _ -> err Errno.einval
@@ -269,15 +285,15 @@ let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
     match s.File.st with
     | File.S_tcp_conn c ->
       lift
-        (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+        (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
              Tcp.recv ~nonblock:(nonblock || off > 0) c ~buf ~pos:0 ~len))
     | File.S_unix_conn ep ->
       lift
-        (copy_out proc ~vaddr ~len (fun buf ~off ~len ->
+        (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
              Unix_sock.recv ~nonblock:(nonblock || off > 0) ep ~buf ~pos:0 ~len))
     | File.S_udp u ->
       lift
-        (copy_out proc ~vaddr ~len (fun buf ~off:_ ~len ->
+        (copy_out proc ~stream:false ~vaddr ~len (fun buf ~off:_ ~len ->
              Result.map (fun (n, _, _) -> n) (Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len)))
     | _ -> err Errno.enotconn)
 
@@ -1056,7 +1072,8 @@ let sys_recvfrom proc args =
         (* One datagram is one chunk; its source goes out before its
            bytes. *)
         lift
-          (copy_out proc ~vaddr:(int_arg args 1) ~len:(int_arg args 2) (fun buf ~off:_ ~len ->
+          (copy_out proc ~stream:false ~vaddr:(int_arg args 1) ~len:(int_arg args 2)
+             (fun buf ~off:_ ~len ->
                match Udp.recvfrom ~nonblock u ~buf ~pos:0 ~len with
                | Error e -> Error e
                | Ok (n, src_ip, src_port) ->
@@ -1368,7 +1385,8 @@ let sys_getrandom proc args =
       done;
       Ok len
     in
-    lift (copy_out proc ~vaddr:(int_arg args 0) ~len:(Int.min len max_rw_count) fill)
+    lift
+      (copy_out proc ~stream:false ~vaddr:(int_arg args 0) ~len:(Int.min len max_rw_count) fill)
   end
 
 (* --- Readiness syscalls: poll(2) + the epoll family ---

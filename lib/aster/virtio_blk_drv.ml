@@ -42,20 +42,20 @@ let take_desc_buf s =
   if p.Sim.Profile.dma_pooling then
     match Ostd.Dma.Pool.alloc s.desc_pool with
     | Some b -> (b, true)
-    | None -> (Ostd.Dma.Stream.map (Ostd.Frame.alloc ~untyped:true ()) ~dev:s.dev_id, false)
-  else (Ostd.Dma.Stream.map (Ostd.Frame.alloc ~untyped:true ()) ~dev:s.dev_id, false)
+    | None -> (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id, false)
+  else (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id, false)
 
 let take_data_buf s =
   let p = Sim.Profile.get () in
   if p.Sim.Profile.dma_pooling && p.Sim.Profile.blk_pooling_complete then
     match Ostd.Dma.Pool.alloc s.data_pool with
     | Some b -> Pooled b
-    | None -> Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ~untyped:true ()) ~dev:s.dev_id)
+    | None -> Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id)
   else
     (* The incomplete-pooling path the paper describes for its block
        driver: data pages are mapped per request, so every I/O pays the
        map/unmap plus IOTLB invalidation. *)
-    Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ~untyped:true ()) ~dev:s.dev_id)
+    Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id)
 
 let release_data_buf s = function
   | None -> ()

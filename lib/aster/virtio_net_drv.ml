@@ -89,7 +89,7 @@ let take_buf s ~pkt ~len =
   let big = len > base_cap in
   let pages = if big then tso_buf_pages else base_buf_pages in
   let fresh () =
-    { stream = Ostd.Dma.Stream.map (Ostd.Frame.alloc ~pages ~untyped:true ()) ~dev:s.dev_id;
+    { stream = Ostd.Dma.Stream.map (Ostd.Frame.alloc ~pages ()) ~dev:s.dev_id;
       home = None; pkt; tries = 0; deadline = unsubmitted; issued = 0 }
   in
   let from_pool p =

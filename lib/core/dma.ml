@@ -4,7 +4,6 @@ let () =
     [
       (true, "dma.iommu_map");
       (true, "dma.iommu_unmap");
-      (false, "dma.untyped_only_check");
       (false, "dma.pool_recycle");
     ]
 
@@ -18,9 +17,6 @@ module Stream = struct
   type t = { fr : Frame.t; dev : int; mutable live : bool }
 
   let map frame ~dev =
-    Probe.hit "dma.untyped_only_check";
-    if not (Frame.is_untyped frame) then
-      Panic.panic "Inv. 6 violated: DMA mapping over typed (sensitive) memory";
     Probe.hit "dma.iommu_map";
     (* Without an IOMMU a streaming map is just bookkeeping; the domain
        update and its cost exist only when translation is on. *)
@@ -95,7 +91,7 @@ module Coherent = struct
   type t = { stream : Stream.t }
 
   let alloc ~pages ~dev =
-    let fr = Frame.alloc ~pages ~untyped:true () in
+    let fr = Frame.alloc ~pages () in
     { stream = Stream.map fr ~dev }
 
   let paddr t = Stream.paddr t.stream
@@ -112,7 +108,7 @@ module Pool = struct
 
   let create ~dev ~buf_pages ~count =
     let free =
-      List.init count (fun _ -> Stream.map (Frame.alloc ~pages:buf_pages ~untyped:true ()) ~dev)
+      List.init count (fun _ -> Stream.map (Frame.alloc ~pages:buf_pages ()) ~dev)
     in
     { free; total = count; destroyed = false }
 

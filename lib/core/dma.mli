@@ -2,7 +2,8 @@
     optimisation the paper credits for its IOMMU performance (§5, Fig. 6).
 
     A mapping grants one device DMA access to the frames of an untyped
-    handle. Mapping typed memory panics, so kernel stacks/page tables
+    handle. {!Stream.map} takes a {!Frame.t}, so mapping typed memory
+    ({!Frame.Typed.t}) does not compile: kernel stacks and page tables
     are unreachable by peripherals even with the IOMMU disabled — and
     with it enabled, the IOMMU enforces the same boundary against a
     hostile device. Streams own their frame; [unmap] drops it and
@@ -13,7 +14,7 @@ module Stream : sig
   type t
 
   val map : Frame.t -> dev:int -> t
-  (** Takes ownership of the (untyped) handle. Charges dma_map and
+  (** Takes ownership of the untyped handle. Charges dma_map and
       updates the device's IOMMU domain. *)
 
   val paddr : t -> int

@@ -4,7 +4,9 @@ type meta = ..
 
 type fmeta = { mutable refcount : int; mutable st : state; mutable meta : meta option }
 
-type t = { first : int; npages : int; untyped : bool; mutable live : bool }
+(* Both kinds' handle: the interface makes {!Typed.t} a distinct
+   abstract type over it, so they share claim, refcounts and release. *)
+type t = { first : int; npages : int; mutable live : bool }
 
 let page_size = Machine.Phys.page_size
 
@@ -51,8 +53,9 @@ let state_of ~paddr = (fmeta_of (paddr / page_size)).st
 (* Inv. 1: claim a span only if every frame is currently unused. The
    check-and-set on each frame's metadata entry models the CAS in the
    paper's from_unused (Fig. 9a shows why ordering there matters; the
-   KernMiri case study exercises a deliberately broken variant). *)
-let from_unused ~paddr ~pages ~untyped =
+   KernMiri case study exercises a deliberately broken variant). [st]
+   is the state the claimed frames take: [Untyped] or [Typed]. *)
+let claim st ~paddr ~pages =
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.ownership_check);
   if paddr mod page_size <> 0 then Error "from_unused: unaligned physical address"
   else if pages <= 0 then Error "from_unused: empty span"
@@ -72,22 +75,24 @@ let from_unused ~paddr ~pages ~untyped =
         Probe.hit "frame.cas_claim";
         for i = first to first + pages - 1 do
           let m = fmeta_of i in
-          m.st <- (if untyped then Untyped else Typed);
+          m.st <- st;
           m.refcount <- 1;
           m.meta <- None
         done;
         incr handles;
-        Ok { first; npages = pages; untyped; live = true }
+        Ok { first; npages = pages; live = true }
       end
     end
   end
+
+let from_unused ~paddr ~pages = claim Untyped ~paddr ~pages
 
 (* Transient failures (fault plane) and momentary exhaustion get a
    bounded retry before we declare real OOM; a recovered attempt is the
    graceful-degradation path, a persistent one still panics. *)
 let alloc_max_attempts = 4
 
-let alloc ?(pages = 1) ~untyped () =
+let alloc_as st pages =
   Probe.hit "frame.alloc";
   Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.alloc_frame;
   let (module A) = Falloc.injected () in
@@ -96,7 +101,7 @@ let alloc ?(pages = 1) ~untyped () =
     match attempt () with
     | Some paddr -> (
       if n > 0 then Sim.Stats.incr "degrade.recovered.alloc";
-      match from_unused ~paddr ~pages ~untyped with
+      match claim st ~paddr ~pages with
       | Ok f -> f
       | Error e -> Panic.panicf "Frame.alloc: injected allocator violated Inv. 1: %s" e)
     | None when n + 1 < alloc_max_attempts ->
@@ -105,6 +110,8 @@ let alloc ?(pages = 1) ~untyped () =
     | None -> Panic.panicf "Frame.alloc: out of memory (%d pages requested)" pages
   in
   go 0
+
+let alloc ?(pages = 1) () = alloc_as Untyped pages
 
 let ensure_live t op = if not t.live then Panic.panicf "Frame.%s: use of dropped handle" op
 
@@ -148,11 +155,9 @@ let paddr t =
    frame would see. No CPU cycles are charged — the point of a zero-copy
    path is exactly that the processor never touches the bytes; the
    honest costs (mapping, wire serialization) are charged where the DMA
-   is set up and where the frames travel. Untyped frames only: pinned
-   payload views must never expose typed (sensitive) memory. *)
+   is set up and where the frames travel. *)
 let peek t ~off ~buf ~pos ~len =
   ensure_live t "peek";
-  if not t.untyped then Panic.panic "Frame.peek: handle covers typed (sensitive) memory";
   if off < 0 || len < 0 || off + len > t.npages * page_size then
     Panic.panicf "Frame.peek: range [%d, %d) outside frame of %d bytes" off (off + len)
       (t.npages * page_size);
@@ -161,8 +166,6 @@ let peek t ~off ~buf ~pos ~len =
 let pages t = t.npages
 
 let size t = t.npages * page_size
-
-let is_untyped t = t.untyped
 
 let is_live t = t.live
 
@@ -178,3 +181,15 @@ let get_meta t ~page =
   (fmeta_of (t.first + page)).meta
 
 let live_handles () = !handles
+
+module Typed = struct
+  type nonrec t = t
+
+  let alloc ?(pages = 1) () = alloc_as Typed pages
+
+  let drop = drop
+
+  let paddr = paddr
+
+  let size = size
+end

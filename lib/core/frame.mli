@@ -8,6 +8,13 @@
     and dropped explicitly — OCaml has no deterministic destructors, so
     dropping is part of the API contract and tests verify balance.
 
+    The typed/untyped split is a type, as rustc makes it in Asterinas.
+    {!t} is an untyped frame, which the untyped accessors read and
+    write, user space may map (Inv. 5) and devices may DMA (Inv. 6).
+    {!Typed.t}, OSTD's own page tables, slabs and kernel stacks, is a
+    different abstract type, so passing one to {!Untyped},
+    {!Vmspace.map}, {!Dma.Stream.map} or {!peek} does not compile.
+
     Inv. 1: a handle can only be created over currently-unused frames;
     {!from_unused} checks and flips the metadata state, so a buggy
     injected allocator cannot produce aliased frames. *)
@@ -18,7 +25,8 @@ type meta = ..
 (** Client-defined per-frame metadata (page-cache status, slab headers…). *)
 
 type t
-(** A live handle on a span of frames. Using a dropped handle panics. *)
+(** A live handle on a span of untyped frames. Using a dropped handle
+    panics. *)
 
 val init_metadata : reserved_pages:int -> unit
 (** Build the metadata array over all of physical memory and mark the
@@ -26,14 +34,15 @@ val init_metadata : reserved_pages:int -> unit
 
 val total_frames : unit -> int
 
-val alloc : ?pages:int -> untyped:bool -> unit -> t
-(** Allocate through the injected allocator (default 1 page). Panics with
-    OOM if the allocator returns no memory, and panics if the allocator
-    proposes frames that are not unused (Inv. 1). Charges the
-    frame-allocation cost plus the ownership safety check. *)
+val alloc : ?pages:int -> unit -> t
+(** Allocate untyped frames through the injected allocator (default 1
+    page). Panics with OOM if the allocator returns no memory, and
+    panics if the allocator proposes frames that are not unused
+    (Inv. 1). Charges the frame-allocation cost plus the ownership
+    safety check. *)
 
-val from_unused : paddr:int -> pages:int -> untyped:bool -> (t, string) result
-(** Validate and claim a span proposed by the allocator. *)
+val from_unused : paddr:int -> pages:int -> (t, string) result
+(** Validate and claim a span proposed by the allocator as untyped. *)
 
 val clone : t -> t
 (** Share: increments every covered frame's reference count. *)
@@ -49,11 +58,10 @@ val peek : t -> off:int -> buf:bytes -> pos:int -> len:int -> unit
     engine scatter-gathering the frame would see. Charges no CPU cycles:
     zero-copy TX pins frames precisely so the processor never touches
     the payload; mapping and wire costs are charged at the DMA setup and
-    on the link. Panics on typed frames or out-of-range spans. *)
+    on the link. Panics on out-of-range spans. *)
 
 val pages : t -> int
 val size : t -> int
-val is_untyped : t -> bool
 val is_live : t -> bool
 
 val refcount : paddr:int -> int
@@ -66,3 +74,17 @@ val get_meta : t -> page:int -> meta option
 
 val live_handles : unit -> int
 (** Number of undropped handles — leak checking in tests. *)
+
+(** Typed (sensitive) frames. They share {!t}'s claim (Inv. 1 and its
+    charge), reference counts and release; their metadata state reads
+    [Typed]. *)
+module Typed : sig
+  type t
+
+  val alloc : ?pages:int -> unit -> t
+  (** As {!Frame.alloc}, claiming the frames as typed. *)
+
+  val drop : t -> unit
+  val paddr : t -> int
+  val size : t -> int
+end

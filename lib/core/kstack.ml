@@ -2,7 +2,7 @@ let stack_pages = 4
 
 let max_frame_bytes = Machine.Phys.page_size
 
-type t = { segment : Frame.t; mutable used : int; mutable live : bool }
+type t = { segment : Frame.Typed.t; mutable used : int; mutable live : bool }
 
 let () =
   List.iter
@@ -12,8 +12,8 @@ let () =
 let create () =
   Probe.hit "kstack.alloc";
   (* Stack pages plus the guard page below; the span is typed memory,
-     invisible to untyped accessors. *)
-  let segment = Frame.alloc ~pages:(stack_pages + 1) ~untyped:false () in
+     which no untyped accessor accepts. *)
+  let segment = Frame.Typed.alloc ~pages:(stack_pages + 1) () in
   (* Map the stack pages and zero the top frame (Table 8 row 5 total). *)
   Sim.Cost.charge 2750;
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.guard_page);
@@ -23,7 +23,7 @@ let destroy t =
   if t.live then begin
     Probe.hit "kstack.free";
     t.live <- false;
-    Frame.drop t.segment
+    Frame.Typed.drop t.segment
   end
 
 let depth t = t.used

@@ -11,7 +11,7 @@ let () =
 
 type slab = {
   sid : int;
-  segment : Frame.t;
+  segment : Frame.Typed.t;
   ssize : int;
   nslots : int;
   free : int Queue.t;
@@ -23,7 +23,7 @@ type slab = {
 module Heap_slot = struct
   type t = { owner : slab; index : int; mutable in_use : bool }
 
-  let addr t = Frame.paddr t.owner.segment + (t.index * t.owner.ssize)
+  let addr t = Frame.Typed.paddr t.owner.segment + (t.index * t.owner.ssize)
 
   let size t = t.owner.ssize
 end
@@ -35,8 +35,8 @@ let next_sid = ref 0
 let create ~slot_size ~pages =
   if slot_size <= 0 then Panic.panic "Slab.create: slot size must be positive";
   Probe.hit "slab.carve_pages";
-  let segment = Frame.alloc ~pages ~untyped:false () in
-  let nslots = Frame.size segment / slot_size in
+  let segment = Frame.Typed.alloc ~pages () in
+  let nslots = Frame.Typed.size segment / slot_size in
   if nslots = 0 then Panic.panic "Slab.create: slot larger than the slab";
   incr next_sid;
   let free = Queue.create () in
@@ -91,7 +91,7 @@ let destroy t =
   if t.active_count > 0 then
     Panic.panicf "Inv. 9 violated: destroying a slab with %d active slots" t.active_count;
   t.live <- false;
-  Frame.drop t.segment
+  Frame.Typed.drop t.segment
 
 type 'a boxed = { slot : Heap_slot.t; value : 'a }
 

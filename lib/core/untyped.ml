@@ -5,7 +5,6 @@ let () =
       (true, "untyped.raw_read");
       (true, "untyped.raw_write");
       (false, "untyped.bounds_check");
-      (false, "untyped.typed_reject");
     ]
 
 let guard frame ~off ~len op =
@@ -14,10 +13,6 @@ let guard frame ~off ~len op =
      check when safety checks are on (Table 8 rows 1-2). *)
   Sim.Cost.charge (len / 32);
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.boundary_check);
-  if not (Frame.is_untyped frame) then begin
-    Probe.hit "untyped.typed_reject";
-    Panic.panicf "Untyped.%s: handle covers typed (sensitive) memory" op
-  end;
   if off < 0 || len < 0 || off + len > Frame.size frame then
     Panic.panicf "Untyped.%s: range [%d, %d) outside frame of %d bytes" op off (off + len)
       (Frame.size frame)

@@ -3,14 +3,13 @@
     Untyped memory is externally modifiable (user-mapped or DMA-capable),
     so it can never back a typed reference; the only operations are
     copying plain-old-data values in and out. Every access performs a
-    boundary check (charged per Table 8) and panics if the handle covers
-    typed memory — the type discipline that in Rust is carried by
-    [UFrame<M>]'s trait bound is enforced here dynamically, and the
-    public API of the kernel services never sees typed frames at all. *)
+    boundary check (charged per Table 8). Every operation takes a
+    {!Frame.t}, which is untyped by its type: a typed frame
+    ({!Frame.Typed.t}) does not compile here, as [UFrame<M>]'s trait
+    bound rejects one in Rust. *)
 
 val read_bytes : Frame.t -> off:int -> buf:bytes -> pos:int -> len:int -> unit
-(** Copy out of untyped memory. Panics on a non-untyped handle or an
-    out-of-bounds range. *)
+(** Copy out of untyped memory. Panics on an out-of-bounds range. *)
 
 val write_bytes : Frame.t -> off:int -> buf:bytes -> pos:int -> len:int -> unit
 

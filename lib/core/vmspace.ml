@@ -15,7 +15,7 @@ type entry = { frame : Frame.t; fpage : int; mutable perms : perms; mutable cow 
 type t = {
   vid : int;
   table : (int, entry) Hashtbl.t; (* user page number -> entry *)
-  mutable pt_frames : Frame.t list; (* typed frames modelling the page table *)
+  mutable pt_frames : Frame.Typed.t list; (* frames modelling the page table *)
   mutable destroyed : bool;
 }
 
@@ -26,7 +26,6 @@ let () =
       (true, "vmspace.pte_set");
       (true, "vmspace.pte_clear");
       (true, "vmspace.pt_alloc");
-      (false, "vmspace.untyped_only_check");
       (false, "vmspace.fault");
       (false, "vmspace.cow_split");
     ]
@@ -47,16 +46,13 @@ let grow_page_table t =
   let needed = 1 + (Hashtbl.length t.table / 512) in
   while List.length t.pt_frames < needed do
     Probe.hit "vmspace.pt_alloc";
-    t.pt_frames <- Frame.alloc ~untyped:false () :: t.pt_frames
+    t.pt_frames <- Frame.Typed.alloc () :: t.pt_frames
   done
 
 let page_of vaddr = vaddr / page_size
 
 let map t ~vaddr frame perms =
   alive t "map";
-  Probe.hit "vmspace.untyped_only_check";
-  if not (Frame.is_untyped frame) then
-    Panic.panic "Inv. 5 violated: mapping typed (sensitive) memory into user space";
   if vaddr mod page_size <> 0 then Panic.panic "VmSpace.map: unaligned vaddr";
   let npages = Frame.pages frame in
   let first = page_of vaddr in
@@ -98,6 +94,13 @@ let protect t ~vaddr ~pages perms =
 
 let is_mapped t ~vaddr = Hashtbl.mem t.table (page_of vaddr)
 
+(* Mapped with write permission: a user store succeeds at once, or
+   after [resolve_cow] splits a copy-on-write page. *)
+let is_writable t ~vaddr =
+  match Hashtbl.find t.table (page_of vaddr) with
+  | e -> e.perms.write
+  | exception Not_found -> false
+
 let frame_at t ~vaddr =
   Option.map (fun e -> e.frame) (Hashtbl.find_opt t.table (page_of vaddr))
 
@@ -107,7 +110,7 @@ let destroy t =
   if not t.destroyed then begin
     Hashtbl.iter (fun _ e -> Frame.drop e.frame) t.table;
     Hashtbl.reset t.table;
-    List.iter Frame.drop t.pt_frames;
+    List.iter Frame.Typed.drop t.pt_frames;
     t.pt_frames <- [];
     t.destroyed <- true
   end
@@ -187,7 +190,7 @@ let resolve_cow t ~vaddr =
       (* Sole owner: writable again without copying. *)
       e.cow <- false
     else begin
-      let fresh = Frame.alloc ~untyped:true () in
+      let fresh = Frame.alloc () in
       Untyped.copy ~src:e.frame ~src_off:(e.fpage * page_size) ~dst:fresh ~dst_off:0
         ~len:page_size;
       Sim.Cost.charge_memcpy page_size;

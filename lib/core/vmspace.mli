@@ -1,10 +1,11 @@
 (** User virtual address spaces (paper's [VmSpace]).
 
     A VmSpace maps user page numbers to frames. Inv. 5: only untyped
-    frames may be mapped — handing typed (sensitive) memory to user space
-    panics, so kernel stacks, page tables, and slabs can never leak into
-    a user mapping. The page-table pages themselves are modelled as typed
-    frames allocated per 512 mappings.
+    frames may be mapped — {!map} takes a {!Frame.t}, so handing typed
+    (sensitive) memory ({!Frame.Typed.t}) to user space does not
+    compile, and kernel stacks, page tables, and slabs can never leak
+    into a user mapping. The page-table pages themselves are modelled as
+    typed frames allocated per 512 mappings.
 
     Copy-on-write is provided as mechanism: {!fork_clone} shares frames
     with write permission stripped, and the fault handler calls
@@ -31,7 +32,7 @@ val id : t -> int
 
 val map : t -> vaddr:int -> Frame.t -> perms -> unit
 (** Take ownership of the handle and map its pages at [vaddr]
-    (page-aligned). Panics on typed frames (Inv. 5) and on overlap. *)
+    (page-aligned). Panics on overlap. *)
 
 val unmap : t -> vaddr:int -> pages:int -> unit
 (** Unmapped pages in the range are skipped. *)
@@ -39,6 +40,11 @@ val unmap : t -> vaddr:int -> pages:int -> unit
 val protect : t -> vaddr:int -> pages:int -> perms -> unit
 
 val is_mapped : t -> vaddr:int -> bool
+
+val is_writable : t -> vaddr:int -> bool
+(** The page covering [vaddr] is mapped with write permission, so a
+    user store there succeeds at once or after {!resolve_cow} splits
+    it. Touches nothing, charges nothing and allocates nothing. *)
 
 val frame_at : t -> vaddr:int -> Frame.t option
 (** The mapped frame covering [vaddr] (not cloned). *)

@@ -1,3 +1,5 @@
+open Ostd
+
 type case = { submodule : string; name : string; run : unit -> unit }
 
 let fresh_boot ?(frames = 4096) () =
@@ -22,46 +24,46 @@ let t submodule name run = { submodule; name; run = (fun () -> fresh_boot (); ru
 let frame_cases =
   [
     t "frame" "alloc_starts_with_refcount_one" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         check (Frame.refcount ~paddr:(Frame.paddr f) = 1) "refcount after alloc";
         Frame.drop f);
     t "frame" "alloc_claims_untyped_state" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         check (Frame.state_of ~paddr:(Frame.paddr f) = Frame.Untyped) "state";
         Frame.drop f);
     t "frame" "alloc_claims_typed_state" (fun () ->
-        let f = Frame.alloc ~untyped:false () in
-        check (Frame.state_of ~paddr:(Frame.paddr f) = Frame.Typed) "state";
-        Frame.drop f);
+        let f = Frame.Typed.alloc () in
+        check (Frame.state_of ~paddr:(Frame.Typed.paddr f) = Frame.Typed) "state";
+        Frame.Typed.drop f);
     t "frame" "drop_returns_to_unused" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         Frame.drop f;
         check (Frame.state_of ~paddr:pa = Frame.Unused) "state after drop");
     t "frame" "clone_bumps_refcount" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let g = Frame.clone f in
         check (Frame.refcount ~paddr:(Frame.paddr f) = 2) "refcount after clone";
         Frame.drop g;
         check (Frame.refcount ~paddr:(Frame.paddr f) = 1) "refcount after drop";
         Frame.drop f);
     t "frame" "segment_spans_contiguous_pages" (fun () ->
-        let s = Frame.alloc ~pages:4 ~untyped:true () in
+        let s = Frame.alloc ~pages:4 () in
         check (Frame.size s = 4 * page) "segment size";
         check (Frame.refcount ~paddr:(Frame.paddr s + (3 * page)) = 1) "last page claimed";
         Frame.drop s);
     t "frame" "from_unused_rejects_reserved_memory" (fun () ->
-        match Frame.from_unused ~paddr:0 ~pages:1 ~untyped:true with
+        match Frame.from_unused ~paddr:0 ~pages:1 with
         | Ok _ -> failwith "claimed the kernel image"
         | Error _ -> ());
     t "frame" "from_unused_rejects_double_claim" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
-        (match Frame.from_unused ~paddr:(Frame.paddr f) ~pages:1 ~untyped:true with
+        let f = Frame.alloc () in
+        (match Frame.from_unused ~paddr:(Frame.paddr f) ~pages:1 with
         | Ok _ -> failwith "double claim accepted (Inv. 1)"
         | Error _ -> ());
         Frame.drop f);
     t "frame" "from_unused_rejects_unaligned" (fun () ->
-        match Frame.from_unused ~paddr:(page + 8) ~pages:1 ~untyped:true with
+        match Frame.from_unused ~paddr:(page + 8) ~pages:1 with
         | Ok _ -> failwith "unaligned claim accepted"
         | Error _ -> ());
     t "frame" "buggy_allocator_cannot_alias_frames" (fun () ->
@@ -70,18 +72,18 @@ let frame_cases =
         Falloc.inject (Bootstrap_alloc.make_buggy_overlapping ());
         let (module A) = Falloc.injected () in
         A.add_free_memory ~paddr:(Boot.reserved_pages * page) ~pages:1;
-        let f = Frame.alloc ~untyped:true () in
-        expect_panic (fun () -> ignore (Frame.alloc ~untyped:true ()));
+        let f = Frame.alloc () in
+        expect_panic (fun () -> ignore (Frame.alloc ()));
         Frame.drop f);
     t "frame" "double_drop_panics" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Frame.drop f;
         expect_panic (fun () -> Frame.drop f));
     t "frame" "per_frame_metadata_attaches" (fun () ->
         let module M = struct
           type Frame.meta += Dirty of bool
         end in
-        let f = Frame.alloc ~pages:2 ~untyped:true () in
+        let f = Frame.alloc ~pages:2 () in
         Frame.set_meta f ~page:1 (M.Dirty true);
         (match Frame.get_meta f ~page:1 with
         | Some (M.Dirty true) -> ()
@@ -91,18 +93,18 @@ let frame_cases =
     t "frame" "dealloc_recycles_memory" (fun () ->
         let before = ref [] in
         for _ = 1 to 8 do
-          before := Frame.alloc ~untyped:true () :: !before
+          before := Frame.alloc () :: !before
         done;
         List.iter Frame.drop !before;
         (* All frames free again: a large allocation must succeed. *)
-        let big = Frame.alloc ~pages:64 ~untyped:true () in
+        let big = Frame.alloc ~pages:64 () in
         Frame.drop big);
   ]
 
 let untyped_cases =
   [
     t "untyped" "write_then_read_roundtrip" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let src = Bytes.of_string "framekernel" in
         Untyped.write_bytes f ~off:100 ~buf:src ~pos:0 ~len:(Bytes.length src);
         let dst = Bytes.create (Bytes.length src) in
@@ -110,7 +112,7 @@ let untyped_cases =
         check (Bytes.equal src dst) "roundtrip";
         Frame.drop f);
     t "untyped" "u8_u32_u64_accessors" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.write_u8 f ~off:0 0xAB;
         Untyped.write_u32 f ~off:4 0xDEADBEEF;
         Untyped.write_u64 f ~off:8 0x0123456789ABCDEFL;
@@ -119,33 +121,25 @@ let untyped_cases =
         check (Untyped.read_u64 f ~off:8 = 0x0123456789ABCDEFL) "u64";
         Frame.drop f);
     t "untyped" "fill_sets_every_byte" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.fill f ~off:0 ~len:page 'x';
         check (Untyped.read_u8 f ~off:(page - 1) = Char.code 'x') "last byte";
         Frame.drop f);
     t "untyped" "out_of_bounds_read_panics" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         expect_panic (fun () -> ignore (Untyped.read_u32 f ~off:(page - 2)));
         Frame.drop f);
     t "untyped" "out_of_bounds_write_panics" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let b = Bytes.create 16 in
         expect_panic (fun () -> Untyped.write_bytes f ~off:(page - 8) ~buf:b ~pos:0 ~len:16);
         Frame.drop f);
     t "untyped" "negative_offset_panics" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         expect_panic (fun () -> ignore (Untyped.read_u8 f ~off:(-1)));
         Frame.drop f);
-    t "untyped" "typed_memory_is_unreachable" (fun () ->
-        let f = Frame.alloc ~untyped:false () in
-        expect_panic (fun () -> ignore (Untyped.read_u8 f ~off:0));
-        Frame.drop f);
-    t "untyped" "typed_memory_write_rejected" (fun () ->
-        let f = Frame.alloc ~untyped:false () in
-        expect_panic (fun () -> Untyped.write_u8 f ~off:0 1);
-        Frame.drop f);
     t "untyped" "segment_crosses_page_boundary" (fun () ->
-        let s = Frame.alloc ~pages:2 ~untyped:true () in
+        let s = Frame.alloc ~pages:2 () in
         let src = Bytes.make 64 'q' in
         Untyped.write_bytes s ~off:(page - 32) ~buf:src ~pos:0 ~len:64;
         let dst = Bytes.create 64 in
@@ -153,14 +147,14 @@ let untyped_cases =
         check (Bytes.equal src dst) "cross-page roundtrip";
         Frame.drop s);
     t "untyped" "copy_between_frames" (fun () ->
-        let a = Frame.alloc ~untyped:true () and b = Frame.alloc ~untyped:true () in
+        let a = Frame.alloc () and b = Frame.alloc () in
         Untyped.write_u64 a ~off:16 42L;
         Untyped.copy ~src:a ~src_off:0 ~dst:b ~dst_off:0 ~len:page;
         check (Untyped.read_u64 b ~off:16 = 42L) "copied";
         Frame.drop a;
         Frame.drop b);
     t "untyped" "dropped_handle_is_dead" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Frame.drop f;
         expect_panic (fun () -> ignore (Untyped.read_u8 f ~off:0)));
   ]
@@ -169,7 +163,7 @@ let vmspace_cases =
   [
     t "vmspace" "map_and_copy_roundtrip" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
         let src = Bytes.of_string "hello user" in
         (match Vmspace.copy_in vm ~vaddr:0x1000 ~buf:src ~pos:0 ~len:(Bytes.length src) with
         | Ok () -> ()
@@ -180,12 +174,6 @@ let vmspace_cases =
         | Error _ -> failwith "copy_out faulted");
         check (Bytes.equal src dst) "roundtrip";
         Vmspace.destroy vm);
-    t "vmspace" "typed_frame_mapping_panics" (fun () ->
-        let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:false () in
-        expect_panic (fun () -> Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw);
-        Frame.drop f;
-        Vmspace.destroy vm);
     t "vmspace" "unmapped_access_faults" (fun () ->
         let vm = Vmspace.create () in
         (match Vmspace.user_access vm ~vaddr:0x5000 ~len:4 ~write:false with
@@ -195,21 +183,21 @@ let vmspace_cases =
         Vmspace.destroy vm);
     t "vmspace" "readonly_write_faults" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.ro;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.ro;
         (match Vmspace.user_access vm ~vaddr:0x1000 ~len:4 ~write:true with
         | Error { Vmspace.write = true; _ } -> ()
         | _ -> failwith "expected a write fault");
         Vmspace.destroy vm);
     t "vmspace" "overlap_mapping_panics" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
-        let f = Frame.alloc ~untyped:true () in
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
+        let f = Frame.alloc () in
         expect_panic (fun () -> Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw);
         Frame.drop f;
         Vmspace.destroy vm);
     t "vmspace" "unmap_releases_frames" (fun () ->
         let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw;
         Vmspace.unmap vm ~vaddr:0x1000 ~pages:1;
@@ -217,14 +205,14 @@ let vmspace_cases =
         Vmspace.destroy vm);
     t "vmspace" "multi_page_segment_maps_contiguously" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x10000 (Frame.alloc ~pages:3 ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x10000 (Frame.alloc ~pages:3 ()) Vmspace.rw;
         check (Vmspace.is_mapped vm ~vaddr:0x10000) "page 0";
         check (Vmspace.is_mapped vm ~vaddr:0x12000) "page 2";
         check (not (Vmspace.is_mapped vm ~vaddr:0x13000)) "page 3 unmapped";
         Vmspace.destroy vm);
     t "vmspace" "fork_clone_shares_and_cows" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
         let data = Bytes.of_string "parent" in
         ignore (Vmspace.copy_in vm ~vaddr:0x1000 ~buf:data ~pos:0 ~len:6);
         let child = Vmspace.fork_clone vm in
@@ -246,19 +234,19 @@ let vmspace_cases =
         Vmspace.destroy vm);
     t "vmspace" "resolve_cow_on_plain_page_is_false" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
         check (not (Vmspace.resolve_cow vm ~vaddr:0x1000)) "no COW to resolve";
         Vmspace.destroy vm);
     t "vmspace" "destroy_frees_everything" (fun () ->
         let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw;
         Vmspace.destroy vm;
         check (Frame.state_of ~paddr:pa = Frame.Unused) "mapped frame freed");
     t "vmspace" "protect_changes_permissions" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
         Vmspace.protect vm ~vaddr:0x1000 ~pages:1 Vmspace.ro;
         (match Vmspace.user_access vm ~vaddr:0x1000 ~len:1 ~write:true with
         | Error _ -> ()
@@ -269,7 +257,7 @@ let vmspace_cases =
 let dma_cases =
   [
     t "dma" "stream_map_grants_device_access" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let s = Dma.Stream.map f ~dev:7 in
         (match Machine.Iommu.access ~dev:7 ~paddr:(Dma.Stream.paddr s) ~len:64 with
         | Ok () -> ()
@@ -277,17 +265,13 @@ let dma_cases =
         Dma.Stream.unmap s);
     t "dma" "unmapped_region_faults" (fun () ->
         check (Machine.Iommu.enabled ()) "iommu on under asterinas profile";
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         (match Machine.Iommu.access ~dev:7 ~paddr:(Frame.paddr f) ~len:8 with
         | Error _ -> ()
         | Ok () -> failwith "device reached unmapped memory");
         Frame.drop f);
-    t "dma" "typed_memory_cannot_be_mapped" (fun () ->
-        let f = Frame.alloc ~untyped:false () in
-        expect_panic (fun () -> ignore (Dma.Stream.map f ~dev:7));
-        Frame.drop f);
     t "dma" "unmap_revokes_access" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let s = Dma.Stream.map f ~dev:7 in
         let pa = Dma.Stream.paddr s in
         Dma.Stream.unmap s;
@@ -295,7 +279,7 @@ let dma_cases =
         | Error _ -> ()
         | Ok () -> failwith "access after unmap"));
     t "dma" "domains_are_per_device" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let s = Dma.Stream.map f ~dev:7 in
         (match Machine.Iommu.access ~dev:8 ~paddr:(Dma.Stream.paddr s) ~len:8 with
         | Error _ -> ()
@@ -499,9 +483,9 @@ let falloc_cases =
         expect_panic (fun () -> Falloc.inject (Bootstrap_alloc.make ())));
     t "falloc" "allocation_without_injection_panics" (fun () ->
         Boot.init ~frames:512 ();
-        expect_panic (fun () -> ignore (Frame.alloc ~untyped:true ())));
+        expect_panic (fun () -> ignore (Frame.alloc ())));
     t "falloc" "contiguous_allocation_honoured" (fun () ->
-        let s = Frame.alloc ~pages:8 ~untyped:true () in
+        let s = Frame.alloc ~pages:8 () in
         check (Frame.paddr s mod page = 0) "aligned";
         Untyped.write_u8 s ~off:((8 * page) - 1) 7;
         Frame.drop s);
@@ -511,14 +495,14 @@ let falloc_cases =
         Falloc.inject (Bootstrap_alloc.make ());
         Boot.feed_free_memory ();
         (* 300 - 256 reserved = 44 usable frames. *)
-        expect_panic (fun () -> ignore (Frame.alloc ~pages:64 ~untyped:true ())));
+        expect_panic (fun () -> ignore (Frame.alloc ~pages:64 ())));
     t "falloc" "free_list_coalesces" (fun () ->
-        let a = Frame.alloc ~pages:4 ~untyped:true () in
-        let b = Frame.alloc ~pages:4 ~untyped:true () in
+        let a = Frame.alloc ~pages:4 () in
+        let b = Frame.alloc ~pages:4 () in
         Frame.drop a;
         Frame.drop b;
         (* Both spans free and adjacent: an 8-page allocation succeeds. *)
-        let c = Frame.alloc ~pages:8 ~untyped:true () in
+        let c = Frame.alloc ~pages:8 () in
         Frame.drop c);
   ]
 
@@ -529,14 +513,14 @@ let falloc_cases =
 let frame_cases_2 =
   [
     t "frame" "clone_chain_counts_each_handle" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let clones = List.init 5 (fun _ -> Frame.clone f) in
         check (Frame.refcount ~paddr:(Frame.paddr f) = 6) "six handles";
         List.iter Frame.drop clones;
         check (Frame.refcount ~paddr:(Frame.paddr f) = 1) "back to one";
         Frame.drop f);
     t "frame" "segment_clone_covers_every_page" (fun () ->
-        let s = Frame.alloc ~pages:3 ~untyped:true () in
+        let s = Frame.alloc ~pages:3 () in
         let c = Frame.clone s in
         for i = 0 to 2 do
           check (Frame.refcount ~paddr:(Frame.paddr s + (i * page)) = 2) "page refcount"
@@ -544,7 +528,7 @@ let frame_cases_2 =
         Frame.drop c;
         Frame.drop s);
     t "frame" "memory_returns_only_after_last_drop" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         let c = Frame.clone f in
         Frame.drop f;
@@ -552,29 +536,29 @@ let frame_cases_2 =
         Frame.drop c;
         check (Frame.state_of ~paddr:pa = Frame.Unused) "released");
     t "frame" "typed_and_untyped_never_share_a_frame" (fun () ->
-        let a = Frame.alloc ~untyped:true () in
-        let b = Frame.alloc ~untyped:false () in
-        check (Frame.paddr a <> Frame.paddr b) "distinct frames";
+        let a = Frame.alloc () in
+        let b = Frame.Typed.alloc () in
+        check (Frame.paddr a <> Frame.Typed.paddr b) "distinct frames";
         Frame.drop a;
-        Frame.drop b);
+        Frame.Typed.drop b);
     t "frame" "from_unused_zero_pages_rejected" (fun () ->
-        match Frame.from_unused ~paddr:(Boot.reserved_pages * page) ~pages:0 ~untyped:true with
+        match Frame.from_unused ~paddr:(Boot.reserved_pages * page) ~pages:0 with
         | Ok _ -> failwith "empty span accepted"
         | Error _ -> ());
     t "frame" "from_unused_beyond_memory_rejected" (fun () ->
         let beyond = Frame.total_frames () * page in
-        match Frame.from_unused ~paddr:beyond ~pages:1 ~untyped:true with
+        match Frame.from_unused ~paddr:beyond ~pages:1 with
         | Ok _ -> failwith "out-of-range span accepted"
         | Error _ -> ());
     t "frame" "metadata_cleared_on_release" (fun () ->
         let module M = struct
           type Frame.meta += Tag of int
         end in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         Frame.set_meta f ~page:0 (M.Tag 9);
         Frame.drop f;
-        let g = Frame.alloc ~untyped:true () in
+        let g = Frame.alloc () in
         (* The allocator's LIFO behaviour will typically hand the same
            frame back; its metadata must not leak through. *)
         if Frame.paddr g = pa then check (Frame.get_meta g ~page:0 = None) "meta wiped";
@@ -583,20 +567,20 @@ let frame_cases_2 =
         let module M = struct
           type Frame.meta += Tag
         end in
-        let f = Frame.alloc ~pages:2 ~untyped:true () in
+        let f = Frame.alloc ~pages:2 () in
         expect_panic (fun () -> Frame.set_meta f ~page:2 M.Tag);
         Frame.drop f);
     t "frame" "clone_of_dropped_handle_panics" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Frame.drop f;
         expect_panic (fun () -> ignore (Frame.clone f)));
     t "frame" "interleaved_alloc_drop_stays_balanced" (fun () ->
         let live0 = Frame.live_handles () in
-        let a = Frame.alloc ~untyped:true () in
-        let b = Frame.alloc ~pages:2 ~untyped:false () in
+        let a = Frame.alloc () in
+        let b = Frame.Typed.alloc ~pages:2 () in
         Frame.drop a;
-        let c = Frame.alloc ~untyped:true () in
-        Frame.drop b;
+        let c = Frame.alloc () in
+        Frame.Typed.drop b;
         Frame.drop c;
         check (Frame.live_handles () = live0) "handles balanced");
   ]
@@ -604,34 +588,34 @@ let frame_cases_2 =
 let untyped_cases_2 =
   [
     t "untyped" "read_at_exact_end_boundary" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.write_u8 f ~off:(page - 1) 0x5A;
         check (Untyped.read_u8 f ~off:(page - 1) = 0x5A) "last byte";
         Frame.drop f);
     t "untyped" "u64_at_last_valid_offset" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.write_u64 f ~off:(page - 8) 77L;
         check (Untyped.read_u64 f ~off:(page - 8) = 77L) "u64 at end";
         expect_panic (fun () -> ignore (Untyped.read_u64 f ~off:(page - 7)));
         Frame.drop f);
     t "untyped" "zero_length_write_is_noop" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.write_bytes f ~off:0 ~buf:(Bytes.create 0) ~pos:0 ~len:0;
         check (Untyped.read_u8 f ~off:0 = 0) "untouched";
         Frame.drop f);
     t "untyped" "copy_within_same_frame" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.write_u64 f ~off:0 123L;
         Untyped.copy ~src:f ~src_off:0 ~dst:f ~dst_off:512 ~len:8;
         check (Untyped.read_u64 f ~off:512 = 123L) "copied within frame";
         Frame.drop f);
     t "untyped" "copy_rejects_out_of_range_destination" (fun () ->
-        let a = Frame.alloc ~untyped:true () and b = Frame.alloc ~untyped:true () in
+        let a = Frame.alloc () and b = Frame.alloc () in
         expect_panic (fun () -> Untyped.copy ~src:a ~src_off:0 ~dst:b ~dst_off:(page - 4) ~len:8);
         Frame.drop a;
         Frame.drop b);
     t "untyped" "fill_partial_range_only" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         Untyped.fill f ~off:100 ~len:10 'z';
         check (Untyped.read_u8 f ~off:99 = 0) "before untouched";
         check (Untyped.read_u8 f ~off:100 = Char.code 'z') "first filled";
@@ -639,13 +623,13 @@ let untyped_cases_2 =
         check (Untyped.read_u8 f ~off:110 = 0) "after untouched";
         Frame.drop f);
     t "untyped" "segment_last_page_accessible" (fun () ->
-        let s = Frame.alloc ~pages:4 ~untyped:true () in
+        let s = Frame.alloc ~pages:4 () in
         Untyped.write_u32 s ~off:((4 * page) - 4) 42;
         check (Untyped.read_u32 s ~off:((4 * page) - 4) = 42) "segment end";
         expect_panic (fun () -> ignore (Untyped.read_u32 s ~off:((4 * page) - 3)));
         Frame.drop s);
     t "untyped" "data_survives_clone_drop" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let c = Frame.clone f in
         Untyped.write_u32 f ~off:8 7;
         Frame.drop f;
@@ -657,7 +641,7 @@ let vmspace_cases_2 =
   [
     t "vmspace" "copy_spanning_three_pages" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x4000 (Frame.alloc ~pages:3 ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x4000 (Frame.alloc ~pages:3 ()) Vmspace.rw;
         let len = (2 * page) + 100 in
         let src = Bytes.init len (fun i -> Char.chr (i mod 251)) in
         (match Vmspace.copy_in vm ~vaddr:0x4032 ~buf:src ~pos:0 ~len with
@@ -669,14 +653,14 @@ let vmspace_cases_2 =
         Vmspace.destroy vm);
     t "vmspace" "fault_reports_exact_page" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x4000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x4000 (Frame.alloc ()) Vmspace.rw;
         (match Vmspace.copy_in vm ~vaddr:0x4F00 ~buf:(Bytes.create 512) ~pos:0 ~len:512 with
         | Error { Vmspace.vaddr; _ } -> check (vaddr = 0x5000) "fault at next page"
         | Ok () -> failwith "expected fault");
         Vmspace.destroy vm);
     t "vmspace" "partial_unmap_keeps_neighbours" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x10000 (Frame.alloc ~pages:3 ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x10000 (Frame.alloc ~pages:3 ()) Vmspace.rw;
         Vmspace.unmap vm ~vaddr:0x11000 ~pages:1;
         check (Vmspace.is_mapped vm ~vaddr:0x10000) "first kept";
         check (not (Vmspace.is_mapped vm ~vaddr:0x11000)) "middle gone";
@@ -690,10 +674,10 @@ let vmspace_cases_2 =
         let vm = Vmspace.create () in
         Vmspace.destroy vm;
         Vmspace.destroy vm;
-        expect_panic (fun () -> Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw));
+        expect_panic (fun () -> Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw));
     t "vmspace" "cow_chain_grandchild" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
         ignore (Vmspace.copy_in vm ~vaddr:0x1000 ~buf:(Bytes.of_string "gen0") ~pos:0 ~len:4);
         let child = Vmspace.fork_clone vm in
         let grandchild = Vmspace.fork_clone child in
@@ -708,7 +692,7 @@ let vmspace_cases_2 =
         Vmspace.destroy vm);
     t "vmspace" "readonly_fork_shares_without_cow" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.ro;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.ro;
         let child = Vmspace.fork_clone vm in
         (match Vmspace.user_access child ~vaddr:0x1000 ~len:4 ~write:false with
         | Ok () -> ()
@@ -718,15 +702,15 @@ let vmspace_cases_2 =
         Vmspace.destroy vm);
     t "vmspace" "mapped_pages_accounting" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~pages:2 ~untyped:true ()) Vmspace.rw;
-        Vmspace.map vm ~vaddr:0x8000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~pages:2 ()) Vmspace.rw;
+        Vmspace.map vm ~vaddr:0x8000 (Frame.alloc ()) Vmspace.rw;
         check (Vmspace.mapped_pages vm = 3) "three pages";
         Vmspace.unmap vm ~vaddr:0x1000 ~pages:2;
         check (Vmspace.mapped_pages vm = 1) "one page left";
         Vmspace.destroy vm);
     t "vmspace" "exec_permission_tracked" (fun () ->
         let vm = Vmspace.create () in
-        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rx;
+        Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rx;
         (match Vmspace.user_access vm ~vaddr:0x1000 ~len:4 ~write:true with
         | Error _ -> ()
         | Ok () -> failwith "rx page writable");
@@ -742,11 +726,11 @@ let dma_cases_2 =
         | Error e -> failwith e);
         Dma.Coherent.free c);
     t "dma" "stream_use_after_unmap_panics" (fun () ->
-        let s = Dma.Stream.map (Frame.alloc ~untyped:true ()) ~dev:3 in
+        let s = Dma.Stream.map (Frame.alloc ()) ~dev:3 in
         Dma.Stream.unmap s;
         expect_panic (fun () -> ignore (Dma.Stream.paddr s)));
     t "dma" "sync_requires_live_stream" (fun () ->
-        let s = Dma.Stream.map (Frame.alloc ~untyped:true ()) ~dev:3 in
+        let s = Dma.Stream.map (Frame.alloc ()) ~dev:3 in
         Dma.Stream.sync_to_device s ~off:0 ~len:64;
         Dma.Stream.unmap s;
         expect_panic (fun () -> Dma.Stream.sync_from_device s ~off:0 ~len:64));
@@ -769,8 +753,8 @@ let dma_cases_2 =
           | None -> failwith "empty"));
         Dma.Pool.destroy pool);
     t "dma" "two_devices_isolated_domains" (fun () ->
-        let a = Dma.Stream.map (Frame.alloc ~untyped:true ()) ~dev:21 in
-        let b = Dma.Stream.map (Frame.alloc ~untyped:true ()) ~dev:22 in
+        let a = Dma.Stream.map (Frame.alloc ()) ~dev:21 in
+        let b = Dma.Stream.map (Frame.alloc ()) ~dev:22 in
         check (Machine.Iommu.access ~dev:21 ~paddr:(Dma.Stream.paddr a) ~len:4 = Ok ()) "a ok";
         (match Machine.Iommu.access ~dev:21 ~paddr:(Dma.Stream.paddr b) ~len:4 with
         | Error _ -> ()
@@ -904,7 +888,7 @@ let falloc_cases_2 =
   [
     t "falloc" "interleaved_sizes_do_not_overlap" (fun () ->
         let spans =
-          List.map (fun p -> Frame.alloc ~pages:p ~untyped:true ()) [ 1; 3; 2; 5; 1; 4 ]
+          List.map (fun p -> Frame.alloc ~pages:p ()) [ 1; 3; 2; 5; 1; 4 ]
         in
         let ranges = List.map (fun f -> (Frame.paddr f, Frame.size f)) spans in
         List.iteri
@@ -925,7 +909,7 @@ let falloc_cases_2 =
         check (Falloc.is_injected ()) "re-injected");
     t "falloc" "reserved_pages_never_allocated" (fun () ->
         for _ = 1 to 50 do
-          let f = Frame.alloc ~untyped:true () in
+          let f = Frame.alloc () in
           check (Frame.paddr f >= Boot.reserved_pages * page) "above reserved";
           Frame.drop f
         done);
@@ -940,7 +924,7 @@ let protocol_cases =
   [
     t "frame" "user_mapping_keeps_frame_alive" (fun () ->
         let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let pa = Frame.paddr f in
         Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw;
         (* The caller's handle was consumed; the mapping keeps state. *)
@@ -949,7 +933,7 @@ let protocol_cases =
         check (Frame.state_of ~paddr:pa = Frame.Unused) "released on teardown");
     t "frame" "dma_and_user_share_one_frame" (fun () ->
         let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let shared = Frame.clone f in
         Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw;
         let s = Dma.Stream.map shared ~dev:6 in
@@ -962,7 +946,7 @@ let protocol_cases =
     t "vmspace" "cow_split_preserves_dma_view" (fun () ->
         (* A COW split must not steal the frame a device still sees. *)
         let vm = Vmspace.create () in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let dev_side = Frame.clone f in
         Vmspace.map vm ~vaddr:0x1000 f Vmspace.rw;
         Untyped.write_u32 dev_side ~off:0 7;
@@ -974,12 +958,12 @@ let protocol_cases =
         Vmspace.destroy vm;
         Frame.drop dev_side);
     t "untyped" "dma_stream_frame_readable_via_untyped" (fun () ->
-        let s = Dma.Stream.map (Frame.alloc ~untyped:true ()) ~dev:6 in
+        let s = Dma.Stream.map (Frame.alloc ()) ~dev:6 in
         Untyped.write_u64 (Dma.Stream.frame s) ~off:0 99L;
         check (Untyped.read_u64 (Dma.Stream.frame s) ~off:0 = 99L) "driver view";
         Dma.Stream.unmap s);
     t "untyped" "page_aliasing_through_clones_is_coherent" (fun () ->
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let g = Frame.clone f in
         Untyped.write_u32 f ~off:8 5;
         Untyped.write_u32 g ~off:12 6;
@@ -991,7 +975,7 @@ let protocol_cases =
         (* Slab backing pages come from the same injected allocator and
            must never collide with direct frame allocations. *)
         let s = Slab.create ~slot_size:128 ~pages:1 in
-        let f = Frame.alloc ~untyped:true () in
+        let f = Frame.alloc () in
         let slot = Option.get (Slab.alloc s) in
         check
           (Slab.Heap_slot.addr slot / page <> Frame.paddr f / page)
@@ -1002,7 +986,7 @@ let protocol_cases =
     t "slab" "destroyed_slab_frames_are_reusable" (fun () ->
         let s = Slab.create ~slot_size:64 ~pages:4 in
         Slab.destroy s;
-        let f = Frame.alloc ~pages:4 ~untyped:true () in
+        let f = Frame.alloc ~pages:4 () in
         Frame.drop f);
     t "dma" "coherent_zero_initialised" (fun () ->
         let c = Dma.Coherent.alloc ~pages:1 ~dev:6 in
@@ -1033,7 +1017,7 @@ let protocol_cases =
         let spaces = List.init 4 (fun _ -> Vmspace.create ()) in
         List.iteri
           (fun i vm ->
-            Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ~untyped:true ()) Vmspace.rw;
+            Vmspace.map vm ~vaddr:0x1000 (Frame.alloc ()) Vmspace.rw;
             let b = Bytes.make 4 (Char.chr (65 + i)) in
             ignore (Vmspace.copy_in vm ~vaddr:0x1000 ~buf:b ~pos:0 ~len:4))
           spaces;
@@ -1049,7 +1033,7 @@ let protocol_cases =
         let held = ref [] in
         for _ = 1 to 200 do
           if Sim.Rng.bool rng || !held = [] then
-            held := Frame.alloc ~pages:(1 + Sim.Rng.int rng 4) ~untyped:true () :: !held
+            held := Frame.alloc ~pages:(1 + Sim.Rng.int rng 4) () :: !held
           else begin
             match !held with
             | f :: rest ->

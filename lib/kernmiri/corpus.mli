@@ -1,6 +1,8 @@
 (** OSTD's unit-test corpus, shared by the alcotest suite and the
     KernMiri runner (the paper interprets exactly OSTD's unit tests to
-    measure coverage — Table 10).
+    measure coverage — Table 10). It drives OSTD through its public
+    interfaces only, so it lives here, outside the TCB, with the tool
+    that interprets it.
 
     Each case boots a fresh machine, so cases are order-independent. *)
 

@@ -20,7 +20,7 @@ let time f =
   Unix.gettimeofday () -. t0
 
 let run_corpus_once ~submodule =
-  ignore (Ostd.Selftest.run_submodule submodule)
+  ignore (Corpus.run_submodule submodule)
 
 let checked_pass ~submodule =
   Ostd.Probe.set_tracing true;
@@ -39,7 +39,7 @@ let run () =
     (fun submodule ->
       let tests =
         List.length
-          (List.filter (fun c -> c.Ostd.Selftest.submodule = submodule) Ostd.Selftest.cases)
+          (List.filter (fun c -> c.Corpus.submodule = submodule) Corpus.cases)
       in
       (* Native timing: tracing off. *)
       let native_s = time (fun () -> run_corpus_once ~submodule) in

@@ -12,8 +12,7 @@ let charge_zero_fill n = Clock.charge (per_byte (c ()).Profile.zero_fill_bpc n)
 
 let charge_page_drop n = Clock.charge (n * (c ()).Profile.page_drop)
 
-let charge_safety select =
-  if Profile.checks_on () then Clock.charge (select (c ()).Profile.safety)
+let charge_safety select = Clock.charge (select (c ()).Profile.safety)
 
 (* Adding a descriptor to a virtqueue a busy device is already pulling
    from: a ring update plus a suppressed notify, no VM exit. Shared by

@@ -19,8 +19,9 @@ val charge_page_drop : int -> unit
 (** Charge the page-cache removal of [n] pages (truncate). *)
 
 val charge_safety : (Profile.safety_costs -> int) -> unit
-(** Charge one safety check, but only when the installed profile runs
-    OSTD safety checks; selects the per-check cost from the table. *)
+(** Charge one safety check at the installed profile's Table 8 price,
+    which is 0 on a profile without OSTD's checks (linux, and
+    {!Profile.with_safety_checks}[ false]). *)
 
 val charge_ring_update : unit -> unit
 (** Charge a suppressed-notify virtqueue ring update (no VM exit). *)

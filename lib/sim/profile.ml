@@ -66,7 +66,6 @@ type costs = {
 
 type t = {
   name : string;
-  safety_checks : bool;
   iommu : bool;
   dma_pooling : bool;
   blk_pooling_complete : bool;
@@ -205,7 +204,6 @@ let asterinas_costs =
 let linux =
   {
     name = "linux";
-    safety_checks = false;
     iommu = false;
     dma_pooling = false;
     blk_pooling_complete = false;
@@ -226,7 +224,6 @@ let linux =
 let asterinas =
   {
     name = "asterinas";
-    safety_checks = true;
     iommu = true;
     dma_pooling = true;
     blk_pooling_complete = false;
@@ -247,13 +244,10 @@ let asterinas =
 let asterinas_no_iommu = { asterinas with name = "asterinas-no-iommu"; iommu = false }
 
 let with_safety_checks b t =
-  let costs = { t.costs with safety = (if b then ostd_safety else no_safety) } in
-  { t with safety_checks = b; costs }
+  { t with costs = { t.costs with safety = (if b then ostd_safety else no_safety) } }
 
 let current = ref asterinas
 
 let set p = current := p
 
 let get () = !current
-
-let checks_on () = !current.safety_checks

@@ -78,12 +78,11 @@ type costs = {
   zero_fill_bpc : int;       (** memset bytes/cycle for hole reads / fresh pages *)
   sched_pick : int;
   timer_program : int;
-  safety : safety_costs;
+  safety : safety_costs;     (** Table 8 check prices; all zero on linux *)
 }
 
 type t = {
   name : string;
-  safety_checks : bool;          (** OSTD safety checks enabled *)
   iommu : bool;                  (** DMA + interrupt remapping active *)
   dma_pooling : bool;            (** persistent DMA mappings (pooled) *)
   blk_pooling_complete : bool;   (** paper: blk driver pooling is partial *)
@@ -114,14 +113,12 @@ val asterinas : t
 val asterinas_no_iommu : t
 
 val with_safety_checks : bool -> t -> t
-(** Toggles the OSTD checks together with their Table 8 charges. Every
-    other mechanism switch is a plain record update:
+(** Swaps the Table 8 safety-check price table: OSTD's with [true], the
+    all-zero one (linux's) with [false]. The price table is the whole
+    switch. Every other mechanism switch is a plain record update:
     [{ Sim.Profile.asterinas with dma_pooling = false }]. *)
 
 val set : t -> unit
 (** Install the profile consulted by the simulated kernel. *)
 
 val get : unit -> t
-
-val checks_on : unit -> bool
-(** [true] when the installed profile runs OSTD safety checks. *)

@@ -34,12 +34,12 @@ let test_buddy_coalescing () =
   Ostd.Falloc.inject (Aster.Buddy.as_frame_alloc b);
   Ostd.Boot.feed_free_memory ();
   let free0 = Aster.Buddy.free_pages b in
-  let frames = List.init 20 (fun _ -> Ostd.Frame.alloc ~untyped:true ()) in
+  let frames = List.init 20 (fun _ -> Ostd.Frame.alloc ()) in
   check_int "free dropped" (free0 - 20) (Aster.Buddy.free_pages b);
   List.iter Ostd.Frame.drop frames;
   check_int "free restored" free0 (Aster.Buddy.free_pages b);
   (* Large allocation still possible after churn: coalescing works. *)
-  let big = Ostd.Frame.alloc ~pages:256 ~untyped:true () in
+  let big = Ostd.Frame.alloc ~pages:256 () in
   Ostd.Frame.drop big
 
 let test_buddy_pcpu_cache () =
@@ -49,16 +49,16 @@ let test_buddy_pcpu_cache () =
   let b = Aster.Buddy.create () in
   Ostd.Falloc.inject (Aster.Buddy.as_frame_alloc b);
   Ostd.Boot.feed_free_memory ();
-  let f = Ostd.Frame.alloc ~untyped:true () in
+  let f = Ostd.Frame.alloc () in
   Ostd.Frame.drop f;
   let hits0 = Sim.Stats.get "buddy.pcpu_hit" in
-  let g = Ostd.Frame.alloc ~untyped:true () in
+  let g = Ostd.Frame.alloc () in
   check "cache hit" true (Sim.Stats.get "buddy.pcpu_hit" = hits0 + 1);
   Ostd.Frame.drop g
 
 let test_slab_cache_magazine () =
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   let c = Aster.Slab_policy.cache_create ~name:"t" ~slot_size:128 () in
   let slots = List.init 40 (fun _ -> Aster.Slab_policy.cache_alloc c) in
   check "multiple slabs grown" true (Aster.Slab_policy.cache_slabs c >= 2);
@@ -1546,6 +1546,97 @@ let test_copy_chunks () =
        (fun (name, w) -> if w < 16_384. then None else Some (Printf.sprintf "%s: %.0f" name w))
        (List.rev !words))
 
+(* A stream read whose destination faults leaves the bytes it could
+   not deliver queued, as Linux's pipe_read, tcp_recvmsg and
+   unix_stream_read_generic do: the read asks the object only for what
+   the destination can receive. On a pipe, a unix socketpair and a
+   loopback TCP pair, each read end O_NONBLOCK. *)
+let test_stream_read_fault_keeps_bytes () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let answer want name r =
+    if r <> want then wrong := Printf.sprintf "%s = %d, want %d" name r want :: !wrong
+  in
+  let words = ref nan in
+  let code =
+    run_user (fun c ->
+        let page = 4096 in
+        let pattern seed n = Bytes.init n (fun i -> Char.chr (((i * 13) + seed) land 0xff)) in
+        let src = L.ualloc c (2 * page) and dst = L.ualloc c (2 * page) in
+        (* One page, then the unmapped gap mmap leaves after a region. *)
+        let edge = L.mmap c ~len:page in
+        let put b = (L.raw c).Ostd.User.mem_write src b in
+        let landed name want at =
+          if not (Bytes.equal (L.get_bytes c at (Bytes.length want)) want) then
+            wrong := (name ^ ": wrong bytes") :: !wrong
+        in
+        let stream name rd wr =
+          ignore (L.set_nonblock c ~fd:rd);
+          let send b =
+            put b;
+            answer (Bytes.length b) (name ^ " write")
+              (L.write c ~fd:wr ~vaddr:src ~len:(Bytes.length b));
+            ignore (L.nanosleep_us c 10_000.)
+          in
+          let b = pattern 1 10 in
+          send b;
+          answer (-Aster.Errno.efault) (name ^ " read at an unmapped address")
+            (L.read c ~fd:rd ~vaddr:0x10 ~len:10);
+          answer 10 (name ^ " read after the fault") (L.read c ~fd:rd ~vaddr:dst ~len:10);
+          landed (name ^ " read after the fault") b dst;
+          let b = pattern 2 (2 * page) in
+          send b;
+          answer page (name ^ " read into a page, then unmapped memory")
+            (L.read c ~fd:rd ~vaddr:edge ~len:(2 * page));
+          landed (name ^ " first 4096") (Bytes.sub b 0 page) edge;
+          answer page (name ^ " next read") (L.read c ~fd:rd ~vaddr:dst ~len:(2 * page));
+          landed (name ^ " next 4096") (Bytes.sub b page page) dst
+        in
+        (match L.pipe c with
+        | Ok (rd, wr) -> stream "pipe" rd wr
+        | Error e -> answer 0 "pipe" e);
+        let sv = L.ualloc c 8 in
+        answer 0 "socketpair"
+          (L.syscall c Aster.Syscall_nr.socketpair [| 1L; 1L; 0L; Int64.of_int sv |]);
+        let fds = L.get_bytes c sv 8 in
+        let fd_at i = Int32.to_int (Bytes.get_int32_le fds i) in
+        stream "socketpair" (fd_at 0) (fd_at 4);
+        let lfd = L.socket c ~domain:2 ~typ:1 in
+        ignore (L.bind_inet c ~fd:lfd ~port:7301);
+        ignore (L.listen c ~fd:lfd ~backlog:4);
+        let cfd = L.socket c ~domain:2 ~typ:1 in
+        answer 0 "tcp connect"
+          (L.connect_inet c ~fd:cfd ~ip:(Aster.Packet.ip_of_string "127.0.0.1") ~port:7301);
+        let sfd = L.accept c ~fd:lfd in
+        ignore (L.set_nodelay c ~fd:cfd);
+        stream "tcp" sfd cfd;
+        (* Host words of 1,000 4 KiB pipe reads into mapped memory, the
+           writes that feed them left out: 100,000 (100 a read) both
+           before stream reads were capped at the destination and
+           after, so the cap's page query allocates nothing. *)
+        (match L.pipe c with
+        | Ok (rd, wr) ->
+          put (pattern 3 page);
+          answer page "warm-up write" (L.write c ~fd:wr ~vaddr:src ~len:page);
+          answer page "warm-up read" (L.read c ~fd:rd ~vaddr:dst ~len:page);
+          Gc.minor ();
+          let total = ref 0. in
+          for _ = 1 to 1000 do
+            ignore (L.write c ~fd:wr ~vaddr:src ~len:page);
+            let w0 = Gc.minor_words () in
+            let n = L.read c ~fd:rd ~vaddr:dst ~len:page in
+            total := !total +. (Gc.minor_words () -. w0);
+            answer page "4 KiB pipe read" n
+          done;
+          words := !total
+        | Error e -> answer 0 "pipe" e);
+        0)
+  in
+  Alcotest.(check (list string)) "no stream loses the bytes a fault left" [] (List.rev !wrong);
+  check_int "exit" 0 code;
+  Printf.printf "1,000 4 KiB pipe reads: %.0f minor words (bound 100,000)\n" !words;
+  check "1,000 4 KiB pipe reads allocate at most 100,000 minor words" true (!words <= 100_000.)
+
 let test_unbatched_profile_parity () =
   (* Same workload with batching+readahead off: identical bytes, no
      merge activity — the knobs really gate the mechanism. *)
@@ -1752,6 +1843,8 @@ let () =
           Alcotest.test_case "getdents_whole_entries" `Quick test_getdents_whole_entries;
           Alcotest.test_case "copy_chunks" `Quick test_copy_chunks;
           Alcotest.test_case "readv_one_read" `Quick test_readv_one_read;
+          Alcotest.test_case "stream_read_fault_keeps_bytes" `Quick
+            test_stream_read_fault_keeps_bytes;
           Alcotest.test_case "unbatched_parity" `Quick test_unbatched_profile_parity;
           Alcotest.test_case "span_bio_conservation" `Quick test_span_bio_conservation;
           Alcotest.test_case "span_bio_conservation_eio" `Quick

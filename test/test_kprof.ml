@@ -64,7 +64,7 @@ let test_scope_survives_suspension () =
      must still attribute to it. *)
   Sim.Prof.enable ();
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   (* fresh_boot re-anchored attribution at cycle 0. *)
   ignore
     (Ostd.Task.spawn ~name:"holder" (fun () ->
@@ -245,7 +245,7 @@ let test_times_and_process_cputime () =
 
 let test_lock_stat_counts_contention () =
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ();
+  Kernmiri.Corpus.fresh_boot ();
   Ostd.Sync.Lock_stat.set_hold_watchdog_us 10.;
   let m = Ostd.Sync.Mutex.create "kprof_test" in
   ignore

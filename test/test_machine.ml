@@ -66,8 +66,8 @@ let test_untyped_copy_overlap () =
   List.iter
     (fun (src_off, dst_off, len) ->
       Sim.Profile.set Sim.Profile.asterinas;
-      Ostd.Selftest.fresh_boot ();
-      let f = Ostd.Frame.alloc ~pages:2 ~untyped:true () in
+      Kernmiri.Corpus.fresh_boot ();
+      let f = Ostd.Frame.alloc ~pages:2 () in
       let span = 2 * 4096 in
       let init = Bytes.init span (fun i -> Char.chr ((i * 13) land 0xff)) in
       Ostd.Untyped.write_bytes f ~off:0 ~buf:init ~pos:0 ~len:span;

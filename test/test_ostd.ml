@@ -4,7 +4,7 @@ let check_int = Alcotest.(check int)
 
 let fresh () =
   Sim.Profile.set Sim.Profile.asterinas;
-  Ostd.Selftest.fresh_boot ()
+  Kernmiri.Corpus.fresh_boot ()
 
 (* --- Task and scheduling --- *)
 
@@ -87,7 +87,7 @@ let test_inv8_double_run_panics () =
          (* Re-enter the dispatcher from inside the task: the scheduler
             will offer this very task again. *)
          Ostd.Task.run ()));
-  Ostd.Selftest.expect_panic (fun () -> Ostd.Task.run ())
+  Kernmiri.Corpus.expect_panic (fun () -> Ostd.Task.run ())
 
 let test_kill_prevents_running () =
   fresh ();
@@ -409,7 +409,7 @@ let test_user_demand_paging () =
              incr faults;
              Ostd.Vmspace.map vm
                ~vaddr:(vaddr / 4096 * 4096)
-               (Ostd.Frame.alloc ~untyped:true ())
+               (Ostd.Frame.alloc ())
                Ostd.Vmspace.rw;
              loop Ostd.User.Fault_resolved
            | Ostd.User.Syscall _ -> loop (Ostd.User.Sysret 0L)
@@ -436,16 +436,16 @@ let test_user_context_clone () =
   Alcotest.(check int64) "clone is independent" 7L (Ostd.User.Context.get_gpr c2 0);
   Alcotest.(check int64) "rip copied" 0x400000L (Ostd.User.Context.rip c2)
 
-(* --- Selftest corpus --- *)
+(* --- Self-test corpus (Kernmiri.Corpus) --- *)
 
 let selftest_cases =
   List.map
     (fun c ->
       Alcotest.test_case
-        (c.Ostd.Selftest.submodule ^ "." ^ c.Ostd.Selftest.name)
+        (c.Kernmiri.Corpus.submodule ^ "." ^ c.Kernmiri.Corpus.name)
         `Quick
-        (fun () -> c.Ostd.Selftest.run ()))
-    Ostd.Selftest.cases
+        (fun () -> c.Kernmiri.Corpus.run ()))
+    Kernmiri.Corpus.cases
 
 (* --- Properties --- *)
 
@@ -454,7 +454,7 @@ let prop_untyped_roundtrip =
     QCheck.(pair (int_range 0 4000) (string_of_size (QCheck.Gen.int_range 1 96)))
     (fun (off, s) ->
       fresh ();
-      let f = Ostd.Frame.alloc ~untyped:true () in
+      let f = Ostd.Frame.alloc () in
       let len = String.length s in
       let fits = off + len <= 4096 in
       let ok =
@@ -477,7 +477,7 @@ let prop_frame_alloc_drop_balance =
     QCheck.(list_of_size (Gen.int_range 1 30) (int_range 1 4))
     (fun sizes ->
       fresh ();
-      let frames = List.map (fun p -> Ostd.Frame.alloc ~pages:p ~untyped:true ()) sizes in
+      let frames = List.map (fun p -> Ostd.Frame.alloc ~pages:p ()) sizes in
       let live_at_peak = Ostd.Frame.live_handles () in
       List.iter Ostd.Frame.drop frames;
       live_at_peak = List.length sizes && Ostd.Frame.live_handles () = 0)
@@ -575,7 +575,7 @@ let test_alloc_transient_retry () =
   fresh ();
   Sim.Fault.configure ~seed:3L [ ("alloc.fail", 0.4) ];
   for _ = 1 to 20 do
-    Ostd.Frame.drop (Ostd.Frame.alloc ~untyped:true ())
+    Ostd.Frame.drop (Ostd.Frame.alloc ())
   done;
   Sim.Fault.disable ();
   check "transient failures retried" true (Sim.Stats.get "degrade.retried.alloc" > 0);
@@ -590,7 +590,7 @@ let prop_vmspace_copy_matches =
       let len = String.length s in
       let pages = ((len + 4095) / 4096) + 1 in
       Ostd.Vmspace.map vm ~vaddr:0x10000
-        (Ostd.Frame.alloc ~pages ~untyped:true ())
+        (Ostd.Frame.alloc ~pages ())
         Ostd.Vmspace.rw;
       let ok =
         match Ostd.Vmspace.copy_in vm ~vaddr:0x10000 ~buf:(Bytes.of_string s) ~pos:0 ~len with

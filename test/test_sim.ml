@@ -165,12 +165,10 @@ let test_geomean () =
 
 let test_profile_switch () =
   Sim.Profile.set Sim.Profile.linux;
-  check "no checks" false (Sim.Profile.checks_on ());
   Sim.Clock.reset ();
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.boundary_check);
   check_int "no charge" 0 (Sim.Time.now ());
   Sim.Profile.set Sim.Profile.asterinas;
-  check "checks" true (Sim.Profile.checks_on ());
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.boundary_check);
   check_int "charged" 3 (Sim.Time.now ())
 
@@ -180,7 +178,6 @@ let test_profile_variants () =
   check "linux has cc" true Sim.Profile.linux.Sim.Profile.tcp_congestion_control;
   check "aster lacks cc" false Sim.Profile.asterinas.Sim.Profile.tcp_congestion_control;
   let unchecked = Sim.Profile.with_safety_checks false Sim.Profile.asterinas in
-  check "toggled" false unchecked.Sim.Profile.safety_checks;
   check "costs zeroed" true
     (unchecked.Sim.Profile.costs.Sim.Profile.safety.Sim.Profile.boundary_check = 0)
 
