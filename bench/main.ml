@@ -1022,18 +1022,11 @@ let smoke () =
      The count is deterministic once the first run above has warmed the
      process up. [Gc.counters] counts the minor heap only up to the last
      minor collection, so each reading first empties it: unflushed, the
-     count moved by up to a minor heap's worth of words whenever a
-     change shifted when collections fell. This code measures
-     1,049,379: a frame handle is one field shorter, its typed/untyped
-     flag now a type. The parent measured 1,050,794 (virtual time a
-     native int, so charging the clock and stamping events box nothing);
-     the one before it, whose int64 clock boxed every charge, 1,163,818;
-     one that built a thunk per tracepoint site measured 1,180,275. A fresh kernel buffer
-     per file read or write and a full readahead window re-map per read
-     measured 1,607,583 (unflushed). One staging copy per block I/O
-     measured 333,787 words/MiB more than the code it was added to, so
-     the bound sits 5% above the measurement, where such a copy fails
-     it. *)
+     count moves by up to a minor heap's worth of words whenever a
+     change shifts when collections fall. This code measures 1,049,393.
+     The bound sits 5% above it, so it catches a copy or a box added
+     per block I/O: one staging copy per block I/O cost 333,787
+     words/MiB. *)
   let allocated () =
     Gc.minor ();
     let minor, promoted, major = Gc.counters () in
@@ -1049,15 +1042,10 @@ let smoke () =
   (* Minor-heap words per 4 KiB pread in a cold sequential scan of a
      256-block /ext2 file, counted around each call with the harness's
      kprof and kspan on, the scan run once unmeasured first so the count
-     is exact. Readahead maps only the part of its window no earlier
-     step covered, the read loop takes the staging buffer without a
-     closure over its state, clock reads and stamps box nothing, and a
-     frame handle carries no typed/untyped flag: this code measures
-     1,387. The parent, whose handles carried the flag, measured 1,389;
-     one with an int64 clock 1,671, and the one before it 1,677; one
-     that built a thunk per tracepoint site and closed every span
-     through the overlap sweep measured 1,847. Re-mapping the whole 32-block window on every pread
-     measured 3,850. The bound sits 5% above the measurement. *)
+     is exact. This code measures 1,387. The bound sits 5% above it, so
+     it catches a box or closure added per read, per clock stamp or per
+     span segment, and readahead re-mapping its whole 32-block window on
+     every pread (3,850 words). *)
   let scan_blocks = 256 in
   let pread_scan_words () =
     ignore (Apps.Runner.boot ~profile:base);
@@ -1094,14 +1082,11 @@ let smoke () =
      minor heap only: once warm the planes allocate only small blocks,
      and the minor count is exact, while the major count moves with GC
      timing, so the kernel's large buffers would not cancel out
-     between the two runs. This code measures 1,426: kspan closes a
-     span whose segments are back to back in one pass, tracepoint sites
-     fill a preallocated buffer, and histograms record cycles without
-     boxing a float. The parent, with an int64 clock, measured 1,537;
-     one that swept every span and built a thunk per site, 2,286; formatting each
-     ktrace record when it is emitted, with kprof and kspan boxing
-     their cycle counts, measured 12,023. The bound sits 5% above the
-     measurement. *)
+     between the two runs. This code measures 1,426. The bound sits 5%
+     above it, so it catches a tracepoint that allocates when it fires
+     (a thunk, a boxed field, or a record formatted at emission, which
+     cost 12,023), a span closed through the overlap sweep, and a boxed
+     clock stamp. *)
   let set_planes on =
     if on then begin
       Sim.Trace.enable_all ();
@@ -1137,15 +1122,10 @@ let smoke () =
      add to a mini_nginx f4k run with 32 ab clients, so 33 tasks: the
      run as booted minus the same run with every probe detached
      ([Kprobe.Registry.reset]), minor heap only, each variant run once
-     unmeasured first. Each program is compiled at load, its sites
-     fill a preallocated context buffer, and the hung-task context is
-     read off the head of the Ready list, and the clock values it
-     reads are native ints: this code measures 3.55 words/request. The
-     parent, which boxed every int64 clock read and stamp, measured
-     112; one that interpreted every fire with a fresh register array
-     and built a field array per fire, 623. A fold over every task at each sched_switch and sched_wakeup,
-     boxing an Int64 per task, measured 1,506. The bound sits 5% above
-     the measurement. *)
+     unmeasured first. This code measures 3.54 words/request. The bound
+     sits 5% above it, so it catches any allocation per fire: a fresh
+     register or field array, a boxed context field or clock read, or
+     a hung-task context that folds over every task (1,506). *)
   let wd_requests = 400 in
   let nginx_words watchdogs =
     ignore (nginx_rps ~watchdogs base "f4k" wd_requests);
@@ -1154,7 +1134,7 @@ let smoke () =
     Gc.minor_words () -. w0
   in
   let per_req = (nginx_words true -. nginx_words false) /. float_of_int wd_requests in
-  let bound = 3.73 in
+  let bound = 3.72 in
   Printf.printf "watchdog host allocation: %.2f words/request (bound %.2f)\n" per_req bound;
   expect ~value:per_req ~threshold:bound "watchdog host allocation stays within its bound"
     (per_req <= bound);

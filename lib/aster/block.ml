@@ -163,21 +163,25 @@ let op_name = function
   | Flush -> "flush"
 
 (* Bio tracepoints carry the op's name as their string field and the
-   sector and length as their first two int fields. *)
-let bio_point name extra =
-  Sim.Trace.point Sim.Trace.Blk name (fun f ->
+   sector and length as their first two int fields. [write] is 0 for a
+   read, 1 for a write and 2 for a flush. *)
+let bio_point name fields extra =
+  Sim.Trace.point Sim.Trace.Blk name (Array.append [| "sector"; "len" |] fields) (fun f ->
       Printf.sprintf "op=%s sector=%d len=%d %s" f.s f.a f.b (extra f))
 
-let tp_issue = bio_point "issue" (fun f -> Printf.sprintf "attempt=%d" f.c)
+let tp_issue = bio_point "issue" [| "write"; "attempt" |] (fun f -> Printf.sprintf "attempt=%d" f.d)
 
-let tp_complete = bio_point "complete" (fun f -> Printf.sprintf "attempts=%d" f.c)
+(* A bio that gives up completes with its errno as [status]. *)
+let tp_complete =
+  bio_point "complete" [| "write"; "lat_ns"; "status"; "attempts" |] (fun f ->
+      if f.e = 0 then Printf.sprintf "attempts=%d" f.f
+      else Printf.sprintf "attempts=%d errno=%d" f.f f.e)
 
-let tp_give_up = bio_point "give_up" (fun f -> Printf.sprintf "errno=%d" f.c)
-
-let tp_retry = bio_point "retry" (fun f -> Printf.sprintf "attempt=%d errno=%d" f.c f.d)
+let tp_retry =
+  bio_point "retry" [| "attempt"; "errno" |] (fun f -> Printf.sprintf "attempt=%d errno=%d" f.c f.d)
 
 let batch_point name =
-  Sim.Trace.point Sim.Trace.Blk name (fun f ->
+  Sim.Trace.point Sim.Trace.Blk name [| "sector"; "nreq" |] (fun f ->
       Printf.sprintf "op=%s sector=%d nreq=%d" f.s f.a f.b)
 
 let tp_batch_issue = batch_point "batch_issue"
@@ -186,28 +190,15 @@ let tp_batch_complete = batch_point "batch_complete"
 
 let tp_batch_split = batch_point "batch_split"
 
-(* Probe ctx encoding: write = 0 read / 1 write / 2 flush. *)
-let op_code = function Read -> 0L | Write | Write_fua -> 1L | Flush -> 2L
+let write_code = function Read -> 0 | Write | Write_fua -> 1 | Flush -> 2
 
-let fire_issue bio =
-  if Sim.Trace.armed Sim.Trace.P_blk_issue then begin
-    let c = Sim.Trace.ctx Sim.Trace.P_blk_issue in
-    c.{0} <- Int64.of_int bio.sector;
-    c.{1} <- Int64.of_int bio.len;
-    c.{2} <- op_code bio.op;
-    Sim.Trace.run Sim.Trace.P_blk_issue
-  end
+let trace_issue bio ~attempt =
+  Sim.Trace.emit_s tp_issue (op_name bio.op) bio.sector bio.len (write_code bio.op) attempt 0 0
 
-let fire_complete bio ~t0 ~status =
-  if Sim.Trace.armed Sim.Trace.P_blk_complete then begin
-    let c = Sim.Trace.ctx Sim.Trace.P_blk_complete in
-    c.{0} <- Int64.of_int bio.sector;
-    c.{1} <- Int64.of_int bio.len;
-    c.{2} <- op_code bio.op;
-    c.{3} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now () - t0));
-    c.{4} <- Int64.of_int status;
-    Sim.Trace.run Sim.Trace.P_blk_complete
-  end
+let trace_complete bio ~t0 ~status ~attempts =
+  Sim.Trace.emit_s tp_complete (op_name bio.op) bio.sector bio.len (write_code bio.op)
+    (Sim.Time.to_ns (Sim.Time.now () - t0))
+    status attempts
 
 let submit_and_wait bio =
   let (module D) = the_driver () in
@@ -220,22 +211,20 @@ let submit_and_wait bio =
   let rec attempt n =
     let b = clone_bio bio in
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
-    Sim.Trace.emit_s tp_issue (op_name bio.op) bio.sector bio.len n 0;
-    fire_issue bio;
+    trace_issue bio ~attempt:n;
     D.submit b;
     match wait_with_deadline b ~cycles:(bio_deadline_cycles n) with
     | `Done -> (
       match b.status with
       | Some 0 ->
         if n > 0 then Sim.Stats.incr "degrade.recovered.blk_bio";
-        Sim.Trace.emit_s tp_complete (op_name bio.op) bio.sector bio.len (n + 1) 0;
         observe_latency ();
         (* The winning attempt's device timestamps become the primary
            bio's, so its span segments reflect the service that
            actually completed it. *)
         bio.issued <- b.issued;
         bio.dev_done <- b.dev_done;
-        fire_complete bio ~t0 ~status:0;
+        trace_complete bio ~t0 ~status:0 ~attempts:(n + 1);
         complete_bio bio ~status:0;
         Ok ()
       | Some e -> retry_or_fail n e
@@ -250,15 +239,14 @@ let submit_and_wait bio =
   and retry_or_fail n e =
     if n + 1 >= bio_max_attempts then begin
       Sim.Stats.incr "degrade.gave_up.blk_bio";
-      Sim.Trace.emit_s tp_give_up (op_name bio.op) bio.sector bio.len e 0;
       observe_latency ();
-      fire_complete bio ~t0 ~status:e;
+      trace_complete bio ~t0 ~status:e ~attempts:(n + 1);
       complete_bio bio ~status:e;
       Error e
     end
     else begin
       Sim.Stats.incr "degrade.retried.blk_bio";
-      Sim.Trace.emit_s tp_retry (op_name bio.op) bio.sector bio.len n e;
+      Sim.Trace.emit_s tp_retry (op_name bio.op) bio.sector bio.len n e 0 0;
       (match Ostd.Task.current_opt () with
       | Some _ -> Ostd.Task.sleep_cycles (backoff_cycles n)
       | None -> ());
@@ -333,21 +321,21 @@ let issue_run run =
     Sim.Stats.incr "blk.batch";
     Sim.Prof.scope "blk" (fun () ->
         let t0 = Sim.Time.now () in
-        Sim.Trace.emit_s tp_batch_issue (op_name first.op) first.sector n 0 0;
+        Sim.Trace.emit_s tp_batch_issue (op_name first.op) first.sector n 0 0 0 0;
         let clones = List.map clone_bio run in
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
-        List.iter fire_issue run;
+        List.iter (fun bio -> trace_issue bio ~attempt:0) run;
         D.submit_many clones;
         wait_batch clones ~cycles:(batch_deadline_cycles n);
         if List.for_all (fun c -> c.status = Some 0) clones then begin
           let lat = Sim.Time.now () - t0 in
-          Sim.Trace.emit_s tp_batch_complete (op_name first.op) first.sector n 0 0;
+          Sim.Trace.emit_s tp_batch_complete (op_name first.op) first.sector n 0 0 0 0;
           List.iter2
             (fun bio c ->
               bio.issued <- c.issued;
               bio.dev_done <- c.dev_done;
               Sim.Hist.observe "blk.bio" lat;
-              fire_complete bio ~t0 ~status:0;
+              trace_complete bio ~t0 ~status:0 ~attempts:1;
               complete_bio bio ~status:0)
             run clones
         end
@@ -356,7 +344,7 @@ let issue_run run =
              and fall back to per-bio submission, whose retry ladder and
              EIO propagation the callers already rely on. *)
           Sim.Stats.incr "blk.batch_split";
-          Sim.Trace.emit_s tp_batch_split (op_name first.op) first.sector n 0 0;
+          Sim.Trace.emit_s tp_batch_split (op_name first.op) first.sector n 0 0 0 0;
           List.iter (fun c -> if c.status = None then D.cancel c) clones;
           List.iter2
             (fun bio c ->
@@ -365,7 +353,7 @@ let issue_run run =
                 bio.issued <- c.issued;
                 bio.dev_done <- c.dev_done;
                 Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0);
-                fire_complete bio ~t0 ~status:0;
+                trace_complete bio ~t0 ~status:0 ~attempts:1;
                 complete_bio bio ~status:0
               | _ -> ignore (submit_and_wait bio))
             run clones

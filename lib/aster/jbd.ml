@@ -190,15 +190,15 @@ let format () =
   | Error e -> Ostd.Panic.failf ~errno:e "jbd: cannot format journal"
 
 let tp_checkpoint =
-  Sim.Trace.point Sim.Trace.Blk "jbd_checkpoint" (fun f ->
+  Sim.Trace.point Sim.Trace.Blk "jbd_checkpoint" [| "homes"; "seq" |] (fun f ->
       Printf.sprintf "homes=%d seq=%d" f.a f.b)
 
 let tp_commit =
-  Sim.Trace.point Sim.Trace.Blk "jbd_commit" (fun f ->
+  Sim.Trace.point Sim.Trace.Blk "jbd_commit" [| "seq"; "nblocks"; "slot" |] (fun f ->
       Printf.sprintf "seq=%d n=%d slot=%d" f.a f.b f.c)
 
 let tp_replay =
-  Sim.Trace.point Sim.Trace.Blk "jbd_replay" (fun f ->
+  Sim.Trace.point Sim.Trace.Blk "jbd_replay" [| "restored"; "seq" |] (fun f ->
       Printf.sprintf "restored=%d seq=%d" f.a f.b)
 
 (* --- Checkpoint ---
@@ -319,12 +319,6 @@ let commit_chunk chunk =
   Sim.Span.mark "jbd.commit" span_t0;
   incr commit_seq;
   Sim.Trace.emit3 tp_commit !seq n desc_slot;
-  if Sim.Trace.armed Sim.Trace.P_jbd_commit then begin
-    let c = Sim.Trace.ctx Sim.Trace.P_jbd_commit in
-    c.{0} <- Int64.of_int !seq;
-    c.{1} <- Int64.of_int n;
-    Sim.Trace.run Sim.Trace.P_jbd_commit
-  end;
   seq := !seq + 1;
   next_slot := commit_slot + 1
 

@@ -66,13 +66,16 @@ let charge t n = if not t.host then Sim.Cost.charge n
 
 let proto_name = function Packet.Tcp -> "tcp" | Packet.Udp -> "udp"
 
-(* One packet: the protocol's name and the ports and payload length. *)
+(* One packet: its payload length, then the ports, with the protocol's
+   name as the string field. A burst carries the same first two fields,
+   so a consumer of net:tx or net:rx reads bytes and nseg from both. *)
 let packet_point name =
-  Sim.Trace.point Sim.Trace.Net name (fun f ->
-      Printf.sprintf "proto=%s sport=%d dport=%d len=%d" f.s f.a f.b f.c)
+  Sim.Trace.point Sim.Trace.Net name [| "bytes"; "nseg"; "sport"; "dport" |] (fun f ->
+      Printf.sprintf "proto=%s sport=%d dport=%d len=%d" f.s f.c f.d f.a)
 
 let burst_point name =
-  Sim.Trace.point Sim.Trace.Net name (fun f -> Printf.sprintf "nseg=%d bytes=%d" f.a f.b)
+  Sim.Trace.point Sim.Trace.Net name [| "bytes"; "nseg" |] (fun f ->
+      Printf.sprintf "nseg=%d bytes=%d" f.b f.a)
 
 let tp_rx = packet_point "rx"
 
@@ -83,25 +86,13 @@ let tp_rx_burst = burst_point "rx"
 let tp_tx_burst = burst_point "tx"
 
 let emit_packet tp (p : Packet.t) =
-  Sim.Trace.emit_s tp (proto_name p.Packet.proto) p.Packet.src_port p.Packet.dst_port
-    (Bytes.length p.Packet.payload) 0
+  Sim.Trace.emit_s tp (proto_name p.Packet.proto) (Bytes.length p.Packet.payload) 1
+    p.Packet.src_port p.Packet.dst_port 0 0
 
 let burst_bytes ps = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.Packet.payload) 0 ps
 
 let emit_burst tp ps =
-  if Sim.Trace.on tp then Sim.Trace.emit2 tp (List.length ps) (burst_bytes ps)
-
-(* Probe ctx (bytes, nseg) for one packet or a burst. *)
-let fire ap bytes nseg =
-  let c = Sim.Trace.ctx ap in
-  c.{0} <- Int64.of_int bytes;
-  c.{1} <- Int64.of_int nseg;
-  Sim.Trace.run ap
-
-let fire_packet ap (p : Packet.t) =
-  if Sim.Trace.armed ap then fire ap (Bytes.length p.Packet.payload) 1
-
-let fire_burst ap ps = if Sim.Trace.armed ap then fire ap (burst_bytes ps) (List.length ps)
+  if Sim.Trace.live tp then Sim.Trace.emit2 tp (burst_bytes ps) (List.length ps)
 
 let dispatch_proto t (p : Packet.t) =
   t.nrx <- t.nrx + 1;
@@ -113,7 +104,6 @@ let dispatch_proto t (p : Packet.t) =
 let dispatch t (p : Packet.t) =
   Sim.Prof.scope "net" (fun () ->
       emit_packet tp_rx p;
-      fire_packet Sim.Trace.P_net_rx p;
       dispatch_proto t p)
 
 let rx t p = dispatch t p
@@ -124,7 +114,6 @@ let rx_many t ps =
   if ps <> [] then
     Sim.Prof.scope "net" (fun () ->
         emit_burst tp_rx_burst ps;
-        fire_burst Sim.Trace.P_net_rx ps;
         List.iter (dispatch_proto t) ps)
 
 let batching_on t =
@@ -152,7 +141,6 @@ let flush t =
     Sim.Prof.scope "net" (fun () ->
         Sim.Stats.incr "net.burst";
         emit_burst tp_tx_burst ps;
-        fire_burst Sim.Trace.P_net_tx ps;
         match t.ext_tx_many with
         | Some f -> f ps
         | None -> List.iter t.ext_tx ps)
@@ -171,7 +159,6 @@ let send t p =
       let dst = p.Packet.dst_ip in
       if dst = loopback_ip || dst = t.addr then begin
         emit_packet tp_tx p;
-        fire_packet Sim.Trace.P_net_tx p;
         (* Loopback: softirq-style asynchronous hand-off. Delivery is the
            end of the packet's life, so zero-copy pins release here — the
            receiver copied the payload into its own buffer. *)
@@ -199,7 +186,6 @@ let send t p =
       end
       else begin
         emit_packet tp_tx p;
-        fire_packet Sim.Trace.P_net_tx p;
         t.ext_tx p
       end)
 

@@ -76,7 +76,8 @@ let encode p =
   b
 
 let tp_drop =
-  Sim.Trace.point Sim.Trace.Net "drop" (fun f -> Printf.sprintf "reason=checksum len=%d" f.a)
+  Sim.Trace.point Sim.Trace.Net "drop" [| "len" |] (fun f ->
+      Printf.sprintf "reason=checksum len=%d" f.a)
 
 (* [verify:false] is the guest driver's path: the NIC already verified
    the frame and wrote its verdict, so the software pass is skipped. *)

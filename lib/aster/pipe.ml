@@ -85,6 +85,7 @@ let read ?(nonblock = false) t ~buf ~pos ~len =
   else begin
     Ostd.Wait_queue.sleep_until t.readers (fun () -> t.count > 0 || not t.write_open);
     if t.count = 0 then Ok 0 (* writer closed *)
+    else if len = 0 then Error Errno.efault
     else begin
       let n = pop t buf pos len in
       charge_op n;

@@ -16,7 +16,9 @@ val close_write : t -> unit
 
 val read : ?nonblock:bool -> t -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Blocks while empty (unless the write end is closed -> 0);
-    [~nonblock:true] returns EAGAIN instead of blocking. *)
+    [~nonblock:true] returns EAGAIN instead of blocking. [len = 0]
+    means the reader's destination takes nothing: once there is data,
+    EFAULT, and the bytes stay queued. *)
 
 val write : ?nonblock:bool -> t -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Blocks while full; EPIPE once the read end is closed.

@@ -114,11 +114,13 @@ let terminate_other proc signal =
 
 (* --- The user-mode loop: the kernel side of Figure 3 in the paper. --- *)
 
-let fault_args (f : Sim.Trace.fields) = Printf.sprintf "vaddr=%#x write=%b" f.a (f.b <> 0)
+let fault_point name =
+  Sim.Trace.point Sim.Trace.Pgfault name [| "vaddr"; "write" |] (fun f ->
+      Printf.sprintf "vaddr=%#x write=%b" f.a (f.b <> 0))
 
-let tp_fault = Sim.Trace.point Sim.Trace.Pgfault "fault" fault_args
+let tp_fault = fault_point "fault"
 
-let tp_segv = Sim.Trace.point Sim.Trace.Pgfault "segv" fault_args
+let tp_segv = fault_point "segv"
 
 let rec run_user proc resume =
   match proc.ut with
@@ -139,15 +141,8 @@ let rec run_user proc resume =
          point so interrupt servicing that preempts this trap lands on
          the span's critical path. Zero virtual cost either way. *)
       let auto_span = Sim.Span.syscall_begin (Syscall_nr.name nr) in
-      Strace.enter ~nr;
       let arg0 = if Array.length args > 0 then args.(0) else 0L in
-      if Sim.Trace.armed Sim.Trace.P_syscall_enter then begin
-        let c = Sim.Trace.ctx Sim.Trace.P_syscall_enter in
-        c.{0} <- Int64.of_int nr;
-        c.{1} <- Int64.of_int proc.pid_v;
-        c.{2} <- arg0;
-        Sim.Trace.run Sim.Trace.P_syscall_enter
-      end;
+      Strace.enter ~nr ~pid:proc.pid_v ~arg0;
       (* Interrupt delivery point: a busy process cannot starve IRQs —
          hardware would have preempted it, so fire everything due. *)
       ignore (Sim.Events.run_due ());
@@ -157,7 +152,7 @@ let rec run_user proc resume =
       | Some signal -> do_exit proc (128 + signal)
       | None -> ());
       let t0 = Sim.Time.now () in
-      (* Journal-commit overlap for the syscall_exit probe ctx: sampled
+      (* Journal-commit overlap for the syscall:exit point: sampled
          here so a commit that starts and finishes inside this syscall
          still counts. One int read; no virtual cost. *)
       let jseq0 = Jbd.commits () in
@@ -170,18 +165,8 @@ let rec run_user proc resume =
            returns (exit, fatal signal) records no exit event, exactly
            like strace. *)
         let cycles = Sim.Time.now () - t0 in
-        Strace.exit_ ~nr ~ret:v ~cycles;
-        if Sim.Trace.armed Sim.Trace.P_syscall_exit then begin
-          let c = Sim.Trace.ctx Sim.Trace.P_syscall_exit in
-          let jc = jbd0 || Jbd.is_committing () || Jbd.commits () > jseq0 in
-          c.{0} <- Int64.of_int nr;
-          c.{1} <- v;
-          c.{2} <- Int64.of_int (Sim.Time.to_ns cycles);
-          c.{3} <- Int64.of_int proc.pid_v;
-          c.{4} <- arg0;
-          c.{5} <- (if jc then 1L else 0L);
-          Sim.Trace.run Sim.Trace.P_syscall_exit
-        end;
+        let journal_commit = jbd0 || Jbd.is_committing () || Jbd.commits () > jseq0 in
+        Strace.exit_ ~nr ~ret:v ~cycles ~pid:proc.pid_v ~arg0 ~journal_commit;
         Sim.Span.syscall_end auto_span;
         run_user proc (Ostd.User.Sysret v)
       | Exec_done ->

@@ -193,6 +193,7 @@ let pid_dir pid =
 
 (* --- /proc/kprobe: loaded probe programs ----------------------------
    kprobe/programs       one-line-per-program listing (+ last_error)
+   kprobe/points         every attach name and the fields it exposes
    kprobe/<name>/maps    rendered map contents of a loaded program
    kprobe/<name>/insns   disassembly of its verified bytecode *)
 
@@ -233,6 +234,7 @@ let kprobe_dir_ops =
     lookup =
       (fun _ name ->
         if name = "programs" then Some (file_inode "kprobe.programs")
+        else if name = "points" then Some (file_inode "kprobe.points")
         else
           match Kprobe.Registry.find name with
           | Some _ -> Some (kprobe_prog_dir name)
@@ -240,6 +242,7 @@ let kprobe_dir_ops =
     readdir =
       (fun _ ->
         ("programs", file_inode "kprobe.programs")
+        :: ("points", file_inode "kprobe.points")
         :: List.map (fun n -> (n, kprobe_prog_dir n)) (Kprobe.Registry.list ()));
   }
 
@@ -353,6 +356,7 @@ let standard_entries () =
   register_writer "ktrace" ktrace_write;
   register_writer "kstat" kstat_write;
   register "kprobe.programs" (fun () -> Kprobe.Registry.render_list ());
+  register "kprobe.points" (fun () -> Kprobe.Registry.render_points ());
   register "meminfo" (fun () ->
       let total = Ostd.Frame.total_frames () * 4 in
       Printf.sprintf "MemTotal: %d kB\nMemFree: (dynamic)\n" total);

@@ -8,9 +8,10 @@ let work : (unit -> unit) Queue.t = Queue.create ()
 let kworker_wq = ref (Ostd.Wait_queue.create ())
 
 let tp_entry =
-  Sim.Trace.point Sim.Trace.Softirq "entry" (fun f -> Printf.sprintf "pending=%d" f.a)
+  Sim.Trace.point Sim.Trace.Softirq "entry" [| "pending" |] (fun f ->
+      Printf.sprintf "pending=%d" f.a)
 
-let tp_exit = Sim.Trace.point Sim.Trace.Softirq "exit" (fun _ -> "")
+let tp_exit = Sim.Trace.point Sim.Trace.Softirq "exit" [||] (fun _ -> "")
 
 let drain_softirqs () =
   while not (Queue.is_empty softirqs) do

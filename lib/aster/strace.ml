@@ -13,34 +13,33 @@ let bump tbl key =
 
 let record ~nr = bump counts nr
 
-(* ktrace rebase: the counters above stay, but entry/exit also feed the
-   trace ring and the latency histograms. Neither charges virtual
-   cycles, so instrumented runs time identically. *)
+(* Entry and exit each fire one tracepoint, which feeds the trace ring
+   and any attached probe; exit also feeds the latency histograms. None
+   of it charges virtual cycles, so instrumented runs time identically. *)
 
 let tp_enter =
-  Sim.Trace.point Sim.Trace.Syscall "enter" (fun f ->
+  Sim.Trace.point Sim.Trace.Syscall "enter" [| "nr"; "pid"; "arg0" |] (fun f ->
       Printf.sprintf "nr=%d name=%s" f.a (Syscall_nr.name f.a))
 
-(* Fields: nr, the 64-bit return value as two halves, latency cycles. *)
 let tp_exit =
-  Sim.Trace.point Sim.Trace.Syscall "exit" (fun f ->
-      let ret = Sim.Trace.join64 f.b f.c in
+  Sim.Trace.point Sim.Trace.Syscall "exit"
+    [| "nr"; "ret"; "lat_ns"; "pid"; "arg0"; "journal_commit" |]
+    (fun f ->
       let result =
-        if Int64.compare ret 0L < 0 then
-          Printf.sprintf "err=%s" (Errno.name (Int64.to_int (Int64.neg ret)))
-        else Printf.sprintf "ret=%Ld" ret
+        if f.b < 0 then Printf.sprintf "err=%s" (Errno.name (-f.b)) else Printf.sprintf "ret=%d" f.b
       in
       Printf.sprintf "nr=%d name=%s %s lat_us=%.3f" f.a (Syscall_nr.name f.a) result
-        (Sim.Time.to_us f.d))
+        (float_of_int f.c /. 1000.))
 
-let enter ~nr =
+let enter ~nr ~pid ~arg0 =
   record ~nr;
-  Sim.Trace.emit1 tp_enter nr
+  Sim.Trace.emit3 tp_enter nr pid (Int64.to_int arg0)
 
-let exit_ ~nr ~ret ~cycles =
+let exit_ ~nr ~ret ~cycles ~pid ~arg0 ~journal_commit =
   Sim.Hist.observe "syscall" cycles;
   Sim.Hist.observe (Syscall_nr.scope_name nr) cycles;
-  Sim.Trace.emit4 tp_exit nr (Sim.Trace.hi32 ret) (Sim.Trace.lo32 ret) cycles
+  Sim.Trace.emit6 tp_exit nr (Int64.to_int ret) (Sim.Time.to_ns cycles) pid (Int64.to_int arg0)
+    (Bool.to_int journal_commit)
 
 let record_size ~nr ~size = if size <= 8 then bump small nr
 

@@ -11,13 +11,15 @@ val record : nr:int -> unit
 (** Count only (no tracepoint); prefer [enter]/[exit_] on the
     dispatch path. *)
 
-val enter : nr:int -> unit
-(** Count the call and emit a [syscall:enter] tracepoint. *)
+val enter : nr:int -> pid:int -> arg0:int64 -> unit
+(** Count the call and fire the [syscall:enter] tracepoint. *)
 
-val exit_ : nr:int -> ret:int64 -> cycles:Sim.Time.t -> unit
-(** Emit a [syscall:exit] tracepoint (ret or errno, latency) and feed
-    the ["syscall"] and ["syscall.<name>"] latency histograms with
-    [cycles] converted to microseconds. Charges no virtual cycles. *)
+val exit_ :
+  nr:int -> ret:int64 -> cycles:Sim.Time.t -> pid:int -> arg0:int64 -> journal_commit:bool -> unit
+(** Fire the [syscall:exit] tracepoint (ret or errno, latency in ns)
+    and feed the ["syscall"] and ["syscall.<name>"] latency histograms
+    with [cycles]. [journal_commit] says whether a journal commit ran
+    during the call. Charges no virtual cycles. *)
 
 val record_size : nr:int -> size:int -> unit
 val count : nr:int -> int

@@ -112,10 +112,13 @@ let with_stage len f =
    what its reader did not take, as Linux's pipe_read, tcp_recvmsg and
    unix_stream_read_generic do. So [copy_out] asks it, chunk by chunk,
    for no more than the destination can receive ([Mm.writable_prefix]),
-   and a chunk with no byte reachable ends the call without calling the
-   object. Files and datagrams keep the plain loop: a file position
-   moves only by the bytes that landed, and Linux drops a datagram
-   whose copy faults. *)
+   and a later chunk with no byte reachable ends the call. A first chunk
+   with none asks the object for zero bytes: it answers as Linux's
+   read does when its copy faults, -EAGAIN if it would block, 0 at end
+   of stream, and otherwise, after waiting for data, -EFAULT with its
+   bytes kept. A stream read of zero bytes returns 0 at once. Files and
+   datagrams keep the plain loop: a file position moves only by the
+   bytes that landed, and Linux drops a datagram whose copy faults. *)
 
 let rec copy_out_chunks proc ~stream ~vaddr ~len fill buf copied =
   let want = Int.min stage_size (len - copied) in
@@ -123,7 +126,7 @@ let rec copy_out_chunks proc ~stream ~vaddr ~len fill buf copied =
     if stream then Mm.writable_prefix (Process.mm proc) ~vaddr:(vaddr + copied) ~len:want
     else want
   in
-  if room = 0 && want > 0 then if copied > 0 then Ok copied else Error Errno.efault
+  if room = 0 && copied > 0 then Ok copied
   else
     match fill buf ~off:copied ~len:room with
     | Error e -> if copied > 0 then Ok copied else Error e
@@ -137,14 +140,17 @@ let rec copy_out_chunks proc ~stream ~vaddr ~len fill buf copied =
 (* The loops take their state as arguments, not through a closure, so
    a call allocates no closure beyond its fill or drain. *)
 let copy_out proc ~stream ~vaddr ~len fill =
-  let buf = stage_take (Int.min len stage_size) in
-  match copy_out_chunks proc ~stream ~vaddr ~len fill buf 0 with
-  | r ->
-    stage_release buf;
-    r
-  | exception e ->
-    stage_release buf;
-    raise e
+  if stream && len = 0 then Ok 0
+  else begin
+    let buf = stage_take (Int.min len stage_size) in
+    match copy_out_chunks proc ~stream ~vaddr ~len fill buf 0 with
+    | r ->
+      stage_release buf;
+      r
+    | exception e ->
+      stage_release buf;
+      raise e
+  end
 
 let rec copy_in_chunks proc ~vaddr ~len drain buf moved =
   let want = Int.min stage_size (len - moved) in

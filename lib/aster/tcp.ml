@@ -663,6 +663,7 @@ let recv ?(nonblock = false) conn ~buf ~pos ~len =
         Fifo.length conn.rcvbuf > 0 || conn.peer_fin || conn.reset);
     if conn.reset then Error Errno.econnreset
     else if Fifo.length conn.rcvbuf = 0 then Ok 0 (* peer closed *)
+    else if len = 0 then Error Errno.efault
     else begin
       let was_starved = free_window conn < mss in
       let n = Fifo.pop_into conn.rcvbuf buf pos len in

@@ -57,7 +57,9 @@ val send :
 
 val recv : ?nonblock:bool -> conn -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Block until data arrives; 0 at end-of-stream. [~nonblock:true]
-    returns EAGAIN instead of blocking on an empty buffer. *)
+    returns EAGAIN instead of blocking on an empty buffer. [len = 0]
+    means the reader's destination takes nothing: once there is data,
+    EFAULT, and the bytes stay queued. *)
 
 val recv_available : conn -> int
 

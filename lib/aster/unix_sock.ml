@@ -107,6 +107,7 @@ let recv ?(nonblock = false) ep ~buf ~pos ~len =
   else begin
     Ostd.Wait_queue.sleep_until r.rd_wq (fun () -> r.count > 0 || r.closed);
     if r.count = 0 then Ok 0
+    else if len = 0 then Error Errno.efault
     else begin
       let n = pop r buf pos len in
       charge_op n;

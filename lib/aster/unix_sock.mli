@@ -19,6 +19,7 @@ val close_listener : listener -> unit
 
 val send : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
 val recv : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
+(** As {!Pipe.read}, [len = 0] included. *)
 
 val close : endpoint -> unit
 val readable : endpoint -> bool

@@ -408,7 +408,8 @@ let gro_rx s (p : Packet.t) =
   end
 
 let tp_drop_hw =
-  Sim.Trace.point Sim.Trace.Net "drop" (fun f -> Printf.sprintf "reason=checksum-hw len=%d" f.a)
+  Sim.Trace.point Sim.Trace.Net "drop" [| "len" |] (fun f ->
+      Printf.sprintf "reason=checksum-hw len=%d" f.a)
 
 (* One bottom-half pass: reap TX completions, deliver RX arrivals.
    Returns how many descriptors it serviced so the NAPI loop can decide

@@ -9,9 +9,9 @@ let () =
 
 let stream_args (f : Sim.Trace.fields) = Printf.sprintf "dev=%d paddr=0x%x len=%d" f.a f.b f.c
 
-let tp_map = Sim.Trace.point Sim.Trace.Dma "map" stream_args
+let tp_map = Sim.Trace.point Sim.Trace.Dma "map" [| "dev"; "paddr"; "len" |] stream_args
 
-let tp_unmap = Sim.Trace.point Sim.Trace.Dma "unmap" stream_args
+let tp_unmap = Sim.Trace.point Sim.Trace.Dma "unmap" [| "dev"; "paddr"; "len" |] stream_args
 
 module Stream = struct
   type t = { fr : Frame.t; dev : int; mutable live : bool }

@@ -74,13 +74,14 @@ let run_handler vector =
     | Error _ -> Sim.Stats.incr "irq.handler_contained")
   | None -> Sim.Stats.incr "irq.unhandled"
 
-let vector_args (f : Sim.Trace.fields) = Printf.sprintf "vector=%d" f.a
+let vector_point name fields =
+  Sim.Trace.point Sim.Trace.Irq name fields (fun f -> Printf.sprintf "vector=%d" f.a)
 
-let tp_poll = Sim.Trace.point Sim.Trace.Irq "poll" vector_args
+let tp_poll = vector_point "poll" [| "vector" |]
 
-let tp_entry = Sim.Trace.point Sim.Trace.Irq "entry" vector_args
+let tp_entry = vector_point "entry" [| "vector"; "now_ns" |]
 
-let tp_exit = Sim.Trace.point Sim.Trace.Irq "exit" vector_args
+let tp_exit = vector_point "exit" [| "vector" |]
 
 let polled_service vector =
   let vs = vstat_of vector in
@@ -110,13 +111,7 @@ let dispatch vector =
        IRQ-delivery leg, from the scope's entry cycle, on its span. *)
     Sim.Prof.scope (irq_scope vector) (fun () ->
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.irq_entry;
-        Sim.Trace.emit1 tp_entry vector;
-        if Sim.Trace.armed Sim.Trace.P_irq_entry then begin
-          let c = Sim.Trace.ctx Sim.Trace.P_irq_entry in
-          c.{0} <- Int64.of_int vector;
-          c.{1} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
-          Sim.Trace.run Sim.Trace.P_irq_entry
-        end;
+        Sim.Trace.emit2 tp_entry vector (Sim.Time.to_ns (Sim.Time.now ()));
         let now = Sim.Time.now () in
         if now - vs.wstart > Sim.Time.of_us storm_window_us then begin
           vs.wstart <- now;

@@ -47,14 +47,14 @@ module Lock_stat = struct
     end
 
   let tp_long_hold =
-    Sim.Trace.point Sim.Trace.Lock "long_hold" (fun f ->
+    Sim.Trace.point Sim.Trace.Lock "long_hold" [| "hold_cycles" |] (fun f ->
         Printf.sprintf "lock=%s hold_us=%.3f" f.s (Sim.Time.to_us f.a))
 
   let released s ~hold_cycles =
     Sim.Hist.observe s.hold_key hold_cycles;
     if hold_cycles > !hold_watchdog then begin
       Sim.Stats.incr "lock.watchdog.long_hold";
-      Sim.Trace.emit_s tp_long_hold s.lname hold_cycles 0 0 0
+      Sim.Trace.emit_s tp_long_hold s.lname hold_cycles 0 0 0 0 0
     end
 end
 

@@ -243,24 +243,21 @@ let spawn ?(name = "task") body =
   t
 
 let tp_wakeup =
-  Sim.Trace.point Sim.Trace.Sched "wakeup" (fun f -> Printf.sprintf "task=%s/%d" f.s f.a)
+  Sim.Trace.point Sim.Trace.Sched "wakeup" [| "tid"; "now_ns"; "max_wait_ns" |] (fun f ->
+      Printf.sprintf "task=%s/%d" f.s f.a)
 
 let wake t =
   match t.st with
   | Blocked ->
-    Sim.Trace.emit_s tp_wakeup t.tname t.tid 0 0 0;
     enqueue_ready t;
     (* The wakeup edge hands a completion's span back to the sleeping
        task: if this wake happens inside an IRQ/softirq kprof scope,
        the delivery leg is recorded on the woken task's span. *)
     Sim.Span.on_wake ~tid:t.tid;
-    if Sim.Trace.armed Sim.Trace.P_sched_wakeup then begin
-      let c = Sim.Trace.ctx Sim.Trace.P_sched_wakeup in
-      c.{0} <- Int64.of_int t.tid;
-      c.{1} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
-      c.{2} <- Int64.of_int (max_runnable_wait_ns ());
-      Sim.Trace.run Sim.Trace.P_sched_wakeup
-    end
+    if Sim.Trace.live tp_wakeup then
+      Sim.Trace.emit_s tp_wakeup t.tname t.tid
+        (Sim.Time.to_ns (Sim.Time.now ()))
+        (max_runnable_wait_ns ()) 0 0 0
   | Ready | Running | Dead -> ()
 
 let exit () = raise Task_exit
@@ -322,7 +319,8 @@ let handler (t : t) : (unit, unit) Effect.Deep.handler =
   }
 
 let tp_switch =
-  Sim.Trace.point Sim.Trace.Sched "switch" (fun f -> Printf.sprintf "prev=%d next=%s/%d" f.a f.s f.b)
+  Sim.Trace.point Sim.Trace.Sched "switch" [| "prev_tid"; "next_tid"; "now_ns"; "max_wait_ns" |]
+    (fun f -> Printf.sprintf "prev=%d next=%s/%d" f.a f.s f.b)
 
 let dispatch t =
   Sim.Cost.charge_safety (fun s -> s.Sim.Profile.running_flag);
@@ -358,18 +356,14 @@ let dispatch t =
        register save/restore and cache refill of a real switch. *)
     if !last_ran = t.tid then Sim.Cost.charge 40
     else Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.context_switch;
-    Sim.Trace.emit_s tp_switch t.tname !last_ran t.tid 0 0;
     (* max_wait_ns covers the task being switched in (it just finished
        waiting) as well as everything still on the runqueue, so a
        starved task is visible at the very switch that rescues it. *)
-    if Sim.Trace.armed Sim.Trace.P_sched_switch then begin
-      let c = Sim.Trace.ctx Sim.Trace.P_sched_switch and queued = max_runnable_wait_ns () in
-      c.{0} <- Int64.of_int !last_ran;
-      c.{1} <- Int64.of_int t.tid;
-      c.{2} <- Int64.of_int (Sim.Time.to_ns (Sim.Time.now ()));
-      c.{3} <- Int64.of_int (Int.max !own_wait_ns queued);
-      Sim.Trace.run Sim.Trace.P_sched_switch
-    end;
+    if Sim.Trace.live tp_switch then
+      Sim.Trace.emit_s tp_switch t.tname !last_ran t.tid
+        (Sim.Time.to_ns (Sim.Time.now ()))
+        (Int.max !own_wait_ns (max_runnable_wait_ns ()))
+        0 0;
     last_ran := t.tid;
     t.st <- Running;
     t.running_flag <- true;

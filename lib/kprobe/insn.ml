@@ -14,8 +14,8 @@ type cmp = Eq | Ne | Lt | Le | Gt | Ge
 (* Source operand: a register or an immediate. *)
 type operand = Reg of int | Imm of int64
 
-(* Context-field reference: by whitelisted name (resolved against the
-   attach point's field table at load time) or by raw slot index. *)
+(* Context-field reference: by name (resolved against the point's field
+   names at load time) or by raw slot index. *)
 type ctxref = Cname of string | Cidx of int
 
 type insn =
@@ -53,7 +53,7 @@ let map_kind_of_string = function
 
 type prog = {
   pname : string;
-  attach : Sim.Trace.attach_point list;
+  attach : string list; (* tracepoint names, "<category>:<name>" *)
   maps : (string * map_kind) list; (* declaration order *)
   code : insn array;
 }
@@ -99,11 +99,12 @@ let insn_str = function
 let render_prog p =
   let b = Buffer.create 256 in
   Buffer.add_string b (Printf.sprintf "prog %s\n" p.pname);
-  List.iter
-    (fun ap -> Buffer.add_string b (Printf.sprintf "attach %s\n" (Sim.Trace.attach_name ap)))
-    p.attach;
+  List.iter (fun n -> Buffer.add_string b (Printf.sprintf "attach %s\n" n)) p.attach;
   List.iter
     (fun (n, k) -> Buffer.add_string b (Printf.sprintf "map %s %s\n" (map_kind_name k) n))
     p.maps;
   Array.iteri (fun i insn -> Buffer.add_string b (Printf.sprintf "%3d: %s\n" i (insn_str insn))) p.code;
   Buffer.contents b
+
+let unknown_point name =
+  Printf.sprintf "unknown attach point '%s' (see /proc/kprobe/points)" name

@@ -2,7 +2,7 @@
    line; '#' starts a comment. Grammar:
 
      prog <name>
-     attach <point>            # repeatable; see Trace.attach_name
+     attach <cat:name>         # repeatable; see /proc/kprobe/points
      map <kind> <name>         # kind: counter|perkey|hist|khist|ring
      <mnemonic> operands...    # see Insn; jump offsets written +N
 
@@ -102,13 +102,9 @@ let parse text : (prog, string) result =
         | [] -> ()
         | [ "prog"; n ] -> name := n
         | "prog" :: _ -> fail (Printf.sprintf "line %d: prog takes exactly one name" ln)
-        | [ "attach"; p ] -> (
-          match Sim.Trace.attach_of_string p with
-          | Some ap -> attach := !attach @ [ ap ]
-          | None ->
-            fail
-              (Printf.sprintf "line %d: unknown attach point '%s' (known: %s)" ln p
-                 (String.concat ", " (List.map Sim.Trace.attach_name Sim.Trace.all_attach_points))))
+        | [ "attach"; p ] ->
+          if Sim.Trace.find p = [] then fail (Printf.sprintf "line %d: %s" ln (unknown_point p))
+          else attach := !attach @ [ p ]
         | [ "map"; k; n ] -> (
           match map_kind_of_string k with
           | Some kind -> maps := !maps @ [ (n, kind) ]

@@ -1,12 +1,13 @@
 (* Loaded-program registry: the kernel-side object store behind the
    probe_load/probe_read syscalls, /proc/kprobe, and the CLI. Loading
-   is atomic — parse, verify, compile for every attach point, then
-   attach — so a rejected program leaves no trace beyond
+   is atomic — parse, verify, compile for every point the attach names
+   match, then attach — so a rejected program leaves no trace beyond
    [last_error]. *)
 
 type loaded = {
   prog : Insn.prog;
   store : Maps.store;
+  points : Sim.Trace.point list; (* the points it is attached to *)
   loaded_at : Sim.Time.t;
 }
 
@@ -20,17 +21,19 @@ let find name = Hashtbl.find_opt table name
 
 let list () = !order
 
+let detach name l = List.iter (fun pt -> Sim.Trace.detach pt ~name) l.points
+
 let unload name =
   match find name with
   | None -> false
-  | Some _ ->
-    Sim.Trace.detach_name name;
+  | Some l ->
+    detach name l;
     Hashtbl.remove table name;
     order := List.filter (( <> ) name) !order;
     true
 
 let reset () =
-  List.iter (fun name -> Sim.Trace.detach_name name) !order;
+  Hashtbl.iter detach table;
   Hashtbl.reset table;
   order := [];
   last_error := ""
@@ -52,11 +55,12 @@ let load_text text : (string, string) result =
       let store = Maps.create prog.maps in
       let compiled =
         List.fold_right
-          (fun ap acc ->
-            match (acc, Vm.compile store prog ap) with
-            | Ok l, Ok code -> Ok ((ap, code) :: l)
+          (fun pt acc ->
+            match (acc, Vm.compile store prog pt) with
+            | Ok l, Ok code -> Ok ((pt, code) :: l)
             | (Error _ as e), _ | _, (Error _ as e) -> e)
-          prog.attach (Ok [])
+          (List.concat_map Sim.Trace.find prog.attach)
+          (Ok [])
       in
       match compiled with
       | Error e ->
@@ -64,10 +68,10 @@ let load_text text : (string, string) result =
         Error e
       | Ok compiled ->
         ignore (unload prog.pname);
-        let l = { prog; store; loaded_at = Sim.Time.now () } in
+        let l = { prog; store; points = List.map fst compiled; loaded_at = Sim.Time.now () } in
         Hashtbl.replace table prog.pname l;
         order := !order @ [ prog.pname ];
-        List.iter (fun (ap, code) -> Sim.Trace.attach ap ~name:prog.pname code) compiled;
+        List.iter (fun (pt, code) -> Sim.Trace.attach pt ~name:prog.pname code) compiled;
         last_error := "";
         Ok prog.pname))
 
@@ -91,7 +95,26 @@ let render_list () =
           (Printf.sprintf "%-28s %6d %6d %s\n" name
              (Array.length l.prog.code)
              (List.length l.prog.maps)
-             (String.concat "," (List.map Sim.Trace.attach_name l.prog.attach))))
+             (String.concat "," l.prog.attach)))
     !order;
   if !last_error <> "" then Buffer.add_string b (Printf.sprintf "last_error: %s\n" !last_error);
+  Buffer.contents b
+
+(* One line per name a program can attach to, for /proc/kprobe/points:
+   the name, then the fields it may read there, in slot order. A name
+   matches every point declared with it (a single packet's net:tx and a
+   burst's), so its fields are those every one of them has. *)
+let render_points () =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun pt ->
+      match Sim.Trace.find (Sim.Trace.name pt) with
+      | first :: rest when first == pt ->
+        let everywhere f = List.for_all (fun q -> Array.mem f (Sim.Trace.field_names q)) rest in
+        Buffer.add_string b
+          (match List.filter everywhere (Array.to_list (Sim.Trace.field_names pt)) with
+          | [] -> Sim.Trace.name pt ^ "\n"
+          | fields -> Printf.sprintf "%-20s %s\n" (Sim.Trace.name pt) (String.concat "," fields))
+      | _ -> ())
+    (Sim.Trace.points ());
   Buffer.contents b

@@ -15,8 +15,8 @@ let hung_task ?(threshold_ms = 50) () =
   Printf.sprintf
     {|# always-on watchdog: runnable task starved of CPU
 prog watchdog.hung_task
-attach sched_switch
-attach sched_wakeup
+attach sched:switch
+attach sched:wakeup
 map counter fired
 map hist wait_ms
 ldctx r0, max_wait_ns
@@ -38,7 +38,7 @@ let syscall_slo ?(read_us = 50) ?(write_us = 100) ?(fsync_us = 20_000) ?(default
   Printf.sprintf
     {|# always-on watchdog: syscalls above their latency budget
 prog watchdog.syscall_slo
-attach syscall_exit
+attach syscall:exit
 map counter over_total
 map ring offenders
 map perkey over_by_nr
@@ -68,7 +68,7 @@ let irq_storm ?(window_us = 1_000) ?(threshold = 200) () =
   Printf.sprintf
     {|# always-on watchdog: interrupt storms per vector
 prog watchdog.irq_storm
-attach irq_entry
+attach irq:entry
 map perkey win_start
 map perkey win_count
 map counter fired
@@ -95,7 +95,7 @@ ret
 (* Example: syscall invocation counts keyed by nr. *)
 let syscall_count =
   {|prog syscall.count
-attach syscall_enter
+attach syscall:enter
 map perkey by_nr
 ldctx r0, nr
 upd by_nr, r0, 1
@@ -106,7 +106,7 @@ ret
    MiB of disk (sector >> 11). *)
 let blk_lat =
   {|prog blk.lat
-attach blk_complete
+attach blk:complete
 map hist lat_us
 map perkey by_mb
 ldctx r0, lat_ns
@@ -121,8 +121,8 @@ ret
 (* Example: network byte/segment totals across tx and rx. *)
 let net_bytes =
   {|prog net.bytes
-attach net_tx
-attach net_rx
+attach net:tx
+attach net:rx
 map counter bytes
 map counter segs
 ldctx r0, bytes
@@ -136,7 +136,7 @@ ret
    by fd, filtered to reads that overlapped a journal commit. *)
 let read_lat_by_fd =
   {|prog read_lat_by_fd
-attach syscall_exit
+attach syscall:exit
 map khist lat_us_by_fd
 map counter reads_in_commit
 ldctx r0, nr

@@ -5,7 +5,7 @@
    - memory safety: registers are read only after a write on EVERY
      path reaching the read (forward dataflow over a bitmask of
      initialised registers), and context loads touch only fields
-     whitelisted for EVERY attach point the program hooks;
+     that EVERY point the program's attach names match declares;
    - side-effect confinement: map instructions name only maps the
      program declares, with matching kinds, so a program can write
      nothing but its own state (Emit bumps a stat namespaced under the
@@ -35,25 +35,29 @@ let check_reg pc r = if r < 0 || r >= nregs then err "invalid register r%d at pc
 
 let check_operand pc = function Reg r -> check_reg pc r | Imm _ -> Ok ()
 
-(* A ctx field must be legal at EVERY attach point the program hooks,
-   so one resolved slot layout per point is safe. *)
+(* A ctx field must exist at EVERY point the program attaches to, so
+   one resolved slot per point is safe. *)
 let check_ctx pc attach c =
-  let per_point ap =
-    let fields = Sim.Trace.attach_fields ap in
+  let per_point name pt =
+    let fields = Sim.Trace.field_names pt in
     match c with
     | Cidx i ->
       if i < 0 || i >= Array.length fields then
-        err "ctx field index %d out of bounds at pc %d for attach point %s (%d fields)" i pc
-          (Sim.Trace.attach_name ap) (Array.length fields)
+        err "ctx field index %d out of bounds at pc %d for attach point %s (%d fields)" i pc name
+          (Array.length fields)
       else Ok ()
     | Cname n ->
-      if Array.exists (( = ) n) fields then Ok ()
+      if Array.mem n fields then Ok ()
       else
-        err "ctx field '%s' at pc %d is not whitelisted at attach point %s (fields: %s)" n pc
-          (Sim.Trace.attach_name ap)
+        err "ctx field '%s' at pc %d is not whitelisted at attach point %s (fields: %s)" n pc name
           (String.concat ", " (Array.to_list fields))
   in
-  List.fold_left (fun acc ap -> match acc with Error _ -> acc | Ok () -> per_point ap) (Ok ()) attach
+  List.fold_left
+    (fun acc name ->
+      List.fold_left
+        (fun acc pt -> match acc with Error _ -> acc | Ok () -> per_point name pt)
+        acc (Sim.Trace.find name))
+    (Ok ()) attach
 
 let check_map pc prog m want =
   match List.assoc_opt m prog.maps with
@@ -187,8 +191,10 @@ let verify (prog : prog) : (unit, string) result =
   let* () =
     let rec dup = function
       | [] -> if prog.attach = [] then err "program '%s' has no attach point" prog.pname else Ok ()
-      | ap :: tl ->
-        if List.mem ap tl then err "duplicate attach point '%s'" (Sim.Trace.attach_name ap) else dup tl
+      | n :: tl ->
+        if Sim.Trace.find n = [] then Error (unknown_point n)
+        else if List.mem n tl then err "duplicate attach point '%s'" n
+        else dup tl
     in
     dup prog.attach
   in

@@ -1,6 +1,6 @@
 (* The probe compiler. A verified program is compiled once, at load, for
-   each attach point it hooks, into a chain of OCaml closures, one per
-   instruction; firing runs the chain on the point's context buffer.
+   each tracepoint it attaches to, into a chain of OCaml closures, one
+   per instruction; firing runs the chain on the point's field buffer.
    Like Linux's BPF JIT, and like Rex running its safe-by-construction
    extensions as native code, every check happens once, at load: the
    verifier proves the program safe, and compilation resolves each
@@ -12,12 +12,12 @@
    randomness, so an attached program never perturbs the simulation and
    same-seed runs produce byte-identical map contents.
 
-   Registers live in one unboxed buffer per compiled program and attach
+   Registers live in one unboxed buffer per compiled program and
    point, reused by every fire without zeroing. That is sound for two
    reasons. The verifier proved that on every path each register is
    written before it is read, so a value left by an earlier fire is
    never seen. And a run cannot re-enter: a program's effects (its maps,
-   [Stats], ktrace stores) never fire an attach point, so no second run
+   [Stats], ktrace stores) never fire an attachable point, so no second run
    of the same code starts while one is in flight. Immediates sit in the
    same buffer, past the registers, so every operand is one slot read. *)
 
@@ -27,13 +27,13 @@ exception Unresolved of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Unresolved s)) fmt
 
-type code = Sim.Trace.ctx -> unit
+type code = int array -> unit
 
-(* [compile store prog ap] is [prog]'s code for attach point [ap],
+(* [compile store prog pt] is [prog]'s code for tracepoint [pt],
    updating the maps of [store]. Anything it cannot resolve is an error
    here, at load, never an exception when the point fires. *)
-let compile (store : Maps.store) (prog : prog) ap : (code, string) result =
-  let fields = Sim.Trace.attach_fields ap in
+let compile (store : Maps.store) (prog : prog) pt : (code, string) result =
+  let fields = Sim.Trace.field_names pt in
   let len = Array.length prog.code in
   (* Each instruction has at most one immediate. *)
   let regs = Bigarray.(Array1.init int64 c_layout (nregs + len) (fun _ -> 0L)) in
@@ -52,7 +52,7 @@ let compile (store : Maps.store) (prog : prog) ap : (code, string) result =
     | Cname n when Array.mem n fields ->
       let rec find i = if fields.(i) = n then i else find (i + 1) in
       find 0
-    | c -> fail "ctx field %s at pc %d does not exist at %s" (ctxref_str c) pc (Sim.Trace.attach_name ap)
+    | c -> fail "ctx field %s at pc %d does not exist at %s" (ctxref_str c) pc (Sim.Trace.name pt)
   in
   let map pc tbl m =
     match Hashtbl.find_opt tbl m with Some x -> x | None -> fail "map '%s' at pc %d is not in the store" m pc
@@ -104,7 +104,7 @@ let compile (store : Maps.store) (prog : prog) ap : (code, string) result =
       fun c -> regs.{r} <- regs.{s}; k c
     | Ldctx (r, f) ->
       let r = reg pc r and i = field pc f in
-      fun (c : Sim.Trace.ctx) -> regs.{r} <- c.{i}; k c
+      fun (c : int array) -> regs.{r} <- Int64.of_int c.(i); k c
     | Alu (op, r, o) -> alu op (reg pc r) (slot pc o) k
     | Jmp n -> target pc n
     | Jcond (cmp, r, o, n) -> jcond cmp (reg pc r) (slot pc o) (target pc n) k
@@ -134,7 +134,8 @@ let compile (store : Maps.store) (prog : prog) ap : (code, string) result =
          cached here would go stale after [Stats.reset]. *)
       let key = prog.pname ^ "." ^ l and s = slot pc o in
       let point =
-        Sim.Trace.point Sim.Trace.Probe key (fun f -> Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b))
+        Sim.Trace.point Sim.Trace.Probe key [||] (fun f ->
+            Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b))
       in
       fun c ->
         let v = regs.{s} in

@@ -74,12 +74,13 @@ let iotlb_insert key =
 
 let page_args (f : Sim.Trace.fields) = Printf.sprintf "dev=%d page=%#x" f.a f.b
 
-let tp_hit = Sim.Trace.point Sim.Trace.Dma "iotlb_hit" page_args
+let tp_hit = Sim.Trace.point Sim.Trace.Dma "iotlb_hit" [| "dev"; "page" |] page_args
 
-let tp_miss = Sim.Trace.point Sim.Trace.Dma "iotlb_miss" page_args
+let tp_miss = Sim.Trace.point Sim.Trace.Dma "iotlb_miss" [| "dev"; "page" |] page_args
 
 let tp_fault =
-  Sim.Trace.point Sim.Trace.Dma "fault" (fun f -> Printf.sprintf "dev=%d paddr=%#x injected" f.a f.b)
+  Sim.Trace.point Sim.Trace.Dma "fault" [| "dev"; "paddr" |] (fun f ->
+      Printf.sprintf "dev=%d paddr=%#x injected" f.a f.b)
 
 let translate_page dev page =
   let key = (dev, page) in

@@ -20,29 +20,20 @@ let set_trigger site ~after = Hashtbl.replace triggers site (ref after)
 
 let clear_trigger site = Hashtbl.remove triggers site
 
-(* FNV-1a over the site name: a stable int64 key so probe programs can
-   aggregate per site through the chaos_inject attach point. *)
+(* The low 62 bits of the 64-bit FNV-1a hash of the site name: a
+   stable, non-negative map key, so probe programs can aggregate per
+   site through the chaos:inject point. *)
 let site_id site =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    site;
-  Int64.shift_right_logical !h 1 (* keep it non-negative for map keys *)
-
-let fire_inject site n =
-  if Trace.armed Trace.P_chaos_inject then begin
-    let c = Trace.ctx Trace.P_chaos_inject in
-    c.{0} <- site_id site;
-    c.{1} <- Int64.of_int n;
-    Trace.run Trace.P_chaos_inject
-  end
-
-let tp_trigger = Trace.point Trace.Chaos "trigger" (fun f -> "site=" ^ f.Trace.s)
+  let h = ref (Int64.to_int 0xcbf29ce484222325L) in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) site;
+  !h land max_int
 
 let tp_inject =
-  Trace.point Trace.Chaos "inject" (fun f -> Printf.sprintf "site=%s n=%d" f.Trace.s f.Trace.a)
+  Trace.point Trace.Chaos "inject" [| "site_id"; "count" |] (fun f ->
+      Printf.sprintf "site=%s n=%d" f.Trace.s f.Trace.b)
+
+let inject site n =
+  Trace.emit_s tp_inject site (if Trace.live tp_inject then site_id site else 0) n 0 0 0 0
 
 let countdown site =
   match Hashtbl.find_opt triggers site with
@@ -52,8 +43,7 @@ let countdown site =
     else if !r = 0 then begin
       r := -1;
       Stats.incr ("fault.injected." ^ site);
-      Trace.emit_s tp_trigger site 0 0 0 0;
-      fire_inject site 1;
+      inject site 1;
       true
     end
     else begin
@@ -91,8 +81,7 @@ let record t site =
   t.nlog <- t.nlog + 1;
   t.log_rev <- Printf.sprintf "%d %s #%d" (Time.now ()) site t.nlog :: t.log_rev;
   Stats.incr ("fault.injected." ^ site);
-  Trace.emit_s tp_inject site t.nlog 0 0 0;
-  fire_inject site t.nlog
+  inject site t.nlog
 
 let roll site =
   match !plane with

@@ -1,11 +1,17 @@
-type t = { mutable state : int64 }
+(* The state lives in a one-slot int64 Bigarray rather than a mutable
+   int64 field: loads and stores through a Bigarray of known kind stay
+   unboxed, so a draw that does not return an int64 allocates nothing. *)
+type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let create seed = { state = seed }
+let create seed : t =
+  let t = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
+  t.{0} <- seed;
+  t
 
 (* splitmix64: fast, well-distributed, trivially seedable. *)
-let next t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let[@inline] next (t : t) =
+  let z = Int64.add t.{0} 0x9E3779B97F4A7C15L in
+  t.{0} <- z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

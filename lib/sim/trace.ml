@@ -3,7 +3,7 @@
 
    Every record carries the virtual clock, the name of kprof's current
    context, the span live on it, a tracepoint and that point's raw
-   fields. Emission charges no virtual cycles, so enabling tracing never
+   fields. Probe programs attach to the same points. Emission charges no virtual cycles, so enabling tracing never
    perturbs a benchmark number, and all inputs (clock, task names, event
    order) are deterministic, so the same seed yields a byte-identical
    trace.
@@ -79,13 +79,49 @@ type record = {
   args : string;
 }
 
-(* --- Tracepoints --- *)
+(* --- Tracepoints ---
 
-type fields = { a : int; b : int; c : int; d : int; s : string }
+   One point per event. A point names up to [max_fields] int fields;
+   the ring stores them when the point's category is on, and probe
+   programs (lib/kprobe) attached to the point read them from its one
+   preallocated buffer. Every point but the [Probe] ones kprobe makes at
+   load is listed, in declaration order, so consumers attach by name. *)
 
-type point = { pcat : category; pbit : int; pname : string; fmt : fields -> string }
+type fields = { a : int; b : int; c : int; d : int; e : int; f : int; s : string }
 
-let point cat name fmt = { pcat = cat; pbit = bit cat; pname = name; fmt }
+let max_fields = 6
+
+type point = {
+  pcat : category;
+  pbit : int;
+  pname : string;
+  full : string; (* "<category>:<name>" *)
+  pfields : string array;
+  fmt : fields -> string;
+  buf : int array; (* the fields as consumers read them *)
+  mutable hooks : (string * (int array -> unit)) list; (* attach order *)
+}
+
+let declared : point list ref = ref [] (* declaration order *)
+
+let point cat name pfields fmt =
+  if Array.length pfields > max_fields then invalid_arg "Trace.point: more than six fields";
+  let full = category_name cat ^ ":" ^ name and buf = Array.make max_fields 0 in
+  let pt = { pcat = cat; pbit = bit cat; pname = name; full; pfields; fmt; buf; hooks = [] } in
+  if cat <> Probe then declared := !declared @ [ pt ];
+  pt
+
+let name pt = pt.full
+
+let field_names pt = pt.pfields
+
+let points () = !declared
+
+let find n = List.filter (fun pt -> String.equal pt.full n) !declared
+
+let attach pt ~name f = pt.hooks <- pt.hooks @ [ (name, f) ]
+
+let detach pt ~name = pt.hooks <- List.filter (fun (n, _) -> n <> name) pt.hooks
 
 let hi32 v = Int64.to_int (Int64.shift_right v 32)
 
@@ -96,15 +132,15 @@ let join64 hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of
 (* --- The ring ---
 
    Structure of arrays, one slot per record: [ints] holds [stride]
-   native ints per slot (cycles, span id, four fields), and the task
+   native ints per slot (cycles, span id, six fields), and the task
    name, string field and point are shared pointers to values that
    already exist. Empty until the first enable. *)
 
 let default_capacity = 8192
 
-let stride = 6
+let stride = 8
 
-let no_point = point Syscall "" (fun _ -> "")
+let no_point = point Probe "" [||] (fun _ -> "")
 
 type ring = {
   mutable cap : int;
@@ -154,7 +190,7 @@ let set_mask m =
 
 let enabled cat = !mask land bit cat <> 0
 
-let on pt = !mask land pt.pbit <> 0
+let live pt = !mask land pt.pbit <> 0 || pt.hooks != []
 
 let enable cat = set_mask (!mask lor bit cat)
 
@@ -195,7 +231,7 @@ let reset () =
 (* A record names kprof's current context (comm/tid, or idle/0) and the
    span live on the emitting task, so [trace run] output can be grepped
    by request. *)
-let store pt s a b c d =
+let store pt s a b c d e f =
   let i = ring.head in
   let o = i * stride in
   let ints = ring.ints in
@@ -205,6 +241,8 @@ let store pt s a b c d =
   ints.(o + 3) <- b;
   ints.(o + 4) <- c;
   ints.(o + 5) <- d;
+  ints.(o + 6) <- e;
+  ints.(o + 7) <- f;
   ring.tasks.(i) <- Prof.current_name ();
   ring.strs.(i) <- s;
   ring.pts.(i) <- pt;
@@ -213,17 +251,33 @@ let store pt s a b c d =
   else ring.dropped <- ring.dropped + 1 (* overwrote the oldest record *);
   ring.total <- ring.total + 1
 
-let emit_s pt s a b c d = if on pt then store pt s a b c d
+let rec run_hooks buf = function [] -> () | (_, h) :: tl -> h buf; run_hooks buf tl
 
-let emit0 pt = if on pt then store pt "" 0 0 0 0
+(* Store first, then run the consumers: a record a consumer emits
+   (a probe's [emit]) lands after the event that fired it. *)
+let emit_s pt s a b c d e f =
+  if !mask land pt.pbit <> 0 then store pt s a b c d e f;
+  match pt.hooks with
+  | [] -> ()
+  | hooks ->
+    let buf = pt.buf in
+    buf.(0) <- a;
+    buf.(1) <- b;
+    buf.(2) <- c;
+    buf.(3) <- d;
+    buf.(4) <- e;
+    buf.(5) <- f;
+    run_hooks buf hooks
 
-let emit1 pt a = if on pt then store pt "" a 0 0 0
+let emit0 pt = emit_s pt "" 0 0 0 0 0 0
 
-let emit2 pt a b = if on pt then store pt "" a b 0 0
+let emit1 pt a = emit_s pt "" a 0 0 0 0 0
 
-let emit3 pt a b c = if on pt then store pt "" a b c 0
+let emit2 pt a b = emit_s pt "" a b 0 0 0 0
 
-let emit4 pt a b c d = if on pt then store pt "" a b c d
+let emit3 pt a b c = emit_s pt "" a b c 0 0 0
+
+let emit6 pt a b c d e f = emit_s pt "" a b c d e f
 
 let dropped () = ring.dropped
 
@@ -242,7 +296,15 @@ let record_at i =
   let pt = ring.pts.(i) in
   let args =
     pt.fmt
-      { a = ints.(o + 2); b = ints.(o + 3); c = ints.(o + 4); d = ints.(o + 5); s = ring.strs.(i) }
+      {
+        a = ints.(o + 2);
+        b = ints.(o + 3);
+        c = ints.(o + 4);
+        d = ints.(o + 5);
+        e = ints.(o + 6);
+        f = ints.(o + 7);
+        s = ring.strs.(i);
+      }
   in
   let args =
     match ints.(o + 1) with
@@ -268,118 +330,3 @@ let render ?limit () =
     Buffer.add_string b (render_record (record_at (slot k)))
   done;
   Buffer.contents b
-
-(* --- Probe attach plane ---------------------------------------------
-
-   Structured tracepoints that verified probe programs (lib/kprobe) can
-   attach to. Unlike the ktrace points above, whose records the ring
-   renders for display, a site tests [armed], writes its fields into
-   the point's preallocated, unboxed context buffer and calls [run],
-   which allocates nothing. The buffer's layout is fixed per attach
-   point (see [attach_fields]); the kprobe verifier whitelists field
-   accesses against exactly these layouts.
-
-   Like the ktrace ring, the plane is free in virtual time: consumers
-   charge no cycles, and when nothing is attached a site is a single
-   bitmask test that builds nothing, so a detached run is bit-for-bit
-   identical to a build without the tracepoint. *)
-
-type attach_point =
-  | P_syscall_enter
-  | P_syscall_exit
-  | P_blk_issue
-  | P_blk_complete
-  | P_net_tx
-  | P_net_rx
-  | P_sched_switch
-  | P_sched_wakeup
-  | P_irq_entry
-  | P_jbd_commit
-  | P_chaos_inject
-
-let all_attach_points =
-  [ P_syscall_enter; P_syscall_exit; P_blk_issue; P_blk_complete; P_net_tx;
-    P_net_rx; P_sched_switch; P_sched_wakeup; P_irq_entry; P_jbd_commit;
-    P_chaos_inject ]
-
-let attach_index = function
-  | P_syscall_enter -> 0
-  | P_syscall_exit -> 1
-  | P_blk_issue -> 2
-  | P_blk_complete -> 3
-  | P_net_tx -> 4
-  | P_net_rx -> 5
-  | P_sched_switch -> 6
-  | P_sched_wakeup -> 7
-  | P_irq_entry -> 8
-  | P_jbd_commit -> 9
-  | P_chaos_inject -> 10
-
-let attach_name = function
-  | P_syscall_enter -> "syscall_enter"
-  | P_syscall_exit -> "syscall_exit"
-  | P_blk_issue -> "blk_issue"
-  | P_blk_complete -> "blk_complete"
-  | P_net_tx -> "net_tx"
-  | P_net_rx -> "net_rx"
-  | P_sched_switch -> "sched_switch"
-  | P_sched_wakeup -> "sched_wakeup"
-  | P_irq_entry -> "irq_entry"
-  | P_jbd_commit -> "jbd_commit"
-  | P_chaos_inject -> "chaos_inject"
-
-let attach_of_string s =
-  List.find_opt (fun ap -> attach_name ap = s) all_attach_points
-
-(* Whitelisted context fields per attach point. The array index is the
-   slot the firing site writes; the verifier resolves names to slots at
-   load time, so programs can only read fields that exist here. *)
-let attach_fields = function
-  | P_syscall_enter -> [| "nr"; "pid"; "arg0" |]
-  | P_syscall_exit -> [| "nr"; "ret"; "lat_ns"; "pid"; "arg0"; "journal_commit" |]
-  | P_blk_issue -> [| "sector"; "len"; "write" |]
-  | P_blk_complete -> [| "sector"; "len"; "write"; "lat_ns"; "status" |]
-  | P_net_tx -> [| "bytes"; "nseg" |]
-  | P_net_rx -> [| "bytes"; "nseg" |]
-  | P_sched_switch -> [| "prev_tid"; "next_tid"; "now_ns"; "max_wait_ns" |]
-  | P_sched_wakeup -> [| "tid"; "now_ns"; "max_wait_ns" |]
-  | P_irq_entry -> [| "vector"; "now_ns" |]
-  | P_jbd_commit -> [| "seq"; "nblocks" |]
-  | P_chaos_inject -> [| "site_id"; "count" |]
-
-type ctx = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let ctxs =
-  let make ap = Bigarray.(Array1.init int64 c_layout (Array.length (attach_fields ap)) (fun _ -> 0L)) in
-  Array.of_list (List.map make all_attach_points)
-
-let ctx ap = ctxs.(attach_index ap)
-
-(* Consumers, keyed by program name in attach order (deterministic
-   execution order = load order). [live] mirrors the hook table as a
-   bitmask so the detached fast path is one [land]. *)
-let hooks : (string * (ctx -> unit)) list array = Array.make (Array.length ctxs) []
-
-let live = ref 0
-
-let attach ap ~name f =
-  let i = attach_index ap in
-  hooks.(i) <- hooks.(i) @ [ (name, f) ];
-  live := !live lor (1 lsl i)
-
-let detach ap ~name =
-  let i = attach_index ap in
-  hooks.(i) <- List.filter (fun (n, _) -> n <> name) hooks.(i);
-  if hooks.(i) = [] then live := !live land lnot (1 lsl i)
-
-let detach_name name = List.iter (fun ap -> detach ap ~name) all_attach_points
-
-let any_attached () = !live <> 0
-
-let armed ap = !live land (1 lsl attach_index ap) <> 0
-
-let rec run_hooks c = function [] -> () | (_, f) :: tl -> f c; run_hooks c tl
-
-let run ap =
-  let i = attach_index ap in
-  run_hooks ctxs.(i) hooks.(i)

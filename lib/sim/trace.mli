@@ -4,8 +4,8 @@
     overflow counter, and an ftrace-style text renderer. Each site
     declares its tracepoint once ({!point}); emitting stores the
     cycle count, kprof's context name, the live span id, the point and
-    its raw fields, and allocates nothing. The point's renderer runs
-    only when the ring is read. Emission charges no virtual cycles and
+    its raw fields, runs any probe attached to the point, and allocates
+    nothing. The point's renderer runs only when the ring is read. Emission charges no virtual cycles and
     every input is deterministic, so the same seed yields a
     byte-identical trace. All categories are off by default, and the
     ring's storage is made on the first enable. *)
@@ -53,44 +53,73 @@ val mask_value : unit -> int
 val set_mask : int -> unit
 (** Set the raw bitmask; bits that match no category are ignored. *)
 
-(** {2 Tracepoints} *)
+(** {2 Tracepoints}
 
-type fields = { a : int; b : int; c : int; d : int; s : string }
+    One point per event. A site fires its point once; the ring stores
+    the record when the point's category is enabled, and consumers
+    attached to the point (verified probe programs, lib/kprobe) then run
+    over the point's one preallocated field buffer. Both charge no
+    virtual cycles. *)
+
+type fields = { a : int; b : int; c : int; d : int; e : int; f : int; s : string }
 (** A record's raw fields, as its renderer sees them; unused ones are
     [0] or [""]. *)
 
 type point
 
-val point : category -> string -> (fields -> string) -> point
-(** [point cat name render] declares a tracepoint. [render] builds the
-    args string from a record's fields when the ring is read; it must
-    depend on nothing else. *)
+val point : category -> string -> string array -> (fields -> string) -> point
+(** [point cat name fields render] declares a tracepoint. [fields] names
+    its int fields in slot order ([a] to [f]), at most six; they are
+    what an attached probe may read. [render] builds the args string
+    from a record's fields when the ring is read; it must depend on
+    nothing else. Every point but a [Probe] one is listed by {!points}. *)
 
-val on : point -> bool
-(** Whether the point's category is enabled: a site whose fields cost
-    work to compute tests it first. *)
+val live : point -> bool
+(** Whether the point's category is enabled or something is attached:
+    a site whose fields cost work to compute tests it first. *)
 
 val emit0 : point -> unit
 val emit1 : point -> int -> unit
 val emit2 : point -> int -> int -> unit
 val emit3 : point -> int -> int -> int -> unit
-val emit4 : point -> int -> int -> int -> int -> unit
-(** [emitN pt a ...] records [pt] with [N] int fields if its category
-    is enabled. The record's task is kprof's current context
-    ({!Prof.current_name}) and its span the one active on it
-    ({!Span.current}). *)
+val emit6 : point -> int -> int -> int -> int -> int -> int -> unit
+(** [emitN pt a ...] fires [pt] with [N] int fields (the rest are 0).
+    If its category is enabled the ring stores a record, whose task is
+    kprof's current context ({!Prof.current_name}) and span the one
+    active on it ({!Span.current}). Then, if anything is attached, the
+    fields are written to the point's buffer and the consumers run, in
+    attach order. Neither step allocates. *)
 
-val emit_s : point -> string -> int -> int -> int -> int -> unit
-(** [emit_s pt s a b c d] also records one string that already exists
-    (a name, never one built for the record). *)
+val emit_s : point -> string -> int -> int -> int -> int -> int -> int -> unit
+(** [emit_s pt s a b c d e f] also records one string that already
+    exists (a name, never one built for the record). Consumers do not
+    see it. *)
+
+val name : point -> string
+(** ["<category>:<name>"], the name consumers attach by. *)
+
+val field_names : point -> string array
+
+val points : unit -> point list
+(** Every declared point but the [Probe] ones, in declaration order. *)
+
+val find : string -> point list
+(** The points {!name} names, in declaration order. A name may match
+    several points (a single packet's [net:tx] and a burst's). *)
+
+val attach : point -> name:string -> (int array -> unit) -> unit
+(** Register a consumer under [name]. Slot [i] of the buffer it gets is
+    field [i] of {!field_names}. A consumer must not keep the buffer
+    after it returns, and must not fire a point itself. *)
+
+val detach : point -> name:string -> unit
 
 val hi32 : int64 -> int
 val lo32 : int64 -> int
 
 val join64 : int -> int -> int64
 (** [join64 (hi32 v) (lo32 v) = v]: a 64-bit value as two int fields.
-    Only values that are not times need this (a syscall's return, a
-    probe's emitted value); a timestamp is a {!Time.t} and fits one. *)
+    Only a probe's emitted value, a 64-bit register, needs this. *)
 
 (** {2 The ring} *)
 
@@ -121,56 +150,3 @@ val render_record : record -> string
 val render : ?limit:int -> unit -> string
 (** The buffered records, newest-[limit] (default all), one per line.
     Only those [limit] records are formatted. *)
-
-(** {2 Probe attach plane}
-
-    Structured tracepoints for verified probe programs (lib/kprobe). A
-    site tests {!armed}, writes every field of the point's preallocated
-    buffer {!ctx} and calls {!run}, which allocates nothing. The layout
-    is fixed by [attach_fields]; the kprobe verifier whitelists field
-    accesses against exactly these layouts. With nothing attached a
-    site is a single bitmask test that builds nothing, so a detached run
-    is bit-identical to one without the tracepoint. Consumers charge no
-    virtual cycles. *)
-
-type attach_point =
-  | P_syscall_enter
-  | P_syscall_exit
-  | P_blk_issue
-  | P_blk_complete
-  | P_net_tx
-  | P_net_rx
-  | P_sched_switch
-  | P_sched_wakeup
-  | P_irq_entry
-  | P_jbd_commit
-  | P_chaos_inject
-
-val all_attach_points : attach_point list
-val attach_name : attach_point -> string
-val attach_of_string : string -> attach_point option
-
-val attach_fields : attach_point -> string array
-(** Whitelisted context-field names; the array index is the slot the
-    firing site writes. *)
-
-type ctx = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A context buffer: one int64 per field of [attach_fields]. *)
-
-val attach : attach_point -> name:string -> (ctx -> unit) -> unit
-(** Register a consumer. Consumers run in attach order (load order), so
-    execution is deterministic. A consumer must not keep the buffer
-    after it returns, and must not fire an attach point itself. *)
-
-val detach : attach_point -> name:string -> unit
-val detach_name : string -> unit
-(** Detach [name] from every attach point. *)
-
-val any_attached : unit -> bool
-
-val armed : attach_point -> bool
-(** Whether anything is attached to the point: one bitmask test. *)
-
-val ctx : attach_point -> ctx
-val run : attach_point -> unit
-(** Run the point's consumers on its buffer. *)

@@ -1359,7 +1359,8 @@ let test_getdents_whole_entries () =
    blocking read returns what is there. A 1 MiB write to /dev/null and
    a 1 MiB pread64 of a cached /tmp file each allocate less than two
    chunks' worth of host words, where a buffer of the count would take
-   131,072. *)
+   131,072, and so does a 64 KiB getrandom, which draws once per byte
+   (a boxed generator state made it 393,334). *)
 (* readv is one read, as on Linux: only its first iovec may wait. With
    10 bytes queued on a pipe and on a unix socketpair, a blocking readv
    of two 10-byte iovecs returns 10; the second iovec must not wait for
@@ -1522,26 +1523,29 @@ let test_copy_chunks () =
           let minor, promoted, major = Gc.counters () in
           minor +. major -. promoted
         in
-        let measure name call =
+        let measure ~want name call =
           ignore (call ());
           let w0 = allocated () in
-          answer mib name (call ());
+          answer want name (call ());
           words := (name, allocated () -. w0) :: !words
         in
         put (pattern 3 mib);
         let null = L.openf c "/dev/null" ~flags:1 ~mode:0 in
-        measure "1 MiB write to /dev/null" (fun () -> L.write c ~fd:null ~vaddr:src ~len:mib);
+        measure ~want:mib "1 MiB write to /dev/null" (fun () ->
+            L.write c ~fd:null ~vaddr:src ~len:mib);
         let fd = L.openf c "/tmp/cached" ~flags:0o102 ~mode:0o644 in
         answer mib "1 MiB write to /tmp" (L.write c ~fd ~vaddr:src ~len:mib);
-        measure "1 MiB pread64 of a cached /tmp file" (fun () ->
+        measure ~want:mib "1 MiB pread64 of a cached /tmp file" (fun () ->
             L.pread c ~fd ~vaddr:dst ~len:mib ~off:0);
         landed "1 MiB pread64 of a cached /tmp file" (pattern 3 mib);
+        measure ~want:65_536 "64 KiB getrandom" (fun () ->
+            L.syscall c Aster.Syscall_nr.getrandom [| Int64.of_int dst; 65_536L; 0L |]);
         0)
   in
   Alcotest.(check (list string)) "every count gets Linux's answer" [] (List.rev !wrong);
   check_int "exit" 0 code;
-  check_int "both calls measured" 2 (List.length !words);
-  Alcotest.(check (list string)) "each 1 MiB call allocates under 16,384 host words" []
+  check_int "every call measured" 3 (List.length !words);
+  Alcotest.(check (list string)) "each call allocates under 16,384 host words" []
     (List.filter_map
        (fun (name, w) -> if w < 16_384. then None else Some (Printf.sprintf "%s: %.0f" name w))
        (List.rev !words))
@@ -1550,7 +1554,10 @@ let test_copy_chunks () =
    not deliver queued, as Linux's pipe_read, tcp_recvmsg and
    unix_stream_read_generic do: the read asks the object only for what
    the destination can receive. On a pipe, a unix socketpair and a
-   loopback TCP pair, each read end O_NONBLOCK. *)
+   loopback TCP pair. A read into a destination with no reachable byte
+   answers in Linux's order: -EAGAIN when non-blocking with nothing
+   queued, -EFAULT only once a second task's write has queued bytes
+   (which stay queued), and 0 at end of stream. *)
 let test_stream_read_fault_keeps_bytes () =
   let module L = Apps.Libc in
   let wrong = ref [] in
@@ -1590,7 +1597,28 @@ let test_stream_read_fault_keeps_bytes () =
             (L.read c ~fd:rd ~vaddr:edge ~len:(2 * page));
           landed (name ^ " first 4096") (Bytes.sub b 0 page) edge;
           answer page (name ^ " next read") (L.read c ~fd:rd ~vaddr:dst ~len:(2 * page));
-          landed (name ^ " next 4096") (Bytes.sub b page page) dst
+          landed (name ^ " next 4096") (Bytes.sub b page page) dst;
+          answer (-Aster.Errno.eagain) (name ^ " non-blocking read of nothing at 0x10")
+            (L.read c ~fd:rd ~vaddr:0x10 ~len:10);
+          ignore (L.fcntl_setfl c ~fd:rd ~flags:0);
+          let b = pattern 3 10 in
+          let wrote = ref false in
+          ignore
+            (L.clone_thread c (fun uapi ->
+                 let c = L.make uapi in
+                 ignore (L.nanosleep_us c 5_000.);
+                 put b;
+                 answer 10 (name ^ " second task's write") (L.write c ~fd:wr ~vaddr:src ~len:10);
+                 wrote := true;
+                 0));
+          answer (-Aster.Errno.efault) (name ^ " blocking read of nothing at 0x10")
+            (L.read c ~fd:rd ~vaddr:0x10 ~len:10);
+          if not !wrote then wrong := (name ^ ": EFAULT before the second task wrote") :: !wrong;
+          answer 10 (name ^ " read after the blocking fault") (L.read c ~fd:rd ~vaddr:dst ~len:10);
+          landed (name ^ " read after the blocking fault") b dst;
+          ignore (L.close c wr);
+          ignore (L.nanosleep_us c 10_000.);
+          answer 0 (name ^ " read at end of stream at 0x10") (L.read c ~fd:rd ~vaddr:0x10 ~len:10)
         in
         (match L.pipe c with
         | Ok (rd, wr) -> stream "pipe" rd wr

@@ -32,7 +32,7 @@ let boot () = Apps.Runner.boot ~profile:Sim.Profile.asterinas
    the sleeper first. The oracle arms many of them from separate
    tasks against one far base instant, so deadlines collide on
    purpose, and wakes a seeded third through their queues halfway to
-   the deadline. Wakeups are observed on the sched_wakeup probe point,
+   the deadline. Wakeups are observed on the sched:wakeup tracepoint,
    so the check sees firing order, not scheduler order. *)
 
 let timer_counts () =
@@ -53,8 +53,9 @@ let timeout_oracle seed () =
   let rng = Sim.Rng.create seed in
   let n = 200 in
   let wakes = ref [] in
-  Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:"test.timer_order" (fun ctx ->
-      wakes := (Int64.to_int ctx.{0}, Sim.Time.now ()) :: !wakes);
+  let wakeup = List.hd (Sim.Trace.find "sched:wakeup") in
+  Sim.Trace.attach wakeup ~name:"test.timer_order" (fun ctx ->
+      wakes := (ctx.(0), Sim.Time.now ()) :: !wakes);
   let arm_seq = ref 0 in
   let finished = ref 0 in
   let done_wq = Ostd.Wait_queue.create () in
@@ -112,7 +113,7 @@ let timeout_oracle seed () =
       Ostd.Wait_queue.sleep_until done_wq (fun () -> !finished = n);
       0);
   Apps.Runner.run ();
-  Sim.Trace.detach_name "test.timer_order";
+  Sim.Trace.detach wakeup ~name:"test.timer_order";
   let sleepers = Array.to_list !sleepers in
   check_int "every sleeper returned" n !finished;
   check "every sleeper armed before the base instant" true

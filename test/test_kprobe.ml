@@ -56,7 +56,7 @@ let expect_reject msg needle result =
     if not (contains e needle) then
       Alcotest.failf "%s: reason %S does not mention %S" msg e needle
 
-let direct_prog ?(attach = [ Sim.Trace.P_syscall_enter ]) ?(maps = []) code =
+let direct_prog ?(attach = [ "syscall:enter" ]) ?(maps = []) code =
   { Kprobe.Insn.pname = "t.direct"; attach; maps; code = Array.of_list code }
 
 (* --- Verifier rejections --- *)
@@ -68,23 +68,23 @@ let test_reject_backward_jump () =
   expect_reject "backward jump" "backward or in-place jump"
     (Kprobe.Verifier.verify (direct_prog [ Ld (0, Imm 1L); Jmp (-1); Ret ]));
   expect_reject "backward jump via text" "only strictly forward jumps"
-    (verify_text "prog t\nattach syscall_enter\nld r0, 1\njmp 0\nret\n")
+    (verify_text "prog t\nattach syscall:enter\nld r0, 1\njmp 0\nret\n")
 
 let test_reject_jump_overshoot () =
   expect_reject "overshooting jump" "overshoots the program end"
-    (verify_text "prog t\nattach syscall_enter\nld r0, 1\njeq r0, 1, +5\nret\n")
+    (verify_text "prog t\nattach syscall:enter\nld r0, 1\njeq r0, 1, +5\nret\n")
 
 let test_reject_oob_ctx_field () =
   let open Kprobe.Insn in
-  (* syscall_enter exposes 3 fields; slot 7 is out of bounds. *)
+  (* syscall:enter exposes 3 fields; slot 7 is out of bounds. *)
   expect_reject "ctx index out of bounds" "out of bounds"
     (Kprobe.Verifier.verify (direct_prog [ Ldctx (0, Cidx 7); Ret ]));
-  (* lat_ns exists at syscall_exit but is NOT whitelisted at enter. *)
+  (* lat_ns exists at syscall:exit but is NOT a field of enter. *)
   expect_reject "ctx name not whitelisted" "not whitelisted"
-    (verify_text "prog t\nattach syscall_enter\nldctx r0, lat_ns\nret\n");
+    (verify_text "prog t\nattach syscall:enter\nldctx r0, lat_ns\nret\n");
   (* a multi-point program may only touch the intersection *)
   expect_reject "ctx must be legal at every attach point" "not whitelisted"
-    (verify_text "prog t\nattach syscall_exit\nattach syscall_enter\nldctx r0, lat_ns\nret\n")
+    (verify_text "prog t\nattach syscall:exit\nattach syscall:enter\nldctx r0, lat_ns\nret\n")
 
 let test_reject_overlong_program () =
   let open Kprobe.Insn in
@@ -94,22 +94,22 @@ let test_reject_overlong_program () =
 
 let test_reject_foreign_map () =
   expect_reject "undeclared map" "not declared by program"
-    (verify_text "prog t\nattach syscall_enter\ncount nope, 1\nret\n");
+    (verify_text "prog t\nattach syscall:enter\ncount nope, 1\nret\n");
   expect_reject "map kind mismatch" "declared counter but used as hist"
     (verify_text
-       "prog t\nattach syscall_enter\nmap counter c\nld r0, 1\nhist c, r0\nret\n")
+       "prog t\nattach syscall:enter\nmap counter c\nld r0, 1\nhist c, r0\nret\n")
 
 let test_reject_uninitialised_register () =
   expect_reject "read before init" "read before initialisation"
-    (verify_text "prog t\nattach syscall_enter\nadd r0, 1\nret\n");
+    (verify_text "prog t\nattach syscall:enter\nadd r0, 1\nret\n");
   (* r1 is initialised on only one of the two paths reaching the read *)
   expect_reject "partial-path init" "read before initialisation"
     (verify_text
-       "prog t\nattach syscall_enter\nld r0, 1\njeq r0, 0, +1\nld r1, 5\nadd r1, 1\nret\n");
+       "prog t\nattach syscall:enter\nld r0, 1\njeq r0, 0, +1\nld r1, 5\nadd r1, 1\nret\n");
   (* ...but initialising on both paths is fine *)
   match
     verify_text
-      "prog t\nattach syscall_enter\nld r0, 1\nld r1, 2\njeq r0, 0, +1\nld r1, 5\nadd r1, 1\nret\n"
+      "prog t\nattach syscall:enter\nld r0, 1\nld r1, 2\njeq r0, 0, +1\nld r1, 5\nadd r1, 1\nret\n"
   with
   | Ok () -> ()
   | Error e -> Alcotest.failf "both-path init rejected: %s" e
@@ -119,10 +119,10 @@ let test_reject_structural () =
     (verify_text "prog t\nld r0, 1\nret\n");
   expect_reject "empty program" "empty program"
     (Kprobe.Verifier.verify (direct_prog []));
-  (match Kprobe.Parse.parse "prog t\nattach syscall_enter\nfrobnicate r0\n" with
+  (match Kprobe.Parse.parse "prog t\nattach syscall:enter\nfrobnicate r0\n" with
   | Ok _ -> Alcotest.fail "parser accepted an unknown mnemonic"
   | Error e -> check "parse error names the line" true (contains e "line"));
-  match Kprobe.Parse.parse "attach syscall_enter\nret\n" with
+  match Kprobe.Parse.parse "attach syscall:enter\nret\n" with
   | Ok _ -> Alcotest.fail "parser accepted a nameless program"
   | Error e -> check "missing prog directive" true (contains e "missing 'prog")
 
@@ -143,18 +143,20 @@ let test_templates_all_verify () =
 
 (* --- VM execution over synthetic fires --- *)
 
-(* Fire [ap] as a kernel site does, building the fields only when
-   something is attached. *)
-let fire ap fields =
-  if Sim.Trace.armed ap then begin
-    let c = Sim.Trace.ctx ap in
-    Array.iteri (fun i v -> c.{i} <- v) (fields ());
-    Sim.Trace.run ap
-  end
+(* Fire the points named [name] as a kernel site does, building the
+   fields only when the point is live. *)
+let fire name fields =
+  List.iter
+    (fun pt ->
+      if Sim.Trace.live pt then begin
+        let f = Array.append (fields ()) (Array.make 6 0) in
+        Sim.Trace.emit6 pt f.(0) f.(1) f.(2) f.(3) f.(4) f.(5)
+      end)
+    (Sim.Trace.find name)
 
 let vm_prog =
   {|prog t.vm
-attach syscall_enter
+attach syscall:enter
 map counter hits
 map perkey by_nr
 map hist lat
@@ -175,9 +177,9 @@ let test_vm_exec_and_maps () =
   (match Kprobe.Registry.load_text vm_prog with
   | Error e -> Alcotest.failf "vm prog rejected: %s" e
   | Ok _ -> ());
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 5L; 1L; 0L |]);
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 7L; 1L; 0L |]);
+  fire "syscall:enter" (fun () -> [| 5; 1; 0 |]);
+  fire "syscall:enter" (fun () -> [| 5; 1; 0 |]);
+  fire "syscall:enter" (fun () -> [| 7; 1; 0 |]);
   let maps =
     match Kprobe.Registry.render_maps "t.vm" with
     | Some s -> s
@@ -195,15 +197,14 @@ let test_vm_exec_and_maps () =
 let test_ring_bounded () =
   fresh ();
   let text =
-    "prog t.ring\nattach syscall_enter\nmap ring r\nldctx r0, nr\nldctx r1, pid\n\
+    "prog t.ring\nattach syscall:enter\nmap ring r\nldctx r0, nr\nldctx r1, pid\n\
      ring r, r0, r1\nret\n"
   in
   (match Kprobe.Registry.load_text text with
   | Error e -> Alcotest.failf "ring prog rejected: %s" e
   | Ok _ -> ());
   for i = 1 to 70 do
-    fire Sim.Trace.P_syscall_enter (fun () ->
-        [| Int64.of_int i; Int64.of_int (1000 + i); 0L |])
+    fire "syscall:enter" (fun () -> [| i; 1000 + i; 0 |])
   done;
   let maps = Option.get (Kprobe.Registry.render_maps "t.ring") in
   check "ring capped at 64" true (contains maps "64 entries");
@@ -215,23 +216,23 @@ let test_ring_bounded () =
 let test_detached_fires_cost_nothing () =
   fresh ();
   let evaluated = ref false in
-  fire Sim.Trace.P_blk_issue (fun () ->
+  fire "blk:issue" (fun () ->
       evaluated := true;
-      [| 0L; 0L; 0L |]);
+      [| 0; 0; 0 |]);
   check "fields thunk never built with nothing attached" false !evaluated;
-  check "no consumers registered" false (Sim.Trace.any_attached ())
+  check "no consumers registered" false (List.exists Sim.Trace.live (Sim.Trace.points ()))
 
 let test_emit_is_namespaced () =
   fresh ();
   let text =
-    "prog t.emit\nattach syscall_enter\nmap counter c\nldctx r0, nr\nemit saw_nr, r0\n\
+    "prog t.emit\nattach syscall:enter\nmap counter c\nldctx r0, nr\nemit saw_nr, r0\n\
      emit lo, -9223372036854775808\nemit hi, 9223372036854775807\ncount c, 1\nret\n"
   in
   (match Kprobe.Registry.load_text text with
   | Error e -> Alcotest.failf "emit prog rejected: %s" e
   | Ok _ -> ());
   Sim.Trace.enable Sim.Trace.Probe;
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 42L; 1L; 0L |]);
+  fire "syscall:enter" (fun () -> [| 42; 1; 0 |]);
   (* the stat is namespaced under the program's name: confinement *)
   check_int "emit bumps <pname>.<label>" 1 (Sim.Stats.get "t.emit.saw_nr");
   check "trace record lands in the probe category" true
@@ -261,16 +262,16 @@ let test_reject_duplicate_attach () =
     Printf.sprintf "prog dup\n%smap counter c\ncount c, 1\nret\n"
       (String.concat "" (List.map (fun a -> "attach " ^ a ^ "\n") attach))
   in
-  expect_reject "repeated attach point" "duplicate attach point 'syscall_enter'"
-    (Kprobe.Registry.load_text (prog [ "syscall_enter"; "syscall_exit"; "syscall_enter" ]));
+  expect_reject "repeated attach point" "duplicate attach point 'syscall:enter'"
+    (Kprobe.Registry.load_text (prog [ "syscall:enter"; "syscall:exit"; "syscall:enter" ]));
   check "a rejected program is not loaded" true (Kprobe.Registry.find "dup" = None);
-  (match Kprobe.Registry.load_text (prog [ "syscall_enter" ]) with
+  (match Kprobe.Registry.load_text (prog [ "syscall:enter" ]) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "single attach rejected: %s" e);
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 1L; 1L; 0L |]);
+  fire "syscall:enter" (fun () -> [| 1; 1; 0 |]);
   check "one fire counts once" true
     (contains (Option.get (Kprobe.Registry.render_maps "dup")) "map c (counter): 1");
-  fire Sim.Trace.P_syscall_enter (fun () -> [| 1L; 1L; 0L |]);
+  fire "syscall:enter" (fun () -> [| 1; 1; 0 |]);
   check "two fires count twice" true
     (contains (Option.get (Kprobe.Registry.render_maps "dup")) "map c (counter): 2");
   Kprobe.Registry.reset ()
@@ -304,8 +305,8 @@ module Reference = struct
     let r = Int64.compare a b in
     match c with Eq -> r = 0 | Ne -> r <> 0 | Lt -> r < 0 | Le -> r <= 0 | Gt -> r > 0 | Ge -> r >= 0
 
-  let exec ~(store : Kprobe.Maps.store) (prog : prog) ap (ctx : int64 array) =
-    let fields = Sim.Trace.attach_fields ap in
+  let exec ~(store : Kprobe.Maps.store) (prog : prog) pt (ctx : int array) =
+    let fields = Sim.Trace.field_names pt in
     let code = prog.code in
     let regs = Array.make nregs 0L in
     let len = Array.length code in
@@ -327,7 +328,7 @@ module Reference = struct
         regs.(r) <- operand o;
         pc := next
       | Ldctx (r, c) ->
-        regs.(r) <- ctx.(slot c);
+        regs.(r) <- Int64.of_int ctx.(slot c);
         pc := next
       | Alu (op, r, o) ->
         regs.(r) <- alu_eval op regs.(r) (operand o);
@@ -360,7 +361,7 @@ module Reference = struct
         let v = operand o and key = prog.pname ^ "." ^ l in
         Sim.Stats.incr key;
         Sim.Trace.emit2
-          (Sim.Trace.point Sim.Trace.Probe key (fun f ->
+          (Sim.Trace.point Sim.Trace.Probe key [||] (fun f ->
                Printf.sprintf "v=%Ld" (Sim.Trace.join64 f.a f.b)))
           (Sim.Trace.hi32 v) (Sim.Trace.lo32 v);
         pc := next
@@ -382,7 +383,16 @@ let q_edges =
 
 let gen_value = QCheck.Gen.(oneof [ oneofl q_edges; map Int64.of_int (int_range (-50) 50); ui64 ])
 
-(* A program over the whole instruction set for one attach point: a
+(* Field values are native ints: the same edges, within 63 bits. *)
+let q_field_edges =
+  [ 0; 1; -1; 2; 3; 63; 64; 65; -64; 1000; 1_000_000; max_int; min_int; min_int + 3 ]
+
+let gen_field = QCheck.Gen.(oneof [ oneofl q_field_edges; int_range (-50) 50; int ])
+
+(* Every tracepoint with a field to read. *)
+let q_points = List.filter (fun pt -> Sim.Trace.field_names pt <> [||]) (Sim.Trace.points ())
+
+(* A program over the whole instruction set for one tracepoint: a
    few loads, then random instructions whose jumps land anywhere ahead.
    Sources are mostly registers written earlier in the text; a jump
    over such a write, or the odd unwritten source, makes a program the
@@ -390,8 +400,8 @@ let gen_value = QCheck.Gen.(oneof [ oneofl q_edges; map Int64.of_int (int_range 
 let gen_program =
   let open QCheck.Gen in
   let open Kprobe.Insn in
-  let* ap = oneofl Sim.Trace.all_attach_points in
-  let fields = Sim.Trace.attach_fields ap in
+  let* pt = oneofl q_points in
+  let fields = Sim.Trace.field_names pt in
   let nf = Array.length fields in
   let reg = int_range 0 (nregs - 1) in
   let ctxref =
@@ -446,7 +456,7 @@ let gen_program =
   in
   let* code = body 0 [] [] in
   let+ seed = int in
-  ({ pname = "t.q"; attach = [ ap ]; maps = q_maps; code }, seed)
+  (({ pname = "t.q"; attach = [ Sim.Trace.name pt ]; maps = q_maps; code }, pt), seed)
 
 (* What one version leaves behind after a run of context sequences:
    rendered maps, emit stat counts and Probe ktrace records. *)
@@ -473,27 +483,26 @@ let accepted = ref 0
 let prop_compiled_matches_reference =
   QCheck.Test.make ~name:"compiled_matches_reference" ~count:400 ~max_gen:4000
     (QCheck.make
-       ~print:(fun (p, seed) -> Printf.sprintf "seed %d\n%s" seed (Kprobe.Insn.render_prog p))
+       ~print:(fun ((p, _), seed) -> Printf.sprintf "seed %d\n%s" seed (Kprobe.Insn.render_prog p))
        gen_program)
-    (fun (prog, seed) ->
+    (fun ((prog, pt), seed) ->
       QCheck.assume (Kprobe.Verifier.verify prog = Ok ());
       incr accepted;
-      let ap = List.hd prog.Kprobe.Insn.attach in
-      let nf = Array.length (Sim.Trace.attach_fields ap) in
+      let nf = Array.length (Sim.Trace.field_names pt) in
       let rng = Random.State.make [| seed |] in
       let contexts =
-        List.init 12 (fun _ -> Array.init nf (fun _ -> QCheck.Gen.generate1 ~rand:rng gen_value))
+        List.init 12 (fun _ -> Array.init nf (fun _ -> QCheck.Gen.generate1 ~rand:rng gen_field))
       in
       let compiled store =
-        match Kprobe.Vm.compile store prog ap with
+        match Kprobe.Vm.compile store prog pt with
         | Error e -> Alcotest.failf "a verified program failed to compile: %s" e
         | Ok code ->
-          let buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout nf in
+          let buf = Array.make 6 0 in
           fun ctx ->
-            Array.iteri (fun i v -> buf.{i} <- v) ctx;
+            Array.blit ctx 0 buf 0 nf;
             code buf
       in
-      let reference store ctx = Reference.exec ~store prog ap ctx in
+      let reference store ctx = Reference.exec ~store prog pt ctx in
       let m1, s1, r1 = observe prog compiled contexts in
       let m2, s2, r2 = observe prog reference contexts in
       Sim.Stats.reset ();
@@ -530,7 +539,7 @@ let test_irq_storm_watchdog_synthetic () =
   (* 300 deliveries of vector 40 inside one 1ms window: over the
      200-per-window threshold, so the sentinel must fire (and re-arm). *)
   for i = 1 to 300 do
-    fire Sim.Trace.P_irq_entry (fun () -> [| 40L; Int64.of_int (1000 + i) |])
+    fire "irq:entry" (fun () -> [| 40; 1000 + i |])
   done;
   check "storm sentinel fired" true (Sim.Stats.get "watchdog.irq_storm.fired" > 0);
   let maps = Option.get (Kprobe.Registry.render_maps "watchdog.irq_storm") in
@@ -573,10 +582,10 @@ let read_all c path =
 
 let test_probe_syscalls () =
   let good =
-    "prog user.counts\nattach syscall_enter\nmap perkey by_nr\nldctx r0, nr\n\
+    "prog user.counts\nattach syscall:enter\nmap perkey by_nr\nldctx r0, nr\n\
      upd by_nr, r0, 1\nret\n"
   in
-  let bad = "prog user.bad\nattach syscall_enter\nldctx r0, lat_ns\nret\n" in
+  let bad = "prog user.bad\nattach syscall:enter\nldctx r0, lat_ns\nret\n" in
   let got_maps = ref "" and got_proc = ref "" and got_programs = ref "" in
   let code =
     run_user (fun c ->
@@ -622,6 +631,55 @@ let test_probe_syscalls () =
     (contains !got_programs "last_error:")
   (* the reason itself names the broken whitelist *) ;
   check "last_error names the rejected field" true (contains !got_programs "not whitelisted")
+
+(* /proc/kprobe/points lists every name a program can attach to, with
+   the fields it may read there; each one must load. *)
+let test_points_listing () =
+  let listing = ref "" in
+  let code =
+    run_user (fun c ->
+        match read_all c "/proc/kprobe/points" with
+        | None -> 1
+        | Some s ->
+          listing := s;
+          0)
+  in
+  check_int "exit code" 0 code;
+  let points =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | [] -> None
+        | [ p ] -> Some (p, [])
+        | [ p; fields ] -> Some (p, String.split_on_char ',' fields)
+        | _ -> Alcotest.failf "malformed points line %S" line)
+      (String.split_on_char '\n' !listing)
+  in
+  check "syscall:exit keeps the probe slot order" true
+    (List.assoc_opt "syscall:exit" points
+    = Some [ "nr"; "ret"; "lat_ns"; "pid"; "arg0"; "journal_commit" ]);
+  check "dma:map is attachable" true (List.mem_assoc "dma:map" points);
+  check "no probe point is listed" false
+    (List.exists (fun (p, _) -> String.length p > 6 && String.sub p 0 6 = "probe:") points);
+  let load p body =
+    Kprobe.Registry.load_text (Printf.sprintf "prog t.points\nattach %s\n%sret\n" p body)
+  in
+  List.iter
+    (fun (p, fields) ->
+      check (p ^ " lists at most six distinct fields") true
+        (List.length fields <= 6
+        && List.length (List.sort_uniq compare fields) = List.length fields);
+      List.iter
+        (fun body ->
+          match load p body with
+          | Error e -> Alcotest.failf "attach %s with %S rejected: %s" p body e
+          | Ok _ -> check (p ^ " unloads") true (Kprobe.Registry.unload "t.points"))
+        ("ld r0, 0\n" :: List.map (Printf.sprintf "ldctx r0, %s\n") fields))
+    points;
+  expect_reject "a probe's own emit point" "/proc/kprobe/points"
+    (load "probe:watchdog.hung_task.fired" "ld r0, 0\n");
+  expect_reject "an unknown name" "unknown attach point 'nosuch:point'"
+    (load "nosuch:point" "ld r0, 0\n")
 
 let test_proc_kprobe_insns_disassembly () =
   let got = ref "" in
@@ -962,6 +1020,7 @@ let () =
         [
           Alcotest.test_case "probe_syscalls" `Quick test_probe_syscalls;
           Alcotest.test_case "proc_insns" `Quick test_proc_kprobe_insns_disassembly;
+          Alcotest.test_case "points_listing" `Quick test_points_listing;
           Alcotest.test_case "ktrace_writable" `Quick test_proc_ktrace_writable;
           Alcotest.test_case "proc_tables_parse" `Quick test_proc_tables_parse_after_chaos;
           Alcotest.test_case "read_lat_in_commit" `Quick test_read_lat_by_fd_commit_overlap;

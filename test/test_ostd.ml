@@ -111,7 +111,7 @@ let test_custom_data () =
 
 (* --- The hung-task context against an oracle ---
 
-   The sched_switch and sched_wakeup attach points carry max_wait_ns,
+   The sched:switch and sched:wakeup tracepoints carry max_wait_ns,
    the longest any Ready task has waited for the CPU (at a switch, the
    incoming task's own wait counts too). An injected policy records
    each task it is handed with the instant, so its queue is the
@@ -131,6 +131,10 @@ type oracle = {
 }
 
 let oracle_name = "test.oldest_ready"
+
+let wakeup_point = List.hd (Sim.Trace.find "sched:wakeup")
+
+let switch_point = List.hd (Sim.Trace.find "sched:switch")
 
 (* Boot OSTD under the recording policy; [starved t] keeps [t] queued
    while any other task is. *)
@@ -180,17 +184,21 @@ let with_oracle o f =
       o.wrong <-
         Printf.sprintf "%s #%d: max_wait_ns %d, oracle %d" what o.events got want :: o.wrong
   in
-  Sim.Trace.attach Sim.Trace.P_sched_wakeup ~name:oracle_name (fun ctx ->
-      note "wakeup" (Int64.to_int ctx.{2}) (oracle_queued o));
-  Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
+  Sim.Trace.attach wakeup_point ~name:oracle_name (fun ctx ->
+      note "wakeup" ctx.(2) (oracle_queued o));
+  Sim.Trace.attach switch_point ~name:oracle_name (fun ctx ->
       match o.incoming with
-      | Some (t, before) when Ostd.Task.tid t = Int64.to_int ctx.{1} ->
+      | Some (t, before) when Ostd.Task.tid t = ctx.(1) ->
         (* The incoming task's own wait is what dispatch just added to
            its sched-delay total. *)
         let _, after, _ = Ostd.Task.sched_delay t in
-        note "switch" (Int64.to_int ctx.{3}) (max (ns_of_cycles (after - before)) (oracle_queued o))
+        note "switch" ctx.(3) (max (ns_of_cycles (after - before)) (oracle_queued o))
       | _ -> o.wrong <- "switch to a task the policy did not pick" :: o.wrong);
-  Fun.protect ~finally:(fun () -> Sim.Trace.detach_name oracle_name) f
+  Fun.protect
+    ~finally:(fun () ->
+      Sim.Trace.detach wakeup_point ~name:oracle_name;
+      Sim.Trace.detach switch_point ~name:oracle_name)
+    f
 
 (* Up to 64 tasks each take 60 seeded-random steps: burn cycles, then
    yield, block, wake a blocked task, sleep, kill another task or spawn
@@ -252,7 +260,7 @@ let test_oldest_ready_starved () =
   let victim = ref None in
   let starved t = match !victim with Some v -> v == t | None -> false in
   let o = boot_oracle ~rng ~starved in
-  let wakes = ref 0 and victim_wait = ref 0L in
+  let wakes = ref 0 and victim_wait = ref 0 in
   let peer = Array.make 2 None in
   let ping i () =
     while !wakes < 10_000 do
@@ -271,13 +279,13 @@ let test_oldest_ready_starved () =
       peer.(0) <- Some (Ostd.Task.spawn ~name:"ping" (ping 0));
       peer.(1) <- Some (Ostd.Task.spawn ~name:"pong" (ping 1));
       (* Under the oracle's name, so it is detached with the oracle. *)
-      Sim.Trace.attach Sim.Trace.P_sched_switch ~name:oracle_name (fun ctx ->
-          if Int64.to_int ctx.{1} = Ostd.Task.tid (Option.get !victim) then victim_wait := ctx.{3});
+      Sim.Trace.attach switch_point ~name:oracle_name (fun ctx ->
+          if ctx.(1) = Ostd.Task.tid (Option.get !victim) then victim_wait := ctx.(3));
       Ostd.Task.run ());
   Alcotest.(check (list string)) "max_wait_ns matches the oracle" [] (List.rev o.wrong);
   check "others woke 10,000 times" true (!wakes >= 10_000 && o.events > 20_000);
   check "the starved task's wait is reported when it finally runs" true
-    (Int64.to_int !victim_wait >= ns_of_cycles (10_000 * 1000))
+    (!victim_wait >= ns_of_cycles (10_000 * 1000))
 
 (* --- Sync primitives --- *)
 

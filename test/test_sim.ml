@@ -232,6 +232,34 @@ let prop_rng_bounds =
       let v = Sim.Rng.int rng bound in
       v >= 0 && v < bound)
 
+(* The generator's sequence is part of every seeded result (the fault
+   plane, speedtest1, workload keys), so it is pinned: the MD5 of the
+   first 1,000 raw values, one decimal per line, for two seeds. Drawing
+   an int or a bool boxes nothing; an int64 state field boxed 6 words
+   per draw. The few words allowed cover [Gc.minor_words]'s own float
+   results. *)
+let test_rng_pinned_and_unboxed () =
+  let digest seed =
+    let r = Sim.Rng.create seed in
+    let b = Buffer.create 20_000 in
+    for _ = 1 to 1000 do
+      Buffer.add_string b (Int64.to_string (Sim.Rng.next r));
+      Buffer.add_char b '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check string) "seed 42" "fdb153cc276140ed15f7d0f4fc4a28a8" (digest 42L);
+  Alcotest.(check string) "seed 1009" "8a815e6ef1c5382ccff7c6a3d8698c59" (digest 1009L);
+  let r = Sim.Rng.create 7L in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Sim.Rng.int r 100 + Bool.to_int (Sim.Rng.bool r)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "10,000 int and bool draws allocate %.0f words" words) true (words < 16.);
+  ignore (Sys.opaque_identity !acc)
+
 let prop_rng_deterministic =
   QCheck.Test.make ~name:"rng_deterministic" ~count:100 QCheck.int64 (fun seed ->
       let a = Sim.Rng.create seed and b = Sim.Rng.create seed in
@@ -350,6 +378,7 @@ let () =
           Alcotest.test_case "boot" `Quick test_baseline_boot;
           Alcotest.test_case "expected_winners" `Quick test_baseline_winners;
         ] );
+      ("rng", [ Alcotest.test_case "pinned_and_unboxed" `Quick test_rng_pinned_and_unboxed ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -14,7 +14,7 @@ let fresh () =
   Sim.Hist.reset ()
 
 (* A tracepoint whose records render as [args]. *)
-let point cat name args = Sim.Trace.point cat name (fun _ -> args)
+let point cat name args = Sim.Trace.point cat name [||] (fun _ -> args)
 
 (* --- Ring buffer --- *)
 
@@ -22,7 +22,9 @@ let test_ring_overflow_keeps_newest () =
   fresh ();
   Sim.Trace.set_capacity 16;
   Sim.Trace.enable Sim.Trace.Syscall;
-  let ev = Sim.Trace.point Sim.Trace.Syscall "ev" (fun f -> string_of_int f.Sim.Trace.a) in
+  let ev =
+    Sim.Trace.point Sim.Trace.Syscall "ev" [| "i" |] (fun f -> string_of_int f.Sim.Trace.a)
+  in
   for i = 1 to 100 do
     Sim.Trace.emit1 ev i
   done;
@@ -43,7 +45,7 @@ let test_default_off_zero_entries () =
   List.iter
     (fun cat ->
       Sim.Trace.emit0
-        (Sim.Trace.point cat "ev" (fun _ ->
+        (Sim.Trace.point cat "ev" [||] (fun _ ->
              evaluated := true;
              "boom")))
     Sim.Trace.all_categories;
