@@ -4,24 +4,28 @@ let sectors_per_block = block_size / 512
 
 type op = Read | Write | Write_fua | Flush
 
+(* A bio is also its own attempt: the block layer resubmits the same
+   record on a retry, and the driver reports each attempt through
+   [attempt_done], which never touches the final outcome. Only the
+   block layer completes a bio, once, with [complete_bio]. *)
 type bio = {
   op : op;
   sector : int;
   frame : Ostd.Frame.t option;
   len : int;
-  mutable status : int option;
+  mutable status : int option; (* the final outcome, set once *)
+  mutable attempt : int; (* the current attempt's device status; [in_flight] until it answers *)
   wq : Ostd.Wait_queue.t;
   (* kspan ownership: the request span this bio belongs to (0 = none),
-     captured at creation and inherited by every clone so the owner
-     survives merges, batch splits and the retry ladder. Only the
-     primary (caller-visible) bio reports segments and the conservation
-     count — clones are implementation detail. *)
+     captured at creation, so the owner survives merges, batch splits
+     and the retry ladder. *)
   span : int;
-  primary : bool;
   created : Sim.Time.t;
-  mutable issued : Sim.Time.t; (* driver pushed it to the device; 0 = never *)
+  mutable issued : Sim.Time.t; (* driver pushed this attempt to the device; 0 = never *)
   mutable dev_done : Sim.Time.t; (* device-written completion stamp; 0 = unknown *)
 }
+
+let in_flight = -1
 
 let make_bio op ~sector ?frame ~len () =
   (match (op, frame) with
@@ -30,17 +34,15 @@ let make_bio op ~sector ?frame ~len () =
   | _ -> ());
   let span = Sim.Span.current () in
   (* Span-ownership conservation: one creation count per span-owned
-     primary bio. Clones made for merging never re-count; completion
-     counts exactly once (span.bio_completed), so the two counters must
-     agree across merges, batch splits and per-bio EIO fallback. *)
+     bio; completion counts exactly once (span.bio_completed), so the
+     two counters must agree across merges, batch splits and per-bio
+     EIO fallback. *)
   if span > 0 then Sim.Stats.incr "span.bio_created";
   {
-    op; sector; frame; len; status = None; wq = Ostd.Wait_queue.create ();
-    span; primary = true; created = Sim.Time.now ();
+    op; sector; frame; len; status = None; attempt = in_flight; wq = Ostd.Wait_queue.create ();
+    span; created = Sim.Time.now ();
     issued = 0; dev_done = 0;
   }
-
-let bio_status bio = bio.status
 
 let bio_op bio = bio.op
 
@@ -54,17 +56,26 @@ let bio_span bio = bio.span
 
 let note_issued bio = if bio.issued = 0 then bio.issued <- Sim.Time.now ()
 
-let note_dev_done bio ts = bio.dev_done <- ts
+let attempt_done bio ~status ~stamp =
+  if stamp > 0 then bio.dev_done <- stamp;
+  bio.attempt <- status;
+  ignore (Ostd.Wait_queue.wake_all bio.wq)
+
+(* A new attempt starts with no answer and no device stamps. *)
+let begin_attempt bio =
+  bio.attempt <- in_flight;
+  bio.issued <- 0;
+  bio.dev_done <- 0
 
 let complete_bio bio ~status =
-  let first = bio.status = None in
   bio.status <- Some status;
-  (* Waterfall segments for the owning span, recorded once on the
-     primary bio: queue wait (creation → device issue), device service
-     (issue → the device's completion stamp), and IRQ-delivery delay
-     (stamp → this completion running). Missing stamps degrade
-     gracefully — the whole interval collapses into the earlier leg. *)
-  if first && bio.primary && bio.span > 0 then begin
+  (* Waterfall segments for the owning span, recorded once: queue wait
+     (creation → device issue), device service (issue → the device's
+     completion stamp), and IRQ-delivery delay (stamp → this completion
+     running), all from the attempt that completed the bio. Missing
+     stamps degrade gracefully — the whole interval collapses into the
+     earlier leg. *)
+  if bio.span > 0 then begin
     let now = Sim.Time.now () in
     let q_end = if bio.issued > 0 then bio.issued else now in
     Sim.Span.add_to bio.span "blk.queue" bio.created q_end;
@@ -81,7 +92,7 @@ let complete_bio bio ~status =
 module type DRIVER = sig
   val capacity_sectors : unit -> int
   val submit : bio -> unit
-  val submit_many : bio list -> unit
+  val submit_many : bio array -> first:int -> len:int -> unit
   val cancel : bio -> unit
 end
 
@@ -117,23 +128,9 @@ let bio_deadline_cycles attempt =
 
 let backoff_cycles attempt = Sim.Time.of_us (100. *. float_of_int (1 lsl attempt))
 
-(* Clones keep the original's span and creation time (the request has
-   been queueing since the primary was made, not since this attempt)
-   but are never primary: exactly one segment report and conservation
-   count per caller-visible bio. *)
-let clone_bio bio =
-  {
-    bio with
-    status = None;
-    wq = Ostd.Wait_queue.create ();
-    primary = false;
-    issued = 0;
-    dev_done = 0;
-  }
-
-(* Wait until the bio completes or the deadline passes. In task context
-   we sleep on the bio's wait queue with a timer; at early boot (mkfs /
-   mount before tasks exist) we poll the event loop. *)
+(* Wait until the current attempt answers or the deadline passes. In
+   task context we sleep on the bio's wait queue with a timer; at early
+   boot (mkfs / mount before tasks exist) we poll the event loop. *)
 let wait_with_deadline bio ~cycles =
   match Ostd.Task.current_opt () with
   | Some _ ->
@@ -143,13 +140,13 @@ let wait_with_deadline bio ~cycles =
           timed_out := true;
           ignore (Ostd.Wait_queue.wake_all bio.wq))
     in
-    Ostd.Wait_queue.sleep_until bio.wq (fun () -> bio.status <> None || !timed_out);
+    Ostd.Wait_queue.sleep_until bio.wq (fun () -> bio.attempt <> in_flight || !timed_out);
     Sim.Events.cancel ev;
-    if bio.status <> None then `Done else `Timeout
+    if bio.attempt <> in_flight then `Done else `Timeout
   | None ->
     let deadline = Sim.Time.now () + cycles in
     let rec poll () =
-      if bio.status <> None then `Done
+      if bio.attempt <> in_flight then `Done
       else if Sim.Time.now () > deadline then `Timeout
       else if Sim.Events.run_next () then poll ()
       else `Timeout (* the device went silent: no completion will ever come *)
@@ -200,61 +197,54 @@ let trace_complete bio ~t0 ~status ~attempts =
     (Sim.Time.to_ns (Sim.Time.now () - t0))
     status attempts
 
+(* Attempt [n] of [bio], first submitted at [t0]; the bio is completed
+   exactly once, with the final outcome, whatever the attempts did. *)
+let rec attempt ((module D : DRIVER) as d) bio ~t0 n =
+  begin_attempt bio;
+  Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
+  trace_issue bio ~attempt:n;
+  D.submit bio;
+  match wait_with_deadline bio ~cycles:(bio_deadline_cycles n) with
+  | `Done when bio.attempt = 0 ->
+    if n > 0 then Sim.Stats.incr "degrade.recovered.blk_bio";
+    Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0);
+    trace_complete bio ~t0 ~status:0 ~attempts:(n + 1);
+    complete_bio bio ~status:0;
+    Ok ()
+  | `Done -> retry_or_fail d bio ~t0 n bio.attempt
+  | `Timeout ->
+    Sim.Stats.incr "blk.bio_timeout";
+    (* The device may still complete the stale request later; the
+       driver quarantines its buffers so late DMA cannot land in reused
+       memory, and forgets it, so the answer never reaches this bio. *)
+    D.cancel bio;
+    retry_or_fail d bio ~t0 n Errno.eio
+
+and retry_or_fail d bio ~t0 n e =
+  if n + 1 >= bio_max_attempts then begin
+    Sim.Stats.incr "degrade.gave_up.blk_bio";
+    Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0);
+    (* No attempt completed the bio, so its span gets no device legs. *)
+    bio.issued <- 0;
+    bio.dev_done <- 0;
+    trace_complete bio ~t0 ~status:e ~attempts:(n + 1);
+    complete_bio bio ~status:e;
+    Error e
+  end
+  else begin
+    Sim.Stats.incr "degrade.retried.blk_bio";
+    Sim.Trace.emit_s tp_retry (op_name bio.op) bio.sector bio.len n e 0 0;
+    (match Ostd.Task.current_opt () with
+    | Some _ -> Ostd.Task.sleep_cycles (backoff_cycles n)
+    | None -> ());
+    attempt d bio ~t0 (n + 1)
+  end
+
 let submit_and_wait bio =
-  let (module D) = the_driver () in
+  let d = the_driver () in
   let t0 = Sim.Time.now () in
-  let observe_latency () =
-    Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0)
-  in
-  (* Each attempt submits a fresh clone; the caller's bio is completed
-     exactly once, with the final outcome, whatever the attempts did. *)
-  let rec attempt n =
-    let b = clone_bio bio in
-    Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
-    trace_issue bio ~attempt:n;
-    D.submit b;
-    match wait_with_deadline b ~cycles:(bio_deadline_cycles n) with
-    | `Done -> (
-      match b.status with
-      | Some 0 ->
-        if n > 0 then Sim.Stats.incr "degrade.recovered.blk_bio";
-        observe_latency ();
-        (* The winning attempt's device timestamps become the primary
-           bio's, so its span segments reflect the service that
-           actually completed it. *)
-        bio.issued <- b.issued;
-        bio.dev_done <- b.dev_done;
-        trace_complete bio ~t0 ~status:0 ~attempts:(n + 1);
-        complete_bio bio ~status:0;
-        Ok ()
-      | Some e -> retry_or_fail n e
-      | None -> assert false)
-    | `Timeout ->
-      Sim.Stats.incr "blk.bio_timeout";
-      (* The device may still complete the stale request later; the
-         driver quarantines its buffers so late DMA cannot land in
-         reused memory. *)
-      D.cancel b;
-      retry_or_fail n Errno.eio
-  and retry_or_fail n e =
-    if n + 1 >= bio_max_attempts then begin
-      Sim.Stats.incr "degrade.gave_up.blk_bio";
-      observe_latency ();
-      trace_complete bio ~t0 ~status:e ~attempts:(n + 1);
-      complete_bio bio ~status:e;
-      Error e
-    end
-    else begin
-      Sim.Stats.incr "degrade.retried.blk_bio";
-      Sim.Trace.emit_s tp_retry (op_name bio.op) bio.sector bio.len n e 0 0;
-      (match Ostd.Task.current_opt () with
-      | Some _ -> Ostd.Task.sleep_cycles (backoff_cycles n)
-      | None -> ());
-      attempt (n + 1)
-    end
-  in
   (* kprof: block-layer time (issue, waits, retries) folds under "blk". *)
-  Sim.Prof.scope "blk" (fun () -> attempt 0)
+  Sim.Prof.scope "blk" (fun () -> attempt d bio ~t0 0)
 
 (* --- Batched submission (the plug/unplug request queue) ---
 
@@ -274,94 +264,110 @@ let op_rank = function Read -> 0 | Write -> 1 | Write_fua -> 2 | Flush -> 3
    service time. *)
 let batch_deadline_cycles n = Sim.Time.of_us (8000. +. (250. *. float_of_int n))
 
-(* Wait for every clone against one shared absolute deadline, reusing
-   the per-bio wait (works in task context and boot-time polling). *)
-let wait_batch clones ~cycles =
+(* Wait for every bio of the run against one shared absolute deadline,
+   reusing the per-bio wait (works in task context and boot-time
+   polling). *)
+let wait_batch bios ~first ~len ~cycles =
   let deadline = Sim.Time.now () + cycles in
-  List.iter
-    (fun b ->
-      if b.status = None then begin
-        let remaining = deadline - Sim.Time.now () in
-        if remaining > 0 then ignore (wait_with_deadline b ~cycles:remaining)
-      end)
-    clones
+  for k = first to first + len - 1 do
+    let b = bios.(k) in
+    if b.attempt = in_flight then begin
+      let remaining = deadline - Sim.Time.now () in
+      if remaining > 0 then ignore (wait_with_deadline b ~cycles:remaining)
+    end
+  done
 
-(* Split sorted bios into runs of same-op, sector-adjacent requests. *)
-let merge_runs bios =
-  let sorted =
-    List.sort
-      (fun a b ->
-        match compare (op_rank a.op) (op_rank b.op) with
-        | 0 -> compare a.sector b.sector
-        | c -> c)
-      bios
-  in
-  let flush_run acc run = match run with [] -> acc | _ -> List.rev run :: acc in
-  let acc, run, _ =
-    List.fold_left
-      (fun (acc, run, prev) b ->
-        match prev with
-        | Some p
-          when p.op = b.op && b.op <> Flush
-               && b.sector = p.sector + (p.len / 512)
-               && List.length run < max_batch -> (acc, b :: run, Some b)
-        | _ -> (flush_run acc run, [ b ], Some b))
-      ([], [], None) sorted
-  in
-  List.rev (flush_run acc run)
+(* Complete a bio whose batched attempt succeeded. *)
+let complete_batched bio ~t0 ~lat =
+  Sim.Hist.observe "blk.bio" lat;
+  trace_complete bio ~t0 ~status:0 ~attempts:1;
+  complete_bio bio ~status:0
 
-let issue_run run =
+(* Issue [bios.(first .. first + len - 1)], one run of same-op,
+   sector-adjacent requests, as one descriptor chain. *)
+let issue_run bios ~first ~len =
   let (module D) = the_driver () in
-  match run with
-  | [] -> ()
-  | [ bio ] -> ignore (submit_and_wait bio)
-  | first :: _ ->
-    let n = List.length run in
-    Sim.Stats.add "blk.merge" (n - 1);
+  if len = 1 then ignore (submit_and_wait bios.(first))
+  else begin
+    let head = bios.(first) and last = first + len - 1 in
+    Sim.Stats.add "blk.merge" (len - 1);
     Sim.Stats.incr "blk.batch";
     Sim.Prof.scope "blk" (fun () ->
         let t0 = Sim.Time.now () in
-        Sim.Trace.emit_s tp_batch_issue (op_name first.op) first.sector n 0 0 0 0;
-        let clones = List.map clone_bio run in
+        Sim.Trace.emit_s tp_batch_issue (op_name head.op) head.sector len 0 0 0 0;
+        for k = first to last do
+          begin_attempt bios.(k)
+        done;
         Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.blk_issue;
-        List.iter (fun bio -> trace_issue bio ~attempt:0) run;
-        D.submit_many clones;
-        wait_batch clones ~cycles:(batch_deadline_cycles n);
-        if List.for_all (fun c -> c.status = Some 0) clones then begin
+        for k = first to last do
+          trace_issue bios.(k) ~attempt:0
+        done;
+        D.submit_many bios ~first ~len;
+        wait_batch bios ~first ~len ~cycles:(batch_deadline_cycles len);
+        let all_ok = ref true in
+        for k = first to last do
+          if bios.(k).attempt <> 0 then all_ok := false
+        done;
+        if !all_ok then begin
           let lat = Sim.Time.now () - t0 in
-          Sim.Trace.emit_s tp_batch_complete (op_name first.op) first.sector n 0 0 0 0;
-          List.iter2
-            (fun bio c ->
-              bio.issued <- c.issued;
-              bio.dev_done <- c.dev_done;
-              Sim.Hist.observe "blk.bio" lat;
-              trace_complete bio ~t0 ~status:0 ~attempts:1;
-              complete_bio bio ~status:0)
-            run clones
+          Sim.Trace.emit_s tp_batch_complete (op_name head.op) head.sector len 0 0 0 0;
+          for k = first to last do
+            complete_batched bios.(k) ~t0 ~lat
+          done
         end
         else begin
           (* Mid-batch error or timeout: quarantine what never completed
              and fall back to per-bio submission, whose retry ladder and
              EIO propagation the callers already rely on. *)
           Sim.Stats.incr "blk.batch_split";
-          Sim.Trace.emit_s tp_batch_split (op_name first.op) first.sector n 0 0 0 0;
-          List.iter (fun c -> if c.status = None then D.cancel c) clones;
-          List.iter2
-            (fun bio c ->
-              match c.status with
-              | Some 0 ->
-                bio.issued <- c.issued;
-                bio.dev_done <- c.dev_done;
-                Sim.Hist.observe "blk.bio" (Sim.Time.now () - t0);
-                trace_complete bio ~t0 ~status:0 ~attempts:1;
-                complete_bio bio ~status:0
-              | _ -> ignore (submit_and_wait bio))
-            run clones
+          Sim.Trace.emit_s tp_batch_split (op_name head.op) head.sector len 0 0 0 0;
+          for k = first to last do
+            if bios.(k).attempt = in_flight then D.cancel bios.(k)
+          done;
+          for k = first to last do
+            let bio = bios.(k) in
+            if bio.attempt = 0 then complete_batched bio ~t0 ~lat:(Sim.Time.now () - t0)
+            else ignore (submit_and_wait bio)
+          done
         end)
+  end
 
-let submit_batch bios =
-  if (Sim.Profile.get ()).Sim.Profile.blk_batching then List.iter issue_run (merge_runs bios)
-  else List.iter (fun bio -> ignore (submit_and_wait bio)) bios
+(* Sort [a.(0 .. n - 1)] in place so that no element is [after] the
+   next. Insertion sort is stable, allocates nothing, and is linear on
+   the sorted input the block layer's callers nearly always pass. *)
+let sort_prefix after a n =
+  for i = 1 to n - 1 do
+    let x = a.(i) and j = ref (i - 1) in
+    while !j >= 0 && after a.(!j) x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let bio_after a b = op_rank a.op > op_rank b.op || (a.op = b.op && a.sector > b.sector)
+
+(* Two sorted neighbours join a run when they are the same mergeable op
+   and sector-adjacent. *)
+let adjacent p b = p.op = b.op && b.op <> Flush && b.sector = p.sector + (p.len / 512)
+
+let submit_batch bios n =
+  if (Sim.Profile.get ()).Sim.Profile.blk_batching then begin
+    sort_prefix bio_after bios n;
+    let i = ref 0 in
+    while !i < n do
+      let j = ref (!i + 1) in
+      while !j < n && !j - !i < max_batch && adjacent bios.(!j - 1) bios.(!j) do
+        incr j
+      done;
+      issue_run bios ~first:!i ~len:(!j - !i);
+      i := !j
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      ignore (submit_and_wait bios.(i))
+    done
 
 (* --- Buffer cache --- *)
 
@@ -485,15 +491,15 @@ let reset () =
   sync_sample := 0
 
 let entry_of blockno ~fill =
-  match Btbl.find_opt cache blockno with
-  | Some e ->
+  match Btbl.find cache blockno with
+  | e ->
     (* A demand hit on a block readahead brought in: the window paid off. *)
     if e.prefetched then begin
       e.prefetched <- false;
       Sim.Stats.incr "blk.readahead.hit"
     end;
     e
-  | None ->
+  | exception Not_found ->
     let cframe = Ostd.Frame.alloc () in
     if fill then begin
       Sim.Stats.incr "blk.readahead.miss";
@@ -527,31 +533,46 @@ let read_from_block blockno ~off ~buf ~pos ~len =
    demand read that eventually wants the block will retry (and report)
    on its own. [mark] distinguishes speculative readahead (entries
    tagged so a later demand hit counts [blk.readahead.hit]) from
-   batching the demand range itself, which is not speculation. *)
-let prefetch_blocks ?(mark = true) blocknos =
-  let blocknos =
-    List.filter (fun b -> not (Btbl.mem cache b)) (List.sort_uniq Int.compare blocknos)
-  in
-  if blocknos <> [] then begin
-    if mark then Sim.Stats.add "blk.readahead.issued" (List.length blocknos)
-    else Sim.Stats.add "blk.plug_read" (List.length blocknos);
-    let reqs =
-      List.map
-        (fun b ->
-          let f = Ostd.Frame.alloc () in
-          (b, f, make_bio Read ~sector:(b * sectors_per_block) ~frame:f ~len:block_size ()))
-        blocknos
+   batching the demand range itself, which is not speculation. The
+   blocks are [blocks.(0 .. n - 1)], which this sorts in place; the
+   misses, ascending and without repeats, are compacted to its front. *)
+let prefetch_blocks ?(mark = true) blocks ~n =
+  sort_prefix (fun (a : int) b -> a > b) blocks n;
+  let m = ref 0 and prev = ref (-1) in
+  for i = 0 to n - 1 do
+    let b = blocks.(i) in
+    if b <> !prev then begin
+      prev := b;
+      if not (Btbl.mem cache b) then begin
+        blocks.(!m) <- b;
+        incr m
+      end
+    end
+  done;
+  let m = !m in
+  if m > 0 then begin
+    if mark then Sim.Stats.add "blk.readahead.issued" m else Sim.Stats.add "blk.plug_read" m;
+    let read b =
+      make_bio Read ~sector:(b * sectors_per_block) ~frame:(Ostd.Frame.alloc ()) ~len:block_size ()
     in
-    submit_batch (List.map (fun (_, _, bio) -> bio) reqs);
-    List.iter
-      (fun (b, f, bio) ->
-        if bio_status bio = Some 0 && not (Btbl.mem cache b) then
+    let bios = Array.make m (read blocks.(0)) in
+    for i = 1 to m - 1 do
+      bios.(i) <- read blocks.(i)
+    done;
+    submit_batch bios m;
+    for i = 0 to m - 1 do
+      let bio = bios.(i) in
+      let b = bio.sector / sectors_per_block in
+      match bio.frame with
+      | Some f ->
+        if bio.status = Some 0 && not (Btbl.mem cache b) then
           Btbl.add cache b { cblock = b; cframe = f; dslot = -1; prefetched = mark }
         else begin
-          if bio_status bio <> Some 0 then incr epoch;
+          if bio.status <> Some 0 then incr epoch;
           Ostd.Frame.drop f
-        end)
-      reqs
+        end
+      | None -> ()
+    done
   end
 
 (* Drop every clean entry (used by cold-cache benchmark phases). Dirty
@@ -572,38 +593,52 @@ let drop_clean () =
   if victims <> [] then incr epoch;
   List.length victims
 
-(* Write back a sorted [(blockno, entry)] list as merged, batched
-   writes. [submit_batch] guarantees every bio is complete on return; a
-   block whose write failed even after the per-bio retry ladder is
-   dropped with the errseq-style sticky error (softirq context cannot
-   raise, and keeping it dirty would make the flusher spin on it). *)
-let writeback_many pairs =
+(* Write back [entries.(0 .. n - 1)] as merged, batched writes; the
+   array is sorted by block in place. [submit_batch] guarantees every
+   bio is complete on return; a block whose write failed even after the
+   per-bio retry ladder is dropped with the errseq-style sticky error
+   (softirq context cannot raise, and keeping it dirty would make the
+   flusher spin on it). *)
+let writeback_many entries n =
   (* Sort (so adjacent dirty blocks merge) and dedup: the FIFO can name
      a block twice, and writing it twice would corrupt [ndirty].
      Journal-pinned blocks are skipped: their home location must stay
      untouched until the journal checkpoints them. *)
-  let pairs = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pairs in
-  match List.filter (fun (b, e) -> is_dirty e && not (is_pinned b)) pairs with
-  | [] -> ()
-  | dirty ->
-    let reqs =
-      List.map
-        (fun (b, e) ->
-          (make_bio Write ~sector:(b * sectors_per_block) ~frame:e.cframe ~len:block_size (), e))
-        dirty
+  sort_prefix (fun a b -> a.cblock > b.cblock) entries n;
+  let m = ref 0 and prev = ref (-1) in
+  for i = 0 to n - 1 do
+    let e = entries.(i) in
+    if e.cblock <> !prev then begin
+      prev := e.cblock;
+      if is_dirty e && not (is_pinned e.cblock) then begin
+        entries.(!m) <- e;
+        incr m
+      end
+    end
+  done;
+  let m = !m in
+  if m > 0 then begin
+    let write e =
+      make_bio Write ~sector:(e.cblock * sectors_per_block) ~frame:e.cframe ~len:block_size ()
     in
-    submit_batch (List.map fst reqs);
-    List.iter
-      (fun (bio, e) ->
-        (match bio_status bio with
-        | Some 0 -> ()
-        | Some err ->
-          Sim.Stats.incr "degrade.gave_up.writeback";
-          record_wb_err err
-        | None -> assert false);
-        dirty_remove e;
-        decr ndirty)
-      reqs
+    let bios = Array.make m (write entries.(0)) in
+    for i = 1 to m - 1 do
+      bios.(i) <- write entries.(i)
+    done;
+    (* Sorted by block already, the bios keep their order, so [bios.(i)]
+       still writes [entries.(i)]. *)
+    submit_batch bios m;
+    for i = 0 to m - 1 do
+      (match bios.(i).status with
+      | Some 0 -> ()
+      | Some err ->
+        Sim.Stats.incr "degrade.gave_up.writeback";
+        record_wb_err err
+      | None -> assert false);
+      dirty_remove entries.(i);
+      decr ndirty
+    done
+  end
 
 let dirty_count () = !ndirty
 
@@ -618,16 +653,17 @@ let rec flush_batch () =
     match Queue.take_opt dirty_fifo with
     | None -> continue := false
     | Some blockno -> (
-      match Btbl.find_opt cache blockno with
+      match Btbl.find cache blockno with
       (* A journal-pinned victim is parked: it leaves the FIFO (so the
          flusher cannot spin on it) and is re-queued when the journal
          unpins it at checkpoint. *)
-      | Some e when is_dirty e && not (is_pinned blockno) ->
-        victims := (blockno, e) :: !victims;
+      | e when is_dirty e && not (is_pinned blockno) ->
+        victims := e :: !victims;
         decr budget
-      | Some _ | None -> ())
+      | _ | (exception Not_found) -> ())
   done;
-  writeback_many !victims;
+  let victims = Array.of_list !victims in
+  writeback_many victims (Array.length victims);
   ignore (Ostd.Wait_queue.wake_all !throttle_wq);
   (* Recurse only while the FIFO can still make progress: with every
      remaining dirty block pinned, another round would busy-spin. *)
@@ -667,9 +703,7 @@ let zero_block blockno =
   set_dirty blockno e
 
 let mark_dirty blockno =
-  match Btbl.find_opt cache blockno with
-  | Some e -> set_dirty blockno e
-  | None -> ()
+  match Btbl.find cache blockno with e -> set_dirty blockno e | exception Not_found -> ()
 
 let dirty_blocks () = !ndirty
 
@@ -683,9 +717,9 @@ let pin blockno = Btbl.replace pinned blockno ()
 let unpin blockno =
   if Btbl.mem pinned blockno then begin
     Btbl.remove pinned blockno;
-    match Btbl.find_opt cache blockno with
-    | Some e when is_dirty e -> Queue.push blockno dirty_fifo
-    | Some _ | None -> ()
+    match Btbl.find cache blockno with
+    | e when is_dirty e -> Queue.push blockno dirty_fifo
+    | _ | (exception Not_found) -> ()
   end
 
 let flush_device () =
@@ -713,9 +747,9 @@ let write_through blockno buf =
    linger in the device's volatile cache behind the transaction it
    seals. *)
 let write_block_fua blockno =
-  match Btbl.find_opt cache blockno with
-  | None -> Ok ()
-  | Some e ->
+  match Btbl.find cache blockno with
+  | exception Not_found -> Ok ()
+  | e ->
     Sim.Stats.incr "blk.fua";
     let bio =
       make_bio Write_fua ~sector:(blockno * sectors_per_block) ~frame:e.cframe
@@ -744,25 +778,19 @@ let consume_wb_err () =
    background writeback may have parked data in the device's volatile
    cache, and pushing pages to the driver is not durability. *)
 let sync () =
-  let dirty = ref [] in
-  for i = 0 to !dirty_len - 1 do
-    let e = !dirty_set.(i) in
-    dirty := (e.cblock, e) :: !dirty
-  done;
-  writeback_many !dirty;
+  writeback_many (Array.sub !dirty_set 0 !dirty_len) !dirty_len;
   let flushed = flush_device () in
   match consume_wb_err () with Error _ as e -> e | Ok () -> flushed
 
 let sync_blocks blocks =
-  let dirty =
-    List.filter_map
-      (fun b ->
-        match Btbl.find_opt cache b with
-        | Some e when is_dirty e -> Some (b, e)
-        | Some _ | None -> None)
-      (List.sort_uniq Int.compare blocks)
-  in
-  writeback_many dirty;
+  let dirty = ref [] in
+  for i = 0 to Array.length blocks - 1 do
+    match Btbl.find cache blocks.(i) with
+    | e when is_dirty e -> dirty := e :: !dirty
+    | _ | (exception Not_found) -> ()
+  done;
+  let dirty = Array.of_list !dirty in
+  writeback_many dirty (Array.length dirty);
   let flushed = flush_device () in
   match consume_wb_err () with Error _ as e -> e | Ok () -> flushed
 

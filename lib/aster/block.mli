@@ -11,14 +11,15 @@ val sectors_per_block : int
 type op = Read | Write | Write_fua | Flush
 
 type bio
+(** A block request. The block layer submits the same bio again on a
+    retry: each submission is an attempt, which the driver answers with
+    {!attempt_done}, and the block layer alone gives the bio its final
+    outcome, once. *)
 
 val make_bio : op -> sector:int -> ?frame:Ostd.Frame.t -> len:int -> unit -> bio
 (** [frame] carries the data for Read/Write/Write_fua; Flush takes none.
     The frame is borrowed for the bio's lifetime. A [Write_fua] is
     write-through: the device persists the sectors before completing. *)
-
-val bio_status : bio -> int option
-(** [None] while in flight; [Some 0] on success; [Some errno] on error. *)
 
 val bio_op : bio -> op
 val bio_sector : bio -> int
@@ -27,35 +28,34 @@ val bio_len : bio -> int
 
 val bio_span : bio -> int
 (** The request span owning this bio (0 = none), captured at creation
-    and inherited by clones across merges, batch splits and retries. *)
+    and kept across merges, batch splits and retries. *)
 
 val note_issued : bio -> unit
-(** Driver hook: the bio was pushed to the device (first push wins). *)
+(** Driver hook: this attempt was pushed to the device (first push
+    wins). *)
 
-val note_dev_done : bio -> Sim.Time.t -> unit
-(** Driver hook: the device's completion timestamp, read back from the
-    descriptor. Feeds the span's blk.service / blk.irq split. *)
-
-val complete_bio : bio -> status:int -> unit
-(** Called by the driver when the device finishes. *)
+val attempt_done : bio -> status:int -> stamp:Sim.Time.t -> unit
+(** Driver hook: the device answered this attempt with [status] (0 or
+    an errno), and wrote completion stamp [stamp] (0 = none), which
+    feeds the span's blk.service / blk.irq split. *)
 
 module type DRIVER = sig
   val capacity_sectors : unit -> int
 
   val submit : bio -> unit
-  (** Begin servicing; completion arrives via [complete_bio]. *)
+  (** Begin servicing; the answer arrives via [attempt_done]. *)
 
-  val submit_many : bio list -> unit
-  (** Scatter-gather: begin servicing a merged run of bios (same op,
-      adjacent sectors, already sorted) as one descriptor chain with a
-      single doorbell; the device completes the chain with one
-      interrupt. Each bio still completes individually via
-      [complete_bio]. *)
+  val submit_many : bio array -> first:int -> len:int -> unit
+  (** Scatter-gather: begin servicing [bios.(first .. first + len -
+      1)], a merged run (same op, adjacent sectors, sorted), as one
+      descriptor chain with a single doorbell; the device completes the
+      chain with one interrupt. Each bio is still answered individually
+      via [attempt_done]. *)
 
   val cancel : bio -> unit
-  (** The block layer timed this bio out. The driver must stop waiting
-      on it and quarantine any DMA buffers still exposed to the device,
-      so a late completion cannot land in reused memory. *)
+  (** The block layer timed this bio's attempt out. The driver must
+      forget it and quarantine any DMA buffers still exposed to the
+      device, so a late completion cannot land in reused memory. *)
 end
 
 val register_driver : (module DRIVER) -> unit
@@ -65,21 +65,9 @@ val capacity_sectors : unit -> int
 val submit_and_wait : bio -> (unit, int) result
 (** Sleep the current task until the bio completes, retrying on error or
     timeout with exponential backoff (deadline 8 ms doubling to 64 ms,
-    up to 5 attempts). The caller's bio is completed exactly once with
-    the final outcome; [Error errno] (EIO for a device that went silent)
-    is returned once every attempt is exhausted. *)
-
-val submit_batch : bio list -> unit
-(** The plug/unplug request queue: sector-sort the bios, merge adjacent
-    same-op requests into descriptor chains (up to 32 per chain), and
-    issue each chain with one submission charge, one doorbell, and one
-    completion interrupt, under a single shared deadline. On a mid-batch
-    error or timeout the chain is split back into per-bio
-    [submit_and_wait] attempts, preserving the single-bio retry and EIO
-    semantics. Every bio is complete when this returns — callers inspect
-    [bio_status]. With [blk_batching] off in the profile, degenerates to
-    per-bio submission. Counters: [blk.merge] (bios saved a doorbell),
-    [blk.batch], [blk.batch_split]. *)
+    up to 5 attempts). The bio is completed exactly once with the final
+    outcome; [Error errno] (EIO for a device that went silent) is
+    returned once every attempt is exhausted. *)
 
 (** {2 Buffer cache} *)
 
@@ -129,8 +117,9 @@ val write_through : int -> Bytes.t -> (unit, int) result
     the cache holds newer bytes). Reaches the device's volatile cache
     only; follow with {!flush_device} for durability. *)
 
-val prefetch_blocks : ?mark:bool -> int list -> unit
-(** Readahead back end: batch-read the given blocks (misses only) into
+val prefetch_blocks : ?mark:bool -> int array -> n:int -> unit
+(** Readahead back end: batch-read [blocks.(0 .. n - 1)] (misses only,
+    sorted in place) into
     the cache as clean entries. Read failures are dropped silently —
     readahead is a hint; the demand read retries on its own. With [mark]
     (default), entries are tagged speculative: a later demand hit counts
@@ -157,7 +146,7 @@ val sync : unit -> (unit, int) result
     surfaced at the next sync (errseq-style, consumed once reported
     on this legacy path — per-file observers use {!wb_check}). *)
 
-val sync_blocks : int list -> (unit, int) result
+val sync_blocks : int array -> (unit, int) result
 (** Write back specific blocks (fsync of one file), then flush. Reports
     errors as [sync] does. *)
 

@@ -79,18 +79,16 @@ let free_inodes () = sb_free_inodes ()
 (* --- Bitmaps --- *)
 
 let bit_get bitmap_block i =
-  let byte = Bytes.create 1 in
-  Block.read_from_block bitmap_block ~off:(i / 8) ~buf:byte ~pos:0 ~len:1;
-  Char.code (Bytes.get byte 0) land (1 lsl (i mod 8)) <> 0
+  Block.read_from_block bitmap_block ~off:(i / 8) ~buf:scratch4 ~pos:0 ~len:1;
+  Bytes.get_uint8 scratch4 0 land (1 lsl (i mod 8)) <> 0
 
 let bit_set bitmap_block i v =
   Jbd.touch bitmap_block;
-  let byte = Bytes.create 1 in
-  Block.read_from_block bitmap_block ~off:(i / 8) ~buf:byte ~pos:0 ~len:1;
-  let b = Char.code (Bytes.get byte 0) in
+  Block.read_from_block bitmap_block ~off:(i / 8) ~buf:scratch4 ~pos:0 ~len:1;
+  let b = Bytes.get_uint8 scratch4 0 in
   let b = if v then b lor (1 lsl (i mod 8)) else b land lnot (1 lsl (i mod 8)) in
-  Bytes.set byte 0 (Char.chr (b land 0xff));
-  Block.write_to_block bitmap_block ~off:(i / 8) ~buf:byte ~pos:0 ~len:1
+  Bytes.set_uint8 scratch4 0 b;
+  Block.write_to_block bitmap_block ~off:(i / 8) ~buf:scratch4 ~pos:0 ~len:1
 
 let device_blocks () = Block.capacity_sectors () / Block.sectors_per_block
 
@@ -136,19 +134,17 @@ let free_ino i =
 
 (* --- Disk inodes --- *)
 
-let inode_loc ino = (inode_table_start + (ino / inodes_per_block), ino mod inodes_per_block * inode_size)
+(* Where inode [ino] lives: its inode-table block and its offset there. *)
+let di_metadata_block ino = inode_table_start + (ino / inodes_per_block)
 
-let di_read ino field =
-  let blk, base = inode_loc ino in
-  read_u32_at blk (base + field)
+let di_base ino = ino mod inodes_per_block * inode_size
 
-let di_write ino field v =
-  let blk, base = inode_loc ino in
-  write_u32_at blk (base + field) v
+let di_read ino field = read_u32_at (di_metadata_block ino) (di_base ino + field)
 
-let di_metadata_block ino = fst (inode_loc ino)
+let di_write ino field v = write_u32_at (di_metadata_block ino) (di_base ino + field) v
 
-(* Map a file block index to a device block, optionally allocating.
+(* Map a file block index to a device block, optionally allocating;
+   0 is a hole (block 0 is the superblock, never file data).
 
    Freshly allocated blocks are zeroed: a reused block still carries its
    previous life's content (in the page cache or on disk), and a mapping
@@ -156,54 +152,34 @@ let di_metadata_block ino = fst (inode_loc ino)
    after truncate freed and recycled it. *)
 let zeroes = Bytes.make block_size '\000'
 
+(* The block the u32 slot at [off] of block [blk] points to. An empty
+   slot reads 0, or with [alloc] gets a fresh zeroed block; [map] marks
+   a mapping (indirect) block, which the journal covers. *)
+let slot blk off ~alloc ~map =
+  let cur = read_u32_at blk off in
+  if cur <> 0 || not alloc then cur
+  else begin
+    let b = alloc_block () in
+    if map then Jbd.touch b;
+    Block.write_to_block b ~off:0 ~buf:zeroes ~pos:0 ~len:block_size;
+    write_u32_at blk off b;
+    b
+  end
+
 let bmap ino fblock ~alloc =
   if fblock < 0 || fblock >= max_file_blocks then
     Ostd.Panic.panicf "ext2: file block %d beyond maximum" fblock;
-  let get_or_alloc ?(map = false) read_slot write_slot =
-    let cur = read_slot () in
-    if cur <> 0 then Some cur
-    else if not alloc then None
-    else begin
-      let b = alloc_block () in
-      if map then Jbd.touch b;
-      Block.write_to_block b ~off:0 ~buf:zeroes ~pos:0 ~len:block_size;
-      write_slot b;
-      Some b
-    end
-  in
-  if fblock < ndirect then
-    get_or_alloc
-      (fun () -> di_read ino (di_direct + (4 * fblock)))
-      (fun b -> di_write ino (di_direct + (4 * fblock)) b)
+  let iblk = di_metadata_block ino and base = di_base ino in
+  if fblock < ndirect then slot iblk (base + di_direct + (4 * fblock)) ~alloc ~map:false
   else if fblock < ndirect + ptrs_per_block then begin
-    let idx = fblock - ndirect in
-    match
-      get_or_alloc ~map:true
-        (fun () -> di_read ino di_indirect)
-        (fun b -> di_write ino di_indirect b)
-    with
-    | None -> None
-    | Some ind ->
-      get_or_alloc (fun () -> read_u32_at ind (4 * idx)) (fun b -> write_u32_at ind (4 * idx) b)
+    let ind = slot iblk (base + di_indirect) ~alloc ~map:true in
+    if ind = 0 then 0 else slot ind (4 * (fblock - ndirect)) ~alloc ~map:false
   end
   else begin
     let idx = fblock - ndirect - ptrs_per_block in
-    let hi = idx / ptrs_per_block and lo = idx mod ptrs_per_block in
-    match
-      get_or_alloc ~map:true
-        (fun () -> di_read ino di_dindirect)
-        (fun b -> di_write ino di_dindirect b)
-    with
-    | None -> None
-    | Some dind -> (
-      match
-        get_or_alloc ~map:true
-          (fun () -> read_u32_at dind (4 * hi))
-          (fun b -> write_u32_at dind (4 * hi) b)
-      with
-      | None -> None
-      | Some ind ->
-        get_or_alloc (fun () -> read_u32_at ind (4 * lo)) (fun b -> write_u32_at ind (4 * lo) b))
+    let dind = slot iblk (base + di_dindirect) ~alloc ~map:true in
+    let ind = if dind = 0 then 0 else slot dind (4 * (idx / ptrs_per_block)) ~alloc ~map:true in
+    if ind = 0 then 0 else slot ind (4 * (idx mod ptrs_per_block)) ~alloc ~map:false
   end
 
 (* All device blocks a file currently uses (data + mapping metadata). *)
@@ -212,9 +188,8 @@ let file_blocks ino =
   let size = di_read ino di_size in
   let nblocks = (size + block_size - 1) / block_size in
   for fb = 0 to nblocks - 1 do
-    match bmap ino fb ~alloc:false with
-    | Some b -> out := b :: !out
-    | None -> ()
+    let b = bmap ino fb ~alloc:false in
+    if b <> 0 then out := b :: !out
   done;
   if di_read ino di_indirect <> 0 then out := di_read ino di_indirect :: !out;
   let dind = di_read ino di_dindirect in
@@ -259,15 +234,18 @@ let ra_table : (int, ra_state) Hashtbl.t = Hashtbl.create 64
 
 let ra_reset () = Hashtbl.reset ra_table
 
-(* Device blocks backing file blocks [first, stop) — holes skipped. *)
-let mapped_range ino ~first ~stop =
-  let blocks = ref [] in
+(* Map file blocks [first, stop), in ascending order, into [blocks]
+   from index [n]; holes are skipped. Returns the new count. *)
+let map_range ino ~first ~stop blocks n =
+  let n = ref n in
   for fb = first to stop - 1 do
-    match bmap ino fb ~alloc:false with
-    | Some b -> blocks := b :: !blocks
-    | None -> ()
+    let b = bmap ino fb ~alloc:false in
+    if b <> 0 then begin
+      blocks.(!n) <- b;
+      incr n
+    end
   done;
-  !blocks
+  !n
 
 let readahead ino ~first_fb ~nblocks =
   if (Sim.Profile.get ()).Sim.Profile.blk_readahead then begin
@@ -291,21 +269,27 @@ let readahead ino ~first_fb ~nblocks =
       let size = di_read ino di_size in
       let file_nb = (size + block_size - 1) / block_size in
       let stop = min file_nb (start + st.window) in
-      (* The first block of the window not known to be cached. Reading
-         an inode or an indirect block can sleep, and another reader of
-         the stream or a cache drop can run meanwhile, so this is asked
-         again after each piece is mapped. *)
-      let covered () =
-        if st.next_fb = start && st.ra_epoch = Block.cache_epoch () then max start st.ra_end
-        else start
-      in
-      let rec map_down lo blocks =
-        let from = covered () in
-        if from >= lo then blocks else map_down from (mapped_range ino ~first:from ~stop:lo @ blocks)
-      in
-      let blocks = map_down stop [] in
+      (* Map the window from the first block not known to be cached.
+         Reading an inode or an indirect block can sleep, and another
+         reader of the stream or a cache drop can run meanwhile, so that
+         block is asked for again after each piece is mapped, and any
+         piece it uncovers below is mapped too. The window's blocks go
+         to an array of their own, as the mapping can sleep. *)
+      let blocks = Array.make (max 0 (stop - start)) 0 and n = ref 0 and lo = ref stop in
+      let continue = ref true in
+      while !continue do
+        let from =
+          if st.next_fb = start && st.ra_epoch = Block.cache_epoch () then max start st.ra_end
+          else start
+        in
+        if from >= !lo then continue := false
+        else begin
+          n := map_range ino ~first:from ~stop:!lo blocks !n;
+          lo := from
+        end
+      done;
       let epoch = Block.cache_epoch () in
-      Block.prefetch_blocks blocks;
+      Block.prefetch_blocks blocks ~n:!n;
       if st.next_fb = start then begin
         st.ra_end <- stop;
         st.ra_epoch <- epoch
@@ -324,8 +308,11 @@ let data_read ino ~pos ~buf ~boff ~len =
     let last_fb = (pos + len - 1) / block_size in
     (* Plug: a demand read spanning several blocks fetches its misses as
        one merged chain instead of one synchronous bio per block... *)
-    if last_fb > first_fb then
-      Block.prefetch_blocks ~mark:false (mapped_range ino ~first:first_fb ~stop:(last_fb + 1));
+    if last_fb > first_fb then begin
+      let blocks = Array.make (last_fb + 1 - first_fb) 0 in
+      let n = map_range ino ~first:first_fb ~stop:(last_fb + 1) blocks 0 in
+      Block.prefetch_blocks ~mark:false blocks ~n
+    end;
     (* ...and a sequential stream speculates past it. *)
     readahead ino ~first_fb ~nblocks:(last_fb - first_fb + 1);
     let moved = ref 0 in
@@ -333,11 +320,12 @@ let data_read ino ~pos ~buf ~boff ~len =
       let p = pos + !moved in
       let fb = p / block_size and off = p mod block_size in
       let chunk = min (len - !moved) (block_size - off) in
-      (match bmap ino fb ~alloc:false with
-      | Some b -> Block.read_from_block b ~off ~buf ~pos:(boff + !moved) ~len:chunk
-      | None ->
+      let b = bmap ino fb ~alloc:false in
+      if b <> 0 then Block.read_from_block b ~off ~buf ~pos:(boff + !moved) ~len:chunk
+      else begin
         Sim.Cost.charge_zero_fill chunk;
-        Bytes.fill buf (boff + !moved) chunk '\000');
+        Bytes.fill buf (boff + !moved) chunk '\000'
+      end;
       moved := !moved + chunk
     done;
     len
@@ -352,16 +340,63 @@ let data_write ?(meta = false) ino ~pos ~buf ~boff ~len =
     let p = pos + !moved in
     let fb = p / block_size and off = p mod block_size in
     let chunk = min (len - !moved) (block_size - off) in
-    (match bmap ino fb ~alloc:true with
-    | Some b ->
-      if meta then Jbd.touch b;
-      Block.write_to_block b ~off ~buf ~pos:(boff + !moved) ~len:chunk
-    | None -> Ostd.Panic.panic "ext2: allocation failed during write");
+    let b = bmap ino fb ~alloc:true in
+    if meta then Jbd.touch b;
+    Block.write_to_block b ~off ~buf ~pos:(boff + !moved) ~len:chunk;
     moved := !moved + chunk
   done;
   let size = di_read ino di_size in
   if pos + len > size then di_write ino di_size (pos + len);
   len
+
+(* Free the whole blocks of file [ino] past [size] (it held [old_size]
+   bytes), clearing every mapping slot — direct, indirect, and
+   double-indirect — so no dangling pointer survives into a reused
+   block. *)
+let free_blocks_beyond ino ~size ~old_size =
+  let keep = (size + block_size - 1) / block_size in
+  let total = (old_size + block_size - 1) / block_size in
+  for fb = keep to total - 1 do
+    let b = bmap ino fb ~alloc:false in
+    if b >= first_data_block then begin
+      free_block b;
+      if fb < ndirect then di_write ino (di_direct + (4 * fb)) 0
+      else if fb < ndirect + ptrs_per_block then begin
+        let ind = di_read ino di_indirect in
+        if ind <> 0 then write_u32_at ind (4 * (fb - ndirect)) 0
+      end
+      else begin
+        let idx = fb - ndirect - ptrs_per_block in
+        let hi = idx / ptrs_per_block and lo = idx mod ptrs_per_block in
+        let dind = di_read ino di_dindirect in
+        if dind <> 0 then begin
+          let ind = read_u32_at dind (4 * hi) in
+          if ind <> 0 then write_u32_at ind (4 * lo) 0
+        end
+      end
+    end
+  done;
+  (* Indirect chain blocks whose whole range is gone. *)
+  let ind = di_read ino di_indirect in
+  if ind <> 0 && keep <= ndirect then begin
+    free_block ind;
+    di_write ino di_indirect 0
+  end;
+  let dind = di_read ino di_dindirect in
+  if dind <> 0 then begin
+    for hi = 0 to ptrs_per_block - 1 do
+      let ind = read_u32_at dind (4 * hi) in
+      if ind <> 0 && keep <= ndirect + ptrs_per_block + (hi * ptrs_per_block)
+      then begin
+        free_block ind;
+        write_u32_at dind (4 * hi) 0
+      end
+    done;
+    if keep <= ndirect + ptrs_per_block then begin
+      free_block dind;
+      di_write ino di_dindirect 0
+    end
+  end
 
 (* --- Directories --- *)
 
@@ -381,7 +416,11 @@ let dir_entries ino =
   in
   parse 0 []
 
-let dir_write_entries ino entries =
+(* Bytes a list of entries takes on disk. *)
+let dir_size entries = List.fold_left (fun n (name, _) -> n + 6 + String.length name) 0 entries
+
+(* Replace the entries of directory [ino], which held [was]. *)
+let dir_write_entries ino ~was entries =
   let b = Buffer.create 256 in
   List.iter
     (fun (name, e_ino) ->
@@ -392,9 +431,14 @@ let dir_write_entries ino entries =
       Buffer.add_string b name)
     entries;
   let data = Buffer.to_bytes b in
+  let old_size = dir_size was and size = Bytes.length data in
   di_write ino di_size 0;
-  ignore (data_write ~meta:true ino ~pos:0 ~buf:data ~boff:0 ~len:(Bytes.length data));
-  di_write ino di_size (Bytes.length data)
+  ignore (data_write ~meta:true ino ~pos:0 ~buf:data ~boff:0 ~len:size);
+  di_write ino di_size size;
+  (* A directory that shrinks past a block boundary gives the blocks
+     back, as a truncate would. *)
+  if (size + block_size - 1) / block_size < (old_size + block_size - 1) / block_size then
+    free_blocks_beyond ino ~size ~old_size
 
 (* --- VFS glue --- *)
 
@@ -453,7 +497,7 @@ and ops =
                 if List.mem_assoc name entries then Error Errno.eexist
                 else begin
                   let ino = new_disk_inode kind ~mode in
-                  dir_write_entries dino (entries @ [ (name, ino) ]);
+                  dir_write_entries dino ~was:entries (entries @ [ (name, ino) ]);
                   dir.Vfs.size <- di_read dino di_size;
                   Vfs.touch_mtime dir;
                   Ok (vnode_of ino)
@@ -470,7 +514,7 @@ and ops =
               if child.Vfs.kind = Vfs.Dir && dir_entries e_ino <> [] then
                 Error Errno.enotempty
               else begin
-                dir_write_entries dino (List.remove_assoc name entries);
+                dir_write_entries dino ~was:entries (List.remove_assoc name entries);
                 dir.Vfs.size <- di_read dino di_size;
                 let nlink = di_read e_ino di_nlink - 1 in
                 di_write e_ino di_nlink nlink;
@@ -512,52 +556,7 @@ and ops =
             let ino = dino_of f in
             let old_size = di_read ino di_size in
             if n < old_size then begin
-              (* Free whole blocks beyond the new size, clearing every
-                 mapping slot — direct, indirect, and double-indirect —
-                 so no dangling pointer survives into a reused block. *)
-              let keep = (n + block_size - 1) / block_size in
-              let total = (old_size + block_size - 1) / block_size in
-              for fb = keep to total - 1 do
-                match bmap ino fb ~alloc:false with
-                | Some b when b >= first_data_block ->
-                  free_block b;
-                  if fb < ndirect then di_write ino (di_direct + (4 * fb)) 0
-                  else if fb < ndirect + ptrs_per_block then begin
-                    let ind = di_read ino di_indirect in
-                    if ind <> 0 then write_u32_at ind (4 * (fb - ndirect)) 0
-                  end
-                  else begin
-                    let idx = fb - ndirect - ptrs_per_block in
-                    let hi = idx / ptrs_per_block and lo = idx mod ptrs_per_block in
-                    let dind = di_read ino di_dindirect in
-                    if dind <> 0 then begin
-                      let ind = read_u32_at dind (4 * hi) in
-                      if ind <> 0 then write_u32_at ind (4 * lo) 0
-                    end
-                  end
-                | Some _ | None -> ()
-              done;
-              (* Indirect chain blocks whose whole range is gone. *)
-              let ind = di_read ino di_indirect in
-              if ind <> 0 && keep <= ndirect then begin
-                free_block ind;
-                di_write ino di_indirect 0
-              end;
-              let dind = di_read ino di_dindirect in
-              if dind <> 0 then begin
-                for hi = 0 to ptrs_per_block - 1 do
-                  let ind = read_u32_at dind (4 * hi) in
-                  if ind <> 0 && keep <= ndirect + ptrs_per_block + (hi * ptrs_per_block)
-                  then begin
-                    free_block ind;
-                    write_u32_at dind (4 * hi) 0
-                  end
-                done;
-                if keep <= ndirect + ptrs_per_block then begin
-                  free_block dind;
-                  di_write ino di_dindirect 0
-                end
-              end
+              free_blocks_beyond ino ~size:n ~old_size
             end
             else if n > old_size then begin
               let zero = Bytes.make (min block_size (n - old_size)) '\000' in
@@ -579,7 +578,7 @@ and ops =
           (* Ordered mode: the commit itself writes all dirty data back
              before the metadata transaction goes behind its barriers. *)
           Jbd.commit ()
-        else Block.sync_blocks (file_blocks ino));
+        else Block.sync_blocks (Array.of_list (file_blocks ino)));
     rename =
       (fun src_dir src_name dst_dir dst_name ->
         Jbd.with_handle (fun () ->
@@ -599,9 +598,9 @@ and ops =
                 when (vnode_of old_ino).Vfs.kind = Vfs.Dir && dir_entries old_ino <> [] ->
                 Error Errno.enotempty
               | _ ->
-                dir_write_entries sdino (List.remove_assoc src_name sentries);
+                dir_write_entries sdino ~was:sentries (List.remove_assoc src_name sentries);
                 let dentries = dir_entries ddino in
-                dir_write_entries ddino
+                dir_write_entries ddino ~was:dentries
                   ((dst_name, e_ino) :: List.remove_assoc dst_name dentries);
                 (* The replaced inode lost its last (or one) name: drop
                    its link count and reclaim it like unlink would. *)
@@ -630,7 +629,7 @@ and ops =
             if List.mem_assoc name entries then Error Errno.eexist
             else begin
               let t_ino = dino_of target in
-              dir_write_entries dino (entries @ [ (name, t_ino) ]);
+              dir_write_entries dino ~was:entries (entries @ [ (name, t_ino) ]);
               let nl = di_read t_ino di_nlink + 1 in
               di_write t_ino di_nlink nl;
               target.Vfs.nlink <- nl;

@@ -172,12 +172,15 @@ let checksum ~txn_seq n =
 
 (* --- Journal superblock --- *)
 
+(* Staged in [staging.(0)]: every caller runs between transactions
+   (format, a checkpoint, the end of replay), when it is free. *)
 let write_jsb () =
-  let b = Bytes.make block_size '\000' in
+  let b = staging.(0) in
+  Bytes.fill b 0 block_size '\000';
   put_u32 b 0 jsb_magic;
   put_u32 b 4 !seq;
   write_whole (slot_block 0) b;
-  Block.sync_blocks [ slot_block 0 ]
+  Block.sync_blocks [| slot_block 0 |]
 
 (* mkfs: a fresh, empty journal. *)
 let format () =
@@ -228,13 +231,15 @@ let do_checkpoint () =
               | Ok () -> ()
               | Error e -> Ostd.Panic.failf ~errno:e "jbd: checkpoint writeback failed"))
           homes;
-        let plain = List.filter_map (fun (b, img) -> if img = None then Some b else None) homes in
-        List.iter Block.unpin plain;
+        let plain =
+          Array.of_list (List.filter_map (fun (b, img) -> if img = None then Some b else None) homes)
+        in
+        Array.iter Block.unpin plain;
         match Block.sync_blocks plain with
         | Error e ->
           (* Homes may not be durable: keep the journal live (re-pin,
              tail stays) so replay can still reconstruct them. *)
-          List.iter Block.pin plain;
+          Array.iter Block.pin plain;
           Ostd.Panic.failf ~errno:e "jbd: checkpoint writeback failed"
         | Ok () ->
           Hashtbl.reset committed;
@@ -268,9 +273,9 @@ let touch blockno =
     end
   end
 
-let commit_chunk chunk =
+(* Commit [blocks.(first .. first + n - 1)] as one transaction. *)
+let commit_chunk blocks ~first ~n =
   let span_t0 = Sim.Time.now () in
-  let n = List.length chunk in
   (* Make room: descriptor + n contents + commit record. *)
   if !next_slot + n + 2 > !jblocks then do_checkpoint ();
   if !next_slot + n + 2 > !jblocks then
@@ -281,15 +286,22 @@ let commit_chunk chunk =
   put_u32 desc 0 desc_magic;
   put_u32 desc 4 !seq;
   put_u32 desc 8 n;
-  List.iteri (fun i b -> put_u32 desc (12 + (4 * i)) b) chunk;
+  for i = 0 to n - 1 do
+    put_u32 desc (12 + (4 * i)) blocks.(first + i)
+  done;
   write_whole (slot_block desc_slot) desc;
-  List.iteri (fun i b -> read_into staging.(i + 1) b) chunk;
+  for i = 0 to n - 1 do
+    read_into staging.(i + 1) blocks.(first + i)
+  done;
   for i = 1 to n do
     write_whole (slot_block (desc_slot + i)) staging.(i)
   done;
   (* Barrier 1: descriptor and content copies durable before the commit
      record can exist. *)
-  let journal_slots = List.init (n + 1) (fun i -> slot_block (desc_slot + i)) in
+  let journal_slots = Array.make (n + 1) 0 in
+  for i = 0 to n do
+    journal_slots.(i) <- slot_block (desc_slot + i)
+  done;
   (match Block.sync_blocks journal_slots with
   | Ok () -> ()
   | Error e -> Ostd.Panic.failf ~errno:e "jbd: journal write failed");
@@ -305,13 +317,12 @@ let commit_chunk chunk =
   (match Block.write_block_fua (slot_block commit_slot) with
   | Ok () -> ()
   | Error e -> Ostd.Panic.failf ~errno:e "jbd: commit record write failed");
-  List.iter
-    (fun b ->
-      Hashtbl.remove running b;
-      (* Any frozen image from an older transaction is superseded: the
-         newly committed content is the one a checkpoint must write. *)
-      Hashtbl.replace committed b None)
-    chunk;
+  for i = first to first + n - 1 do
+    Hashtbl.remove running blocks.(i);
+    (* Any frozen image from an older transaction is superseded: the
+       newly committed content is the one a checkpoint must write. *)
+    Hashtbl.replace committed blocks.(i) None
+  done;
   Sim.Stats.incr "jbd.commit";
   (* kspan: an fsync span shows the whole commit — journal writes,
      barrier 1, and the FUA commit record — as one jbd.commit segment
@@ -321,17 +332,6 @@ let commit_chunk chunk =
   Sim.Trace.emit3 tp_commit !seq n desc_slot;
   seq := !seq + 1;
   next_slot := commit_slot + 1
-
-let rec chunks l =
-  if List.length l <= max_txn then [ l ]
-  else
-    let rec split i acc rest =
-      if i = 0 then (List.rev acc, rest)
-      else
-        match rest with [] -> (List.rev acc, []) | x :: tl -> split (i - 1) (x :: acc) tl
-    in
-    let hd, tl = split max_txn [] l in
-    hd :: chunks tl
 
 (* Commit the running transaction. Waits out open handles (mutating fs
    operations), so a commit never captures a half-done operation. *)
@@ -361,16 +361,26 @@ let commit () =
           release ();
           e
         | Ok () -> (
-          match
-            List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) running [])
-          with
-          | [] ->
+          match Hashtbl.length running with
+          | 0 ->
             release ();
             Ok ()
-          | blocks ->
+          | total ->
+            (* The running blocks in ascending order, committed
+               [max_txn] at a time. *)
+            let blocks = Array.make total 0 and k = ref 0 in
+            Hashtbl.iter
+              (fun b () ->
+                blocks.(!k) <- b;
+                incr k)
+              running;
+            Array.sort Int.compare blocks;
             let r =
               try
-                List.iter commit_chunk (chunks blocks);
+                for c = 0 to (total - 1) / max_txn do
+                  let first = c * max_txn in
+                  commit_chunk blocks ~first ~n:(Int.min max_txn (total - first))
+                done;
                 (* Lazy checkpointing: only under space pressure, and only
                    here, between transactions, where running is empty. *)
                 if !next_slot > !jblocks / 2 then do_checkpoint ();

@@ -1,6 +1,15 @@
+(* Every file's generator, by key. A file inside a directory of /proc
+   has an internal key ("pid.3.status", "kprobe.points"); only the keys
+   in [top] are names in /proc itself. *)
 let generators : (string, unit -> string) Hashtbl.t = Hashtbl.create 16
 
-let register name gen = Hashtbl.replace generators name gen
+let top : (string, unit) Hashtbl.t = Hashtbl.create 16
+
+let register_nested key gen = Hashtbl.replace generators key gen
+
+let register name gen =
+  register_nested name gen;
+  Hashtbl.replace top name ()
 
 (* Writable proc files: a writer consumes the full written string as a
    control command ([echo sched,probe > /proc/ktrace] style). Files with
@@ -159,11 +168,11 @@ let pid_dir pid =
     let stat_name = Printf.sprintf "pid.%d.stat" pid in
     let schedstat_name = Printf.sprintf "pid.%d.schedstat" pid in
     let fdinfo_name = Printf.sprintf "pid.%d.fdinfo" pid in
-    register status_name (pid_status pid);
-    register comm_name (pid_comm pid);
-    register stat_name (pid_stat pid);
-    register schedstat_name (pid_schedstat pid);
-    register fdinfo_name (pid_fdinfo pid);
+    register_nested status_name (pid_status pid);
+    register_nested comm_name (pid_comm pid);
+    register_nested stat_name (pid_stat pid);
+    register_nested schedstat_name (pid_schedstat pid);
+    register_nested fdinfo_name (pid_fdinfo pid);
     let ops =
       {
         Vfs.default_ops with
@@ -207,9 +216,9 @@ let kprobe_prog_dir pname =
     let insns_name = "kprobe." ^ pname ^ ".insns" in
     (* the generators query the registry at read time, so a program
        unloaded after lookup just reads back empty *)
-    register maps_name (fun () ->
+    register_nested maps_name (fun () ->
         match Kprobe.Registry.render_maps pname with Some s -> s | None -> "");
-    register insns_name (fun () ->
+    register_nested insns_name (fun () ->
         match Kprobe.Registry.render_prog pname with Some s -> s | None -> "");
     let ops =
       {
@@ -264,7 +273,7 @@ let root_ops =
     lookup =
       (fun _ name ->
         if name = "kprobe" then Some (kprobe_dir ())
-        else if Hashtbl.mem generators name then Some (file_inode name)
+        else if Hashtbl.mem top name then Some (file_inode name)
         else
           match int_of_string_opt name with
           | Some pid when Process.by_pid pid <> None -> Some (pid_dir pid)
@@ -272,7 +281,7 @@ let root_ops =
     readdir =
       (fun _ ->
         ("kprobe", kprobe_dir ())
-        :: (Hashtbl.fold (fun name _ acc -> (name, file_inode name) :: acc) generators []
+        :: (Hashtbl.fold (fun name () acc -> (name, file_inode name) :: acc) top []
            |> List.sort compare));
   }
 
@@ -355,8 +364,8 @@ let kstat_write raw =
 let standard_entries () =
   register_writer "ktrace" ktrace_write;
   register_writer "kstat" kstat_write;
-  register "kprobe.programs" (fun () -> Kprobe.Registry.render_list ());
-  register "kprobe.points" (fun () -> Kprobe.Registry.render_points ());
+  register_nested "kprobe.programs" (fun () -> Kprobe.Registry.render_list ());
+  register_nested "kprobe.points" (fun () -> Kprobe.Registry.render_points ());
   register "meminfo" (fun () ->
       let total = Ostd.Frame.total_frames () * 4 in
       Printf.sprintf "MemTotal: %d kB\nMemFree: (dynamic)\n" total);

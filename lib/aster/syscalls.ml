@@ -600,14 +600,46 @@ let sys_mprotect proc args =
 
 let sys_brk proc args = ok (Mm.do_brk (Process.mm proc) (int_arg args 0))
 
-let sys_nanosleep proc args =
-  match user_read proc ~vaddr:(int_arg args 0) ~len:16 with
-  | Error e -> err e
+(* The sleep request at [vaddr] in microseconds, or its errno: EFAULT
+   when unreadable, EINVAL for a negative second count or a nanosecond
+   count outside [0, 999,999,999] (Linux's [timespec64_valid]). *)
+let sleep_request proc vaddr =
+  match user_read proc ~vaddr ~len:16 with
+  | Error e -> Error e
   | Ok b ->
     let sec, nsec = Abi.decode_timespec b in
-    let us = (Int64.to_float sec *. 1e6) +. (Int64.to_float nsec /. 1e3) in
-    Ostd.Task.sleep_us us;
+    if sec < 0L || nsec < 0L || nsec > 999_999_999L then Error Errno.einval
+    else Ok ((Int64.to_float sec *. 1e6) +. (Int64.to_float nsec /. 1e3))
+
+(* A valid request can still outlast the virtual clock: sleeps are
+   capped at about 30 years. *)
+let sleep_for us = Ostd.Task.sleep_us (Float.min us 1e15)
+
+let sys_nanosleep proc args =
+  match sleep_request proc (int_arg args 0) with
+  | Error e -> err e
+  | Ok us ->
+    sleep_for us;
     ok 0
+
+let timer_abstime = 1
+
+(* clock_nanosleep(clockid, flags, request, remain) on the realtime (0)
+   and monotonic (1) clocks; any other clock is EINVAL. With
+   TIMER_ABSTIME the request is a time on that clock to sleep until. *)
+let sys_clock_nanosleep proc args =
+  let clk = int_arg args 0 in
+  if clk <> 0 && clk <> 1 then err Errno.einval
+  else
+    match sleep_request proc (int_arg args 2) with
+    | Error e -> err e
+    | Ok us ->
+      (if int_arg args 1 land timer_abstime = 0 then sleep_for us
+       else
+         let now = if clk = 1 then Ktime.monotonic_ns () else Ktime.realtime_ns () in
+         let left = us -. (float_of_int now /. 1e3) in
+         if left > 0. then sleep_for left);
+      ok 0
 
 let sys_getdents proc args =
   match file_of proc args.(0) with
@@ -1689,7 +1721,7 @@ let register_all () =
   reg N.mprotect sys_mprotect;
   reg N.brk sys_brk;
   reg N.nanosleep sys_nanosleep;
-  reg N.clock_nanosleep sys_nanosleep;
+  reg N.clock_nanosleep sys_clock_nanosleep;
   reg N.sched_yield (fun _ _ ->
       Ostd.Task.yield_now ();
       ok 0);

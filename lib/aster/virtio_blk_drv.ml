@@ -8,21 +8,25 @@ let desc_next = 32
 let desc_done_ts = 40 (* device-written completion timestamp (cycles) *)
 let status_pending = 0xff
 
-type data_buf = Pooled of Ostd.Dma.Stream.t | Dynamic of Ostd.Dma.Stream.t
-
+(* One request the device has been handed. [data] is the bounce buffer
+   of a data op, from the pool when [data_pooled]. *)
 type pending = {
   bio : Block.bio;
   desc : Ostd.Dma.Stream.t;
   desc_pooled : bool;
-  data : data_buf option;
+  data : Ostd.Dma.Stream.t option;
+  data_pooled : bool;
 }
 
+(* [pending.(0 .. npending - 1)] holds the requests the device has been
+   handed, oldest first; completions and cancels walk it newest first. *)
 type state = {
   window : Ostd.Io_mem.t;
   dev_id : int;
   desc_pool : Ostd.Dma.Pool.t;
   data_pool : Ostd.Dma.Pool.t;
-  mutable pending : pending list;
+  mutable pending : pending array;
+  mutable npending : int;
   capacity : int;
 }
 
@@ -33,60 +37,43 @@ let st () =
   | Some s -> s
   | None -> Ostd.Panic.panic "virtio-blk driver not initialised"
 
-let in_flight () = match !state with Some s -> List.length s.pending | None -> 0
+let in_flight () = match !state with Some s -> s.npending | None -> 0
 
 let stream_frame = Ostd.Dma.Stream.frame
 
-let take_desc_buf s =
-  let p = Sim.Profile.get () in
-  if p.Sim.Profile.dma_pooling then
-    match Ostd.Dma.Pool.alloc s.desc_pool with
-    | Some b -> (b, true)
-    | None -> (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id, false)
-  else (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id, false)
-
-let take_data_buf s =
-  let p = Sim.Profile.get () in
-  if p.Sim.Profile.dma_pooling && p.Sim.Profile.blk_pooling_complete then
-    match Ostd.Dma.Pool.alloc s.data_pool with
-    | Some b -> Pooled b
-    | None -> Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id)
-  else
-    (* The incomplete-pooling path the paper describes for its block
-       driver: data pages are mapped per request, so every I/O pays the
-       map/unmap plus IOTLB invalidation. *)
-    Dynamic (Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id)
-
-let release_data_buf s = function
-  | None -> ()
-  | Some (Pooled b) -> Ostd.Dma.Pool.release s.data_pool b
-  | Some (Dynamic b) -> Ostd.Dma.Stream.unmap b
+let fresh_buf s = Ostd.Dma.Stream.map (Ostd.Frame.alloc ()) ~dev:s.dev_id
 
 (* Build the DMA descriptor (and data buffer) for one bio. Writes every
    descriptor field including a zero chain link; [link] stitches chains
    afterwards. Does not ring the doorbell. *)
 let prepare s bio =
-  let desc, desc_pooled = take_desc_buf s in
+  let p = Sim.Profile.get () in
+  let desc_pooled = if p.Sim.Profile.dma_pooling then Ostd.Dma.Pool.alloc s.desc_pool else None in
+  let desc = match desc_pooled with Some b -> b | None -> fresh_buf s in
   let dframe = stream_frame desc in
-  let op_code, data_buf =
-    match Block.bio_op bio with
-    | Block.Flush -> (2, None)
-    | Block.Read -> (0, Some (take_data_buf s))
-    | (Block.Write | Block.Write_fua) as op ->
-      let db = take_data_buf s in
-      let dst = match db with Pooled b | Dynamic b -> stream_frame b in
-      (match Block.bio_frame bio with
-      | Some src ->
-        Sim.Cost.charge_memcpy (Block.bio_len bio);
-        Ostd.Untyped.copy ~src ~src_off:0 ~dst ~dst_off:0 ~len:(Block.bio_len bio)
-      | None -> ());
-      ((if op = Block.Write_fua then 3 else 1), Some db)
+  let op = Block.bio_op bio in
+  (* Without complete pooling — the incomplete-pooling path the paper
+     describes for its block driver — data pages are mapped per
+     request, so every I/O pays the map/unmap plus IOTLB invalidation. *)
+  let data_pooled =
+    if op <> Block.Flush && p.Sim.Profile.dma_pooling && p.Sim.Profile.blk_pooling_complete
+    then Ostd.Dma.Pool.alloc s.data_pool
+    else None
   in
-  let data_paddr =
-    match data_buf with
-    | Some (Pooled b) | Some (Dynamic b) -> Ostd.Dma.Stream.paddr b
-    | None -> 0
+  let data =
+    match data_pooled with
+    | Some _ -> data_pooled
+    | None -> if op = Block.Flush then None else Some (fresh_buf s)
   in
+  (match (op, data, Block.bio_frame bio) with
+  | (Block.Write | Block.Write_fua), Some dst, Some src ->
+    Sim.Cost.charge_memcpy (Block.bio_len bio);
+    Ostd.Untyped.copy ~src ~src_off:0 ~dst:(stream_frame dst) ~dst_off:0 ~len:(Block.bio_len bio)
+  | _ -> ());
+  let op_code =
+    match op with Block.Flush -> 2 | Block.Read -> 0 | Block.Write -> 1 | Block.Write_fua -> 3
+  in
+  let data_paddr = match data with Some b -> Ostd.Dma.Stream.paddr b | None -> 0 in
   Ostd.Untyped.write_u32 dframe ~off:desc_type op_code;
   Ostd.Untyped.write_u32 dframe ~off:desc_len (Block.bio_len bio);
   Ostd.Untyped.write_u64 dframe ~off:desc_sector (Int64.of_int (Block.bio_sector bio));
@@ -94,11 +81,26 @@ let prepare s bio =
   Ostd.Untyped.write_u32 dframe ~off:desc_status status_pending;
   Ostd.Untyped.write_u64 dframe ~off:desc_next 0L;
   Ostd.Untyped.write_u64 dframe ~off:desc_done_ts 0L;
-  { bio; desc; desc_pooled; data = data_buf }
+  {
+    bio;
+    desc;
+    desc_pooled = Option.is_some desc_pooled;
+    data;
+    data_pooled = Option.is_some data_pooled;
+  }
 
 let link prev next =
   Ostd.Untyped.write_u64 (stream_frame prev.desc) ~off:desc_next
     (Int64.of_int (Ostd.Dma.Stream.paddr next.desc))
+
+let add_pending s p =
+  if s.npending = Array.length s.pending then begin
+    let grown = Array.make (Int.max 16 (2 * s.npending)) p in
+    Array.blit s.pending 0 grown 0 s.npending;
+    s.pending <- grown
+  end;
+  s.pending.(s.npending) <- p;
+  s.npending <- s.npending + 1
 
 (* Ring the doorbell for the chain head — with suppression, as with the
    NIC: a busy device keeps pulling from its queue without another VM
@@ -122,29 +124,35 @@ let submit bio =
   let s = st () in
   let p = prepare s bio in
   Block.note_issued bio;
-  let device_idle = s.pending = [] in
-  s.pending <- p :: s.pending;
+  let device_idle = s.npending = 0 in
+  add_pending s p;
   ring s ~device_idle p
 
-(* Scatter-gather submission: one descriptor chain, one doorbell, and —
-   on the device side — one completion interrupt for the whole run.
-   Each bio still completes (or times out) individually via [reap]. *)
-let submit_many bios =
-  let s = st () in
-  match List.map (prepare s) bios with
-  | [] -> ()
-  | head :: _ as ps ->
-    let rec link_all = function
-      | a :: (b :: _ as tl) ->
-        link a b;
-        link_all tl
-      | _ -> ()
-    in
-    link_all ps;
-    List.iter (fun p -> Block.note_issued p.bio) ps;
-    let device_idle = s.pending = [] in
-    s.pending <- List.rev_append ps s.pending;
-    ring s ~device_idle head
+(* Scatter-gather submission of [bios.(first .. first + len - 1)]: one
+   descriptor chain, one doorbell, and — on the device side — one
+   completion interrupt for the whole run. Each bio still completes (or
+   times out) individually via [reap]. The chain is prepared into
+   [pending] directly and linked there. *)
+let submit_many bios ~first ~len =
+  if len > 0 then begin
+    let s = st () in
+    let device_idle = s.npending = 0 and base = s.npending in
+    for k = first to first + len - 1 do
+      add_pending s (prepare s bios.(k))
+    done;
+    for i = base to base + len - 2 do
+      link s.pending.(i) s.pending.(i + 1)
+    done;
+    for i = base to base + len - 1 do
+      Block.note_issued s.pending.(i).bio
+    done;
+    ring s ~device_idle s.pending.(base)
+  end
+
+(* Remove [pending.(i)], keeping the order of the rest. *)
+let remove_pending s i =
+  Array.blit s.pending (i + 1) s.pending i (s.npending - i - 1);
+  s.npending <- s.npending - 1
 
 (* Timeout path: the block layer has given up on this bio, but the
    device may still DMA into its buffers later. Quarantine them — unmap
@@ -155,47 +163,73 @@ let submit_many bios =
    [blk.pool_leaked] so /proc/kstat makes the shrinkage observable. *)
 let cancel bio =
   let s = st () in
-  let stale, keep = List.partition (fun p -> p.bio == bio) s.pending in
-  s.pending <- keep;
-  List.iter
-    (fun p ->
+  for i = s.npending - 1 downto 0 do
+    let p = s.pending.(i) in
+    if p.bio == bio then begin
+      remove_pending s i;
       Sim.Stats.incr "virtio_blk.quarantined";
       if p.desc_pooled then Sim.Stats.incr "blk.pool_leaked";
       (match p.data with
-      | Some (Pooled b) ->
-        Sim.Stats.incr "blk.pool_leaked";
+      | Some b ->
+        if p.data_pooled then Sim.Stats.incr "blk.pool_leaked";
         Ostd.Dma.Stream.unmap b
-      | Some (Dynamic b) -> Ostd.Dma.Stream.unmap b
       | None -> ());
-      Ostd.Dma.Stream.unmap p.desc)
-    stale
+      Ostd.Dma.Stream.unmap p.desc
+    end
+  done
 
-(* Bottom half: reap every descriptor the device has finished. *)
+let status_of p = Ostd.Untyped.read_u32 (stream_frame p.desc) ~off:desc_status
+
+(* Finish one request the device has answered: copy a read's data out
+   of its bounce buffer, release the buffers, and report the attempt. *)
+let finish s p =
+  let status = status_of p in
+  (match p.data with
+  | Some b ->
+    (if status = 0 && Block.bio_op p.bio = Block.Read then
+       match Block.bio_frame p.bio with
+       | Some dst ->
+         Sim.Cost.charge_memcpy (Block.bio_len p.bio);
+         Ostd.Untyped.copy ~src:(stream_frame b) ~src_off:0 ~dst ~dst_off:0
+           ~len:(Block.bio_len p.bio)
+       | None -> ());
+    if p.data_pooled then Ostd.Dma.Pool.release s.data_pool b else Ostd.Dma.Stream.unmap b
+  | None -> ());
+  let stamp = Int64.to_int (Ostd.Untyped.read_u64 (stream_frame p.desc) ~off:desc_done_ts) in
+  if p.desc_pooled then Ostd.Dma.Pool.release s.desc_pool p.desc
+  else Ostd.Dma.Stream.unmap p.desc;
+  Block.attempt_done p.bio ~status:(if status = 0 then 0 else Errno.eio) ~stamp
+
+(* Bottom half: reap every descriptor the device has finished, newest
+   first. Every answered request leaves [pending] before the first is
+   finished; [answered] holds them meanwhile, newest first, while the
+   rest close up at the top of [pending] and then move down. *)
+let answered : pending array ref = ref [||]
+
 let reap () =
   let s = st () in
-  let done_, still =
-    List.partition
-      (fun p -> Ostd.Untyped.read_u32 (stream_frame p.desc) ~off:desc_status <> status_pending)
-      s.pending
-  in
-  s.pending <- still;
-  List.iter
-    (fun p ->
-      let status = Ostd.Untyped.read_u32 (stream_frame p.desc) ~off:desc_status in
-      (if status = 0 && Block.bio_op p.bio = Block.Read then
-         match (Block.bio_frame p.bio, p.data) with
-         | Some dst, Some (Pooled b | Dynamic b) ->
-           Sim.Cost.charge_memcpy (Block.bio_len p.bio);
-           Ostd.Untyped.copy ~src:(stream_frame b) ~src_off:0 ~dst ~dst_off:0
-             ~len:(Block.bio_len p.bio)
-         | _ -> ());
-      release_data_buf s p.data;
-      let done_ts = Int64.to_int (Ostd.Untyped.read_u64 (stream_frame p.desc) ~off:desc_done_ts) in
-      if done_ts > 0 then Block.note_dev_done p.bio done_ts;
-      if p.desc_pooled then Ostd.Dma.Pool.release s.desc_pool p.desc
-      else Ostd.Dma.Stream.unmap p.desc;
-      Block.complete_bio p.bio ~status:(if status = 0 then 0 else Errno.eio))
-    done_
+  let n = ref 0 and top = ref s.npending in
+  for i = s.npending - 1 downto 0 do
+    let p = s.pending.(i) in
+    if status_of p <> status_pending then begin
+      if !n = Array.length !answered then begin
+        let grown = Array.make (Int.max 16 (2 * !n)) p in
+        Array.blit !answered 0 grown 0 !n;
+        answered := grown
+      end;
+      !answered.(!n) <- p;
+      incr n
+    end
+    else begin
+      decr top;
+      s.pending.(!top) <- p
+    end
+  done;
+  Array.blit s.pending !top s.pending 0 (s.npending - !top);
+  s.npending <- s.npending - !top;
+  for i = 0 to !n - 1 do
+    finish s !answered.(i)
+  done
 
 let init () =
   match Ostd.Bus_probe.find `Blk with
@@ -216,7 +250,8 @@ let init () =
         dev_id;
         desc_pool = Ostd.Dma.Pool.create ~dev:dev_id ~buf_pages:1 ~count:64;
         data_pool = Ostd.Dma.Pool.create ~dev:dev_id ~buf_pages:1 ~count:64;
-        pending = [];
+        pending = [||];
+        npending = 0;
         capacity;
       }
     in

@@ -2,17 +2,33 @@ let page_size = Phys.page_size
 
 let enabled_flag = ref false
 
-(* Device domain: set of mapped page numbers. *)
-let domains : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8
+(* A device domain: byte [p] of [pages] holds [mapped_bit] while page
+   [p] is mapped into the domain and [cached_bit] while the IOTLB caches
+   it, so a translation indexes a page and allocates nothing. [pages]
+   grows to the highest page mapped; a page past its end is neither. *)
+type domain = { dev : int; mutable pages : Bytes.t }
 
-(* IOTLB: (dev, page) -> generation, evicted in FIFO order by a bounded
-   queue. Capacity is small enough that streaming DMA with dynamic
-   mappings thrashes it, as in the paper. *)
+let mapped_bit = 1
+let cached_bit = 2
+
+let domains : (int, domain) Hashtbl.t = Hashtbl.create 8
+
+(* IOTLB: one int key per (device, page), evicted in FIFO order from a
+   bounded ring. Capacity is small enough that streaming DMA with
+   dynamic mappings thrashes it, as in the paper. An unmap clears the
+   page's cached bit but leaves its key in the ring, and an eviction
+   clears the bit of whatever its key names now. *)
 let iotlb_capacity = 512
 
-let iotlb : (int * int, unit) Hashtbl.t = Hashtbl.create 64
+let page_bits = 40
 
-let iotlb_queue : (int * int) Queue.t = Queue.create ()
+let key ~dev page = (dev lsl page_bits) lor page
+
+let ring = Array.make iotlb_capacity 0
+
+let ring_head = ref 0
+
+let ring_len = ref 0
 
 let hit_count = ref 0
 
@@ -21,8 +37,8 @@ let miss_count = ref 0
 let reset () =
   enabled_flag := false;
   Hashtbl.reset domains;
-  Hashtbl.reset iotlb;
-  Queue.clear iotlb_queue;
+  ring_head := 0;
+  ring_len := 0;
   hit_count := 0;
   miss_count := 0
 
@@ -31,46 +47,52 @@ let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
 
 let domain dev =
-  match Hashtbl.find_opt domains dev with
-  | Some d -> d
-  | None ->
-    let d = Hashtbl.create 64 in
+  match Hashtbl.find domains dev with
+  | d -> d
+  | exception Not_found ->
+    let d = { dev; pages = Bytes.empty } in
     Hashtbl.add domains dev d;
     d
 
-let pages_of ~paddr ~len =
-  if len <= 0 then []
-  else begin
-    let first = paddr / page_size and last = (paddr + len - 1) / page_size in
-    List.init (last - first + 1) (fun i -> first + i)
-  end
+let bits d p = if p >= 0 && p < Bytes.length d.pages then Bytes.get_uint8 d.pages p else 0
 
+let set_bits d p v =
+  if p >= Bytes.length d.pages then begin
+    let grown = Bytes.make (Int.max (p + 1) (2 * Bytes.length d.pages)) '\000' in
+    Bytes.blit d.pages 0 grown 0 (Bytes.length d.pages);
+    d.pages <- grown
+  end;
+  Bytes.set_uint8 d.pages p v
+
+(* The pages covering [paddr, paddr + len): none when [len <= 0]. *)
+let first_page paddr = paddr / page_size
+
+let last_page ~paddr ~len = if len <= 0 then min_int else (paddr + len - 1) / page_size
+
+(* Physical pages are never negative, so none is mapped. *)
 let map ~dev ~paddr ~len =
   let d = domain dev in
-  List.iter (fun p -> Hashtbl.replace d p ()) (pages_of ~paddr ~len)
-
-let iotlb_invalidate key =
-  if Hashtbl.mem iotlb key then Hashtbl.remove iotlb key
+  for p = Int.max 0 (first_page paddr) to last_page ~paddr ~len do
+    set_bits d p (bits d p lor mapped_bit)
+  done
 
 let unmap ~dev ~paddr ~len =
   let d = domain dev in
-  List.iter
-    (fun p ->
-      Hashtbl.remove d p;
-      iotlb_invalidate (dev, p))
-    (pages_of ~paddr ~len)
+  for p = Int.max 0 (first_page paddr) to last_page ~paddr ~len do
+    if bits d p <> 0 then set_bits d p 0
+  done
 
-let mapped_pages ~dev = Hashtbl.length (domain dev)
-
-let iotlb_insert key =
-  if not (Hashtbl.mem iotlb key) then begin
-    if Queue.length iotlb_queue >= iotlb_capacity then begin
-      let victim = Queue.pop iotlb_queue in
-      Hashtbl.remove iotlb victim
-    end;
-    Hashtbl.add iotlb key ();
-    Queue.push key iotlb_queue
-  end
+let iotlb_insert d page =
+  if !ring_len >= iotlb_capacity then begin
+    let victim = ring.(!ring_head) in
+    ring_head := (!ring_head + 1) mod iotlb_capacity;
+    decr ring_len;
+    let vd = domain (victim lsr page_bits) and vp = victim land ((1 lsl page_bits) - 1) in
+    set_bits vd vp (bits vd vp land lnot cached_bit)
+  end;
+  set_bits d page (bits d page lor cached_bit);
+  ring.((!ring_head + !ring_len) mod iotlb_capacity) <- key ~dev:d.dev page;
+  incr ring_len
 
 let page_args (f : Sim.Trace.fields) = Printf.sprintf "dev=%d page=%#x" f.a f.b
 
@@ -82,23 +104,25 @@ let tp_fault =
   Sim.Trace.point Sim.Trace.Dma "fault" [| "dev"; "paddr" |] (fun f ->
       Printf.sprintf "dev=%d paddr=%#x injected" f.a f.b)
 
-let translate_page dev page =
-  let key = (dev, page) in
-  if Hashtbl.mem iotlb key then begin
+(* Translate one page for domain [d]: [true] on an IOTLB hit or a
+   successful walk. *)
+let translate_page d page =
+  let b = bits d page in
+  if b land cached_bit <> 0 then begin
     incr hit_count;
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.iotlb_hit;
-    Sim.Trace.emit2 tp_hit dev page;
-    Ok ()
+    Sim.Trace.emit2 tp_hit d.dev page;
+    true
   end
   else begin
     incr miss_count;
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.iotlb_miss;
-    Sim.Trace.emit2 tp_miss dev page;
-    if Hashtbl.mem (domain dev) page then begin
-      iotlb_insert key;
-      Ok ()
+    Sim.Trace.emit2 tp_miss d.dev page;
+    b land mapped_bit <> 0
+    && begin
+      iotlb_insert d page;
+      true
     end
-    else Error (Printf.sprintf "iommu: dev %d faulted on page %#x" dev page)
   end
 
 let access ~dev ~paddr ~len =
@@ -113,16 +137,15 @@ let access ~dev ~paddr ~len =
     Error (Printf.sprintf "iommu: injected fault for dev %d at %#x" dev paddr)
   end
   else begin
-    let rec check = function
-      | [] -> Ok ()
-      | p :: rest -> (
-        match translate_page dev p with
-        | Ok () -> check rest
-        | Error _ as e ->
-          Sim.Stats.incr "iommu.fault";
-          e)
-    in
-    check (pages_of ~paddr ~len)
+    let d = domain dev and p = ref (first_page paddr) and last = last_page ~paddr ~len in
+    while !p <= last && translate_page d !p do
+      incr p
+    done;
+    if !p > last then Ok ()
+    else begin
+      Sim.Stats.incr "iommu.fault";
+      Error (Printf.sprintf "iommu: dev %d faulted on page %#x" dev !p)
+    end
   end
 
 let hits () = !hit_count

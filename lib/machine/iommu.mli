@@ -18,8 +18,6 @@ val map : dev:int -> paddr:int -> len:int -> unit
 val unmap : dev:int -> paddr:int -> len:int -> unit
 (** Revoke, invalidating IOTLB entries for those pages. *)
 
-val mapped_pages : dev:int -> int
-
 val access : dev:int -> paddr:int -> len:int -> (unit, string) result
 (** Translate a device access. Charges IOTLB hits/misses. On a fault the
     access does not reach memory and the fault is counted

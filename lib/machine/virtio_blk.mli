@@ -33,9 +33,8 @@ type disk
     reset into a fresh {!create} to model remount-after-crash. Both the
     image and the cache are kept in 4 KiB pages; a flush persists the
     cached sectors in ascending order, one crash boundary per sector,
-    and costs the host only what is cached. *)
-
-val create_disk : capacity_sectors:int -> disk
+    and hands each wholly cached page to the image instead of copying
+    it. *)
 
 val clone_disk : disk -> disk
 (** Deep copy, for running the same recovery twice deterministically. *)
@@ -55,30 +54,14 @@ val persist_count : t -> int
 val is_dead : t -> bool
 (** The power cut fired: the device no longer answers. *)
 
-val flushes : t -> int
-val fua_writes : t -> int
-
 val sector_size : int
 
 (* Register offsets within the MMIO window. *)
-val reg_magic : int
-val reg_device_id : int
 val reg_capacity : int
 val reg_queue_notify : int
 
-val capacity_sectors : t -> int
-
-val write_backing : t -> sector:int -> bytes -> unit
-(** Host-side backdoor used by tests and mkfs to seed disk contents.
-    Writes go straight to the persistent image (no crash boundaries). *)
-
 val read_backing : t -> sector:int -> len:int -> bytes
+(** Host-side read for tests and crash tooling: observes the write
+    cache, then the image, as the device's own reads do. *)
 
 val requests_completed : t -> int
-val requests_failed : t -> int
-
-val chains_processed : t -> int
-(** Number of multi-descriptor chains serviced (length > 1). *)
-
-val irqs_raised : t -> int
-(** Completion interrupts actually raised (after coalescing). *)

@@ -31,21 +31,12 @@ type t = {
   endpoint : Wire.endpoint;
   rx_ring : int Queue.t; (* posted rx descriptor paddrs *)
   backlog : bytes Queue.t; (* packets that arrived before a buffer was posted *)
-  mutable dropped : int;
   mutable sent : int;
-  mutable chains : int;
-  mutable irqs_raised : int;
   mutable irq_pending : bool;
   mutable irq_missed : bool;
 }
 
-let rx_dropped t = t.dropped
-
 let tx_count t = t.sent
-
-let chains_processed t = t.chains
-
-let irqs_raised t = t.irqs_raised
 
 (* Fault plane for a lossy/hostile link: a frame may be dropped, have a
    byte flipped (caught by the packet checksum upstack), or be
@@ -84,14 +75,10 @@ let raise_irq t =
     if t.irq_pending then t.irq_missed <- true
     else begin
       t.irq_pending <- true;
-      t.irqs_raised <- t.irqs_raised + 1;
       Irq_chip.raise_irq (Irq_chip.Device t.dev_id) ~vector:t.vector
     end
   end
-  else begin
-    t.irqs_raised <- t.irqs_raised + 1;
-    Irq_chip.raise_irq (Irq_chip.Device t.dev_id) ~vector:t.vector
-  end
+  else Irq_chip.raise_irq (Irq_chip.Device t.dev_id) ~vector:t.vector
 
 (* RX arrivals folding into an already-asserted line are the NAPI win;
    count them so /proc/kstat shows the moderation working. *)
@@ -217,7 +204,6 @@ let chain_latency n =
    per-wire-frame increments. *)
 let notify_tx t desc_paddr =
   let descs = chain_of desc_paddr in
-  if List.length descs > 1 then t.chains <- t.chains + 1;
   let any, total_frames =
     List.fold_left
       (fun (any, total) d ->
@@ -263,10 +249,7 @@ let pump_rx t =
 let on_wire_packet t pkt =
   List.iter
     (fun pkt ->
-      if Queue.length t.backlog >= 1024 then begin
-        t.dropped <- t.dropped + 1;
-        Sim.Stats.incr "virtio_net.rx_dropped"
-      end
+      if Queue.length t.backlog >= 1024 then Sim.Stats.incr "virtio_net.rx_dropped"
       else begin
         Queue.push pkt t.backlog;
         pump_rx t
@@ -281,10 +264,7 @@ let create ~mmio_base ~dev_id ~vector ~endpoint =
       endpoint;
       rx_ring = Queue.create ();
       backlog = Queue.create ();
-      dropped = 0;
       sent = 0;
-      chains = 0;
-      irqs_raised = 0;
       irq_pending = false;
       irq_missed = false;
     }

@@ -54,7 +54,4 @@ val rx_desc_csum : int
 val csum_verdict_ok : int
 val csum_verdict_bad : int
 
-val rx_dropped : t -> int
 val tx_count : t -> int
-val chains_processed : t -> int
-val irqs_raised : t -> int

@@ -977,6 +977,132 @@ let test_proc_pid_status () =
   in
   check_int "exit" 0 code
 
+(* /proc resolves and lists only its own names. The files of /proc/<pid>
+   and /proc/kprobe are kept under internal keys ("pid.N.status",
+   "kprobe.points"); neither kind opens or appears at the root, even
+   after a pid directory has been looked up, while the nested paths
+   still read. *)
+let test_proc_root_own_names () =
+  let module L = Apps.Libc in
+  let wrong = ref [] in
+  let code =
+    run_user (fun c ->
+        let pid = L.getpid c in
+        let reads path =
+          let fd = L.openf c path ~flags:0 ~mode:0 in
+          fd >= 0
+          && begin
+            let s = L.read_str c ~fd ~len:512 in
+            ignore (L.close c fd);
+            s <> ""
+          end
+        in
+        if not (reads (Printf.sprintf "/proc/%d/status" pid)) then
+          wrong := "/proc/<pid>/status does not read" :: !wrong;
+        if not (reads "/proc/kprobe/programs") then
+          wrong := "/proc/kprobe/programs does not read" :: !wrong;
+        List.iter
+          (fun key ->
+            let r = L.openf c ("/proc/" ^ key) ~flags:0 ~mode:0 in
+            if r <> -Aster.Errno.enoent then
+              wrong := Printf.sprintf "open /proc/%s = %d" key r :: !wrong)
+          [ "kprobe.programs"; "kprobe.points"; Printf.sprintf "pid.%d.status" pid ];
+        let fd = L.openf c "/proc" ~flags:0 ~mode:0 in
+        List.iter
+          (fun (_, _, name) ->
+            if String.starts_with ~prefix:"pid." name || String.starts_with ~prefix:"kprobe." name
+            then wrong := ("/proc lists " ^ name) :: !wrong)
+          (L.getdents c ~fd);
+        ignore (L.close c fd);
+        0)
+  in
+  check_int "exit" 0 code;
+  Alcotest.(check (list string)) "only top-level names at /proc" [] (List.rev !wrong)
+
+(* A directory on ext2 that loses its only entry gives its block back:
+   mkdir, create a file in it, unlink the file and sync, then fsck finds
+   no block marked used that nothing claims. *)
+let test_ext2_dir_shrink_frees_blocks () =
+  let module L = Apps.Libc in
+  let code =
+    run_user (fun c ->
+        if L.mkdir c "/ext2/d" <> 0 then 1
+        else begin
+          let fd = L.openf c "/ext2/d/f" ~flags:0o102 ~mode:0o644 in
+          if fd < 0 then 2
+          else begin
+            ignore (L.close c fd);
+            if L.unlink c "/ext2/d/f" <> 0 then 3
+            else if L.syscall c Aster.Syscall_nr.sync [||] <> 0 then 4
+            else 0
+          end
+        end)
+  in
+  check_int "exit" 0 code;
+  Alcotest.(check (list string)) "fsck clean" [] (Aster.Fsck.check ())
+
+(* The sleep syscalls validate their request before arming a timer, as
+   Linux's timespec64_valid: a negative second count or a nanosecond
+   count outside [0, 999,999,999] is EINVAL. clock_nanosleep reads its
+   request from its third argument, sleeps relative or until a time on
+   the realtime or monotonic clock (TIMER_ABSTIME), and answers EINVAL
+   for a clock it does not implement. *)
+let sleep_call ?(nr = Aster.Syscall_nr.nanosleep) ?(clock = 1) ?(flags = 0) ~sec ~nsec () =
+  let module L = Apps.Libc in
+  let result = ref 0 and slept = ref 0 in
+  let code =
+    run_user (fun c ->
+        let ts = L.put_bytes c (Aster.Abi.encode_timespec ~sec ~nsec) in
+        let t0 = Sim.Time.now () in
+        result :=
+          if nr = Aster.Syscall_nr.nanosleep then L.syscall c nr [| Int64.of_int ts; 0L |]
+          else L.syscall c nr [| Int64.of_int clock; Int64.of_int flags; Int64.of_int ts; 0L |];
+        slept := Sim.Time.now () - t0;
+        0)
+  in
+  check_int "exit" 0 code;
+  (!result, Sim.Time.to_us !slept)
+
+let test_nanosleep_negative_sec () =
+  let r, _ = sleep_call ~sec:(-1L) ~nsec:0L () in
+  check_int "nanosleep tv_sec = -1" (-Aster.Errno.einval) r
+
+let test_nanosleep_bad_nsec () =
+  let r, _ = sleep_call ~sec:0L ~nsec:1_000_000_000L () in
+  check_int "nanosleep tv_nsec = 1e9" (-Aster.Errno.einval) r;
+  let r, _ = sleep_call ~sec:0L ~nsec:(-1L) () in
+  check_int "nanosleep tv_nsec = -1" (-Aster.Errno.einval) r
+
+let test_clock_nanosleep_relative () =
+  let r, us = sleep_call ~nr:Aster.Syscall_nr.clock_nanosleep ~sec:0L ~nsec:500_000L () in
+  check_int "clock_nanosleep(CLOCK_MONOTONIC, 0, 500 us)" 0 r;
+  check "slept 500 us" true (us >= 500. && us < 600.)
+
+let test_clock_nanosleep_abstime () =
+  ignore (boot ());
+  (* The monotonic clock reads virtual time since boot: 2 ms from now. *)
+  let target = Int64.of_int ((Aster.Ktime.monotonic_ns () + 2_000_000) / 1000) in
+  let r, us =
+    sleep_call ~nr:Aster.Syscall_nr.clock_nanosleep ~flags:1 ~sec:0L
+      ~nsec:(Int64.mul target 1000L) ()
+  in
+  check_int "clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)" 0 r;
+  check "slept until the target" true (us >= 1000. && us <= 2100.);
+  let r, us =
+    sleep_call ~nr:Aster.Syscall_nr.clock_nanosleep ~flags:1 ~sec:0L ~nsec:1L ()
+  in
+  check_int "an absolute time already past returns at once" 0 r;
+  check "did not sleep" true (us < 50.)
+
+let test_clock_nanosleep_bad_clock () =
+  let r, us =
+    sleep_call ~nr:Aster.Syscall_nr.clock_nanosleep ~clock:2 ~sec:0L ~nsec:500_000L ()
+  in
+  check_int "clock_nanosleep(CLOCK_PROCESS_CPUTIME_ID)" (-Aster.Errno.einval) r;
+  check "did not sleep" true (us < 50.);
+  let r, _ = sleep_call ~nr:Aster.Syscall_nr.clock_nanosleep ~sec:(-1L) ~nsec:0L () in
+  check_int "clock_nanosleep tv_sec = -1" (-Aster.Errno.einval) r
+
 let test_cfs_nice_weights () =
   (* A nice -5 task should make clearly more progress than a nice +5
      task over the same span of virtual time. *)
@@ -1880,6 +2006,14 @@ let () =
           Alcotest.test_case "errseq_writeback" `Quick test_errseq_sticky_writeback_error;
           Alcotest.test_case "rename_crash_atomic" `Quick test_rename_atomic_under_crash;
           Alcotest.test_case "segfault" `Quick test_segfault_kills_child;
+          Alcotest.test_case "proc_root_own_names" `Quick test_proc_root_own_names;
+          Alcotest.test_case "ext2_dir_shrink_frees_blocks" `Quick
+            test_ext2_dir_shrink_frees_blocks;
+          Alcotest.test_case "nanosleep_negative_sec" `Quick test_nanosleep_negative_sec;
+          Alcotest.test_case "nanosleep_bad_nsec" `Quick test_nanosleep_bad_nsec;
+          Alcotest.test_case "clock_nanosleep_relative" `Quick test_clock_nanosleep_relative;
+          Alcotest.test_case "clock_nanosleep_abstime" `Quick test_clock_nanosleep_abstime;
+          Alcotest.test_case "clock_nanosleep_bad_clock" `Quick test_clock_nanosleep_bad_clock;
         ] );
       ( "signals",
         [

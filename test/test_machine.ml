@@ -306,16 +306,25 @@ end
 
 type blk_op = W of int * Bytes.t | Fua of int * Bytes.t | Flush | R of int * int
 
+(* Random requests, plus whole 4 KiB pages: a page-aligned write of one
+   or two pages (which a flush hands to the image whole), and a page
+   rewritten after the flush that moved it into the image (which takes
+   the page that flush displaced as its buffer). *)
 let blk_ops rng ~capacity ~count =
-  List.init count (fun _ ->
-      let sector = Random.State.int rng capacity in
-      let nsect = 1 + Random.State.int rng (min 16 (capacity - sector)) in
-      let data () = Bytes.init (nsect * 512) (fun _ -> Char.chr (Random.State.int rng 256)) in
-      match Random.State.int rng 20 with
-      | n when n < 9 -> W (sector, data ())
-      | n when n < 12 -> Fua (sector, data ())
-      | n when n < 15 -> Flush
-      | _ -> R (sector, nsect))
+  let data nsect = Bytes.init (nsect * 512) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.concat
+    (List.init count (fun _ ->
+         let sector = Random.State.int rng capacity in
+         let nsect = 1 + Random.State.int rng (min 16 (capacity - sector)) in
+         let page = 8 * Random.State.int rng (capacity / 8) in
+         let pages = min (1 + Random.State.int rng 2) ((capacity - page) / 8) in
+         match Random.State.int rng 26 with
+         | n when n < 9 -> [ W (sector, data nsect) ]
+         | n when n < 12 -> [ Fua (sector, data nsect) ]
+         | n when n < 15 -> [ Flush ]
+         | n when n < 20 -> [ R (sector, nsect) ]
+         | n when n < 23 -> [ W (page, data (8 * pages)) ]
+         | _ -> [ W (page, data 8); Flush; W (page, data 8); R (page, 8) ]))
 
 let ref_apply r ops =
   List.iter
@@ -366,6 +375,7 @@ let test_virtio_blk_differential () =
     let dev = blk_create () in
     Sim.Fault.set_trigger "blk.power_cut" ~after:cut;
     let name what = Printf.sprintf "seed %d, cut at %d: %s" seed cut what in
+    let observed t = Bytes.concat Bytes.empty (List.init capacity (Ref_blk.observe t)) in
     List.iter
       (fun op ->
         match op with
@@ -375,7 +385,14 @@ let test_virtio_blk_differential () =
           ref_apply r [ op ]
         | Flush ->
           submit ~typ:2 ~sector:0 ~len:0 ~paddr:0;
-          ref_apply r [ op ]
+          ref_apply r [ op ];
+          (* A flush, or the power cut, leaves the cache empty: what the
+             device reads back now is its image alone. *)
+          let image = Ref_blk.create ~cut:(-1) in
+          Hashtbl.iter (Hashtbl.replace image.Ref_blk.image) r.Ref_blk.image;
+          check (name "image after a flush") true
+            (Bytes.equal (observed image)
+               (Machine.Virtio_blk.read_backing dev ~sector:0 ~len:(capacity * 512)))
         | R (s, n) ->
           submit ~typ:0 ~sector:s ~len:(n * 512) ~paddr:rdata;
           if not r.Ref_blk.dead then begin
@@ -385,7 +402,6 @@ let test_virtio_blk_differential () =
             check (name (Printf.sprintf "read of %d sectors at %d" n s)) true (Bytes.equal want got)
           end)
       ops;
-    let observed t = Bytes.concat Bytes.empty (List.init capacity (Ref_blk.observe t)) in
     check_int (name "persist_count") r.Ref_blk.persists (Machine.Virtio_blk.persist_count dev);
     check (name "dead") r.Ref_blk.dead (Machine.Virtio_blk.is_dead dev);
     check (name "read_backing")
