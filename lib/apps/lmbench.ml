@@ -278,22 +278,8 @@ let bw_pipe profile =
 let lat_fifo profile =
   measure profile (fun out ->
       Runner.spawn ~name:"lat_fifo" (fun c ->
-          (* Create the two FIFOs through the fs (mknod analogue: the
-             kernel attaches the ring on first open). *)
-          let mkfifo path =
-            let parent = "/tmp" in
-            ignore parent;
-            (* creat with kind Fifo: use mkdir-style create via openat is
-               not expressible; use the registry-free trick: create then
-               mark. Simplest ABI-true path: mkfifo is mknod(2), which we
-               model with mkdir's create handler — so create via a
-               dedicated mknod syscall is skipped and we pre-create the
-               inode kernel-side. *)
-            match Aster.Vfs.resolve_parent path with
-            | Ok (p, leaf) ->
-              ignore (p.Aster.Vfs.inode.Aster.Vfs.ops.Aster.Vfs.create p.Aster.Vfs.inode leaf Aster.Vfs.Fifo ~mode:0o644)
-            | Error _ -> ()
-          in
+          (* The kernel attaches the ring on first open. *)
+          let mkfifo path = ignore (Libc.mkfifo c path) in
           mkfifo "/tmp/fifo1";
           mkfifo "/tmp/fifo2";
           ignore

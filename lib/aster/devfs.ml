@@ -3,7 +3,6 @@ let null_ops =
     Vfs.default_ops with
     read = (fun _ ~pos:_ ~buf:_ ~boff:_ ~len:_ -> Ok 0);
     write = (fun _ ~pos:_ ~buf:_ ~boff:_ ~len -> Ok len);
-    truncate = (fun _ _ -> Ok ());
   }
 
 let zero_ops =
@@ -21,8 +20,9 @@ let null_inode () = Vfs.make_inode ~fsname:"devfs" ~kind:Vfs.Chr ~mode:0o666 ~op
 let zero_inode () = Vfs.make_inode ~fsname:"devfs" ~kind:Vfs.Chr ~mode:0o666 ~ops:zero_ops ()
 
 let populate dev_dir =
+  let link = Option.get dev_dir.Vfs.ops.Vfs.link in
   let add name inode =
-    match dev_dir.Vfs.ops.Vfs.link dev_dir name inode with
+    match link dev_dir name inode with
     | Ok () -> ()
     | Error e -> Ostd.Panic.panicf "devfs: cannot create /dev/%s (%d)" name e
   in

@@ -11,6 +11,7 @@ let eacces = 13
 let efault = 14
 let ebusy = 16
 let eexist = 17
+let exdev = 18
 let enotdir = 20
 let eisdir = 21
 let einval = 22
@@ -22,6 +23,7 @@ let erofs = 30
 let epipe = 32
 let enosys = 38
 let enotempty = 39
+let eloop = 40
 let enotsock = 88
 let emsgsize = 90
 let eaddrinuse = 98
@@ -46,6 +48,7 @@ let names =
     (efault, "EFAULT");
     (ebusy, "EBUSY");
     (eexist, "EEXIST");
+    (exdev, "EXDEV");
     (enotdir, "ENOTDIR");
     (eisdir, "EISDIR");
     (einval, "EINVAL");
@@ -57,6 +60,7 @@ let names =
     (epipe, "EPIPE");
     (enosys, "ENOSYS");
     (enotempty, "ENOTEMPTY");
+    (eloop, "ELOOP");
     (enotsock, "ENOTSOCK");
     (emsgsize, "EMSGSIZE");
     (eaddrinuse, "EADDRINUSE");

@@ -13,6 +13,7 @@ val eacces : int
 val efault : int
 val ebusy : int
 val eexist : int
+val exdev : int
 val enotdir : int
 val eisdir : int
 val einval : int
@@ -24,6 +25,7 @@ val erofs : int
 val epipe : int
 val enosys : int
 val enotempty : int
+val eloop : int
 val enotsock : int
 val emsgsize : int
 val eaddrinuse : int

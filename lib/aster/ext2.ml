@@ -478,6 +478,19 @@ and new_disk_inode kind ~mode =
   di_write ino di_dindirect 0;
   ino
 
+(* Free inode [ino] and every block it holds. *)
+and reclaim ino =
+  List.iter (fun b -> if b >= first_data_block then free_block b) (file_blocks ino);
+  free_ino ino;
+  Hashtbl.remove icache ino
+
+(* Drop one name of [i]: its link count, on disk and in the vnode. *)
+and drop_link i =
+  let ino = dino_of i in
+  let nlink = di_read ino di_nlink - 1 in
+  di_write ino di_nlink nlink;
+  i.Vfs.nlink <- nlink
+
 and ops =
   {
     (* kprof: the hot vnode operations fold their cycles under "ext2". *)
@@ -489,67 +502,68 @@ and ops =
             | Some e_ino -> Some (vnode_of e_ino)
             | None -> None));
     create =
-      (fun dir name kind ~mode ->
-        Sim.Prof.scope "ext2" (fun () ->
-            Jbd.with_handle (fun () ->
-                let dino = dino_of dir in
-                let entries = dir_entries dino in
-                if List.mem_assoc name entries then Error Errno.eexist
-                else begin
+      Some
+        (fun dir name kind ~mode ->
+          Sim.Prof.scope "ext2" (fun () ->
+              Jbd.with_handle (fun () ->
+                  let dino = dino_of dir in
+                  let entries = dir_entries dino in
                   let ino = new_disk_inode kind ~mode in
                   dir_write_entries dino ~was:entries (entries @ [ (name, ino) ]);
                   dir.Vfs.size <- di_read dino di_size;
                   Vfs.touch_mtime dir;
-                  Ok (vnode_of ino)
-                end)));
+                  Ok (vnode_of ino))));
     unlink =
-      (fun dir name ->
-        Jbd.with_handle (fun () ->
-            let dino = dino_of dir in
-            let entries = dir_entries dino in
-            match List.assoc_opt name entries with
-            | None -> Error Errno.enoent
-            | Some e_ino ->
-              let child = vnode_of e_ino in
-              if child.Vfs.kind = Vfs.Dir && dir_entries e_ino <> [] then
-                Error Errno.enotempty
-              else begin
-                dir_write_entries dino ~was:entries (List.remove_assoc name entries);
-                dir.Vfs.size <- di_read dino di_size;
-                let nlink = di_read e_ino di_nlink - 1 in
-                di_write e_ino di_nlink nlink;
-                child.Vfs.nlink <- nlink;
-                if nlink = 0 then begin
-                  (* Release data blocks. *)
-                  List.iter
-                    (fun b -> if b >= first_data_block then free_block b)
-                    (file_blocks e_ino);
-                  free_ino e_ino;
-                  Hashtbl.remove icache e_ino
-                end;
-                Vfs.dcache_invalidate dir name;
-                Vfs.touch_mtime dir;
-                Ok ()
-              end));
+      Some
+        (fun dir name victim ->
+          Jbd.with_handle (fun () ->
+              let dino = dino_of dir in
+              let entries = dir_entries dino in
+              dir_write_entries dino ~was:entries (List.remove_assoc name entries);
+              dir.Vfs.size <- di_read dino di_size;
+              drop_link victim;
+              Vfs.touch_mtime dir;
+              Ok ()));
+    rename =
+      Some
+        (fun src_dir src_name dst_dir dst_name replaced ->
+          Jbd.with_handle (fun () ->
+              let sdino = dino_of src_dir and ddino = dino_of dst_dir in
+              let sentries = dir_entries sdino in
+              let e_ino = List.assoc src_name sentries in
+              dir_write_entries sdino ~was:sentries (List.remove_assoc src_name sentries);
+              let dentries = dir_entries ddino in
+              dir_write_entries ddino ~was:dentries
+                ((dst_name, e_ino) :: List.remove_assoc dst_name dentries);
+              Option.iter drop_link replaced;
+              Ok ()));
+    link =
+      Some
+        (fun dir name target ->
+          Jbd.with_handle (fun () ->
+              let dino = dino_of dir in
+              let entries = dir_entries dino in
+              let t_ino = dino_of target in
+              dir_write_entries dino ~was:entries (entries @ [ (name, t_ino) ]);
+              let nl = di_read t_ino di_nlink + 1 in
+              di_write t_ino di_nlink nl;
+              target.Vfs.nlink <- nl;
+              Ok ()));
+    evict = (fun i -> Jbd.with_handle (fun () -> reclaim (dino_of i)));
     readdir =
       (fun dir ->
         List.map (fun (name, e_ino) -> (name, vnode_of e_ino)) (dir_entries (dino_of dir)));
     read =
       (fun f ~pos ~buf ~boff ~len ->
-        if f.Vfs.kind = Vfs.Dir then Error Errno.eisdir
-        else
-          Sim.Prof.scope "ext2" (fun () ->
-              Ok (data_read (dino_of f) ~pos ~buf ~boff ~len)));
+        Sim.Prof.scope "ext2" (fun () -> Ok (data_read (dino_of f) ~pos ~buf ~boff ~len)));
     write =
       (fun f ~pos ~buf ~boff ~len ->
-        if f.Vfs.kind = Vfs.Dir then Error Errno.eisdir
-        else
-          Sim.Prof.scope "ext2" (fun () ->
-              Jbd.with_handle (fun () ->
-                  let n = data_write (dino_of f) ~pos ~buf ~boff ~len in
-                  f.Vfs.size <- di_read (dino_of f) di_size;
-                  Vfs.touch_mtime f;
-                  Ok n)));
+        Sim.Prof.scope "ext2" (fun () ->
+            Jbd.with_handle (fun () ->
+                let n = data_write (dino_of f) ~pos ~buf ~boff ~len in
+                f.Vfs.size <- di_read (dino_of f) di_size;
+                Vfs.touch_mtime f;
+                Ok n)));
     truncate =
       (fun f n ->
         Jbd.with_handle (fun () ->
@@ -579,62 +593,6 @@ and ops =
              before the metadata transaction goes behind its barriers. *)
           Jbd.commit ()
         else Block.sync_blocks (Array.of_list (file_blocks ino)));
-    rename =
-      (fun src_dir src_name dst_dir dst_name ->
-        Jbd.with_handle (fun () ->
-            let sdino = dino_of src_dir and ddino = dino_of dst_dir in
-            let sentries = dir_entries sdino in
-            match List.assoc_opt src_name sentries with
-            | None -> Error Errno.enoent
-            | Some e_ino -> (
-              let dentries = dir_entries ddino in
-              let replaced =
-                match List.assoc_opt dst_name dentries with
-                | Some old_ino when old_ino <> e_ino -> Some old_ino
-                | Some _ | None -> None
-              in
-              match replaced with
-              | Some old_ino
-                when (vnode_of old_ino).Vfs.kind = Vfs.Dir && dir_entries old_ino <> [] ->
-                Error Errno.enotempty
-              | _ ->
-                dir_write_entries sdino ~was:sentries (List.remove_assoc src_name sentries);
-                let dentries = dir_entries ddino in
-                dir_write_entries ddino ~was:dentries
-                  ((dst_name, e_ino) :: List.remove_assoc dst_name dentries);
-                (* The replaced inode lost its last (or one) name: drop
-                   its link count and reclaim it like unlink would. *)
-                (match replaced with
-                | None -> ()
-                | Some old_ino ->
-                  let child = vnode_of old_ino in
-                  let nlink = di_read old_ino di_nlink - 1 in
-                  di_write old_ino di_nlink nlink;
-                  child.Vfs.nlink <- nlink;
-                  if nlink = 0 then begin
-                    List.iter
-                      (fun b -> if b >= first_data_block then free_block b)
-                      (file_blocks old_ino);
-                    free_ino old_ino;
-                    Hashtbl.remove icache old_ino
-                  end);
-                Vfs.dcache_invalidate src_dir src_name;
-                Vfs.dcache_invalidate dst_dir dst_name;
-                Ok ())));
-    link =
-      (fun dir name target ->
-        Jbd.with_handle (fun () ->
-            let dino = dino_of dir in
-            let entries = dir_entries dino in
-            if List.mem_assoc name entries then Error Errno.eexist
-            else begin
-              let t_ino = dino_of target in
-              dir_write_entries dino ~was:entries (entries @ [ (name, t_ino) ]);
-              let nl = di_read t_ino di_nlink + 1 in
-              di_write t_ino di_nlink nl;
-              target.Vfs.nlink <- nl;
-              Ok ()
-            end));
     symlink_target =
       (fun i ->
         if i.Vfs.kind <> Vfs.Lnk then None
@@ -711,6 +669,18 @@ let mount () =
     Jbd.replay ()
   end
   else Jbd.disable_journal ();
+  (* An allocated inode without links is what a crash leaves when it
+     strikes a file still open after its last name went: free it, as
+     ext4's orphan processing does. The scan stops at the last inode the
+     superblock counts as allocated. *)
+  let left = ref (ninodes - root_ino - 1 - sb_free_inodes ()) and ino = ref (root_ino + 1) in
+  while !left > 0 && !ino < ninodes do
+    if bit_get inode_bitmap !ino then begin
+      decr left;
+      if di_read !ino di_nlink = 0 then Jbd.with_handle (fun () -> reclaim !ino)
+    end;
+    incr ino
+  done;
   vnode_of root_ino
 
 (* Filesystem-wide sync, the sync(2) back end: commit the running

@@ -32,14 +32,24 @@ type t = {
          observe at fsync, whoever else saw them first *)
 }
 
+let o_wronly = 1
+let o_rdwr = 2
 let o_nonblock = 0o4000
 let o_append = 0o2000
-let o_creat = 0o100
-let o_trunc = 0o1000
-let o_excl = 0o200
-let o_directory = 0o200000
 
-let make desc ~flags = { desc; pos = 0; flags; refs = 1; wb_sample = Block.wb_errseq () }
+(* The flags F_SETFL may change; the access mode is fixed at open. *)
+let setfl_mask = o_append lor o_nonblock
+
+(* FMODE_READ and FMODE_WRITE: what the access mode lets read(2) and
+   write(2) do with the description. *)
+let readable f = f.flags land Vfs.o_accmode <> o_wronly
+
+let writable f = f.flags land Vfs.o_accmode <> 0
+
+(* An open file description of an inode holds it open. *)
+let make desc ~flags =
+  (match desc with Inode_file i -> Vfs.opened i | Pipe_read _ | Pipe_write _ | Socket _ | Epoll _ -> ());
+  { desc; pos = 0; flags; refs = 1; wb_sample = Block.wb_errseq () }
 
 (* The established-TCP view of a descriptor, for paths that need the
    connection itself rather than the generic write entry point (the
@@ -57,7 +67,7 @@ let get f = f.refs <- f.refs + 1
    plain close(2) is enough and no explicit EPOLL_CTL_DEL is owed. *)
 let release f =
   match f.desc with
-  | Inode_file _ -> ()
+  | Inode_file i -> Vfs.closed i
   | Pipe_read p ->
     Pollable.free (Pipe.rd_pollable p);
     Pipe.close_read p

@@ -34,14 +34,21 @@ type t = {
           newer than this, independently of other observers *)
 }
 
+val o_wronly : int
+val o_rdwr : int
 val o_nonblock : int
 val o_append : int
-val o_creat : int
-val o_trunc : int
-val o_excl : int
-val o_directory : int
+
+val setfl_mask : int
+(** The flags F_SETFL may change: O_APPEND and O_NONBLOCK. *)
+
+val readable : t -> bool
+val writable : t -> bool
+(** What the access mode lets read(2) and write(2) do. *)
 
 val make : desc -> flags:int -> t
+(** A description of an inode holds it open ({!Vfs.opened}) until its
+    last reference goes. *)
 
 val tcp_conn_of : t -> Tcp.conn option
 (** The established TCP connection behind a socket descriptor, if any —

@@ -30,9 +30,10 @@ let mount_filesystems ~format_disk =
   let root = Ramfs.create_root () in
   Vfs.mount_root root;
   (* Mountpoint directories. *)
+  let mkdir = Option.get root.Vfs.ops.Vfs.create in
   List.iter
     (fun name ->
-      match root.Vfs.ops.Vfs.create root name Vfs.Dir ~mode:0o755 with
+      match mkdir root name Vfs.Dir ~mode:0o755 with
       | Ok _ -> ()
       | Error e -> Ostd.Panic.panicf "boot: mkdir /%s failed (%d)" name e)
     [ "proc"; "ext2"; "tmp"; "dev" ];

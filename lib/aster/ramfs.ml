@@ -1,7 +1,9 @@
 type node =
   | File of { cache : Page_cache.t; mutable len : int }
-  | Directory of { mutable entries : (string * Vfs.inode) list }
+  | Directory of dir
   | Symlink of { mutable target : string }
+
+and dir = { mutable entries : (string * Vfs.inode) list }
 
 type Vfs.priv += Ram of node
 
@@ -9,6 +11,13 @@ let node_of i =
   match i.Vfs.priv with
   | Ram n -> n
   | _ -> Ostd.Panic.panic "ramfs: foreign inode"
+
+(* A directory's entries; the VFS calls the namespace ops on
+   directories only. *)
+let dir_of i =
+  match node_of i with
+  | Directory d -> d
+  | File _ | Symlink _ -> Ostd.Panic.panic "ramfs: not a directory"
 
 let rec ops =
   {
@@ -19,52 +28,57 @@ let rec ops =
         | Directory d -> List.assoc_opt name d.entries
         | File _ | Symlink _ -> None);
     create =
-      (fun dir name kind ~mode ->
-        match node_of dir with
-        | File _ | Symlink _ -> Error Errno.enotdir
-        | Directory d ->
-          if List.mem_assoc name d.entries then Error Errno.eexist
-          else begin
-            let inode = Vfs.make_inode ~fsname:"ramfs" ~kind ~mode ~ops () in
-            (inode.Vfs.priv <-
-               (match kind with
-               | Vfs.Dir -> Ram (Directory { entries = [] })
-               | Vfs.Lnk -> Ram (Symlink { target = "" })
-               | Vfs.Reg | Vfs.Fifo | Vfs.Sock | Vfs.Chr ->
-                 Ram (File { cache = Page_cache.create (); len = 0 })));
-            d.entries <- d.entries @ [ (name, inode) ];
-            Vfs.touch_mtime dir;
-            Ok inode
-          end);
+      Some
+        (fun dir name kind ~mode ->
+          let d = dir_of dir in
+          let inode = Vfs.make_inode ~fsname:"ramfs" ~kind ~mode ~ops () in
+          (inode.Vfs.priv <-
+             (match kind with
+             | Vfs.Dir -> Ram (Directory { entries = [] })
+             | Vfs.Lnk -> Ram (Symlink { target = "" })
+             | Vfs.Reg | Vfs.Fifo | Vfs.Sock | Vfs.Chr ->
+               Ram (File { cache = Page_cache.create (); len = 0 })));
+          d.entries <- d.entries @ [ (name, inode) ];
+          Vfs.touch_mtime dir;
+          Ok inode);
     unlink =
-      (fun dir name ->
-        match node_of dir with
-        | File _ | Symlink _ -> Error Errno.enotdir
-        | Directory d -> (
-          match List.assoc_opt name d.entries with
-          | None -> Error Errno.enoent
-          | Some child ->
-            (match node_of child with
-            | Directory cd when cd.entries <> [] -> Error Errno.enotempty
-            | _ ->
-              child.Vfs.nlink <- child.Vfs.nlink - 1;
-              (* Last link gone: release the backing frames. *)
-              (match node_of child with
-              | File st when child.Vfs.nlink <= 0 -> Page_cache.destroy st.cache
-              | File _ | Directory _ | Symlink _ -> ());
-              d.entries <- List.remove_assoc name d.entries;
-              Vfs.dcache_invalidate dir name;
-              Vfs.touch_mtime dir;
-              Ok ())
-            |> fun r -> r));
+      Some
+        (fun dir name victim ->
+          let d = dir_of dir in
+          victim.Vfs.nlink <- victim.Vfs.nlink - 1;
+          d.entries <- List.remove_assoc name d.entries;
+          Vfs.touch_mtime dir;
+          Ok ());
+    rename =
+      Some
+        (fun src_dir src_name dst_dir dst_name replaced ->
+          let sd = dir_of src_dir and dd = dir_of dst_dir in
+          let child = List.assoc src_name sd.entries in
+          Option.iter (fun v -> v.Vfs.nlink <- v.Vfs.nlink - 1) replaced;
+          sd.entries <- List.remove_assoc src_name sd.entries;
+          dd.entries <- (dst_name, child) :: List.remove_assoc dst_name dd.entries;
+          Vfs.touch_mtime src_dir;
+          Vfs.touch_mtime dst_dir;
+          Ok ());
+    link =
+      Some
+        (fun dir name target ->
+          let d = dir_of dir in
+          target.Vfs.nlink <- target.Vfs.nlink + 1;
+          d.entries <- d.entries @ [ (name, target) ];
+          Ok ());
+    evict =
+      (fun i ->
+        match node_of i with
+        | File st -> Page_cache.destroy st.cache
+        | Directory _ | Symlink _ -> ());
     readdir =
       (fun dir ->
         match node_of dir with Directory d -> d.entries | File _ | Symlink _ -> []);
     read =
       (fun f ~pos ~buf ~boff ~len ->
         match node_of f with
-        | Directory _ -> Error Errno.eisdir
-        | Symlink _ -> Error Errno.einval
+        | Directory _ | Symlink _ -> Error Errno.einval
         | File st ->
           if pos >= st.len then Ok 0
           else begin
@@ -75,8 +89,7 @@ let rec ops =
     write =
       (fun f ~pos ~buf ~boff ~len ->
         match node_of f with
-        | Directory _ -> Error Errno.eisdir
-        | Symlink _ -> Error Errno.einval
+        | Directory _ | Symlink _ -> Error Errno.einval
         | File st ->
           Page_cache.write st.cache ~pos ~buf ~boff ~len;
           if pos + len > st.len then st.len <- pos + len;
@@ -86,40 +99,13 @@ let rec ops =
     truncate =
       (fun f n ->
         match node_of f with
-        | Directory _ -> Error Errno.eisdir
-        | Symlink _ -> Error Errno.einval
+        | Directory _ | Symlink _ -> Error Errno.einval
         | File st ->
           Page_cache.truncate st.cache n;
           st.len <- n;
           f.Vfs.size <- n;
           Vfs.touch_mtime f;
           Ok ());
-    rename =
-      (fun src_dir src_name dst_dir dst_name ->
-        match (node_of src_dir, node_of dst_dir) with
-        | Directory sd, Directory dd -> (
-          match List.assoc_opt src_name sd.entries with
-          | None -> Error Errno.enoent
-          | Some child ->
-            sd.entries <- List.remove_assoc src_name sd.entries;
-            dd.entries <- (dst_name, child) :: List.remove_assoc dst_name dd.entries;
-            Vfs.dcache_invalidate src_dir src_name;
-            Vfs.dcache_invalidate dst_dir dst_name;
-            Vfs.touch_mtime src_dir;
-            Vfs.touch_mtime dst_dir;
-            Ok ())
-        | _ -> Error Errno.enotdir);
-    link =
-      (fun dir name target ->
-        match node_of dir with
-        | File _ | Symlink _ -> Error Errno.enotdir
-        | Directory d ->
-          if List.mem_assoc name d.entries then Error Errno.eexist
-          else begin
-            target.Vfs.nlink <- target.Vfs.nlink + 1;
-            d.entries <- d.entries @ [ (name, target) ];
-            Ok ()
-          end);
     symlink_target =
       (fun i -> match node_of i with Symlink s -> Some s.target | File _ | Directory _ -> None);
     set_symlink =
@@ -144,21 +130,15 @@ let file_data i =
     out
   | Directory _ | Symlink _ -> Ostd.Panic.panic "ramfs.file_data: not a regular file"
 
-let file_cache i =
-  match node_of i with
-  | File st -> Some st.cache
-  | Directory _ | Symlink _ -> None
+let file_cache i = match i.Vfs.priv with Ram (File st) -> Some st.cache | _ -> None
 
 (* Zero-copy sendfile source: a pinned view of up to [len] bytes at
    [pos], clamped to the file size like ops.read. [None] at (or past)
    EOF, and for anything that is not a RamFS regular file. *)
 let file_view i ~pos ~len =
-  match node_of i with
-  | File st ->
-    if pos >= st.len || len <= 0 then None
-    else begin
-      let n = min len (st.len - pos) in
-      let buf, pins = Page_cache.read_view st.cache ~pos ~len:n in
-      Some (buf, n, pins)
-    end
-  | Directory _ | Symlink _ -> None
+  match i.Vfs.priv with
+  | Ram (File st) when pos < st.len && len > 0 ->
+    let n = min len (st.len - pos) in
+    let buf, pins = Page_cache.read_view st.cache ~pos ~len:n in
+    Some (buf, n, pins)
+  | _ -> None

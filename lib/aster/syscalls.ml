@@ -225,6 +225,15 @@ let file_of proc fd =
   | Some f -> Ok f
   | None -> Error Errno.ebadf
 
+(* The fd layer's access-mode rules, where the descriptor is looked
+   up: reading needs FMODE_READ and writing FMODE_WRITE (vfs_read,
+   vfs_write), else -EBADF. *)
+let file_for_read proc fd =
+  match file_of proc fd with Ok f when not (File.readable f) -> Error Errno.ebadf | r -> r
+
+let file_for_write proc fd =
+  match file_of proc fd with Ok f when not (File.writable f) -> Error Errno.ebadf | r -> r
+
 let int_arg (args : int64 array) i = Int64.to_int args.(i)
 
 (* Linux rejects a negative count, offset or length with EINVAL before
@@ -262,8 +271,10 @@ let fifo_pipe (inode : Vfs.inode) =
    chunks after the first read at pos > 0, so procfs serves them from
    the snapshot it took at offset 0. *)
 let read_inode proc (inode : Vfs.inode) ~pos ~vaddr ~len =
-  copy_out proc ~stream:false ~vaddr ~len (fun buf ~off ~len ->
-      inode.Vfs.ops.Vfs.read inode ~pos:(pos + off) ~buf ~boff:0 ~len)
+  if inode.Vfs.kind = Vfs.Dir then Error Errno.eisdir
+  else
+    copy_out proc ~stream:false ~vaddr ~len (fun buf ~off ~len ->
+        inode.Vfs.ops.Vfs.read inode ~pos:(pos + off) ~buf ~boff:0 ~len)
 
 (* Read up to [len] bytes from [f] into user memory at [vaddr]. The
    file position advances by the bytes that reached user memory. A
@@ -328,7 +339,7 @@ let do_write_desc (f : File.t) buf ~len =
 (* --- Individual syscalls --- *)
 
 let read_fd ~more proc args =
-  match file_of proc args.(0) with
+  match file_for_read proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> do_read_desc ~more proc f ~vaddr:(int_arg args 1) ~len:(rw_count args)
@@ -336,7 +347,7 @@ let read_fd ~more proc args =
 let sys_read proc args = read_fd ~more:false proc args
 
 let sys_write proc args =
-  match file_of proc args.(0) with
+  match file_for_write proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f ->
@@ -346,7 +357,7 @@ let sys_write proc args =
       (copy_in proc ~vaddr:(int_arg args 1) ~len (fun buf ~off:_ ~len -> do_write_desc f buf ~len))
 
 let sys_pread proc args =
-  match file_of proc args.(0) with
+  match file_for_read proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
@@ -356,14 +367,17 @@ let sys_pread proc args =
         (read_inode proc inode ~pos:(int_arg args 3) ~vaddr:(int_arg args 1) ~len:(rw_count args))
     | _ -> err Errno.espipe)
 
+(* An O_APPEND descriptor appends whatever the offset, as Linux's
+   pwrite does (pwrite(2), BUGS). *)
 let sys_pwrite proc args =
-  match file_of proc args.(0) with
+  match file_for_write proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 2) (int_arg args 3) -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
     | File.Inode_file inode ->
-      let len = rw_count args and pos = int_arg args 3 in
+      let len = rw_count args in
+      let pos = if f.File.flags land File.o_append <> 0 then inode.Vfs.size else int_arg args 3 in
       Strace.record_size ~nr:N.pwrite64 ~size:len;
       lift
         (copy_in proc ~vaddr:(int_arg args 1) ~len (fun buf ~off ~len ->
@@ -418,39 +432,22 @@ let sys_writev proc args =
     go iovs
 
 let do_open proc path flags mode =
-  let cwd = Process.cwd proc in
-  let open_inode inode =
-    if flags land File.o_trunc <> 0 && inode.Vfs.kind = Vfs.Reg then
-      ignore (inode.Vfs.ops.Vfs.truncate inode 0);
+  match
+    Vfs.open_ ~cwd:(Process.cwd proc) path ~flags ~mode:(mode land lnot (Process.umask proc))
+  with
+  | Error e -> err e
+  | Ok inode ->
     let desc =
       if inode.Vfs.kind = Vfs.Fifo then begin
-        (* Read or write end, by access mode (low 2 bits). *)
+        (* Read or write end, by access mode. *)
         let p = fifo_pipe inode in
-        if flags land 3 = 0 then File.Pipe_read p else File.Pipe_write p
+        if flags land Vfs.o_accmode = 0 then File.Pipe_read p else File.Pipe_write p
       end
       else File.Inode_file inode
     in
     let f = File.make desc ~flags in
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.open_misc;
     ok (File.Table.install (Process.fdt proc) f)
-  in
-  match Vfs.resolve ~cwd path with
-  | Ok { Vfs.inode; _ } ->
-    if flags land File.o_excl <> 0 && flags land File.o_creat <> 0 then err Errno.eexist
-    else if flags land File.o_directory <> 0 && inode.Vfs.kind <> Vfs.Dir then
-      err Errno.enotdir
-    else open_inode inode
-  | Error e when e = Errno.enoent && flags land File.o_creat <> 0 -> (
-    match Vfs.resolve_parent ~cwd path with
-    | Error e -> err e
-    | Ok (parent, leaf) -> (
-      match
-        parent.Vfs.inode.Vfs.ops.Vfs.create parent.Vfs.inode leaf Vfs.Reg
-          ~mode:(mode land lnot (Process.umask proc))
-      with
-      | Ok inode -> open_inode inode
-      | Error e -> err e))
-  | Error e -> err e
 
 let sys_open proc args =
   match read_str proc (int_arg args 0) with
@@ -579,7 +576,7 @@ let sys_fcntl proc args =
       ok (File.Table.install (Process.fdt proc) f)
     | 3 (* F_GETFL *) -> ok f.File.flags
     | 4 (* F_SETFL *) ->
-      f.File.flags <- int_arg args 2;
+      f.File.flags <- (f.File.flags land lnot File.setfl_mask) lor (int_arg args 2 land File.setfl_mask);
       ok 0
     | _ -> ok 0)
 
@@ -689,80 +686,57 @@ let sys_chdir proc args =
     | Ok _ -> err Errno.enotdir
     | Error e -> err e)
 
-let with_parent proc args_path k =
-  match read_str proc args_path with
+(* A namespace call on the path at [args.(0)]: the rules are the VFS's. *)
+let on_path proc args op =
+  match read_str proc (int_arg args 0) with
   | Error e -> err e
-  | Ok path -> (
-    match Vfs.resolve_parent ~cwd:(Process.cwd proc) path with
-    | Error e -> err e
-    | Ok (parent, leaf) -> k parent leaf)
+  | Ok path -> lift (Result.map (fun _ -> 0) (op ~cwd:(Process.cwd proc) path))
+
+(* Two paths, at [args.(i)] and [args.(j)]. *)
+let on_paths proc args i j op =
+  match (read_str proc (int_arg args i), read_str proc (int_arg args j)) with
+  | Error e, _ | _, Error e -> err e
+  | Ok a, Ok b -> lift (Result.map (fun () -> 0) (op ~cwd:(Process.cwd proc) a b))
 
 let sys_mkdir proc args =
-  with_parent proc (int_arg args 0) (fun parent leaf ->
-      match
-        parent.Vfs.inode.Vfs.ops.Vfs.create parent.Vfs.inode leaf Vfs.Dir
-          ~mode:(int_arg args 1 land lnot (Process.umask proc))
-      with
-      | Ok _ -> ok 0
-      | Error e -> err e)
+  on_path proc args (fun ~cwd path ->
+      Vfs.create ~cwd path Vfs.Dir ~mode:(int_arg args 1 land lnot (Process.umask proc)))
 
-let sys_unlink proc args =
-  with_parent proc (int_arg args 0) (fun parent leaf ->
-      match parent.Vfs.inode.Vfs.ops.Vfs.unlink parent.Vfs.inode leaf with
-      | Ok () -> ok 0
-      | Error e -> err e)
+let sys_unlink proc args = on_path proc args Vfs.unlink
 
-let sys_rmdir = sys_unlink
+let sys_rmdir proc args = on_path proc args Vfs.rmdir
 
-let sys_rename proc args =
-  with_parent proc (int_arg args 0) (fun sparent sleaf ->
-      with_parent proc (int_arg args 1) (fun dparent dleaf ->
-          match
-            sparent.Vfs.inode.Vfs.ops.Vfs.rename sparent.Vfs.inode sleaf dparent.Vfs.inode
-              dleaf
-          with
-          | Ok () -> ok 0
-          | Error e -> err e))
+let at_removedir = 0x200
 
-let sys_link proc args =
-  match read_str proc (int_arg args 0) with
-  | Error e -> err e
-  | Ok oldpath -> (
-    match Vfs.resolve ~cwd:(Process.cwd proc) oldpath with
-    | Error e -> err e
-    | Ok target ->
-      with_parent proc (int_arg args 1) (fun parent leaf ->
-          match parent.Vfs.inode.Vfs.ops.Vfs.link parent.Vfs.inode leaf target.Vfs.inode with
-          | Ok () -> ok 0
-          | Error e -> err e))
+(* unlinkat(dirfd, path, flags): dirfd is not consulted (AT_FDCWD). *)
+let sys_unlinkat proc args =
+  let flags = int_arg args 2 and args = [| args.(1) |] in
+  if flags land lnot at_removedir <> 0 then err Errno.einval
+  else if flags = at_removedir then sys_rmdir proc args
+  else sys_unlink proc args
 
-let sys_symlink proc args =
-  match read_str proc (int_arg args 0) with
-  | Error e -> err e
-  | Ok target ->
-    with_parent proc (int_arg args 1) (fun parent leaf ->
-        match parent.Vfs.inode.Vfs.ops.Vfs.create parent.Vfs.inode leaf Vfs.Lnk ~mode:0o777 with
-        | Error e -> err e
-        | Ok inode -> (
-          match inode.Vfs.ops.Vfs.set_symlink inode target with
-          | Ok () -> ok 0
-          | Error e -> err e))
+let sys_rename proc args = on_paths proc args 0 1 Vfs.rename
+
+let sys_link proc args = on_paths proc args 0 1 Vfs.link
+
+let sys_symlink proc args = on_paths proc args 0 1 (fun ~cwd target path -> Vfs.symlink ~cwd ~target path)
 
 let sys_readlink proc args =
-  if invalid_range (int_arg args 2) 0 then err Errno.einval
+  if int_arg args 2 <= 0 then err Errno.einval
   else
-    (* resolve() follows links, so inspect the parent and leaf directly. *)
-    with_parent proc (int_arg args 0) (fun parent leaf ->
-        match parent.Vfs.inode.Vfs.ops.Vfs.lookup parent.Vfs.inode leaf with
-        | None -> err Errno.enoent
-        | Some inode -> (
-          match inode.Vfs.ops.Vfs.symlink_target inode with
-          | None -> err Errno.einval
-          | Some target ->
-            let n = min (String.length target) (int_arg args 2) in
-            (match user_write proc ~vaddr:(int_arg args 1) (Bytes.of_string (String.sub target 0 n)) with
-            | Ok () -> ok n
-            | Error e -> err e)))
+    match read_str proc (int_arg args 0) with
+    | Error e -> err e
+    | Ok path -> (
+      match Vfs.resolve_last ~cwd:(Process.cwd proc) path with
+      | Error e -> err e
+      | Ok { Vfs.inode; _ } -> (
+        match inode.Vfs.ops.Vfs.symlink_target inode with
+        | None -> err Errno.einval
+        | Some target ->
+          let n = min (String.length target) (int_arg args 2) in
+          (match user_write proc ~vaddr:(int_arg args 1) (Bytes.of_string (String.sub target 0 n)) with
+          | Ok () -> ok n
+          | Error e -> err e)))
 
 let sys_truncate proc args =
   match read_str proc (int_arg args 0) with
@@ -771,21 +745,17 @@ let sys_truncate proc args =
   | Ok path -> (
     match Vfs.resolve ~cwd:(Process.cwd proc) path with
     | Error e -> err e
-    | Ok { Vfs.inode; _ } -> (
-      match inode.Vfs.ops.Vfs.truncate inode (int_arg args 1) with
-      | Ok () -> ok 0
-      | Error e -> err e))
+    | Ok { Vfs.inode; _ } -> lift (Result.map (fun () -> 0) (Vfs.truncate inode (int_arg args 1))))
 
+(* do_sys_ftruncate: the descriptor must be open for writing. *)
 let sys_ftruncate proc args =
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok _ when invalid_range (int_arg args 1) 0 -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
-    | File.Inode_file inode -> (
-      match inode.Vfs.ops.Vfs.truncate inode (int_arg args 1) with
-      | Ok () -> ok 0
-      | Error e -> err e)
+    | File.Inode_file inode when File.writable f ->
+      lift (Result.map (fun () -> 0) (Vfs.truncate inode (int_arg args 1)))
     | _ -> err Errno.einval)
 
 let sys_fsync proc args =
@@ -828,12 +798,12 @@ let sys_umask proc args =
 type sendfile_stop = Sf_eof | Sf_err of int
 
 let sys_sendfile proc args =
-  match (file_of proc args.(0), file_of proc args.(1)) with
+  match (file_for_write proc args.(0), file_for_read proc args.(1)) with
   | Error e, _ | _, Error e -> err e
   | Ok _, Ok _ when invalid_range (int_arg args 3) 0 -> err Errno.einval
   | Ok out_f, Ok in_f -> (
     match in_f.File.desc with
-    | File.Inode_file inode ->
+    | File.Inode_file inode when inode.Vfs.kind <> Vfs.Dir ->
       let count = int_arg args 3 in
       (* Zero-copy sendfile-to-wire: when the source is page-cache
          backed and the sink is TCP, map the cache frames straight into
@@ -907,7 +877,7 @@ let sys_socket proc args =
   | None -> err Errno.eafnosupport
   | Some kind ->
     let sock = { File.kind; st = File.S_unbound; bport = None; upath = None } in
-    ok (File.Table.install (Process.fdt proc) (File.make (File.Socket sock) ~flags:0))
+    ok (File.Table.install (Process.fdt proc) (File.make (File.Socket sock) ~flags:File.o_rdwr))
 
 let sock_of f =
   match f.File.desc with File.Socket s -> Ok s | _ -> Error Errno.enotsock
@@ -983,7 +953,7 @@ let sys_listen proc args =
 let sock_nonblock = File.o_nonblock
 
 let do_accept proc f s ~addr_ptr ~sock_flags =
-  let nflags = if sock_flags land sock_nonblock <> 0 then File.o_nonblock else 0 in
+  let nflags = File.o_rdwr lor if sock_flags land sock_nonblock <> 0 then File.o_nonblock else 0 in
   (* A listener marked O_NONBLOCK never sleeps in accept: EAGAIN when
      the queue is empty — the epoll accept-drain loop's exit signal. *)
   let listener_nb = f.File.flags land File.o_nonblock <> 0 in
@@ -1128,8 +1098,8 @@ let sys_socketpair proc args =
     let a, b = Unix_sock.socketpair () in
     let mk ep = { File.kind = File.Unix_stream; st = File.S_unix_conn ep; bport = None; upath = None } in
     let fdt = Process.fdt proc in
-    let fa = File.Table.install fdt (File.make (File.Socket (mk a)) ~flags:0) in
-    let fb = File.Table.install fdt (File.make (File.Socket (mk b)) ~flags:0) in
+    let fa = File.Table.install fdt (File.make (File.Socket (mk a)) ~flags:File.o_rdwr) in
+    let fb = File.Table.install fdt (File.make (File.Socket (mk b)) ~flags:File.o_rdwr) in
     let out = Bytes.create 8 in
     Bytes.set_int32_le out 0 (Int32.of_int fa);
     Bytes.set_int32_le out 4 (Int32.of_int fb);
@@ -1236,19 +1206,17 @@ let sys_rt_sigpending proc args =
   | Error e -> err e
 
 let sys_mknod proc args =
-  with_parent proc (int_arg args 0) (fun parent leaf ->
-      let mode = int_arg args 1 in
-      let kind = if mode land 0o170000 = 0o010000 then Vfs.Fifo else Vfs.Reg in
-      match parent.Vfs.inode.Vfs.ops.Vfs.create parent.Vfs.inode leaf kind ~mode:(mode land 0o777) with
-      | Ok _ -> ok 0
-      | Error e -> err e)
+  let mode = int_arg args 1 in
+  let kind = if mode land 0o170000 = 0o010000 then Vfs.Fifo else Vfs.Reg in
+  on_path proc args (fun ~cwd path -> Vfs.create ~cwd path kind ~mode:(mode land 0o777))
 
 let sys_lstat proc args =
-  (* No final-symlink follow: inspect the parent's entry directly. *)
-  with_parent proc (int_arg args 0) (fun parent leaf ->
-      match parent.Vfs.inode.Vfs.ops.Vfs.lookup parent.Vfs.inode leaf with
-      | Some inode -> write_stat proc (int_arg args 1) inode
-      | None -> err Errno.enoent)
+  match read_str proc (int_arg args 0) with
+  | Error e -> err e
+  | Ok path -> (
+    match Vfs.resolve_last ~cwd:(Process.cwd proc) path with
+    | Ok { Vfs.inode; _ } -> write_stat proc (int_arg args 1) inode
+    | Error e -> err e)
 
 let sys_statfs proc args =
   match read_str proc (int_arg args 0) with
@@ -1550,7 +1518,7 @@ let epoll_event_size = 12
 
 let sys_epoll_create1 proc _args =
   let e = Epoll.create () in
-  ok (File.Table.install (Process.fdt proc) (File.make (File.Epoll e) ~flags:0))
+  ok (File.Table.install (Process.fdt proc) (File.make (File.Epoll e) ~flags:File.o_rdwr))
 
 let sys_epoll_ctl proc args =
   match file_of proc args.(0) with
@@ -1699,7 +1667,7 @@ let register_all () =
   reg N.creat (fun proc args ->
       do_open proc
         (match read_str proc (int_arg args 0) with Ok p -> p | Error _ -> "")
-        (File.o_creat lor File.o_trunc lor 1)
+        (Vfs.o_creat lor Vfs.o_trunc lor File.o_wronly)
         (int_arg args 1));
   reg N.close sys_close;
   reg N.stat sys_stat;
@@ -1742,7 +1710,7 @@ let register_all () =
   reg N.mkdirat (fun proc args -> sys_mkdir proc [| args.(1); args.(2) |]);
   reg N.rmdir sys_rmdir;
   reg N.unlink sys_unlink;
-  reg N.unlinkat (fun proc args -> sys_unlink proc [| args.(1) |]);
+  reg N.unlinkat sys_unlinkat;
   reg N.rename sys_rename;
   reg N.renameat (fun proc args -> sys_rename proc [| args.(1); args.(3) |]);
   reg N.link sys_link;

@@ -6,6 +6,7 @@ type inode = {
   mutable kind : kind;
   mutable mode : int;
   mutable nlink : int;
+  mutable opens : int;  (* open file descriptions *)
   mutable size : int;
   mutable atime_ns : int;
   mutable mtime_ns : int;
@@ -16,17 +17,24 @@ type inode = {
 
 and priv = ..
 
+(* A file system's operations. The namespace ones only insert, remove
+   or move an entry and keep link counts ([unlink] is given the victim,
+   [rename] the inode it replaces): every check Linux makes in
+   fs/namei.c is made here, before they run. A file system without one
+   answers -EPERM, as Linux's vfs_* functions do. [evict] frees an
+   inode's storage once its last link and its last open are gone. *)
 and ops = {
   lookup : inode -> string -> inode option;
-  create : inode -> string -> kind -> mode:int -> (inode, int) result;
-  unlink : inode -> string -> (unit, int) result;
+  create : (inode -> string -> kind -> mode:int -> (inode, int) result) option;
+  unlink : (inode -> string -> inode -> (unit, int) result) option;
+  rename : (inode -> string -> inode -> string -> inode option -> (unit, int) result) option;
+  link : (inode -> string -> inode -> (unit, int) result) option;
+  evict : inode -> unit;
   readdir : inode -> (string * inode) list;
   read : inode -> pos:int -> buf:bytes -> boff:int -> len:int -> (int, int) result;
   write : inode -> pos:int -> buf:bytes -> boff:int -> len:int -> (int, int) result;
   truncate : inode -> int -> (unit, int) result;
   fsync : inode -> (unit, int) result;
-  rename : inode -> string -> inode -> string -> (unit, int) result;
-  link : inode -> string -> inode -> (unit, int) result;
   symlink_target : inode -> string option;
   set_symlink : inode -> string -> (unit, int) result;
 }
@@ -36,17 +44,18 @@ type priv += No_priv
 let default_ops =
   {
     lookup = (fun _ _ -> None);
-    create = (fun _ _ _ ~mode:_ -> Error Errno.enosys);
-    unlink = (fun _ _ -> Error Errno.enosys);
+    create = None;
+    unlink = None;
+    rename = None;
+    link = None;
+    evict = ignore;
     readdir = (fun _ -> []);
     read = (fun _ ~pos:_ ~buf:_ ~boff:_ ~len:_ -> Error Errno.einval);
     write = (fun _ ~pos:_ ~buf:_ ~boff:_ ~len:_ -> Error Errno.einval);
     truncate = (fun _ _ -> Error Errno.einval);
     fsync = (fun _ -> Ok ());
-    rename = (fun _ _ _ _ -> Error Errno.enosys);
-    link = (fun _ _ _ -> Error Errno.enosys);
     symlink_target = (fun _ -> None);
-    set_symlink = (fun _ _ -> Error Errno.enosys);
+    set_symlink = (fun _ _ -> Error Errno.einval);
   }
 
 let next_ino = ref 1
@@ -62,6 +71,7 @@ let make_inode ~fsname ~kind ?(mode = 0o644) ~ops () =
     kind;
     mode;
     nlink = 1;
+    opens = 0;
     size = 0;
     atime_ns = now;
     mtime_ns = now;
@@ -73,6 +83,17 @@ let make_inode ~fsname ~kind ?(mode = 0o644) ~ops () =
 let touch_mtime i = i.mtime_ns <- Ktime.realtime_ns ()
 
 let touch_atime i = i.atime_ns <- Ktime.realtime_ns ()
+
+(* --- The inode's lifetime: it lives while a name or an open file
+   description holds it (Linux's iput_final) --- *)
+
+let evict_unused i = if i.nlink <= 0 && i.opens = 0 then i.ops.evict i
+
+let opened i = i.opens <- i.opens + 1
+
+let closed i =
+  i.opens <- i.opens - 1;
+  evict_unused i
 
 (* --- Mount table and dentry cache --- *)
 
@@ -139,6 +160,18 @@ let parent_path p =
   | Some 0 | None -> "/"
   | Some i -> String.sub p 0 i
 
+(* [path] is [dir] or lies below it. *)
+let within path dir = path = dir || String.starts_with ~prefix:(join dir "") path
+
+let is_mountpoint path = path <> "/" && List.mem_assoc path !mount_table
+
+(* The mount a resolved path lies on: the longest mount path over it. *)
+let mount_of path =
+  List.fold_left
+    (fun best (m, _) ->
+      if within path m && String.length m > String.length best then m else best)
+    "/" !mount_table
+
 (* Follow mounts: if the absolute path we just reached is a mountpoint,
    continue from the mounted filesystem's root. *)
 let cross_mounts cur =
@@ -149,58 +182,215 @@ let cross_mounts cur =
 let max_symlink_depth = 8
 
 let rec walk cur comps depth =
-  if depth > max_symlink_depth then Error Errno.einval
+  if depth > max_symlink_depth then Error Errno.eloop
   else
     match comps with
     | [] -> Ok cur
-    | ".." :: rest ->
-      resolve_abs "/" (split_path (parent_path cur.path) @ rest) depth
+    | _ :: _ when cur.inode.kind <> Dir -> Error Errno.enotdir
+    | ".." :: rest -> walk (root ()) (split_path (parent_path cur.path) @ rest) depth
     | comp :: rest -> (
-      if cur.inode.kind <> Dir then Error Errno.enotdir
-      else
-        match lookup_component cur.inode comp with
-        | None -> Error Errno.enoent
-        | Some child -> (
-          let next = cross_mounts { inode = child; path = join cur.path comp } in
-          match next.inode.ops.symlink_target next.inode with
-          | Some target -> (
-            (* Follow the link (final components included, like stat). *)
-            match
-              if String.length target > 0 && target.[0] = '/' then
-                resolve_abs "/" (split_path target) (depth + 1)
-              else walk cur (split_path target) (depth + 1)
-            with
-            | Ok mid -> walk mid rest depth
-            | Error _ as e -> e)
-          | None -> walk next rest depth))
+      match lookup_component cur.inode comp with
+      | None -> Error Errno.enoent
+      | Some child -> (
+        let next = cross_mounts { inode = child; path = join cur.path comp } in
+        match next.inode.ops.symlink_target next.inode with
+        | Some target -> (
+          (* Follow the link (final components included, like stat). *)
+          let base = if String.length target > 0 && target.[0] = '/' then root () else cur in
+          match walk base (split_path target) (depth + 1) with
+          | Ok mid -> walk mid rest depth
+          | Error _ as e -> e)
+        | None -> walk next rest depth))
 
-and resolve_abs base comps depth =
-  let start = if base = "/" then root () else root () in
-  ignore base;
-  walk start comps depth
+let start ?cwd path =
+  if path.[0] = '/' then root () else match cwd with Some c -> c | None -> root ()
+
+(* Linux's trailing slash: the path must name a directory. *)
+let trailing_slash path = String.length path > 1 && path.[String.length path - 1] = '/'
 
 let resolve ?cwd path =
   if String.length path = 0 then Error Errno.enoent
-  else if path.[0] = '/' then resolve_abs "/" (split_path path) 0
   else
-    let base = match cwd with Some c -> c | None -> root () in
-    walk base (split_path path) 0
+    match walk (start ?cwd path) (split_path path) 0 with
+    | Ok r when trailing_slash path && r.inode.kind <> Dir -> Error Errno.enotdir
+    | r -> r
 
+(* The last component of a path, as Linux's path walk types it. *)
+type last = Name of string | Dot | Dotdot | Root
+
+(* The directory a path's last component lives in, and that component. *)
 let resolve_parent ?cwd path =
   if String.length path = 0 then Error Errno.enoent
   else
-    let comps = split_path path in
-    match List.rev comps with
-    | [] -> Error Errno.einval
-    | leaf :: rev_parents -> (
-      let parents = List.rev rev_parents in
-      let base_resolve =
-        if path.[0] = '/' then resolve_abs "/" parents 0
-        else
-          let base = match cwd with Some c -> c | None -> root () in
-          walk base parents 0
-      in
-      match base_resolve with
+    match List.rev (List.filter (( <> ) "") (String.split_on_char '/' path)) with
+    | [] -> Ok (root (), Root)
+    | leaf :: rev_dirs -> (
+      match walk (start ?cwd path) (List.filter (( <> ) ".") (List.rev rev_dirs)) 0 with
       | Error _ as e -> e
+      | Ok parent when parent.inode.kind <> Dir -> Error Errno.enotdir
       | Ok parent ->
-        if parent.inode.kind <> Dir then Error Errno.enotdir else Ok (parent, leaf))
+        Ok (parent, match leaf with "." -> Dot | ".." -> Dotdot | name -> Name name))
+
+(* --- Namespace operations: Linux's checks (fs/namei.c), made once ---
+
+   Each looks its leaf up once, charged like any other component, and
+   invalidates the dentries it changes. *)
+
+let ( let* ) = Result.bind
+
+let nonempty_dir i = i.kind = Dir && i.ops.readdir i <> []
+
+(* The inode a path names, a final symlink not followed (lstat,
+   readlink, link's source). *)
+let resolve_last ~cwd path =
+  let* parent, last = resolve_parent ~cwd path in
+  match last with
+  | Name name when not (trailing_slash path) -> (
+    match lookup_component parent.inode name with
+    | None -> Error Errno.enoent
+    | Some i -> Ok (cross_mounts { inode = i; path = join parent.path name }))
+  | Name _ | Dot | Dotdot | Root -> resolve ~cwd path
+
+(* filename_create: the leaf a new name goes to, which must not exist.
+   Only a directory may be created through a trailing slash. *)
+let new_name ~cwd path ~dir =
+  let* parent, last = resolve_parent ~cwd path in
+  match last with
+  | Dot | Dotdot | Root -> Error Errno.eexist
+  | Name name -> (
+    match lookup_component parent.inode name with
+    | Some _ -> Error Errno.eexist
+    | None -> if trailing_slash path && not dir then Error Errno.enoent else Ok (parent, name))
+
+let create ~cwd path kind ~mode =
+  let* parent, name = new_name ~cwd path ~dir:(kind = Dir) in
+  match parent.inode.ops.create with
+  | None -> Error Errno.eperm
+  | Some create -> create parent.inode name kind ~mode
+
+let symlink ~cwd ~target path =
+  let* inode = create ~cwd path Lnk ~mode:0o777 in
+  inode.ops.set_symlink inode target
+
+(* do_unlinkat and do_rmdir, then may_delete, vfs_unlink and vfs_rmdir. *)
+let remove ~cwd path ~dir =
+  let* parent, last = resolve_parent ~cwd path in
+  match last with
+  | Root -> Error (if dir then Errno.ebusy else Errno.eisdir)
+  | Dot -> Error (if dir then Errno.einval else Errno.eisdir)
+  | Dotdot -> Error (if dir then Errno.enotempty else Errno.eisdir)
+  | Name name -> (
+    match lookup_component parent.inode name with
+    | None -> Error Errno.enoent
+    | Some victim -> (
+      if dir && victim.kind <> Dir then Error Errno.enotdir
+      else if (not dir) && victim.kind = Dir then Error Errno.eisdir
+      else if (not dir) && trailing_slash path then Error Errno.enotdir
+      else
+        match parent.inode.ops.unlink with
+        | None -> Error Errno.eperm
+        | Some unlink ->
+          if is_mountpoint (join parent.path name) then Error Errno.ebusy
+          else if nonempty_dir victim then Error Errno.enotempty
+          else
+            let* () = unlink parent.inode name victim in
+            dcache_invalidate parent.inode name;
+            evict_unused victim;
+            Ok ()))
+
+let unlink ~cwd path = remove ~cwd path ~dir:false
+
+let rmdir ~cwd path = remove ~cwd path ~dir:true
+
+(* do_renameat2, then vfs_rename. *)
+let rename ~cwd oldpath newpath =
+  let* sparent, slast = resolve_parent ~cwd oldpath in
+  let* dparent, dlast = resolve_parent ~cwd newpath in
+  if mount_of sparent.path <> mount_of dparent.path then Error Errno.exdev
+  else
+    match (slast, dlast) with
+    | (Dot | Dotdot | Root), _ | _, (Dot | Dotdot | Root) -> Error Errno.ebusy
+    | Name sname, Name dname -> (
+      match lookup_component sparent.inode sname with
+      | None -> Error Errno.enoent
+      | Some src -> (
+        let target = lookup_component dparent.inode dname in
+        let spath = join sparent.path sname and dpath = join dparent.path dname in
+        let is_dir = src.kind = Dir in
+        if (not is_dir) && (trailing_slash oldpath || trailing_slash newpath) then
+          Error Errno.enotdir
+        else if within dparent.path spath then Error Errno.einval
+        else if within sparent.path dpath then Error Errno.enotempty
+        else
+          match target with
+          | Some t when t == src -> Ok ()
+          | Some t when is_dir && t.kind <> Dir -> Error Errno.enotdir
+          | Some t when (not is_dir) && t.kind = Dir -> Error Errno.eisdir
+          | _ -> (
+            match sparent.inode.ops.rename with
+            | None -> Error Errno.eperm
+            | Some rename ->
+              if is_mountpoint spath || is_mountpoint dpath then Error Errno.ebusy
+              else if Option.fold ~none:false ~some:nonempty_dir target then Error Errno.enotempty
+              else
+                let* () = rename sparent.inode sname dparent.inode dname target in
+                dcache_invalidate sparent.inode sname;
+                dcache_invalidate dparent.inode dname;
+                Option.iter evict_unused target;
+                Ok ())))
+
+(* do_linkat, then vfs_link. *)
+let link ~cwd oldpath newpath =
+  let* src = resolve_last ~cwd oldpath in
+  let* parent, name = new_name ~cwd newpath ~dir:false in
+  if mount_of src.path <> mount_of parent.path then Error Errno.exdev
+  else
+    match parent.inode.ops.link with
+    | None -> Error Errno.eperm
+    | Some _ when src.inode.kind = Dir -> Error Errno.eperm
+    | Some link -> link parent.inode name src.inode
+
+(* vfs_truncate. *)
+let truncate inode n =
+  match inode.kind with
+  | Dir -> Error Errno.eisdir
+  | Reg -> inode.ops.truncate inode n
+  | Fifo | Sock | Chr | Lnk -> Error Errno.einval
+
+let o_accmode = 3
+let o_creat = 0o100
+let o_excl = 0o200
+let o_trunc = 0o1000
+let o_directory = 0o200000
+
+(* path_openat's checks (open_last_lookups, lookup_open, do_open,
+   may_open); lookup_open answers EACCES where the file system cannot
+   create. The create path walks the parent again, as open always has,
+   and takes the leaf's existence from the walk that just failed: a leaf
+   it found is in the dcache. *)
+let open_ ~cwd path ~flags ~mode =
+  let has f = flags land f <> 0 in
+  if has o_creat && trailing_slash path then
+    let* _ = resolve_parent ~cwd path in
+    Error Errno.eisdir
+  else
+    match resolve ~cwd path with
+    | Ok { inode; _ } ->
+      if has o_creat && has o_excl then Error Errno.eexist
+      else if has o_creat && inode.kind = Dir then Error Errno.eisdir
+      else if has o_directory && inode.kind <> Dir then Error Errno.enotdir
+      else if inode.kind = Dir && (flags land o_accmode <> 0 || has o_trunc) then
+        Error Errno.eisdir
+      else begin
+        if has o_trunc && inode.kind = Reg then ignore (inode.ops.truncate inode 0);
+        Ok inode
+      end
+    | Error e when e = Errno.enoent && has o_creat -> (
+      let* parent, last = resolve_parent ~cwd path in
+      match (last, parent.inode.ops.create) with
+      | (Dot | Dotdot | Root), _ -> Error Errno.eisdir
+      | Name name, _ when Hashtbl.mem dcache (parent.inode.fsname, parent.inode.ino, name) ->
+        Error Errno.eexist
+      | Name _, None -> Error Errno.eacces
+      | Name name, Some create -> create parent.inode name Reg ~mode)
+    | Error _ as e -> e

@@ -190,6 +190,418 @@ let test_symlink () =
   in
   check_int "exit code" 0 code
 
+(* --- Linux's answer to each namespace case ---
+
+   Every case runs from a fresh fixture on /tmp (ramfs) and on /ext2:
+   a file f holding "hello", an empty directory e, a directory n holding
+   x, a symlink l -> f and symlinks loop1 and loop2 that point at each
+   other. For the cross-mount cases each file system is the other's
+   other mount. The expected answers are what Linux 6.18 answered, run
+   as root on the same fixture (on tmpfs and on ext4). An answer is 0, a
+   negated errno, or for the two data cases a size and a read count. *)
+
+let ns_cases =
+  let module E = Aster.Errno in
+  let module L = Apps.Libc in
+  let module N = Aster.Syscall_nr in
+  let p c s = Int64.of_int (L.put_string c s) in
+  let sys c nr args = L.syscall c nr args in
+  let with_fd c path flags k =
+    let fd = L.openf c path ~flags ~mode:0 in
+    let r = k fd in
+    ignore (L.close c fd);
+    r
+  in
+  let byte c = L.put_bytes c (Bytes.of_string "!") in
+  [
+    ("rmdir f", -E.enotdir, fun c d _ -> L.rmdir c (d ^ "/f"));
+    ("unlink e", -E.eisdir, fun c d _ -> L.unlink c (d ^ "/e"));
+    ("rmdir e/.", -E.einval, fun c d _ -> L.rmdir c (d ^ "/e/."));
+    ("rmdir e/..", -E.enotempty, fun c d _ -> L.rmdir c (d ^ "/e/.."));
+    ("rmdir n", -E.enotempty, fun c d _ -> L.rmdir c (d ^ "/n"));
+    ("rmdir e/", 0, fun c d _ -> L.rmdir c (d ^ "/e/"));
+    ("unlink f/", -E.enotdir, fun c d _ -> L.unlink c (d ^ "/f/"));
+    ( "unlinkat e AT_REMOVEDIR",
+      0,
+      fun c d _ -> sys c N.unlinkat [| -100L; p c (d ^ "/e"); 0x200L |] );
+    ("unlinkat e 0", -E.eisdir, fun c d _ -> sys c N.unlinkat [| -100L; p c (d ^ "/e"); 0L |]);
+    ("rename e e/x", -E.einval, fun c d _ -> L.rename c (d ^ "/e") (d ^ "/e/x"));
+    ("rename e f", -E.enotdir, fun c d _ -> L.rename c (d ^ "/e") (d ^ "/f"));
+    ("rename f e", -E.eisdir, fun c d _ -> L.rename c (d ^ "/f") (d ^ "/e"));
+    ("rename e n", -E.enotempty, fun c d _ -> L.rename c (d ^ "/e") (d ^ "/n"));
+    ("rename n e", 0, fun c d _ -> L.rename c (d ^ "/n") (d ^ "/e"));
+    ("rename f f", 0, fun c d _ -> L.rename c (d ^ "/f") (d ^ "/f"));
+    ("link e e2", -E.eperm, fun c d _ -> sys c N.link [| p c (d ^ "/e"); p c (d ^ "/e2") |]);
+    ("link f e", -E.eexist, fun c d _ -> sys c N.link [| p c (d ^ "/f"); p c (d ^ "/e") |]);
+    ("rename f other mount", -E.exdev, fun c d o -> L.rename c (d ^ "/f") (o ^ "/xdev"));
+    ( "link f other mount",
+      -E.exdev,
+      fun c d o -> sys c N.link [| p c (d ^ "/f"); p c (o ^ "/xdev") |] );
+    ("mkdir f", -E.eexist, fun c d _ -> L.mkdir c (d ^ "/f"));
+    ("mkdir e/.", -E.eexist, fun c d _ -> L.mkdir c (d ^ "/e/."));
+    ("open e O_WRONLY", -E.eisdir, fun c d _ -> L.openf c (d ^ "/e") ~flags:0o1 ~mode:0);
+    ("open e O_RDWR", -E.eisdir, fun c d _ -> L.openf c (d ^ "/e") ~flags:0o2 ~mode:0);
+    ("open e O_RDONLY|O_TRUNC", -E.eisdir, fun c d _ -> L.openf c (d ^ "/e") ~flags:0o1000 ~mode:0);
+    ("open f/", -E.enotdir, fun c d _ -> L.openf c (d ^ "/f/") ~flags:0 ~mode:0);
+    ("open e/ O_CREAT", -E.eisdir, fun c d _ -> L.openf c (d ^ "/e/") ~flags:0o101 ~mode:0o644);
+    ("open g/ O_CREAT", -E.eisdir, fun c d _ -> L.openf c (d ^ "/g/") ~flags:0o101 ~mode:0o644);
+    ("truncate e", -E.eisdir, fun c d _ -> sys c N.truncate [| p c (d ^ "/e"); 0L |]);
+    ("open loop1", -E.eloop, fun c d _ -> L.openf c (d ^ "/loop1") ~flags:0 ~mode:0);
+    ( "readlink l size 0",
+      -E.einval,
+      fun c d _ -> sys c N.readlink [| p c (d ^ "/l"); Int64.of_int (byte c); 0L |] );
+    ( "write O_RDONLY",
+      -E.ebadf,
+      fun c d _ -> with_fd c (d ^ "/f") 0 (fun fd -> L.write c ~fd ~vaddr:(byte c) ~len:1) );
+    ( "read O_WRONLY",
+      -E.ebadf,
+      fun c d _ -> with_fd c (d ^ "/f") 1 (fun fd -> L.read c ~fd ~vaddr:(byte c) ~len:1) );
+    ( "pwrite64 O_RDONLY",
+      -E.ebadf,
+      fun c d _ -> with_fd c (d ^ "/f") 0 (fun fd -> L.pwrite c ~fd ~vaddr:(byte c) ~len:1 ~off:0) );
+    ( "ftruncate O_RDONLY",
+      -E.einval,
+      fun c d _ -> with_fd c (d ^ "/f") 0 (fun fd -> L.ftruncate c ~fd ~len:0) );
+    ( "pwrite64 at 0 on O_APPEND: size",
+      6,
+      fun c d _ ->
+        let r =
+          with_fd c (d ^ "/f") 0o2001 (fun fd -> L.pwrite c ~fd ~vaddr:(byte c) ~len:1 ~off:0)
+        in
+        if r <> 1 then r
+        else match L.stat c (d ^ "/f") with Ok st -> st.Aster.Abi.size | Error e -> -e );
+    ( "pread64 of an open, unlinked f",
+      5,
+      fun c d _ ->
+        with_fd c (d ^ "/f") 0 (fun fd ->
+            ignore (L.unlink c (d ^ "/f"));
+            let buf = L.ualloc c 4096 in
+            let n = L.pread c ~fd ~vaddr:buf ~len:5 ~off:0 in
+            if n = 5 && Bytes.to_string (L.get_bytes c buf 5) = "hello" then 5 else -1000) );
+    ("rmdir /proc", -E.ebusy, fun c _ _ -> L.rmdir c "/proc");
+    ("rmdir /ext2", -E.ebusy, fun c _ _ -> L.rmdir c "/ext2");
+    ("rmdir /dev/null", -E.enotdir, fun c _ _ -> L.rmdir c "/dev/null");
+    ("unlink /proc/stat", -E.eperm, fun c _ _ -> L.unlink c "/proc/stat");
+  ]
+
+let ns_fixture c d =
+  let module L = Apps.Libc in
+  ignore (L.mkdir c d);
+  let fd = L.openf c (d ^ "/f") ~flags:0o101 ~mode:0o644 in
+  ignore (L.write_str c ~fd "hello");
+  ignore (L.close c fd);
+  ignore (L.mkdir c (d ^ "/e"));
+  ignore (L.mkdir c (d ^ "/n"));
+  ignore (L.close c (L.openf c (d ^ "/n/x") ~flags:0o101 ~mode:0o644));
+  ignore (L.symlink c ~target:"f" ~linkpath:(d ^ "/l"));
+  ignore (L.symlink c ~target:"loop2" ~linkpath:(d ^ "/loop1"));
+  ignore (L.symlink c ~target:"loop1" ~linkpath:(d ^ "/loop2"))
+
+let test_linux_namespace_cases () =
+  let wrong = ref [] in
+  let code =
+    run_user (fun c ->
+        ignore (Apps.Libc.mkdir c "/tmp/ns");
+        ignore (Apps.Libc.mkdir c "/ext2/ns");
+        List.iter
+          (fun (root, other) ->
+            List.iteri
+              (fun i (name, want, call) ->
+                let d = Printf.sprintf "%s/c%02d" root i in
+                ns_fixture c d;
+                let got = call c d other in
+                if got <> want then
+                  wrong := Printf.sprintf "%s: %s: %d, Linux %d" root name got want :: !wrong;
+                if root = "/ext2/ns" then
+                  List.iter
+                    (fun v -> wrong := Printf.sprintf "%s: %s: fsck: %s" root name v :: !wrong)
+                    (Aster.Fsck.check ()))
+              ns_cases)
+          [ ("/tmp/ns", "/ext2/ns"); ("/ext2/ns", "/tmp/ns") ];
+        0)
+  in
+  check_int "exit" 0 code;
+  check_int "forty cases" 40 (List.length ns_cases);
+  Alcotest.(check (list string)) "answers unlike Linux" [] (List.rev !wrong)
+
+(* --- Generated namespace sequences ---
+
+   Seeded sequences of namespace and data calls over eight names on
+   /tmp, /ext2 and /dev, plus /dev/null and /proc/stat. Oracles: no
+   panic and no exception out of the kernel; fsck clean once every fd
+   is closed and sync has run; every frame back once the names are
+   gone; and the same sequence gives the same transcript. *)
+
+type ns_op =
+  | Open of int * int  (* path, flags *)
+  | Close of int  (* fd slot *)
+  | Read of int
+  | Write of int * int  (* fd slot, bytes *)
+  | Unlink of int
+  | Rmdir of int
+  | Mkdir of int
+  | Rename of int * int
+  | Link of int * int
+  | Symlink of int * int  (* target, link path *)
+  | Truncate of int * int
+
+let ns_paths =
+  [| "/tmp/a"; "/tmp/b"; "/tmp/a/x"; "/ext2/a"; "/ext2/b"; "/ext2/a/x"; "/dev/a"; "/dev/b";
+     "/dev/null"; "/proc/stat" |]
+
+let show_ns_op =
+  let p i = ns_paths.(i) in
+  function
+  | Open (i, fl) -> Printf.sprintf "open %s 0o%o" (p i) fl
+  | Close k -> Printf.sprintf "close #%d" k
+  | Read k -> Printf.sprintf "read #%d" k
+  | Write (k, n) -> Printf.sprintf "write #%d %d" k n
+  | Unlink i -> "unlink " ^ p i
+  | Rmdir i -> "rmdir " ^ p i
+  | Mkdir i -> "mkdir " ^ p i
+  | Rename (i, j) -> Printf.sprintf "rename %s %s" (p i) (p j)
+  | Link (i, j) -> Printf.sprintf "link %s %s" (p i) (p j)
+  | Symlink (i, j) -> Printf.sprintf "symlink %s %s" (p i) (p j)
+  | Truncate (i, n) -> Printf.sprintf "truncate %s %d" (p i) n
+
+let gen_ns_op =
+  let open QCheck.Gen in
+  let path = int_bound (Array.length ns_paths - 1) and slot = int_bound 3 in
+  let flags =
+    map
+      (fun (acc, creat, excl, trunc, dir) ->
+        acc lor (if creat then 0o100 else 0) lor (if excl then 0o200 else 0)
+        lor (if trunc then 0o1000 else 0) lor if dir then 0o200000 else 0)
+      (tup5 (int_bound 2) bool (frequency [ (1, return true); (4, return false) ])
+         (frequency [ (1, return true); (4, return false) ])
+         (frequency [ (1, return true); (6, return false) ]))
+  in
+  frequency
+    [
+      (6, map2 (fun i fl -> Open (i, fl)) path flags);
+      (3, map (fun k -> Close k) slot);
+      (2, map (fun k -> Read k) slot);
+      (3, map2 (fun k n -> Write (k, n)) slot (oneofl [ 1; 4096; 9000 ]));
+      (2, map (fun i -> Unlink i) path);
+      (2, map (fun i -> Rmdir i) path);
+      (2, map (fun i -> Mkdir i) path);
+      (2, map2 (fun i j -> Rename (i, j)) path path);
+      (2, map2 (fun i j -> Link (i, j)) path path);
+      (1, map2 (fun i j -> Symlink (i, j)) path path);
+      (1, map2 (fun i n -> Truncate (i, n)) path (oneofl [ 0; 3; 5000 ]));
+    ]
+
+let arb_ns_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_ns_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 24) gen_ns_op)
+
+(* Remove [path] and everything below it. *)
+let rec ns_rm_rf c path =
+  let module L = Apps.Libc in
+  if L.unlink c path = -Aster.Errno.eisdir then begin
+    let fd = L.openf c path ~flags:0o200000 ~mode:0 in
+    if fd >= 0 then begin
+      List.iter
+        (fun (_, _, name) -> if name <> "." && name <> ".." then ns_rm_rf c (path ^ "/" ^ name))
+        (L.getdents c ~fd);
+      ignore (L.close c fd)
+    end;
+    ignore (L.rmdir c path)
+  end
+
+(* Run [ops] on a fresh kernel: the transcript, and what went wrong. *)
+let run_ns_ops ops =
+  let module L = Apps.Libc in
+  let transcript = ref [] and wrong = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> wrong := m :: !wrong) fmt in
+  let body c =
+    (* Touch the user memory the run uses before counting frames. *)
+    ignore (L.put_bytes c (Bytes.make ((256 * 1024) - 16) '\000'));
+    let buf = L.ualloc c 9000 in
+    (L.raw c).Ostd.User.mem_write buf (Bytes.make 9000 'z');
+    ignore (L.syscall c Aster.Syscall_nr.sync [||]);
+    ignore (Aster.Block.drop_clean ());
+    let frames0 = Ostd.Frame.live_handles () in
+    let fds = ref [] in
+    let fd k = match !fds with [] -> 1000 | l -> List.nth l (k mod List.length l) in
+    let p i = ns_paths.(i) in
+    let link nr i j = L.syscall c nr [| Int64.of_int (L.put_string c (p i)); Int64.of_int (L.put_string c (p j)) |] in
+    List.iter
+      (fun op ->
+        let r =
+          match op with
+          | Open (i, flags) ->
+            let r = L.openf c (p i) ~flags ~mode:0o644 in
+            if r >= 0 then fds := !fds @ [ r ];
+            r
+          | Close k ->
+            let f = fd k in
+            fds := List.filter (( <> ) f) !fds;
+            L.close c f
+          | Read k -> L.read c ~fd:(fd k) ~vaddr:buf ~len:4096
+          | Write (k, n) -> L.write c ~fd:(fd k) ~vaddr:buf ~len:n
+          | Unlink i -> L.unlink c (p i)
+          | Rmdir i -> L.rmdir c (p i)
+          | Mkdir i -> L.mkdir c (p i)
+          | Rename (i, j) -> L.rename c (p i) (p j)
+          | Link (i, j) -> link Aster.Syscall_nr.link i j
+          | Symlink (i, j) -> link Aster.Syscall_nr.symlink i j
+          | Truncate (i, n) ->
+            L.syscall c Aster.Syscall_nr.truncate [| Int64.of_int (L.put_string c (p i)); Int64.of_int n |]
+        in
+        transcript := Printf.sprintf "%s = %d" (show_ns_op op) r :: !transcript)
+      ops;
+    List.iter (fun f -> ignore (L.close c f)) !fds;
+    ignore (L.syscall c Aster.Syscall_nr.sync [||]);
+    List.iter (fail "fsck after the sequence: %s") (Aster.Fsck.check ());
+    List.iter (ns_rm_rf c) [ "/tmp/a"; "/tmp/b"; "/ext2/a"; "/ext2/b"; "/dev/a"; "/dev/b" ];
+    (match Aster.Vfs.resolve_last ~cwd:(Aster.Vfs.root ()) "/dev/null" with
+    | Ok { Aster.Vfs.inode; _ } when inode.Aster.Vfs.fsname <> "devfs" -> ns_rm_rf c "/dev/null"
+    | Ok _ | Error _ -> ());
+    ignore (L.syscall c Aster.Syscall_nr.sync [||]);
+    ignore (Aster.Block.drop_clean ());
+    let frames = Ostd.Frame.live_handles () in
+    if frames <> frames0 then fail "frames: %d before the sequence, %d after" frames0 frames;
+    List.iter (fail "fsck after cleanup: %s") (Aster.Fsck.check ());
+    0
+  in
+  (try
+     ignore (boot ());
+     let finished = ref false in
+     ignore
+       (Aster.Process.spawn_kernel_style ~name:"ns-seq" (fun u ->
+            let code = body (L.make u) in
+            finished := true;
+            code));
+     Aster.Kernel.run ();
+     if not !finished then fail "the sequence did not finish"
+   with e -> fail "exception: %s" (Printexc.to_string e));
+  let panics = Sim.Stats.get "kernel.panic" in
+  if panics <> 0 then fail "kernel.panic = %d" panics;
+  (List.rev !transcript, List.rev !wrong)
+
+let prop_ns_sequences =
+  QCheck.Test.make ~name:"namespace_sequences" ~count:100 arb_ns_ops (fun ops ->
+      let t1, wrong = run_ns_ops ops in
+      let t2, _ = run_ns_ops ops in
+      if wrong <> [] then QCheck.Test.fail_reportf "%s" (String.concat "\n" wrong)
+      else if t1 <> t2 then QCheck.Test.fail_reportf "transcripts differ"
+      else true)
+
+(* Ordinary calls that once stopped the kernel: a read through an open
+   descriptor of an unlinked /tmp file, rename and link between /tmp and
+   /ext2, and rmdir, unlink and link of /dev/null, a devfs inode in a
+   ramfs directory. /dev and /tmp share the root mount here, so the
+   link is allowed, as on Linux. *)
+let test_foreign_inode_calls () =
+  let module L = Apps.Libc in
+  let module E = Aster.Errno in
+  let got = ref [] in
+  let code =
+    run_user (fun c ->
+        let note name r = got := (name, r) :: !got in
+        let fd = L.openf c "/tmp/u" ~flags:0o102 ~mode:0o644 in
+        ignore (L.write_str c ~fd "hello");
+        note "unlink /tmp/u" (L.unlink c "/tmp/u");
+        let buf = L.ualloc c 4096 in
+        note "pread64 unlinked /tmp/u" (L.pread c ~fd ~vaddr:buf ~len:5 ~off:0);
+        note "its bytes" (if Bytes.to_string (L.get_bytes c buf 5) = "hello" then 0 else 1);
+        ignore (L.close c fd);
+        ignore (L.close c (L.openf c "/tmp/f" ~flags:0o101 ~mode:0o644));
+        ignore (L.close c (L.openf c "/ext2/f" ~flags:0o101 ~mode:0o644));
+        note "rename /tmp/f /ext2/g" (L.rename c "/tmp/f" "/ext2/g");
+        note "rename /ext2/f /tmp/g" (L.rename c "/ext2/f" "/tmp/g");
+        let link a b =
+          L.syscall c Aster.Syscall_nr.link
+            [| Int64.of_int (L.put_string c a); Int64.of_int (L.put_string c b) |]
+        in
+        note "link /tmp/f /ext2/g" (link "/tmp/f" "/ext2/g");
+        note "rmdir /dev/null" (L.rmdir c "/dev/null");
+        note "link /dev/null /tmp/n" (link "/dev/null" "/tmp/n");
+        note "unlink /tmp/n" (L.unlink c "/tmp/n");
+        note "unlink /dev/null" (L.unlink c "/dev/null");
+        0)
+  in
+  check_int "exit" 0 code;
+  Alcotest.(check (list (pair string int)))
+    "answers"
+    [
+      ("unlink /tmp/u", 0);
+      ("pread64 unlinked /tmp/u", 5);
+      ("its bytes", 0);
+      ("rename /tmp/f /ext2/g", -E.exdev);
+      ("rename /ext2/f /tmp/g", -E.exdev);
+      ("link /tmp/f /ext2/g", -E.exdev);
+      ("rmdir /dev/null", -E.enotdir);
+      ("link /dev/null /tmp/n", 0);
+      ("unlink /tmp/n", 0);
+      ("unlink /dev/null", 0);
+    ]
+    (List.rev !got);
+  check_int "no panic" 0 (Sim.Stats.get "kernel.panic")
+
+(* A rename that replaces a file reclaims it: two 40,000-byte /tmp
+   files hold 20 pages, and after one is renamed over the other and the
+   result is unlinked, all 20 come back. *)
+let test_rename_reclaims_victim () =
+  let module L = Apps.Libc in
+  let before = ref 0 and held = ref 0 and after = ref 0 in
+  let code =
+    run_user (fun c ->
+        let buf = L.ualloc c 40_000 in
+        (L.raw c).Ostd.User.mem_write buf (Bytes.make 40_000 'r');
+        ignore (L.put_string c "/tmp/a");
+        before := Ostd.Frame.live_handles ();
+        List.iter
+          (fun path ->
+            let fd = L.openf c path ~flags:0o101 ~mode:0o644 in
+            ignore (L.write c ~fd ~vaddr:buf ~len:40_000);
+            ignore (L.close c fd))
+          [ "/tmp/a"; "/tmp/b" ];
+        held := Ostd.Frame.live_handles () - !before;
+        if L.rename c "/tmp/a" "/tmp/b" <> 0 || L.unlink c "/tmp/b" <> 0 then 1
+        else begin
+          after := Ostd.Frame.live_handles ();
+          0
+        end)
+  in
+  check_int "exit" 0 code;
+  check_int "two files hold 20 pages" 20 !held;
+  check_int "every page back" !before !after
+
+(* ext2 keeps an unlinked file's blocks while a descriptor holds it,
+   and frees them at the last close; the VFS refuses a rename into the
+   source's own subtree and a truncate of a directory. fsck stays clean
+   after each. *)
+let test_ext2_namespace_fsck () =
+  let module L = Apps.Libc in
+  let results = ref [] in
+  let code =
+    run_user (fun c ->
+        let note r = results := r :: !results in
+        let fd = L.openf c "/ext2/u" ~flags:0o102 ~mode:0o644 in
+        note (L.unlink c "/ext2/u");
+        let buf = L.ualloc c 8192 in
+        note (L.write c ~fd ~vaddr:buf ~len:8192);
+        note (L.close c fd);
+        note (L.syscall c Aster.Syscall_nr.sync [||]);
+        note (L.mkdir c "/ext2/d");
+        note (L.mkdir c "/ext2/d/s");
+        note (L.rename c "/ext2/d" "/ext2/d/s/t");
+        ignore (L.close c (L.openf c "/ext2/d/s/x" ~flags:0o101 ~mode:0o644));
+        note (L.syscall c Aster.Syscall_nr.truncate [| Int64.of_int (L.put_string c "/ext2/d/s"); 0L |]);
+        note (L.syscall c Aster.Syscall_nr.sync [||]);
+        0)
+  in
+  check_int "exit" 0 code;
+  Alcotest.(check (list int))
+    "answers"
+    [ 0; 8192; 0; 0; 0; 0; -Aster.Errno.einval; -Aster.Errno.eisdir; 0 ]
+    (List.rev !results);
+  Alcotest.(check (list string)) "fsck clean" [] (Aster.Fsck.check ())
+
 let test_fork_wait () =
   let code =
     run_user (fun c ->
@@ -428,21 +840,23 @@ let test_unix_socket () =
   Aster.Kernel.run ();
   check_str "unix data" "over unix" !got
 
-let test_sendfile_tcp () =
-  ignore (boot ());
+(* Also from an /ext2 file under the Linux profile, whose zero-copy
+   path asks ramfs for page-cache frames the ext2 inode does not have. *)
+let test_sendfile_tcp ~profile path () =
+  ignore (boot ~profile ());
   let got_len = ref 0 in
   ignore
     (Aster.Process.spawn_kernel_style ~name:"sf-server" (fun uapi ->
          let c = Apps.Libc.make uapi in
          (* Prepare a 8 KiB file. *)
-         let fd = Apps.Libc.openf c "/tmp/payload" ~flags:0o101 ~mode:0o644 in
+         let fd = Apps.Libc.openf c path ~flags:0o101 ~mode:0o644 in
          ignore (Apps.Libc.write_str c ~fd (String.make 8192 'x'));
          ignore (Apps.Libc.close c fd);
          let sfd = Apps.Libc.socket c ~domain:2 ~typ:1 in
          ignore (Apps.Libc.bind_inet c ~fd:sfd ~port:8088);
          ignore (Apps.Libc.listen c ~fd:sfd ~backlog:4);
          let conn = Apps.Libc.accept c ~fd:sfd in
-         let file = Apps.Libc.openf c "/tmp/payload" ~flags:0 ~mode:0 in
+         let file = Apps.Libc.openf c path ~flags:0 ~mode:0 in
          let n = Apps.Libc.sendfile c ~out_fd:conn ~in_fd:file ~count:8192 in
          ignore (Apps.Libc.close c conn);
          if n = 8192 then 0 else 1));
@@ -1966,6 +2380,7 @@ let () =
           Alcotest.test_case "stat_dirs" `Quick test_stat_and_dirs;
           Alcotest.test_case "rename_unlink" `Quick test_rename_unlink;
           Alcotest.test_case "symlink" `Quick test_symlink;
+          Alcotest.test_case "linux_namespace_cases" `Quick test_linux_namespace_cases;
           Alcotest.test_case "ext2_fsync" `Quick test_ext2_persistence_to_device;
           Alcotest.test_case "ext2_bigfile" `Quick test_ext2_bigfile_indirect;
           Alcotest.test_case "proc_read" `Quick test_proc_read;
@@ -2014,6 +2429,10 @@ let () =
           Alcotest.test_case "clock_nanosleep_relative" `Quick test_clock_nanosleep_relative;
           Alcotest.test_case "clock_nanosleep_abstime" `Quick test_clock_nanosleep_abstime;
           Alcotest.test_case "clock_nanosleep_bad_clock" `Quick test_clock_nanosleep_bad_clock;
+          Alcotest.test_case "foreign_inode_calls" `Quick test_foreign_inode_calls;
+          Alcotest.test_case "rename_reclaims_victim" `Quick test_rename_reclaims_victim;
+          Alcotest.test_case "ext2_namespace_fsck" `Quick test_ext2_namespace_fsck;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |]) prop_ns_sequences;
         ] );
       ( "signals",
         [
@@ -2033,7 +2452,9 @@ let () =
           Alcotest.test_case "tcp_loopback" `Quick test_tcp_loopback;
           Alcotest.test_case "udp_loopback" `Quick test_udp_loopback;
           Alcotest.test_case "unix_socket" `Quick test_unix_socket;
-          Alcotest.test_case "sendfile" `Quick test_sendfile_tcp;
+          Alcotest.test_case "sendfile" `Quick (test_sendfile_tcp ~profile:Sim.Profile.asterinas "/tmp/payload");
+          Alcotest.test_case "sendfile_ext2_zero_copy" `Quick
+            (test_sendfile_tcp ~profile:Sim.Profile.linux "/ext2/payload");
           Alcotest.test_case "virtio_net_echo" `Quick test_virtio_net_to_host;
         ] );
     ]

@@ -127,23 +127,47 @@ let test_tcb_budget () =
   Printf.printf "TCB: %d LoC (budget %d)\n" r.Tcbaudit.Self_audit.tcb_loc tcb_budget;
   check "TCB LoC within its budget" true (r.Tcbaudit.Self_audit.tcb_loc <= tcb_budget)
 
+(* Source file [f] contains [needle]. *)
+let names needle f =
+  let s = In_channel.with_open_bin f In_channel.input_all in
+  let n = String.length needle in
+  let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
 (* Virtual time is a native int, read with [Sim.Time.now]. The boxed
    int64 read, [Sim.Clock.now], is a view for the repository benchmark
    alone: no file under lib/ but the clock's own may name it. *)
 let test_no_boxed_clock_reads () =
-  let needle = "Clock" ^ ".now" in
-  let names f =
-    let s = In_channel.with_open_bin f In_channel.input_all in
-    let n = String.length needle in
-    let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
-    at 0
-  in
   let files = Tcbaudit.Self_audit.lib_sources () in
   check "lib/ scanned" true (List.length files > 100);
   Alcotest.(check (list string))
     "lib/ files naming the int64 clock view" []
     (List.filter
-       (fun f -> (not (String.ends_with ~suffix:"lib/sim/clock.ml" f)) && names f)
+       (fun f -> (not (String.ends_with ~suffix:"lib/sim/clock.ml" f)) && names ("Clock" ^ ".now") f)
+       files)
+
+(* File systems keep only the mechanics of the namespace: the VFS makes
+   Linux's checks and invalidates its own dentries. No file system may
+   name a namespace errno or drop a dentry. *)
+let test_fs_decide_no_namespace_rule () =
+  let fs = [ "ramfs.ml"; "ext2.ml"; "devfs.ml"; "procfs.ml" ] in
+  let files =
+    List.filter
+      (fun f -> List.mem (Filename.basename f) fs)
+      (Tcbaudit.Self_audit.lib_sources ())
+  in
+  check_int "the four file systems scanned" 4 (List.length files);
+  let needles =
+    List.map (( ^ ) "Errno.") [ "eexist"; "enotempty"; "eisdir"; "enotdir"; "exdev"; "ebusy"; "eloop" ]
+    @ [ "Vfs.dcache_invalidate" ]
+  in
+  Alcotest.(check (list string))
+    "namespace rules decided in a file system" []
+    (List.concat_map
+       (fun f ->
+         List.filter_map
+           (fun n -> if names n f then Some (Filename.basename f ^ ": " ^ n) else None)
+           needles)
        files)
 
 let prop_tcb_monotone =
@@ -182,6 +206,7 @@ let () =
         [
           Alcotest.test_case "repo" `Quick test_self_audit;
           Alcotest.test_case "no_boxed_clock_reads" `Quick test_no_boxed_clock_reads;
+          Alcotest.test_case "fs_decide_no_namespace_rule" `Quick test_fs_decide_no_namespace_rule;
           Alcotest.test_case "tcb_budget" `Quick test_tcb_budget;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_tcb_monotone ]);
