@@ -5,7 +5,7 @@ let run ~host ~path ~concurrency ~requests ~on_done =
   let active = ref concurrency in
   let started = ref None in
   let htcp = host.Aster.Kernel.htcp in
-  let request () =
+  let request buf =
     match Aster.Tcp.connect htcp ~dst_ip:Aster.Kernel.guest_ip ~dst_port:Mini_nginx.port with
     | Error _ -> false
     | Ok conn ->
@@ -18,7 +18,6 @@ let run ~host ~path ~concurrency ~requests ~on_done =
       Aster.Tcp.set_nodelay conn;
       let req = Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path) in
       ignore (Aster.Tcp.send conn ~buf:req ~pos:0 ~len:(Bytes.length req));
-      let buf = Bytes.create 65536 in
       let continue = ref true in
       while !continue do
         match Aster.Tcp.recv conn ~buf ~pos:0 ~len:(Bytes.length buf) with
@@ -47,12 +46,15 @@ let run ~host ~path ~concurrency ~requests ~on_done =
       (Ostd.Task.spawn
          ~name:(Printf.sprintf "ab-%d" i)
          (fun () ->
+           (* One receive buffer per client: each response is drained
+              and dropped, so the next request reuses it. *)
+           let buf = Bytes.create 65536 in
            let continue = ref true in
            while !continue do
              if !remaining <= 0 then continue := false
              else begin
                decr remaining;
-               if not (request ()) then begin
+               if not (request buf) then begin
                  (* Connection refused: server not up yet; retry shortly. *)
                  incr remaining;
                  Ostd.Task.sleep_us 200.

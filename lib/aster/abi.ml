@@ -82,10 +82,10 @@ let decode_timespec b = (Bytes.get_int64_le b 0, Bytes.get_int64_le b 8)
 let encode_dirents entries =
   let buf = Buffer.create 256 in
   List.iter
-    (fun (name, (inode : Vfs.inode)) ->
+    (fun (name, ino, kind) ->
       let hdr = Bytes.create 10 in
-      Bytes.set_int64_le hdr 0 (Int64.of_int inode.Vfs.ino);
-      Bytes.set hdr 8 (Char.chr (kind_code inode.Vfs.kind));
+      Bytes.set_int64_le hdr 0 (Int64.of_int ino);
+      Bytes.set hdr 8 (Char.chr (kind_code kind));
       Bytes.set hdr 9 (Char.chr (String.length name land 0xff));
       Buffer.add_bytes buf hdr;
       Buffer.add_string buf name)

@@ -39,7 +39,7 @@ val decode_timespec : bytes -> int64 * int64
 (** Directory entries from getdents64 (simplified):
     u64 ino, u8 type, u8 namelen, name bytes. *)
 
-val encode_dirents : (string * Vfs.inode) list -> bytes
+val encode_dirents : (string * int * Vfs.kind) list -> bytes
 val decode_dirents : bytes -> (int * int * string) list
 (** (ino, kind code, name) triples. *)
 

@@ -83,12 +83,18 @@ let attach_host t =
   (* The host's Linux stack runs TSO like the guest: its TCP hands
      super-segments of up to [Packet.gso_max_size] down and its NIC splits
      them into MSS wire frames here, sealing each with its checksum;
-     sub-MSS traffic leaves as one sealed frame. Host-side work is
-     uncharged. *)
+     sub-MSS traffic leaves as one frame, sealed in the buffer it was
+     encoded into. A frame received is decoded in place: the packet's
+     payload is a view of it. Host-side work is uncharged. *)
   Netstack.set_ext_tx hstack (fun pkt ->
       let raw = Packet.encode pkt in
-      List.iter (Machine.Wire.send ep)
-        (Machine.Pktfmt.tso_split ~gso_size:Packet.mss ~len:(Bytes.length raw) (Bytes.blit raw)));
+      if pkt.Packet.len <= Packet.mss then begin
+        Machine.Pktfmt.seal raw;
+        Machine.Wire.send ep raw
+      end
+      else
+        Machine.Pktfmt.tso_split ~gso_size:Packet.mss ~len:(Bytes.length raw) (Bytes.blit raw)
+          (Machine.Wire.send ep));
   Machine.Wire.on_receive ep (fun raw ->
       match Packet.decode raw with
       | Some pkt -> Netstack.rx hstack pkt

@@ -86,10 +86,10 @@ let tp_rx_burst = burst_point "rx"
 let tp_tx_burst = burst_point "tx"
 
 let emit_packet tp (p : Packet.t) =
-  Sim.Trace.emit_s tp (proto_name p.Packet.proto) (Bytes.length p.Packet.payload) 1
+  Sim.Trace.emit_s tp (proto_name p.Packet.proto) p.Packet.len 1
     p.Packet.src_port p.Packet.dst_port 0 0
 
-let burst_bytes ps = List.fold_left (fun a (p : Packet.t) -> a + Bytes.length p.Packet.payload) 0 ps
+let burst_bytes ps = List.fold_left (fun a (p : Packet.t) -> a + p.Packet.len) 0 ps
 
 let emit_burst tp ps =
   if Sim.Trace.live tp then Sim.Trace.emit2 tp (burst_bytes ps) (List.length ps)
@@ -110,11 +110,19 @@ let rx t p = dispatch t p
 
 (* NAPI-coalesced delivery from the driver's bottom half: one tracepoint
    for the whole reaped batch, not one per segment. *)
-let rx_many t ps =
-  if ps <> [] then
+let rx_many t ps n =
+  if n > 0 then
     Sim.Prof.scope "net" (fun () ->
-        emit_burst tp_rx_burst ps;
-        List.iter (dispatch_proto t) ps)
+        if Sim.Trace.live tp_rx_burst then begin
+          let bytes = ref 0 in
+          for i = 0 to n - 1 do
+            bytes := !bytes + ps.(i).Packet.len
+          done;
+          Sim.Trace.emit2 tp_rx_burst !bytes n
+        end;
+        for i = 0 to n - 1 do
+          dispatch_proto t ps.(i)
+        done)
 
 let batching_on t =
   (not t.host)

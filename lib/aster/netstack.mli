@@ -67,9 +67,10 @@ val reset_registry : unit -> unit
 val rx : t -> Packet.t -> unit
 (** Entry point for inbound packets from the external interface. *)
 
-val rx_many : t -> Packet.t list -> unit
-(** Coalesced entry point for a reaped RX batch: one tracepoint for the
-    batch, then per-packet protocol dispatch. *)
+val rx_many : t -> Packet.t array -> int -> unit
+(** [rx_many t ps n]: coalesced entry point for a reaped RX batch, the
+    packets [ps.(0 .. n - 1)]: one tracepoint for the batch, then
+    per-packet protocol dispatch in array order. *)
 
 val charge : t -> int -> unit
 (** Charge cycles only when this is the guest stack. *)

@@ -10,7 +10,11 @@ type t = {
   seq : int;
   ack : int;
   win : int;
+  (* The payload is the view [payload.[off, off + len)]: a decoded
+     packet's lies inside the wire frame it came in. Never written. *)
   payload : bytes;
+  off : int;
+  len : int;
   (* kspan ownership: the request span this segment belongs to
      (0 = none), captured when the packet is built so it survives the
      plug queue, burst splits and driver retries. [span_t0] marks entry
@@ -65,14 +69,16 @@ let encode_header p b =
   Bytes.set_int32_le b 16 (Int32.of_int p.seq);
   Bytes.set_int32_le b 20 (Int32.of_int p.ack);
   Bytes.set_int32_le b 24 (Int32.of_int p.win);
-  Bytes.set_int32_le b 28 (Int32.of_int (Bytes.length p.payload));
+  Bytes.set_int32_le b 28 (Int32.of_int p.len);
   Bytes.set_int32_le b cksum_off 0l
 
-let encode p =
-  let len = Bytes.length p.payload in
-  let b = Bytes.create (header_size + len) in
+let encode_into p b =
   encode_header p b;
-  Bytes.blit p.payload 0 b header_size len;
+  Bytes.blit p.payload p.off b header_size p.len
+
+let encode p =
+  let b = Bytes.create (header_size + p.len) in
+  encode_into p b;
   b
 
 let tp_drop =
@@ -80,7 +86,9 @@ let tp_drop =
       Printf.sprintf "reason=checksum len=%d" f.a)
 
 (* [verify:false] is the guest driver's path: the NIC already verified
-   the frame and wrote its verdict, so the software pass is skipped. *)
+   the frame and wrote its verdict, so the software pass is skipped.
+   The payload stays where it arrived: the packet is a view of the
+   frame, which it now owns. *)
 let decode ?(verify = true) b =
   if Bytes.length b < header_size then None
   else begin
@@ -111,7 +119,9 @@ let decode ?(verify = true) b =
             seq = u32 16;
             ack = u32 20;
             win = u32 24;
-            payload = Bytes.sub b header_size len;
+            payload = b;
+            off = header_size;
+            len;
             span = 0;
             span_t0 = 0;
             pins = [];
@@ -121,8 +131,8 @@ let decode ?(verify = true) b =
 let make ~src_ip ~dst_ip ~proto ~src_port ~dst_port ?(flags = 0) ?(seq = 0) ?(ack = 0)
     ?(win = 0) payload =
   {
-    src_ip; dst_ip; proto; src_port; dst_port; flags; seq; ack; win; payload;
-    span = Sim.Span.current (); span_t0 = 0; pins = [];
+    src_ip; dst_ip; proto; src_port; dst_port; flags; seq; ack; win; payload; off = 0;
+    len = Bytes.length payload; span = Sim.Span.current (); span_t0 = 0; pins = [];
   }
 
 let ip_of_string s =

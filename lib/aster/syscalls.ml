@@ -644,25 +644,28 @@ let sys_getdents proc args =
   | Ok _ when invalid_range (int_arg args 2) 0 -> err Errno.einval
   | Ok f -> (
     match f.File.desc with
-    | File.Inode_file inode when inode.Vfs.kind = Vfs.Dir ->
-      let all = Abi.encode_dirents (inode.Vfs.ops.Vfs.readdir inode) in
-      let cap = int_arg args 2 and pos = f.File.pos in
-      (* Whole entries only, as Linux's filldir64: as many as fit in
-         [cap], and EINVAL when the next one alone does not. *)
-      let rec fit n =
-        match Abi.dirent_len all (pos + n) with
-        | 0 -> n
-        | r -> if n + r > cap then n else fit (n + r)
-      in
-      let n = fit 0 in
-      if n = 0 then if Abi.dirent_len all pos = 0 then ok 0 else err Errno.einval
-      else begin
-        match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub all pos n) with
-        | Ok () ->
-          f.File.pos <- pos + n;
-          ok n
-        | Error e -> err e
-      end
+    | File.Inode_file inode when inode.Vfs.kind = Vfs.Dir -> (
+      match Vfs.readdir inode with
+      | Error e -> err e
+      | Ok entries ->
+        let all = Abi.encode_dirents entries in
+        let cap = int_arg args 2 and pos = f.File.pos in
+        (* Whole entries only, as Linux's filldir64: as many as fit in
+           [cap], and EINVAL when the next one alone does not. *)
+        let rec fit n =
+          match Abi.dirent_len all (pos + n) with
+          | 0 -> n
+          | r -> if n + r > cap then n else fit (n + r)
+        in
+        let n = fit 0 in
+        if n = 0 then if Abi.dirent_len all pos = 0 then ok 0 else err Errno.einval
+        else begin
+          match user_write proc ~vaddr:(int_arg args 1) (Bytes.sub all pos n) with
+          | Ok () ->
+            f.File.pos <- pos + n;
+            ok n
+          | Error e -> err e
+        end)
     | File.Inode_file _ -> err Errno.enotdir
     | _ -> err Errno.enotdir)
 

@@ -99,7 +99,12 @@ type conn_state = Syn_sent | Syn_rcvd | Established | Closed
 type engine = {
   stack : Netstack.t;
   cc : bool;
-  conns : (int * int * int, conn) Hashtbl.t; (* (local port, remote ip, remote port) *)
+  (* Connections by (local port, remote ip, remote port), chained in a
+     power-of-two bucket array and found from the three ints without
+     building a key (see [find_conn]). Nothing iterates it, so its
+     order never reaches virtual time. *)
+  mutable conns : conn list array;
+  mutable nconns : int;
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
 }
@@ -161,7 +166,44 @@ let initial_cwnd = 10 * mss
 (* Send buffer capacity in bytes, the same on every profile. *)
 let sndbuf_cap = 256 * 1024
 
-let key c = (c.lport, c.rip, c.rport)
+let bucket eng ~lport ~rip ~rport =
+  let h = (((rip * 0x9e3779b1) lxor (lport lsl 16)) lxor rport) * 0x85ebca6b in
+  (h lxor (h lsr 29)) land (Array.length eng.conns - 1)
+
+(* The chain from the connection with this key on, [[]] when there is
+   none: a match on it finds the connection without allocating. *)
+let rec chain_from ~lport ~rip ~rport = function
+  | c :: _ as l when c.lport = lport && c.rip = rip && c.rport = rport -> l
+  | _ :: tl -> chain_from ~lport ~rip ~rport tl
+  | [] -> []
+
+let find_conn eng ~lport ~rip ~rport =
+  chain_from ~lport ~rip ~rport eng.conns.(bucket eng ~lport ~rip ~rport)
+
+(* Unbind whichever connection holds [c]'s key. *)
+let forget_key eng c =
+  let i = bucket eng ~lport:c.lport ~rip:c.rip ~rport:c.rport in
+  match chain_from ~lport:c.lport ~rip:c.rip ~rport:c.rport eng.conns.(i) with
+  | [] -> ()
+  | bound :: _ ->
+    eng.conns.(i) <- List.filter (fun x -> x != bound) eng.conns.(i);
+    eng.nconns <- eng.nconns - 1
+
+(* Bind [c] under its key, replacing any connection bound there. *)
+let bind_conn eng c =
+  forget_key eng c;
+  if eng.nconns >= 2 * Array.length eng.conns then begin
+    let old = eng.conns in
+    eng.conns <- Array.make (2 * Array.length old) [];
+    Array.iter
+      (List.iter (fun c ->
+           let i = bucket eng ~lport:c.lport ~rip:c.rip ~rport:c.rport in
+           eng.conns.(i) <- c :: eng.conns.(i)))
+      old
+  end;
+  let i = bucket eng ~lport:c.lport ~rip:c.rip ~rport:c.rport in
+  eng.conns.(i) <- c :: eng.conns.(i);
+  eng.nconns <- eng.nconns + 1
 
 (* Per-segment transmit processing; sub-MSS writes are charged at the
    send(2) call instead (see [send]). A "segment" here is a TSO
@@ -266,7 +308,7 @@ let stop_delack conn =
    would hold TIME_WAIT. *)
 let forget_if_done conn =
   if conn.local_closed && conn.state = Closed && (conn.peer_fin || conn.reset) then
-    Hashtbl.remove conn.eng.conns (key conn)
+    forget_key conn.eng conn
 
 (* A reset, received or sent, ends all the connection still had going:
    its timers, its unacked data, and the zero-copy pins of its send
@@ -441,11 +483,11 @@ let on_ack conn (p : Packet.t) =
   ignore (Ostd.Wait_queue.wake_all conn.snd_wq)
 
 let on_data conn (p : Packet.t) =
-  let len = Bytes.length p.Packet.payload in
+  let len = p.Packet.len in
   if len > 0 then begin
     if p.Packet.seq = conn.rcv_nxt && free_window conn >= len then begin
       charge_rx conn.eng len;
-      Fifo.push ~owned:true conn.rcvbuf p.Packet.payload 0 len;
+      Fifo.push ~owned:true conn.rcvbuf p.Packet.payload p.Packet.off len;
       conn.rcv_nxt <- conn.rcv_nxt + len;
       ack_after_data conn len;
       ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
@@ -461,9 +503,8 @@ let on_data conn (p : Packet.t) =
   end
 
 let engine_rx eng (p : Packet.t) =
-  let k = (p.Packet.dst_port, p.Packet.src_ip, p.Packet.src_port) in
-  match Hashtbl.find_opt eng.conns k with
-  | Some conn ->
+  match find_conn eng ~lport:p.Packet.dst_port ~rip:p.Packet.src_ip ~rport:p.Packet.src_port with
+  | conn :: _ ->
     if p.Packet.flags land Packet.rst <> 0 then reset conn
     else begin
       (match conn.state with
@@ -497,7 +538,7 @@ let engine_rx eng (p : Packet.t) =
         end
       end
     end
-  | None -> (
+  | [] -> (
     (* No connection: a SYN may create one via a listener. *)
     if p.Packet.flags land Packet.syn <> 0 then begin
       match Hashtbl.find_opt eng.listeners p.Packet.dst_port with
@@ -512,11 +553,10 @@ let engine_rx eng (p : Packet.t) =
           make_conn eng ~lip:p.Packet.dst_ip ~lport:p.Packet.dst_port ~rip:p.Packet.src_ip
             ~rport:p.Packet.src_port ~state:Syn_rcvd
         in
-        Hashtbl.replace eng.conns (key conn) conn;
+        bind_conn eng conn;
         emit conn ~flags:(Packet.syn lor Packet.ack_flag) Bytes.empty;
         arm_handshake conn ~flags:(Packet.syn lor Packet.ack_flag)
-          ~stat:"degrade.retried.tcp_synack" ~give_up:(fun () ->
-            Hashtbl.remove eng.conns (key conn))
+          ~stat:"degrade.retried.tcp_synack" ~give_up:(fun () -> forget_key eng conn)
       | None ->
         (* Connection refused. *)
         Netstack.send eng.stack
@@ -538,17 +578,23 @@ let engine_rx eng (p : Packet.t) =
 let on_tx_error eng (p : Packet.t) =
   match p.Packet.proto with
   | Packet.Tcp -> (
-    let k = (p.Packet.src_port, p.Packet.dst_ip, p.Packet.dst_port) in
-    match Hashtbl.find_opt eng.conns k with
-    | Some conn ->
+    match find_conn eng ~lport:p.Packet.src_port ~rip:p.Packet.dst_ip ~rport:p.Packet.dst_port with
+    | conn :: _ ->
       conn.tx_soft_errors <- conn.tx_soft_errors + 1;
       Sim.Stats.incr "tcp.tx_soft_err"
-    | None -> Sim.Stats.incr "net.tx_err_unclaimed")
+    | [] -> Sim.Stats.incr "net.tx_err_unclaimed")
   | Packet.Udp -> Sim.Stats.incr "net.tx_err_unclaimed"
 
 let create_engine stack ~cc =
   let eng =
-    { stack; cc; conns = Hashtbl.create 64; listeners = Hashtbl.create 8; next_ephemeral = 33000 }
+    {
+      stack;
+      cc;
+      conns = Array.make 64 [];
+      nconns = 0;
+      listeners = Hashtbl.create 8;
+      next_ephemeral = 33000;
+    }
   in
   Netstack.set_tcp_rx stack (engine_rx eng);
   Netstack.set_tx_err stack (on_tx_error eng);
@@ -593,7 +639,7 @@ let connect eng ~dst_ip ~dst_port =
     else Netstack.ip eng.stack
   in
   let conn = make_conn eng ~lip ~lport ~rip:dst_ip ~rport:dst_port ~state:Syn_sent in
-  Hashtbl.replace eng.conns (key conn) conn;
+  bind_conn eng conn;
   emit conn ~flags:Packet.syn Bytes.empty;
   arm_handshake conn ~flags:Packet.syn ~stat:"degrade.retried.tcp_syn" ~give_up:(fun () ->
       conn.timed_out <- true;
@@ -601,7 +647,7 @@ let connect eng ~dst_ip ~dst_port =
   Ostd.Wait_queue.sleep_until conn.conn_wq (fun () ->
       conn.state <> Syn_sent || conn.reset || conn.timed_out);
   if conn.reset || conn.timed_out then begin
-    Hashtbl.remove eng.conns (key conn);
+    forget_key eng conn;
     Error (if conn.reset then Errno.econnrefused else Errno.etimedout)
   end
   else Ok conn
@@ -706,4 +752,4 @@ let cwnd_bytes conn = if conn.eng.cc then conn.cwnd else max_int
 
 let tx_soft_errors conn = conn.tx_soft_errors
 
-let conn_count eng = Hashtbl.length eng.conns
+let conn_count eng = eng.nconns

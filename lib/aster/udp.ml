@@ -1,7 +1,7 @@
 type socket = {
   eng : engine;
   mutable port : int option;
-  rxq : (int * int * Bytes.t) Queue.t; (* src ip, src port, payload *)
+  rxq : Packet.t Queue.t; (* received datagrams, payload views and all *)
   wq : Ostd.Wait_queue.t;
   mutable closed : bool;
   pollable : Pollable.t; (* POLLIN on queued datagrams; always POLLOUT *)
@@ -20,7 +20,7 @@ let engine_rx eng (p : Packet.t) =
   | Some sock when not sock.closed ->
     if Queue.length sock.rxq < rx_limit then begin
       Netstack.charge eng.stack (Sim.Cost.c ()).Sim.Profile.udp_packet;
-      Queue.push (p.Packet.src_ip, p.Packet.src_port, p.Packet.payload) sock.rxq;
+      Queue.push p sock.rxq;
       ignore (Ostd.Wait_queue.wake_one sock.wq);
       Pollable.publish sock.pollable Pollable.pollin
     end
@@ -95,10 +95,10 @@ let recvfrom ?(nonblock = false) sock ~buf ~pos ~len =
     Ostd.Wait_queue.sleep_until sock.wq (fun () -> (not (Queue.is_empty sock.rxq)) || sock.closed);
     match Queue.take_opt sock.rxq with
     | None -> Error Errno.ebadf
-    | Some (src_ip, src_port, payload) ->
-      let n = min len (Bytes.length payload) in
-      Bytes.blit payload 0 buf pos n;
-      Ok (n, src_ip, src_port)
+    | Some p ->
+      let n = min len p.Packet.len in
+      Bytes.blit p.Packet.payload p.Packet.off buf pos n;
+      Ok (n, p.Packet.src_ip, p.Packet.src_port)
   end
 
 let rx_queued sock = Queue.length sock.rxq

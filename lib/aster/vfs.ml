@@ -11,6 +11,9 @@ type inode = {
   mutable atime_ns : int;
   mutable mtime_ns : int;
   mutable ctime_ns : int;
+  (* A directory's [..]: set where a lookup finds it and where rename
+     moves it; a file system's root is its own parent. *)
+  mutable parent : int;
   ops : ops;
   mutable priv : priv;
 }
@@ -67,6 +70,7 @@ let make_inode ~fsname ~kind ?(mode = 0o644) ~ops () =
   let now = Ktime.realtime_ns () in
   {
     ino = !next_ino;
+    parent = !next_ino;
     fsname;
     kind;
     mode;
@@ -148,6 +152,7 @@ let lookup_component parent name =
     match parent.ops.lookup parent name with
     | Some i ->
       Hashtbl.replace dcache key i;
+      if i.kind = Dir then i.parent <- parent.ino;
       Some i
     | None -> None)
 
@@ -247,6 +252,14 @@ let nonempty_dir i = i.kind = Dir && i.ops.readdir i <> []
    still hold, takes no new names. *)
 let dead_dir i = i.kind = Dir && i.nlink <= 0
 
+let readdir i =
+  if dead_dir i then Error Errno.enoent
+  else
+    Ok
+      ((".", i.ino, Dir)
+      :: ("..", i.parent, Dir)
+      :: List.map (fun (name, e) -> (name, e.ino, e.kind)) (i.ops.readdir i))
+
 (* The inode a path names, a final symlink not followed (lstat,
    readlink, link's source). *)
 let resolve_last ~cwd path =
@@ -343,6 +356,7 @@ let rename ~cwd oldpath newpath =
               else if Option.fold ~none:false ~some:nonempty_dir target then Error Errno.enotempty
               else
                 let* () = rename sparent.inode sname dparent.inode dname target in
+                if is_dir then src.parent <- dparent.inode.ino;
                 dcache_invalidate sparent.inode sname;
                 dcache_invalidate dparent.inode dname;
                 Option.iter evict_unused target;

@@ -19,6 +19,9 @@ type inode = {
   mutable atime_ns : int;
   mutable mtime_ns : int;
   mutable ctime_ns : int;
+  mutable parent : int;
+      (** A directory's [..]: the inode number of the directory it is
+          named in, or its own at the root of a file system. *)
   ops : ops;
   mutable priv : priv;
 }
@@ -97,6 +100,13 @@ val closed : inode -> unit
 val dead_dir : inode -> bool
 (** A removed directory (Linux's IS_DEADDIR): no new name goes in it,
     and getcwd of it answers ENOENT. *)
+
+val readdir : inode -> ((string * int * kind) list, int) result
+(** A directory's listing as getdents64 returns it, each entry its
+    name, inode number and kind: [.] and [..] (both [Dir], the
+    directory's own number and its parent's) ahead of the file
+    system's entries, or ENOENT for a removed directory, as Linux's
+    iterate_dir answers. *)
 
 (** {2 Namespace operations}
 

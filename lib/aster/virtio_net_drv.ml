@@ -44,11 +44,45 @@ type buf = {
 
 let unsubmitted = { left = 0; ev = None }
 
+(* A growable array whose live items, oldest first, are
+   [items.(0 .. n - 1)]; every other slot holds [vacant], so it keeps
+   nothing alive once it has handed it on. The rings hold the buffers
+   handed to the device ([None] vacant), the batches received packets
+   on their way up. *)
+type 'a slots = { mutable items : 'a array; mutable n : int; vacant : 'a }
+
+let slots vacant = { items = Array.make 32 vacant; n = 0; vacant }
+
+let push q x =
+  if q.n = Array.length q.items then begin
+    let grown = Array.make (2 * q.n) q.vacant in
+    Array.blit q.items 0 grown 0 q.n;
+    q.items <- grown
+  end;
+  q.items.(q.n) <- x;
+  q.n <- q.n + 1
+
+(* Remove [items.(i)], keeping the order of the rest. *)
+let remove q i =
+  Array.blit q.items (i + 1) q.items i (q.n - i - 1);
+  q.n <- q.n - 1;
+  q.items.(q.n) <- q.vacant
+
+let clear q =
+  Array.fill q.items 0 q.n q.vacant;
+  q.n <- 0
+
+let get r i =
+  match r.items.(i) with Some b -> b | None -> Ostd.Panic.panic "virtio-net: empty ring slot"
+
+let no_packet =
+  Packet.make ~src_ip:0 ~dst_ip:0 ~proto:Packet.Udp ~src_port:0 ~dst_port:0 Bytes.empty
+
 (* GRO: an in-progress per-flow merge of in-order TCP data frames,
    held across NAPI polls and flushed as one super-segment. *)
 type gro_pending = {
   g_first : Packet.t; (* carries seq, ports, span ownership *)
-  mutable g_parts : Bytes.t list; (* payload chunks, reversed *)
+  mutable g_parts : Packet.t list; (* the merged frames, newest first *)
   mutable g_nparts : int;
   mutable g_next_seq : int;
   mutable g_total : int;
@@ -62,8 +96,11 @@ type state = {
   pool : Ostd.Dma.Pool.t; (* 5-page buffers: RX ring + MTU-scale TX *)
   big_pool : Ostd.Dma.Pool.t option; (* 17-page super-segment TX; pooled profiles only *)
   gro : (int * int * int, gro_pending) Hashtbl.t; (* (src ip, sport, dport) *)
-  mutable tx_pending : buf list;
-  mutable rx_posted : buf list;
+  tx_pending : buf option slots;
+  rx_posted : buf option slots;
+  answered : buf option slots; (* a reap's completed buffers, in ring order *)
+  rx_in : Packet.t slots; (* a reap's decoded frames *)
+  rx_out : Packet.t slots; (* what GRO hands the stack *)
   mutable ntx : int;
   mutable nrx : int;
   mutable polling : bool; (* NAPI: a poll chain is active, interrupts masked *)
@@ -80,7 +117,7 @@ let tx_packets () = match !state with Some s -> s.ntx | None -> 0
 
 let rx_packets () = match !state with Some s -> s.nrx | None -> 0
 
-let tx_in_flight () = match !state with Some s -> List.length s.tx_pending | None -> 0
+let tx_in_flight () = match !state with Some s -> s.tx_pending.n | None -> 0
 
 (* [len] is the encoded frame length the buffer must hold (0 for RX
    postings — wire frames are MTU-scale by construction). Only frames
@@ -119,8 +156,8 @@ let post_rx s =
   Ostd.Untyped.write_u32 f ~off:desc_len base_cap;
   Ostd.Untyped.write_u32 f ~off:desc_status unused_marker;
   Ostd.Untyped.write_u64 f ~off:desc_data (Int64.of_int (Ostd.Dma.Stream.paddr b.stream + data_off));
-  let ring_was_empty = s.rx_posted = [] in
-  s.rx_posted <- s.rx_posted @ [ b ];
+  let ring_was_empty = s.rx_posted.n = 0 in
+  push s.rx_posted (Some b);
   (* Reposting into a non-empty RX ring is a ring update, not a kick. *)
   if ring_was_empty then
     Ostd.Io_mem.doorbell s.window ~off:Machine.Virtio_net.reg_queue_rx
@@ -133,15 +170,15 @@ let post_rx s =
       (Int64.of_int (Ostd.Dma.Stream.paddr b.stream))
   end
 
-(* Zero-copy frames stage their header here on the way into the DMA
-   buffer. *)
-let zc_header = Bytes.create Packet.header_size
+(* A copied TX frame is encoded here, then written into its DMA buffer
+   in one call; a zero-copy one stages only its header. *)
+let stage = Bytes.create tso_cap
 
 (* Build the DMA descriptor for one outgoing frame, data copied in,
    chain link zeroed; [link] stitches chains afterwards. Does not ring
    the doorbell. *)
 let prepare_tx s pkt =
-  let plen = Bytes.length pkt.Packet.payload in
+  let plen = pkt.Packet.len in
   let len = Packet.header_size + plen in
   if len > tso_cap then Ostd.Panic.panic "virtio-net: packet exceeds buffer";
   Netstack.charge s.stack 500;
@@ -159,18 +196,20 @@ let prepare_tx s pkt =
        Ostd.Dma.charge_zc_map ();
        Sim.Stats.add "net.bytes_copied" Packet.header_size
      end;
-     Packet.encode_header pkt zc_header;
-     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:zc_header ~pos:0 ~len:Packet.header_size;
+     Packet.encode_header pkt stage;
+     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:stage ~pos:0 ~len:Packet.header_size;
      Ostd.Dma.Stream.fill b.stream ~off:(data_off + Packet.header_size) ~buf:pkt.Packet.payload
-       ~pos:0 ~len:plen
+       ~pos:pkt.Packet.off ~len:plen
    end
    else begin
-     (* Copy into the DMA buffer: a real data movement. *)
+     (* Copy into the DMA buffer: a real data movement, one write of the
+        whole frame from the staging buffer. *)
      if guest then begin
        Sim.Cost.charge_memcpy len;
        Sim.Stats.add "net.bytes_copied" len
      end;
-     Ostd.Untyped.write_bytes f ~off:data_off ~buf:(Packet.encode pkt) ~pos:0 ~len
+     Packet.encode_into pkt stage;
+     Ostd.Untyped.write_bytes f ~off:data_off ~buf:stage ~pos:0 ~len
    end);
   Ostd.Untyped.write_u32 f ~off:desc_len len;
   Ostd.Untyped.write_u32 f ~off:desc_status unused_marker;
@@ -225,8 +264,9 @@ let ring s ~device_idle head =
    long as its chain: reaping the chain's last buffer cancels it. *)
 let tx_deadline_cycles n = Sim.Time.of_us (500. +. (20. *. float_of_int n))
 
-let quarantine s b =
-  s.tx_pending <- List.filter (fun x -> not (x == b)) s.tx_pending;
+let quarantine s i =
+  let b = get s.tx_pending i in
+  remove s.tx_pending i;
   Sim.Stats.incr "virtio_net.quarantined";
   if b.home <> None then Sim.Stats.incr "net.pool_leaked";
   Ostd.Dma.Stream.unmap b.stream;
@@ -240,21 +280,26 @@ let quarantine s b =
     Netstack.tx_error s.stack p
   | None -> ()
 
-let arm_tx_deadline s bufs =
-  let n = List.length bufs in
+(* The submission's buffers are [tx_pending.(first .. first + n - 1)].
+   When the deadline fires, those still pending under it are found in
+   ring order, which is their submission order. *)
+let arm_tx_deadline s ~first n =
   let d = { left = n; ev = None } in
-  List.iter (fun b -> b.deadline <- d) bufs;
+  for i = first to first + n - 1 do
+    (get s.tx_pending i).deadline <- d
+  done;
   d.ev <-
     Some
       (Sim.Events.schedule_after (tx_deadline_cycles n) (fun () ->
-           List.iter
-             (fun b ->
-               if
-                 b.deadline == d
-                 && List.memq b s.tx_pending
-                 && Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = unused_marker
-               then quarantine s b)
-             bufs))
+           let i = ref 0 in
+           while !i < s.tx_pending.n do
+             let b = get s.tx_pending !i in
+             if
+               b.deadline == d
+               && Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = unused_marker
+             then quarantine s !i
+             else incr i
+           done))
 
 (* A reaped buffer, completed or failed, no longer needs its
    submission's deadline; the chain's last one cancels it. *)
@@ -265,31 +310,33 @@ let disarm b =
 
 let submit_one s b =
   if b.issued = 0 then b.issued <- Sim.Time.now ();
-  let device_idle = s.tx_pending = [] in
-  s.tx_pending <- s.tx_pending @ [ b ];
+  let device_idle = s.tx_pending.n = 0 in
+  push s.tx_pending (Some b);
   ring s ~device_idle b;
-  arm_tx_deadline s [ b ]
+  arm_tx_deadline s ~first:(s.tx_pending.n - 1) 1
 
 let transmit s pkt = submit_one s (prepare_tx s pkt)
 
 (* Scatter-gather submission: one descriptor chain, one doorbell, and —
-   on the device side — one completion interrupt for the whole burst. *)
+   on the device side — one completion interrupt for the whole burst.
+   The chain is prepared into [tx_pending] directly and linked there. *)
 let submit_many s pkts =
-  match List.map (prepare_tx s) pkts with
-  | [] -> ()
-  | head :: _ as bufs ->
-    let rec link_all = function
-      | a :: (b :: _ as tl) ->
-        link a b;
-        link_all tl
-      | _ -> ()
-    in
-    link_all bufs;
-    List.iter (fun b -> if b.issued = 0 then b.issued <- Sim.Time.now ()) bufs;
-    let device_idle = s.tx_pending = [] in
-    s.tx_pending <- s.tx_pending @ bufs;
-    ring s ~device_idle head;
-    arm_tx_deadline s bufs
+  let r = s.tx_pending in
+  let device_idle = r.n = 0 and first = r.n in
+  List.iter (fun p -> push r (Some (prepare_tx s p))) pkts;
+  let n = r.n - first in
+  if n > 0 then begin
+    for i = first to first + n - 2 do
+      link (get r i) (get r (i + 1))
+    done;
+    let now = Sim.Time.now () in
+    for i = first to first + n - 1 do
+      let b = get r i in
+      if b.issued = 0 then b.issued <- now
+    done;
+    ring s ~device_idle (get r first);
+    arm_tx_deadline s ~first n
+  end
 
 (* A mid-burst transmit error splits the burst: the failing frame is
    resubmitted individually (its own descriptor, its own doorbell
@@ -333,19 +380,32 @@ let gro_key (p : Packet.t) = (p.Packet.src_ip, p.Packet.src_port, p.Packet.dst_p
    wake the receiver into a premature EOF). *)
 let gro_mergeable (p : Packet.t) =
   p.Packet.proto = Packet.Tcp
-  && Bytes.length p.Packet.payload > 0
+  && p.Packet.len > 0
   && p.Packet.flags land (Packet.syn lor Packet.fin lor Packet.rst) = 0
 
 (* Materialise a pending merge as one super-segment: first part's seq
    and span ownership, last part's ack / window / PSH, payloads
-   concatenated. A single-part merge hands back the original packet. *)
+   concatenated — the one copy a received payload takes on its way to
+   the socket. A single-part merge hands back the original packet, its
+   payload still a view of its frame. *)
 let gro_materialise g =
   if g.g_nparts = 1 then g.g_first
   else begin
     Sim.Stats.add "net.gro_merged" (g.g_nparts - 1);
+    let merged = Bytes.create g.g_total in
+    let rec fill stop = function
+      | [] -> ()
+      | (p : Packet.t) :: older ->
+        let at = stop - p.Packet.len in
+        Bytes.blit p.Packet.payload p.Packet.off merged at p.Packet.len;
+        fill at older
+    in
+    fill g.g_total g.g_parts;
     {
       g.g_first with
-      Packet.payload = Bytes.concat Bytes.empty (List.rev g.g_parts);
+      Packet.payload = merged;
+      off = 0;
+      len = g.g_total;
       flags = Packet.ack_flag lor (g.g_last.Packet.flags land Packet.psh);
       ack = g.g_last.Packet.ack;
       win = g.g_last.Packet.win;
@@ -354,143 +414,169 @@ let gro_materialise g =
 
 let gro_flush_flow s key =
   match Hashtbl.find_opt s.gro key with
-  | None -> None
+  | None -> ()
   | Some g ->
     Hashtbl.remove s.gro key;
-    Some (gro_materialise g)
+    push s.rx_out (gro_materialise g)
 
+(* Every held merge, materialised in the table's fold order and handed
+   on in the reverse of it. *)
 let gro_flush_all s =
-  let out = Hashtbl.fold (fun _ g acc -> gro_materialise g :: acc) s.gro [] in
-  Hashtbl.reset s.gro;
-  out
+  List.iter (push s.rx_out) (Hashtbl.fold (fun _ g acc -> gro_materialise g :: acc) s.gro []);
+  Hashtbl.reset s.gro
 
-(* Feed one reaped wire frame through the merge engine; returns whatever
-   must be delivered to the stack right now (possibly nothing: the frame
-   joined a pending merge). Flushes on PSH, on reaching
-   [Packet.gso_max_size], and on any discontinuity in seq or flags. *)
+(* Feed one reaped wire frame through the merge engine, adding to
+   [rx_out] whatever must be delivered to the stack right now (possibly
+   nothing: the frame joined a pending merge). Flushes on PSH, on
+   reaching [Packet.gso_max_size], and on any discontinuity in seq or
+   flags. *)
 let gro_rx s (p : Packet.t) =
-  if not (gro_mergeable p) then
-    match gro_flush_flow s (gro_key p) with Some m -> [ m; p ] | None -> [ p ]
+  if not (gro_mergeable p) then begin
+    gro_flush_flow s (gro_key p);
+    push s.rx_out p
+  end
   else begin
     let key = gro_key p in
-    let len = Bytes.length p.Packet.payload in
+    let len = p.Packet.len in
     let cap = Packet.gso_max_size in
     let fits g = p.Packet.seq = g.g_next_seq && g.g_total + len <= cap in
     match Hashtbl.find_opt s.gro key with
     | Some g when fits g ->
-      g.g_parts <- p.Packet.payload :: g.g_parts;
+      g.g_parts <- p :: g.g_parts;
       g.g_nparts <- g.g_nparts + 1;
       g.g_next_seq <- g.g_next_seq + len;
       g.g_total <- g.g_total + len;
       g.g_last <- p;
-      if p.Packet.flags land Packet.psh <> 0 || g.g_total >= cap then
-        match gro_flush_flow s key with Some m -> [ m ] | None -> []
-      else []
+      if p.Packet.flags land Packet.psh <> 0 || g.g_total >= cap then gro_flush_flow s key
     | prior ->
-      let flushed =
-        match prior with
-        | Some _ -> ( match gro_flush_flow s key with Some m -> [ m ] | None -> [])
-        | None -> []
-      in
-      if p.Packet.flags land Packet.psh <> 0 then flushed @ [ p ]
-      else begin
+      (match prior with Some _ -> gro_flush_flow s key | None -> ());
+      if p.Packet.flags land Packet.psh <> 0 then push s.rx_out p
+      else
         Hashtbl.replace s.gro key
           {
             g_first = p;
-            g_parts = [ p.Packet.payload ];
+            g_parts = [ p ];
             g_nparts = 1;
             g_next_seq = p.Packet.seq + len;
             g_total = len;
             g_last = p;
-          };
-        flushed
-      end
+          }
   end
 
 let tp_drop_hw =
   Sim.Trace.point Sim.Trace.Net "drop" [| "len" |] (fun f ->
       Printf.sprintf "reason=checksum-hw len=%d" f.a)
 
-(* One bottom-half pass: reap TX completions, deliver RX arrivals.
-   Returns how many descriptors it serviced so the NAPI loop can decide
-   whether to keep polling. *)
+let reap_tx s b =
+  disarm b;
+  if Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = 0 then begin
+    (* The completion stamp is read unconditionally: the checked
+       accessor charges its boundary check whether or not anyone is
+       tracing, so span-on and span-off runs stay byte-identical. *)
+    let ts = Int64.to_int (Ostd.Untyped.read_u64 (frame_of b) ~off:desc_done_ts) in
+    (* Span waterfall for the owning request: device service
+       (doorbell → the device's completion stamp) and IRQ-delivery
+       delay (stamp → this reap). One tx_done count per span-owned
+       frame balances prepare_tx's tx_created. *)
+    (match b.pkt with
+    | Some p when p.Packet.span > 0 ->
+      let now = Sim.Time.now () in
+      let t0 = if b.issued > 0 then b.issued else p.Packet.span_t0 in
+      if t0 > 0 then begin
+        let s_end = if ts > 0 then ts else now in
+        Sim.Span.add_to p.Packet.span "net.service" t0 s_end;
+        if ts > 0 then Sim.Span.add_to p.Packet.span "net.irq" ts now
+      end;
+      Sim.Stats.incr "span.tx_done"
+    | Some _ | None -> ());
+    (* TX complete: the device has read the payload off the pinned
+       page-cache frames, so the zero-copy pins release here. *)
+    (match b.pkt with
+    | Some p when p.Packet.pins <> [] ->
+      if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
+      Packet.release_pins p
+    | Some _ | None -> ());
+    release_buf s b
+  end
+  else retry_or_give_up s b
+
+(* One received frame: copied out of its DMA buffer into a fresh frame
+   that the decoded packet then owns, its payload a view of it. The
+   buffer is reposted before the frame is looked at. *)
+let reap_rx s b =
+  let used = Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status in
+  (* Checksum offload: the device verified the frame and wrote a
+     verdict, so the stack skips its software pass. *)
+  let verdict = Ostd.Untyped.read_u32 (frame_of b) ~off:Machine.Virtio_net.rx_desc_csum in
+  let data = Bytes.create used in
+  if not (Netstack.is_host s.stack) then Sim.Cost.charge_memcpy used;
+  Ostd.Untyped.read_bytes (frame_of b) ~off:data_off ~buf:data ~pos:0 ~len:used;
+  s.nrx <- s.nrx + 1;
+  release_buf s b;
+  post_rx s;
+  if verdict <> Machine.Virtio_net.csum_verdict_ok then begin
+    (* Same drop-and-retransmit semantics as the software checksum
+       pass: the verification just happened in the NIC. *)
+    Sim.Stats.incr "net.checksum_drop";
+    Sim.Trace.emit1 tp_drop_hw used
+  end
+  else
+    match Packet.decode ~verify:false data with
+    | Some pkt -> push s.rx_in pkt
+    | None -> Sim.Stats.incr "virtio_net.bad_packet"
+
+(* Reap one ring: every buffer the device has answered (one status
+   read each, in ring order) leaves [r] before the first is handed to
+   [f], in that order; the rest close up, so whatever [f] queues (a
+   retry, a repost) lands behind them. Returns how many were answered. *)
+let reap_ring s r f =
+  let out = s.answered and kept = ref 0 in
+  for i = 0 to r.n - 1 do
+    let slot = r.items.(i) in
+    if Ostd.Untyped.read_u32 (frame_of (get r i)) ~off:desc_status <> unused_marker then
+      push out slot
+    else begin
+      r.items.(!kept) <- slot;
+      incr kept
+    end
+  done;
+  Array.fill r.items !kept (r.n - !kept) None;
+  r.n <- !kept;
+  let n = out.n in
+  for i = 0 to n - 1 do
+    let b = get out i in
+    out.items.(i) <- None;
+    f s b
+  done;
+  out.n <- 0;
+  n
+
+(* Hand what GRO released to the stack as one batch. *)
+let deliver s =
+  Netstack.rx_many s.stack s.rx_out.items s.rx_out.n;
+  clear s.rx_out
+
+(* One bottom-half pass: reap TX completions, then RX arrivals, and
+   deliver the frames received. Returns how many descriptors it
+   serviced so the NAPI loop can decide whether to keep polling. *)
 let reap_once s =
-  let done_tx, still_tx =
-    List.partition (fun b -> Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status <> unused_marker)
-      s.tx_pending
-  in
-  s.tx_pending <- still_tx;
-  List.iter
-    (fun b ->
-      disarm b;
-      if Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status = 0 then begin
-        (* The completion stamp is read unconditionally: the checked
-           accessor charges its boundary check whether or not anyone is
-           tracing, so span-on and span-off runs stay byte-identical. *)
-        let ts = Int64.to_int (Ostd.Untyped.read_u64 (frame_of b) ~off:desc_done_ts) in
-        (* Span waterfall for the owning request: device service
-           (doorbell → the device's completion stamp) and IRQ-delivery
-           delay (stamp → this reap). One tx_done count per span-owned
-           frame balances prepare_tx's tx_created. *)
-        (match b.pkt with
-        | Some p when p.Packet.span > 0 ->
-          let now = Sim.Time.now () in
-          let t0 = if b.issued > 0 then b.issued else p.Packet.span_t0 in
-          if t0 > 0 then begin
-            let s_end = if ts > 0 then ts else now in
-            Sim.Span.add_to p.Packet.span "net.service" t0 s_end;
-            if ts > 0 then Sim.Span.add_to p.Packet.span "net.irq" ts now
-          end;
-          Sim.Stats.incr "span.tx_done"
-        | Some _ | None -> ());
-        (* TX complete: the device has read the payload off the pinned
-           page-cache frames, so the zero-copy pins release here. *)
-        (match b.pkt with
-        | Some p when p.Packet.pins <> [] ->
-          if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
-          Packet.release_pins p
-        | Some _ | None -> ());
-        release_buf s b
-      end
-      else retry_or_give_up s b)
-    done_tx;
-  let done_rx, still_rx =
-    List.partition (fun b -> Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status <> unused_marker)
-      s.rx_posted
-  in
-  s.rx_posted <- still_rx;
-  let pkts =
-    List.filter_map
-      (fun b ->
-        let used = Ostd.Untyped.read_u32 (frame_of b) ~off:desc_status in
-        (* Checksum offload: the device verified the frame and wrote a
-           verdict, so the stack skips its software pass. *)
-        let verdict = Ostd.Untyped.read_u32 (frame_of b) ~off:Machine.Virtio_net.rx_desc_csum in
-        let data = Bytes.create used in
-        if not (Netstack.is_host s.stack) then Sim.Cost.charge_memcpy used;
-        Ostd.Untyped.read_bytes (frame_of b) ~off:data_off ~buf:data ~pos:0 ~len:used;
-        s.nrx <- s.nrx + 1;
-        release_buf s b;
-        post_rx s;
-        if verdict <> Machine.Virtio_net.csum_verdict_ok then begin
-          (* Same drop-and-retransmit semantics as the software checksum
-             pass: the verification just happened in the NIC. *)
-          Sim.Stats.incr "net.checksum_drop";
-          Sim.Trace.emit1 tp_drop_hw used;
-          None
-        end
-        else
-          match Packet.decode ~verify:false data with
-          | Some pkt -> Some pkt
-          | None ->
-            Sim.Stats.incr "virtio_net.bad_packet";
-            None)
-      done_rx
-  in
-  if (Sim.Profile.get ()).Sim.Profile.net_irq_coalesce then
-    Netstack.rx_many s.stack (List.concat_map (gro_rx s) pkts)
-  else List.iter (Netstack.rx s.stack) pkts;
-  List.length done_tx + List.length done_rx
+  let ntx = reap_ring s s.tx_pending reap_tx in
+  let nrx = reap_ring s s.rx_posted reap_rx in
+  let rx_in = s.rx_in in
+  if (Sim.Profile.get ()).Sim.Profile.net_irq_coalesce then begin
+    for i = 0 to rx_in.n - 1 do
+      gro_rx s rx_in.items.(i)
+    done;
+    clear rx_in;
+    deliver s
+  end
+  else begin
+    for i = 0 to rx_in.n - 1 do
+      Netstack.rx s.stack rx_in.items.(i)
+    done;
+    clear rx_in
+  end;
+  ntx + nrx
 
 (* NAPI poll cadence while completions keep arriving. *)
 let napi_poll_us = 3.0
@@ -509,7 +595,8 @@ let rec napi_poll s =
   else begin
     (* Idle poll: the backstop GRO flush. Nothing more is arriving, so
        any held merges deliver now, before interrupts re-enable. *)
-    (match gro_flush_all s with [] -> () | pending -> Netstack.rx_many s.stack pending);
+    gro_flush_all s;
+    deliver s;
     s.polling <- false;
     if not (Netstack.is_host s.stack) then Sim.Cost.charge_ring_update ();
     Machine.Mmio.write
@@ -564,8 +651,11 @@ let init stack =
                   ~count:64)
            else None);
         gro = Hashtbl.create 8;
-        tx_pending = [];
-        rx_posted = [];
+        tx_pending = slots None;
+        rx_posted = slots None;
+        answered = slots None;
+        rx_in = slots no_packet;
+        rx_out = slots no_packet;
         ntx = 0;
         nrx = 0;
         polling = false;

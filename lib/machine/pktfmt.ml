@@ -80,27 +80,32 @@ let cksum_ok raw =
 
 (* TSO: cut one encoded super-segment of [len] bytes into sealed wire
    frames of at most [gso_size] payload bytes, each read straight from
-   wherever the super-segment lives through [read src dst dst_off n].
-   Each sub-frame gets the advanced sequence number and its own length;
-   FIN and PSH travel only on the final sub-frame, the way a real NIC
-   segments. *)
-let tso_split ~gso_size ~len read =
+   wherever the super-segment lives through [read src dst dst_off n]
+   and handed to [emit] before the next is cut. Each sub-frame gets the
+   advanced sequence number and its own length; FIN and PSH travel only
+   on the final sub-frame, the way a real NIC segments. *)
+let tso_frames ~gso_size ~len =
   let plen = len - header_size in
-  if gso_size <= 0 || plen <= gso_size then begin
+  if gso_size <= 0 || plen <= gso_size then 1 else (plen + gso_size - 1) / gso_size
+
+let tso_split ~gso_size ~len read emit =
+  let plen = len - header_size and n = tso_frames ~gso_size ~len in
+  if n = 1 then begin
     let b = Bytes.create len in
     read 0 b 0 len;
     seal b;
-    [ b ]
+    emit b
   end
   else
-    List.init ((plen + gso_size - 1) / gso_size) (fun k ->
-        let off = k * gso_size in
-        let c = min gso_size (plen - off) in
-        let b = Bytes.create (header_size + c) in
-        read 0 b 0 header_size;
-        read (header_size + off) b header_size c;
-        Bytes.set_int32_le b 16 (Int32.of_int (u32 b 16 + off));
-        Bytes.set_int32_le b 28 (Int32.of_int c);
-        if off + c < plen then Bytes.set_uint8 b 9 (Bytes.get_uint8 b 9 land lnot (fin lor psh));
-        seal b;
-        b)
+    for k = 0 to n - 1 do
+      let off = k * gso_size in
+      let c = min gso_size (plen - off) in
+      let b = Bytes.create (header_size + c) in
+      read 0 b 0 header_size;
+      read (header_size + off) b header_size c;
+      Bytes.set_int32_le b 16 (Int32.of_int (u32 b 16 + off));
+      Bytes.set_int32_le b 28 (Int32.of_int c);
+      if off + c < plen then Bytes.set_uint8 b 9 (Bytes.get_uint8 b 9 land lnot (fin lor psh));
+      seal b;
+      emit b
+    done

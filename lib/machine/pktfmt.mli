@@ -28,10 +28,16 @@ val cksum_ok : bytes -> bool
     length word matches its size and its stored checksum matches — the
     verdict a checksum-offloading NIC hands the driver. *)
 
-val tso_split : gso_size:int -> len:int -> (int -> bytes -> int -> int -> unit) -> bytes list
-(** [tso_split ~gso_size ~len read] splits an encoded super-segment of
-    [len] bytes, read through [read src dst dst_off n] (e.g.
+val tso_frames : gso_size:int -> len:int -> int
+(** How many wire frames {!tso_split} cuts a [len]-byte super-segment
+    into. *)
+
+val tso_split :
+  gso_size:int -> len:int -> (int -> bytes -> int -> int -> unit) -> (bytes -> unit) -> unit
+(** [tso_split ~gso_size ~len read emit] splits an encoded super-segment
+    of [len] bytes, read through [read src dst dst_off n] (e.g.
     [Bytes.blit raw]), into sealed wire frames of at most [gso_size]
-    payload bytes each: sequence numbers advance per chunk, lengths are
+    payload bytes each, handing each fresh frame to [emit] before the
+    next is cut: sequence numbers advance per chunk, lengths are
     rewritten, FIN/PSH ride only on the final sub-frame. A frame within
     [gso_size], or any frame when [gso_size] is 0, goes out whole. *)

@@ -40,15 +40,13 @@ let tx_count t = t.sent
 
 (* Fault plane for a lossy/hostile link: a frame may be dropped, have a
    byte flipped (caught by the packet checksum upstack), or be
-   duplicated (TCP must treat the copy as a stale segment). Returns the
-   list of frames that actually travel on. *)
-let mangle pkt =
-  if Sim.Fault.roll "net.drop" then begin
-    Sim.Stats.incr "virtio_net.injected_drop";
-    []
-  end
+   duplicated (TCP must treat the copy as a stale segment). Hands each
+   frame that travels on to [k t]: none, the frame, or the frame and
+   then its copy. *)
+let mangle t pkt k =
+  if Sim.Fault.roll "net.drop" then Sim.Stats.incr "virtio_net.injected_drop"
   else begin
-    (* The frame is ours (see {!Wire.send}): corrupt it in place. *)
+    (* The frame is ours until [k] takes it: corrupt it in place. *)
     if Bytes.length pkt > 0 && Sim.Fault.roll "net.corrupt" then begin
       Sim.Stats.incr "virtio_net.injected_corrupt";
       let i = Bytes.length pkt / 2 in
@@ -56,10 +54,15 @@ let mangle pkt =
     end;
     if Sim.Fault.roll "net.dup" then begin
       Sim.Stats.incr "virtio_net.injected_dup";
-      [ pkt; Bytes.copy pkt ]
+      let copy = Bytes.copy pkt in
+      k t pkt;
+      k t copy
     end
-    else [ pkt ]
+    else k t pkt
   end
+
+(* A frame on the wire is the peer's: nothing here writes it again. *)
+let send_frame t f = Wire.send t.endpoint f
 
 (* With [net_irq_coalesce] the line is NAPI-style: it stays asserted
    until the driver acks it (reg_irq_ack), so everything completing
@@ -143,22 +146,18 @@ let execute_tx_one t desc_paddr =
           Phys.write_u32 (desc_paddr + 4) 1;
           (true, 1)
         | Ok () ->
-          let frames =
-            Pktfmt.tso_split ~gso_size:gso ~len (fun src dst off n ->
-                Phys.read ~paddr:(data_paddr + src) dst ~off ~len:n)
-          in
-          let nframes = List.length frames in
+          let nframes = Pktfmt.tso_frames ~gso_size:gso ~len in
           if nframes > 1 then Sim.Stats.add "virtio_net.tso_frames" (nframes - 1);
-          (* Each wire frame is mangled independently: a noisy link
-             corrupts MSS-sized frames, not the super-segment the guest
-             handed over. The descriptor still completes with success:
-             the guest cannot tell a frame lost on the wire from one
-             that made it. *)
-          List.iter
+          (* Each wire frame is mangled independently, as it is cut: a
+             noisy link corrupts MSS-sized frames, not the super-segment
+             the guest handed over. The descriptor still completes with
+             success: the guest cannot tell a frame lost on the wire
+             from one that made it. *)
+          Pktfmt.tso_split ~gso_size:gso ~len
+            (fun src dst off n -> Phys.read ~paddr:(data_paddr + src) dst ~off ~len:n)
             (fun f ->
               t.sent <- t.sent + 1;
-              List.iter (Wire.send t.endpoint) (mangle f))
-            frames;
+              mangle t f send_frame);
           stamp ();
           Phys.write_u32 (desc_paddr + 4) 0;
           (true, nframes)
@@ -246,15 +245,14 @@ let pump_rx t =
     if deliver_into t desc pkt then raise_rx_irq t
   done
 
-let on_wire_packet t pkt =
-  List.iter
-    (fun pkt ->
-      if Queue.length t.backlog >= 1024 then Sim.Stats.incr "virtio_net.rx_dropped"
-      else begin
-        Queue.push pkt t.backlog;
-        pump_rx t
-      end)
-    (mangle pkt)
+let take_rx t pkt =
+  if Queue.length t.backlog >= 1024 then Sim.Stats.incr "virtio_net.rx_dropped"
+  else begin
+    Queue.push pkt t.backlog;
+    pump_rx t
+  end
+
+let on_wire_packet t pkt = mangle t pkt take_rx
 
 let create ~mmio_base ~dev_id ~vector ~endpoint =
   let t =

@@ -150,7 +150,7 @@ let test_stat_and_dirs () =
               let dfd = Apps.Libc.openf c "/tmp/d" ~flags:0 ~mode:0 in
               let names = List.map (fun (_, _, n) -> n) (Apps.Libc.getdents c ~fd:dfd) in
               ignore (Apps.Libc.close c dfd);
-              if names = [ "f" ] then 0 else 4
+              if names = [ "."; ".."; "f" ] then 0 else 4
             end
         end)
   in
@@ -1952,12 +1952,86 @@ let test_getdents_whole_entries () =
   in
   check_int "count 5 is EINVAL" (-Aster.Errno.einval) code;
   let entries = Aster.Abi.decode_dirents (Buffer.to_bytes listing) in
-  Alcotest.(check (list string)) "count 16: every entry once" [ "alpha"; "beta"; "gamma" ]
-    (List.sort compare (List.map (fun (_, _, name) -> name) entries));
+  Alcotest.(check (list string)) "count 16: . and .., then every entry once"
+    [ "."; ".."; "alpha"; "beta"; "gamma" ]
+    (match List.map (fun (_, _, name) -> name) entries with
+    | "." :: ".." :: rest -> "." :: ".." :: List.sort compare rest
+    | names -> names);
   (* An entry is a 10-byte header and its name. *)
   Alcotest.(check (list int)) "count 16: one whole entry per call, then 0"
     (List.map (fun (_, _, name) -> 10 + String.length name) entries @ [ 0 ])
     (List.rev !sizes)
+
+(* getdents64 lists [.] and [..] ahead of a directory's entries, both
+   DT_DIR: [.] with the directory's inode number, [..] with its
+   parent's, a file system's root its own parent; a directory renamed
+   under another parent lists the new one, and a removed directory
+   answers -ENOENT. Linux 6.18 gives these answers on tmpfs and ext4
+   (ext4 lists the dots in its hash order, where ext2, as here, lists
+   them first). *)
+let test_getdents_dots () =
+  let module L = Apps.Libc in
+  let got = ref [] in
+  let code =
+    run_user (fun c ->
+        let ino path = match L.stat c path with Ok st -> st.Aster.Abi.ino | Error e -> -e in
+        let listing path =
+          let fd = L.openf c path ~flags:0o200000 ~mode:0 in
+          let entries = L.getdents c ~fd in
+          ignore (L.close c fd);
+          entries
+        in
+        (* The first two entries, each checked against stat. *)
+        let dots path parent =
+          let first_two =
+            match listing path with
+            | (i, k, ".") :: (j, l, "..") :: _ -> i = ino path && k = 4 && j = ino parent && l = 4
+            | _ -> false
+          in
+          got := (path, first_two) :: !got
+        in
+        List.iter
+          (fun (root, parent) ->
+            ignore (L.mkdir c (root ^ "/d"));
+            ignore (L.mkdir c (root ^ "/d/sub"));
+            ignore (L.close c (L.openf c (root ^ "/d/f") ~flags:0o101 ~mode:0o644));
+            dots root parent;
+            dots (root ^ "/d") root;
+            dots (root ^ "/d/sub") (root ^ "/d");
+            got :=
+              (root ^ "/d/sub lists only the dots",
+               List.map (fun (_, _, n) -> n) (listing (root ^ "/d/sub")) = [ "."; ".." ])
+              :: !got;
+            ignore (L.mkdir c (root ^ "/mv"));
+            ignore (L.mkdir c (root ^ "/mv/inner"));
+            let fd = L.openf c (root ^ "/mv/inner") ~flags:0o200000 ~mode:0 in
+            ignore (L.rename c (root ^ "/mv/inner") (root ^ "/d/sub/inner"));
+            got :=
+              (root ^ " renamed directory's ..",
+               match L.getdents c ~fd with
+               | _ :: (j, _, "..") :: _ -> j = ino (root ^ "/d/sub")
+               | _ -> false)
+              :: !got;
+            ignore (L.close c fd);
+            ignore (L.mkdir c (root ^ "/gone"));
+            let fd = L.openf c (root ^ "/gone") ~flags:0o200000 ~mode:0 in
+            ignore (L.rmdir c (root ^ "/gone"));
+            let buf = L.ualloc c 256 in
+            got :=
+              (root ^ " removed directory",
+               L.syscall c Aster.Syscall_nr.getdents64 [| Int64.of_int fd; Int64.of_int buf; 256L |]
+               = -Aster.Errno.enoent)
+              :: !got;
+            ignore (L.close c fd))
+          (* /tmp is a directory of the root file system, /ext2 a mount. *)
+          [ ("/tmp", "/"); ("/ext2", "/ext2") ];
+        dots "/" "/";
+        dots "/proc" "/proc";
+        0)
+  in
+  check_int "exit" 0 code;
+  Alcotest.(check (list string)) "every answer as Linux's" []
+    (List.filter_map (fun (what, ok) -> if ok then None else Some what) (List.rev !got))
 
 (* The two copy loops at the chunk boundary. Counts around the staging
    buffer's 64 KiB and one of several chunks go through write, read,
@@ -2479,6 +2553,7 @@ let () =
           Alcotest.test_case "staging_buffer_eio" `Quick test_staging_buffer_eio;
           Alcotest.test_case "staging_buffer_dead_holder" `Quick test_staging_buffer_dead_holder;
           Alcotest.test_case "getdents_whole_entries" `Quick test_getdents_whole_entries;
+          Alcotest.test_case "getdents_dots" `Quick test_getdents_dots;
           Alcotest.test_case "copy_chunks" `Quick test_copy_chunks;
           Alcotest.test_case "readv_one_read" `Quick test_readv_one_read;
           Alcotest.test_case "stream_read_fault_keeps_bytes" `Quick
