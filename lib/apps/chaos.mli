@@ -54,10 +54,6 @@ type net_outcome = {
   nfault_log : string list;
 }
 
-val net_schedule : (string * float) list
-(** tx_fail / tx_drop probabilities tuned so both degradation paths fire
-    while TCP still repairs every loss. *)
-
 val net_pattern : stream:int -> int -> Bytes.t
 (** The per-stream payload pattern (distinct per stream id). *)
 

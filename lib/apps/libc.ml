@@ -387,8 +387,6 @@ let sigaction_raw t signal v =
 
 let signal_ignore t signal = sigaction_raw t signal 1L
 
-let signal_default t signal = sigaction_raw t signal 0L
-
 let sigmask_raw t how signal =
   let set = scratch_alloc t 8 in
   let b = Bytes.create 8 in

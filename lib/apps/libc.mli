@@ -115,7 +115,6 @@ val accept4 : t -> fd:int -> flags:int -> int
 (** accept4(2); pass [o_nonblock] (SOCK_NONBLOCK) to get a non-blocking
     connection fd in one call. *)
 
-val fcntl_getfl : t -> fd:int -> int
 val fcntl_setfl : t -> fd:int -> flags:int -> int
 
 val o_nonblock : int
@@ -169,8 +168,6 @@ val kill : t -> pid:int -> signal:int -> int
 
 val signal_ignore : t -> int -> int
 (** sigaction(sig, SIG_IGN). *)
-
-val signal_default : t -> int -> int
 
 val sigblock : t -> int -> int
 (** Block one signal number. *)

@@ -8,9 +8,6 @@
 
 val port : int
 
-val setup_docroot : Libc.t -> sizes:(string * int) list -> unit
-(** Create /tmp/www and one file per (name, bytes). *)
-
 val server : requests:int -> Libc.t -> int
 (** Serve exactly [requests] connections, then exit. Charges a small
     per-request user-space cost (parsing, logging). Each worker runs its

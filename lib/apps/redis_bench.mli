@@ -4,10 +4,6 @@
 
 type result = { op : string; rps : float }
 
-val op_request : string -> int -> string
-(** The wire command the named benchmark op sends (the int seeds key
-    variation, as redis-benchmark's -r would). *)
-
 val run_op :
   host:Aster.Kernel.host ->
   op:string ->

@@ -8,7 +8,5 @@
 
 type result = { num : int; name : string; seconds : float }
 
-val test_names : (int * string) list
-
 val run : ?size:int -> Libc.t -> result list
 (** Execute all tests in order on a fresh database at /ext2/speedtest.db. *)

@@ -52,8 +52,6 @@ let bio_frame bio = bio.frame
 
 let bio_len bio = bio.len
 
-let bio_span bio = bio.span
-
 let note_issued bio = if bio.issued = 0 then bio.issued <- Sim.Time.now ()
 
 let attempt_done bio ~status ~stamp =
@@ -99,8 +97,6 @@ end
 let driver : (module DRIVER) option ref = ref None
 
 let register_driver d = driver := Some d
-
-let have_driver () = !driver <> None
 
 let the_driver () =
   match !driver with
@@ -398,6 +394,8 @@ let dirty_set : centry array ref = ref [||]
 
 let dirty_len = ref 0
 
+let dirty_blocks () = !dirty_len
+
 let dirty_add e =
   if !dirty_len = Array.length !dirty_set then begin
     let grown = Array.make (Int.max 64 (2 * !dirty_len)) e in
@@ -420,8 +418,6 @@ let dirty_remove e =
 
 (* Background-writeback bookkeeping (dirty_ratio-style throttling). *)
 let dirty_fifo : int Queue.t = Queue.create ()
-
-let ndirty = ref 0
 
 let flusher_running = ref false
 
@@ -483,7 +479,6 @@ let reset () =
   dirty_set := [||];
   dirty_len := 0;
   Queue.clear dirty_fifo;
-  ndirty := 0;
   flusher_running := false;
   Btbl.reset pinned;
   wb_err_seq := 0;
@@ -601,7 +596,7 @@ let drop_clean () =
    flusher spin on it). *)
 let writeback_many entries n =
   (* Sort (so adjacent dirty blocks merge) and dedup: the FIFO can name
-     a block twice, and writing it twice would corrupt [ndirty].
+     a block twice, and writing it twice would corrupt [dirty_set].
      Journal-pinned blocks are skipped: their home location must stay
      untouched until the journal checkpoints them. *)
   sort_prefix (fun a b -> a.cblock > b.cblock) entries n;
@@ -635,12 +630,9 @@ let writeback_many entries n =
         Sim.Stats.incr "degrade.gave_up.writeback";
         record_wb_err err
       | None -> assert false);
-      dirty_remove entries.(i);
-      decr ndirty
+      dirty_remove entries.(i)
     done
   end
-
-let dirty_count () = !ndirty
 
 (* Background flusher: drain up to 512 dirty blocks from the FIFO per
    round, sorted and merged into batched writes (writeback coalescing —
@@ -667,25 +659,24 @@ let rec flush_batch () =
   ignore (Ostd.Wait_queue.wake_all !throttle_wq);
   (* Recurse only while the FIFO can still make progress: with every
      remaining dirty block pinned, another round would busy-spin. *)
-  if dirty_count () > bg_dirty_threshold && not (Queue.is_empty dirty_fifo) then
+  if dirty_blocks () > bg_dirty_threshold && not (Queue.is_empty dirty_fifo) then
     flush_batch ()
   else flusher_running := false
 
 let maybe_start_writeback () =
-  if !ndirty > bg_dirty_threshold && not !flusher_running then begin
+  if !dirty_len > bg_dirty_threshold && not !flusher_running then begin
     flusher_running := true;
     Softirq.queue_work flush_batch
   end;
   (* dirty_ratio hard wall: writers stall until the flusher catches up
      (only meaningful in task context). *)
-  if !ndirty > hard_dirty_limit && Ostd.Task.current_opt () <> None then
-    Ostd.Wait_queue.sleep_until !throttle_wq (fun () -> !ndirty <= hard_dirty_limit)
+  if !dirty_len > hard_dirty_limit && Ostd.Task.current_opt () <> None then
+    Ostd.Wait_queue.sleep_until !throttle_wq (fun () -> !dirty_len <= hard_dirty_limit)
 
 (* Every path that turns a clean block dirty goes through here. *)
 let set_dirty blockno e =
   if not (is_dirty e) then begin
     dirty_add e;
-    incr ndirty;
     Queue.push blockno dirty_fifo;
     maybe_start_writeback ()
   end
@@ -701,13 +692,6 @@ let zero_block blockno =
   let e = entry_of blockno ~fill:false in
   Ostd.Untyped.fill e.cframe ~off:0 ~len:block_size '\000';
   set_dirty blockno e
-
-let mark_dirty blockno =
-  match Btbl.find cache blockno with e -> set_dirty blockno e | exception Not_found -> ()
-
-let dirty_blocks () = !ndirty
-
-let cached_blocks () = Btbl.length cache
 
 (* Journal pinning. [unpin] re-queues a still-dirty block for
    writeback: the flusher may have parked it (dropped it from the FIFO
@@ -758,10 +742,7 @@ let write_block_fua blockno =
     let r = submit_and_wait bio in
     (match r with
     | Ok () ->
-      if is_dirty e then begin
-        dirty_remove e;
-        decr ndirty
-      end
+      dirty_remove e
     | Error _ -> ());
     r
 

@@ -26,10 +26,6 @@ val bio_sector : bio -> int
 val bio_frame : bio -> Ostd.Frame.t option
 val bio_len : bio -> int
 
-val bio_span : bio -> int
-(** The request span owning this bio (0 = none), captured at creation
-    and kept across merges, batch splits and retries. *)
-
 val note_issued : bio -> unit
 (** Driver hook: this attempt was pushed to the device (first push
     wins). *)
@@ -59,15 +55,7 @@ module type DRIVER = sig
 end
 
 val register_driver : (module DRIVER) -> unit
-val have_driver : unit -> bool
 val capacity_sectors : unit -> int
-
-val submit_and_wait : bio -> (unit, int) result
-(** Sleep the current task until the bio completes, retrying on error or
-    timeout with exponential backoff (deadline 8 ms doubling to 64 ms,
-    up to 5 attempts). The bio is completed exactly once with the final
-    outcome; [Error errno] (EIO for a device that went silent) is
-    returned once every attempt is exhausted. *)
 
 (** {2 Buffer cache} *)
 
@@ -86,9 +74,7 @@ val zero_block : int -> unit
 (** Mark the block cached and zeroed without touching the device (fresh
     allocation). *)
 
-val mark_dirty : int -> unit
 val dirty_blocks : unit -> int
-val cached_blocks : unit -> int
 
 (** {2 Journal pinning}
 
@@ -100,16 +86,11 @@ val cached_blocks : unit -> int
 
 val pin : int -> unit
 val unpin : int -> unit
-val is_pinned : int -> bool
 
 val write_block_fua : int -> (unit, int) result
 (** Write one cached block with FUA (durable on return, bypassing the
     device's volatile cache) and mark it clean. Counts [blk.fua]. A
     block that is not cached is a no-op. *)
-
-val flush_device : unit -> (unit, int) result
-(** Issue a device flush barrier: everything the device acknowledged
-    before this is durable when it completes. Counts [blk.flush]. *)
 
 val write_through : int -> Bytes.t -> (unit, int) result
 (** Write the given bytes to a block on the device without touching its

@@ -13,7 +13,5 @@ val as_frame_alloc : t -> (module Ostd.Falloc.FRAME_ALLOC)
 
 val free_pages : t -> int
 
-val max_order : int
-
 val install : unit -> t
 (** Create and inject into OSTD, then feed it all boot memory. *)

@@ -1,7 +1,4 @@
 (** Character devices: /dev/null and /dev/zero. *)
 
-val null_inode : unit -> Vfs.inode
-val zero_inode : unit -> Vfs.inode
-
 val populate : Vfs.inode -> unit
 (** Link both devices into the given /dev directory. *)

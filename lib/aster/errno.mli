@@ -3,12 +3,10 @@
 val eperm : int
 val enoent : int
 val esrch : int
-val eintr : int
 val eio : int
 val ebadf : int
 val echild : int
 val eagain : int
-val enomem : int
 val eacces : int
 val efault : int
 val ebusy : int
@@ -17,11 +15,8 @@ val exdev : int
 val enotdir : int
 val eisdir : int
 val einval : int
-val enfile : int
-val emfile : int
 val enospc : int
 val espipe : int
-val erofs : int
 val epipe : int
 val enosys : int
 val enotempty : int

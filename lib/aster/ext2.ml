@@ -72,7 +72,6 @@ let sb_free_inodes () = read_u32_at sb_block 16
 let set_sb_free_blocks v = write_u32_at sb_block 12 v
 let set_sb_free_inodes v = write_u32_at sb_block 16 v
 
-let inodes_total () = ninodes
 let free_blocks () = sb_free_blocks ()
 let free_inodes () = sb_free_inodes ()
 

@@ -30,13 +30,9 @@ val sb_block : int
 val block_bitmap : int
 val inode_bitmap : int
 val inode_table_start : int
-val inode_table_blocks : int
-val journal_start : int
-val journal_blocks : int
 val first_data_block : int
 val ninodes : int
 val root_ino : int
 
-val inodes_total : unit -> int
 val free_blocks : unit -> int
 val free_inodes : unit -> int

@@ -17,8 +17,7 @@ type sock = {
 
 type desc =
   | Inode_file of Vfs.inode
-  | Pipe_read of Pipe.t
-  | Pipe_write of Pipe.t
+  | Pipe of { ch : Channel.t; pb : Pollable.t; fifo : Vfs.inode option }
   | Socket of sock
   | Epoll of Epoll.t
 
@@ -42,14 +41,36 @@ let setfl_mask = o_append lor o_nonblock
 
 (* FMODE_READ and FMODE_WRITE: what the access mode lets read(2) and
    write(2) do with the description. *)
-let readable f = f.flags land Vfs.o_accmode <> o_wronly
+let reads flags = flags land Vfs.o_accmode <> o_wronly
+let writes flags = flags land Vfs.o_accmode <> 0
+let readable f = reads f.flags
+let writable f = writes f.flags
 
-let writable f = f.flags land Vfs.o_accmode <> 0
-
-(* An open file description of an inode holds it open. *)
+(* An open file description of an inode holds it open, and one of a
+   channel holds the sides its access mode names. *)
 let make desc ~flags =
-  (match desc with Inode_file i -> Vfs.opened i | Pipe_read _ | Pipe_write _ | Socket _ | Epoll _ -> ());
+  (match desc with
+  | Inode_file i -> Vfs.opened i
+  | Pipe { ch; pb; fifo } ->
+    Option.iter Vfs.opened fifo;
+    if reads flags then Channel.open_ ch Channel.Rd pb;
+    if writes flags then Channel.open_ ch Channel.Wr pb
+  | Socket _ | Epoll _ -> ());
   { desc; pos = 0; flags; refs = 1; wb_sample = Block.wb_errseq () }
+
+let pipe ch ~fifo ~flags =
+  let rd = reads flags and wr = writes flags in
+  let level () =
+    (if rd then Channel.level ch Channel.Rd else 0) lor if wr then Channel.level ch Channel.Wr else 0
+  in
+  make (Pipe { ch; pb = Pollable.create level; fifo }) ~flags
+
+(* A FIFO's channel lives while the FIFO has an opener, as Linux's
+   i_pipe does: an open after the last close finds it empty. *)
+let fifo (i : Vfs.inode) ~flags =
+  let ch = match i.Vfs.pipe with Some ch -> ch | None -> Channel.create Channel.Pipe in
+  i.Vfs.pipe <- Some ch;
+  pipe ch ~fifo:(Some i) ~flags
 
 (* The established-TCP view of a descriptor, for paths that need the
    connection itself rather than the generic write entry point (the
@@ -57,7 +78,7 @@ let make desc ~flags =
 let tcp_conn_of f =
   match f.desc with
   | Socket { st = S_tcp_conn c; _ } -> Some c
-  | Inode_file _ | Pipe_read _ | Pipe_write _ | Socket _ | Epoll _ -> None
+  | Inode_file _ | Pipe _ | Socket _ | Epoll _ -> None
 
 let get f = f.refs <- f.refs + 1
 
@@ -68,12 +89,15 @@ let get f = f.refs <- f.refs + 1
 let release f =
   match f.desc with
   | Inode_file i -> Vfs.closed i
-  | Pipe_read p ->
-    Pollable.free (Pipe.rd_pollable p);
-    Pipe.close_read p
-  | Pipe_write p ->
-    Pollable.free (Pipe.wr_pollable p);
-    Pipe.close_write p
+  | Pipe { ch; pb; fifo } ->
+    Pollable.free pb;
+    if readable f then Channel.close ch Channel.Rd pb;
+    if writable f then Channel.close ch Channel.Wr pb;
+    Option.iter
+      (fun (i : Vfs.inode) ->
+        if Channel.openers ch = 0 then i.Vfs.pipe <- None;
+        Vfs.closed i)
+      fifo
   | Epoll e ->
     Pollable.free (Epoll.pollable e);
     Epoll.close e
@@ -91,7 +115,7 @@ let release f =
       Pollable.free (Unix_sock.listener_pollable l);
       Unix_sock.close_listener l
     | S_unix_conn ep ->
-      Pollable.free (Unix_sock.pollable ep);
+      Pollable.free ep.Unix_sock.pollable;
       Unix_sock.close ep)
 
 let put f =

@@ -19,8 +19,7 @@ type sock = {
 
 type desc =
   | Inode_file of Vfs.inode
-  | Pipe_read of Pipe.t
-  | Pipe_write of Pipe.t
+  | Pipe of { ch : Channel.t; pb : Pollable.t; fifo : Vfs.inode option }
   | Socket of sock
   | Epoll of Epoll.t
 
@@ -48,7 +47,16 @@ val writable : t -> bool
 
 val make : desc -> flags:int -> t
 (** A description of an inode holds it open ({!Vfs.opened}) until its
-    last reference goes. *)
+    last reference goes; one of a channel holds the sides its access
+    mode names. *)
+
+val pipe : Channel.t -> fifo:Vfs.inode option -> flags:int -> t
+(** An open file of a channel: its poll bits are those of the sides it
+    holds ({!Channel.level}). *)
+
+val fifo : Vfs.inode -> flags:int -> t
+(** An open file of a FIFO, on the FIFO's channel, made at the first
+    open after none was left. *)
 
 val tcp_conn_of : t -> Tcp.conn option
 (** The established TCP connection behind a socket descriptor, if any —

@@ -125,5 +125,3 @@ let rec writable_from t ~vaddr ~len n =
 let writable_prefix t ~vaddr ~len = if t.destroyed then 0 else writable_from t ~vaddr ~len 0
 
 let mapped_pages t = Ostd.Vmspace.mapped_pages t.vm
-
-let region_count t = List.length t.regions

@@ -12,10 +12,6 @@ val fork : t -> t
 
 val vmspace : t -> Ostd.Vmspace.t
 
-val brk_start : int
-val mmap_base : int
-val stack_top : int
-
 val do_brk : t -> int -> int
 (** Set (or query with 0) the program break; returns the new break. *)
 
@@ -38,4 +34,3 @@ val writable_prefix : t -> vaddr:int -> len:int -> int
     mapped pages. *)
 
 val mapped_pages : t -> int
-val region_count : t -> int

@@ -15,8 +15,6 @@ type t = {
   mutable plug : Packet.t list; (* reversed burst under collection *)
   mutable plug_n : int;
   mutable flush_scheduled : bool;
-  mutable ntx : int;
-  mutable nrx : int;
 }
 
 (* Every live stack, so the syscall boundary can flush pending bursts
@@ -39,8 +37,6 @@ let create ~ip ~host =
       plug = [];
       plug_n = 0;
       flush_scheduled = false;
-      ntx = 0;
-      nrx = 0;
     }
   in
   stacks := t :: !stacks;
@@ -95,7 +91,6 @@ let emit_burst tp ps =
   if Sim.Trace.live tp then Sim.Trace.emit2 tp (burst_bytes ps) (List.length ps)
 
 let dispatch_proto t (p : Packet.t) =
-  t.nrx <- t.nrx + 1;
   match p.Packet.proto with
   | Packet.Tcp -> t.tcp_rx p
   | Packet.Udp -> t.udp_rx p
@@ -158,7 +153,6 @@ let flush_all () = List.iter flush !stacks
 
 let send t p =
   Sim.Prof.scope "net" (fun () ->
-      t.ntx <- t.ntx + 1;
       (* Adopt the sender's span for segments built outside task context
          (pure ACKs from event handlers keep span 0); the TX-path entry
          stamp restarts per transmission attempt. *)
@@ -196,7 +190,3 @@ let send t p =
         emit_packet tp_tx p;
         t.ext_tx p
       end)
-
-let packets_tx t = t.ntx
-
-let packets_rx t = t.nrx

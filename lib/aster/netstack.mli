@@ -24,10 +24,6 @@ val is_host : t -> bool
 
 val loopback_ip : int
 
-val burst_limit : int
-(** Max segments collected into one TX burst (32, like the block
-    pipeline's chain limit). *)
-
 val set_ext_tx : t -> (Packet.t -> unit) -> unit
 (** Transmit function for non-loopback destinations (the NIC driver or
     the host's wire endpoint). *)
@@ -74,6 +70,3 @@ val rx_many : t -> Packet.t array -> int -> unit
 
 val charge : t -> int -> unit
 (** Charge cycles only when this is the guest stack. *)
-
-val packets_tx : t -> int
-val packets_rx : t -> int

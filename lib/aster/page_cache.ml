@@ -77,15 +77,35 @@ let read_view t ~pos ~len =
         Bytes.fill buf moved chunk '\000');
   (buf, !pins)
 
-let write t ~pos ~buf ~boff ~len =
+(* How much of [pos, pos + len) fits when at most [room] pages may be
+   added: up to the first page past them that is not cached. *)
+let fitting t ~pos ~len ~room =
+  let pages = if len = 0 then 0 else ((pos + len - 1) / page_size) - (pos / page_size) + 1 in
+  if pages <= room then len
+  else begin
+    let fresh = ref 0 and fits = ref 0 in
+    (try
+       iter_range pos len (fun idx _ _ chunk ->
+           if not (Hashtbl.mem t.frames idx) then begin
+             if !fresh = room then raise Exit;
+             incr fresh
+           end;
+           fits := !fits + chunk)
+     with Exit -> ());
+    !fits
+  end
+
+let write t ~pos ~buf ~boff ~len ~room =
   alive t;
+  let len = fitting t ~pos ~len ~room in
   Sim.Cost.charge_memcpy len;
   iter_range pos len (fun idx off moved chunk ->
       let fresh = not (Hashtbl.mem t.frames idx) in
       if fresh then Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.fs_new_page;
       let frame = frame_for t idx in
       Ostd.Untyped.write_bytes frame ~off ~buf ~pos:(boff + moved) ~len:chunk;
-      (state_of frame).dirty <- true)
+      (state_of frame).dirty <- true);
+  len
 
 let truncate t n =
   alive t;

@@ -26,8 +26,10 @@ val read_view : t -> pos:int -> len:int -> bytes * Ostd.Frame.t list
     live while a NIC transmits out of them. Pins are counted under
     [net.zc_pin]; sparse ranges read as zeroes and pin nothing. *)
 
-val write : t -> pos:int -> buf:bytes -> boff:int -> len:int -> unit
-(** Allocates frames on demand; marks the touched pages dirty. *)
+val write : t -> pos:int -> buf:bytes -> boff:int -> len:int -> room:int -> int
+(** Allocates frames on demand, at most [room] of them, and marks the
+    touched pages dirty. Returns the bytes written: all [len], or those
+    before the first page it had no room for. *)
 
 val truncate : t -> int -> unit
 (** Free whole pages past the new size and zero the partial tail. *)

@@ -1,5 +1,6 @@
-(* The readiness seam: every waitable kernel object (pipe end, TCP
-   conn/listener, UDP socket, unix-socket endpoint) owns one of these.
+(* The readiness seam: every waitable kernel object (pipe or FIFO file,
+   TCP conn/listener, UDP socket, unix-socket endpoint) owns one of
+   these.
    A pollable couples a *level* function — "which poll bits are true
    right now" — with an edge-publication channel that epoll instances
    and blocked poll(2) callers subscribe to.
@@ -15,8 +16,8 @@
      single-CPU), so there is no window for an edge to slip between
      "checked: not ready" and "blocked".
 
-   - Unobserved publication is free: [publish] with no watchers and no
-     waiters charges zero virtual cycles and allocates no events, so
+   - Unobserved publication is free: [publish] with no watchers
+     charges zero virtual cycles and allocates no events, so
      blocking-only workloads (everything that existed before epoll)
      keep their committed timings byte-for-byte. Wake costs are
      charged by [Wait_queue.wake_*] only when a task is actually
@@ -40,13 +41,14 @@ let pollfree = 1 lsl 29
 
 type watcher = { notify : int -> unit; mutable active : bool }
 
+(* Blocked poll(2) callers subscribe as watchers too, each with a wait
+   queue of its own. *)
 type t = {
   mutable level : unit -> int;  (* current readiness bits *)
-  waiters : Ostd.Wait_queue.t;  (* poll(2)-style sleepers *)
-  mutable watchers : watcher list;  (* epoll-style subscribers, attach order *)
+  mutable watchers : watcher list;  (* subscribers, attach order *)
 }
 
-let create level = { level; waiters = Ostd.Wait_queue.create (); watchers = [] }
+let create level = { level; watchers = [] }
 
 (* Objects whose level closure must capture the owning record set it
    right after construction (the record can't reference itself while
@@ -69,12 +71,9 @@ let detach t w =
    the [active] guard covers watchers detached by an earlier watcher
    in the same publication. *)
 let publish t edge =
-  (match t.watchers with
+  match t.watchers with
   | [] -> ()
-  | ws -> List.iter (fun w -> if w.active then w.notify edge) ws);
-  ignore (Ostd.Wait_queue.wake_all t.waiters : int)
-
-let waiters t = t.waiters
+  | ws -> List.iter (fun w -> if w.active then w.notify edge) ws
 
 (* The owning object is being destroyed (last fd reference dropped).
    Notify watchers with [pollfree] so epoll registrations unhook
@@ -84,5 +83,4 @@ let free t =
   (match t.watchers with
   | [] -> ()
   | ws -> List.iter (fun w -> if w.active then w.notify pollfree) ws);
-  t.watchers <- [];
-  ignore (Ostd.Wait_queue.wake_all t.waiters : int)
+  t.watchers <- []

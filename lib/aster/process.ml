@@ -231,11 +231,6 @@ let spawn_kernel_style ~name body =
   ignore (start_task proc (fun uapi -> body uapi));
   proc
 
-let spawn_init ~name ~argv =
-  match Uprog_registry.find name with
-  | None -> Ostd.Panic.panicf "Process.spawn_init: no program %s" name
-  | Some prog -> spawn_kernel_style ~name (fun uapi -> prog uapi argv)
-
 let fork_current proc ~child =
   (* Mm.fork charges fork_base + per-page page-table copy. *)
   let mm = Mm.fork proc.mm_v in

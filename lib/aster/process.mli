@@ -31,9 +31,6 @@ val set_child_resolver : (int64 -> (Ostd.User.uapi -> int) option) -> unit
 
 val resolve_child : int64 -> (Ostd.User.uapi -> int) option
 
-val spawn_init : name:string -> argv:string list -> t
-(** Create pid-1 from the program registry and enqueue its task. *)
-
 val spawn_kernel_style : name:string -> (Ostd.User.uapi -> int) -> t
 (** Spawn a process from a closure (used by tests and workloads that are
     not registry programs). *)

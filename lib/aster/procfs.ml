@@ -133,8 +133,8 @@ let pid_fdinfo pid () =
     let desc_name f =
       match f.File.desc with
       | File.Inode_file _ -> "file"
-      | File.Pipe_read _ -> "pipe:r"
-      | File.Pipe_write _ -> "pipe:w"
+      | File.Pipe _ ->
+        "pipe:" ^ (if File.readable f then "r" else "") ^ if File.writable f then "w" else ""
       | File.Epoll _ -> "epoll"
       | File.Socket s -> (
         match s.File.st with

@@ -11,10 +11,3 @@ val create_root : unit -> Vfs.inode
 val register : string -> (unit -> string) -> unit
 (** Add or replace a /proc entry. Standard entries (meminfo, uptime,
     version, syscalls) are registered by {!create_root}. *)
-
-val register_writer : string -> (string -> (unit, int) result) -> unit
-(** Make a /proc entry writable: the writer consumes the written string
-    as a control command and returns [Ok ()] or [Error errno]. Entries
-    with a writer surface as mode 0o644. /proc/ktrace's writer accepts
-    "none", "all", a decimal mask, "cat1,cat2" exact sets, and
-    "+cat"/"-cat" increments. *)

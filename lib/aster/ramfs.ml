@@ -7,6 +7,11 @@ and dir = { mutable entries : (string * Vfs.inode) list }
 
 type Vfs.priv += Ram of node
 
+(* tmpfs's default size: half of the boot's frames, which every page a
+   file holds counts against. *)
+let limit = ref 0
+let used = ref 0
+
 let node_of i =
   match i.Vfs.priv with
   | Ram n -> n
@@ -70,7 +75,9 @@ let rec ops =
     evict =
       (fun i ->
         match node_of i with
-        | File st -> Page_cache.destroy st.cache
+        | File st ->
+          used := !used - Page_cache.pages st.cache;
+          Page_cache.destroy st.cache
         | Directory _ | Symlink _ -> ());
     readdir =
       (fun dir ->
@@ -91,17 +98,24 @@ let rec ops =
         match node_of f with
         | Directory _ | Symlink _ -> Error Errno.einval
         | File st ->
-          Page_cache.write st.cache ~pos ~buf ~boff ~len;
-          if pos + len > st.len then st.len <- pos + len;
-          f.Vfs.size <- st.len;
-          Vfs.touch_mtime f;
-          Ok len);
+          let pages = Page_cache.pages st.cache in
+          let n = Page_cache.write st.cache ~pos ~buf ~boff ~len ~room:(!limit - !used) in
+          used := !used + Page_cache.pages st.cache - pages;
+          if n = 0 && len > 0 then Error Errno.enospc
+          else begin
+            if pos + n > st.len then st.len <- pos + n;
+            f.Vfs.size <- st.len;
+            Vfs.touch_mtime f;
+            Ok n
+          end);
     truncate =
       (fun f n ->
         match node_of f with
         | Directory _ | Symlink _ -> Error Errno.einval
         | File st ->
+          let pages = Page_cache.pages st.cache in
           Page_cache.truncate st.cache n;
+          used := !used + Page_cache.pages st.cache - pages;
           st.len <- n;
           f.Vfs.size <- n;
           Vfs.touch_mtime f;
@@ -118,17 +132,13 @@ let rec ops =
   }
 
 let create_root () =
+  limit := Ostd.Frame.total_frames () / 2;
+  used := 0;
   let root = Vfs.make_inode ~fsname:"ramfs" ~kind:Vfs.Dir ~mode:0o755 ~ops () in
   root.Vfs.priv <- Ram (Directory { entries = [] });
   root
 
-let file_data i =
-  match node_of i with
-  | File st ->
-    let out = Bytes.create st.len in
-    Page_cache.read st.cache ~pos:0 ~buf:out ~boff:0 ~len:st.len;
-    out
-  | Directory _ | Symlink _ -> Ostd.Panic.panic "ramfs.file_data: not a regular file"
+let space () = (!limit, !limit - !used)
 
 let file_cache i = match i.Vfs.priv with Ram (File st) -> Some st.cache | _ -> None
 

@@ -4,9 +4,12 @@
     per-frame dirty metadata — never in plain OCaml buffers. *)
 
 val create_root : unit -> Vfs.inode
+(** A new file system, whose files may hold half of the boot's frames,
+    as tmpfs's default size allows: a write past that writes what fits,
+    or answers ENOSPC if nothing does. *)
 
-val file_data : Vfs.inode -> bytes
-(** Snapshot of a regular file's contents (testing). *)
+val space : unit -> int * int
+(** The page limit and the pages still free under it. *)
 
 val file_cache : Vfs.inode -> Page_cache.t option
 (** The frame-backed page cache of a regular file. *)

@@ -14,10 +14,6 @@ let attr_of t =
 
 let set_class t c = (attr_of t).cls <- c
 
-let class_of t = (attr_of t).cls
-
-let vruntime t = (attr_of t).vrt
-
 (* nice -20..19 -> weight, compressed version of Linux's table. *)
 let weight_of_nice n =
   let n = max (-20) (min 19 n) in

@@ -11,11 +11,6 @@ val set_class : Ostd.Task.t -> class_ -> unit
 (** Default for unmarked tasks is [Fair]. Must be set before the task
     next enqueues to take effect. *)
 
-val class_of : Ostd.Task.t -> class_
-
-val vruntime : Ostd.Task.t -> Sim.Time.t
-(** Current CFS virtual runtime (0 for RT tasks). *)
-
 val install : unit -> unit
 (** Inject into OSTD. Call once per boot, before spawning tasks. *)
 

@@ -1,8 +1,5 @@
 let sigkill = 9
-let sigterm = 15
-let sigint = 2
 let sigchld = 17
-let sigusr1 = 10
 
 type disposition = Default | Ignore | Handled
 

@@ -8,12 +8,6 @@
     scope (see DESIGN.md): registering a handler behaves as Ignore plus a
     pending record the process can query. *)
 
-val sigkill : int
-val sigterm : int
-val sigint : int
-val sigchld : int
-val sigusr1 : int
-
 type disposition = Default | Ignore | Handled
 
 type state
@@ -28,8 +22,6 @@ val block : state -> mask:int -> unit
 
 val unblock : state -> mask:int -> unit
 val mask : state -> int
-
-val default_terminates : int -> bool
 
 val post : state -> signal:int -> [ `Terminate | `Queued | `Ignored ]
 (** Decide what delivering [signal] does right now: terminate the

@@ -16,9 +16,6 @@ val cache_shrink : cache -> int
 val cache_slabs : cache -> int
 val cache_active : cache -> int
 
-val size_classes : int list
-(** The kmalloc size classes (bytes). *)
-
 val install_global_heap : unit -> unit
 (** Build one cache per size class and inject them as OSTD's global heap
     allocator. *)

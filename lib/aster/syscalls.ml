@@ -253,18 +253,6 @@ let rw_count args = Int.min (int_arg args 2) max_rw_count
    copy. *)
 let udp_max_payload = 65_507
 
-(* --- FIFO plumbing: named pipes get their ring on first open --- *)
-
-let fifo_pipes : (int, Pipe.t) Hashtbl.t = Hashtbl.create 8
-
-let fifo_pipe (inode : Vfs.inode) =
-  match Hashtbl.find_opt fifo_pipes inode.Vfs.ino with
-  | Some p -> p
-  | None ->
-    let p = Pipe.create () in
-    Hashtbl.replace fifo_pipes inode.Vfs.ino p;
-    p
-
 (* --- read/write on each file flavour --- *)
 
 (* Read up to [len] bytes of [inode] at [pos] out to user memory. The
@@ -292,11 +280,10 @@ let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
       f.File.pos <- f.File.pos + n;
       ok n
     | Error e -> err e)
-  | File.Pipe_read p ->
+  | File.Pipe { ch; _ } ->
     lift
       (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
-           Pipe.read ~nonblock:(nonblock || off > 0) p ~buf ~pos:0 ~len))
-  | File.Pipe_write _ -> err Errno.ebadf
+           Channel.read ~nonblock:(nonblock || off > 0) ch ~buf ~pos:0 ~len))
   | File.Epoll _ -> err Errno.einval
   | File.Socket s -> (
     match s.File.st with
@@ -307,7 +294,7 @@ let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
     | File.S_unix_conn ep ->
       lift
         (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
-             Unix_sock.recv ~nonblock:(nonblock || off > 0) ep ~buf ~pos:0 ~len))
+             Channel.read ~nonblock:(nonblock || off > 0) ep.Unix_sock.rx ~buf ~pos:0 ~len))
     | File.S_udp u ->
       lift
         (copy_out proc ~stream:false ~vaddr ~len (fun buf ~off:_ ~len ->
@@ -327,13 +314,12 @@ let do_write_desc (f : File.t) buf ~len =
       f.File.pos <- pos + n;
       Ok n
     | Error e -> Error e)
-  | File.Pipe_write p -> Pipe.write ~nonblock p ~buf ~pos:0 ~len
-  | File.Pipe_read _ -> Error Errno.ebadf
+  | File.Pipe { ch; _ } -> Channel.write ~nonblock ch ~buf ~pos:0 ~len
   | File.Epoll _ -> Error Errno.einval
   | File.Socket s -> (
     match s.File.st with
     | File.S_tcp_conn c -> Tcp.send ~nonblock c ~buf ~pos:0 ~len
-    | File.S_unix_conn ep -> Unix_sock.send ~nonblock ep ~buf ~pos:0 ~len
+    | File.S_unix_conn ep -> Channel.write ~nonblock ep.Unix_sock.tx ~buf ~pos:0 ~len
     | _ -> Error Errno.enotconn)
 
 (* --- Individual syscalls --- *)
@@ -437,15 +423,10 @@ let do_open proc path flags mode =
   with
   | Error e -> err e
   | Ok inode ->
-    let desc =
-      if inode.Vfs.kind = Vfs.Fifo then begin
-        (* Read or write end, by access mode. *)
-        let p = fifo_pipe inode in
-        if flags land Vfs.o_accmode = 0 then File.Pipe_read p else File.Pipe_write p
-      end
-      else File.Inode_file inode
+    let f =
+      if inode.Vfs.kind = Vfs.Fifo then File.fifo inode ~flags
+      else File.make (File.Inode_file inode) ~flags
     in
-    let f = File.make desc ~flags in
     Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.open_misc;
     ok (File.Table.install (Process.fdt proc) f)
 
@@ -540,10 +521,10 @@ let sys_access proc args =
     | Error e -> err e)
 
 let sys_pipe2 proc args =
-  let p = Pipe.create () in
+  let ch = Channel.create Channel.Pipe in
   let fdt = Process.fdt proc in
-  let rfd = File.Table.install fdt (File.make (File.Pipe_read p) ~flags:0) in
-  let wfd = File.Table.install fdt (File.make (File.Pipe_write p) ~flags:1) in
+  let rfd = File.Table.install fdt (File.pipe ch ~fifo:None ~flags:0) in
+  let wfd = File.Table.install fdt (File.pipe ch ~fifo:None ~flags:File.o_wronly) in
   let b = Bytes.create 8 in
   Bytes.set_int32_le b 0 (Int32.of_int rfd);
   Bytes.set_int32_le b 4 (Int32.of_int wfd);
@@ -1124,19 +1105,24 @@ let sys_getsockname proc args =
       | Ok () -> ok 0
       | Error e -> err e))
 
+(* [how] is SHUT_RD (0), SHUT_WR (1) or SHUT_RDWR (2). On TCP, a shut
+   send side closes the connection. *)
 let sys_shutdown proc args =
+  let how = int_arg args 1 in
   match file_of proc args.(0) with
   | Error e -> err e
   | Ok f -> (
     match sock_of f with
     | Error e -> err e
+    | Ok _ when how < 0 || how > 2 -> err Errno.einval
     | Ok s -> (
+      let rd = how <> 1 and wr = how <> 0 in
       match s.File.st with
       | File.S_tcp_conn c ->
-        Tcp.close c;
+        if wr then Tcp.close c else Tcp.shutdown_rd c;
         ok 0
       | File.S_unix_conn ep ->
-        Unix_sock.close ep;
+        Unix_sock.shutdown ep ~rd ~wr;
         ok 0
       | _ -> err Errno.enotconn))
 
@@ -1233,11 +1219,16 @@ let sys_statfs proc args =
          total blocks, free blocks. *)
       let b = Bytes.create 32 in
       let is_ext2 = inode.Vfs.fsname = "ext2" in
+      let blocks, free =
+        match inode.Vfs.fsname with
+        | "ext2" -> (Block.capacity_sectors () / Block.sectors_per_block, Ext2.free_blocks ())
+        | "ramfs" -> Ramfs.space ()
+        | _ -> (0, 0)
+      in
       Bytes.set_int64_le b 0 (if is_ext2 then 0xEF53L else 0x858458F6L);
       Bytes.set_int64_le b 8 4096L;
-      Bytes.set_int64_le b 16
-        (Int64.of_int (if is_ext2 then Block.capacity_sectors () / Block.sectors_per_block else 0));
-      Bytes.set_int64_le b 24 (Int64.of_int (if is_ext2 then Ext2.free_blocks () else 0));
+      Bytes.set_int64_le b 16 (Int64.of_int blocks);
+      Bytes.set_int64_le b 24 (Int64.of_int free);
       (match user_write proc ~vaddr:(int_arg args 1) b with
       | Ok () -> ok 0
       | Error e -> err e))
@@ -1410,15 +1401,14 @@ let sys_getrandom proc args =
 
 let pollable_of_desc (d : File.desc) =
   match d with
-  | File.Pipe_read p -> Some (Pipe.rd_pollable p)
-  | File.Pipe_write p -> Some (Pipe.wr_pollable p)
+  | File.Pipe { pb; _ } -> Some pb
   | File.Epoll e -> Some (Epoll.pollable e)
   | File.Socket s -> (
     match s.File.st with
     | File.S_tcp_conn c -> Some (Tcp.pollable c)
     | File.S_tcp_listener l -> Some (Tcp.listener_pollable l)
     | File.S_udp u -> Some (Udp.pollable u)
-    | File.S_unix_conn ep -> Some (Unix_sock.pollable ep)
+    | File.S_unix_conn ep -> Some ep.Unix_sock.pollable
     | File.S_unix_listener l -> Some (Unix_sock.listener_pollable l)
     | File.S_unbound -> None)
   | File.Inode_file _ -> None
@@ -1795,8 +1785,6 @@ let implemented_count () = Hashtbl.length handlers
 let implemented_numbers () =
   Hashtbl.fold (fun nr _ acc -> nr :: acc) handlers [] |> List.sort compare
 
-let is_implemented nr = Hashtbl.mem handlers nr
-
 let dispatch proc nr args =
   (* Registers the user did not set read as zero; handlers can index
      args.(0..5) safely no matter what user space passed. *)
@@ -1831,7 +1819,6 @@ let dispatch proc nr args =
     Process.Ret (Int64.of_int (-Errno.enosys))
 
 let install () =
-  Hashtbl.reset fifo_pipes;
   (* A task of the last boot may have been asleep holding the buffer. *)
   stage_holder := None;
   if Hashtbl.length handlers = 0 then register_all ();

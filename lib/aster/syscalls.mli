@@ -19,4 +19,3 @@ val staging_busy : unit -> bool
 
 val implemented_count : unit -> int
 val implemented_numbers : unit -> int list
-val is_implemented : int -> bool

@@ -141,6 +141,7 @@ and conn = {
   rcvbuf_cap : int;
   mutable rcv_nxt : int;
   mutable peer_fin : bool;
+  mutable rd_shut : bool; (* shutdown(SHUT_RD): reads end once the queue drains *)
   mutable local_closed : bool;
   mutable reset : bool;
   mutable timed_out : bool; (* handshake retries exhausted *)
@@ -150,7 +151,6 @@ and conn = {
   mutable unacked : int; (* bytes received since the last ACK we sent *)
   mutable rx_segments : int; (* data segments received on this connection *)
   mutable nodelay : bool; (* TCP_NODELAY: disable the Nagle hold *)
-  mutable tx_soft_errors : int; (* driver gave up on a frame; RTO repairs it *)
   pollable : Pollable.t; (* readiness seam: edges published below *)
 }
 
@@ -251,6 +251,7 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
     rcvbuf_cap = 256 * 1024;
     rcv_nxt = 0;
     peer_fin = false;
+    rd_shut = false;
     local_closed = false;
     reset = false;
     timed_out = false;
@@ -260,7 +261,6 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
     unacked = 0;
     rx_segments = 0;
     nodelay = false;
-    tx_soft_errors = 0;
     pollable = Pollable.create (fun () -> 0);
   }
   in
@@ -268,7 +268,9 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
      or reset; writable only while established with send-buffer space;
      HUP/RDHUP on peer close; ERR on reset. *)
   Pollable.set_level conn.pollable (fun () ->
-      (if Fifo.length conn.rcvbuf > 0 || conn.peer_fin || conn.reset then Pollable.pollin else 0)
+      (if Fifo.length conn.rcvbuf > 0 || conn.peer_fin || conn.rd_shut || conn.reset then
+         Pollable.pollin
+       else 0)
       lor (if conn.peer_fin then Pollable.pollrdhup lor Pollable.pollhup else 0)
       lor (if conn.reset then Pollable.pollerr lor Pollable.pollhup else 0)
       lor
@@ -572,16 +574,14 @@ let engine_rx eng (p : Packet.t) =
 
 (* The driver exhausted its retries (or quarantined the buffer) for an
    outgoing frame. The byte stream is repaired by the normal RTO
-   machinery; here we only attribute the soft error to the owning
-   connection so it lands on the right socket, not a neighbour sharing
-   the burst. *)
+   machinery; here we only count the soft error: [tcp.tx_soft_err]
+   when a connection owns the frame, [net.tx_err_unclaimed] when none
+   does. *)
 let on_tx_error eng (p : Packet.t) =
   match p.Packet.proto with
   | Packet.Tcp -> (
     match find_conn eng ~lport:p.Packet.src_port ~rip:p.Packet.dst_ip ~rport:p.Packet.dst_port with
-    | conn :: _ ->
-      conn.tx_soft_errors <- conn.tx_soft_errors + 1;
-      Sim.Stats.incr "tcp.tx_soft_err"
+    | _ :: _ -> Sim.Stats.incr "tcp.tx_soft_err"
     | [] -> Sim.Stats.incr "net.tx_err_unclaimed")
   | Packet.Udp -> Sim.Stats.incr "net.tx_err_unclaimed"
 
@@ -699,14 +699,15 @@ let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
 
 let recv ?(nonblock = false) conn ~buf ~pos ~len =
   if conn.reset then Error Errno.econnreset
-  else if nonblock && Fifo.length conn.rcvbuf = 0 && not conn.peer_fin then Error Errno.eagain
+  else if nonblock && Fifo.length conn.rcvbuf = 0 && not (conn.peer_fin || conn.rd_shut) then
+    Error Errno.eagain
   else begin
     (* A receiver that must sleep pays the full wakeup path; streaming
        receivers find data ready and skip it. *)
-    if Fifo.length conn.rcvbuf = 0 && not (conn.peer_fin || conn.reset) then
+    if Fifo.length conn.rcvbuf = 0 && not (conn.peer_fin || conn.rd_shut || conn.reset) then
       Netstack.charge conn.eng.stack (Sim.Cost.c ()).Sim.Profile.net_wake;
     Ostd.Wait_queue.sleep_until conn.rcv_wq (fun () ->
-        Fifo.length conn.rcvbuf > 0 || conn.peer_fin || conn.reset);
+        Fifo.length conn.rcvbuf > 0 || conn.peer_fin || conn.rd_shut || conn.reset);
     if conn.reset then Error Errno.econnreset
     else if Fifo.length conn.rcvbuf = 0 then Ok 0 (* peer closed *)
     else if len = 0 then Error Errno.efault
@@ -718,7 +719,10 @@ let recv ?(nonblock = false) conn ~buf ~pos ~len =
     end
   end
 
-let recv_available conn = Fifo.length conn.rcvbuf
+let shutdown_rd conn =
+  conn.rd_shut <- true;
+  ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
+  Pollable.publish conn.pollable Pollable.pollin
 
 let close conn =
   if not conn.local_closed then begin
@@ -745,11 +749,5 @@ let listener_pollable l = l.l_pollable
 let set_nodelay conn = conn.nodelay <- true
 
 let peer_of conn = (conn.rip, conn.rport)
-
-let local_port conn = conn.lport
-
-let cwnd_bytes conn = if conn.eng.cc then conn.cwnd else max_int
-
-let tx_soft_errors conn = conn.tx_soft_errors
 
 let conn_count eng = eng.nconns

@@ -61,11 +61,12 @@ val recv : ?nonblock:bool -> conn -> buf:bytes -> pos:int -> len:int -> (int, in
     means the reader's destination takes nothing: once there is data,
     EFAULT, and the bytes stay queued. *)
 
-val recv_available : conn -> int
-
 val set_nodelay : conn -> unit
 (** TCP_NODELAY: send sub-MSS segments immediately instead of holding
     them for in-flight data (what Redis and Nginx configure). *)
+
+val shutdown_rd : conn -> unit
+(** shutdown(SHUT_RD): a read returns what is queued, then 0. *)
 
 val close : conn -> unit
 
@@ -82,18 +83,6 @@ val listener_pollable : listener -> Pollable.t
 
 val peer_of : conn -> int * int
 (** Remote (ip, port). *)
-
-val local_port : conn -> int
-
-val cwnd_bytes : conn -> int
-(** Current congestion window ([max_int] when congestion control is
-    off). *)
-
-val tx_soft_errors : conn -> int
-(** Frames this connection lost to driver give-ups or buffer
-    quarantines (all repaired by retransmission). A mid-burst fault must
-    land here on the owning socket, never on a neighbour that shared the
-    burst. *)
 
 val conn_count : engine -> int
 (** Connections the engine still tracks. One leaves once the app has

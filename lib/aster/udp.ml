@@ -61,8 +61,6 @@ let bind sock ~port =
     Ok ()
   end
 
-let bound_port sock = sock.port
-
 let ensure_bound sock =
   match sock.port with
   | Some p -> p
@@ -100,8 +98,6 @@ let recvfrom ?(nonblock = false) sock ~buf ~pos ~len =
       Bytes.blit p.Packet.payload p.Packet.off buf pos n;
       Ok (n, p.Packet.src_ip, p.Packet.src_port)
   end
-
-let rx_queued sock = Queue.length sock.rxq
 
 let close sock =
   if not sock.closed then begin

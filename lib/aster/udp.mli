@@ -10,8 +10,6 @@ val socket : engine -> socket
 
 val bind : socket -> port:int -> (unit, int) result
 
-val bound_port : socket -> int option
-
 val sendto : socket -> dst_ip:int -> dst_port:int -> buf:bytes -> pos:int -> len:int ->
   (int, int) result
 (** Binds to an ephemeral port on first use. *)
@@ -23,7 +21,5 @@ val recvfrom :
 
 val pollable : socket -> Pollable.t
 (** POLLIN on queued datagrams; POLLOUT always while open. *)
-
-val rx_queued : socket -> int
 
 val close : socket -> unit

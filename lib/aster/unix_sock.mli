@@ -1,11 +1,20 @@
-(** Unix-domain stream sockets: an in-kernel byte channel between two
-    endpoints, with a filesystem-bound listener namespace. Buffer size
-    and per-op cost follow the installed profile, which is where the
-    bw_unix gap between the kernels comes from. *)
+(** Unix-domain stream sockets: two endpoints joined by two channels,
+    one per direction, with a filesystem-bound listener namespace. *)
 
-type endpoint
+type endpoint = {
+  rx : Channel.t;  (** holds its read side *)
+  tx : Channel.t;  (** holds its write side *)
+  pollable : Pollable.t;
+      (** POLLIN on queued bytes or a shut [rx], POLLRDHUP while [rx] is
+          shut, POLLHUP once both are, POLLOUT while [tx] has room. *)
+}
 
 val socketpair : unit -> endpoint * endpoint
+
+val shutdown : endpoint -> rd:bool -> wr:bool -> unit
+(** shutdown(2): [rd] shuts [rx], [wr] shuts [tx]. *)
+
+val close : endpoint -> unit
 
 type listener
 
@@ -16,18 +25,6 @@ val accept : listener -> endpoint
 (** Non-blocking accept: [None] when the backlog is empty. *)
 val accept_opt : listener -> endpoint option
 val close_listener : listener -> unit
-
-val send : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
-val recv : ?nonblock:bool -> endpoint -> buf:bytes -> pos:int -> len:int -> (int, int) result
-(** As {!Pipe.read}, [len = 0] included. *)
-
-val close : endpoint -> unit
-val readable : endpoint -> bool
-
-val pollable : endpoint -> Pollable.t
-(** Endpoint readiness: POLLIN on buffered bytes or EOF, POLLOUT on
-    send-ring space, POLLHUP|POLLRDHUP once either side closed. *)
-
 val listener_pollable : listener -> Pollable.t
 
 val reset_namespace : unit -> unit

@@ -16,6 +16,7 @@ type inode = {
   mutable parent : int;
   ops : ops;
   mutable priv : priv;
+  mutable pipe : Channel.t option; (* a FIFO's, while it has an opener *)
 }
 
 and priv = ..
@@ -82,6 +83,7 @@ let make_inode ~fsname ~kind ?(mode = 0o644) ~ops () =
     ctime_ns = now;
     ops;
     priv = No_priv;
+    pipe = None;
   }
 
 let touch_mtime i = i.mtime_ns <- Ktime.realtime_ns ()
@@ -106,12 +108,9 @@ let mount_table : (string * inode) list ref = ref []
 (* (fsname, parent ino, component) -> inode *)
 let dcache : (string * int * string, inode) Hashtbl.t = Hashtbl.create 1024
 
-let hits = ref 0
-
 let reset () =
   mount_table := [];
   Hashtbl.reset dcache;
-  hits := 0;
   next_ino := 1
 
 let mount_root inode = mount_table := ("/", inode) :: List.remove_assoc "/" !mount_table
@@ -127,10 +126,6 @@ let root () =
   | Some i -> { inode = i; path = "/" }
   | None -> Ostd.Panic.panic "VFS: no root mounted"
 
-let dcache_entries () = Hashtbl.length dcache
-
-let dcache_hits () = !hits
-
 let dcache_invalidate parent name =
   Hashtbl.remove dcache (parent.fsname, parent.ino, name)
 
@@ -144,7 +139,6 @@ let lookup_component parent name =
   let key = (parent.fsname, parent.ino, name) in
   match Hashtbl.find_opt dcache key with
   | Some i ->
-    incr hits;
     charge_component ~cached:true;
     Some i
   | None -> (

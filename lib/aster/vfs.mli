@@ -24,6 +24,9 @@ type inode = {
           named in, or its own at the root of a file system. *)
   ops : ops;
   mutable priv : priv;
+  mutable pipe : Channel.t option;
+      (** A FIFO's channel, while the FIFO has an opener (Linux's
+          [i_pipe]). *)
 }
 
 and priv = ..
@@ -86,9 +89,6 @@ val resolve_last : cwd:resolved -> string -> (resolved, int) result
 
 val root : unit -> resolved
 
-val dcache_entries : unit -> int
-val dcache_hits : unit -> int
-
 (** {2 The inode's lifetime} *)
 
 val opened : inode -> unit
@@ -134,9 +134,7 @@ val truncate : inode -> int -> (unit, int) result
 
 val o_accmode : int
 val o_creat : int
-val o_excl : int
 val o_trunc : int
-val o_directory : int
 
 val open_ : cwd:resolved -> string -> flags:int -> mode:int -> (inode, int) result
 (** open(2)'s path side: resolve or create, then the kind checks

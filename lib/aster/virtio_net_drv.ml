@@ -117,8 +117,6 @@ let tx_packets () = match !state with Some s -> s.ntx | None -> 0
 
 let rx_packets () = match !state with Some s -> s.nrx | None -> 0
 
-let tx_in_flight () = match !state with Some s -> s.tx_pending.n | None -> 0
-
 (* [len] is the encoded frame length the buffer must hold (0 for RX
    postings — wire frames are MTU-scale by construction). Only frames
    that overflow the base geometry draw the large buffers. *)
@@ -163,7 +161,7 @@ let post_rx s =
     Ostd.Io_mem.doorbell s.window ~off:Machine.Virtio_net.reg_queue_rx
       (Int64.of_int (Ostd.Dma.Stream.paddr b.stream))
   else begin
-    if not (Netstack.is_host s.stack) then Sim.Cost.charge_ring_update ();
+    Sim.Cost.charge_ring_update ();
     Machine.Mmio.write
       ~addr:(Ostd.Io_mem.base s.window + Machine.Virtio_net.reg_queue_rx)
       ~len:8
@@ -184,18 +182,15 @@ let prepare_tx s pkt =
   Netstack.charge s.stack 500;
   let b = take_buf s ~pkt:(Some pkt) ~len in
   let f = frame_of b in
-  let guest = not (Netstack.is_host s.stack) in
   (if pkt.Packet.pins <> [] then begin
      (* Zero-copy sendfile: the payload already lives in pinned
         page-cache frames, so the CPU materialises only the 36-byte
         header. [Dma.Stream.fill] places header and payload straight in
         the DMA buffer without a copy charge, and the mapping cost is
         the per-packet zc map. *)
-     if guest then begin
-       Sim.Cost.charge_memcpy Packet.header_size;
-       Ostd.Dma.charge_zc_map ();
-       Sim.Stats.add "net.bytes_copied" Packet.header_size
-     end;
+     Sim.Cost.charge_memcpy Packet.header_size;
+     Ostd.Dma.charge_zc_map ();
+     Sim.Stats.add "net.bytes_copied" Packet.header_size;
      Packet.encode_header pkt stage;
      Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:stage ~pos:0 ~len:Packet.header_size;
      Ostd.Dma.Stream.fill b.stream ~off:(data_off + Packet.header_size) ~buf:pkt.Packet.payload
@@ -204,10 +199,8 @@ let prepare_tx s pkt =
    else begin
      (* Copy into the DMA buffer: a real data movement, one write of the
         whole frame from the staging buffer. *)
-     if guest then begin
-       Sim.Cost.charge_memcpy len;
-       Sim.Stats.add "net.bytes_copied" len
-     end;
+     Sim.Cost.charge_memcpy len;
+     Sim.Stats.add "net.bytes_copied" len;
      Packet.encode_into pkt stage;
      Ostd.Untyped.write_bytes f ~off:data_off ~buf:stage ~pos:0 ~len
    end);
@@ -248,7 +241,7 @@ let ring s ~device_idle head =
   end
   else begin
     Sim.Stats.incr "net.notify_suppressed";
-    if not (Netstack.is_host s.stack) then Sim.Cost.charge_ring_update ();
+    Sim.Cost.charge_ring_update ();
     Machine.Mmio.write
       ~addr:(Ostd.Io_mem.base s.window + Machine.Virtio_net.reg_queue_tx)
       ~len:8 head_paddr
@@ -274,7 +267,7 @@ let quarantine s i =
   | Some p ->
     if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
     if p.Packet.pins <> [] then begin
-      if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
+      Ostd.Dma.charge_zc_unmap ();
       Packet.release_pins p
     end;
     Netstack.tx_error s.stack p
@@ -358,7 +351,7 @@ let retry_or_give_up s b =
     | Some p ->
       if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
       if p.Packet.pins <> [] then begin
-        if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
+        Ostd.Dma.charge_zc_unmap ();
         Packet.release_pins p
       end;
       Netstack.tx_error s.stack p
@@ -493,7 +486,7 @@ let reap_tx s b =
        page-cache frames, so the zero-copy pins release here. *)
     (match b.pkt with
     | Some p when p.Packet.pins <> [] ->
-      if not (Netstack.is_host s.stack) then Ostd.Dma.charge_zc_unmap ();
+      Ostd.Dma.charge_zc_unmap ();
       Packet.release_pins p
     | Some _ | None -> ());
     release_buf s b
@@ -509,7 +502,7 @@ let reap_rx s b =
      verdict, so the stack skips its software pass. *)
   let verdict = Ostd.Untyped.read_u32 (frame_of b) ~off:Machine.Virtio_net.rx_desc_csum in
   let data = Bytes.create used in
-  if not (Netstack.is_host s.stack) then Sim.Cost.charge_memcpy used;
+  Sim.Cost.charge_memcpy used;
   Ostd.Untyped.read_bytes (frame_of b) ~off:data_off ~buf:data ~pos:0 ~len:used;
   s.nrx <- s.nrx + 1;
   release_buf s b;
@@ -598,7 +591,7 @@ let rec napi_poll s =
     gro_flush_all s;
     deliver s;
     s.polling <- false;
-    if not (Netstack.is_host s.stack) then Sim.Cost.charge_ring_update ();
+    Sim.Cost.charge_ring_update ();
     Machine.Mmio.write
       ~addr:(Ostd.Io_mem.base s.window + Machine.Virtio_net.reg_irq_ack)
       ~len:4 1L

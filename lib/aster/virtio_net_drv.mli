@@ -26,6 +26,3 @@ val init : Netstack.t -> unit
 
 val tx_packets : unit -> int
 val rx_packets : unit -> int
-
-val tx_in_flight : unit -> int
-(** TX buffers submitted and not yet reaped or quarantined. *)

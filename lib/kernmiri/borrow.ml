@@ -19,8 +19,6 @@ let alloc t name =
 
 let stack t name = match Hashtbl.find_opt t.stacks name with Some s -> s | None -> []
 
-let stack_depth t name = List.length (stack t name)
-
 (* Using a tag pops everything above it in the stack. *)
 let find_and_pop t name tag =
   let rec drop = function

@@ -27,5 +27,3 @@ val read : t -> string -> tag -> (unit, string) result
 val write : t -> string -> tag -> (unit, string) result
 (** UB when the tag is Shared_ro ("mutating via a const pointer") or has
     been invalidated by a newer unique borrow. *)
-
-val stack_depth : t -> string -> int

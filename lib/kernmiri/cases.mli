@@ -4,13 +4,4 @@
 
 type outcome = { description : string; buggy_detected : bool; fixed_clean : bool }
 
-val data_race_case : unit -> outcome
-(** Fig. 9(a): Frame::from_unused's CAS racing a concurrent drop's
-    metadata update. Buggy = drop touches metadata after releasing the
-    refcount; fixed = metadata first, release last. *)
-
-val mutability_case : unit -> outcome
-(** Fig. 9(b): HEAP_SPACE cast to a const pointer during heap
-    initialisation, then mutated. Fixed = mutable pointer cast. *)
-
 val all : unit -> outcome list

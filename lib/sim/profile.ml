@@ -78,8 +78,7 @@ type t = {
   rcu_walk : bool;
   sendfile_zero_copy : bool;
   unix_double_copy : bool;
-  pipe_buffer : int;
-  unix_buffer : int;
+  ipc_buffer : int;
   costs : costs;
 }
 
@@ -216,8 +215,7 @@ let linux =
     rcu_walk = true;
     sendfile_zero_copy = true;
     unix_double_copy = true;
-    pipe_buffer = 64 * 1024;
-    unix_buffer = 64 * 1024;
+    ipc_buffer = 64 * 1024;
     costs = linux_costs;
   }
 
@@ -236,8 +234,7 @@ let asterinas =
     rcu_walk = false;
     sendfile_zero_copy = true;
     unix_double_copy = false;
-    pipe_buffer = 256 * 1024;
-    unix_buffer = 256 * 1024;
+    ipc_buffer = 256 * 1024;
     costs = asterinas_costs;
   }
 

@@ -99,8 +99,7 @@ type t = {
   rcu_walk : bool;               (** fast-path name lookup *)
   sendfile_zero_copy : bool;     (** false => extra bounce-buffer copy *)
   unix_double_copy : bool;       (** skb-based unix sockets copy twice *)
-  pipe_buffer : int;             (** pipe ring capacity, bytes *)
-  unix_buffer : int;             (** unix stream socket buffer, bytes *)
+  ipc_buffer : int;              (** pipe, FIFO and unix-stream ring, bytes *)
   costs : costs;
 }
 

@@ -6,12 +6,7 @@
     Rules 1-3 + LCS reproduce exactly those aggregates. They are inputs
     for regenerating the tables, not a claim about the real crate lists. *)
 
-val redleaf : Crate_graph.t
-val theseus : Crate_graph.t
-val tock : Crate_graph.t
 val asterinas : Crate_graph.t
-val linux_rfl : Crate_graph.t
-(** The RFL crate plus ten notable Rust-written kernel modules. *)
 
 val table9 : (string * Crate_graph.t) list
 (** The four OSes of Table 9, in paper order. *)

@@ -344,6 +344,203 @@ let test_linux_namespace_cases () =
   check_int "forty-three cases" 43 (List.length ns_cases);
   Alcotest.(check (list string)) "answers unlike Linux" [] (List.rev !wrong)
 
+(* --- IPC: pipes, FIFOs and unix stream sockets answer as Linux ---
+
+   Each case is a short program and its answers: a count, 0, a negated
+   errno, or the revents poll(2) returns when asked for IN|OUT|RDHUP
+   (IN|OUT for the O_RDWR FIFO). The expected answers are what Linux
+   6.18.44 answered to the same program in C, run as root. A FIFO's
+   read opens use O_NONBLOCK, so that Linux's open does not wait for a
+   writer; the FIFO cases run on /tmp and on /ext2. *)
+
+let ipc_fifo_cases, ipc_stream_cases =
+  let module E = Aster.Errno in
+  let module L = Apps.Libc in
+  let module N = Aster.Syscall_nr in
+  let rd_nb = L.o_nonblock and wronly = 1 and rdwr = 2 in
+  let w c fd n = L.write_str c ~fd (String.make n 'x') in
+  let r c fd = L.read c ~fd ~vaddr:(L.ualloc c 4096) ~len:4096 in
+  let revents c fd events =
+    match L.poll c [ (fd, events) ] ~timeout_ms:0 with
+    | Ok (_, [ (_, rev) ]) -> rev
+    | Ok _ -> -1
+    | Error e -> -e
+  in
+  let all = L.pollin lor L.pollout lor L.pollrdhup in
+  let close c fds = List.iter (fun fd -> ignore (L.close c fd)) fds in
+  let shutdown c fd how = L.syscall c N.shutdown [| Int64.of_int fd; Int64.of_int how |] in
+  let pair c =
+    let sv = L.ualloc c 8 in
+    ignore (L.syscall c N.socketpair [| 1L; 1L; 0L; Int64.of_int sv |]);
+    let b = L.get_bytes c sv 8 in
+    (Int32.to_int (Bytes.get_int32_le b 0), Int32.to_int (Bytes.get_int32_le b 4))
+  in
+  (* Each socketpair case ends with both descriptors closed. *)
+  let on_pair k c =
+    let a, b = pair c in
+    let answers = k c a b in
+    close c [ a; b ];
+    answers
+  in
+  ( [
+      ( "reopened after the last close",
+        [ 5; 5 ],
+        fun c p ->
+          let once () =
+            let rd = L.openf c p ~flags:rd_nb ~mode:0 in
+            let wr = L.openf c p ~flags:wronly ~mode:0 in
+            let wrote = w c wr 5 in
+            let ans = [ wrote; r c rd ] in
+            close c [ rd; wr ];
+            ans
+          in
+          ignore (once ());
+          once () );
+      ( "one of two writers closes",
+        [ 3; 3 ],
+        fun c p ->
+          let rd = L.openf c p ~flags:rd_nb ~mode:0 in
+          let w1 = L.openf c p ~flags:wronly ~mode:0 in
+          let w2 = L.openf c p ~flags:wronly ~mode:0 in
+          close c [ w1 ];
+          let wrote = w c w2 3 in
+          let ans = [ wrote; r c rd ] in
+          close c [ rd; w2 ];
+          ans );
+      ( "O_RDWR writes, then reads",
+        [ 3; 3 ],
+        fun c p ->
+          let fd = L.openf c p ~flags:rdwr ~mode:0 in
+          let wrote = w c fd 3 in
+          let ans = [ wrote; r c fd ] in
+          close c [ fd ];
+          ans );
+      ( "O_RDWR revents, empty then with data",
+        [ 0x4; 0x5 ],
+        fun c p ->
+          let fd = L.openf c p ~flags:rdwr ~mode:0 in
+          let empty = revents c fd (L.pollin lor L.pollout) in
+          ignore (w c fd 3);
+          let ans = [ empty; revents c fd (L.pollin lor L.pollout) ] in
+          close c [ fd ];
+          ans );
+      ( "unread bytes go with the last close",
+        [ -E.eagain ],
+        fun c p ->
+          let rd = L.openf c p ~flags:rd_nb ~mode:0 in
+          let wr = L.openf c p ~flags:wronly ~mode:0 in
+          ignore (w c wr 5);
+          close c [ rd; wr ];
+          let rd = L.openf c p ~flags:rd_nb ~mode:0 in
+          let wr = L.openf c p ~flags:wronly ~mode:0 in
+          let ans = [ r c rd ] in
+          close c [ rd; wr ];
+          ans );
+    ],
+    [
+      ( "socketpair SHUT_WR: the peer drains, then both ways on",
+        [ 3; 0; 4; 4 ],
+        on_pair (fun c a b ->
+            ignore (w c a 3);
+            ignore (shutdown c a 1);
+            let r1 = r c b in
+            let r2 = r c b in
+            let w1 = w c b 4 in
+            [ r1; r2; w1; r c a ]) );
+      ( "socketpair SHUT_RD: the peer's write fails, ours goes",
+        [ -E.epipe; 0; 2; 2 ],
+        on_pair (fun c a b ->
+            ignore (shutdown c a 0);
+            let w1 = w c b 3 in
+            let r1 = r c a in
+            let w2 = w c a 2 in
+            [ w1; r1; w2; r c b ]) );
+      ( "socketpair: the survivor's revents after its peer closes",
+        [ 0x2015 ],
+        fun c ->
+          let a, b = pair c in
+          close c [ a ];
+          let ans = [ revents c b all ] in
+          close c [ b ];
+          ans );
+      ( "socketpair: revents of a, b after shutdown(a, SHUT_RDWR)",
+        [ 0x2015; 0x2015 ],
+        on_pair (fun c a b ->
+            ignore (shutdown c a 2);
+            let ra = revents c a all in
+            [ ra; revents c b all ]) );
+      ( "socketpair: revents of a, b after shutdown(a, SHUT_WR)",
+        [ 0x4; 0x2005 ],
+        on_pair (fun c a b ->
+            ignore (shutdown c a 1);
+            let ra = revents c a all in
+            [ ra; revents c b all ]) );
+      ( "socketpair: revents of a, b after shutdown(a, SHUT_RD)",
+        [ 0x2005; 0x4 ],
+        on_pair (fun c a b ->
+            ignore (shutdown c a 0);
+            let ra = revents c a all in
+            [ ra; revents c b all ]) );
+      ("shutdown(fd, 3)", [ -E.einval ], on_pair (fun c a _ -> [ shutdown c a 3 ]));
+      ( "loopback TCP SHUT_RD: queued bytes read, the send side stays",
+        [ 3; 2; 2 ],
+        fun c ->
+          let lfd = L.socket c ~domain:2 ~typ:1 in
+          ignore (L.bind_inet c ~fd:lfd ~port:7400);
+          ignore (L.listen c ~fd:lfd ~backlog:4);
+          let cfd = L.socket c ~domain:2 ~typ:1 in
+          ignore (L.connect_inet c ~fd:cfd ~ip:(Aster.Packet.ip_of_string "127.0.0.1") ~port:7400);
+          let peer = L.accept c ~fd:lfd in
+          ignore (w c peer 3);
+          ignore (L.nanosleep_us c 10_000.);
+          ignore (shutdown c cfd 0);
+          let r1 = r c cfd in
+          let w1 = w c cfd 2 in
+          let ans = [ r1; w1; r c peer ] in
+          close c [ cfd; peer; lfd ];
+          ans );
+      ( "pipe: the read end's revents after the writer closes, the write end's after the reader",
+        [ 0x10; 0xc ],
+        fun c ->
+          match (L.pipe c, L.pipe c) with
+          | Ok (r1, w1), Ok (r2, w2) ->
+            close c [ w1; r2 ];
+            let rr = revents c r1 all in
+            let ans = [ rr; revents c w2 all ] in
+            close c [ r1; w2 ];
+            ans
+          | _ -> [ -1 ] );
+    ] )
+
+let test_ipc_linux_cases () =
+  let wrong = ref [] in
+  let show l = String.concat ", " (List.map string_of_int l) in
+  let compare name want got =
+    if got <> want then wrong := Printf.sprintf "%s: %s, Linux %s" name (show got) (show want) :: !wrong
+  in
+  let code =
+    run_user (fun c ->
+        List.iter
+          (fun root ->
+            List.iteri
+              (fun i (name, want, case) ->
+                let p = Printf.sprintf "%s/fifo%d" root i in
+                ignore (Apps.Libc.mkfifo c p);
+                compare (root ^ ": FIFO " ^ name) want (case c p);
+                ignore (Apps.Libc.unlink c p);
+                if root = "/ext2" then
+                  List.iter
+                    (fun v -> wrong := Printf.sprintf "%s: FIFO %s: fsck: %s" root name v :: !wrong)
+                    (Aster.Fsck.check ()))
+              ipc_fifo_cases)
+          [ "/tmp"; "/ext2" ];
+        List.iter (fun (name, want, case) -> compare name want (case c)) ipc_stream_cases;
+        0)
+  in
+  check_int "exit" 0 code;
+  check_int "fourteen cases" 14 (List.length ipc_fifo_cases + List.length ipc_stream_cases);
+  Alcotest.(check (list string)) "answers unlike Linux" [] (List.rev !wrong)
+
 (* --- Generated namespace sequences ---
 
    Seeded sequences of namespace and data calls over eight names on
@@ -567,6 +764,68 @@ let test_foreign_inode_calls () =
    mkdir("y") and open("x", O_CREAT) there, on tmpfs and on ext4, and e
    stays empty. The cwd holds d, so ext2 cannot give d's inode to e
    while it is the cwd, and frees it once the cwd moves away. *)
+(* /tmp holds at most half of the boot's frames, tmpfs's default size:
+   4,000-byte writes to one file end in a short write at the limit and
+   then ENOSPC, where the kernel used to panic out of frames. statfs
+   reports the limit and the free pages; an unlink gives them back. *)
+let test_tmp_enospc () =
+  let module L = Apps.Libc in
+  let log = ref [] and frames = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let code =
+    run_user (fun c ->
+        let sb = L.ualloc c 32 and tmp = L.put_string c "/tmp" in
+        let src = L.put_bytes c (Bytes.make 4000 'b') in
+        let statfs c =
+          ignore (L.syscall c Aster.Syscall_nr.statfs [| Int64.of_int tmp; Int64.of_int sb |]);
+          let b = L.get_bytes c sb 32 in
+          (Int64.to_int (Bytes.get_int64_le b 16), Int64.to_int (Bytes.get_int64_le b 24))
+        in
+        let total, free = statfs c in
+        note "statfs %d %d" total free;
+        frames := [ Ostd.Frame.live_handles () ];
+        let fd = L.openf c "/tmp/big" ~flags:0o101 ~mode:0o644 in
+        let rec fill bytes =
+          match L.write c ~fd ~vaddr:src ~len:4000 with
+          | 4000 -> fill (bytes + 4000)
+          | n ->
+            note "short %d after %d" n bytes;
+            note "then %d" (L.write c ~fd ~vaddr:src ~len:4000);
+            bytes + n
+        in
+        let bytes = fill 0 in
+        note "bytes %d" bytes;
+        note "statfs full %d %d" (fst (statfs c)) (snd (statfs c));
+        ignore (L.close c fd);
+        ignore (L.unlink c "/tmp/big");
+        frames := Ostd.Frame.live_handles () :: !frames;
+        note "statfs freed %d %d" (fst (statfs c)) (snd (statfs c));
+        let fd = L.openf c "/tmp/again" ~flags:0o101 ~mode:0o644 in
+        note "fresh write %d" (L.write c ~fd ~vaddr:src ~len:4000);
+        ignore (L.close c fd);
+        0)
+  in
+  check_int "exit" 0 code;
+  check_int "no kernel panic" 0 (Sim.Stats.get "kernel.panic");
+  let limit = Ostd.Frame.total_frames () / 2 in
+  let full = limit * 4096 in
+  Alcotest.(check (list string))
+    "writes, statfs and frames"
+    [
+      Printf.sprintf "statfs %d %d" limit limit;
+      Printf.sprintf "short %d after %d" (full mod 4000) (full / 4000 * 4000);
+      Printf.sprintf "then %d" (-Aster.Errno.enospc);
+      Printf.sprintf "bytes %d" full;
+      Printf.sprintf "statfs full %d 0" limit;
+      Printf.sprintf "statfs freed %d %d" limit limit;
+      "fresh write 4000";
+    ]
+    (List.rev !log);
+  check_int "8,192 pages on the default boot" 8192 limit;
+  (match !frames with
+  | [ after; before ] -> check_int "every frame back after the unlink" before after
+  | _ -> Alcotest.fail "frames not sampled")
+
 let test_removed_cwd () =
   let module L = Apps.Libc in
   let module E = Aster.Errno in
@@ -2576,9 +2835,11 @@ let () =
           Alcotest.test_case "foreign_inode_calls" `Quick test_foreign_inode_calls;
           Alcotest.test_case "rename_reclaims_victim" `Quick test_rename_reclaims_victim;
           Alcotest.test_case "removed_cwd" `Quick test_removed_cwd;
+          Alcotest.test_case "tmp_enospc" `Quick test_tmp_enospc;
           Alcotest.test_case "ext2_namespace_fsck" `Quick test_ext2_namespace_fsck;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |]) prop_ns_sequences;
         ] );
+      ("ipc", [ Alcotest.test_case "linux_cases" `Quick test_ipc_linux_cases ]);
       ( "signals",
         [
           Alcotest.test_case "kill_sleeper" `Quick test_kill_terminates_sleeper;

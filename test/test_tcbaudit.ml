@@ -116,8 +116,8 @@ let test_self_audit () =
 
 (* The TCB's absolute size, in the LoC [tcb_audit self] reports. The
    ratio cannot gate it: deleting code outside the TCB raises the ratio,
-   and the TCB can grow while the ratio falls. The bound sits 1% above
-   the measured count, 7,715. A change that grows the TCB past it
+   and the TCB can grow while the ratio falls. The bound was set 1%
+   above a measured 7,715; the count is now 7,720. A change that grows the TCB past it
    raises the bound and says why in CHANGES.md; one that shrinks the
    TCB lowers it. *)
 let tcb_budget = 7_792
@@ -198,10 +198,11 @@ let test_tcb_no_kspan () =
   in
   Alcotest.(check (list string)) "clock values taking a function" [] observers
 
-(* Every value the TCB exports is named somewhere outside its own
-   module: an export nothing calls is TCB for nothing. A name counts as
-   an identifier token in any .ml or .mli under lib, bench, bin, test,
-   examples or perfbench, other than the module's own two files. *)
+(* Every value a library exports is named somewhere outside its own
+   module: an export nothing calls is code for nothing, and in the TCB,
+   TCB for nothing. A name counts as an identifier token in any .ml or
+   .mli under lib, bench, bin, test, examples or perfbench, other than
+   the module's own two files. *)
 let test_tcb_exports_used () =
   let ident c =
     match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
@@ -232,14 +233,10 @@ let test_tcb_exports_used () =
       in
       scan 0)
     files;
-  let tcb_mlis =
-    List.filter
-      (fun f ->
-        Filename.check_suffix f ".mli"
-        && List.mem (Filename.basename (Filename.dirname f)) [ "core"; "machine"; "sim" ])
-      (Tcbaudit.Self_audit.lib_sources ())
+  let mlis =
+    List.filter (fun f -> Filename.check_suffix f ".mli") (Tcbaudit.Self_audit.lib_sources ())
   in
-  check "TCB interfaces scanned" true (List.length tcb_mlis > 30);
+  check "every lib interface scanned" true (List.length mlis > 90);
   let unused =
     List.concat_map
       (fun mli ->
@@ -255,9 +252,9 @@ let test_tcb_exports_used () =
                  in
                  if elsewhere then None else Some (Filename.basename mli ^ ": " ^ v)
                | _ -> None))
-      tcb_mlis
+      mlis
   in
-  Alcotest.(check (list string)) "TCB exports named nowhere else" [] unused
+  Alcotest.(check (list string)) "exports named nowhere else" [] unused
 
 let prop_tcb_monotone =
   QCheck.Test.make ~name:"adding_unsafe_crate_never_shrinks_tcb" ~count:50
