@@ -87,6 +87,16 @@ let push t src pos len =
   t.count <- t.count + n;
   n
 
+let discard t =
+  let n = t.count in
+  t.head <- 0;
+  t.count <- 0;
+  if n > 0 then begin
+    ignore (Ostd.Wait_queue.wake_all t.wr.wq);
+    publish Pollable.pollout t.wr.pbs
+  end;
+  n
+
 let charge_op t len =
   match t.kind with
   | Pipe -> Sim.Cost.charge (Sim.Cost.c ()).Sim.Profile.pipe_op

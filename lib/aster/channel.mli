@@ -39,6 +39,9 @@ val level : t -> side -> int
     queued bytes and POLLHUP once shut, or POLLOUT on free space and
     POLLERR once shut. *)
 
+val discard : t -> int
+(** Throw out the queued bytes, freeing their room; returns how many. *)
+
 val read : ?nonblock:bool -> t -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Blocks while empty and not shut; [~nonblock:true] answers EAGAIN
     instead. [len = 0] means the reader's destination takes nothing:

@@ -144,9 +144,12 @@ let flush t =
     Sim.Prof.scope "net" (fun () ->
         Sim.Stats.incr "net.burst";
         emit_burst tp_tx_burst ps;
-        match t.ext_tx_many with
+        (match t.ext_tx_many with
         | Some f -> f ps
-        | None -> List.iter t.ext_tx ps)
+        | None -> List.iter t.ext_tx ps);
+        (* The driver has staged every segment: what they borrowed may
+           unpin. *)
+        List.iter Packet.give_back ps)
   end
 
 let flush_all () = List.iter flush !stacks
@@ -161,20 +164,22 @@ let send t p =
       let dst = p.Packet.dst_ip in
       if dst = loopback_ip || dst = t.addr then begin
         emit_packet tp_tx p;
-        (* Loopback: softirq-style asynchronous hand-off. Delivery is the
-           end of the packet's life, so zero-copy pins release here — the
-           receiver copied the payload into its own buffer. *)
+        (* Loopback: softirq-style asynchronous hand-off. The receiver
+           queues the payload by reference, so a segment that borrows
+           slices goes as a copy of them, made now; their pins stay with
+           the sending connection until the ACK. *)
+        let p = Packet.flatten p in
         charge t (Sim.Cost.c ()).Sim.Profile.loopback_delivery;
-        ignore
-          (Sim.Events.schedule_after 0 (fun () ->
-               dispatch t p;
-               Packet.release_pins p))
+        ignore (Sim.Events.schedule_after 0 (fun () -> dispatch t p))
       end
       else if batching_on t then begin
         (* Plug: collect the segment; the burst flushes at the syscall
            boundary, at [burst_limit], or via the scheduled fallback for
            segments emitted from event context (RTO, delayed ACK). *)
         Sim.Stats.incr "net.tx_queued";
+        (* A plugged segment is staged only at the flush: until then no
+           view it reads may unpin, even at a reset. *)
+        Packet.borrow p;
         t.plug <- p :: t.plug;
         t.plug_n <- t.plug_n + 1;
         if t.plug_n >= burst_limit then flush t

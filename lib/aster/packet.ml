@@ -1,5 +1,7 @@
 type proto = Tcp | Udp
 
+type slice = Buf of bytes * int * int | View of Page_cache.view * int * int
+
 type t = {
   src_ip : int;
   dst_ip : int;
@@ -11,7 +13,9 @@ type t = {
   ack : int;
   win : int;
   (* The payload is the view [payload.[off, off + len)]: a decoded
-     packet's lies inside the wire frame it came in. Never written. *)
+     packet's lies inside the wire frame it came in. Never written. A
+     segment with [slices] has none of its own: its payload is theirs,
+     in order. *)
   payload : bytes;
   off : int;
   len : int;
@@ -21,11 +25,10 @@ type t = {
      into the TX path (stamped by the netstack). *)
   mutable span : int;
   mutable span_t0 : Sim.Time.t;
-  (* Zero-copy TX: page-cache frames this packet's payload references,
-     cloned when the view was built and dropped exactly once when the
-     packet resolves (TX reap, driver give-up, quarantine, or loopback
-     delivery). Empty for copied payloads. *)
-  mutable pins : Ostd.Frame.t list;
+  (* The slices a segment borrows from its connection, which owns
+     their pins until the ACK: byte ranges of its send queue and ranges
+     of sendfile views. Empty for a payload of its own. *)
+  slices : slice list;
 }
 
 let syn = 1
@@ -45,16 +48,60 @@ let mss = Machine.Pktfmt.mss
 
 let gso_max_size = 64 * 1024
 
-let release_pins p =
-  match p.pins with
+let blit_payload p buf at =
+  match p.slices with
+  | [] -> Bytes.blit p.payload p.off buf at p.len
+  | slices ->
+    ignore
+      (List.fold_left
+         (fun at -> function
+           | Buf (b, off, n) ->
+             Bytes.blit b off buf at n;
+             at + n
+           | View (v, pos, n) ->
+             Page_cache.view_blit v ~pos ~buf ~boff:at ~len:n;
+             at + n)
+         at slices)
+
+let flat_payload p =
+  match p.slices with
+  | [] when p.off = 0 && Bytes.length p.payload = p.len -> p.payload
+  | _ ->
+    let b = Bytes.create p.len in
+    blit_payload p b 0;
+    b
+
+let flatten p =
+  match p.slices with
+  | [] -> p
+  | _ -> { p with payload = flat_payload p; off = 0; slices = [] }
+
+(* The segment that carries a view's last byte is the one that maps the
+   view's pages for the device. *)
+let ends_view p =
+  List.exists
+    (function
+      | View (v, pos, n) -> pos + n = Page_cache.view_length v && Page_cache.pinned v
+      | Buf _ -> false)
+    p.slices
+
+let rec lend_views = function
   | [] -> ()
-  | pins ->
-    p.pins <- [];
-    List.iter
-      (fun f ->
-        Sim.Stats.incr "net.zc_unpin";
-        Ostd.Frame.drop f)
-      pins
+  | View (v, _, _) :: rest ->
+    Page_cache.lend v;
+    lend_views rest
+  | Buf _ :: rest -> lend_views rest
+
+let rec give_back_views = function
+  | [] -> ()
+  | View (v, _, _) :: rest ->
+    Page_cache.give_back v;
+    give_back_views rest
+  | Buf _ :: rest -> give_back_views rest
+
+let borrow p = lend_views p.slices
+
+let give_back p = give_back_views p.slices
 
 (* Bytes 14-15 are padding. The checksum word stays zero: the NIC seals
    each wire frame once, as it leaves (see {!Machine.Pktfmt.seal}). *)
@@ -74,7 +121,7 @@ let encode_header p b =
 
 let encode_into p b =
   encode_header p b;
-  Bytes.blit p.payload p.off b header_size p.len
+  blit_payload p b header_size
 
 let encode p =
   let b = Bytes.create (header_size + p.len) in
@@ -124,15 +171,20 @@ let decode ?(verify = true) b =
             len;
             span = 0;
             span_t0 = 0;
-            pins = [];
+            slices = [];
           }
   end
 
 let make ~src_ip ~dst_ip ~proto ~src_port ~dst_port ?(flags = 0) ?(seq = 0) ?(ack = 0)
-    ?(win = 0) payload =
+    ?(win = 0) ?(slices = []) payload =
+  let len =
+    match slices with
+    | [] -> Bytes.length payload
+    | _ -> List.fold_left (fun a (Buf (_, _, n) | View (_, _, n)) -> a + n) 0 slices
+  in
   {
     src_ip; dst_ip; proto; src_port; dst_port; flags; seq; ack; win; payload; off = 0;
-    len = Bytes.length payload; span = Sim.Span.current (); span_t0 = 0; pins = [];
+    len; span = Sim.Span.current (); span_t0 = 0; slices;
   }
 
 let ip_of_string s =

@@ -3,9 +3,15 @@
 
     The payload is a view: the bytes [payload.[off, off + len)]. A
     decoded packet's view lies inside the wire frame it was decoded
-    from, which it then owns; nothing writes a view's bytes. *)
+    from, which it then owns; nothing writes a view's bytes. A TCP
+    segment that reads a sendfile view has no payload of its own: it
+    borrows {!slices} from its connection instead. *)
 
 type proto = Tcp | Udp
+
+type slice =
+  | Buf of bytes * int * int  (** [(b, off, n)]: queued bytes, never written *)
+  | View of Page_cache.view * int * int  (** [(v, pos, n)]: a range of a sendfile view *)
 
 type t = {
   src_ip : int;
@@ -24,9 +30,10 @@ type t = {
       (** kspan owner (0 = none): captured at [make], carried through
           the plug queue, burst splits and driver retries. *)
   mutable span_t0 : Sim.Time.t;  (** entry into the TX path (netstack stamp) *)
-  mutable pins : Ostd.Frame.t list;
-      (** Zero-copy TX: page-cache frames the payload references, dropped
-          exactly once when the packet resolves (see {!release_pins}). *)
+  slices : slice list;
+      (** A segment's borrowed payload, in order, whose pins its
+          connection holds until the ACK; [payload] is then empty.
+          Empty for a payload of its own. *)
 }
 
 val syn : int
@@ -44,13 +51,10 @@ val gso_max_size : int
     hands the NIC for TSO, the largest merge GRO builds from wire
     frames, and the loopback segment size. *)
 
-val encode_header : t -> bytes -> unit
-(** Write the [header_size]-byte header into the front of a buffer,
-    checksum word zero. *)
-
 val encode_into : t -> bytes -> unit
 (** Write header and payload into the front of a buffer of at least
-    [header_size + len] bytes, checksum word zero. *)
+    [header_size + len] bytes, checksum word zero. A slice of a view is
+    read as the device sees its frames ({!Page_cache.view_blit}). *)
 
 val encode : t -> bytes
 (** Serialize header and payload into a fresh frame. The checksum word
@@ -70,14 +74,30 @@ val decode : ?verify:bool -> bytes -> t option
     itself, at offset [header_size], so the packet takes the frame
     over and the caller must not write it afterwards. *)
 
-val release_pins : t -> unit
-(** Drop every pinned frame exactly once (idempotent: the list empties
-    on first call). Counted under [net.zc_unpin]. *)
+val flat_payload : t -> bytes
+(** The payload as one buffer: a flat packet's own when it is the whole
+    buffer, otherwise a fresh copy. *)
+
+val flatten : t -> t
+(** The same packet with a payload of its own, copied from its slices
+    (itself if it has none): what loopback delivers, since a receiver
+    queues a payload by reference. *)
+
+val ends_view : t -> bool
+(** The segment carries the last byte of a view that pinned a page: it
+    pays the zero-copy mapping in place of the payload copy. *)
+
+val borrow : t -> unit
+(** Lend the segment every view it reads ({!Page_cache.lend}): no pin
+    of theirs drops before {!give_back}. *)
+
+val give_back : t -> unit
 
 val make :
   src_ip:int -> dst_ip:int -> proto:proto -> src_port:int -> dst_port:int ->
-  ?flags:int -> ?seq:int -> ?ack:int -> ?win:int -> bytes -> t
-(** The payload is the whole buffer, taken over by reference. *)
+  ?flags:int -> ?seq:int -> ?ack:int -> ?win:int -> ?slices:slice list -> bytes -> t
+(** The payload is the whole buffer, taken over by reference; with
+    [slices], the buffer is ignored and the payload is theirs. *)
 
 val ip_of_string : string -> int
 val string_of_ip : int -> string

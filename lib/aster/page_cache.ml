@@ -57,25 +57,69 @@ let read t ~pos ~buf ~boff ~len =
         Sim.Cost.charge_zero_fill chunk;
         Bytes.fill buf (boff + moved) chunk '\000')
 
-(* Zero-copy view: the bytes are produced without a copy charge (the
-   device will read them straight out of the frames via DMA) and every
-   cached frame touched is cloned — a refcounted pin the caller must
-   eventually drop. Holes still pay the memset that materialises their
-   zeroes and pin nothing. *)
-let read_view t ~pos ~len =
+(* A sendfile view: the cached pages under a byte range, each pinned by
+   a cloned handle, one slice per page. Nothing is copied when it is
+   made; its bytes are read out of the frames when a segment is staged
+   for the device or copied for a retransmit, so a view outlives a
+   truncate or an unlink of its file. Holes pay the memset that
+   materialises their zeroes now and pin nothing. Slice [i] holds the
+   view's bytes [slice_end (i - 1), slice_end i). *)
+type view = {
+  first : int; (* the first byte's offset in its page *)
+  vlen : int;
+  slices : Ostd.Frame.t option array; (* [None]: a hole *)
+  mutable unpinned : int; (* slices [0, unpinned) are dropped *)
+  mutable due : int; (* bytes [0, due) may be unpinned *)
+  mutable lent : int; (* plugged segments still to read the view *)
+}
+
+let view t ~pos ~len =
   alive t;
-  let buf = Bytes.create len in
-  let pins = ref [] in
-  iter_range pos len (fun idx off moved chunk ->
+  let first = pos mod page_size in
+  let slices = Array.make ((first + len + page_size - 1) / page_size) None in
+  iter_range pos len (fun idx _ moved chunk ->
       match Hashtbl.find_opt t.frames idx with
       | Some frame ->
-        Ostd.Frame.peek frame ~off ~buf ~pos:moved ~len:chunk;
         Sim.Stats.incr "net.zc_pin";
-        pins := Ostd.Frame.clone frame :: !pins
-      | None ->
-        Sim.Cost.charge_zero_fill chunk;
-        Bytes.fill buf moved chunk '\000');
-  (buf, !pins)
+        slices.((first + moved) / page_size) <- Some (Ostd.Frame.clone frame)
+      | None -> Sim.Cost.charge_zero_fill chunk);
+  { first; vlen = len; slices; unpinned = 0; due = 0; lent = 0 }
+
+let view_length v = v.vlen
+
+let pinned v = Array.exists Option.is_some v.slices
+
+(* A device-perspective read, as the DMA engine would see the frames. *)
+let view_blit v ~pos ~buf ~boff ~len =
+  iter_range (v.first + pos) len (fun i off moved chunk ->
+      match v.slices.(i) with
+      | Some frame -> Ostd.Frame.peek frame ~off ~buf ~pos:(boff + moved) ~len:chunk
+      | None -> Bytes.fill buf (boff + moved) chunk '\000')
+
+let slice_end v i = min v.vlen (((i + 1) * page_size) - v.first)
+
+let settle v =
+  if v.lent = 0 then
+    while v.unpinned < Array.length v.slices && slice_end v v.unpinned <= v.due do
+      (match v.slices.(v.unpinned) with
+      | Some frame ->
+        Sim.Stats.incr "net.zc_unpin";
+        Ostd.Frame.drop frame
+      | None -> ());
+      v.unpinned <- v.unpinned + 1
+    done
+
+let unpin v ~upto =
+  if upto > v.due then begin
+    v.due <- upto;
+    settle v
+  end
+
+let lend v = v.lent <- v.lent + 1
+
+let give_back v =
+  v.lent <- v.lent - 1;
+  settle v
 
 (* How much of [pos, pos + len) fits when at most [room] pages may be
    added: up to the first page past them that is not cached. *)

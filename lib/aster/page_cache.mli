@@ -19,12 +19,39 @@ val pages : t -> int
 val read : t -> pos:int -> buf:bytes -> boff:int -> len:int -> unit
 (** Uncached (sparse) ranges read as zeroes. *)
 
-val read_view : t -> pos:int -> len:int -> bytes * Ostd.Frame.t list
-(** Zero-copy read for the sendfile-to-wire path: no copy charge, and
-    each cached frame touched is returned as a cloned (refcounted) pin
-    the caller must eventually {!Ostd.Frame.drop} — they keep the pages
-    live while a NIC transmits out of them. Pins are counted under
-    [net.zc_pin]; sparse ranges read as zeroes and pin nothing. *)
+type view
+(** A sendfile view: a read-only sequence of pinned page-cache slices
+    (frame, offset, length), one per page of a byte range. It gives out
+    no frame and nothing writes through it; {!view_blit} reads it. Each
+    cached page is pinned by a cloned handle, counted under
+    [net.zc_pin], so the view's bytes outlive a truncate or an unlink of
+    the file; {!unpin} drops each pin exactly once, under
+    [net.zc_unpin]. *)
+
+val view : t -> pos:int -> len:int -> view
+(** Pin the cached pages of [[pos, pos + len)] without copying a byte
+    or charging a copy. Holes pay the zero fill, pin nothing and read
+    as zeroes. *)
+
+val view_length : view -> int
+
+val pinned : view -> bool
+(** Whether any page of the view was cached, so pinned. *)
+
+val view_blit : view -> pos:int -> buf:bytes -> boff:int -> len:int -> unit
+(** Read the view's bytes [[pos, pos + len)] into [buf] at [boff], as
+    the device sees the frames ({!Ostd.Frame.peek}): no copy charge. *)
+
+val unpin : view -> upto:int -> unit
+(** Drop the pin of every slice that ends at or before byte [upto],
+    once the view is lent to no segment. *)
+
+val lend : view -> unit
+(** A segment that reads the view waits to be staged: no pin drops
+    until it is given back. *)
+
+val give_back : view -> unit
+(** The segment has been staged; unpins due meanwhile happen now. *)
 
 val write : t -> pos:int -> buf:bytes -> boff:int -> len:int -> room:int -> int
 (** Allocates frames on demand, at most [room] of them, and marks the

@@ -148,7 +148,5 @@ let file_cache i = match i.Vfs.priv with Ram (File st) -> Some st.cache | _ -> N
 let file_view i ~pos ~len =
   match i.Vfs.priv with
   | Ram (File st) when pos < st.len && len > 0 ->
-    let n = min len (st.len - pos) in
-    let buf, pins = Page_cache.read_view st.cache ~pos ~len:n in
-    Some (buf, n, pins)
+    Some (Page_cache.view st.cache ~pos ~len:(min len (st.len - pos)))
   | _ -> None

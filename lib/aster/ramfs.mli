@@ -14,8 +14,8 @@ val space : unit -> int * int
 val file_cache : Vfs.inode -> Page_cache.t option
 (** The frame-backed page cache of a regular file. *)
 
-val file_view : Vfs.inode -> pos:int -> len:int -> (bytes * int * Ostd.Frame.t list) option
-(** Zero-copy read for sendfile-to-wire: [(data, n, pins)] where [n] is
-    clamped to the file length and [pins] are cloned page-cache frames
-    the caller must release (see {!Page_cache.read_view}). [None] at EOF
-    or when the inode is not a RamFS regular file. *)
+val file_view : Vfs.inode -> pos:int -> len:int -> Page_cache.view option
+(** Zero-copy read for sendfile-to-wire: a view of up to [len] bytes,
+    clamped to the file length, whose pins the caller must drop (see
+    {!Page_cache.view}). Nothing is copied. [None] at EOF or when the
+    inode is not a RamFS regular file. *)

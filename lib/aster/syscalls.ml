@@ -294,7 +294,8 @@ let do_read_desc ~more proc (f : File.t) ~vaddr ~len =
     | File.S_unix_conn ep ->
       lift
         (copy_out proc ~stream:true ~vaddr ~len (fun buf ~off ~len ->
-             Channel.read ~nonblock:(nonblock || off > 0) ep.Unix_sock.rx ~buf ~pos:0 ~len))
+             Unix_sock.read ~nonblock:(nonblock || off > 0) ep ~first:(off = 0 && not more) ~buf
+               ~pos:0 ~len))
     | File.S_udp u ->
       lift
         (copy_out proc ~stream:false ~vaddr ~len (fun buf ~off:_ ~len ->
@@ -791,10 +792,10 @@ let sys_sendfile proc args =
     | File.Inode_file inode when inode.Vfs.kind <> Vfs.Dir ->
       let count = int_arg args 3 in
       (* Zero-copy sendfile-to-wire: when the source is page-cache
-         backed and the sink is TCP, map the cache frames straight into
-         the transmit path — the frames stay pinned until the NIC's
-         completion reaps them, and the CPU never touches the payload.
-         Anything else falls back to the classic bounce-buffer loop. *)
+         backed and the sink is TCP, queue a view of the cache frames —
+         they stay pinned until the peer acknowledges their bytes, and
+         the CPU never touches the payload. Anything else falls back to
+         the classic bounce-buffer loop. *)
       let zero_copy =
         (Sim.Profile.get ()).Sim.Profile.sendfile_zero_copy
         && File.tcp_conn_of out_f <> None
@@ -808,11 +809,11 @@ let sys_sendfile proc args =
           if zero_copy then begin
             match Ramfs.file_view inode ~pos:in_f.File.pos ~len:want with
             | None -> stop := Some Sf_eof
-            | Some (data, n, pins) -> (
+            | Some view -> (
               let conn =
                 match File.tcp_conn_of out_f with Some c -> c | None -> assert false
               in
-              match Tcp.send ~pins ~owned:true conn ~buf:data ~pos:0 ~len:n with
+              match Tcp.send_view conn view with
               | Ok w ->
                 in_f.File.pos <- in_f.File.pos + w;
                 sent := !sent + w

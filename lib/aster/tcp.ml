@@ -1,100 +1,109 @@
 let mss = Packet.mss
 
-(* Every pinned frame released anywhere must count net.zc_unpin so the
-   pin/unpin conservation gate balances against Page_cache's zc_pin. *)
-let drop_pins pins =
-  List.iter
-    (fun f ->
-      Sim.Stats.incr "net.zc_unpin";
-      Ostd.Frame.drop f)
-    pins
-
 (* Growable byte FIFO used for send queues and receive buffers. A chunk
-   may carry pinned page-cache frames (zero-copy sendfile); the pins
-   travel with the chunk's final byte, so the packet that consumes a
-   chunk inherits them and they stay live until that packet's TX
-   completes.
+   is a byte range or a range of a sendfile view, whose pins the
+   connection holds (see [pinned]).
 
    Ownership: a buffer handed over outright ([~owned:true]: a decoded
-   RX payload, a sendfile view) is queued by reference, and a segment
-   that is exactly one whole chunk buffer leaves by reference too. Any
-   other buffer is copied on push, since its caller may reuse it the
-   moment the call returns. Queued bytes are never written. *)
+   RX payload) is queued by reference, and a segment that is exactly
+   one whole chunk buffer leaves by reference too. Any other buffer is
+   copied on push, since its caller may reuse it the moment the call
+   returns. Queued bytes are never written. *)
 module Fifo = struct
-  (* The unread bytes are [data.[off, stop)]. *)
-  type chunk = { data : Bytes.t; mutable off : int; stop : int; mutable pins : Ostd.Frame.t list }
+  (* The unread bytes are [data.[off, stop)], or the view's
+     [[off, stop)]. *)
+  type chunk =
+    | Buf of { data : Bytes.t; mutable off : int; stop : int }
+    | View of { view : Page_cache.view; mutable off : int; stop : int }
 
-  type t = { q : chunk Queue.t; mutable len : int }
+  type t = { q : chunk Queue.t; mutable len : int; mutable views : int }
 
-  let create () = { q = Queue.create (); len = 0 }
+  let create () = { q = Queue.create (); len = 0; views = 0 }
 
   let length t = t.len
 
-  let push ?(pins = []) ?(owned = false) t b pos n =
+  let push ?(owned = false) t b pos n =
     if n > 0 then begin
       let data, off = if owned then (b, pos) else (Bytes.sub b pos n, 0) in
-      Queue.push { data; off; stop = off + n; pins } t.q;
+      Queue.push (Buf { data; off; stop = off + n }) t.q;
       t.len <- t.len + n
     end
-    else drop_pins pins
 
-  (* Move up to [n] bytes from the head chunks to [f src src_off dst_off
-     take]; returns the count and the pins of every chunk fully
-     consumed. *)
+  let push_view t view pos n =
+    if n > 0 then begin
+      Queue.push (View { view; off = pos; stop = pos + n }) t.q;
+      t.len <- t.len + n;
+      t.views <- t.views + 1
+    end
+
+  (* Take up to [n] bytes from the head chunks, handing each piece to
+     [f chunk off k take], [k] being the count before it; returns the
+     count. *)
   let consume t n f =
     let moved = ref 0 in
-    let pins = ref [] in
     while !moved < n && not (Queue.is_empty t.q) do
       let c = Queue.peek t.q in
-      let take = min (c.stop - c.off) (n - !moved) in
-      f c.data c.off !moved take;
-      c.off <- c.off + take;
-      moved := !moved + take;
-      if c.off = c.stop then begin
-        pins := !pins @ c.pins;
-        ignore (Queue.pop t.q)
-      end
+      let off = match c with Buf b -> b.off | View v -> v.off in
+      let stop = match c with Buf b -> b.stop | View v -> v.stop in
+      let take = min (stop - off) (n - !moved) in
+      f c off !moved take;
+      (match c with Buf b -> b.off <- off + take | View v -> v.off <- off + take);
+      if off + take = stop then begin
+        ignore (Queue.pop t.q);
+        match c with View _ -> t.views <- t.views - 1 | Buf _ -> ()
+      end;
+      moved := !moved + take
     done;
     t.len <- t.len - !moved;
-    (!moved, !pins)
+    !moved
 
-  (* Receive-side drain into a caller buffer. Receive buffers never hold
-     pins; if one ever did, release the frames rather than leak them. *)
-  let pop_into t buf pos n =
-    let moved, pins =
-      consume t n (fun src src_off dst_off take -> Bytes.blit src src_off buf (pos + dst_off) take)
-    in
-    drop_pins pins;
-    moved
+  let blit c off out at take =
+    match c with
+    | Buf b -> Bytes.blit b.data off out at take
+    | View v -> Page_cache.view_blit v.view ~pos:off ~buf:out ~boff:at ~len:take
 
-  (* Transmit-side pop: returns the bytes plus the pins of every chunk
-     fully consumed by this segment (ownership transfers to the caller's
-     packet). *)
+  (* Receive-side drain into a caller buffer. *)
+  let pop_into t out pos n = consume t n (fun c off k take -> blit c off out (pos + k) take)
+
+  (* Transmit-side pop of up to [n] bytes: bytes of the segment's own,
+     or, once the queue holds a view, the slices it borrows. *)
   let pop t n =
     let want = min n t.len in
-    match Queue.peek_opt t.q with
-    | Some c when c.off = 0 && c.stop = want && Bytes.length c.data = want ->
-      ignore (Queue.pop t.q);
-      t.len <- t.len - want;
-      (c.data, c.pins)
-    | _ ->
-      let out = Bytes.create want in
-      let _, pins =
-        consume t want (fun src src_off dst_off take -> Bytes.blit src src_off out dst_off take)
-      in
-      (out, pins)
+    if t.views > 0 then begin
+      let slices = ref [] in
+      ignore
+        (consume t want (fun c off _ take ->
+             let s =
+               match c with
+               | Buf b -> Packet.Buf (b.data, off, take)
+               | View v -> Packet.View (v.view, off, take)
+             in
+             slices := s :: !slices));
+      (Bytes.empty, List.rev !slices)
+    end
+    else
+      match Queue.peek_opt t.q with
+      | Some (Buf b) when b.off = 0 && b.stop = want && Bytes.length b.data = want ->
+        ignore (Queue.pop t.q);
+        t.len <- t.len - want;
+        (b.data, [])
+      | _ ->
+        let out = Bytes.create want in
+        ignore (consume t want (fun c off k take -> blit c off out k take));
+        (out, [])
 
-  (* Abandon queued data (connection reset): drop any pinned frames so
-     zero-copy conservation holds even on error paths. *)
-  let drain_pins t =
-    Queue.iter
-      (fun c ->
-        drop_pins c.pins;
-        c.pins <- [])
-      t.q
+  let clear t =
+    Queue.clear t.q;
+    t.len <- 0;
+    t.views <- 0
 end
 
 type conn_state = Syn_sent | Syn_rcvd | Established | Closed
+
+(* A range of a sendfile view in the send queue: the view's bytes
+   [[.., stop)] went in after byte [first] of the stream, so the view's
+   byte [i] is the stream's byte [first + i]. *)
+type pinned = { first : int; view : Page_cache.view; stop : int }
 
 type engine = {
   stack : Netstack.t;
@@ -127,7 +136,10 @@ and conn = {
   mutable state : conn_state;
   (* send side *)
   txq : Fifo.t;
-  inflight : (int * Bytes.t) Queue.t; (* (seq, payload) *)
+  inflight : Packet.t Queue.t; (* segments sent and not yet acknowledged *)
+  pinned : pinned Queue.t;
+      (* the view ranges queued, in stream order: their pins drop as
+         the ACKs cover them *)
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable peer_win : int;
@@ -240,6 +252,7 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
     state;
     txq = Fifo.create ();
     inflight = Queue.create ();
+    pinned = Queue.create ();
     snd_una = 0;
     snd_nxt = 0;
     peer_win = 64 * 1024;
@@ -281,14 +294,11 @@ let make_conn eng ~lip ~lport ~rip ~rport ~state =
       else 0);
   conn
 
-let emit conn ?(flags = Packet.ack_flag) ?(seq = 0) ?(pins = []) payload =
-  let p =
-    Packet.make ~src_ip:conn.lip ~dst_ip:conn.rip ~proto:Packet.Tcp
-      ~src_port:conn.lport ~dst_port:conn.rport ~flags ~seq ~ack:conn.rcv_nxt
-      ~win:(free_window conn) payload
-  in
-  p.Packet.pins <- pins;
-  Netstack.send conn.eng.stack p
+let segment conn ?(flags = Packet.ack_flag) ?(seq = 0) ?slices payload =
+  Packet.make ~src_ip:conn.lip ~dst_ip:conn.rip ~proto:Packet.Tcp ~src_port:conn.lport
+    ~dst_port:conn.rport ~flags ~seq ~ack:conn.rcv_nxt ~win:(free_window conn) ?slices payload
+
+let emit conn ?flags ?seq payload = Netstack.send conn.eng.stack (segment conn ?flags ?seq payload)
 
 let stop_rto conn =
   match conn.rto_event with
@@ -312,16 +322,30 @@ let forget_if_done conn =
   if conn.local_closed && conn.state = Closed && (conn.peer_fin || conn.reset) then
     forget_key conn.eng conn
 
+(* Each pin of a view drops once every segment holding the byte it
+   backs is acknowledged, [upto] being the first byte still unacked: a
+   retransmit resends whole segments, so a partly acked one keeps its
+   pins. *)
+let unpin_upto conn upto =
+  let continue = ref true in
+  while !continue && not (Queue.is_empty conn.pinned) do
+    let r = Queue.peek conn.pinned in
+    Page_cache.unpin r.view ~upto:(min (upto - r.first) r.stop);
+    if upto - r.first >= r.stop then ignore (Queue.pop conn.pinned) else continue := false
+  done
+
 (* A reset, received or sent, ends all the connection still had going:
-   its timers, its unacked data, and the zero-copy pins of its send
-   queue (so pin/unpin conservation survives resets). *)
+   its timers, its queued and unacked data, and the pins of its views
+   (so pin/unpin conservation survives resets). *)
 let reset conn =
   conn.reset <- true;
   conn.state <- Closed;
   stop_rto conn;
   stop_delack conn;
   Queue.clear conn.inflight;
-  Fifo.drain_pins conn.txq;
+  Fifo.clear conn.txq;
+  Queue.iter (fun r -> Page_cache.unpin r.view ~upto:max_int) conn.pinned;
+  Queue.clear conn.pinned;
   ignore (Ostd.Wait_queue.wake_all conn.rcv_wq);
   ignore (Ostd.Wait_queue.wake_all conn.snd_wq);
   ignore (Ostd.Wait_queue.wake_all conn.conn_wq);
@@ -371,9 +395,10 @@ and on_rto conn =
       conn.ssthresh <- max ((conn.snd_nxt - conn.snd_una) / 2) (2 * mss);
       conn.cwnd <- 2 * mss
     end;
-    let seq, payload = Queue.peek conn.inflight in
+    (* The retransmit is a copy of the segment, slices read again. *)
+    let seg = Queue.peek conn.inflight in
     charge_tx conn.eng;
-    emit conn ~seq payload;
+    emit conn ~seq:seg.Packet.seq (Packet.flat_payload seg);
     arm_rto conn
   end
 
@@ -414,7 +439,7 @@ let try_transmit conn =
            split them into MSS wire frames at ring time (TSO), loopback
            delivers them whole. *)
         let seg = min Packet.gso_max_size (min w avail) in
-        let payload, pins = Fifo.pop conn.txq seg in
+        let payload, slices = Fifo.pop conn.txq seg in
         (* Sub-MSS segments were already charged at the send(2) call. *)
         if seg >= mss then charge_tx conn.eng;
         (* PSH on the segment that empties the send queue: the receiver's
@@ -426,8 +451,9 @@ let try_transmit conn =
           if Fifo.length conn.txq = 0 then Packet.ack_flag lor Packet.psh
           else Packet.ack_flag
         in
-        emit conn ~flags ~seq:conn.snd_nxt ~pins payload;
-        Queue.push (conn.snd_nxt, payload) conn.inflight;
+        let p = segment conn ~flags ~seq:conn.snd_nxt ~slices payload in
+        Netstack.send conn.eng.stack p;
+        Queue.push p conn.inflight;
         conn.snd_nxt <- conn.snd_nxt + seg
       end
     done;
@@ -463,10 +489,14 @@ let on_ack conn (p : Packet.t) =
     (* Drop fully-acked segments. *)
     let continue = ref true in
     while !continue && not (Queue.is_empty conn.inflight) do
-      let seq, payload = Queue.peek conn.inflight in
-      if seq + Bytes.length payload <= conn.snd_una then ignore (Queue.pop conn.inflight)
+      let seg = Queue.peek conn.inflight in
+      if seg.Packet.seq + seg.Packet.len <= conn.snd_una then ignore (Queue.pop conn.inflight)
       else continue := false
     done;
+    if not (Queue.is_empty conn.pinned) then
+      unpin_upto conn
+        (if Queue.is_empty conn.inflight then conn.snd_nxt
+         else (Queue.peek conn.inflight).Packet.seq);
     (* Restart the retransmission timer on forward progress. *)
     stop_rto conn;
     (* Byte-counting congestion control (RFC 3465): credit the bytes the
@@ -652,17 +682,12 @@ let connect eng ~dst_ip ~dst_port =
   end
   else Ok conn
 
-let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
-  if conn.reset || conn.local_closed then begin
-    drop_pins pins;
-    Error Errno.epipe
-  end
-  else if nonblock && Fifo.length conn.txq >= sndbuf_cap then begin
+let send ?(nonblock = false) conn ~buf ~pos ~len =
+  if conn.reset || conn.local_closed then Error Errno.epipe
+  else if nonblock && Fifo.length conn.txq >= sndbuf_cap then
     (* O_NONBLOCK with a full send buffer: EAGAIN before charging the
        small-write cost — the caller parks on POLLOUT instead. *)
-    drop_pins pins;
     Error Errno.eagain
-  end
   else begin
     (* The send-path cost of a small write (socket lock, segmentation
        bookkeeping); full segments pay per-segment costs at transmit. *)
@@ -670,12 +695,6 @@ let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
       Netstack.charge conn.eng.stack (Sim.Cost.c ()).Sim.Profile.tcp_small_write;
     let written = ref 0 in
     let err = ref None in
-    (* Zero-copy: the caller's pins ride on the chunk holding the final
-       byte, so the packet consuming that byte inherits them and keeps
-       the page-cache frames live until its TX resolves. If the write is
-       cut short (reset mid-send), the pins never attach and we release
-       them here — [send] owns them unconditionally. *)
-    let attached = ref false in
     while
       !written < len && !err = None
       && not (nonblock && Fifo.length conn.txq >= sndbuf_cap)
@@ -684,18 +703,42 @@ let send ?(pins = []) ?owned ?(nonblock = false) conn ~buf ~pos ~len =
           Fifo.length conn.txq < sndbuf_cap || conn.reset);
       if conn.reset then err := Some Errno.epipe
       else begin
-        let space = sndbuf_cap - Fifo.length conn.txq in
-        let n = min space (len - !written) in
-        let last = !written + n = len in
-        Fifo.push ?pins:(if last then Some pins else None) ?owned conn.txq buf (pos + !written) n;
-        if last then attached := true;
+        let n = min (sndbuf_cap - Fifo.length conn.txq) (len - !written) in
+        Fifo.push conn.txq buf (pos + !written) n;
         written := !written + n;
         try_transmit conn
       end
     done;
-    if not !attached then drop_pins pins;
     match !err with Some e when !written = 0 -> Error e | _ -> Ok !written
   end
+
+let send_view conn view =
+  let len = Page_cache.view_length view in
+  let written = ref 0 in
+  if not (conn.reset || conn.local_closed) then begin
+    if len < mss then
+      Netstack.charge conn.eng.stack (Sim.Cost.c ()).Sim.Profile.tcp_small_write;
+    while !written < len && not conn.reset do
+      Ostd.Wait_queue.sleep_until conn.snd_wq (fun () ->
+          Fifo.length conn.txq < sndbuf_cap || conn.reset);
+      if not conn.reset then begin
+        let n = min (sndbuf_cap - Fifo.length conn.txq) (len - !written) in
+        Queue.push
+          { first = conn.snd_nxt + Fifo.length conn.txq - !written; view; stop = !written + n }
+          conn.pinned;
+        Fifo.push_view conn.txq view !written n;
+        written := !written + n;
+        try_transmit conn
+      end
+    done
+  end;
+  (* Once a range is queued, the connection drops the view's pins, a
+     reset included; until then they are ours to drop. *)
+  if !written = 0 then begin
+    Page_cache.unpin view ~upto:len;
+    Error Errno.epipe
+  end
+  else Ok !written
 
 let recv ?(nonblock = false) conn ~buf ~pos ~len =
   if conn.reset then Error Errno.econnreset

@@ -35,25 +35,19 @@ val connect : engine -> dst_ip:int -> dst_port:int -> (conn, int) result
 (** Block until the handshake completes (ECONNREFUSED if nothing
     listens). *)
 
-val send :
-  ?pins:Ostd.Frame.t list ->
-  ?owned:bool ->
-  ?nonblock:bool ->
-  conn -> buf:bytes -> pos:int -> len:int -> (int, int) result
+val send : ?nonblock:bool -> conn -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Queue bytes; blocks while the send buffer is full. EPIPE after the
-    peer reset or local close.
+    peer reset or local close. The bytes are copied, so the caller may
+    reuse [buf] as soon as the call returns. *)
 
-    The bytes are copied, so the caller may reuse [buf] as soon as the
-    call returns. [~owned:true] hands [buf] over outright instead: the
-    stack queues it by reference, and the caller must never write it
-    again (zero-copy sendfile's page-cache views).
-
-    [?pins] (zero-copy sendfile): page-cache frame handles the caller
-    cloned for this write. Ownership transfers to the stack
-    unconditionally — they ride with the final queued byte, attach to
-    the packet that consumes it, and are dropped (counted as
-    [net.zc_unpin]) when that packet's transmission resolves, or
-    immediately on any error path. *)
+val send_view : conn -> Page_cache.view -> (int, int) result
+(** Zero-copy sendfile: queue a view's bytes by reference, blocking
+    while the send buffer is full; EPIPE after the peer reset or local
+    close. The stack owns the view's pins from here on, on every path.
+    Segments borrow the view's slices, and the device reads its frames
+    when it stages one; a pin drops once every segment holding the
+    byte it backs is acknowledged, or at a reset (counted as
+    [net.zc_unpin]). A retransmit is a copy of its segment. *)
 
 val recv : ?nonblock:bool -> conn -> buf:bytes -> pos:int -> len:int -> (int, int) result
 (** Block until data arrives; 0 at end-of-stream. [~nonblock:true]

@@ -168,8 +168,8 @@ let post_rx s =
       (Int64.of_int (Ostd.Dma.Stream.paddr b.stream))
   end
 
-(* A copied TX frame is encoded here, then written into its DMA buffer
-   in one call; a zero-copy one stages only its header. *)
+(* Every TX frame is encoded here, header and payload, then placed in
+   its DMA buffer in one call. *)
 let stage = Bytes.create tso_cap
 
 (* Build the DMA descriptor for one outgoing frame, data copied in,
@@ -182,26 +182,22 @@ let prepare_tx s pkt =
   Netstack.charge s.stack 500;
   let b = take_buf s ~pkt:(Some pkt) ~len in
   let f = frame_of b in
-  (if pkt.Packet.pins <> [] then begin
-     (* Zero-copy sendfile: the payload already lives in pinned
-        page-cache frames, so the CPU materialises only the 36-byte
-        header. [Dma.Stream.fill] places header and payload straight in
-        the DMA buffer without a copy charge, and the mapping cost is
-        the per-packet zc map. *)
+  Packet.encode_into pkt stage;
+  (if Packet.ends_view pkt then begin
+     (* Zero-copy sendfile: the payload lives in pinned page-cache
+        frames, which the device reads behind the header the CPU
+        writes. [Dma.Stream.fill] places the frame without a copy
+        charge, and the mapping cost is the per-packet zc map. *)
      Sim.Cost.charge_memcpy Packet.header_size;
      Ostd.Dma.charge_zc_map ();
      Sim.Stats.add "net.bytes_copied" Packet.header_size;
-     Packet.encode_header pkt stage;
-     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:stage ~pos:0 ~len:Packet.header_size;
-     Ostd.Dma.Stream.fill b.stream ~off:(data_off + Packet.header_size) ~buf:pkt.Packet.payload
-       ~pos:pkt.Packet.off ~len:plen
+     Ostd.Dma.Stream.fill b.stream ~off:data_off ~buf:stage ~pos:0 ~len
    end
    else begin
      (* Copy into the DMA buffer: a real data movement, one write of the
         whole frame from the staging buffer. *)
      Sim.Cost.charge_memcpy len;
      Sim.Stats.add "net.bytes_copied" len;
-     Packet.encode_into pkt stage;
      Ostd.Untyped.write_bytes f ~off:data_off ~buf:stage ~pos:0 ~len
    end);
   Ostd.Untyped.write_u32 f ~off:desc_len len;
@@ -266,10 +262,7 @@ let quarantine s i =
   match b.pkt with
   | Some p ->
     if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
-    if p.Packet.pins <> [] then begin
-      Ostd.Dma.charge_zc_unmap ();
-      Packet.release_pins p
-    end;
+    if Packet.ends_view p then Ostd.Dma.charge_zc_unmap ();
     Netstack.tx_error s.stack p
   | None -> ()
 
@@ -350,10 +343,7 @@ let retry_or_give_up s b =
     (match b.pkt with
     | Some p ->
       if p.Packet.span > 0 then Sim.Stats.incr "span.tx_done";
-      if p.Packet.pins <> [] then begin
-        Ostd.Dma.charge_zc_unmap ();
-        Packet.release_pins p
-      end;
+      if Packet.ends_view p then Ostd.Dma.charge_zc_unmap ();
       Netstack.tx_error s.stack p
     | None -> ());
     release_buf s b
@@ -482,12 +472,10 @@ let reap_tx s b =
       end;
       Sim.Stats.incr "span.tx_done"
     | Some _ | None -> ());
-    (* TX complete: the device has read the payload off the pinned
-       page-cache frames, so the zero-copy pins release here. *)
+    (* TX complete: the device is done with the view's pages, so their
+       mapping goes; the pins stay with the connection until the ACK. *)
     (match b.pkt with
-    | Some p when p.Packet.pins <> [] ->
-      Ostd.Dma.charge_zc_unmap ();
-      Packet.release_pins p
+    | Some p when Packet.ends_view p -> Ostd.Dma.charge_zc_unmap ()
     | Some _ | None -> ());
     release_buf s b
   end

@@ -482,6 +482,41 @@ let ipc_fifo_cases, ipc_stream_cases =
             let ra = revents c a all in
             [ ra; revents c b all ]) );
       ("shutdown(fd, 3)", [ -E.einval ], on_pair (fun c a _ -> [ shutdown c a 3 ]));
+      ( "unix listener closed before accept: the client's revents, read, read, revents, write",
+        [ 0x201d; -E.econnreset; 0; 0x2015; -E.epipe ],
+        fun c ->
+          let path = "/tmp/ipc_listener" in
+          let lfd = L.socket c ~domain:1 ~typ:1 in
+          ignore (L.bind_unix c ~fd:lfd ~path);
+          ignore (L.listen c ~fd:lfd ~backlog:4);
+          let cfd = L.socket c ~domain:1 ~typ:1 in
+          ignore (L.connect_unix c ~fd:cfd ~path);
+          ignore (L.set_nonblock c ~fd:cfd);
+          close c [ lfd ];
+          let r0 = revents c cfd all in
+          let r1 = r c cfd in
+          let r2 = r c cfd in
+          let r3 = revents c cfd all in
+          let ans = [ r0; r1; r2; r3; w c cfd 3 ] in
+          close c [ cfd ];
+          ans );
+      ( "socketpair: a full sender after its peer closes: revents, read, revents, read, write",
+        [ 0x0; 0x201d; -E.econnreset; 0x2015; 0; -E.epipe ],
+        fun c ->
+          let a, b = pair c in
+          ignore (L.set_nonblock c ~fd:a);
+          while w c a 4096 > 0 do
+            ()
+          done;
+          let full = revents c a all in
+          close c [ b ];
+          let r0 = revents c a all in
+          let r1 = r c a in
+          let r2 = revents c a all in
+          let r3 = r c a in
+          let ans = [ full; r0; r1; r2; r3; w c a 3 ] in
+          close c [ a ];
+          ans );
       ( "loopback TCP SHUT_RD: queued bytes read, the send side stays",
         [ 3; 2; 2 ],
         fun c ->
@@ -538,7 +573,7 @@ let test_ipc_linux_cases () =
         0)
   in
   check_int "exit" 0 code;
-  check_int "fourteen cases" 14 (List.length ipc_fifo_cases + List.length ipc_stream_cases);
+  check_int "sixteen cases" 16 (List.length ipc_fifo_cases + List.length ipc_stream_cases);
   Alcotest.(check (list string)) "answers unlike Linux" [] (List.rev !wrong)
 
 (* --- Generated namespace sequences ---
@@ -1215,6 +1250,150 @@ let test_sendfile_tcp ~profile path () =
          end));
   Aster.Kernel.run ();
   check_int "received full file" 8192 !got_len
+
+(* A sendfile view outlives its file until the ACK.
+
+   Sendfile queues pinned page-cache slices: the device reads them when
+   it stages a segment, and a retransmit reads them again. So the bytes
+   must outlive the file. The guest truncates and unlinks it as soon as
+   sendfile returns, on a link that drops frames, and the host must
+   still receive the file's bytes. Once the ACKs, or a reset, have
+   covered the stream, every pin has dropped and every frame handle is
+   back. The host reads the file's length and stops, not waiting for
+   end of stream: this TCP never resends a lost FIN, so the task could
+   wait forever and keep its stack's frames. *)
+
+let pattern len = Bytes.init len (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let views_run ~seed ?abort_after () =
+  let size = 256 * 1024 in
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  Sim.Fault.configure ~seed [ ("net.drop", 0.02) ];
+  let handles = Ostd.Frame.live_handles () in
+  let sink = Buffer.create size in
+  let port = 9033 in
+  (match Aster.Tcp.listen host.Aster.Kernel.htcp ~port with
+  | Error _ -> Alcotest.fail "host listen"
+  | Ok l ->
+    ignore
+      (Ostd.Task.spawn ~name:"host-sink" (fun () ->
+           let conn = Aster.Tcp.accept l in
+           let buf = Bytes.create 16384 in
+           let continue = ref true in
+           while !continue && Buffer.length sink < size do
+             match Aster.Tcp.recv conn ~buf ~pos:0 ~len:16384 with
+             | Ok 0 | Error _ -> continue := false
+             | Ok n -> (
+               Buffer.add_subbytes sink buf 0 n;
+               match abort_after with
+               | Some m when Buffer.length sink >= m ->
+                 Aster.Tcp.abort conn;
+                 continue := false
+               | _ -> ())
+           done;
+           if !continue then Aster.Tcp.close conn)));
+  let sent = ref 0 and gone = ref false in
+  Apps.Runner.spawn ~name:"guest-sendfile" (fun c ->
+      let fd = Apps.Libc.openf c "/tmp/payload" ~flags:0o102 ~mode:0o644 in
+      let data = pattern size in
+      let written = ref 0 in
+      while !written < size do
+        let len = min 65536 (size - !written) in
+        let b = Bytes.sub data !written len in
+        let n = Apps.Libc.write c ~fd ~vaddr:(Apps.Libc.put_bytes c b) ~len in
+        if n <= 0 then written := size else written := !written + n
+      done;
+      ignore (Apps.Libc.lseek c ~fd ~off:0 ~whence:0);
+      let sfd = Apps.Libc.socket c ~domain:2 ~typ:1 in
+      if Apps.Libc.connect_inet c ~fd:sfd ~ip:Aster.Kernel.host_ip ~port < 0 then 1
+      else begin
+        let ok = ref true in
+        while !ok && !sent < size do
+          let n = Apps.Libc.sendfile c ~out_fd:sfd ~in_fd:fd ~count:(size - !sent) in
+          if n <= 0 then ok := false else sent := !sent + n
+        done;
+        gone := Apps.Libc.ftruncate c ~fd ~len:0 = 0 && Apps.Libc.unlink c "/tmp/payload" = 0;
+        ignore (Apps.Libc.close c fd);
+        ignore (Apps.Libc.close c sfd);
+        0
+      end);
+  Apps.Runner.run ();
+  Sim.Fault.disable ();
+  (Buffer.contents sink, !sent, !gone, handles)
+
+let check_views_returned ~what handles =
+  check_int (what ^ ": every pin dropped") (Sim.Stats.get "net.zc_pin")
+    (Sim.Stats.get "net.zc_unpin");
+  check (what ^ ": pages were pinned") true (Sim.Stats.get "net.zc_pin" > 0);
+  check_int (what ^ ": every frame handle back") handles (Ostd.Frame.live_handles ())
+
+let test_sendfile_views_until_ack () =
+  List.iter
+    (fun seed ->
+      let what = Printf.sprintf "seed %Ld" seed in
+      let bytes, sent, gone, handles = views_run ~seed () in
+      check_int (what ^ ": sendfile queued the whole file") (256 * 1024) sent;
+      check (what ^ ": the file was truncated and unlinked") true gone;
+      check (what ^ ": frames were lost and retransmitted") true
+        (Sim.Stats.get "degrade.retried.tcp_rto" > 0);
+      check (what ^ ": the peer got the file's bytes") true
+        (String.equal bytes (Bytes.to_string (pattern (256 * 1024))));
+      check_views_returned ~what handles)
+    [ 1L; 2L; 3L ]
+
+let test_sendfile_views_reset_mid_stream () =
+  List.iter
+    (fun seed ->
+      let what = Printf.sprintf "seed %Ld" seed in
+      let bytes, sent, gone, handles = views_run ~seed ~abort_after:(64 * 1024) () in
+      check (what ^ ": the reset cut the stream") true (String.length bytes < 256 * 1024);
+      check (what ^ ": what arrived is the file's prefix") true
+        (String.equal bytes (Bytes.sub_string (pattern (256 * 1024)) 0 (String.length bytes)));
+      check (what ^ ": sendfile queued bytes before the reset") true (sent > 0);
+      check (what ^ ": the file was truncated and unlinked") true gone;
+      check_views_returned ~what handles)
+    [ 1L; 2L; 3L ]
+
+(* A reset cannot unpin a view that a segment in the TX plug still
+   reads: the plug flushes after the reset, and the driver stages the
+   segment from the view's frames. A kernel task sends a view and aborts
+   the connection without leaving the syscall-free context, so its
+   segments are still plugged when the reset drops the view's pins. *)
+let test_sendfile_view_plugged_at_reset () =
+  let k = Apps.Runner.boot ~profile:Sim.Profile.asterinas in
+  let host = Aster.Kernel.attach_host k in
+  let handles = Ostd.Frame.live_handles () in
+  let port = 9034 in
+  (match Aster.Tcp.listen host.Aster.Kernel.htcp ~port with
+  | Error _ -> Alcotest.fail "host listen"
+  | Ok l ->
+    ignore
+      (Ostd.Task.spawn ~name:"host-sink" (fun () ->
+           let conn = Aster.Tcp.accept l in
+           let buf = Bytes.create 16384 in
+           while Result.is_ok (Aster.Tcp.recv conn ~buf ~pos:0 ~len:16384) do
+             ()
+           done)));
+  let cache = Aster.Page_cache.create () in
+  let size = 64 * 1024 in
+  ignore (Aster.Page_cache.write cache ~pos:0 ~buf:(pattern size) ~boff:0 ~len:size ~room:16);
+  let sent = ref 0 in
+  ignore
+    (Ostd.Task.spawn ~name:"guest-view" (fun () ->
+         match Aster.Tcp.connect k.Aster.Kernel.tcp ~dst_ip:Aster.Kernel.host_ip ~dst_port:port with
+         | Error _ -> ()
+         | Ok conn ->
+           sent :=
+             Result.value ~default:0
+               (Aster.Tcp.send_view conn (Aster.Page_cache.view cache ~pos:0 ~len:size));
+           Aster.Tcp.abort conn));
+  Apps.Runner.run ();
+  Aster.Page_cache.destroy cache;
+  check_int "the view was queued" size !sent;
+  check "segments were plugged" true (Sim.Stats.get "net.tx_queued" > 0);
+  check_int "every pin dropped" (Sim.Stats.get "net.zc_pin") (Sim.Stats.get "net.zc_unpin");
+  check_int "every frame handle back" handles (Ostd.Frame.live_handles ())
 
 let test_virtio_net_to_host () =
   let k = boot () in
@@ -2862,5 +3041,10 @@ let () =
           Alcotest.test_case "sendfile_ext2_zero_copy" `Quick
             (test_sendfile_tcp ~profile:Sim.Profile.linux "/ext2/payload");
           Alcotest.test_case "virtio_net_echo" `Quick test_virtio_net_to_host;
+          Alcotest.test_case "sendfile_views_until_ack" `Quick test_sendfile_views_until_ack;
+          Alcotest.test_case "sendfile_views_reset_mid_stream" `Quick
+            test_sendfile_views_reset_mid_stream;
+          Alcotest.test_case "sendfile_view_plugged_at_reset" `Quick
+            test_sendfile_view_plugged_at_reset;
         ] );
     ]

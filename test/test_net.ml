@@ -430,6 +430,7 @@ let sendfile_run ?(profile = Sim.Profile.asterinas) ?(port = 9030) ?faults ~size
   let k = Apps.Runner.boot ~profile in
   let host = Aster.Kernel.attach_host k in
   (match faults with Some (seed, schedule) -> Sim.Fault.configure ~seed schedule | None -> ());
+  let handles = Ostd.Frame.live_handles () in
   let sink = Buffer.create size in
   let eof = ref false in
   (match Aster.Tcp.listen host.Aster.Kernel.htcp ~port with
@@ -477,10 +478,15 @@ let sendfile_run ?(profile = Sim.Profile.asterinas) ?(port = 9030) ?faults ~size
         done;
         ignore (Apps.Libc.close c file);
         ignore (Apps.Libc.close c sfd);
+        ignore (Apps.Libc.unlink c "/tmp/payload");
         rc := (if !ok then 0 else 2);
         !rc
       end);
   Apps.Runner.run ();
+  (* With the file gone, every pin and page is back, but the pooled DMA
+     buffers a quarantine leaks on purpose. *)
+  check_int "every frame handle back" (handles - Sim.Stats.get "net.pool_leaked")
+    (Ostd.Frame.live_handles ());
   (!rc, Buffer.contents sink, !eof)
 
 let test_sendfile_zero_copy_pins_balance () =
@@ -515,8 +521,8 @@ let test_sendfile_copy_baseline () =
 
 let test_sendfile_zero_copy_survives_tx_faults () =
   (* Pin conservation must hold when frames fail mid-flight: give-ups
-     and quarantines release pins exactly once, and RTO retransmits of
-     pinned payloads are pinless copies. *)
+     and quarantines drop no pin, since the connection holds them until
+     the ACK, and RTO retransmits are pinless copies of the slices. *)
   (* Large enough that the stream is many 64 KiB super-segment
      descriptors: per-descriptor fault rolls then fire at these rates
      regardless of seed. *)

@@ -1,5 +1,6 @@
-(* Must compile: the five misuses of this directory with untyped
-   frames, so a failure to compile them is the frame's kind alone. *)
+(* Must compile: the misuses of this directory with untyped frames, so
+   a failure to compile them is the frame's kind alone. [write] is also
+   view_write.ml's twin. *)
 let read () = Ostd.Untyped.read_u8 (Ostd.Frame.alloc ()) ~off:0
 
 let write () = Ostd.Untyped.write_u8 (Ostd.Frame.alloc ()) ~off:0 1
